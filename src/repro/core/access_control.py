@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import AccessControlError
+from repro.sqlengine.batch import ColumnBatch
 
 READ = "read"
 WRITE = "write"
@@ -61,6 +62,21 @@ class AccessRule:
             return low <= value <= high
         except TypeError:
             return False
+
+
+def _mask_outside(vector: Sequence[object], access_rule: AccessRule) -> List[object]:
+    """``vector`` with the values outside the rule's range set to NULL."""
+    low, high = access_rule.value_range
+    try:
+        return [
+            value if value is None or low <= value <= high else None
+            for value in vector
+        ]
+    except TypeError:
+        # Some value does not compare with the bounds: decide one by one,
+        # as :meth:`AccessRule.allows_value` does (incomparable -> NULL).
+        allows = access_rule.allows_value
+        return [value if allows(value) else None for value in vector]
 
 
 def rule(
@@ -162,35 +178,28 @@ class AccessController:
         user: str,
         table: str,
         columns: Sequence[str],
-        rows: Sequence[tuple],
-    ) -> List[tuple]:
+        batch: ColumnBatch,
+    ) -> ColumnBatch:
         """Mask values the user's role does not permit.
 
         ``columns`` are the bare output column names of ``table``.  A column
         without read privilege returns NULL; a readable column with a range
         condition returns NULL outside the range (values "are marked as
-        NULL", §4.4).
+        NULL", §4.4).  Masking works a column at a time and builds new
+        vectors — the batch's own may be the owner table's storage — while
+        an unrestricted column passes through as the same vector.
         """
         role = self.role_of(user)
-        rules = [role.rule_for(f"{table.lower()}.{column}") for column in columns]
-        readable = [
-            access_rule is not None and READ in access_rule.privileges
-            for access_rule in rules
-        ]
-        rewritten: List[tuple] = []
-        for row in rows:
-            values = []
-            for value, ok, access_rule in zip(row, readable, rules):
-                if not ok:
-                    values.append(None)
-                elif access_rule is not None and not access_rule.allows_value(
-                    value
-                ):
-                    values.append(None)
-                else:
-                    values.append(value)
-            rewritten.append(tuple(values))
-        return rewritten
+        vectors: List[Sequence[object]] = []
+        for column, vector in zip(columns, batch.vectors):
+            access_rule = role.rule_for(f"{table.lower()}.{column}")
+            if access_rule is None or READ not in access_rule.privileges:
+                vectors.append([None] * len(batch))
+            elif access_rule.value_range is None:
+                vectors.append(vector)
+            else:
+                vectors.append(_mask_outside(vector, access_rule))
+        return ColumnBatch(batch.columns, vectors, len(batch))
 
     def check_readable(self, user: str, table: str, columns: Sequence[str]) -> bool:
         """True iff every listed column is readable for ``user``."""

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.accesscheck import require_unrestricted_read, unrestricted_read
 from repro.core.bloom import build_filter
@@ -42,12 +42,30 @@ from repro.hadoopdb.sms import (
 from repro.sqlengine.executor import compute_aggregates
 from repro.sqlengine.expr import RowLayout
 from repro.mapreduce.engine import records_byte_size
+from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.database import Database
 from repro.sqlengine.expr import Between, BinaryOp, ColumnRef, Literal
 from repro.sqlengine.parser import SelectStmt, parse
 from repro.sqlengine.planner import _normalize_comparison, _split_conjuncts
 from repro.sqlengine.schema import Column, TableSchema
 from repro.sqlengine.table import MemTable
+
+
+def _wire_bytes(shipped: ColumnBatch, local_plan: TableLocalPlan) -> int:
+    """What ``shipped`` costs on the wire.
+
+    Table columns are priced a column at a time, once per batch.  A
+    pushed-down partial aggregate ships a few derived records instead of
+    table columns; those are priced as records, as the other engines do.
+    """
+    if local_plan.columns:
+        return shipped.byte_size
+    return records_byte_size(shipped.rows)
+
+
+def _all_rows(batches: Sequence[ColumnBatch]) -> List[tuple]:
+    """The owners' batches as one list of row tuples, in owner order."""
+    return [row for batch in batches for row in batch.rows]
 
 
 class BasicEngine:
@@ -129,9 +147,10 @@ class BasicEngine:
         if pushdown_ok:
             local_plan = partial_aggregate_plan(plan)
             group_count = len(aggregate.group_exprs)
-            rows, durations, nbytes = self._fetch_table(
+            batches, durations, nbytes = self._fetch_table(
                 local_plan, lookup, user=None, timestamp=timestamp
             )
+            rows = _all_rows(batches)
             groups: Dict[tuple, List[tuple]] = {}
             order: List[tuple] = []
             for row in rows:
@@ -159,9 +178,10 @@ class BasicEngine:
             # Non-decomposable aggregates (COUNT DISTINCT) or restricted
             # users: fetch raw rows (access-rewritten at the owners) and
             # aggregate at the query peer.
-            rows, durations, nbytes = self._fetch_table(
+            batches, durations, nbytes = self._fetch_table(
                 plan.base, lookup, user, timestamp
             )
+            rows = _all_rows(batches)
             layout = RowLayout(plan.base.columns)
             groups = {}
             order = []
@@ -187,10 +207,10 @@ class BasicEngine:
             ]
         else:
             # Pure selection (Q1): merge the owners' partial results.
-            rows, durations, nbytes = self._fetch_table(
+            batches, durations, nbytes = self._fetch_table(
                 plan.base, lookup, user, timestamp
             )
-            records = rows
+            records = _all_rows(batches)
             columns = list(plan.base.columns)
 
         merge_seconds = context.compute_model.rows_seconds(
@@ -282,25 +302,26 @@ class BasicEngine:
         bloom_target_binding = None
         bloom_joins = 0
         local_plans = [plan.base] + [stage.right for stage in plan.joins]
-        fetched: Dict[str, List[tuple]] = {}
+        fetched: Dict[str, List[ColumnBatch]] = {}
         fetch_durations: List[float] = []
         bytes_transferred = 0
         peers_contacted: Set[str] = set()
 
         if context.config.bloom_join_enabled and plan.joins:
             first_stage = plan.joins[0]
-            base_rows, base_durations, base_bytes = self._fetch_table(
+            base_batches, base_durations, base_bytes = self._fetch_table(
                 plan.base, lookups[plan.base.binding], user, timestamp
             )
-            fetched[plan.base.binding] = base_rows
+            fetched[plan.base.binding] = base_batches
             fetch_durations.extend(base_durations)
             bytes_transferred += base_bytes
             peers_contacted.update(lookups[plan.base.binding].peers)
 
             key_position = plan.base.columns.index(first_stage.left_key)
-            keys = {
-                row[key_position] for row in base_rows if row[key_position] is not None
-            }
+            keys: Set[object] = set()
+            for batch in base_batches:
+                keys.update(batch.vectors[key_position])
+            keys.discard(None)
             if keys:
                 bloom_filter = build_filter(
                     keys,
@@ -331,18 +352,27 @@ class BasicEngine:
                     fetch_durations.append(
                         context.call_resilient(peer_id, ship_filter)
                     )
-                rows, durations, nbytes = self._fetch_table(
+
+                def probably_matching(batch: ColumnBatch) -> ColumnBatch:
+                    # Join keys repeat: probe the filter once per distinct key.
+                    keys = batch.vectors[key_position]
+                    passing = {key for key in set(keys) if key in bloom_filter}
+                    return batch.take(
+                        [i for i, key in enumerate(keys) if key in passing]
+                    )
+
+                batches, durations, nbytes = self._fetch_table(
                     local_plan,
                     lookups[local_plan.binding],
                     user,
                     timestamp,
-                    row_filter=lambda row: row[key_position] in bloom_filter,
+                    select=probably_matching,
                 )
             else:
-                rows, durations, nbytes = self._fetch_table(
+                batches, durations, nbytes = self._fetch_table(
                     local_plan, lookups[local_plan.binding], user, timestamp
                 )
-            fetched[local_plan.binding] = rows
+            fetched[local_plan.binding] = batches
             fetch_durations.extend(durations)
             bytes_transferred += nbytes
             peers_contacted.update(lookups[local_plan.binding].peers)
@@ -412,15 +442,15 @@ class BasicEngine:
         lookup: PeerLookup,
         user: Optional[str],
         timestamp: Optional[float],
-        row_filter=None,
-    ) -> Tuple[List[tuple], List[float], int]:
-        """Run a subquery at every owner peer; returns (rows, durations, bytes).
+        select: Optional[Callable[[ColumnBatch], ColumnBatch]] = None,
+    ) -> Tuple[List[ColumnBatch], List[float], int]:
+        """Run a subquery at every owner peer; returns (batches, durations, bytes).
 
         Each duration is one peer's (local execution + transfer) time; the
         caller folds them through the fetch-thread pool.
         """
         context = self.context
-        rows: List[tuple] = []
+        batches: List[ColumnBatch] = []
         durations: List[float] = []
         total_bytes = 0
         # The same subquery goes to every owner: prepare (parse+plan) it at
@@ -442,10 +472,10 @@ class BasicEngine:
                     query_timestamp=timestamp,
                     prepared=prepared_holder[0],
                 )
-                shipped = execution.result.rows
-                if row_filter is not None:
-                    shipped = [row for row in shipped if row_filter(row)]
-                nbytes = records_byte_size(shipped)
+                shipped = execution.result.batch
+                if select is not None:
+                    shipped = select(shipped)
+                nbytes = _wire_bytes(shipped, local_plan)
                 transfer = context.network.transfer(
                     owner.host, context.query_peer.host, nbytes
                 )
@@ -463,14 +493,14 @@ class BasicEngine:
                 continue
             durations.append(duration)
             total_bytes += nbytes
-            rows.extend(shipped)
-        return rows, durations, total_bytes
+            batches.append(shipped)
+        return batches, durations, total_bytes
 
     def _stage(
         self,
         plan: DistributedPlan,
         local_plans: Sequence[TableLocalPlan],
-        fetched: Dict[str, List[tuple]],
+        fetched: Dict[str, List[ColumnBatch]],
     ) -> Tuple[Database, int, int]:
         """Build the staging database holding the fetched partitions.
 
@@ -479,8 +509,7 @@ class BasicEngine:
         """
         context = self.context
         staging = Database(f"{context.query_peer.peer_id}-staging")
-        spills = 0
-        total_rows = 0
+        spills = total_rows = 0
         created: Set[str] = set()
         for local_plan in local_plans:
             if local_plan.table in created:
@@ -491,16 +520,17 @@ class BasicEngine:
                 global_schema.column(name.rsplit(".", 1)[-1])
                 for name in local_plan.columns
             ]
-            staging.create_table(TableSchema(local_plan.table, columns))
+            # All nullable here: masking can null any column (§4.4).
+            columns = [Column(c.name, c.column_type) for c in columns]
             memtable = MemTable(
-                staging.table(local_plan.table),
+                staging.create_table(TableSchema(local_plan.table, columns)),
                 capacity_bytes=context.config.memtable_capacity_bytes,
             )
-            rows = fetched[local_plan.binding]
-            memtable.extend(rows)
+            for batch in fetched[local_plan.binding]:
+                memtable.extend(batch)
+                total_rows += len(batch)
             memtable.flush()
             spills += memtable.spill_count
-            total_rows += len(rows)
         return staging, spills, total_rows
 
     # ------------------------------------------------------------------

@@ -193,17 +193,17 @@ class NormalPeer:
     ) -> LocalExecution:
         """Serve a remote peer's single-table fetch request.
 
-        When ``user`` is given, the rows are rewritten under the user's
+        When ``user`` is given, the result is rewritten under the user's
         access role *before* leaving the peer ("The data that cannot be
         accessed by u will not be returned", §4.4).
         """
         execution = self.execute_local(sql, query_timestamp, prepared=prepared)
         if user is not None:
-            rewritten = self.access.rewrite_rows(
-                user, table, execution.result.columns, execution.result.rows
+            result = execution.result
+            masked = self.access.rewrite_rows(
+                user, table, result.columns, result.batch
             )
-            execution.result.rows[:] = rewritten
-            execution.result.invalidate_byte_size()
+            execution.result = QueryResult(masked, result.stats)
         return execution
 
     def prepare_fetch(self, sql: str) -> Optional[PreparedSelect]:

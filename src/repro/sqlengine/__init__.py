@@ -14,7 +14,9 @@ reproduction's stand-in for both: a small but real relational engine with
 * a pull-based executor with hash joins, aggregation, sorting
   (:mod:`~repro.sqlengine.executor`),
 * a vectorized executor running batch kernels over column-major storage
-  (:mod:`~repro.sqlengine.vectorize`, :mod:`~repro.sqlengine.vexecutor`), and
+  (:mod:`~repro.sqlengine.vectorize`, :mod:`~repro.sqlengine.vexecutor`),
+* the immutable column batch results travel in between plan boundaries
+  (:mod:`~repro.sqlengine.batch`), and
 * per-table statistics feeding histograms and the cost model
   (:mod:`~repro.sqlengine.stats`).
 
@@ -23,6 +25,7 @@ The public entry point is :class:`~repro.sqlengine.database.Database`.
 
 from repro.sqlengine.types import ColumnType
 from repro.sqlengine.schema import Column, TableSchema
+from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.table import MemTable, Table
 from repro.sqlengine.database import EXECUTION_MODES, Database, QueryResult
 from repro.sqlengine.parser import parse
@@ -33,6 +36,7 @@ __all__ = [
     "ColumnType",
     "Column",
     "TableSchema",
+    "ColumnBatch",
     "Table",
     "MemTable",
     "Database",

@@ -1,0 +1,138 @@
+"""The column batch: the one shape a result has between plan boundaries.
+
+A :class:`ColumnBatch` is what leaves a data owner's plan, is masked by the
+access controller, filtered by the bloom join, priced for the wire, and
+staged at the query peer (§5.2) — column vectors end to end, so typed data
+is never transposed into tuples and back, re-coerced or re-priced on the
+way.  It is **immutable**: masking and selection build new batches, and the
+wire size is computed once.
+
+A batch's vectors may be *shared*: a dense scan passes the owner table's
+live column mirror through without copying, and an unrestricted column
+passes through masking the same way.  Hence the two rules every consumer
+follows: never write into a vector, and copy before keeping one (``MemTable``
+and ``Table.insert_many`` do).  An owner's later inserts extend its mirror
+in place, which is why a batch carries its own ``count`` and bounds
+everything it derives by it.
+"""
+
+from __future__ import annotations
+
+from itertools import islice
+from typing import List, Optional, Sequence, Tuple
+
+from repro.errors import SqlExecutionError
+from repro.sqlengine.types import value_byte_size
+
+_NUMERIC = {int, float, bool}
+
+
+def _wire_size(vector: Sequence[object]) -> int:
+    """Sum of the untyped :func:`value_byte_size` over one vector.
+
+    The kinds of value present decide the formula, so a typed column costs
+    two C-level passes instead of a Python call per value; a column of
+    anything else is priced value by value.
+    """
+    kinds = set(map(type, vector))
+    nulls = vector.count(None) if type(None) in kinds else 0
+    kinds.discard(type(None))
+    present = len(vector) - nulls
+    if kinds <= _NUMERIC:
+        return 8 * present + nulls
+    if kinds == {str}:
+        values = (value for value in vector if value is not None) if nulls else vector
+        return sum(map(len, values)) + 4 * present + nulls
+    return sum(map(value_byte_size, vector))
+
+
+def rows_from_vectors(
+    vectors: Sequence[Sequence[object]], count: int
+) -> List[Tuple[object, ...]]:
+    """The first ``count`` positions of ``vectors`` as row tuples."""
+    if not vectors:
+        return [()] * count
+    return list(islice(zip(*vectors), count))
+
+
+def vectors_from_rows(
+    rows: Sequence[Tuple[object, ...]], width: int
+) -> List[List[object]]:
+    """``rows`` (each ``width`` wide) as one list per column."""
+    if not rows:
+        return [[] for _ in range(width)]
+    return [list(column) for column in zip(*rows)]
+
+
+class ColumnBatch:
+    """Output column names, one vector per column, and a row count."""
+
+    def __init__(
+        self,
+        columns: Sequence[str],
+        vectors: Optional[Sequence[Sequence[object]]],
+        count: int,
+    ) -> None:
+        self.columns = list(columns)
+        self.count = count
+        self._vectors: Optional[List[Sequence[object]]] = (
+            None if vectors is None else list(vectors)
+        )
+        self._rows: Optional[List[Tuple[object, ...]]] = None
+        self._byte_size: Optional[int] = None
+
+    @classmethod
+    def from_rows(
+        cls, columns: Sequence[str], rows: Sequence[Tuple[object, ...]]
+    ) -> "ColumnBatch":
+        """A batch over row tuples (the row executors' and loaders' shape).
+
+        The rows are kept as the batch's ``rows``; vectors are transposed
+        from them only if somebody asks.
+        """
+        batch = cls(columns, None, len(rows))
+        batch._rows = rows if isinstance(rows, list) else list(rows)
+        return batch
+
+    def __len__(self) -> int:
+        return self.count
+
+    @property
+    def vectors(self) -> List[Sequence[object]]:
+        """The column vectors, each exactly ``count`` long.  Read-only."""
+        vectors = self._vectors
+        if vectors is None:
+            if len(set(map(len, self._rows))) > 1:
+                raise SqlExecutionError("rows of one batch differ in width")
+            vectors = self._vectors = vectors_from_rows(
+                self._rows, len(self.columns)
+            )
+        elif any(len(vector) != self.count for vector in vectors):
+            # A shared owner mirror grew in place since the scan; inserts
+            # only append, so this batch is still its first ``count`` values.
+            vectors = self._vectors = [vector[: self.count] for vector in vectors]
+        return vectors
+
+    @property
+    def rows(self) -> List[Tuple[object, ...]]:
+        """The batch as row tuples: one transpose, on first use."""
+        if self._rows is None:
+            self._rows = rows_from_vectors(self._vectors, self.count)
+        return self._rows
+
+    @property
+    def byte_size(self) -> int:
+        """Approximate wire size: untyped, so a DATE costs ``len + 4``."""
+        if self._byte_size is None:
+            self._byte_size = sum(map(_wire_size, self.vectors))
+        return self._byte_size
+
+    def take(self, positions: Sequence[int]) -> "ColumnBatch":
+        """The rows at ``positions`` (increasing) as a new batch."""
+        if len(positions) == self.count:
+            return self
+        return ColumnBatch(
+            self.columns,
+            [[vector[i] for i in positions] for vector in self.vectors],
+            len(positions),
+        )

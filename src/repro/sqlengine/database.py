@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import collections
 
 from repro.errors import SqlCatalogError, SqlExecutionError
+from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.compile import (
     compile_evaluator,
     compile_predicate,
@@ -35,7 +36,6 @@ from repro.sqlengine.planner import Planner, explain_plan, plan_tables
 from repro.sqlengine.schema import TableSchema
 from repro.sqlengine.stats import TableStats, collect_table_stats
 from repro.sqlengine.table import Table
-from repro.sqlengine.types import value_byte_size
 from repro.sqlengine.vexecutor import VectorizedExecutor
 
 #: Supported expression-evaluation strategies, slowest to fastest.
@@ -43,39 +43,31 @@ EXECUTION_MODES = ("interpreted", "compiled", "vectorized")
 
 
 class QueryResult:
-    """Rows plus metadata returned by :meth:`Database.execute`."""
+    """What :meth:`Database.execute` returns: one :class:`ColumnBatch` plus
+    metadata.  ``rows`` and ``byte_size`` are derived from the batch on
+    first use; the batch is immutable, so neither ever goes stale."""
 
     def __init__(
         self,
-        columns: Sequence[str],
-        rows: List[Tuple[object, ...]],
+        batch: ColumnBatch,
         stats: Optional[ExecStats] = None,
         rowcount: int = 0,
     ) -> None:
-        self.columns = [column.rsplit(".", 1)[-1] for column in columns]
-        self.qualified_columns = list(columns)
-        self.rows = rows
+        self.batch = batch
+        self.columns = [column.rsplit(".", 1)[-1] for column in batch.columns]
+        self.qualified_columns = batch.columns
         self.stats = stats or ExecStats()
         # For INSERT/UPDATE/DELETE: the number of affected rows.
-        self.rowcount = rowcount if rowcount else len(rows)
-        self._byte_size: Optional[int] = None
+        self.rowcount = rowcount if rowcount else len(batch)
+
+    @property
+    def rows(self) -> List[Tuple[object, ...]]:
+        return self.batch.rows
 
     @property
     def byte_size(self) -> int:
-        """Approximate wire size of the result set (computed once, cached).
-
-        Anything mutating ``rows`` in place must call
-        :meth:`invalidate_byte_size`.
-        """
-        if self._byte_size is None:
-            self._byte_size = sum(
-                value_byte_size(value) for row in self.rows for value in row
-            )
-        return self._byte_size
-
-    def invalidate_byte_size(self) -> None:
-        """Drop the cached wire size after an in-place ``rows`` rewrite."""
-        self._byte_size = None
+        """Approximate wire size of the result set."""
+        return self.batch.byte_size
 
     def scalar(self) -> object:
         """The single value of a one-row, one-column result."""
@@ -92,16 +84,21 @@ class QueryResult:
             position = self.columns.index(lowered)
         except ValueError:
             raise SqlExecutionError(f"no output column {name!r}") from None
-        return [row[position] for row in self.rows]
+        return list(self.batch.vectors[position])
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.batch)
 
     def __iter__(self):
         return iter(self.rows)
 
     def __repr__(self) -> str:
-        return f"QueryResult(columns={self.columns}, rows={len(self.rows)})"
+        return f"QueryResult(columns={self.columns}, rows={len(self)})"
+
+
+def _no_rows(rowcount: int = 0) -> QueryResult:
+    """The result of a statement that returns no rows (DDL, DML)."""
+    return QueryResult(ColumnBatch.from_rows([], []), rowcount=rowcount)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -245,19 +242,19 @@ class Database:
             self.create_table(
                 TableSchema(statement.name, statement.columns, statement.primary_key)
             )
-            return QueryResult([], [])
+            return _no_rows()
         if isinstance(statement, CreateIndexStmt):
             self.table(statement.table).create_index(
                 statement.name, statement.column, statement.unique
             )
-            return QueryResult([], [])
+            return _no_rows()
         if isinstance(statement, UpdateStmt):
             return self._execute_update(statement)
         if isinstance(statement, DeleteStmt):
             return self._execute_delete(statement)
         if isinstance(statement, DropTableStmt):
             self.drop_table(statement.name, statement.if_exists)
-            return QueryResult([], [])
+            return _no_rows()
         raise SqlExecutionError(f"unsupported statement: {type(statement).__name__}")
 
     def explain(self, sql: str) -> str:
@@ -282,14 +279,15 @@ class Database:
 
     def _run_plan(self, plan: object) -> QueryResult:
         if self._execution_mode == "vectorized":
-            layout, rows, stats = VectorizedExecutor(
+            _, batch, stats = VectorizedExecutor(
                 self._tables, batch_size=self._batch_size
             ).execute(plan)
         else:
             layout, rows, stats = Executor(
                 self._tables, use_compiled=self._execution_mode == "compiled"
             ).execute(plan)
-        return QueryResult(layout.columns, rows, stats)
+            batch = ColumnBatch.from_rows(layout.columns, rows)
+        return QueryResult(batch, stats)
 
     # ------------------------------------------------------------------
     # Plan cache & prepared statements
@@ -406,7 +404,7 @@ class Database:
         else:
             rows = list(statement.rows)
         table.insert_many(rows)
-        return QueryResult([], [], rowcount=len(rows))
+        return _no_rows(len(rows))
 
     def _execute_update(self, statement: UpdateStmt) -> QueryResult:
         table = self.table(statement.table)
@@ -432,7 +430,7 @@ class Database:
                 values[position] = evaluate(row)
             table.update_row(row_id, values)
             updated += 1
-        return QueryResult([], [], rowcount=updated)
+        return _no_rows(updated)
 
     def _evaluator(self, expr, layout: RowLayout):
         if self.use_compiled:
@@ -454,4 +452,4 @@ class Database:
             table.truncate()
         else:
             deleted = table.delete_where(self._predicate(statement.where, layout))
-        return QueryResult([], [], rowcount=deleted)
+        return _no_rows(deleted)

@@ -83,13 +83,16 @@ class TableSchema:
                 return position
         raise SqlCatalogError(f"no column {name!r} in table {self.name!r}")
 
-    def coerce_row(self, values: Sequence[object]) -> Tuple[object, ...]:
-        """Validate one row of values against the schema."""
-        if len(values) != len(self.columns):
+    def _check_width(self, width: int) -> None:
+        if width != len(self.columns):
             raise SqlCatalogError(
                 f"table {self.name!r} expects {len(self.columns)} values, "
-                f"got {len(values)}"
+                f"got {width}"
             )
+
+    def coerce_row(self, values: Sequence[object]) -> Tuple[object, ...]:
+        """Validate one row of values against the schema."""
+        self._check_width(len(values))
         coerced = []
         for column, value in zip(self.columns, values):
             if value is None and not column.nullable:
@@ -98,3 +101,35 @@ class TableSchema:
                 )
             coerced.append(column.column_type.coerce(value))
         return tuple(coerced)
+
+    def coerce_columns(
+        self, vectors: Sequence[Sequence[object]]
+    ) -> List[Sequence[object]]:
+        """Column-major :meth:`coerce_row`: one validated vector per column.
+
+        A vector that already holds only its column's type comes back as the
+        same object (see :meth:`ColumnType.coerce_vector`); only a column
+        that fails that check pays per-value coercion, so nothing mistyped
+        is accepted and typed data is never re-coerced.
+        """
+        self._check_width(len(vectors))
+        if len(set(map(len, vectors))) > 1:
+            raise SqlCatalogError(
+                f"column vectors for {self.name!r} differ in length"
+            )
+        coerced = []
+        for column, vector in zip(self.columns, vectors):
+            if not column.nullable and None in vector:
+                raise SqlCatalogError(
+                    f"column {column.name!r} of {self.name!r} is NOT NULL"
+                )
+            coerced.append(column.column_type.coerce_vector(vector))
+        return coerced
+
+    def vectors_byte_size(self, vectors: Sequence[Sequence[object]]) -> int:
+        """Typed size of column vectors: the sum of their rows' sizes."""
+        self._check_width(len(vectors))
+        return sum(
+            column.column_type.vector_byte_size(vector)
+            for column, vector in zip(self.columns, vectors)
+        )

@@ -12,12 +12,12 @@ data into the local MySQL when the MemTable is full" (Section 5.2).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SqlCatalogError, SqlExecutionError
+from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.indexes import OrderedIndex
 from repro.sqlengine.schema import TableSchema
-from repro.sqlengine.types import value_byte_size
 
 
 class Table:
@@ -120,15 +120,30 @@ class Table:
             index.insert(row[self.schema.column_index(index.column)], row_id)
         return row_id
 
-    def insert_many(self, rows: Sequence[Sequence[object]]) -> List[int]:
+    def insert_many(
+        self, rows: Union[ColumnBatch, Sequence[Sequence[object]]]
+    ) -> List[int]:
         """Bulk-append ``rows`` atomically; returns their row ids.
 
         One coercion pass, one unique-key validation pass (a violation
         anywhere in the batch leaves the table unchanged, where per-row
         insertion would have kept the earlier rows), one mutation-version
         bump, and one merge per index — instead of per-row work for each.
+
+        Rows given as a :class:`ColumnBatch` stay columnar: every column is
+        validated and priced as a whole (:meth:`TableSchema.coerce_columns`),
+        the row store is filled by one ``zip``, and a table without live
+        rows takes copies of the vectors as its column mirror, so staged
+        data is never transposed back.
         """
-        coerced = [self.schema.coerce_row(row) for row in rows]
+        vectors: Optional[List[Sequence[object]]] = None
+        if isinstance(rows, ColumnBatch):
+            vectors = self.schema.coerce_columns(rows.vectors)
+            coerced = list(zip(*vectors))
+            byte_size = self.schema.vectors_byte_size(vectors)
+        else:
+            coerced = [self.schema.coerce_row(row) for row in rows]
+            byte_size = sum(map(self._row_bytes, coerced))
         if not coerced:
             return []
         for index in self.indexes.values():
@@ -148,12 +163,18 @@ class Table:
         first_id = len(self._rows)
         row_ids = list(range(first_id, first_id + len(coerced)))
         self._rows.extend(coerced)
-        self._live_count += len(coerced)
-        self._byte_size += sum(self._row_bytes(row) for row in coerced)
         if self._column_store is not None and self._column_store_version == self.version:
-            for position, column_values in enumerate(self._column_store):
-                column_values.extend(row[position] for row in coerced)
+            for column_values, values in zip(
+                self._column_store, vectors if vectors is not None else zip(*coerced)
+            ):
+                column_values.extend(values)
             self._column_store_version = self.version + 1
+        elif vectors is not None and not self._live_count:
+            # Copies: a batch's vectors may be shared with its producer.
+            self._column_store = [list(vector) for vector in vectors]
+            self._column_store_version = self.version + 1
+        self._live_count += len(coerced)
+        self._byte_size += byte_size
         self.version += 1
         for index in self.indexes.values():
             position = self.schema.column_index(index.column)
@@ -266,9 +287,9 @@ class Table:
 class MemTable:
     """A bounded in-memory staging buffer for fetched remote tuples.
 
-    When the buffer exceeds ``capacity_bytes`` it spills (bulk-inserts) into
-    the backing :class:`Table`.  The number of spills is observable so tests
-    can verify the bulk-insert behaviour the paper describes.
+    Batches gather here by column; at ``capacity_bytes`` of typed size the
+    buffer spills (bulk-inserts) into the backing :class:`Table`.  Spills are
+    counted so tests can verify the bulk-insert behaviour the paper describes.
     """
 
     def __init__(self, backing: Table, capacity_bytes: int = 100 * 1024 * 1024) -> None:
@@ -278,35 +299,35 @@ class MemTable:
             )
         self.backing = backing
         self.capacity_bytes = capacity_bytes
-        self._buffer: List[Tuple[object, ...]] = []
-        self._buffered_bytes = 0
-        self.spill_count = 0
-
-    @property
-    def buffered_rows(self) -> int:
-        return len(self._buffer)
-
-    @property
-    def buffered_bytes(self) -> int:
-        return self._buffered_bytes
+        self._columns: List[List[object]] = [[] for _ in backing.schema.columns]
+        self.buffered_rows = self.buffered_bytes = self.spill_count = 0
 
     def append(self, values: Sequence[object]) -> None:
-        row = self.backing.schema.coerce_row(values)
-        self._buffer.append(row)
-        self._buffered_bytes += self.backing._row_bytes(row)
-        if self._buffered_bytes >= self.capacity_bytes:
-            self.flush()
+        self.extend([values])
 
-    def extend(self, rows: Sequence[Sequence[object]]) -> None:
-        for row in rows:
-            self.append(row)
+    def extend(self, rows: Union[ColumnBatch, Sequence[Sequence[object]]]) -> None:
+        if not isinstance(rows, ColumnBatch):
+            rows = ColumnBatch.from_rows(self.backing.schema.column_names, rows)
+        nbytes = self.backing.schema.vectors_byte_size(rows.vectors)
+        if len(rows) > 1 and self.buffered_bytes + nbytes >= self.capacity_bytes:
+            # Crossing the bound: row by row, to spill where a row buffer would.
+            for row in rows.rows:
+                self.append(row)
+            return
+        for column, vector in zip(self._columns, rows.vectors):
+            column.extend(vector)
+        self.buffered_rows += len(rows)
+        self.buffered_bytes += nbytes
+        if self.buffered_bytes >= self.capacity_bytes:
+            self.flush()
 
     def flush(self) -> int:
         """Bulk-insert the buffer into the backing table; returns row count."""
-        flushed = len(self._buffer)
+        flushed = self.buffered_rows
         if flushed:
-            self.backing.insert_many(self._buffer)
-            self._buffer.clear()
-            self._buffered_bytes = 0
+            names = self.backing.schema.column_names
+            self.backing.insert_many(ColumnBatch(names, self._columns, flushed))
+            self._columns = [[] for _ in names]
+            self.buffered_rows = self.buffered_bytes = 0
             self.spill_count += 1
         return flushed

@@ -7,9 +7,9 @@ read :meth:`Table.column_data` straight out of storage with zero copying;
 predicates narrow selection vectors in ``batch_size`` chunks via
 :mod:`repro.sqlengine.vectorize` kernels; joins build and probe over key
 vectors and carry ``(left, right)`` index pairs instead of materialized
-tuples; aggregation runs tight per-column accumulation loops.  Row tuples
-exist only at plan boundaries (:meth:`execute` output, and inside the two
-inherently tuple-keyed operators, DISTINCT and the group-by fallback).
+tuples; aggregation runs tight per-column accumulation loops.  The plan's
+output leaves as a :class:`ColumnBatch`; row tuples exist only inside the
+two inherently tuple-keyed operators, DISTINCT and the group-by fallback.
 
 Equivalence contract: identical rows, identical :class:`ExecStats`, and the
 identical first exception (vector kernels defer per-row errors, and every
@@ -27,6 +27,11 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
+from repro.sqlengine.batch import (
+    ColumnBatch,
+    rows_from_vectors,
+    vectors_from_rows,
+)
 from repro.sqlengine.compile import compile_evaluator
 from repro.sqlengine.executor import (
     ExecStats,
@@ -55,20 +60,6 @@ from repro.sqlengine.vectorize import (
 
 class _FallbackToReference(Exception):
     """Internal: the group-by fast path punts to the reference loop."""
-
-
-def _rows_from_columns(cols: Sequence[Sequence[object]], n: int) -> List[Tuple[object, ...]]:
-    if not cols:
-        return [()] * n
-    return list(zip(*cols)) if n else []
-
-
-def _columns_from_rows(
-    rows: Sequence[Tuple[object, ...]], ncols: int
-) -> List[List[object]]:
-    if not rows:
-        return [[] for _ in range(ncols)]
-    return [list(col) for col in zip(*rows)]
 
 
 def _passthrough_position(expr, layout: RowLayout) -> Optional[int]:
@@ -104,14 +95,15 @@ class VectorizedExecutor:
         self._batch_size = batch_size
 
     def execute(self, plan: object, stats: Optional[ExecStats] = None):
-        """Run ``plan``; returns ``(layout, rows, stats)``.
+        """Run ``plan``; returns ``(layout, batch, stats)``.
 
-        Tuples materialize here, at the plan boundary, in one transpose.
+        The result stays columnar past the plan boundary: the
+        :class:`ColumnBatch` derives row tuples only if a consumer asks.
         """
         stats = stats if stats is not None else ExecStats()
         layout, cols, n = self._execute(plan, stats)
         stats.rows_output = n
-        return layout, _rows_from_columns(cols, n), stats
+        return layout, ColumnBatch(layout.columns, cols, n), stats
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -146,7 +138,7 @@ class VectorizedExecutor:
         if node.index_access is not None:
             row_ids = index_row_ids(table, node.index_access, stats)
             gathered = [table.row_by_id(row_id) for row_id in row_ids]
-            cols: Sequence[Sequence[object]] = _columns_from_rows(
+            cols: Sequence[Sequence[object]] = vectors_from_rows(
                 gathered, len(layout)
             )
             n = len(gathered)
@@ -385,11 +377,11 @@ class VectorizedExecutor:
             # in the exact interpreted order and therefore raises the
             # exact reference exception (or, for recoverable cases the
             # fast path doesn't model, produces the reference result).
-            rows = _rows_from_columns(cols, n)
+            rows = rows_from_vectors(cols, n)
             layout, out_rows = group_rows_reference(
                 node, child_layout, rows, compile_evaluator
             )
-            return layout, _columns_from_rows(out_rows, len(layout)), len(out_rows)
+            return layout, vectors_from_rows(out_rows, len(layout)), len(out_rows)
 
     def _group_by_fast(self, node: GroupByNode, child_layout, cols, n: int):
         layout = group_output_layout(node, child_layout)
@@ -577,9 +569,9 @@ class VectorizedExecutor:
         # The whole row is the distinct key, so this operator is inherently
         # tuple-shaped: transpose, dedup in first-occurrence order, and
         # return to columns.
-        rows = _rows_from_columns(cols, n)
+        rows = rows_from_vectors(cols, n)
         deduped = list(dict.fromkeys(rows))
-        return layout, _columns_from_rows(deduped, len(layout)), len(deduped)
+        return layout, vectors_from_rows(deduped, len(layout)), len(deduped)
 
     def _execute_sort(self, node: SortNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)

@@ -12,7 +12,7 @@ from repro.core.access_control import (
     rule,
 )
 from repro.errors import AccessControlError
-from repro.sqlengine import Column, ColumnType, TableSchema
+from repro.sqlengine import Column, ColumnBatch, ColumnType, TableSchema
 
 
 def sales_role():
@@ -110,24 +110,42 @@ class TestAccessController:
             controller.role_of("mallory")
 
     def test_rewrite_masks_unreadable_columns(self, controller):
-        rows = controller.rewrite_rows(
+        columns = ["l_quantity", "l_shipdate"]
+        masked = controller.rewrite_rows(
             "alice",
             "lineitem",
-            ["l_quantity", "l_shipdate"],
-            [(5.0, "1998-01-01")],
+            columns,
+            ColumnBatch.from_rows(columns, [(5.0, "1998-01-01")]),
         )
-        assert rows == [(None, "1998-01-01")]
+        assert masked.rows == [(None, "1998-01-01")]
 
     def test_rewrite_masks_out_of_range_values(self, controller):
         # The paper: "For extendedprice, only values in [0, 100] are shown,
         # the rest are marked as NULL."
-        rows = controller.rewrite_rows(
+        columns = ["l_extendedprice", "l_shipdate"]
+        masked = controller.rewrite_rows(
             "alice",
             "lineitem",
-            ["l_extendedprice", "l_shipdate"],
-            [(50.0, "1998-01-01"), (250.0, "1998-02-02")],
+            columns,
+            ColumnBatch.from_rows(
+                columns, [(50.0, "1998-01-01"), (250.0, "1998-02-02")]
+            ),
         )
-        assert rows == [(50.0, "1998-01-01"), (None, "1998-02-02")]
+        assert masked.rows == [(50.0, "1998-01-01"), (None, "1998-02-02")]
+
+    def test_rewrite_builds_new_vectors_and_shares_unrestricted_ones(
+        self, controller
+    ):
+        # The vectors may be the owner table's live storage: masking must
+        # never write into them, and an unrestricted column costs nothing.
+        columns = ["l_quantity", "l_extendedprice", "l_shipdate"]
+        vectors = [[5.0, 6.0], [50.0, 250.0], ["1998-01-01", "1998-02-02"]]
+        batch = ColumnBatch(columns, vectors, 2)
+        masked = controller.rewrite_rows("alice", "lineitem", columns, batch)
+        assert vectors == [[5.0, 6.0], [50.0, 250.0], ["1998-01-01", "1998-02-02"]]
+        assert batch.rows == [(5.0, 50.0, "1998-01-01"), (6.0, 250.0, "1998-02-02")]
+        assert masked.vectors[:2] == [[None, None], [50.0, None]]
+        assert masked.vectors[2] is vectors[2]
 
     def test_check_readable(self, controller):
         assert controller.check_readable(

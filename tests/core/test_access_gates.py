@@ -92,3 +92,70 @@ class TestOnlineAggregationGate:
         # Partial sums are derived values no rule can rewrite.
         with pytest.raises(AccessControlError):
             list(online_aggregate(net, self.SQL, user="restricted"))
+
+
+class TestMaskingThroughStaging:
+    """§4.4 marks out-of-range values as NULL; staging must hold them."""
+
+    @pytest.fixture
+    def two_tables(self):
+        from repro.sqlengine import Column, ColumnType, TableSchema
+
+        schemas = [
+            TableSchema(
+                "a",
+                [
+                    Column("id", ColumnType.INTEGER, nullable=False),
+                    Column("v", ColumnType.FLOAT, nullable=False),
+                ],
+                primary_key="id",
+            ),
+            TableSchema(
+                "b",
+                [
+                    Column("id", ColumnType.INTEGER, nullable=False),
+                    Column("w", ColumnType.FLOAT),
+                ],
+                primary_key="id",
+            ),
+        ]
+        net = BestPeerNetwork({schema.name: schema for schema in schemas})
+        net.add_peer("p0", tables=["a"])
+        net.add_peer("p1", tables=["b"])
+        net.load_peer("p0", {"a": [(i, float(i)) for i in range(20)]})
+        net.load_peer("p1", {"b": [(i, 10.0 * i) for i in range(20)]})
+        narrow = Role(
+            "narrow",
+            [
+                rule("a.id", [READ]),
+                rule("a.v", [READ], (0.0, 5.0)),
+                rule("b.id", [READ]),
+                rule("b.w", [READ]),
+            ],
+        )
+        net.create_user("auditor", "p0", narrow)
+        return net
+
+    def test_restricted_join_over_a_not_null_column_returns_masked_nulls(
+        self, two_tables
+    ):
+        # The owner masks a.v to NULL outside [0, 5]; the global schema
+        # says NOT NULL, which binds the owner's table, not the masked
+        # copy the query peer stages.
+        execution = two_tables.execute(
+            "SELECT a.id, a.v, b.w FROM a, b WHERE a.id = b.id",
+            engine="basic",
+            user="auditor",
+        )
+        assert execution.strategy == "fetch-and-process"
+        assert sorted(execution.records) == [
+            (i, float(i) if i <= 5 else None, 10.0 * i) for i in range(20)
+        ]
+
+    def test_single_table_path_masks_the_same_values(self, two_tables):
+        execution = two_tables.execute(
+            "SELECT id, v FROM a", engine="basic", user="auditor"
+        )
+        assert sorted(execution.records) == [
+            (i, float(i) if i <= 5 else None) for i in range(20)
+        ]

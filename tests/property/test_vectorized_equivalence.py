@@ -155,6 +155,27 @@ table_rows = st.lists(
 )
 
 
+def result_surface(result):
+    """Everything a :class:`QueryResult` exposes, as plain data.
+
+    The row modes build their batch from rows and derive vectors; the
+    vectorized mode builds it from vectors and derives rows.  Comparing the
+    whole surface checks both derivations against each other.
+    """
+    return {
+        "columns": result.columns,
+        "qualified_columns": result.qualified_columns,
+        "rows": result.rows,
+        "iterated": list(result),
+        "vectors": [list(vector) for vector in result.batch.vectors],
+        "by_name": [result.column(name) for name in result.columns],
+        "len": len(result),
+        "rowcount": result.rowcount,
+        "byte_size": result.byte_size,
+        "stats": asdict(result.stats),
+    }
+
+
 def _run(mode, data_rows, sql):
     db = Database(execution_mode=mode)
     db.execute(_CREATE)
@@ -165,7 +186,7 @@ def _run(mode, data_rows, sql):
         result = db.execute(sql)
     except Exception as exc:
         return ("error", type(exc).__name__, str(exc))
-    return ("ok", result.rows, asdict(result.stats))
+    return ("ok", result_surface(result))
 
 
 class TestDatabaseModes:

@@ -219,13 +219,16 @@ class TestPreparedSelect:
 
 
 class TestByteSizeCache:
-    def test_byte_size_cached_and_invalidated(self, db):
+    def test_byte_size_priced_once_per_batch(self, db):
+        from repro.sqlengine.types import value_byte_size
+
         result = db.execute("SELECT name, salary FROM emp")
         first = result.byte_size
-        assert first > 0
-        # In-place rewrite without invalidation: the cache (by design)
-        # still serves the old figure until told otherwise.
+        assert first == sum(
+            value_byte_size(value) for row in result.rows for value in row
+        )
+        # The derived row list is a convenience copy: scribbling on it
+        # cannot change the batch, so there is nothing to invalidate.
         result.rows.append(("extra-name-that-adds-bytes", 1.0))
         assert result.byte_size == first
-        result.invalidate_byte_size()
-        assert result.byte_size > first
+        assert len(result) == len(result.batch) == len(result.rows) - 1

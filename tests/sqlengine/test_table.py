@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.errors import SqlCatalogError, SqlExecutionError
-from repro.sqlengine import Column, ColumnType, MemTable, Table, TableSchema
+from repro.errors import SqlCatalogError, SqlExecutionError, SqlTypeError
+from repro.sqlengine import (
+    Column,
+    ColumnBatch,
+    ColumnType,
+    MemTable,
+    Table,
+    TableSchema,
+)
 
 
 def make_table(primary_key="id"):
@@ -178,6 +185,18 @@ class TestSecondaryIndexes:
         assert make_table().index_on("label") is None
 
 
+ROWS = [(i, float(i), "row" * (i % 3)) for i in range(10)]
+
+
+def batch_of(rows, table):
+    return ColumnBatch.from_rows(table.schema.column_names, rows)
+
+
+def columns_of(table, vectors):
+    """A vector-built batch for ``table`` (ragged input allowed, to test)."""
+    return ColumnBatch(table.schema.column_names, vectors, len(vectors[0]))
+
+
 class TestMemTable:
     def test_buffers_until_capacity(self):
         table = make_table(primary_key=None)
@@ -197,11 +216,13 @@ class TestMemTable:
     def test_flush_moves_all_rows(self):
         table = make_table(primary_key=None)
         mem = MemTable(table, capacity_bytes=10**9)
-        mem.extend([[1, 1.0, "x"], [2, 2.0, "y"]])
+        mem.extend(batch_of([(1, 1.0, "x"), (2, 2.0, "y")], table))
+        assert mem.buffered_rows == 2
+        assert mem.buffered_bytes == 2 * (8 + 8 + 5)
         flushed = mem.flush()
         assert flushed == 2
         assert len(table) == 2
-        assert mem.buffered_rows == 0
+        assert mem.buffered_rows == 0 and mem.buffered_bytes == 0
 
     def test_flush_empty_is_noop(self):
         table = make_table(primary_key=None)
@@ -212,6 +233,112 @@ class TestMemTable:
     def test_nonpositive_capacity_rejected(self):
         with pytest.raises(SqlExecutionError):
             MemTable(make_table(), capacity_bytes=0)
+
+    @pytest.mark.parametrize("capacity", [1, 21, 64, 65, 200, 10**6])
+    def test_batch_extend_spills_where_single_row_appends_do(self, capacity):
+        by_row = make_table(primary_key=None)
+        row_mem = MemTable(by_row, capacity_bytes=capacity)
+        for row in ROWS:
+            row_mem.append(row)
+        by_batch = make_table(primary_key=None)
+        batch_mem = MemTable(by_batch, capacity_bytes=capacity)
+        batch_mem.extend(batch_of(ROWS[:4], by_batch))
+        batch_mem.extend(batch_of(ROWS[4:], by_batch))
+        # Same spill points before the final flush, and after it.
+        assert batch_mem.spill_count == row_mem.spill_count
+        assert batch_mem.buffered_rows == row_mem.buffered_rows
+        assert batch_mem.buffered_bytes == row_mem.buffered_bytes
+        assert list(by_batch.rows()) == list(by_row.rows())
+        row_mem.flush(), batch_mem.flush()
+        assert batch_mem.spill_count == row_mem.spill_count
+        assert list(by_batch.rows()) == list(by_row.rows()) == ROWS
+        assert by_batch.column_data() == by_row.column_data()
+        assert by_batch.byte_size == by_row.byte_size
+
+    def test_flush_shares_no_list_with_the_batch(self):
+        table = make_table(primary_key=None)
+        vectors = [[1, 2], [1.0, 2.0], ["x", "y"]]
+        mem = MemTable(table)
+        mem.extend(ColumnBatch(table.schema.column_names, vectors, 2))
+        vectors[0].append(3)  # the producer's storage grows in place
+        mem.flush()
+        assert table.column_data() == [[1, 2], [1.0, 2.0], ["x", "y"]]
+        assert all(
+            mine is not theirs
+            for mine, theirs in zip(table.column_data(), vectors)
+        )
+
+    def test_wrong_width_rejected_on_extend(self):
+        mem = MemTable(make_table(primary_key=None))
+        with pytest.raises(SqlCatalogError):
+            mem.append([1, 1.0])
+
+    def test_mistyped_value_rejected_by_the_backing_table(self):
+        table = make_table(primary_key=None)
+        mem = MemTable(table)
+        mem.append([True, 1.0, "x"])
+        with pytest.raises(SqlTypeError):
+            mem.flush()
+        assert len(table) == 0
+
+
+class TestInsertManyFromABatch:
+    def test_takes_copies_of_the_vectors_as_the_column_mirror(self):
+        table = make_table()
+        vectors = [[1, 2], [9.5, None], ["a", "b"]]
+        assert table.insert_many(columns_of(table, vectors)) == [0, 1]
+        assert list(table.rows()) == [(1, 9.5, "a"), (2, None, "b")]
+        vectors[0].append(3)  # the producer's storage lives on
+        assert table.column_data() == [[1, 2], [9.5, None], ["a", "b"]]
+        assert table.byte_size == (8 + 8 + 5) + (8 + 1 + 5)
+        assert table.index_on("id").lookup(2) == [1]
+
+    def test_appends_to_a_populated_table(self):
+        table = make_table()
+        table.insert([1, 1.0, "x"])
+        store = table.column_data()
+        table.insert_many(columns_of(table, [[2, 3], [2.0, 3.0], ["y", "z"]]))
+        assert table.column_data() is store
+        assert store == [[1, 2, 3], [1.0, 2.0, 3.0], ["x", "y", "z"]]
+        assert len(table) == 3
+
+    def test_stale_mirror_is_rebuilt_not_adopted(self):
+        table = make_table()
+        table.insert_many([[1, 1.0, "x"], [2, 2.0, "y"]])
+        table.column_data()
+        table.delete_row(0)
+        table.insert_many(columns_of(table, [[3], [3.0], ["z"]]))
+        assert table.column_data() == [[2, 3], [2.0, 3.0], ["y", "z"]]
+
+    def test_mistyped_column_is_coerced_like_coerce_row(self):
+        table = make_table()
+        table.insert_many(columns_of(table, [[1.0, "2"], [1, 2.5], [7, "b"]]))
+        assert list(table.rows()) == [(1, 1.0, "7"), (2, 2.5, "b")]
+        assert [type(v) for v in table.column_data()[1]] == [float, float]
+
+    def test_rejections_leave_the_table_unchanged(self):
+        table = make_table()
+        table.insert([1, 1.0, "x"])
+        for bad, error in [
+            ([[True], [1.0], ["a"]], SqlTypeError),       # bool is no INTEGER
+            ([[None], [1.0], ["a"]], SqlCatalogError),    # NOT NULL
+            ([[2], [1.0]], SqlCatalogError),              # width
+            ([[2, 3], [1.0], ["a"]], SqlCatalogError),    # ragged
+            ([[2, 2], [1.0, 2.0], ["a", "b"]], SqlExecutionError),  # dup in batch
+            ([[1], [1.0], ["a"]], SqlExecutionError),     # dup against table
+        ]:
+            with pytest.raises(error):
+                table.insert_many(columns_of(table, bad))
+        assert list(table.rows()) == [(1, 1.0, "x")]
+        assert table.column_data() == [[1], [1.0], ["x"]]
+
+    def test_date_strings_are_checked(self):
+        table = Table(TableSchema("d", [Column("day", ColumnType.DATE)]))
+        table.insert_many(columns_of(table, [["1995-03-15", None, "1995-03-15"]]))
+        assert table.byte_size == 10 + 1 + 10
+        with pytest.raises(SqlTypeError):
+            table.insert_many(columns_of(table, [["1995-03-15", "yesterday"]]))
+        assert len(table) == 3
 
 
 class TestColumnStore:

@@ -1,11 +1,10 @@
 """The vectorized executor: batching, stats parity, fallbacks, modes."""
 
-from dataclasses import asdict
-
 import pytest
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine import Database, EXECUTION_MODES, VectorizedExecutor
+from tests.property.test_vectorized_equivalence import result_surface
 
 
 def build(mode="vectorized", **kwargs):
@@ -38,8 +37,7 @@ class TestBatching:
             "SELECT grp, SUM(val) FROM t WHERE val > 10 GROUP BY grp "
             "ORDER BY grp"
         )
-        assert result.rows == reference.rows
-        assert asdict(result.stats) == asdict(reference.stats)
+        assert result_surface(result) == result_surface(reference)
 
     def test_batch_size_must_be_positive(self):
         with pytest.raises(SqlExecutionError):
@@ -59,8 +57,7 @@ class TestStatsParity:
     )
     def test_counters_identical_to_reference(self, sql):
         reference, result = both(sql)
-        assert result.rows == reference.rows
-        assert asdict(result.stats) == asdict(reference.stats)
+        assert result_surface(result) == result_surface(reference)
         assert (
             result.stats.index_probes
             + result.stats.join_probe_rows
