@@ -16,6 +16,7 @@ import hashlib
 from typing import Iterable, Iterator
 
 from repro.errors import BestPeerError
+from repro.sqlengine.types import canonical_key
 
 
 class BloomFilter:
@@ -68,7 +69,9 @@ class BloomFilter:
     # ------------------------------------------------------------------
     def _positions(self, value: object) -> Iterator[int]:
         # Double hashing: h_i = h1 + i*h2, the standard k-hash construction.
-        digest = hashlib.sha256(repr(value).encode("utf-8")).digest()
+        # Hashed by canonical key: values that compare equal (1 and 1.0)
+        # must land on the same bits, or the filter has false negatives.
+        digest = hashlib.sha256(repr(canonical_key(value)).encode("utf-8")).digest()
         h1 = int.from_bytes(digest[:8], "big")
         h2 = int.from_bytes(digest[8:16], "big") | 1
         for i in range(self.num_hashes):

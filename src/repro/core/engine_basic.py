@@ -39,7 +39,8 @@ from repro.hadoopdb.sms import (
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.sqlengine.executor import compute_aggregates
+from repro.sqlengine.compile import compile_key
+from repro.sqlengine.executor import compile_aggregates
 from repro.sqlengine.expr import RowLayout
 from repro.mapreduce.engine import records_byte_size
 from repro.sqlengine.batch import ColumnBatch
@@ -183,12 +184,11 @@ class BasicEngine:
             )
             rows = _all_rows(batches)
             layout = RowLayout(plan.base.columns)
+            group_key = compile_key(aggregate.group_exprs, layout)
             groups = {}
             order = []
             for row in rows:
-                key = tuple(
-                    expr.evaluate(row, layout) for expr in aggregate.group_exprs
-                )
+                key = group_key(row)
                 bucket = groups.get(key)
                 if bucket is None:
                     groups[key] = bucket = []
@@ -197,11 +197,8 @@ class BasicEngine:
             if not groups and not aggregate.group_exprs:
                 groups[()] = []
                 order.append(())
-            records = [
-                key
-                + compute_aggregates(aggregate.aggregates, groups[key], layout)
-                for key in order
-            ]
+            compute = compile_aggregates(aggregate.aggregates, layout)
+            records = [key + compute(groups[key]) for key in order]
             columns = aggregate.group_names + [
                 call.to_sql().lower() for call in aggregate.aggregates
             ]

@@ -13,7 +13,7 @@ trade-off the cost model (Eq. 8) prices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.execution import EngineContext, QueryExecution
@@ -23,18 +23,26 @@ from repro.hadoopdb.driver import finalize_records
 from repro.hadoopdb.sms import DistributedPlan, SmsPlanner
 from repro.mapreduce.engine import records_byte_size
 from repro.sim.clock import parallel_duration
-from repro.sqlengine.compile import compile_predicate
-from repro.sqlengine.executor import compute_aggregates
+from repro.sqlengine.compile import compile_key, compile_predicate
+from repro.sqlengine.executor import compile_aggregates
 from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.parser import parse
 
 
 @dataclass
 class _StreamPart:
-    """A slice of the intermediate result living at one peer."""
+    """A slice of the intermediate result living at one peer.
+
+    Priced when it is made: a part is broadcast to every owner of the next
+    table, and its wire size is the same each time.
+    """
 
     peer_id: str
     rows: List[tuple]
+    nbytes: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.nbytes = records_byte_size(self.rows)
 
 
 class ParallelP2PEngine:
@@ -103,7 +111,7 @@ class ParallelP2PEngine:
                 columns = columns + stage.right.columns
                 continue
             stream_rows = [row for part in stream for row in part.rows]
-            stream_bytes = records_byte_size(stream_rows)
+            stream_bytes = sum(part.nbytes for part in stream)
 
             left_layout = RowLayout(columns)
             left_position = left_layout.resolve(stage.left_key)
@@ -139,11 +147,10 @@ class ParallelP2PEngine:
                     # one transfer per current part holder.
                     broadcast_seconds = 0.0
                     for part in stream:
-                        part_bytes = records_byte_size(part.rows)
                         broadcast_seconds += context.network.transfer(
                             context.peer(part.peer_id).host,
                             owner.host,
-                            part_bytes,
+                            part.nbytes,
                         )
 
                     if not stage_prepared:
@@ -191,19 +198,18 @@ class ParallelP2PEngine:
         collect_durations = []
         final_rows: List[tuple] = []
         for part in stream:
-            part_bytes = records_byte_size(part.rows)
 
-            def collect_part(part=part, part_bytes=part_bytes):
+            def collect_part(part=part):
                 return context.network.transfer(
                     context.peer(part.peer_id).host,
                     context.query_peer.host,
-                    part_bytes,
+                    part.nbytes,
                 )
 
             collect_durations.append(
                 context.call_resilient(part.peer_id, collect_part)
             )
-            bytes_transferred += part_bytes
+            bytes_transferred += part.nbytes
             final_rows.extend(part.rows)
         level_seconds.append(parallel_duration(*collect_durations))
 
@@ -245,12 +251,11 @@ class ParallelP2PEngine:
     ) -> Tuple[List[tuple], List[str]]:
         aggregate = plan.aggregate
         layout = RowLayout(columns)
+        group_key = compile_key(aggregate.group_exprs, layout)
         groups: Dict[tuple, List[tuple]] = {}
         order: List[tuple] = []
         for row in rows:
-            key = tuple(
-                expr.evaluate(row, layout) for expr in aggregate.group_exprs
-            )
+            key = group_key(row)
             bucket = groups.get(key)
             if bucket is None:
                 groups[key] = bucket = []
@@ -259,10 +264,8 @@ class ParallelP2PEngine:
         if not groups and not aggregate.group_exprs:
             groups[()] = []
             order.append(())
-        out_rows = [
-            key + compute_aggregates(aggregate.aggregates, groups[key], layout)
-            for key in order
-        ]
+        compute = compile_aggregates(aggregate.aggregates, layout)
+        out_rows = [key + compute(groups[key]) for key in order]
         out_columns = aggregate.group_names + [
             call.to_sql().lower() for call in aggregate.aggregates
         ]

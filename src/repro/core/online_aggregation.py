@@ -128,7 +128,6 @@ def online_aggregate(
     sweet spot); anything else raises.
     """
     from repro.hadoopdb.sms import SmsPlanner, partial_aggregate_plan
-    from repro.mapreduce.engine import records_byte_size
     from repro.sqlengine.parser import parse
 
     plan = SmsPlanner(network.global_schemas).compile(parse(sql))
@@ -181,7 +180,7 @@ def online_aggregate(
             network.network.transfer(
                 owner.host,
                 query_peer.host,
-                records_byte_size(execution.result.rows),
+                execution.result.byte_size,
             )
             return execution
 

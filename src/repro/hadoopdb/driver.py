@@ -19,9 +19,10 @@ from repro.hadoopdb.sms import (
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.mapreduce.engine import MapReduceEngine, records_byte_size
+from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
-from repro.sqlengine.executor import compute_aggregates
+from repro.sqlengine.compile import compile_key, compile_predicate
+from repro.sqlengine.executor import compile_aggregates
 from repro.sqlengine.expr import RowLayout
 
 
@@ -112,11 +113,7 @@ class DistributedPlanDriver:
                 records = local.records
                 if tag is not None:
                     records = [(tag, row) for row in records]
-                return SplitData(
-                    records=records,
-                    local_seconds=local.seconds,
-                    bytes_estimate=records_byte_size(local.records),
-                )
+                return SplitData(records=records, local_seconds=local.seconds)
 
             splits.append(
                 InputSplit(host=host, fetch=fetch, label=local_plan.table)
@@ -160,8 +157,13 @@ class DistributedPlanDriver:
             right_splits = self._table_splits(stage.right, tag="R")
 
             out_columns = columns + stage.right.columns
-            out_layout = RowLayout(out_columns)
-            residual = stage.residual
+            # The residual runs per joined row in every reducer: lower it
+            # once per stage instead of tree-walking per row.
+            residual = (
+                None
+                if stage.residual is None
+                else compile_predicate(stage.residual, RowLayout(out_columns))
+            )
 
             def map_fn(tagged, lp=left_position, rp=right_position):
                 tag, row = tagged
@@ -170,18 +172,11 @@ class DistributedPlanDriver:
                     return []
                 return [(key, tagged)]
 
-            def reduce_fn(key, tagged_rows, layout=out_layout, residual=residual):
+            def reduce_fn(key, tagged_rows, residual=residual):
                 lefts = [row for tag, row in tagged_rows if tag == "L"]
                 rights = [row for tag, row in tagged_rows if tag == "R"]
-                joined = []
-                for left_row in lefts:
-                    for right_row in rights:
-                        combined = left_row + right_row
-                        if residual is None or residual.evaluate(
-                            combined, layout
-                        ) is True:
-                            joined.append(combined)
-                return joined
+                joined = [left + right for left in lefts for right in rights]
+                return joined if residual is None else list(filter(residual, joined))
 
             # Every stage persists to HDFS ("The join results are then
             # written to HDFS", §6.1.9); the next join or the aggregation
@@ -211,16 +206,15 @@ class DistributedPlanDriver:
     ):
         aggregate = plan.aggregate
         layout = RowLayout(plan.columns_after_joins)
-        group_exprs = aggregate.group_exprs
         aggregates = aggregate.aggregates
+        group_key = compile_key(aggregate.group_exprs, layout)
+        compute = compile_aggregates(aggregates, layout)
 
         def map_fn(row):
-            key = tuple(expr.evaluate(row, layout) for expr in group_exprs)
-            return [(key, row)]
+            return [(group_key(row), row)]
 
         def reduce_fn(key, rows):
-            values = compute_aggregates(aggregates, rows, layout)
-            return [tuple(key) + values]
+            return [tuple(key) + compute(rows)]
 
         result = self.engine.run_job(
             MapReduceJob(
@@ -246,15 +240,14 @@ class DistributedPlanDriver:
         if aggregate.partials is None:
             # Non-decomposable aggregates: shuffle raw rows (rare path).
             layout = RowLayout(plan.base.columns)
-            group_exprs = aggregate.group_exprs
-            aggregates = aggregate.aggregates
+            group_key = compile_key(aggregate.group_exprs, layout)
+            compute = compile_aggregates(aggregate.aggregates, layout)
 
             def raw_map(row):
-                key = tuple(expr.evaluate(row, layout) for expr in group_exprs)
-                return [(key, row)]
+                return [(group_key(row), row)]
 
             def raw_reduce(key, rows):
-                return [tuple(key) + compute_aggregates(aggregates, rows, layout)]
+                return [tuple(key) + compute(rows)]
 
             result = self.engine.run_job(
                 MapReduceJob(

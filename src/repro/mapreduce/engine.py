@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
@@ -25,7 +26,8 @@ from repro.mapreduce.job import (
 )
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
-from repro.sqlengine.types import value_byte_size
+from repro.sqlengine.batch import wire_size
+from repro.sqlengine.types import canonical_key
 
 
 @dataclass(frozen=True)
@@ -54,14 +56,21 @@ class MapReduceConfig:
 
 
 def records_byte_size(records: Sequence[object]) -> int:
-    """Approximate wire size of a record batch (tuples or scalars)."""
-    total = 0
-    for record in records:
-        if isinstance(record, tuple):
-            total += sum(value_byte_size(value) for value in record)
-        else:
-            total += value_byte_size(record)
-    return total
+    """Approximate wire size of a record batch (tuples or scalars).
+
+    The rows-shaped door onto :func:`~repro.sqlengine.batch.wire_size`:
+    scalars are one vector, rows of one width one vector per column, and a
+    ragged or mixed batch the one vector of all its values.
+    """
+    kinds = set(map(type, records))
+    row_kinds = {kind for kind in kinds if issubclass(kind, tuple)}
+    if not row_kinds:
+        return wire_size(records)
+    if row_kinds == kinds and len(set(map(len, records))) == 1:
+        return sum(map(wire_size, zip(*records)))
+    return wire_size(list(chain.from_iterable(
+        record if isinstance(record, tuple) else (record,) for record in records
+    )))
 
 
 class MapReduceEngine:
@@ -161,29 +170,39 @@ class MapReduceEngine:
 
     def _shuffle(self, job: MapReduceJob, map_outputs):
         """Partition intermediate pairs to reducers over the network."""
-        partitions: List[Dict[object, List[object]]] = [
-            {} for _ in range(job.num_reducers)
-        ]
-        # Group the wire transfers as (mapper host, reducer index) batches.
-        batch_bytes: Dict[Tuple[str, int], int] = {}
-        total_bytes = 0
+        reducers = range(job.num_reducers)
+        partitions: List[Dict[object, List[object]]] = [{} for _ in reducers]
+        # Keys repeat (both join sides, every row of a group): hash each
+        # distinct key once.  Equal keys are one dict entry, which is exact
+        # because ``_partition_of`` sends equal keys to one reducer.
+        reducer_of: Dict[object, int] = {}
+        # One wire transfer per (mapper host, reducer) lane: gather each
+        # lane's keys and values so the lane is priced as a batch.
+        lanes: Dict[str, List[Tuple[List[object], List[object]]]] = {}
         for host, pairs in map_outputs:
+            host_lanes = lanes.setdefault(host, [([], []) for _ in reducers])
             for key, value in pairs:
-                reducer = self._partition_of(key, job.num_reducers)
+                reducer = reducer_of.get(key)
+                if reducer is None:
+                    reducer = reducer_of[key] = self._partition_of(
+                        key, job.num_reducers
+                    )
                 partitions[reducer].setdefault(key, []).append(value)
-                pair_bytes = value_byte_size(key) + (
-                    records_byte_size([value])
-                )
-                batch_bytes[(host, reducer)] = (
-                    batch_bytes.get((host, reducer), 0) + pair_bytes
-                )
-                total_bytes += pair_bytes
+                lane_keys, lane_values = host_lanes[reducer]
+                lane_keys.append(key)
+                lane_values.append(value)
 
+        total_bytes = 0
         per_reducer_seconds = [0.0] * job.num_reducers
-        for (host, reducer), nbytes in sorted(batch_bytes.items()):
-            per_reducer_seconds[reducer] += self.network.transfer(
-                host, self._reducer_host(reducer), nbytes
-            )
+        for host in sorted(lanes):
+            for reducer, (keys, values) in enumerate(lanes[host]):
+                if not keys:
+                    continue  # nothing to send: no transfer, as on a real wire
+                nbytes = wire_size(keys) + records_byte_size(values)
+                total_bytes += nbytes
+                per_reducer_seconds[reducer] += self.network.transfer(
+                    host, self._reducer_host(reducer), nbytes
+                )
         duration = (
             self.config.shuffle_notification_delay_s
             + parallel_duration(*per_reducer_seconds)
@@ -216,8 +235,9 @@ class MapReduceEngine:
     @staticmethod
     def _partition_of(key: object, num_reducers: int) -> int:
         # A deterministic, process-stable partitioner (Python's built-in
-        # ``hash`` is salted for strings, so CRC32 over repr is used instead).
-        return zlib.crc32(repr(key).encode("utf-8")) % num_reducers
+        # ``hash`` is salted for strings, so CRC32 over repr is used instead;
+        # over the canonical key, so that 1 and 1.0 meet at one reducer).
+        return zlib.crc32(repr(canonical_key(key)).encode("utf-8")) % num_reducers
 
 
 def _sortable(key: object):

@@ -24,7 +24,6 @@ class SplitData:
 
     records: List[object]
     local_seconds: float = 0.0
-    bytes_estimate: int = 0
 
 
 @dataclass

@@ -27,12 +27,16 @@ from repro.sqlengine.types import value_byte_size
 _NUMERIC = {int, float, bool}
 
 
-def _wire_size(vector: Sequence[object]) -> int:
+def wire_size(vector: Sequence[object]) -> int:
     """Sum of the untyped :func:`value_byte_size` over one vector.
 
-    The kinds of value present decide the formula, so a typed column costs
-    two C-level passes instead of a Python call per value; a column of
-    anything else is priced value by value.
+    The one wire pricer: every byte count the simulated network is charged
+    comes from here.  The kinds of value present decide the formula, so a
+    column costs a few C-level passes instead of a Python call per value:
+    numbers are 8 bytes, NULL is 1, and anything else is the length of its
+    text plus 4 — which makes a nested value such as the join shuffle's
+    ``(tag, row)`` cost ``len(str(row)) + 4``.  Only a column that mixes
+    numbers with other kinds is priced value by value.
     """
     kinds = set(map(type, vector))
     nulls = vector.count(None) if type(None) in kinds else 0
@@ -40,10 +44,11 @@ def _wire_size(vector: Sequence[object]) -> int:
     present = len(vector) - nulls
     if kinds <= _NUMERIC:
         return 8 * present + nulls
-    if kinds == {str}:
-        values = (value for value in vector if value is not None) if nulls else vector
-        return sum(map(len, values)) + 4 * present + nulls
-    return sum(map(value_byte_size, vector))
+    if any(issubclass(kind, (int, float)) for kind in kinds):
+        return sum(map(value_byte_size, vector))
+    values = (value for value in vector if value is not None) if nulls else vector
+    texts = values if kinds == {str} else map(str, values)
+    return sum(map(len, texts)) + 4 * present + nulls
 
 
 def rows_from_vectors(
@@ -124,7 +129,7 @@ class ColumnBatch:
     def byte_size(self) -> int:
         """Approximate wire size: untyped, so a DATE costs ``len + 4``."""
         if self._byte_size is None:
-            self._byte_size = sum(map(_wire_size, self.vectors))
+            self._byte_size = sum(map(wire_size, self.vectors))
         return self._byte_size
 
     def take(self, positions: Sequence[int]) -> "ColumnBatch":

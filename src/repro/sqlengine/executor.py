@@ -349,21 +349,7 @@ def group_rows_reference(
     key_evaluators = [
         evaluator_factory(expr, child_layout) for expr in node.group_exprs
     ]
-    # Precompile each aggregate's single argument, if it has one. COUNT(*)
-    # and malformed calls get None; _AggState keeps its per-row arity error
-    # for the latter, matching the reference path.
-    arg_getters = [
-        None
-        if aggregate.star or len(aggregate.args) != 1
-        else evaluator_factory(aggregate.args[0], child_layout)
-        for aggregate in node.aggregates
-    ]
-
-    def make_states() -> List[_AggState]:
-        return [
-            _AggState(aggregate, arg_getter)
-            for aggregate, arg_getter in zip(node.aggregates, arg_getters)
-        ]
+    make_states = _state_factory(node.aggregates, child_layout, evaluator_factory)
 
     groups: Dict[Tuple[object, ...], List[_AggState]] = {}
     group_order: List[Tuple[object, ...]] = []
@@ -412,31 +398,48 @@ def _sort_key(value: object):
     return _NULL_SORTS_FIRST if value is None else value
 
 
-def compute_aggregates(
+def _state_factory(
     aggregates: Sequence[FuncCall],
-    rows: Sequence[Tuple[object, ...]],
     layout: RowLayout,
-) -> Tuple[object, ...]:
-    """Evaluate aggregate calls over a group of rows.
+    evaluator_factory: Callable[[Expr, RowLayout], Callable],
+) -> Callable[[], List["_AggState"]]:
+    """Lower the aggregates' arguments once; returns a maker of fresh states.
 
-    Exposed for the distributed engines (BestPeer++'s MapReduce engine and
-    HadoopDB's SMS-generated reducers), which aggregate outside a local
-    GroupBy plan node.  Argument expressions are compiled once per call —
-    the compiled closures are value-identical to the interpreted path.
+    COUNT(*) and malformed calls get no argument getter; ``_AggState`` keeps
+    its per-row arity error for the latter, matching the reference path.
     """
-    states = [
-        _AggState(
-            aggregate,
-            None
-            if aggregate.star or len(aggregate.args) != 1
-            else compile_evaluator(aggregate.args[0], layout),
-        )
+    arg_getters = [
+        None
+        if aggregate.star or len(aggregate.args) != 1
+        else evaluator_factory(aggregate.args[0], layout)
         for aggregate in aggregates
     ]
-    for row in rows:
-        for state in states:
-            state.accumulate(row, layout)
-    return tuple(state.result() for state in states)
+    return lambda: [
+        _AggState(aggregate, arg_getter)
+        for aggregate, arg_getter in zip(aggregates, arg_getters)
+    ]
+
+
+def compile_aggregates(
+    aggregates: Sequence[FuncCall], layout: RowLayout
+) -> Callable[[Sequence[Tuple[object, ...]]], Tuple[object, ...]]:
+    """Lower aggregate calls into ``rows of one group -> aggregate values``.
+
+    For the distributed engines (BestPeer++'s engines and HadoopDB's
+    SMS-generated reducers), which aggregate outside a local GroupBy plan
+    node: compile once per job, call once per group.  The compiled argument
+    closures are value-identical to the interpreted path.
+    """
+    make_states = _state_factory(aggregates, layout, compile_evaluator)
+
+    def compute(rows: Sequence[Tuple[object, ...]]) -> Tuple[object, ...]:
+        states = make_states()
+        for row in rows:
+            for state in states:
+                state.accumulate(row, layout)
+        return tuple(state.result() for state in states)
+
+    return compute
 
 
 class _AggState:

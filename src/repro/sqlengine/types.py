@@ -137,6 +137,27 @@ def _coerce_text(value: object) -> str:
     raise SqlTypeError(f"not a TEXT value: {value!r}")
 
 
+def canonical_key(key: object) -> object:
+    """One representative for every key that compares equal to ``key``.
+
+    ``1``, ``1.0`` and ``True`` are equal (and hash equal) in Python, so a
+    join or GROUP BY treats them as one key; anything that places a key by
+    its ``repr`` — the shuffle partitioner, the bloom filter — must place
+    them together too.  ``bool`` and integral ``float`` become ``int``,
+    element-wise through tuples; every other key, ``int`` and ``str``
+    included, is returned unchanged.
+    """
+    if type(key) is int:  # by far the commonest key, and already canonical
+        return key
+    if isinstance(key, float):
+        return int(key) if key.is_integer() else key
+    if isinstance(key, int):  # bool and other int subclasses
+        return int(key)
+    if isinstance(key, tuple):
+        return tuple(map(canonical_key, key))
+    return key
+
+
 def value_byte_size(value: object, column_type: Optional[ColumnType] = None) -> int:
     """Size of ``value`` in bytes; infers the type when not supplied."""
     if column_type is not None:

@@ -33,6 +33,12 @@ class TestBloomFilter:
         # "1" has a different repr than 1, so it is (almost surely) absent.
         assert "1" not in bloom
 
+    def test_equal_keys_of_different_numeric_type_are_members(self):
+        # No false negatives: a join sees 1 = 1.0, so the filter must too.
+        bloom = build_filter([1, 0, (2, "x")], bits_per_key=64)
+        assert all(key in bloom for key in (1.0, True, 0.0, -0.0, (2.0, "x")))
+        assert 1.5 not in bloom
+
     def test_invalid_params(self):
         with pytest.raises(BestPeerError):
             BloomFilter(expected_keys=0)

@@ -112,3 +112,44 @@ class TestShuffleAccounting:
         assert result.bytes_shuffled > 0
         # 30 pairs, each key "k" (5 bytes) + int value (8 bytes).
         assert result.bytes_shuffled == 30 * (5 + 8)
+
+    @pytest.mark.parametrize("hosts_count,num_reducers", [(3, 3), (2, 5)])
+    def test_pricing_calls_do_not_grow_with_the_input(
+        self, monkeypatch, hosts_count, num_reducers
+    ):
+        """A lane is priced as a batch: per-record pricing must not creep back."""
+        import repro.mapreduce.engine as engine_module
+
+        def pricing_calls(rows_per_table):
+            engine, hosts = make_engine(hosts_count)
+            calls = []
+            monkeypatch.setattr(
+                engine_module,
+                "records_byte_size",
+                lambda records: calls.append(len(records)) or records_byte_size(records),
+            )
+            left = [("L", (k, f"name-{k}")) for k in range(rows_per_table)]
+            right = [("R", (k, k * 0.5, None)) for k in range(rows_per_table)]
+            job = MapReduceJob(
+                "join",
+                [
+                    InputSplit(host, lambda rows=rows[i::hosts_count]: SplitData(records=rows))
+                    for rows in (left, right)
+                    for i, host in enumerate(hosts)
+                ],
+                map_fn=lambda tagged: [(tagged[1][0], tagged)],
+                reduce_fn=lambda key, tagged: [
+                    l + r
+                    for tl, l in tagged if tl == "L"
+                    for tr, r in tagged if tr == "R"
+                ],
+                num_reducers=num_reducers,
+                output_path=f"/out-{rows_per_table}",
+            )
+            result = engine.run_job(job)
+            assert len(result.records) == rows_per_table
+            assert sum(calls) >= 2 * rows_per_table  # every value was priced
+            return len(calls)
+
+        small, large = pricing_calls(50), pricing_calls(1000)
+        assert small == large <= 2 * hosts_count * num_reducers + 1

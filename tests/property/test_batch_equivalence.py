@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.access_control import READ, WRITE, AccessController, Role, rule
 from repro.errors import SqlCatalogError, SqlTypeError
-from repro.mapreduce.engine import records_byte_size
 from repro.sqlengine import (
     Column,
     ColumnBatch,
@@ -21,6 +20,7 @@ from repro.sqlengine import (
     Table,
     TableSchema,
 )
+from tests.property.test_wire_pricing import by_value_byte_size
 
 DATES = ["1994-01-01", "1995-03-15", "1995-03-16", "1998-12-01"]
 TYPED_VALUES = {
@@ -125,7 +125,7 @@ class TestMasking:
         masked = controller.rewrite_rows("u", "T", schema.column_names, batch)
         assert masked.rows == expected
         assert len(masked) == len(rows)
-        assert masked.byte_size == records_byte_size(expected)
+        assert masked.byte_size == by_value_byte_size(expected)
         # Immutability: the input batch and its vectors are as they were.
         assert batch.vectors == before and batch.rows == rows
 
@@ -162,10 +162,10 @@ class TestPricingAndSelection:
     @given(typed_tables())
     def test_typed_batch_price_is_the_by_value_price(self, table):
         schema, rows = table
-        assert batch_of(schema, rows).byte_size == records_byte_size(rows)
+        assert batch_of(schema, rows).byte_size == by_value_byte_size(rows)
         assert (
             ColumnBatch.from_rows(schema.column_names, rows).byte_size
-            == records_byte_size(rows)
+            == by_value_byte_size(rows)
         )
 
     @settings(max_examples=200, deadline=None)
@@ -173,7 +173,7 @@ class TestPricingAndSelection:
     def test_untyped_batch_price_is_the_by_value_price(self, rows):
         # Derived columns (partial aggregates, expressions) have no schema.
         batch = ColumnBatch.from_rows(["x", "y"], rows)
-        assert batch.byte_size == records_byte_size(rows)
+        assert batch.byte_size == by_value_byte_size(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -195,7 +195,7 @@ class TestPricingAndSelection:
         expected = [row for row in rows if row[position] in keys]
         assert kept.rows == expected
         assert len(kept) == len(expected)
-        assert kept.byte_size == records_byte_size(expected)
+        assert kept.byte_size == by_value_byte_size(expected)
         assert kept.columns == batch.columns
         assert batch.rows == rows
 
