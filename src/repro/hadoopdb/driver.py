@@ -9,6 +9,7 @@ behind the ``local_execute`` callback.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
@@ -21,9 +22,13 @@ from repro.hadoopdb.sms import (
 )
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
-from repro.sqlengine.compile import compile_key, compile_predicate
-from repro.sqlengine.executor import compile_aggregates
-from repro.sqlengine.expr import RowLayout
+from repro.sqlengine.compile import (
+    compile_evaluator,
+    compile_key,
+    compile_predicate,
+)
+from repro.sqlengine.executor import _sort_key, compile_aggregates
+from repro.sqlengine.expr import ColumnRef, RowLayout
 
 
 @dataclass
@@ -305,21 +310,19 @@ class DistributedPlanDriver:
 
 
 def finalize_records(plan: DistributedPlan, records, columns):
-    """Apply HAVING, projection, DISTINCT, ORDER BY and LIMIT serially.
+    """Apply HAVING, projection, ORDER BY, DISTINCT and LIMIT serially.
 
     Shared by every distributed execution path (HadoopDB's driver and
     BestPeer++'s engines): these steps run on the coordinating node over the
-    already-small final record stream.
+    already-small final record stream.  Every expression is resolved once
+    against the record layout, never per row.
     """
     layout = RowLayout(columns)
     if plan.having is not None:
-        records = [
-            row for row in records
-            if plan.having.evaluate(row, layout) is True
-        ]
+        records = list(filter(compile_predicate(plan.having, layout), records))
 
     output_names: List[str] = []
-    evaluators = []
+    getters = []
     for item in plan.items:
         if item.is_star:
             for position, column in enumerate(layout.columns):
@@ -328,57 +331,44 @@ def finalize_records(plan: DistributedPlan, records, columns):
                 ):
                     continue
                 output_names.append(column)
-                evaluators.append(
-                    lambda row, position=position: row[position]
-                )
+                getters.append(itemgetter(position))
             continue
         output_names.append(item.output_name().lower())
-        evaluators.append(
-            lambda row, expr=item.expr: expr.evaluate(row, layout)
-        )
-    projected = [
-        tuple(evaluate(row) for evaluate in evaluators) for row in records
-    ]
-    out_layout = RowLayout(output_names)
+        getters.append(_row_getter(item.expr, layout))
+    # ``zip`` pulls one value per getter per row: row-major, like the
+    # reference, so the first error raised is the same one.
+    projected = list(zip(*(map(getter, records) for getter in getters)))
+
+    if plan.order_by:
+        # One key vector per ORDER BY item, one index permutation sorted
+        # last key to first (stable sorts compose), applied once.
+        out_layout = RowLayout(output_names)
+        order = list(range(len(projected)))
+        for item in reversed(plan.order_by):
+            try:
+                keys = list(map(_row_getter(item.expr, out_layout), projected))
+            except SqlExecutionError:
+                # Not in the projection: the key reads the merged records
+                # (the local planner's sort-below-project case).
+                keys = list(map(_row_getter(item.expr, layout), records))
+            sortable = list(map(_sort_key, keys))
+            order.sort(key=sortable.__getitem__, reverse=not item.ascending)
+        projected = [projected[i] for i in order]
 
     if plan.distinct:
-        seen = set()
-        unique = []
-        for row in projected:
-            if row not in seen:
-                seen.add(row)
-                unique.append(row)
-        projected = unique
-
-    for order_item in reversed(plan.order_by):
-        try:
-            target_layout, target = out_layout, projected
-            keyed = sorted(
-                target,
-                key=lambda row: _null_safe(
-                    order_item.expr.evaluate(row, target_layout)
-                ),
-                reverse=not order_item.ascending,
-            )
-            projected = keyed
-        except SqlExecutionError:
-            # Order key not in the projection: sort the raw records and
-            # re-project (the local planner's sort-below-project case).
-            records = sorted(
-                records,
-                key=lambda row: _null_safe(
-                    order_item.expr.evaluate(row, layout)
-                ),
-                reverse=not order_item.ascending,
-            )
-            projected = [
-                tuple(evaluate(row) for evaluate in evaluators)
-                for row in records
-            ]
-
+        # After the sort, as the local plan's sort-below-project has it; for
+        # keys of the projected row itself either order gives the same rows.
+        projected = list(dict.fromkeys(projected))
     if plan.limit is not None:
         projected = projected[: plan.limit]
     return projected, output_names
+
+
+def _row_getter(expr, layout: RowLayout):
+    """``row -> value`` for ``expr``: an ``itemgetter`` for a bare column."""
+    if isinstance(expr, ColumnRef) and layout.has(expr.name):
+        return itemgetter(layout.resolve(expr.name))
+    return compile_evaluator(expr, layout)
 
 
 def merge_partial_aggregates(partials, partial_rows: Sequence[tuple]) -> Tuple[object, ...]:
@@ -426,18 +416,3 @@ def _finalize_partials(partials, merged: List[object]) -> Tuple[object, ...]:
                 value = 0
             values.append(value)
     return tuple(values)
-
-
-class _NullsFirst:
-    def __lt__(self, other):
-        return not isinstance(other, _NullsFirst)
-
-    def __gt__(self, other):
-        return False
-
-
-_NULLS_FIRST = _NullsFirst()
-
-
-def _null_safe(value: object):
-    return _NULLS_FIRST if value is None else value

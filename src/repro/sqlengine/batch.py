@@ -19,12 +19,14 @@ everything it derives by it.
 from __future__ import annotations
 
 from itertools import islice
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine.types import value_byte_size
 
-_NUMERIC = {int, float, bool}
+#: Exact types (no subclasses) that are numbers to arithmetic and pricing.
+NUMERIC_KINDS = {int, float, bool}
 
 
 def wire_size(vector: Sequence[object]) -> int:
@@ -42,7 +44,7 @@ def wire_size(vector: Sequence[object]) -> int:
     nulls = vector.count(None) if type(None) in kinds else 0
     kinds.discard(type(None))
     present = len(vector) - nulls
-    if kinds <= _NUMERIC:
+    if kinds <= NUMERIC_KINDS:
         return 8 * present + nulls
     if any(issubclass(kind, (int, float)) for kind in kinds):
         return sum(map(value_byte_size, vector))
@@ -67,6 +69,35 @@ def vectors_from_rows(
     if not rows:
         return [[] for _ in range(width)]
     return [list(column) for column in zip(*rows)]
+
+
+class LazyColumns:
+    """Column vectors over row tuples, each transposed on first use.
+
+    What an index scan hands downstream: operators index the columns they
+    read, so a 16-column table pays for the three a query references.
+    :meth:`take` narrows by re-gathering rows, which keeps unread columns
+    unbuilt.  The rows are immutable tuples, so a later write to the owner
+    table cannot reach a view.
+    """
+
+    def __init__(self, rows: List[Tuple[object, ...]], width: int) -> None:
+        self._rows = rows
+        self._vectors: List[Optional[List[object]]] = [None] * width
+
+    def __len__(self) -> int:
+        return len(self._vectors)
+
+    def __getitem__(self, position: int) -> List[object]:
+        vector = self._vectors[position]
+        if vector is None:
+            vector = list(map(itemgetter(position), self._rows))
+            self._vectors[position] = vector
+        return vector
+
+    def take(self, positions: Sequence[int]) -> "LazyColumns":
+        """The rows at ``positions`` as a new view."""
+        return LazyColumns(list(map(self._rows.__getitem__, positions)), len(self))
 
 
 class ColumnBatch:

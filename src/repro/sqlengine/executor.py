@@ -121,7 +121,7 @@ class Executor:
         )
         rows: List[Tuple[object, ...]]
         if node.index_access is not None:
-            rows = self._index_rows(table, node.index_access, stats)
+            rows = index_rows(table, node.index_access, stats)
         else:
             rows = list(table.rows())
             stats.rows_scanned += len(table)
@@ -129,12 +129,6 @@ class Executor:
             predicate = self._predicate(node.predicate, layout)
             rows = [row for row in rows if predicate(row)]
         return layout, rows
-
-    def _index_rows(
-        self, table: Table, access: IndexAccess, stats: ExecStats
-    ) -> List[Tuple[object, ...]]:
-        row_ids = index_row_ids(table, access, stats)
-        return [table.row_by_id(row_id) for row_id in row_ids]
 
     # ------------------------------------------------------------------
     # Filter / Join
@@ -291,11 +285,15 @@ def _position_getter(position: int) -> Callable[[Tuple[object, ...]], object]:
     return lambda row: row[position]
 
 
-def index_row_ids(table: Table, access: IndexAccess, stats: ExecStats) -> List[int]:
-    """Resolve an :class:`IndexAccess` to row ids, charging ``stats``.
+def index_rows(
+    table: Table, access: IndexAccess, stats: ExecStats
+) -> List[Tuple[object, ...]]:
+    """Resolve an :class:`IndexAccess` to its rows, charging ``stats``.
 
     Shared by the row executor and the vectorized executor so both charge
-    identical probe/scan counts for identical plans.
+    identical probe/scan counts for identical plans.  Rows come back in
+    index order (by key, then as the index holds a key's ids): a float SUM
+    downstream adds in that order.
     """
     index = table.index_on(access.column)
     if index is None:
@@ -315,7 +313,7 @@ def index_row_ids(table: Table, access: IndexAccess, stats: ExecStats) -> List[i
         )
     stats.index_probes += 1
     stats.rows_scanned += len(row_ids)
-    return row_ids
+    return table.rows_by_ids(row_ids)
 
 
 def group_output_layout(node: GroupByNode, child_layout: RowLayout) -> RowLayout:

@@ -11,6 +11,7 @@ tombstones in the table, and the index drops their entries eagerly.
 from __future__ import annotations
 
 import bisect
+from itertools import chain
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SqlCatalogError, SqlExecutionError
@@ -166,8 +167,7 @@ class OrderedIndex:
             stop = bisect.bisect_right(self._keys, high)
         else:
             stop = bisect.bisect_left(self._keys, high)
-        for position in range(start, stop):
-            yield from self._row_ids[position]
+        return chain.from_iterable(self._row_ids[start:stop])
 
     def min_key(self) -> Optional[object]:
         return self._keys[0] if self._keys else None

@@ -38,6 +38,7 @@ from repro.sqlengine.parser import (
     SelectStmt,
     TableRef,
 )
+from repro.sqlengine.types import ColumnType
 
 _COMPARISONS = {"=", "<", "<=", ">", ">="}
 
@@ -245,6 +246,10 @@ class Planner:
         for predicate in predicates:
             access = self._match_index(table, predicate)
             if access is not None:
+                # NULL keys are not indexed and every bound is a non-NULL
+                # literal, so the index result is exactly this conjunct's
+                # TRUE set: only the other conjuncts are left to check.
+                predicates = [p for p in predicates if p is not predicate]
                 break
         residual = _combine_conjuncts(predicates)
         return ScanNode(
@@ -262,7 +267,9 @@ class Planner:
                 column is not None
                 and isinstance(predicate.low, Literal)
                 and isinstance(predicate.high, Literal)
-                and table.index_on(column) is not None
+                and _index_comparable(
+                    table, column, predicate.low.value, predicate.high.value
+                )
             ):
                 return IndexAccess(
                     column=column,
@@ -273,7 +280,7 @@ class Planner:
         if not isinstance(predicate, BinaryOp) or predicate.op not in _COMPARISONS:
             return None
         column, literal, op = _normalize_comparison(predicate)
-        if column is None or table.index_on(column) is None:
+        if column is None or not _index_comparable(table, column, literal):
             return None
         if op == "=":
             return IndexAccess(column=column, eq_value=literal)
@@ -534,6 +541,20 @@ def _bare_column(expr: Expr) -> Optional[str]:
     if isinstance(expr, ColumnRef):
         return expr.name.rsplit(".", 1)[-1].lower()
     return None
+
+
+def _index_comparable(table: object, column: str, *bounds: object) -> bool:
+    """Whether ``column`` has an index that ``bounds`` can probe.
+
+    A NULL bound matches nothing and a bound of another kind than the
+    column's values cannot be ordered against its keys; both stay in the
+    residual filter, which answers them as a full scan does.
+    """
+    if table.index_on(column) is None:
+        return False
+    column_type = table.schema.column(column).column_type
+    kind = str if column_type in (ColumnType.TEXT, ColumnType.DATE) else (int, float)
+    return all(isinstance(bound, kind) for bound in bounds)
 
 
 def _normalize_comparison(predicate: BinaryOp):

@@ -8,8 +8,9 @@ predicates narrow selection vectors in ``batch_size`` chunks via
 :mod:`repro.sqlengine.vectorize` kernels; joins build and probe over key
 vectors and carry ``(left, right)`` index pairs instead of materialized
 tuples; aggregation runs tight per-column accumulation loops.  The plan's
-output leaves as a :class:`ColumnBatch`; row tuples exist only inside the
-two inherently tuple-keyed operators, DISTINCT and the group-by fallback.
+output leaves as a :class:`ColumnBatch`; row tuples exist only under an
+index scan's lazily built columns and inside the two inherently tuple-keyed
+operators, DISTINCT and the group-by fallback.
 
 Equivalence contract: identical rows, identical :class:`ExecStats`, and the
 identical first exception (vector kernels defer per-row errors, and every
@@ -24,11 +25,15 @@ success, and both equivalence suites assert them there.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine.batch import (
+    NUMERIC_KINDS,
     ColumnBatch,
+    LazyColumns,
     rows_from_vectors,
     vectors_from_rows,
 )
@@ -38,7 +43,7 @@ from repro.sqlengine.executor import (
     _sort_key,
     group_output_layout,
     group_rows_reference,
-    index_row_ids,
+    index_rows,
 )
 from repro.sqlengine.expr import ColumnRef, RowLayout
 from repro.sqlengine.planner import (
@@ -136,12 +141,12 @@ class VectorizedExecutor:
             [f"{node.binding}.{column}" for column in table.schema.column_names]
         )
         if node.index_access is not None:
-            row_ids = index_row_ids(table, node.index_access, stats)
-            gathered = [table.row_by_id(row_id) for row_id in row_ids]
-            cols: Sequence[Sequence[object]] = vectors_from_rows(
-                gathered, len(layout)
-            )
-            n = len(gathered)
+            # Late materialisation: a column is built when an operator
+            # first reads it, from the row store (ids need no id->position
+            # map over tombstones, and no owner builds a mirror for this).
+            rows = index_rows(table, node.index_access, stats)
+            cols: Sequence[Sequence[object]] = LazyColumns(rows, len(layout))
+            n = len(rows)
         else:
             # The dense path reads the table's columnar mirror directly;
             # downstream operators never mutate input columns.
@@ -171,6 +176,8 @@ class VectorizedExecutor:
             kept.extend(passing)
         if len(kept) == n:
             return cols, n
+        if isinstance(cols, LazyColumns):
+            return cols.take(kept), len(kept)
         return [[col[i] for i in kept] for col in cols], len(kept)
 
     def _run_kernel_chunked(self, kernel, cols, n: int):
@@ -468,21 +475,33 @@ class VectorizedExecutor:
                 counts[gid] += 1
             return counts
         if name in ("sum", "avg"):
-            totals: List[object] = [None] * ngroups
-            counts = [0] * ngroups
-            for gid, value in zip(group_ids, arg):
-                if value is None:
-                    continue
-                if seen is not None:
-                    bucket = seen[gid]
-                    if value in bucket:
+            if (
+                ngroups == 1
+                and seen is None
+                and arg
+                and set(map(type, arg)) <= NUMERIC_KINDS
+            ):
+                # One group of plain numbers: the same left-to-right
+                # additions in one C-level fold.  Not ``sum``, which starts
+                # from 0 (``-0.0`` would become ``0.0``) and compensates
+                # float addition from Python 3.12 on.
+                totals: List[object] = [reduce(operator.add, arg)]
+                counts = [len(arg)]
+            else:
+                totals, counts = [None] * ngroups, [0] * ngroups
+                for gid, value in zip(group_ids, arg):
+                    if value is None:
                         continue
-                    bucket.add(value)
-                if not isinstance(value, (int, float)):
-                    raise _FallbackToReference  # reference raises per row
-                counts[gid] += 1
-                total = totals[gid]
-                totals[gid] = value if total is None else total + value
+                    if seen is not None:
+                        bucket = seen[gid]
+                        if value in bucket:
+                            continue
+                        bucket.add(value)
+                    if not isinstance(value, (int, float)):
+                        raise _FallbackToReference  # reference raises per row
+                    counts[gid] += 1
+                    total = totals[gid]
+                    totals[gid] = value if total is None else total + value
             if name == "sum":
                 return totals
             return [

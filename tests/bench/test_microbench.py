@@ -12,6 +12,7 @@ from repro.bench.microbench import (
     KERNELS,
     build_database,
     check_against_baseline,
+    kernel_sql,
     main,
     run_microbench,
     run_plan_cache_workload,
@@ -50,6 +51,28 @@ class TestHarness:
         payload = small_payload()
         for name, entry in payload["kernels"].items():
             assert entry["rows_out"] > 0, name
+
+    def test_only_index_agg_takes_the_index_path(self):
+        # lineitem.l_orderkey is indexed for ``index_agg`` alone: the other
+        # five kernels keep the plans (and floors) they had without it.
+        db = build_database(scale=SMOKE["scale"])
+        indexed = {
+            name
+            for name, sql in KERNELS
+            if "(index " in db.explain(kernel_sql(sql, SMOKE["scale"]))
+        }
+        assert indexed == {"index_agg"}
+        plan = db.explain(kernel_sql(dict(KERNELS)["index_agg"], SMOKE["scale"]))
+        assert plan.endswith(
+            "Scan lineitem AS lineitem (index range l_orderkey in [25, +inf])"
+        )
+
+    def test_index_agg_selects_about_half_at_every_scale(self):
+        for scale in (0.05, 0.5):
+            db = build_database(scale=scale)
+            sql = kernel_sql(dict(KERNELS)["index_agg"], scale)
+            scanned = db.execute(sql).stats.rows_scanned
+            assert 0.4 < scanned / len(db.table("lineitem")) < 0.6, scale
 
     def test_plan_cache_workload_hits(self):
         db = build_database(scale=SMOKE["scale"])

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
+from repro.hadoopdb.driver import finalize_records
 from repro.hadoopdb.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.sqlengine.executor import _AggState
@@ -192,3 +193,85 @@ class TestNullsAndErrors:
         # lowered residual raises where, and what, the interpreter raises.
         assert len(jobs) == 1
         check_against_interpreter(plan, jobs)
+
+
+# ----------------------------------------------------------------------
+# finalize_records: the positional merge against the interpreted tree walk
+# ----------------------------------------------------------------------
+MERGE_SCHEMA = TableSchema(
+    "a",
+    [
+        Column("id", ColumnType.INTEGER),
+        Column("g", ColumnType.INTEGER),
+        Column("v", ColumnType.FLOAT),
+        Column("s", ColumnType.TEXT),
+    ],
+)
+MERGE_RECORDS = [
+    (k, k % 3, None if k == 4 else float(k * 7 % 5), "x" if k % 2 else None)
+    for k in range(12)
+]
+
+
+def interpreted_finalize(plan, records, columns):
+    """HAVING, projection and a tuple-key sort, one ``Expr.evaluate`` at a time."""
+    layout = RowLayout(columns)
+    if plan.having is not None:
+        records = [r for r in records if plan.having.evaluate(r, layout) is True]
+    projected = [
+        tuple(item.expr.evaluate(row, layout) for item in plan.items)
+        for row in records
+    ]
+    names = [item.output_name().lower() for item in plan.items]
+    out_layout = RowLayout(names)
+
+    def key_of(pair, item):
+        row, out = pair
+        try:
+            value = item.expr.evaluate(out, out_layout)
+        except SqlExecutionError:
+            value = item.expr.evaluate(row, layout)
+        return (value is not None, value)  # NULLS FIRST
+
+    pairs = list(zip(records, projected))
+    for item in reversed(plan.order_by):
+        pairs.sort(key=lambda pair: key_of(pair, item), reverse=not item.ascending)
+    projected = [out for _, out in pairs]
+    if plan.distinct:
+        projected = list(dict.fromkeys(projected))
+    return projected[: plan.limit], names
+
+
+class TestFinalizeRecords:
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT id, g, v FROM a",  # bare columns: the itemgetter arm
+            "SELECT id, v * 2 AS w, g + 1 FROM a ORDER BY w DESC, id",
+            "SELECT id FROM a ORDER BY v, g DESC, id DESC",  # dropped keys
+            "SELECT DISTINCT g, s FROM a ORDER BY v",
+            "SELECT s, v FROM a ORDER BY s, v DESC LIMIT 5",  # NULL keys
+            "SELECT g, SUM(v) AS t FROM a GROUP BY g HAVING SUM(v) > 5 ORDER BY t DESC",
+        ],
+    )
+    def test_matches_the_interpreted_merge(self, sql):
+        plan = SmsPlanner({"a": MERGE_SCHEMA}).compile(sql)
+        if plan.aggregate is None:
+            columns, records = ["a.id", "a.g", "a.v", "a.s"], MERGE_RECORDS
+        else:
+            columns = ["a.g", "sum(v)"]
+            records = [(0, 9.0), (1, None), (2, 5.5), (3, 5.0)]
+        assert finalize_records(plan, records, columns) == interpreted_finalize(
+            plan, records, columns
+        )
+
+    def test_the_first_error_is_the_first_rows_leftmost(self):
+        plan = SmsPlanner({"a": MERGE_SCHEMA}).compile(
+            "SELECT id, g + s, v / 0 FROM a"
+        )
+        columns = ["a.id", "a.g", "a.v", "a.s"]
+        # Row 0 has s NULL (no error in g + s), so its v / 0 raises first;
+        # evaluated item-major, row 1's 'non-numeric arithmetic' would win.
+        for merge in (finalize_records, interpreted_finalize):
+            with pytest.raises(SqlExecutionError, match="division by zero"):
+                merge(plan, MERGE_RECORDS, columns)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import BestPeerNetwork
 from repro.hadoopdb import HadoopDbCluster
-from repro.sqlengine import Database
+from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.tpch import (
     SECONDARY_INDICES,
     TPCH_SCHEMAS,
@@ -133,3 +133,58 @@ class TestHadoopDb:
             assert _rounded(result.records) == _rounded(expected.rows)
         else:
             assert _norm(result.records) == _norm(expected.rows)
+
+
+# ----------------------------------------------------------------------
+# ORDER BY keys the select list drops (the merge step's sort)
+# ----------------------------------------------------------------------
+ORDER_SCHEMA = TableSchema(
+    "a",
+    [
+        Column("id", ColumnType.INTEGER),
+        Column("g", ColumnType.INTEGER),
+        Column("v", ColumnType.FLOAT),
+    ],
+)
+ORDER_ROWS = [(k, k % 3, float(k * 7 % 5)) for k in range(18)]
+ORDER_ROWS[4] = (4, 1, None)  # a NULL key sorts first
+
+ORDER_QUERIES = [
+    "SELECT id FROM a ORDER BY v, id",
+    "SELECT id FROM a ORDER BY v DESC, id",
+    "SELECT id FROM a ORDER BY id, v",
+    "SELECT id, v FROM a ORDER BY v, id",
+    "SELECT id FROM a ORDER BY v, id LIMIT 5",
+    "SELECT DISTINCT g FROM a ORDER BY v, g",
+]
+
+
+@pytest.fixture(scope="module")
+def order_systems():
+    local = Database()
+    local.create_table(ORDER_SCHEMA)
+    local.table("a").insert_many(ORDER_ROWS)
+    net = BestPeerNetwork({"a": ORDER_SCHEMA}, {})
+    cluster = HadoopDbCluster(NUM_NODES)
+    cluster.create_tables([ORDER_SCHEMA], {})
+    for index in range(NUM_NODES):
+        share = {"a": ORDER_ROWS[index::NUM_NODES]}
+        net.add_peer(f"p{index}")
+        net.load_peer(f"p{index}", share)
+        cluster.load_worker(index, share)
+    return local, net, cluster
+
+
+class TestOrderByDroppedKey:
+    """A leading key outside the projection must not lose the later keys."""
+
+    @pytest.mark.parametrize("sql", ORDER_QUERIES)
+    @pytest.mark.parametrize("engine", ["basic", "parallel", "mapreduce"])
+    def test_engine_keeps_local_order(self, order_systems, sql, engine):
+        local, net, _ = order_systems
+        assert net.execute(sql, engine=engine).records == local.execute(sql).rows
+
+    @pytest.mark.parametrize("sql", ORDER_QUERIES)
+    def test_hadoopdb_keeps_local_order(self, order_systems, sql):
+        local, _, cluster = order_systems
+        assert cluster.execute(sql).records == local.execute(sql).rows

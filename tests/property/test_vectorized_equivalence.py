@@ -12,12 +12,12 @@ single observable outcome.
 
 from dataclasses import asdict
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine import Database, EXECUTION_MODES
 from repro.sqlengine.compile import interpreted_evaluator
-from repro.sqlengine.expr import RowLayout
+from repro.sqlengine.expr import BinaryOp, ColumnRef, Literal
 from repro.sqlengine.vectorize import (
     compile_vector_evaluator,
     compile_vector_filter,
@@ -196,3 +196,209 @@ class TestDatabaseModes:
         reference = _run("interpreted", data_rows, sql)
         for mode in EXECUTION_MODES[1:]:
             assert _run(mode, data_rows, sql) == reference, (mode, sql)
+
+
+# ----------------------------------------------------------------------
+# Index-access scans: late-materialised rows, the proven conjunct dropped
+# ----------------------------------------------------------------------
+_INDEX_WHERES = (
+    "a = 3",
+    "a > 3",
+    "a <= 5",
+    "4 <= a",
+    "a < 6",
+    "a BETWEEN 2 AND 6",
+    "a BETWEEN 6 AND 2",
+)
+_SECOND_CONJUNCTS = ("", " AND b > 0.0", " AND c LIKE 'r%1'")
+
+index_keys = st.integers(min_value=0, max_value=8)
+#: Inserts (NULL and duplicate keys included), deletes that leave tombstones,
+#: and updates that move a row id to another key's bucket (so a key can be
+#: deleted and re-inserted, and ids within a key need not ascend).
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("insert"),
+            st.one_of(st.none(), index_keys),
+            st.one_of(st.none(), st.floats(min_value=-20, max_value=20)),
+        ),
+        st.tuples(st.just("delete"), index_keys),
+        st.tuples(st.just("update"), index_keys, index_keys),
+    ),
+    max_size=30,
+)
+
+
+def _run_ops(mode, ops, sql, indexed=True):
+    db = Database(execution_mode=mode)
+    db.execute(_CREATE)
+    if indexed:
+        db.execute("CREATE INDEX idx_a ON t (a)")
+    for serial, op in enumerate(ops):
+        if op[0] == "insert":
+            # ``c`` is unique per row, which makes row order observable.
+            db.table("t").insert((op[1], op[2], f"r{serial}"))
+        elif op[0] == "delete":
+            db.execute(f"DELETE FROM t WHERE a = {op[1]}")
+        else:
+            db.execute(f"UPDATE t SET a = {op[2]} WHERE a = {op[1]}")
+    result = db.execute(sql)
+    return result.rows, asdict(result.stats), db.explain(sql)
+
+
+class TestIndexScans:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        index_ops,
+        st.sampled_from(_INDEX_WHERES),
+        st.sampled_from(_SECOND_CONJUNCTS),
+    )
+    def test_same_rows_same_order_same_stats_in_every_mode(
+        self, ops, where, second
+    ):
+        sql = f"SELECT * FROM t WHERE {where}{second}"
+        rows, stats, plan = _run_ops("interpreted", ops, sql)
+        assert "(index " in plan
+        if not second:
+            assert " filter " not in plan  # the only conjunct is dropped
+        for mode in EXECUTION_MODES[1:]:
+            assert _run_ops(mode, ops, sql) == (rows, stats, plan), mode
+        # Index order: non-decreasing keys, and no NULL key ever.
+        keys = [row[0] for row in rows]
+        assert keys == sorted(keys)
+        # The full predicate over a full scan is the oracle for the drop.
+        unindexed, _, full_plan = _run_ops("interpreted", ops, sql, indexed=False)
+        assert "(full scan)" in full_plan
+        assert sorted(rows, key=repr) == sorted(unindexed, key=repr)
+
+
+# ----------------------------------------------------------------------
+# Arithmetic: the vector-checked arm and the per-element arm
+# ----------------------------------------------------------------------
+class _Int(int):
+    """An int subclass: a number to ``isinstance``, not to the kind check."""
+
+
+_numbers = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.floats(min_value=-9, max_value=9, allow_nan=False),
+    st.booleans(),
+)
+_ODD_VALUES = {"null": None, "str": "ab", "subclass": _Int(3)}
+
+
+@st.composite
+def arithmetic_batches(draw):
+    """All-numeric rows, optionally with one value the fast arm must refuse."""
+    batch = draw(st.lists(st.tuples(_numbers, _numbers, _numbers), min_size=1, max_size=8))
+    odd = draw(st.sampled_from([None, None] + sorted(_ODD_VALUES)))
+    if odd is not None:
+        row = draw(st.integers(min_value=0, max_value=len(batch) - 1))
+        column = draw(st.integers(min_value=0, max_value=2))
+        values = list(batch[row])
+        values[column] = _ODD_VALUES[odd]
+        batch[row] = tuple(values)
+    return batch
+
+
+_arithmetic_leaves = st.one_of(
+    st.sampled_from(tuple(map(ColumnRef, "abc"))),
+    st.sampled_from((Literal(3), Literal(1.5), Literal(True))),
+    # Deferred errors below the node: a zero divisor, a non-number.
+    st.just(BinaryOp("/", ColumnRef("a"), ColumnRef("b"))),
+    st.just(BinaryOp("*", Literal("ab"), Literal(3))),
+)
+arithmetic_trees = st.recursive(
+    _arithmetic_leaves,
+    lambda children: st.builds(
+        BinaryOp, st.sampled_from(("+", "-", "*", "/", "%")), children, children
+    ),
+    max_leaves=4,
+)
+
+
+class TestArithmeticArms:
+    @settings(max_examples=300)
+    @given(arithmetic_trees, arithmetic_batches(), st.data())
+    def test_value_error_and_error_order_match_interpreted(self, expr, batch, data):
+        sel = sorted(data.draw(st.sets(st.sampled_from(range(len(batch))))))
+        _check_value_kernel(expr, batch, range(len(batch)))
+        _check_value_kernel(expr, batch, sel)
+
+    def test_str_times_int_is_still_an_error(self):
+        # Legal Python (``'ab' * 3``), illegal SQL: the kind check, not a
+        # ``try``, is what keeps the fast arm off this vector.
+        expr = BinaryOp("*", ColumnRef("c"), ColumnRef("a"))
+        values, errs = compile_vector_evaluator(expr, LAYOUT)(
+            _columns([(3, 1.0, "ab"), (2, 1.0, "cd")]), range(2)
+        )
+        assert values == [None, None]
+        assert [str(exc) for _, exc in errs] == [
+            "non-numeric arithmetic: 'ab' * 3",
+            "non-numeric arithmetic: 'cd' * 2",
+        ]
+
+
+# ----------------------------------------------------------------------
+# SUM / AVG: the one-group fold keeps the reference's addition sequence
+# ----------------------------------------------------------------------
+_ORDER_EXPOSING_FLOATS = (1e16, 1.0, -1e16, -0.0, 0.0, 0.1, 0.2, 0.3, 1e-9)
+_HUGE_INTS = (2**62, -(2**62), 2**70, 3, -1)
+sum_rows = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.sampled_from(_HUGE_INTS)),
+        st.one_of(st.none(), st.sampled_from(_ORDER_EXPOSING_FLOATS)),
+        st.sampled_from(["red", "green"]),
+    ),
+    max_size=12,
+)
+_SUM_QUERIES = (
+    "SELECT SUM(b), AVG(b), SUM(a), AVG(a) FROM t",
+    "SELECT SUM(b), AVG(b) FROM t WHERE a > 0",  # behind the index on a
+    "SELECT SUM(CASE WHEN c = 'red' THEN a ELSE b END) FROM t",  # int + float
+    "SELECT SUM(a * b), AVG(a + b) FROM t",
+    "SELECT c, SUM(b), AVG(b), SUM(a) FROM t GROUP BY c",
+    "SELECT SUM(DISTINCT b), AVG(DISTINCT b) FROM t",
+)
+
+
+def _bits(rows):
+    """Rows with floats as hex: ``-0.0`` != ``0.0``, no tolerance."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows
+    ]
+
+
+def _sum_surface(mode, data_rows, sql):
+    db = Database(execution_mode=mode)
+    db.execute(_CREATE)
+    db.execute("CREATE INDEX idx_a ON t (a)")
+    db.table("t").insert_many(data_rows)
+    try:
+        return _bits(db.execute(sql).rows)
+    except Exception as exc:  # e.g. huge int + float: the same OverflowError
+        return (type(exc).__name__, str(exc))
+
+
+class TestSumOrder:
+    @settings(max_examples=80, deadline=None)
+    @example([(3, 1e16, "red"), (3, 1.0, "red"), (3, -1e16, "red")], _SUM_QUERIES[0])
+    @example([(3, -0.0, "red")], _SUM_QUERIES[0])
+    @example([(3, -0.0, "red"), (3, -0.0, "red")], _SUM_QUERIES[4])
+    @given(sum_rows, st.sampled_from(_SUM_QUERIES))
+    def test_sums_are_bit_identical_to_interpreted(self, data_rows, sql):
+        reference = _sum_surface("interpreted", data_rows, sql)
+        for mode in EXECUTION_MODES[1:]:
+            assert _sum_surface(mode, data_rows, sql) == reference, (mode, sql)
+
+    def test_the_fold_is_left_to_right_from_the_first_value(self):
+        # What builtin ``sum`` would get wrong: it starts from 0 (so -0.0
+        # comes back 0.0) and, from Python 3.12, compensates (1.0 here).
+        rows = [(1, 1e16, "x"), (1, 1.0, "x"), (1, -1e16, "x")]
+        assert _sum_surface("vectorized", rows, "SELECT SUM(b) FROM t") == [
+            ((0.0).hex(),)
+        ]
+        assert _sum_surface(
+            "vectorized", [(1, -0.0, "x")], "SELECT SUM(b), AVG(b) FROM t"
+        ) == [((-0.0).hex(), (-0.0).hex())]

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.sqlengine import Column, ColumnType, Database, TableSchema
+from repro.errors import SqlExecutionError
+from repro.sqlengine import (
+    EXECUTION_MODES,
+    Column,
+    ColumnType,
+    Database,
+    TableSchema,
+)
 from repro.sqlengine.parser import parse
 from repro.sqlengine.planner import (
     DistinctNode,
@@ -74,6 +81,73 @@ class TestScanPlans:
         plan = plan_of(catalog, "SELECT v FROM r WHERE 10 < k")
         scan = unwrap(plan, ProjectNode)
         assert scan.index_access.low == 10
+
+    @pytest.mark.parametrize(
+        "where", ["k > 10", "k = 4", "10 >= k", "k BETWEEN 2 AND 7"]
+    )
+    def test_index_access_drops_the_conjunct_it_proves(self, catalog, where):
+        scan = unwrap(plan_of(catalog, f"SELECT v FROM r WHERE {where}"), ProjectNode)
+        assert scan.index_access is not None
+        assert scan.predicate is None
+
+    def test_other_conjuncts_stay_as_the_residual(self, catalog):
+        plan = plan_of(catalog, "SELECT v FROM r WHERE v < 2.0 AND k > 10 AND k > 11")
+        scan = unwrap(plan, ProjectNode)
+        assert scan.index_access.low == 10  # the first indexable conjunct
+        assert scan.predicate.to_sql() == "((v < 2.0) AND (k > 11))"
+
+    @pytest.mark.parametrize(
+        "where",
+        ["k = NULL", "k > NULL", "NULL < k", "k BETWEEN NULL AND 5",
+         "k BETWEEN 1 AND NULL", "k > 'x'", "k BETWEEN 1 AND 'x'"],
+    )
+    def test_null_or_wrong_kind_literal_is_not_an_index_access(self, catalog, where):
+        scan = unwrap(plan_of(catalog, f"SELECT v FROM r WHERE {where}"), ProjectNode)
+        assert scan.index_access is None
+        assert scan.predicate is not None  # left to the residual filter
+
+    def test_float_literal_probes_an_integer_index(self, catalog):
+        scan = unwrap(plan_of(catalog, "SELECT v FROM r WHERE k >= 2.5"), ProjectNode)
+        assert scan.index_access.low == 2.5
+
+
+@pytest.mark.parametrize("mode", EXECUTION_MODES)
+class TestIndexLiteralsInEveryMode:
+    """NULL / wrong-kind literals on an indexed column behave like a full scan."""
+
+    @pytest.fixture
+    def db(self, mode):
+        db = Database(execution_mode=mode)
+        db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, d DATE)")
+        db.table("r").insert_many([(k, "1995-01-%02d" % (k % 28 + 1)) for k in range(100)])
+        return db
+
+    @pytest.mark.parametrize("where", ["id = NULL", "id > NULL"])
+    def test_null_literal_selects_nothing_through_the_filter(self, db, where):
+        sql = f"SELECT id FROM r WHERE {where}"
+        assert db.explain(sql).endswith(
+            f"Scan r AS r (full scan) filter (id {where.split()[1]} NULL)"
+        )
+        result = db.execute(sql)
+        assert result.rows == []
+        assert (result.stats.index_probes, result.stats.rows_scanned) == (0, 100)
+
+    @pytest.mark.parametrize("where", ["id > 'x'", "d > 5", "id BETWEEN 1 AND 'x'"])
+    def test_wrong_kind_literal_raises_the_sql_error(self, db, where):
+        # BETWEEN over incomparable values is a raw TypeError in the
+        # reference evaluator; the comparisons are SqlExecutionError.
+        expected = TypeError if "BETWEEN" in where else SqlExecutionError
+        with pytest.raises(expected):
+            db.execute(f"SELECT id FROM r WHERE {where}")
+
+    def test_proven_conjunct_is_gone_from_explain(self, db):
+        sql = "SELECT id FROM r WHERE id > 89 AND d > DATE '1995-01-10'"
+        assert db.explain(sql).endswith(
+            "Scan r AS r (index range id in [89, +inf]) filter (d > '1995-01-10')"
+        )
+        result = db.execute(sql)
+        assert sorted(result.rows) == [(k,) for k in range(90, 100) if k % 28 + 1 > 10]
+        assert (result.stats.index_probes, result.stats.rows_scanned) == (1, 10)
 
 
 class TestJoinPlans:

@@ -48,6 +48,34 @@ class TestInsertAndRead:
         with pytest.raises(SqlExecutionError):
             make_table().row_by_id(0)
 
+    def test_rows_by_ids_gathers_in_the_order_asked(self):
+        table = make_table()
+        table.insert_many([[k, float(k), "x"] for k in range(5)])
+        assert table.rows_by_ids([3, 0, 3]) == [
+            (3, 3.0, "x"), (0, 0.0, "x"), (3, 3.0, "x"),
+        ]
+        assert table.rows_by_ids([]) == []
+
+    @pytest.mark.parametrize(
+        "row_ids, message",
+        [
+            ([0, 5, 2], "row id out of range: 5"),
+            ([0, -1], "row id out of range: -1"),
+            ([1, 2, 0], "row 2 was deleted"),
+            ([2, 7], "row 2 was deleted"),  # the first bad id, as a loop has it
+            ([7, 2], "row id out of range: 7"),
+        ],
+    )
+    def test_rows_by_ids_raises_what_row_by_id_raises(self, row_ids, message):
+        table = make_table()
+        table.insert_many([[k, float(k), "x"] for k in range(5)])
+        table.delete_row(2)
+        with pytest.raises(SqlExecutionError) as per_id:
+            [table.row_by_id(row_id) for row_id in row_ids]
+        with pytest.raises(SqlExecutionError) as gathered:
+            table.rows_by_ids(row_ids)
+        assert str(gathered.value) == str(per_id.value) == message
+
     def test_insert_many(self):
         table = make_table()
         ids = table.insert_many([[1, 1.0, "x"], [2, 2.0, "y"]])

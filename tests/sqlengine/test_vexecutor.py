@@ -1,9 +1,12 @@
 """The vectorized executor: batching, stats parity, fallbacks, modes."""
 
+import sys
+
 import pytest
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine import Database, EXECUTION_MODES, VectorizedExecutor
+from repro.sqlengine.batch import LazyColumns
 from tests.property.test_vectorized_equivalence import result_surface
 
 
@@ -162,3 +165,98 @@ class TestOperatorEdges:
         with pytest.raises(SqlExecutionError) as reference:
             build("interpreted").execute("SELECT val + grp, 1 / 0 FROM t")
         assert str(vectorized.value) == str(reference.value)
+
+
+# ----------------------------------------------------------------------
+# Late-materialised index scans
+# ----------------------------------------------------------------------
+WIDE_COLUMNS = ["k INTEGER", "a FLOAT", "b FLOAT", "d DATE"] + [
+    f"pad{i} INTEGER" for i in range(12)
+]
+#: Q2's owner plan: one SUM over an arithmetic expression behind an index range.
+WIDE_Q2 = "SELECT SUM(a * (1 - b)) FROM w WHERE k >= 50"
+
+
+def build_wide(matching, mode="vectorized"):
+    """A 16-column table with ``matching`` rows at ``k >= 50`` (and 50 below)."""
+    db = Database(execution_mode=mode)
+    db.execute(f"CREATE TABLE w ({', '.join(WIDE_COLUMNS)})")
+    db.execute("CREATE INDEX idx_k ON w (k)")
+    db.table("w").insert_many(
+        [(i, float(i), 0.25, "1995-01-%02d" % (i % 28 + 1)) + (i,) * 12
+         for i in range(matching + 50)]
+    )
+    return db
+
+
+def storage_calls(db, sql):
+    """Python-level calls into ``Table`` / ``OrderedIndex`` while ``sql`` runs.
+
+    Counts frames entered in table.py and indexes.py (a generator resumed per
+    id counts per id); C-level passes over the ids are free, which is the point.
+    """
+    calls = 0
+
+    def profiler(frame, event, _arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_filename.endswith(
+            ("sqlengine/table.py", "sqlengine/indexes.py")
+        ):
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        result = db.execute(sql)
+    finally:
+        sys.setprofile(None)
+    return calls, result
+
+
+class TestLateMaterialisation:
+    @pytest.mark.parametrize(
+        "sql, built",
+        [
+            (WIDE_Q2, {1, 2}),  # a, b: the conjunct on k is the index's own
+            (WIDE_Q2 + " AND d > DATE '1995-01-14'", {1, 2, 3}),
+            ("SELECT pad3 FROM w WHERE k = 60", {7}),
+        ],
+    )
+    def test_only_referenced_columns_are_built(self, monkeypatch, sql, built):
+        touched = set()
+        build_column = LazyColumns.__getitem__
+
+        def recording(self, position):
+            touched.add(position)
+            return build_column(self, position)
+
+        monkeypatch.setattr(LazyColumns, "__getitem__", recording)
+        result = build_wide(100).execute(sql)
+        assert touched == built
+        assert result.rows == build_wide(100).execute(sql).rows  # unpatched
+
+    @pytest.mark.parametrize("mode", EXECUTION_MODES)
+    def test_storage_calls_do_not_grow_with_matching_rows(self, mode):
+        small_calls, small = storage_calls(build_wide(100, mode), WIDE_Q2)
+        large_calls, large = storage_calls(build_wide(2000, mode), WIDE_Q2)
+        assert (small.stats.rows_scanned, large.stats.rows_scanned) == (100, 2000)
+        assert small_calls == large_calls
+        assert small_calls < 20  # index_on, range_scan, rows_by_ids, not per row
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT * FROM w WHERE k >= 50",
+            "SELECT k, a FROM w WHERE k >= 50 AND a < 120.0",
+            "SELECT a FROM w WHERE k BETWEEN 60 AND 70 ORDER BY pad0 DESC",
+        ],
+    )
+    def test_a_result_already_returned_survives_owner_writes(self, sql):
+        db = build_wide(100)
+        expected = result_surface(build_wide(100).execute(sql))
+        result = db.execute(sql)  # nothing derived from it yet
+        table = db.table("w")
+        table.insert((55, -1.0, 0.5, "1995-02-02") + (0,) * 12)
+        table.delete_row(60)
+        table.update_row(61, (61, -2.0, 0.5, "1995-02-03") + (1,) * 12)
+        db.execute("DELETE FROM w WHERE k > 100")
+        assert result_surface(result) == expected
