@@ -38,10 +38,9 @@ from repro.core.histogram import Histogram
 from repro.core.predicates import range_constraint
 from repro.core.processing_graph import ProcessingGraph
 from repro.errors import BestPeerError
-from repro.hadoopdb.sms import DistributedPlan, SmsPlanner
+from repro.hadoopdb.sms import DistributedPlan
 from repro.mapreduce.engine import MapReduceConfig
 from repro.sqlengine.expr import Expr
-from repro.sqlengine.parser import parse
 from repro.sqlengine.planner import _split_conjuncts
 
 DEFAULT_SELECTIVITY = 0.5
@@ -100,7 +99,7 @@ class AdaptiveEngine:
         user: Optional[str] = None,
         timestamp: Optional[float] = None,
     ) -> QueryExecution:
-        plan = SmsPlanner(self.context.schemas).compile(parse(sql))
+        _, plan = self.context.planner.compile_text(sql)
         decision = self.plan_decision(plan)
         self.last_decision = decision
 

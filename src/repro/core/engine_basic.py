@@ -35,7 +35,6 @@ from repro.errors import PeerUnavailableError, SqlCatalogError
 from repro.hadoopdb.driver import finalize_records, merge_partial_aggregates
 from repro.hadoopdb.sms import (
     DistributedPlan,
-    SmsPlanner,
     TableLocalPlan,
     partial_aggregate_plan,
 )
@@ -84,8 +83,8 @@ class BasicEngine:
         user: Optional[str] = None,
         timestamp: Optional[float] = None,
     ) -> QueryExecution:
-        stmt = parse(sql)
-        plan = SmsPlanner(self.context.schemas).compile(stmt)
+        # ``parse`` by this module's name: tracers patch the binding here.
+        stmt, plan = self.context.planner.compile_text(sql, parse)
 
         # Locate data owners for every table, using the best index available.
         lookups = self._locate_tables(stmt, plan)

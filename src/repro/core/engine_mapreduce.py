@@ -18,10 +18,8 @@ from repro.core.accesscheck import require_unrestricted_read
 from repro.core.execution import EngineContext, QueryExecution
 from repro.errors import PeerUnavailableError
 from repro.hadoopdb.driver import DistributedPlanDriver, LocalResult
-from repro.hadoopdb.sms import SmsPlanner
 from repro.mapreduce.engine import MapReduceConfig, MapReduceEngine
 from repro.mapreduce.hdfs import Hdfs
-from repro.sqlengine.parser import parse
 
 
 class BestPeerMapReduceEngine:
@@ -43,8 +41,7 @@ class BestPeerMapReduceEngine:
         timestamp: Optional[float] = None,
     ) -> QueryExecution:
         context = self.context
-        stmt = parse(sql)
-        plan = SmsPlanner(context.schemas).compile(stmt)
+        _, plan = context.planner.compile_text(sql)
 
         # The engine runs over every peer holding any involved table.
         index_hops = 0

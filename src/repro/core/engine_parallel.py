@@ -20,13 +20,12 @@ from repro.core.execution import EngineContext, QueryExecution
 from repro.core.indexer import PeerLookup
 from repro.errors import BestPeerError, PeerUnavailableError
 from repro.hadoopdb.driver import finalize_records
-from repro.hadoopdb.sms import DistributedPlan, SmsPlanner
+from repro.hadoopdb.sms import DistributedPlan
 from repro.mapreduce.engine import records_byte_size
 from repro.sim.clock import parallel_duration
 from repro.sqlengine.compile import compile_key, compile_predicate
 from repro.sqlengine.executor import compile_aggregates
 from repro.sqlengine.expr import RowLayout
-from repro.sqlengine.parser import parse
 
 
 @dataclass
@@ -58,8 +57,7 @@ class ParallelP2PEngine:
         timestamp: Optional[float] = None,
     ) -> QueryExecution:
         context = self.context
-        stmt = parse(sql)
-        plan = SmsPlanner(context.schemas).compile(stmt)
+        _, plan = context.planner.compile_text(sql)
 
         lookups: Dict[str, PeerLookup] = {}
         index_hops = 0

@@ -10,6 +10,7 @@ from repro.core.indexer import DataIndexer
 from repro.core.peer import NormalPeer
 from repro.core.resilience import ResilienceContext
 from repro.errors import BestPeerError
+from repro.hadoopdb.sms import SmsPlanner
 from repro.sim.compute import ComputeModel
 from repro.sim.network import SimNetwork
 from repro.sqlengine.schema import TableSchema
@@ -26,6 +27,7 @@ class EngineContext:
     schemas: Dict[str, TableSchema]
     config: BestPeerConfig
     compute_model: ComputeModel
+    planner: SmsPlanner  # the network's: ``compile_text`` is the compile door
     resilience: Optional[ResilienceContext] = None
 
     def peer(self, peer_id: str) -> NormalPeer:

@@ -16,12 +16,15 @@ zero routing hops.
 
 from __future__ import annotations
 
+import collections
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.baton.replication import ReplicatedOverlay
 from repro.baton.tree import string_to_key
 from repro.errors import BestPeerError
+from repro.sqlengine.stats import column_bounds
+from repro.sqlengine.table import Table
 
 
 @dataclass(frozen=True)
@@ -146,18 +149,50 @@ class DataIndexer:
         entry = RangeIndexEntry(table.lower(), column.lower(), low, high, peer_id)
         return self._publish(self.range_key(table), entry)
 
+    def sync_table(
+        self, peer_id: str, table: Table, range_columns: Optional[dict] = None
+    ) -> int:
+        """Publish what the policy admits for one peer's table — its table
+        entry, a column entry per admitted column, the live min/max of each of
+        its ``range_columns`` — writing only the ``(key, entry)`` pairs that
+        differ from what is published already (a refresh that moved no bound
+        writes nothing).  Returns the routing hops spent."""
+        name = table.schema.name
+        entries: List[Tuple[float, object]] = []
+        if len(table) and self.policy.admits_table(len(table)):
+            entries.append((self.table_key(name), TableIndexEntry(name, peer_id)))
+            for column in filter(self.policy.admits_column, table.schema.column_names):
+                entry = ColumnIndexEntry(column.lower(), peer_id, (name,))
+                entries.append((self.column_key(column), entry))
+            for column in (range_columns or {}).get(name, ()):
+                bounds = column_bounds(table, column)
+                entry = RangeIndexEntry(name, column.lower(), *bounds, peer_id)
+                entries.append((self.range_key(name), entry))
+        stale = collections.Counter(
+            (key, entry)
+            for key, entry in self._published
+            if entry.peer_id == peer_id
+            and (name,) == (
+                entry.tables if isinstance(entry, ColumnIndexEntry) else (entry.table,)
+            )
+        )
+        wanted = collections.Counter(entries)
+        return self._withdraw((stale - wanted).elements()) + sum(
+            self._publish(key, entry) for key, entry in (wanted - stale).elements()
+        )
+
     def unpublish_all(self, peer_id: str) -> int:
         """Withdraw every entry this indexer published for ``peer_id``."""
+        return self._withdraw(
+            [pair for pair in self._published if pair[1].peer_id == peer_id]
+        )
+
+    def _withdraw(self, pairs) -> int:
         hops = 0
-        remaining: List[Tuple[float, object]] = []
-        for key, entry in self._published:
-            if getattr(entry, "peer_id", None) == peer_id:
-                _, delete_hops = self.overlay.delete(key, entry)
-                hops += delete_hops
-                self._cache.pop(key, None)
-            else:
-                remaining.append((key, entry))
-        self._published = remaining
+        for key, entry in pairs:
+            hops += self.overlay.delete(key, entry)[1]
+            self._published.remove((key, entry))
+            self._cache.pop(key, None)
         return hops
 
     def _publish(self, key: float, entry: object) -> int:

@@ -17,6 +17,8 @@ system is maintained by snapshot differentials:
 
 from __future__ import annotations
 
+import marshal
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -86,6 +88,30 @@ def _merge_key(entry: Tuple[int, tuple]) -> Tuple[int, str]:
     return entry[0], repr(entry[1])
 
 
+def _cancel_key(row: tuple) -> object:
+    """Equal for two rows only if :func:`fingerprint_tuple` encodes them alike,
+    which ``==`` does not promise (``1 == 1.0 == True``, ``0.0 == -0.0``):
+    marshal version 2 is exact on type and value.  A row it refuses gets a
+    key equal to nothing."""
+    try:
+        return marshal.dumps(row, 2)
+    except ValueError:
+        return object()
+
+
+def _residue(rows: Sequence[tuple], keys: list, unmatched: Counter) -> List[tuple]:
+    """``rows``, in order, minus one per equal-keyed row of the other snapshot
+    (its key counts, consumed here): pairs the reference merge would cancel
+    too, so it need not see them."""
+    kept = []
+    for row, key in zip(rows, keys):
+        if unmatched.get(key):
+            unmatched[key] -= 1
+        else:
+            kept.append(row)
+    return kept
+
+
 class DataLoader:
     """Loads and refreshes one peer's share of the corporate network data."""
 
@@ -135,26 +161,15 @@ class DataLoader:
             raise SchemaMappingError(
                 f"{global_table!r} was never loaded; use initial_load()"
             )
-        inserted, deleted = snapshot_diff(old_snapshot, transformed)
-        table = self.database.table(global_table)
-        for row in deleted:
-            # Delete exactly one occurrence (duplicates are legal in tables
-            # without a primary key and the delta counts multiplicity).
-            victim = next(
-                (
-                    row_id
-                    for row_id in table.row_ids()
-                    if table.row_by_id(row_id) == row
-                ),
-                None,
-            )
-            if victim is None:
-                raise SchemaMappingError(
-                    f"snapshot delta wants to delete a missing row from "
-                    f"{global_table!r}: {row!r}"
-                )
-            table.delete_row(victim)
-        table.insert_many(inserted)
+        # Fingerprint-sort-merge only what the snapshots do not share.
+        old_keys = list(map(_cancel_key, old_snapshot))
+        new_keys = list(map(_cancel_key, transformed))
+        inserted, deleted = snapshot_diff(
+            _residue(old_snapshot, old_keys, Counter(new_keys)),
+            _residue(transformed, new_keys, Counter(old_keys)),
+        )
+        # Atomic: a delta the table refuses leaves it and the snapshot as is.
+        self.database.table(global_table).apply_delta(deleted, inserted)
         self._snapshots[global_table] = list(transformed)
         return SnapshotDelta(global_table, inserted=inserted, deleted=deleted)
 

@@ -52,6 +52,7 @@ from repro.core.indexer import (
     FULL_INDEX_POLICY,
     PartialIndexPolicy,
 )
+from repro.core.loader import SnapshotDelta
 from repro.core.metrics import MetricsRegistry
 from repro.core.peer import NormalPeer
 from repro.core.resilience import ResilienceContext
@@ -63,6 +64,7 @@ from repro.errors import (
     ReplicaUnavailableError,
     TransientNetworkError,
 )
+from repro.hadoopdb.sms import SmsPlanner
 from repro.mapreduce.engine import MapReduceConfig
 from repro.sim.clock import SimClock
 from repro.sim.cloud import CloudProvider
@@ -104,6 +106,8 @@ class BestPeerNetwork:
         self.global_schemas = {
             name.lower(): schema for name, schema in global_schemas.items()
         }
+        # The schemas never change: one planner, each SQL text compiled once.
+        self.planner = SmsPlanner(self.global_schemas)
         self.secondary_indices = secondary_indices or {}
         self.metrics = MetricsRegistry()
         self.index_policy = index_policy or FULL_INDEX_POLICY
@@ -269,10 +273,11 @@ class BestPeerNetwork:
         peer = self._peer(peer_id)
         for table, rows in data.items():
             schema = self.global_schemas[table.lower()]
-            peer.load_initial(
+            bytes_before = peer.database.total_bytes
+            delta = peer.load_initial(
                 table, schema.column_names, rows, now=self.clock.now
             )
-            self._accumulate_statistics(peer, table.lower())
+            self._fold_statistics(delta, peer.database.total_bytes - bytes_before)
         peer.publish_indices(self.indexers[peer_id], range_columns)
         for indexer in self.indexers.values():
             indexer.clear_cache()
@@ -290,18 +295,21 @@ class BestPeerNetwork:
         """Differential refresh of one table (the offline data flow, §4.2).
 
         Re-extracts the table through the snapshot-differential loader,
-        republishes the peer's index entries (its min/max may have moved),
-        and takes a fresh EBS snapshot.  Returns the
+        republishes those of its index entries that moved (its min/max may
+        have), tells the statistics module, and takes a fresh EBS snapshot.
+        A refresh the loader refuses changes nothing.  Returns the
         :class:`~repro.core.loader.SnapshotDelta`.
         """
         peer = self._peer(peer_id)
         schema = self.global_schemas[table.lower()]
+        bytes_before = peer.database.total_bytes
         delta = peer.refresh(
             table, schema.column_names, rows, now=self.clock.now
         )
-        indexer = self.indexers[peer_id]
-        indexer.unpublish_all(peer_id)
-        peer.publish_indices(indexer, range_columns)
+        self._fold_statistics(delta, peer.database.total_bytes - bytes_before)
+        self.indexers[peer_id].sync_table(
+            peer_id, peer.database.table(delta.table), range_columns
+        )
         for other in self.indexers.values():
             other.clear_cache()
         if backup:
@@ -328,14 +336,14 @@ class BestPeerNetwork:
             stats.histogram = histogram
         return histogram
 
-    def _accumulate_statistics(self, peer: NormalPeer, table: str) -> None:
-        table_stats = peer.database.table_stats(table)
-        entry = self.statistics.get(table)
-        if entry is None:
-            entry = TableStatistics(table, 0.0, 0)
-            self.statistics[table] = entry
-        entry.total_bytes += table_stats.byte_size
-        entry.row_count += table_stats.row_count
+    def _fold_statistics(self, delta: SnapshotDelta, nbytes: int) -> None:
+        """Apply one load/refresh delta to the table's global row and byte
+        counts, in O(1); histograms stay as :meth:`build_histogram` built them."""
+        entry = self.statistics.setdefault(
+            delta.table, TableStatistics(delta.table, 0.0, 0)
+        )
+        entry.total_bytes += nbytes
+        entry.row_count += len(delta.inserted) - len(delta.deleted)
 
     # ------------------------------------------------------------------
     # Users and roles
@@ -509,6 +517,7 @@ class BestPeerNetwork:
             schemas=self.global_schemas,
             config=self.config,
             compute_model=self.compute_model,
+            planner=self.planner,
             resilience=self.resilience,
         )
 

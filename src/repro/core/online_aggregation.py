@@ -127,10 +127,9 @@ def online_aggregate(
     Only single-table scalar SUM queries qualify (the online-aggregation
     sweet spot); anything else raises.
     """
-    from repro.hadoopdb.sms import SmsPlanner, partial_aggregate_plan
-    from repro.sqlengine.parser import parse
+    from repro.hadoopdb.sms import partial_aggregate_plan
 
-    plan = SmsPlanner(network.global_schemas).compile(parse(sql))
+    _, plan = network.planner.compile_text(sql)
     if plan.joins or plan.aggregate is None or plan.aggregate.group_exprs:
         raise BestPeerError(
             "online aggregation supports single-table scalar aggregates"

@@ -242,35 +242,13 @@ class NormalPeer:
         """Publish table + column (+ optional range) entries for all tables.
 
         ``range_columns`` maps table -> columns to build range indexes on.
-        Returns total routing hops spent.
+        Only what the indexer's policy admits and has not published
+        already is written.  Returns total routing hops spent.
         """
-        hops = 0
-        range_columns = range_columns or {}
-        policy = getattr(indexer, "policy", None)
-        for table_name in self.database.table_names():
-            table = self.database.table(table_name)
-            if len(table) == 0:
-                continue
-            if policy is not None and not policy.admits_table(len(table)):
-                continue  # partial indexing: small tables stay unindexed
-            hops += indexer.publish_table(table_name, self.peer_id)
-            stats = self.database.table_stats(table_name)
-            for column in table.schema.column_names:
-                if policy is not None and not policy.admits_column(column):
-                    continue
-                hops += indexer.publish_column(
-                    column, self.peer_id, [table_name]
-                )
-            for column in range_columns.get(table_name, []):
-                column_stats = stats.columns[column.lower()]
-                hops += indexer.publish_range(
-                    table_name,
-                    column,
-                    column_stats.minimum,
-                    column_stats.maximum,
-                    self.peer_id,
-                )
-        return hops
+        tables = map(self.database.table, self.database.table_names())
+        return sum(
+            indexer.sync_table(self.peer_id, table, range_columns) for table in tables
+        )
 
     # ------------------------------------------------------------------
     # Backup / restore (EBS snapshots, §2.1/§3.2)

@@ -21,10 +21,12 @@ driver (the paper's SMS does the same — those run in the final serial step).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SqlCatalogError, SqlExecutionError
+from repro.sqlengine.database import Database
 from repro.sqlengine.expr import (
     BinaryOp,
     ColumnRef,
@@ -122,13 +124,33 @@ class SmsPlanner:
 
     def __init__(self, schemas: Dict[str, TableSchema]) -> None:
         self._schemas = {name.lower(): schema for name, schema in schemas.items()}
+        # SQL text -> (statement, plan), least recently used first.
+        self._compiled: "OrderedDict[str, tuple]" = OrderedDict()
 
-    def compile(self, sql_or_stmt) -> DistributedPlan:
-        stmt = (
-            parse(sql_or_stmt)
-            if isinstance(sql_or_stmt, str)
-            else sql_or_stmt
-        )
+    def compile_text(
+        self, sql: str, parser=None
+    ) -> Tuple[SelectStmt, DistributedPlan]:
+        """The one compile door: a SQL text's statement and distributed plan.
+
+        Compiled once per planner (a bounded LRU; a network or cluster owns
+        one planner) and then shared by every engine, execution and user, so
+        the pair is immutable by contract: derive, never edit.  Errors are
+        not cached.  ``parser`` stands in for ``parse`` on a miss, for a
+        caller whose own binding of it is instrumented.
+        """
+        pair = self._compiled.get(sql)
+        if pair is None:
+            stmt = (parser or parse)(sql)
+            pair = self._compiled[sql] = stmt, self.compile(stmt)
+            if len(self._compiled) > Database.PLAN_CACHE_SIZE:
+                self._compiled.popitem(last=False)
+        else:
+            self._compiled.move_to_end(sql)
+        return pair
+
+    def compile(self, stmt) -> DistributedPlan:
+        if isinstance(stmt, str):
+            return self.compile_text(stmt)[1]
         if not isinstance(stmt, SelectStmt):
             raise SqlExecutionError("the SMS planner only compiles SELECT")
 

@@ -70,6 +70,7 @@ class HadoopDbCluster:
             host: Database(host) for host in self.workers
         }
         self._schemas: Dict[str, TableSchema] = {}
+        self._planner = SmsPlanner(self._schemas)
         self._query_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -88,6 +89,8 @@ class HadoopDbCluster:
                     database.table(schema.name).create_index(
                         f"idx_{schema.name}_{column}", column
                     )
+        # A planner copies its schemas: a new one sees the new tables.
+        self._planner = SmsPlanner(self._schemas)
 
     def load_worker(self, worker_index: int, data: Dict[str, List[tuple]]) -> None:
         """Bulk-load one worker's partition of each table."""
@@ -100,7 +103,7 @@ class HadoopDbCluster:
     # ------------------------------------------------------------------
     def execute(self, sql: str) -> HadoopDbResult:
         """Compile with the SMS planner and run the MapReduce job chain."""
-        plan = SmsPlanner(self._schemas).compile(sql)
+        _, plan = self._planner.compile_text(sql)
         driver = DistributedPlanDriver(
             self.engine, self.workers, self._local_execute
         )

@@ -155,7 +155,7 @@ class Database:
         else:
             self._execution_mode = "vectorized"
         self._batch_size = batch_size
-        self._plan_cache: "collections.OrderedDict[Tuple[str, str], Tuple[Tuple[Tuple[str, int], ...], object]]" = (
+        self._plan_cache: "collections.OrderedDict[Tuple[str, str], Tuple[Tuple[Tuple[str, int], ...], object, bool]]" = (
             collections.OrderedDict()
         )
         self._plan_cache_size = plan_cache_size
@@ -228,10 +228,10 @@ class Database:
     # ------------------------------------------------------------------
     def execute(self, sql: str) -> QueryResult:
         """Parse and run one SQL statement."""
-        plan = self._cached_plan(sql)
-        if plan is not None:
+        cached = self._cached_plan(sql)
+        if cached is not None:
             self.plan_cache_hits += 1
-            return self._run_plan(plan)
+            return self._run_plan(cached[0])
         statement = parse(sql)
         if isinstance(statement, SelectStmt):
             self.plan_cache_misses += 1
@@ -269,12 +269,13 @@ class Database:
     def execute_select(
         self, statement: SelectStmt, cache_key: Optional[str] = None
     ) -> QueryResult:
-        statement = self._resolve_subqueries(statement)
-        plan = Planner(self._tables).plan(statement)
+        resolved = self._resolve_subqueries(statement)
+        plan = Planner(self._tables).plan(resolved)
         if cache_key is not None:
             # Safe even for resolved subqueries: the cache key includes
-            # every table's data version, so new data re-plans.
-            self._store_plan(cache_key, plan)
+            # every table's data version, so new data re-plans.  Such a plan
+            # inlines local results, so prepare() must not hand it out.
+            self._store_plan(cache_key, plan, shareable=resolved is statement)
         return self._run_plan(plan)
 
     def _run_plan(self, plan: object) -> QueryResult:
@@ -298,7 +299,8 @@ class Database:
             (name, self._tables[name].version) for name in sorted(self._tables)
         )
 
-    def _cached_plan(self, sql: str) -> Optional[object]:
+    def _cached_plan(self, sql: str) -> Optional[Tuple[object, bool]]:
+        """The current ``(plan, shareable)`` cached for ``sql``, if any."""
         # Plans themselves are mode-independent, but keying on the mode
         # keeps per-mode hit/miss accounting honest when a benchmark flips
         # modes between runs of the same statement.
@@ -306,16 +308,16 @@ class Database:
         entry = self._plan_cache.get(cache_key)
         if entry is None:
             return None
-        state, plan = entry
+        state, plan, shareable = entry
         if state != self._catalog_state():
             del self._plan_cache[cache_key]
             return None
         self._plan_cache.move_to_end(cache_key)
-        return plan
+        return plan, shareable
 
-    def _store_plan(self, sql: str, plan: object) -> None:
+    def _store_plan(self, sql: str, plan: object, shareable: bool = True) -> None:
         cache_key = (self._execution_mode, sql)
-        self._plan_cache[cache_key] = (self._catalog_state(), plan)
+        self._plan_cache[cache_key] = (self._catalog_state(), plan, shareable)
         self._plan_cache.move_to_end(cache_key)
         while len(self._plan_cache) > self._plan_cache_size:
             self._plan_cache.popitem(last=False)
@@ -330,20 +332,30 @@ class Database:
     def prepare(self, sql: str) -> PreparedSelect:
         """Parse and plan a SELECT once, for reuse across identical catalogues.
 
+        Shares :meth:`execute`'s plan cache (and its hit/miss counters).
         Statements with IN-subqueries are rejected: their plans inline
         locally-resolved results, which are not shareable across peers.
         """
-        statement = parse(sql)
-        if not isinstance(statement, SelectStmt):
-            raise SqlExecutionError("prepare supports SELECT statements only")
-        if contains_subquery(statement.where) or contains_subquery(
-            statement.having
-        ):
+        cached = self._cached_plan(sql)
+        if cached is not None:
+            plan, shareable = cached
+            self.plan_cache_hits += shareable
+        else:
+            statement = parse(sql)
+            if not isinstance(statement, SelectStmt):
+                raise SqlExecutionError("prepare supports SELECT statements only")
+            shareable = not (
+                contains_subquery(statement.where)
+                or contains_subquery(statement.having)
+            )
+            if shareable:
+                self.plan_cache_misses += 1
+                plan = Planner(self._tables).plan(statement)
+                self._store_plan(sql, plan)
+        if not shareable:
             raise SqlExecutionError(
                 "cannot prepare a statement containing subqueries"
             )
-        self.plan_cache_misses += 1
-        plan = Planner(self._tables).plan(statement)
         return PreparedSelect(sql, plan, plan_tables(plan))
 
     def execute_prepared(self, prepared: PreparedSelect) -> QueryResult:

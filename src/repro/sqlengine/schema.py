@@ -29,6 +29,8 @@ class TableSchema:
     name: str
     columns: Tuple[Column, ...]
     primary_key: Optional[str] = None
+    #: Lower-cased column name -> position, built once: name lookups are O(1).
+    _positions: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __init__(
         self,
@@ -41,15 +43,15 @@ class TableSchema:
         columns = tuple(columns)
         if not columns:
             raise SqlCatalogError(f"table {name!r} needs at least one column")
-        seen = set()
+        positions: Dict[str, int] = {}
         for column in columns:
             lowered = column.name.lower()
-            if lowered in seen:
+            if lowered in positions:
                 raise SqlCatalogError(
                     f"duplicate column {column.name!r} in table {name!r}"
                 )
-            seen.add(lowered)
-        if primary_key is not None and primary_key.lower() not in seen:
+            positions[lowered] = len(positions)
+        if primary_key is not None and primary_key.lower() not in positions:
             raise SqlCatalogError(
                 f"primary key {primary_key!r} is not a column of {name!r}"
             )
@@ -60,28 +62,23 @@ class TableSchema:
             "primary_key",
             primary_key.lower() if primary_key is not None else None,
         )
+        object.__setattr__(self, "_positions", positions)
 
     @property
     def column_names(self) -> List[str]:
         return [column.name for column in self.columns]
 
     def column(self, name: str) -> Column:
-        lowered = name.lower()
-        for column in self.columns:
-            if column.name.lower() == lowered:
-                return column
-        raise SqlCatalogError(f"no column {name!r} in table {self.name!r}")
+        return self.columns[self.column_index(name)]
 
     def has_column(self, name: str) -> bool:
-        lowered = name.lower()
-        return any(column.name.lower() == lowered for column in self.columns)
+        return name.lower() in self._positions
 
     def column_index(self, name: str) -> int:
-        lowered = name.lower()
-        for position, column in enumerate(self.columns):
-            if column.name.lower() == lowered:
-                return position
-        raise SqlCatalogError(f"no column {name!r} in table {self.name!r}")
+        position = self._positions.get(name.lower())
+        if position is None:
+            raise SqlCatalogError(f"no column {name!r} in table {self.name!r}")
+        return position
 
     def _check_width(self, width: int) -> None:
         if width != len(self.columns):

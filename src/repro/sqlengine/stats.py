@@ -8,7 +8,7 @@ distinct-value estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.sqlengine.table import Table
 
@@ -38,6 +38,14 @@ class TableStats:
         if self.row_count == 0:
             return 0.0
         return self.byte_size / self.row_count
+
+
+def column_bounds(table: Table, column: str) -> Tuple[object, object]:
+    """One column's ``(minimum, maximum)`` over its non-NULL values — what
+    :func:`collect_table_stats` reports, without summarizing the others."""
+    position = table.schema.column_index(column)
+    values = [row[position] for row in table.rows() if row[position] is not None]
+    return (min(values), max(values)) if values else (None, None)
 
 
 def collect_table_stats(table: Table) -> TableStats:

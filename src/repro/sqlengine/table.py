@@ -12,6 +12,7 @@ data into the local MySQL when the MemTable is full" (Section 5.2).
 
 from __future__ import annotations
 
+import collections
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import SqlCatalogError, SqlExecutionError
@@ -115,13 +116,7 @@ class Table:
         row_id = len(self._rows)
         # Validate unique indexes before touching any state so a violation
         # leaves the table unchanged.
-        for index in self.indexes.values():
-            if index.unique:
-                key = row[self.schema.column_index(index.column)]
-                if key is not None and index.lookup(key):
-                    raise SqlExecutionError(
-                        f"duplicate key {key!r} for unique index {index.name!r}"
-                    )
+        self._check_unique([row])
         self._rows.append(row)
         self._live_count += 1
         self._byte_size += self._row_bytes(row)
@@ -160,20 +155,7 @@ class Table:
             byte_size = sum(map(self._row_bytes, coerced))
         if not coerced:
             return []
-        for index in self.indexes.values():
-            if not index.unique:
-                continue
-            position = self.schema.column_index(index.column)
-            seen = set()
-            for row in coerced:
-                key = row[position]
-                if key is None:
-                    continue
-                if key in seen or index.lookup(key):
-                    raise SqlExecutionError(
-                        f"duplicate key {key!r} for unique index {index.name!r}"
-                    )
-                seen.add(key)
+        self._check_unique(coerced)
         first_id = len(self._rows)
         row_ids = list(range(first_id, first_id + len(coerced)))
         self._rows.extend(coerced)
@@ -197,15 +179,66 @@ class Table:
             )
         return row_ids
 
+    def _check_unique(
+        self, coerced: Sequence[tuple], leaving: frozenset = frozenset()
+    ) -> None:
+        """Raise unless ``coerced`` may join the table once rows ``leaving`` left."""
+        for index in self.indexes.values():
+            if not index.unique:
+                continue
+            position = self.schema.column_index(index.column)
+            seen = set()
+            for row in coerced:
+                key = row[position]
+                if key is None:
+                    continue
+                if key in seen or not leaving.issuperset(index.lookup(key)):
+                    raise SqlExecutionError(
+                        f"duplicate key {key!r} for unique index {index.name!r}"
+                    )
+                seen.add(key)
+
     def delete_row(self, row_id: int) -> None:
+        self._tombstone(row_id)
+        self._drop_column_store()
+        self.version += 1
+
+    def _tombstone(self, row_id: int) -> None:
         row = self.row_by_id(row_id)
         for index in self.indexes.values():
             index.remove(row[self.schema.column_index(index.column)], row_id)
         self._rows[row_id] = None
         self._live_count -= 1
         self._byte_size -= self._row_bytes(row)
-        self._drop_column_store()
-        self.version += 1
+
+    def apply_delta(
+        self, deleted: Sequence[tuple], inserted: Sequence[Sequence[object]]
+    ) -> List[int]:
+        """Atomically delete one live copy of each ``deleted`` row (the first
+        equal one; all found in one pass) and append ``inserted``; returns the
+        new row ids.  Everything is validated before the first write: every
+        victim found, the new rows' unique keys checked against the table
+        *minus* the victims (an update of one key passes).  One version bump."""
+        if not deleted:
+            return self.insert_many(inserted)  # nothing to find: no pass
+        wanted = collections.Counter(deleted)
+        victims = []
+        for row_id in [i for i, row in enumerate(self._rows) if row in wanted]:
+            if wanted[self._rows[row_id]]:
+                wanted[self._rows[row_id]] -= 1
+                victims.append(row_id)
+        missing = +wanted  # the copies no live row matched
+        if missing:
+            raise SqlExecutionError(f"no live row to delete: {next(iter(missing))!r}")
+        coerced = [self.schema.coerce_row(row) for row in inserted]
+        self._check_unique(coerced, frozenset(victims))
+        for row_id in victims:
+            self._tombstone(row_id)
+        if victims:
+            self._drop_column_store()
+            if not coerced:
+                self.version += 1
+        return self.insert_many(coerced)  # validated above: cannot refuse
 
     def delete_where(self, predicate: Callable[[Tuple[object, ...]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the count."""

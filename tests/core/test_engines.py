@@ -4,11 +4,15 @@ Correctness oracle: a single local database holding the union of all peers'
 partitions must agree with every engine on every benchmark query.
 """
 
+import sys
+
 import pytest
 
 from repro.core import BestPeerNetwork
-from repro.errors import BestPeerError
-from repro.sqlengine import Database
+from repro.errors import BestPeerError, SqlExecutionError
+from repro.hadoopdb.sms import SmsPlanner
+from repro.sqlengine import Database, parser
+from repro.sqlengine.planner import Planner
 from repro.tpch import (
     Q1,
     Q2,
@@ -238,3 +242,132 @@ class TestAdaptiveDecision:
     def test_simple_query_always_p2p(self, network):
         execution = network.execute(Q1(), engine="adaptive")
         assert execution.strategy in ("fetch-and-process", "single-peer")
+
+
+# ----------------------------------------------------------------------
+# A SQL text is planned once: the compile door and the owners' plan caches
+# ----------------------------------------------------------------------
+def _count_parses(monkeypatch):
+    """Count ``parse`` calls through every ``repro`` module binding it."""
+    calls = []
+
+    def counting(sql):
+        calls.append(sql)
+        return parser.parse(sql)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.startswith("repro"):
+            for attr, value in list(vars(module).items()):
+                if value is parser.parse and module is not parser:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
+
+
+def _count_plans(monkeypatch):
+    """Record the catalogue of every ``Planner.plan`` call."""
+    catalogs = []
+    original = Planner.plan
+
+    def counting(self, stmt):
+        catalogs.append(self._catalog)
+        return original(self, stmt)
+
+    monkeypatch.setattr(Planner, "plan", counting)
+    return catalogs
+
+
+class TestPlannedOnce:
+    @pytest.fixture
+    def two_owner_network(self):
+        """supplier-0 alone hosts part/partsupp/supplier (Q4 is a single-peer
+        query); lineitem and orders are spread over two peers (Q3 is
+        fetch-and-process)."""
+        net = BestPeerNetwork(TPCH_SCHEMAS, SECONDARY_INDICES)
+        generator = TpchGenerator(seed=5, scale=0.2)
+        net.add_peer("supplier-0", tables=["part", "partsupp", "supplier"])
+        data = generator.generate_peer(0)
+        net.load_peer(
+            "supplier-0",
+            {t: data[t] for t in ("part", "partsupp", "supplier")},
+        )
+        for index in (1, 2):
+            net.add_peer(f"corp-{index}", tables=["lineitem", "orders"])
+            data = generator.generate_peer(index)
+            net.load_peer(
+                f"corp-{index}", {t: data[t] for t in ("lineitem", "orders")}
+            )
+        return net
+
+    @pytest.mark.parametrize("engine", ENGINES + ["adaptive"])
+    @pytest.mark.parametrize("query", [Q4, Q3], ids=["single-peer", "fetch"])
+    def test_second_execution_parses_and_plans_nothing(
+        self, two_owner_network, monkeypatch, engine, query
+    ):
+        net = two_owner_network
+        sql = query("1995-06-01", "1995-06-01") if query is Q3 else query()
+        first = net.execute(sql, peer_id="corp-1", engine=engine)
+        assert len(first.records) > 0
+        if engine == "adaptive":
+            # Feedback may flip its choice: let the owners see both
+            # engines' subquery texts before counting.
+            for chosen in ("basic", "mapreduce"):
+                net.execute(sql, peer_id="corp-1", engine=chosen)
+        parses = _count_parses(monkeypatch)
+        catalogs = _count_plans(monkeypatch)
+        second = net.execute(sql, peer_id="corp-1", engine=engine)
+        assert sorted(second.records) == sorted(first.records)
+        assert parses == []
+        # Only the basic engine's staging database — new for every query —
+        # is planned against; no peer's catalogue is.
+        peer_catalogs = [peer.database._tables for peer in net.peers.values()]
+        assert not any(
+            catalog is peers for catalog in catalogs for peers in peer_catalogs
+        )
+        staged = second.strategy == "fetch-and-process" and query is Q3
+        assert len(catalogs) == (1 if staged else 0)
+
+    def test_adaptive_compiles_a_new_text_once(self, two_owner_network, monkeypatch):
+        parses = _count_parses(monkeypatch)
+        compiled = []
+        original = SmsPlanner.compile
+
+        def counting(self, stmt):
+            compiled.append(stmt)
+            return original(self, stmt)
+
+        monkeypatch.setattr(SmsPlanner, "compile", counting)
+        sql = Q3("1995-06-01", "1995-06-01")
+        two_owner_network.execute(sql, peer_id="corp-1", engine="adaptive")
+        assert parses.count(sql) == 1  # twice at the parent
+        assert len(compiled) == 1
+
+    def test_prepare_shares_the_plan_cache(self):
+        db = Database()
+        create_tpch_tables(db)
+        sql = "SELECT o_orderkey FROM orders WHERE o_orderkey > 3"
+        first = db.prepare(sql)
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (0, 1)
+        assert db.prepare(sql).plan is first.plan
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (1, 1)
+        # ... the cache execute() uses, in both directions.
+        db.execute(sql)
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (2, 1)
+        db.table("orders").insert_many(
+            TpchGenerator(seed=5, scale=0.1).generate_peer(0)["orders"]
+        )
+        assert db.prepare(sql).plan is not first.plan
+        assert (db.plan_cache_hits, db.plan_cache_misses) == (2, 2)
+
+    def test_prepare_refuses_a_cached_subquery_plan(self):
+        db = Database()
+        create_tpch_tables(db)
+        sql = (
+            "SELECT o_orderkey FROM orders WHERE o_custkey IN "
+            "(SELECT c_custkey FROM customer)"
+        )
+        db.execute(sql)
+        db.execute(sql)
+        assert db.plan_cache_hits == 1  # the resolved plan is cached ...
+        with pytest.raises(SqlExecutionError, match="subqueries"):
+            db.prepare(sql)  # ... but inlines local rows: never handed out
+        assert db.plan_cache_hits == 1

@@ -1,7 +1,11 @@
 """Tests for schema mapping and the snapshot-differential data loader."""
 
+import sys
+
 import pytest
 
+from repro.core import BestPeerNetwork
+from repro.core import loader as loader_module
 from repro.core.loader import DataLoader, SnapshotDelta, snapshot_diff
 from repro.core.schema_mapping import (
     MappingTemplate,
@@ -9,7 +13,7 @@ from repro.core.schema_mapping import (
     TableMapping,
     identity_mapping,
 )
-from repro.errors import SchemaMappingError
+from repro.errors import SchemaMappingError, SqlExecutionError
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 
 
@@ -204,3 +208,247 @@ class TestDataLoader:
         loader.refresh("kunden", columns, [(1, "A-renamed", "DE")])
         names = loader.database.execute("SELECT c_name FROM customer")
         assert names.column("c_name") == ["A-renamed"]
+
+
+# ----------------------------------------------------------------------
+# A refresh is all-or-nothing, and costs what changed
+# ----------------------------------------------------------------------
+T_SCHEMA = TableSchema(
+    "t",
+    [Column("id", ColumnType.INTEGER), Column("v", ColumnType.TEXT)],
+    primary_key="id",
+)
+T_COLUMNS = ["id", "v"]
+T_LOADED = [(1, "a"), (2, "b"), (3, "c")]
+
+
+def _table_state(table):
+    """Everything a refresh may touch, in comparable form."""
+    return {
+        "rows": list(table._rows),
+        "version": table.version,
+        "byte_size": table.byte_size,
+        "live": len(table),
+        "indexes": {
+            name: (list(index.keys()), [index.lookup(k) for k in index.keys()])
+            for name, index in table.indexes.items()
+        },
+        "mirror": [list(column) for column in table.column_data()],
+    }
+
+
+class TestRefreshIsAtomic:
+    @pytest.fixture
+    def loader(self):
+        database = Database()
+        database.create_table(T_SCHEMA)
+        loader = DataLoader(database, identity_mapping({"t": T_SCHEMA}))
+        loader.initial_load("t", T_COLUMNS, T_LOADED)
+        return loader
+
+    def test_duplicate_key_leaves_everything_as_it_was(self, loader):
+        table = loader.database.table("t")
+        before = _table_state(table)
+        with pytest.raises(SqlExecutionError, match="duplicate key 3"):
+            loader.refresh(
+                "t", T_COLUMNS, [(1, "a"), (2, "B"), (3, "c"), (3, "dup")]
+            )
+        assert _table_state(table) == before
+        assert loader.snapshot_of("t") == T_LOADED
+        # The parent had deleted (2, 'b') by now and was wedged for good:
+        # "snapshot delta wants to delete a missing row".
+        delta = loader.refresh("t", T_COLUMNS, [(1, "a"), (2, "B"), (3, "c")])
+        assert delta.change_count == 2
+        assert sorted(table.rows()) == [(1, "a"), (2, "B"), (3, "c")]
+
+    def test_missing_victim_leaves_everything_as_it_was(self, loader):
+        table = loader.database.table("t")
+        # Edited behind the loader's back: the snapshot still says (2, 'b').
+        loader.database.execute("UPDATE t SET v = 'edited' WHERE id = 2")
+        before = _table_state(table)
+        with pytest.raises(SqlExecutionError, match="no live row to delete"):
+            loader.refresh("t", T_COLUMNS, [(1, "A"), (3, "c"), (4, "d")])
+        assert _table_state(table) == before
+        assert loader.snapshot_of("t") == T_LOADED
+
+    def test_update_of_one_primary_key_passes(self, loader):
+        # Delete + insert of key 2: unique keys are checked against the
+        # table *minus* the victims.
+        table = loader.database.table("t")
+        version = table.version
+        delta = loader.refresh("t", T_COLUMNS, [(1, "a"), (2, "B"), (3, "c")])
+        assert (delta.deleted, delta.inserted) == ([(2, "b")], [(2, "B")])
+        assert table.version == version + 1
+        assert list(table._rows) == [(1, "a"), None, (3, "c"), (2, "B")]
+
+    def test_empty_delta_touches_nothing(self, loader):
+        table = loader.database.table("t")
+        before = _table_state(table)
+        assert loader.refresh("t", T_COLUMNS, list(T_LOADED)).is_empty
+        assert _table_state(table) == before
+
+    def test_refresh_peer_failure_changes_nothing(self):
+        network = BestPeerNetwork({"t": T_SCHEMA})
+        network.add_peer("p0")
+        network.load_peer("p0", {"t": T_LOADED}, range_columns={"t": ["id"]})
+        network.clock.advance(5.0)
+        peer, indexer = network.peers["p0"], network.indexers["p0"]
+        before = _table_state(peer.database.table("t"))
+        published = list(indexer._published)
+        census = network.overlay.census()
+        refreshed_at = peer.last_refresh_at
+        statistics = (
+            network.statistics["t"].row_count,
+            network.statistics["t"].total_bytes,
+        )
+        with pytest.raises(SqlExecutionError, match="duplicate key 3"):
+            network.refresh_peer(
+                "p0", "t", [(1, "a"), (2, "B"), (3, "c"), (3, "dup")],
+                range_columns={"t": ["id"]},
+            )
+        assert _table_state(peer.database.table("t")) == before
+        assert indexer._published == published
+        assert network.overlay.census() == census
+        assert peer.last_refresh_at == refreshed_at
+        assert statistics == (
+            network.statistics["t"].row_count,
+            network.statistics["t"].total_bytes,
+        )
+        delta = network.refresh_peer(
+            "p0", "t", [(1, "a"), (2, "B"), (3, "c")],
+            range_columns={"t": ["id"]},
+        )
+        assert delta.change_count == 2
+        assert peer.last_refresh_at == 5.0
+
+
+def _numbered(count, changed=()):
+    return [(i, f"v{i}" + ("*" if i in changed else "")) for i in range(count)]
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` made through the module's binding."""
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _python_calls_into(filename, fn):
+    """How many Python-level calls ``fn()`` makes into ``filename``."""
+    count = 0
+
+    def profiler(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code.co_filename.endswith(filename):
+            count += 1
+
+    sys.setprofile(profiler)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestRefreshCostsWhatChanged:
+    def _loaded(self, count):
+        database = Database()
+        database.create_table(T_SCHEMA)
+        loader = DataLoader(database, identity_mapping({"t": T_SCHEMA}))
+        loader.initial_load("t", T_COLUMNS, _numbered(count))
+        return loader
+
+    def test_fingerprints_only_the_changed_rows(self, monkeypatch):
+        loader = self._loaded(200)
+        calls = _count_calls(monkeypatch, loader_module, "fingerprint_tuple")
+        delta = loader.refresh("t", T_COLUMNS, _numbered(200, changed=range(10)))
+        assert delta.change_count == 20
+        assert len(calls) == delta.change_count
+
+    def test_unchanged_refresh_fingerprints_nothing(self, monkeypatch):
+        loader = self._loaded(200)
+        calls = _count_calls(monkeypatch, loader_module, "fingerprint_tuple")
+        assert loader.refresh("t", T_COLUMNS, _numbered(200)).is_empty
+        assert calls == []
+
+    def test_table_calls_do_not_grow_with_the_table(self):
+        counts = []
+        for size in (200, 2000):
+            loader = self._loaded(size)
+            snapshot = _numbered(size, changed=range(50, 60))
+            counts.append(
+                _python_calls_into(
+                    "sqlengine/table.py",
+                    lambda: loader.refresh("t", T_COLUMNS, snapshot),
+                )
+            )
+        assert counts[0] == counts[1] > 0
+
+    def test_unchanged_refresh_writes_nothing_to_the_overlay(self, monkeypatch):
+        network = BestPeerNetwork({"t": T_SCHEMA})
+        for peer_id in ("p0", "p1", "p2"):
+            network.add_peer(peer_id)
+        ranges = {"t": ["id"]}
+        network.load_peer("p0", {"t": _numbered(200)}, range_columns=ranges)
+        overlay = type(network.overlay)
+        inserts = _count_calls(monkeypatch, overlay, "insert")
+        deletes = _count_calls(monkeypatch, overlay, "delete")
+        assert network.refresh_peer(
+            "p0", "t", _numbered(200), range_columns=ranges
+        ).is_empty
+        # Bounds unmoved (ids 0..199 either way): still no overlay write.
+        network.refresh_peer(
+            "p0", "t", _numbered(200, changed=range(10)), range_columns=ranges
+        )
+        assert inserts == deletes == []
+        # A moved bound is one delete and one insert, not a republish.
+        network.refresh_peer("p0", "t", _numbered(150), range_columns=ranges)
+        assert (len(inserts), len(deletes)) == (1, 1)
+
+
+class TestRefreshTellsTheStatisticsModule:
+    """Eq. 1-11 read ``network.statistics``; it must follow the data."""
+
+    @staticmethod
+    def _network(partitions):
+        network = BestPeerNetwork({"t": T_SCHEMA})
+        for peer_id, rows in partitions.items():
+            network.add_peer(peer_id)
+            network.load_peer(peer_id, {"t": rows})
+        return network
+
+    @staticmethod
+    def _counts(network):
+        entry = network.statistics["t"]
+        return entry.row_count, entry.total_bytes
+
+    def test_statistics_follow_refreshes(self):
+        first = {"p0": _numbered(10), "p1": _numbered(10)}
+        network = self._network(first)
+        assert self._counts(network) == (20, 280)
+        grown = _numbered(1000)
+        assert network.refresh_peer("p0", "t", grown).change_count == 990
+        assert network.execute("SELECT COUNT(*) FROM t").scalar() == 1010
+        assert self._counts(network)[0] == 1010  # 20 at the parent
+        assert self._counts(network) == self._counts(
+            self._network({"p0": grown, "p1": first["p1"]})
+        )
+        shrunk = _numbered(400, changed=range(0, 400, 7))
+        network.refresh_peer("p1", "t", [])
+        network.refresh_peer("p0", "t", shrunk)
+        assert self._counts(network) == self._counts(
+            self._network({"p0": shrunk, "p1": []})
+        )
+
+    def test_failed_refresh_is_not_counted(self):
+        network = self._network({"p0": T_LOADED})
+        before = self._counts(network)
+        with pytest.raises(SqlExecutionError):
+            network.refresh_peer("p0", "t", T_LOADED + [(3, "dup")])
+        assert self._counts(network) == before

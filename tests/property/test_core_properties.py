@@ -1,14 +1,40 @@
 """Property-based tests for core invariants: bloom filters, fingerprints,
-snapshot diffs, histograms, makespan scheduling."""
+snapshot diffs (and the loader's prefilter and atomic apply in front of
+them), the compile door, histograms, makespan scheduling."""
 
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import build_filter, fingerprint_tuple, snapshot_diff
+from repro.core import (
+    BestPeerNetwork,
+    build_filter,
+    fingerprint_tuple,
+    snapshot_diff,
+)
+from repro.core.access_control import READ, rule
 from repro.core.execution import makespan
 from repro.core.histogram import Histogram
+from repro.core.loader import DataLoader
+from repro.core.schema_mapping import identity_mapping
+from repro.errors import ReproError
+from repro.hadoopdb.sms import SmsPlanner
+from repro.sqlengine import Column, ColumnType, Database, TableSchema
+from repro.sqlengine.parser import parse
+from repro.sqlengine.table import Table
+from repro.tpch import (
+    Q1,
+    Q2,
+    Q3,
+    Q4,
+    Q5,
+    TPCH_SCHEMAS,
+    TpchGenerator,
+    retailer_throughput_query,
+    schema_for,
+    supplier_throughput_query,
+)
 
 
 # ----------------------------------------------------------------------
@@ -105,6 +131,271 @@ class TestSnapshotDiffProperties:
         overlap = Counter(old) & Counter(new)
         assert len(deleted) == len(old) - sum(overlap.values())
         assert len(inserted) == len(new) - sum(overlap.values())
+
+
+# ----------------------------------------------------------------------
+# The loader's prefilter: same delta as the reference, fingerprinting less
+# ----------------------------------------------------------------------
+class _Key(int):
+    """An int subclass: ``fingerprint_tuple`` tags it ``_Key``, not ``int``."""
+
+
+_NAN = float("nan")
+# Values that tuple ``==`` conflates and the reference's encoding does not
+# (1 / 1.0 / True, 0 / 0.0 / -0.0 / False), plus what marshal refuses.
+_WILD_POOL = [
+    None, 1, 1.0, True, 0, 0.0, -0.0, False, "", "a", "1", "1998-09-15",
+    "1998-09-16", 2**70, -(2**70), _NAN, _Key(1), _Key(7),
+]
+_wild_rows = st.lists(
+    st.tuples(st.sampled_from(_WILD_POOL), st.sampled_from(_WILD_POOL)),
+    max_size=25,
+)
+_PAIR_SCHEMA = TableSchema(
+    "t", [Column("a", ColumnType.TEXT), Column("b", ColumnType.TEXT)]
+)
+
+
+def _exact(rows):
+    """Rows as the reference's encoding sees them: type and repr per value."""
+    return [[(type(value).__name__, repr(value)) for value in row] for row in rows]
+
+
+class _RecordingTable:
+    """Stands in for the peer database: records what the loader applies."""
+
+    def table(self, name):
+        return self
+
+    def insert_many(self, rows):
+        pass
+
+    def apply_delta(self, deleted, inserted):
+        self.applied = (inserted, deleted)
+
+
+class TestLoaderPrefilterProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_wild_rows, _wild_rows)
+    def test_same_lists_in_the_same_order_as_the_reference(self, old, new):
+        recorder = _RecordingTable()
+        loader = DataLoader(recorder, identity_mapping({"t": _PAIR_SCHEMA}))
+        loader.initial_load("t", ["a", "b"], old)
+        delta = loader.refresh("t", ["a", "b"], new)
+        inserted, deleted = snapshot_diff(old, new)
+        assert _exact(delta.inserted) == _exact(inserted)
+        assert _exact(delta.deleted) == _exact(deleted)
+        assert recorder.applied == (delta.inserted, delta.deleted)
+        assert _exact(loader.snapshot_of("t")) == _exact(new)
+
+    @given(_wild_rows)
+    def test_unchanged_snapshot_fingerprints_nothing(self, rows):
+        recorder = _RecordingTable()
+        loader = DataLoader(recorder, identity_mapping({"t": _PAIR_SCHEMA}))
+        loader.initial_load("t", ["a", "b"], rows)
+        delta = loader.refresh("t", ["a", "b"], list(rows))
+        # Rows marshal refuses (an int subclass) are left to the reference,
+        # which cancels them; everything else never reaches it.
+        assert delta.is_empty
+
+
+# ----------------------------------------------------------------------
+# Table.apply_delta: what the parent's delete-scan + insert_many loop left
+# ----------------------------------------------------------------------
+_TYPED_SCHEMA = TableSchema(
+    "t",
+    [
+        Column("k", ColumnType.INTEGER),
+        Column("x", ColumnType.FLOAT),
+        Column("s", ColumnType.TEXT),
+        Column("d", ColumnType.DATE),
+    ],
+)
+_typed_rows = st.lists(
+    st.tuples(
+        st.sampled_from([None, 0, 1, 2, 2**70, _Key(1)]),
+        st.sampled_from([None, 0.0, -0.0, 1.0, 1, 0, _NAN, 2.5]),
+        st.sampled_from([None, "", "a", "b"]),
+        st.sampled_from([None, "1998-09-15", "1998-09-16"]),
+    ),
+    max_size=20,
+)
+
+
+def _apply_as_the_parent_did(table, deleted, inserted):
+    """The parent's ``DataLoader.refresh`` loop, kept as the oracle: one
+    table scan per deleted row, ``delete_row`` each, then ``insert_many``."""
+    for row in deleted:
+        victim = next(
+            (
+                row_id
+                for row_id in table.row_ids()
+                if table.row_by_id(row_id) == row
+            ),
+            None,
+        )
+        assert victim is not None, row
+        table.delete_row(victim)
+    table.insert_many(inserted)
+
+
+def _storage(table):
+    return (
+        _exact(row or () for row in table._rows),
+        [row is None for row in table._rows],  # row ids: tombstones in place
+        len(table),
+        table.byte_size,
+        _exact(table.column_data()),
+        {
+            name: [(repr(key), index.lookup(key)) for key in index.keys()]
+            for name, index in table.indexes.items()
+        },
+    )
+
+
+class TestApplyDeltaProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(_typed_rows, _typed_rows, st.booleans())
+    def test_rows_order_and_ids_match_the_parent_loop(self, old, new, indexed):
+        tables = [Table(_TYPED_SCHEMA), Table(_TYPED_SCHEMA)]
+        for table in tables:
+            if indexed:
+                table.create_index("idx_k", "k")
+            table.insert_many(old)
+        inserted, deleted = snapshot_diff(old, new)
+        ours, reference = tables
+        version = ours.version
+        row_ids = ours.apply_delta(deleted, inserted)
+        _apply_as_the_parent_did(reference, deleted, inserted)
+        assert _storage(ours) == _storage(reference)
+        assert row_ids == list(range(len(old), len(old) + len(inserted)))
+        assert ours.version == version + bool(inserted or deleted)
+
+
+# ----------------------------------------------------------------------
+# The compile door: one cached (statement, plan) per text, shared by every
+# engine and user, never edited, never wrong about who is asking
+# ----------------------------------------------------------------------
+_DOOR_SCHEMAS = {
+    name: schema_for(name, with_nation_key=True) for name in TPCH_SCHEMAS
+}
+_DOOR_ENGINES = ["basic", "parallel", "mapreduce", "adaptive"]
+_DOOR_QUERIES = {
+    "Q1": Q1("1995-06-01", "1995-06-01"),
+    "Q2": Q2("1995-06-01"),
+    "Q3": Q3("1995-06-01", "1995-06-01"),
+    "Q4": Q4(),
+    "Q5": Q5(),
+    "supplier": supplier_throughput_query(0),
+    "retailer": retailer_throughput_query(0),
+}
+# The auditor reads these two columns under a value range (masked outside).
+_MASKED = {"Q2", "Q4", "Q5", "supplier", "retailer"}
+
+
+def _door_network():
+    """Three peers hosting every table, pinned to nations 0, 1, 0, so that
+    Q1-Q5 and both nation-scoped supply-chain queries all return rows."""
+    network = BestPeerNetwork(_DOOR_SCHEMAS)
+    generator = TpchGenerator(seed=5, scale=0.2)
+    for index in range(3):
+        network.add_peer(f"peer-{index}")
+        network.load_peer(
+            f"peer-{index}",
+            generator.generate_peer(
+                index, nation_key=index % 2, with_nation_key=True
+            ),
+            backup=False,
+        )
+    full = network.create_full_access_role("full")
+    network.create_user("tester", "peer-0", full)
+    auditor = full.plus(
+        rule("lineitem.l_discount", (READ,), (0.0, 0.02)), "auditor"
+    ).plus(rule("partsupp.ps_supplycost", (READ,), (1.0, 100.0)))
+    network.define_role(auditor)
+    network.create_user("auditor", "peer-0", auditor)
+    return network
+
+
+def _outcome(network, sql, engine, user):
+    try:
+        execution = network.execute(sql, engine=engine, user=user)
+    except ReproError as error:
+        return type(error).__name__, str(error)
+    return (
+        execution.columns,
+        sorted(execution.records, key=repr),
+        execution.latency_s,
+        execution.bytes_transferred,
+    )
+
+
+class TestCompileDoor:
+    @pytest.fixture(scope="class")
+    def networks(self):
+        """A network whose door stays warm, and a twin emptied before every
+        query (what compiling each submission afresh would answer)."""
+        return _door_network(), _door_network()
+
+    @pytest.mark.parametrize("name", sorted(_DOOR_QUERIES))
+    def test_one_pair_for_every_engine_and_user(self, networks, name):
+        warm, cold = networks
+        sql = _DOOR_QUERIES[name]
+        for engine in _DOOR_ENGINES:
+            outcomes = []
+            for user in ("tester", "auditor", "tester"):
+                cold.planner._compiled.clear()
+                outcomes.append(_outcome(warm, sql, engine, user))
+                assert outcomes[-1] == _outcome(cold, sql, engine, user)
+            tester, auditor, tester_again = outcomes
+            # (latency differs: the first run warmed the index cache)
+            assert tester[:2] == tester_again[:2]
+            assert len(tester) == 4 and tester[1], (name, engine, tester)
+            if name in _MASKED:
+                # Masked rows, or a refusal where rows cannot be masked:
+                # never the tester's answer out of the shared plan.
+                assert auditor != tester, (name, engine)
+            else:
+                assert auditor[:2] == tester[:2]
+        # Shared by all of the above and still what a fresh compile gives.
+        stmt = parse(sql)
+        assert warm.planner._compiled[sql] == (
+            stmt, SmsPlanner(_DOOR_SCHEMAS).compile(stmt)
+        )
+        assert warm.planner.compile_text(sql) is warm.planner.compile_text(sql)
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELEC l_orderkey FROM lineitem",
+            "SELECT l_orderkey FROM no_such_table",
+            "SELECT no_such_column FROM lineitem",
+            "DELETE FROM lineitem",
+        ],
+    )
+    @pytest.mark.parametrize("engine", _DOOR_ENGINES)
+    def test_errors_are_not_cached(self, networks, engine, sql):
+        warm, _ = networks
+        first = _outcome(warm, sql, engine, "tester")
+        assert len(first) == 2, first  # (exception type, message)
+        assert _outcome(warm, sql, engine, "tester") == first
+        assert sql not in warm.planner._compiled
+
+    def test_lru_stays_within_its_bound(self):
+        planner = SmsPlanner(_DOOR_SCHEMAS)
+        texts = [
+            f"SELECT l_orderkey FROM lineitem WHERE l_orderkey = {i}"
+            for i in range(300)
+        ]
+        first = planner.compile_text(texts[0])
+        for text in texts[1:]:
+            planner.compile_text(text)
+            planner.compile_text(texts[0])  # recently used: must survive
+            assert len(planner._compiled) <= Database.PLAN_CACHE_SIZE
+        assert len(planner._compiled) == Database.PLAN_CACHE_SIZE
+        assert planner.compile_text(texts[0]) is first
+        assert texts[1] not in planner._compiled
+        assert texts[-1] in planner._compiled
 
 
 # ----------------------------------------------------------------------
