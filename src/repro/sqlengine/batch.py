@@ -72,32 +72,75 @@ def vectors_from_rows(
 
 
 class LazyColumns:
-    """Column vectors over row tuples, each transposed on first use.
+    """Column vectors laid side by side, each gathered on first use.
 
-    What an index scan hands downstream: operators index the columns they
-    read, so a 16-column table pays for the three a query references.
-    :meth:`take` narrows by re-gathering rows, which keeps unread columns
-    unbuilt.  The rows are immutable tuples, so a later write to the owner
-    table cannot reach a view.
+    What an index scan, a join, a narrowing filter and a sort hand
+    downstream: operators index the columns they read, so a three-table
+    join that projects three of thirty columns pays for those and its keys.
+    A *part* is ``(width, source, index, padded)``: column ``k`` of the part
+    is ``source[k]`` gathered at the positions in ``index`` (``-1`` gathers
+    NULL when ``padded``: a LEFT JOIN's unmatched rows).  With ``source``
+    None the index holds row tuples and column ``k`` is their ``k``-th
+    field.  Sources are never written to, and nothing lazy outlives the
+    plan: :class:`ColumnBatch` builds every column it is handed.
     """
 
-    def __init__(self, rows: List[Tuple[object, ...]], width: int) -> None:
-        self._rows = rows
-        self._vectors: List[Optional[List[object]]] = [None] * width
+    def __init__(self, parts: Sequence[Tuple[int, object, Sequence, bool]]) -> None:
+        self._parts = list(parts)
+        self._vectors: List[Optional[List[object]]] = [None] * sum(
+            part[0] for part in self._parts
+        )
+
+    @classmethod
+    def over_rows(cls, rows: List[Tuple[object, ...]], width: int) -> "LazyColumns":
+        return cls([(width, None, rows, False)])
 
     def __len__(self) -> int:
         return len(self._vectors)
 
     def __getitem__(self, position: int) -> List[object]:
-        vector = self._vectors[position]
+        vector = self._vectors[position]  # IndexError ends an iteration
         if vector is None:
-            vector = list(map(itemgetter(position), self._rows))
+            local = position
+            for width, source, index, padded in self._parts:
+                if local < width:
+                    break
+                local -= width
+            if source is None:
+                vector = list(map(itemgetter(local), index))
+            elif padded:
+                column = source[local]
+                vector = [None if i < 0 else column[i] for i in index]
+            else:
+                vector = list(map(source[local].__getitem__, index))
             self._vectors[position] = vector
         return vector
 
+    def __add__(self, other: "LazyColumns") -> "LazyColumns":
+        return LazyColumns(self._parts + other._parts)
+
     def take(self, positions: Sequence[int]) -> "LazyColumns":
-        """The rows at ``positions`` as a new view."""
-        return LazyColumns(list(map(self._rows.__getitem__, positions)), len(self))
+        """The rows at ``positions``: composed into each part's index, so a
+        chain of joins gathers a column once, from its first source."""
+        return LazyColumns(
+            [
+                (width, source, list(map(index.__getitem__, positions)), padded)
+                for width, source, index, padded in self._parts
+            ]
+        )
+
+
+def gather(
+    cols: Sequence[Sequence[object]], positions: Sequence[int], padded: bool = False
+) -> LazyColumns:
+    """``cols`` at ``positions`` (``-1``: NULL, when ``padded``), lazily.
+
+    A padded gather over a lazy set nests instead of composing, since
+    ``-1`` must not index into a part.
+    """
+    if padded or not isinstance(cols, LazyColumns):
+        return LazyColumns([(len(cols), cols, positions, padded)])
+    return cols.take(positions)
 
 
 class ColumnBatch:

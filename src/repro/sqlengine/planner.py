@@ -65,7 +65,21 @@ class IndexAccess:
 
 
 @dataclass
-class ScanNode:
+class PlanNode:
+    """What every operator node carries besides its own fields."""
+
+    #: ``(input columns, lowered)``: the layouts, kernels and output names the
+    #: vectorized executor derived on this node's first execution.  A plan is
+    #: cached and shipped to every data owner, so the input columns it was
+    #: lowered against are kept to detect a catalogue that lays them out
+    #: differently.  Not part of the plan's identity.
+    lowered: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+
+@dataclass
+class ScanNode(PlanNode):
     """Scan a base table under a binding (alias) name."""
 
     table: str
@@ -75,7 +89,7 @@ class ScanNode:
 
 
 @dataclass
-class JoinNode:
+class JoinNode(PlanNode):
     left: object
     right: object
     condition: Optional[Expr]
@@ -85,37 +99,37 @@ class JoinNode:
 
 
 @dataclass
-class FilterNode:
+class FilterNode(PlanNode):
     child: object
     predicate: Expr
 
 
 @dataclass
-class GroupByNode:
+class GroupByNode(PlanNode):
     child: object
     group_exprs: Tuple[Expr, ...]
     aggregates: Tuple[FuncCall, ...]
 
 
 @dataclass
-class ProjectNode:
+class ProjectNode(PlanNode):
     child: object
     items: Tuple[SelectItem, ...]
 
 
 @dataclass
-class DistinctNode:
+class DistinctNode(PlanNode):
     child: object
 
 
 @dataclass
-class SortNode:
+class SortNode(PlanNode):
     child: object
     order_items: Tuple[OrderItem, ...]
 
 
 @dataclass
-class LimitNode:
+class LimitNode(PlanNode):
     child: object
     limit: int
 

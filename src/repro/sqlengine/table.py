@@ -73,14 +73,16 @@ class Table:
     def rows_by_ids(self, row_ids: Sequence[int]) -> List[Tuple[object, ...]]:
         """The rows at ``row_ids``, gathered in one C-level pass.
 
-        Proven good on the vector (in range, no tombstone); otherwise
+        Proven good on the vector (in range, no tombstone — which a table
+        without tombstones needs no pass over the rows to know); otherwise
         :meth:`row_by_id` raises for the first bad id, as a per-id loop would.
         """
         try:
             rows = list(map(self._rows.__getitem__, row_ids))
+            bad = self._live_count != len(self._rows) and None in rows
         except IndexError:
-            rows = [None]
-        if None in rows or (row_ids and min(row_ids) < 0):
+            bad = True
+        if bad or (row_ids and min(row_ids) < 0):
             rows = list(map(self.row_by_id, row_ids))
         return rows
 

@@ -91,6 +91,8 @@ _ARITHMETIC_OPS = {
     "*": operator.mul,
 }
 
+_NUMERIC_OR_NULL = NUMERIC_KINDS | {type(None)}
+
 
 # ----------------------------------------------------------------------
 # Public entry points
@@ -366,17 +368,18 @@ def _lower_value_arithmetic(expr: BinaryOp, layout: RowLayout) -> VectorFn:
     def run(cols: Columns, sel: Selection):
         left_values, left_errs = left(cols, sel)
         right_values, right_errs = right(cols, sel)
-        if (
-            arithmetic is not None
-            and not left_errs
-            and not right_errs
-            and set(map(type, left_values)) | set(map(type, right_values))
-            <= NUMERIC_KINDS
-        ):
+        if arithmetic is not None and not left_errs and not right_errs:
+            kinds = set(map(type, left_values)) | set(map(type, right_values))
             # Proven on the vectors: nothing below erred and every value is
-            # a plain number (no NULL, no subclass), so no row can fail.
+            # a plain number (no subclass) or NULL, so no row can fail.
             # The kind check is the proof; ``'ab' * 3`` would not raise.
-            return list(map(arithmetic, left_values, right_values)), []
+            if kinds <= NUMERIC_KINDS:
+                return list(map(arithmetic, left_values, right_values)), []
+            if kinds <= _NUMERIC_OR_NULL:
+                return [
+                    None if lhs is None or rhs is None else arithmetic(lhs, rhs)
+                    for lhs, rhs in zip(left_values, right_values)
+                ], []
         values: List[object] = [None] * len(sel)
         errs = _merge_errs(left_errs, right_errs)
         err_set = {i for i, _ in errs} if errs else None

@@ -6,11 +6,15 @@ of column vectors instead of a list of row tuples.  Dense base-table scans
 read :meth:`Table.column_data` straight out of storage with zero copying;
 predicates narrow selection vectors in ``batch_size`` chunks via
 :mod:`repro.sqlengine.vectorize` kernels; joins build and probe over key
-vectors and carry ``(left, right)`` index pairs instead of materialized
-tuples; aggregation runs tight per-column accumulation loops.  The plan's
-output leaves as a :class:`ColumnBatch`; row tuples exist only under an
-index scan's lazily built columns and inside the two inherently tuple-keyed
-operators, DISTINCT and the group-by fallback.
+vectors at C level and hand on ``(left, right)`` index vectors over their
+inputs, from which a column is gathered when a consumer first reads it
+(:class:`LazyColumns`, also what a narrowing filter and a sort hand on);
+aggregation assigns group ids without a per-row loop and runs tight
+per-column accumulation loops.  What a node needs lowered — layouts,
+kernels, output names — is computed on its first execution and kept on the
+plan node.  The plan's output leaves as a :class:`ColumnBatch`; row tuples
+exist only under an index scan's lazily built columns and inside the two
+inherently tuple-keyed operators, DISTINCT and the group-by fallback.
 
 Equivalence contract: identical rows, identical :class:`ExecStats`, and the
 identical first exception (vector kernels defer per-row errors, and every
@@ -34,6 +38,7 @@ from repro.sqlengine.batch import (
     NUMERIC_KINDS,
     ColumnBatch,
     LazyColumns,
+    gather,
     rows_from_vectors,
     vectors_from_rows,
 )
@@ -67,20 +72,49 @@ class _FallbackToReference(Exception):
     """Internal: the group-by fast path punts to the reference loop."""
 
 
-def _passthrough_position(expr, layout: RowLayout) -> Optional[int]:
-    """The column position for a bare column reference, else None.
+def _lower_value(expr, layout: RowLayout):
+    """What evaluating ``expr`` takes: a column position or a vector kernel.
 
     Bare references are the overwhelmingly common projection/sort/group
     key, and resolving them once lets the existing column vector pass
-    through with no copy and no kernel.  Unresolvable names return None so
-    the kernel path can defer the error in reference row order.
+    through with no copy and no kernel.  Unresolvable names get a kernel so
+    the error is deferred in reference row order.
     """
     if isinstance(expr, ColumnRef):
         try:
             return layout.resolve(expr.name)
         except SqlExecutionError:
-            return None
-    return None
+            pass
+    return compile_vector_evaluator(expr, layout)
+
+
+def _lowered(node, columns, lower):
+    """``lower()`` for ``node``, computed once per plan and input layout.
+
+    A cached or shipped plan runs many times against the same columns, so
+    the result lives on the node; ``columns`` differing from what it was
+    lowered against (another catalogue's column order) lowers it again.
+    """
+    memo = node.lowered
+    if memo is None or memo[0] != columns:
+        memo = node.lowered = (columns, lower())
+    return memo[1]
+
+
+def _join_keys(cols, positions: Sequence[int]) -> Sequence[object]:
+    """One hashable key per row, ``None`` where SQL says the key is NULL.
+
+    A one-column key is the column itself.  A multi-column key is the tuple
+    of its parts, and ``None`` if any part is NULL; the build side drops its
+    ``None`` entry, so a NULL key on either side matches nothing.
+    """
+    if len(positions) == 1:
+        return cols[positions[0]]
+    columns = [cols[position] for position in positions]
+    keys = list(zip(*columns))
+    if any(None in column for column in columns):
+        keys = [None if None in key else key for key in keys]
+    return keys
 
 
 class VectorizedExecutor:
@@ -137,15 +171,24 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
     def _execute_scan(self, node: ScanNode, stats: ExecStats):
         table = self._catalog[node.table]
-        layout = RowLayout(
-            [f"{node.binding}.{column}" for column in table.schema.column_names]
-        )
+
+        def lower():
+            layout = RowLayout(
+                [f"{node.binding}.{column}" for column in table.schema.column_names]
+            )
+            if node.predicate is None:
+                return layout, None
+            return layout, compile_vector_filter(node.predicate, layout)
+
+        layout, kernel = _lowered(node, table.schema.columns, lower)
         if node.index_access is not None:
             # Late materialisation: a column is built when an operator
             # first reads it, from the row store (ids need no id->position
             # map over tombstones, and no owner builds a mirror for this).
             rows = index_rows(table, node.index_access, stats)
-            cols: Sequence[Sequence[object]] = LazyColumns(rows, len(layout))
+            cols: Sequence[Sequence[object]] = LazyColumns.over_rows(
+                rows, len(layout)
+            )
             n = len(rows)
         else:
             # The dense path reads the table's columnar mirror directly;
@@ -153,17 +196,22 @@ class VectorizedExecutor:
             cols = table.column_data()
             n = len(table)
             stats.rows_scanned += n
-        if node.predicate is not None:
-            cols, n = self._filter_columns(node.predicate, layout, cols, n)
+        if kernel is not None:
+            cols, n = self._filter_columns(kernel, cols, n)
         return layout, cols, n
 
     def _execute_filter(self, node: FilterNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)
-        cols, n = self._filter_columns(node.predicate, layout, cols, n)
+        kernel = _lowered(
+            node,
+            layout.columns,
+            lambda: compile_vector_filter(node.predicate, layout),
+        )
+        cols, n = self._filter_columns(kernel, cols, n)
         return layout, cols, n
 
-    def _filter_columns(self, predicate, layout: RowLayout, cols, n: int):
-        kernel = compile_vector_filter(predicate, layout)
+    def _passing(self, kernel, cols, n: int) -> List[int]:
+        """The rows of ``range(n)`` that ``kernel`` keeps, chunk by chunk."""
         batch = self._batch_size
         kept: List[int] = []
         for start in range(0, n, batch):
@@ -174,11 +222,13 @@ class VectorizedExecutor:
                 # there, but kernels are pure, so that is unobservable).
                 raise errs[0][1]
             kept.extend(passing)
+        return kept
+
+    def _filter_columns(self, kernel, cols, n: int):
+        kept = self._passing(kernel, cols, n)
         if len(kept) == n:
             return cols, n
-        if isinstance(cols, LazyColumns):
-            return cols.take(kept), len(kept)
-        return [[col[i] for i in kept] for col in cols], len(kept)
+        return gather(cols, kept), len(kept)
 
     def _run_kernel_chunked(self, kernel, cols, n: int):
         """Evaluate a value kernel over all ``n`` rows in batch-size chunks.
@@ -199,14 +249,11 @@ class VectorizedExecutor:
                 first_err = errs[0]
         return values, first_err
 
-    def _value_vector(self, expr, layout: RowLayout, cols, n: int):
-        """A value vector for ``expr``: column passthrough or kernel run."""
-        position = _passthrough_position(expr, layout)
-        if position is not None:
-            return cols[position], None
-        return self._run_kernel_chunked(
-            compile_vector_evaluator(expr, layout), cols, n
-        )
+    def _value_vector(self, lowered, cols, n: int):
+        """The value vector of a :func:`_lower_value` result."""
+        if isinstance(lowered, int):
+            return cols[lowered], None
+        return self._run_kernel_chunked(lowered, cols, n)
 
     # ------------------------------------------------------------------
     # Joins
@@ -214,114 +261,98 @@ class VectorizedExecutor:
     def _execute_join(self, node: JoinNode, stats: ExecStats):
         left_layout, left_cols, ln = self._execute(node.left, stats)
         right_layout, right_cols, rn = self._execute(node.right, stats)
-        layout = left_layout.concat(right_layout)
+
+        def lower():
+            layout = left_layout.concat(right_layout)
+            return (
+                layout,
+                [left_layout.resolve(key) for key, _ in node.equi_keys],
+                [right_layout.resolve(key) for _, key in node.equi_keys],
+                None
+                if node.condition is None
+                else compile_vector_filter(node.condition, layout),
+            )
+
+        layout, left_positions, right_positions, condition = _lowered(
+            node, (left_layout.columns, right_layout.columns), lower
+        )
         if node.equi_keys:
             left_idx, right_idx = self._hash_join_pairs(
-                node, left_layout, left_cols, ln,
-                right_layout, right_cols, rn, layout, stats,
+                _join_keys(left_cols, left_positions), ln,
+                _join_keys(right_cols, right_positions), rn, stats,
             )
+            if condition is not None and left_idx:
+                # The residual condition reads candidate pairs in place.
+                pairs = gather(left_cols, left_idx) + gather(right_cols, right_idx)
+                kept = self._passing(condition, pairs, len(left_idx))
+                if len(kept) < len(left_idx):
+                    left_idx = list(map(left_idx.__getitem__, kept))
+                    right_idx = list(map(right_idx.__getitem__, kept))
         else:
             left_idx, right_idx = self._nested_loop_pairs(
-                node, left_cols, ln, right_cols, rn, layout, stats
+                condition, left_cols, ln, right_cols, rn, stats
             )
-        if node.kind == "left":
-            # Interleave null-padded unmatched left rows in probe order,
-            # like the reference loop.  Matched pair lists are sorted by
-            # left index by construction.
-            padded_left: List[int] = []
-            padded_right: List[int] = []
-            p, npairs = 0, len(left_idx)
-            for i in range(ln):
-                matched = False
-                while p < npairs and left_idx[p] == i:
-                    padded_left.append(i)
-                    padded_right.append(right_idx[p])
-                    p += 1
-                    matched = True
-                if not matched:
-                    padded_left.append(i)
-                    padded_right.append(-1)  # null pad marker
-            left_idx, right_idx = padded_left, padded_right
-            out_cols = [[col[i] for i in left_idx] for col in left_cols]
-            for col in right_cols:
-                out_cols.append(
-                    [None if j < 0 else col[j] for j in right_idx]
-                )
-        else:
-            out_cols = [[col[i] for i in left_idx] for col in left_cols]
-            out_cols.extend([col[j] for j in right_idx] for col in right_cols)
+        unmatched = (
+            sorted(set(range(ln)).difference(left_idx))
+            if node.kind == "left"
+            else None
+        )
+        if unmatched:
+            # Null-padded unmatched left rows go where the probe met them,
+            # like the reference loop: pairs are sorted by left index by
+            # construction, and a stable sort keeps each row's match order.
+            left_idx = list(left_idx) + unmatched
+            right_idx = list(right_idx) + [-1] * len(unmatched)  # pad marker
+            order = sorted(range(len(left_idx)), key=left_idx.__getitem__)
+            left_idx = list(map(left_idx.__getitem__, order))
+            right_idx = list(map(right_idx.__getitem__, order))
+        # Index vectors over the two inputs: a column is gathered when a
+        # consumer first reads it.
+        out_cols = gather(left_cols, left_idx) + gather(
+            right_cols, right_idx, padded=bool(unmatched)
+        )
         return layout, out_cols, len(left_idx)
 
-    def _hash_join_pairs(
-        self, node, left_layout, left_cols, ln,
-        right_layout, right_cols, rn, layout, stats,
-    ):
-        left_positions = [
-            left_layout.resolve(left_key) for left_key, _ in node.equi_keys
-        ]
-        right_positions = [
-            right_layout.resolve(right_key) for _, right_key in node.equi_keys
-        ]
-        # Build on the right side, like the reference executor.
-        buckets: Dict[object, List[int]] = {}
-        if len(right_positions) == 1:
-            key_col = right_cols[right_positions[0]]
-            for j in range(rn):
-                key = key_col[j]
-                if key is not None:
-                    buckets.setdefault(key, []).append(j)
-        else:
-            key_cols = [right_cols[position] for position in right_positions]
-            for j in range(rn):
-                key = tuple(col[j] for col in key_cols)
-                if any(part is None for part in key):
-                    continue
-                buckets.setdefault(key, []).append(j)
-        stats.join_build_rows += rn
+    @staticmethod
+    def _hash_join_pairs(probe_keys, ln: int, build_keys, rn: int, stats):
+        """Matching ``(left, right)`` positions, by left then build order.
 
+        The build side is the right input, like the reference executor.
+        """
+        index = dict(zip(build_keys, range(rn)))
+        unique = len(index) == rn  # every build key distinct (NULL at most once)
+        if not unique:
+            index = {}
+            bucket_of = index.get
+            for key, position in zip(build_keys, range(rn)):
+                bucket = bucket_of(key)
+                if bucket is None:
+                    index[key] = [position]
+                else:
+                    bucket.append(position)
+        index.pop(None, None)
+        stats.join_build_rows += rn
+        stats.join_probe_rows += ln
+        found = list(map(index.get, probe_keys))
+        if unique:
+            # One probe per row finds the only candidate, or nothing.
+            if None not in found:
+                return range(ln), found
+            return (
+                [i for i, position in enumerate(found) if position is not None],
+                [position for position in found if position is not None],
+            )
         left_idx: List[int] = []
         right_idx: List[int] = []
-        get = buckets.get
-        if len(left_positions) == 1:
-            key_col = left_cols[left_positions[0]]
-            for i in range(ln):
-                key = key_col[i]
-                if key is None:
-                    continue
-                matches = get(key)
-                if matches:
-                    for j in matches:
-                        left_idx.append(i)
-                        right_idx.append(j)
-        else:
-            key_cols = [left_cols[position] for position in left_positions]
-            for i in range(ln):
-                key = tuple(col[i] for col in key_cols)
-                if any(part is None for part in key):
-                    continue
-                matches = get(key)
-                if matches:
-                    for j in matches:
-                        left_idx.append(i)
-                        right_idx.append(j)
-        stats.join_probe_rows += ln
-        if node.condition is not None and left_idx:
-            left_idx, right_idx = self._filter_pairs(
-                node.condition, layout, left_cols, right_cols, left_idx, right_idx
-            )
+        for i, matches in enumerate(found):
+            if matches:
+                left_idx.extend([i] * len(matches))
+                right_idx.extend(matches)
         return left_idx, right_idx
 
-    def _nested_loop_pairs(
-        self, node, left_cols, ln, right_cols, rn, layout, stats
-    ):
-        condition = (
-            None
-            if node.condition is None
-            else compile_vector_filter(node.condition, layout)
-        )
+    def _nested_loop_pairs(self, condition, left_cols, ln, right_cols, rn, stats):
         left_idx: List[int] = []
         right_idx: List[int] = []
-        batch = self._batch_size
         for i in range(ln):
             stats.join_probe_rows += rn
             if rn == 0:
@@ -334,41 +365,10 @@ class VectorizedExecutor:
             # values, pass the right columns through untouched.
             combined = [[col[i]] * rn for col in left_cols]
             combined.extend(right_cols)
-            matches: List[int] = []
-            for start in range(0, rn, batch):
-                passing, errs = condition(
-                    combined, range(start, min(start + batch, rn))
-                )
-                if errs:
-                    raise errs[0][1]
-                matches.extend(passing)
+            matches = self._passing(condition, combined, rn)
             left_idx.extend([i] * len(matches))
             right_idx.extend(matches)
         return left_idx, right_idx
-
-    def _filter_pairs(
-        self, condition, layout, left_cols, right_cols, left_idx, right_idx
-    ):
-        """Apply a residual join condition over candidate pairs."""
-        npairs = len(left_idx)
-        pair_cols = [[col[i] for i in left_idx] for col in left_cols]
-        pair_cols.extend([col[j] for j in right_idx] for col in right_cols)
-        kernel = compile_vector_filter(condition, layout)
-        batch = self._batch_size
-        survivors: List[int] = []
-        for start in range(0, npairs, batch):
-            passing, errs = kernel(
-                pair_cols, range(start, min(start + batch, npairs))
-            )
-            if errs:
-                raise errs[0][1]
-            survivors.extend(passing)
-        if len(survivors) == npairs:
-            return left_idx, right_idx
-        return (
-            [left_idx[p] for p in survivors],
-            [right_idx[p] for p in survivors],
-        )
 
     # ------------------------------------------------------------------
     # Group by / aggregation
@@ -391,49 +391,49 @@ class VectorizedExecutor:
             return layout, vectors_from_rows(out_rows, len(layout)), len(out_rows)
 
     def _group_by_fast(self, node: GroupByNode, child_layout, cols, n: int):
-        layout = group_output_layout(node, child_layout)
+        layout, key_lowered, arg_lowered = _lowered(
+            node,
+            child_layout.columns,
+            lambda: (
+                group_output_layout(node, child_layout),
+                [_lower_value(expr, child_layout) for expr in node.group_exprs],
+                [
+                    None
+                    if aggregate.star or len(aggregate.args) != 1
+                    else _lower_value(aggregate.args[0], child_layout)
+                    for aggregate in node.aggregates
+                ],
+            ),
+        )
         for aggregate in node.aggregates:
             if not aggregate.star and len(aggregate.args) != 1 and n:
                 raise _FallbackToReference  # per-row arity error
-        key_vectors: List[List[object]] = []
-        for expr in node.group_exprs:
-            values, first_err = self._value_vector(expr, child_layout, cols, n)
-            if first_err is not None:
-                raise _FallbackToReference
-            key_vectors.append(values)
-        arg_vectors: List[Optional[List[object]]] = []
-        for aggregate in node.aggregates:
-            if aggregate.star or len(aggregate.args) != 1:
-                arg_vectors.append(None)
+        vectors: List[Optional[Sequence[object]]] = []
+        for lowered in key_lowered + arg_lowered:
+            if lowered is None:
+                vectors.append(None)
                 continue
-            values, first_err = self._value_vector(
-                aggregate.args[0], child_layout, cols, n
-            )
+            values, first_err = self._value_vector(lowered, cols, n)
             if first_err is not None:
                 raise _FallbackToReference
-            arg_vectors.append(values)
+            vectors.append(values)
+        key_vectors = vectors[: len(key_lowered)]
+        arg_vectors = vectors[len(key_lowered) :]
 
-        # Assign a dense group id per row, first-occurrence order.
-        if node.group_exprs:
-            if len(key_vectors) == 1:
-                keys: Sequence[object] = key_vectors[0]
-            else:
-                keys = list(zip(*key_vectors))
-            group_index: Dict[object, int] = {}
-            group_ids = [0] * n
-            first_rows: List[int] = []
-            for k in range(n):
-                key = keys[k]
-                gid = group_index.get(key, -1)
-                if gid < 0:
-                    gid = len(first_rows)
-                    group_index[key] = gid
-                    first_rows.append(k)
-                group_ids[k] = gid
-            ngroups = len(first_rows)
-            key_columns = [
-                [vector[row] for row in first_rows] for vector in key_vectors
-            ]
+        if key_vectors:
+            # A dense group id per row.  ``dict.fromkeys`` keeps the first
+            # of equal keys in first-occurrence order, which is the key and
+            # the order the reference loop outputs.
+            one = len(key_vectors) == 1
+            keys = key_vectors[0] if one else list(zip(*key_vectors))
+            groups = dict.fromkeys(keys)
+            ngroups = len(groups)
+            key_columns = (
+                [list(groups)]
+                if one
+                else vectors_from_rows(list(groups), len(key_vectors))
+            )
+            group_ids = list(map(dict(zip(groups, range(ngroups))).__getitem__, keys))
         else:
             # A scalar aggregate: one group, even over empty input.
             group_ids = [0] * n
@@ -543,35 +543,30 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
     def _execute_project(self, node: ProjectNode, stats: ExecStats):
         child_layout, cols, n = self._execute(node.child, stats)
-        output_names: List[str] = []
-        # Star expansions pass child columns straight through (an int
-        # position); everything else lowers to a vector kernel.
-        outputs: List[object] = []
-        for item in node.items:
-            if item.is_star:
-                for position, column in enumerate(child_layout.columns):
-                    if item.star_qualifier is not None and not column.startswith(
-                        item.star_qualifier + "."
-                    ):
-                        continue
-                    output_names.append(column)
-                    outputs.append(position)
-                continue
-            output_names.append(item.output_name().lower())
-            position = _passthrough_position(item.expr, child_layout)
-            outputs.append(
-                position
-                if position is not None
-                else compile_vector_evaluator(item.expr, child_layout)
-            )
-        layout = RowLayout(output_names)
+
+        def lower():
+            output_names: List[str] = []
+            # Star expansions pass child columns straight through (an int
+            # position); everything else is a position or a vector kernel.
+            outputs: List[object] = []
+            for item in node.items:
+                if item.is_star:
+                    for position, column in enumerate(child_layout.columns):
+                        if item.star_qualifier is None or column.startswith(
+                            item.star_qualifier + "."
+                        ):
+                            output_names.append(column)
+                            outputs.append(position)
+                    continue
+                output_names.append(item.output_name().lower())
+                outputs.append(_lower_value(item.expr, child_layout))
+            return RowLayout(output_names), outputs
+
+        layout, outputs = _lowered(node, child_layout.columns, lower)
         out_cols: List[Sequence[object]] = []
         first_err: Optional[Tuple[int, int, BaseException]] = None
         for index, output in enumerate(outputs):
-            if isinstance(output, int):
-                out_cols.append(cols[output])
-                continue
-            values, err = self._run_kernel_chunked(output, cols, n)
+            values, err = self._value_vector(output, cols, n)
             # The reference path evaluates items row-major, so the first
             # exception is the minimum over (row, item position).
             if err is not None and (
@@ -595,10 +590,15 @@ class VectorizedExecutor:
     def _execute_sort(self, node: SortNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)
         items = node.order_items
-        key_vectors: List[List[object]] = []
+        lowered_items = _lowered(
+            node,
+            layout.columns,
+            lambda: [_lower_value(item.expr, layout) for item in items],
+        )
+        key_vectors: List[Sequence[object]] = []
         first_err: Optional[Tuple[int, int, BaseException]] = None
-        for index, item in enumerate(items):
-            values, err = self._value_vector(item.expr, layout, cols, n)
+        for index, lowered in enumerate(lowered_items):
+            values, err = self._value_vector(lowered, cols, n)
             if err is not None and (
                 first_err is None or (err[0], index) < (first_err[0], first_err[1])
             ):
@@ -615,7 +615,7 @@ class VectorizedExecutor:
             order.sort(
                 key=sortable.__getitem__, reverse=not items[index].ascending
             )
-        return layout, [[col[i] for i in order] for col in cols], n
+        return layout, gather(cols, order), n
 
     def _execute_limit(self, node: LimitNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)

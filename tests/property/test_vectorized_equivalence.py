@@ -290,8 +290,10 @@ _ODD_VALUES = {"null": None, "str": "ab", "subclass": _Int(3)}
 
 @st.composite
 def arithmetic_batches(draw):
-    """All-numeric rows, optionally with one value the fast arm must refuse."""
-    batch = draw(st.lists(st.tuples(_numbers, _numbers, _numbers), min_size=1, max_size=8))
+    """Numeric rows — NULL-free (the ``map`` arm) or NULL-bearing (the
+    NULL-tolerant arm) — optionally with one value both arms must refuse."""
+    values = draw(st.sampled_from([_numbers, st.one_of(st.none(), _numbers)]))
+    batch = draw(st.lists(st.tuples(values, values, values), min_size=1, max_size=8))
     odd = draw(st.sampled_from([None, None] + sorted(_ODD_VALUES)))
     if odd is not None:
         row = draw(st.integers(min_value=0, max_value=len(batch) - 1))
@@ -325,6 +327,17 @@ class TestArithmeticArms:
         sel = sorted(data.draw(st.sets(st.sampled_from(range(len(batch))))))
         _check_value_kernel(expr, batch, range(len(batch)))
         _check_value_kernel(expr, batch, sel)
+
+    def test_nulls_stay_null_and_a_non_number_still_errors(self):
+        expr = BinaryOp("*", ColumnRef("a"), BinaryOp("-", Literal(1), ColumnRef("b")))
+        batch = [(2, 0.5, "x"), (None, 0.5, "x"), (3, None, "x"), (4, 0.25, "x")]
+        kernel = compile_vector_evaluator(expr, LAYOUT)
+        assert kernel(_columns(batch), range(4)) == ([1.0, None, None, 3.0], [])
+        assert kernel(_columns(batch), [1, 3]) == ([None, 3.0], [])
+        for odd in ("ab", _Int(3)):  # neither may ride the NULL-tolerant arm
+            spoiled = batch + [(odd, 0.5, "x")]
+            _check_value_kernel(expr, spoiled, range(5))
+            _check_value_kernel(expr, spoiled, [1, 4])
 
     def test_str_times_int_is_still_an_error(self):
         # Legal Python (``'ab' * 3``), illegal SQL: the kind check, not a
@@ -402,3 +415,90 @@ class TestSumOrder:
         assert _sum_surface(
             "vectorized", [(1, -0.0, "x")], "SELECT SUM(b), AVG(b) FROM t"
         ) == [((-0.0).hex(), (-0.0).hex())]
+
+
+# ----------------------------------------------------------------------
+# Joins and GROUP BY: the C-level build/probe and group-id arms
+# ----------------------------------------------------------------------
+_NAN = float("nan")
+#: Keys that are equal across kinds (1, 1.0; 0, -0.0, 0.0), equal only to
+#: themselves by identity (nan), never equal (NULL), huge, and empty.
+_A_KEYS = (None, 0, 1, 2**70)
+_B_KEYS = (None, 0.0, -0.0, 1.0, 0.5, _NAN)
+_C_KEYS = (None, "", "x")
+_JOIN_CREATE = "CREATE TABLE {} (id INTEGER, a INTEGER, b FLOAT, c TEXT)"
+#: ``CASE`` mixes int, float and bool (``True`` = 1 = 1.0) into one key vector.
+_MIXED_KEY = "CASE WHEN l.c = '' THEN l.b WHEN l.c = 'x' THEN l.a = 1 ELSE l.a END"
+_JOIN_QUERIES = (
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a",
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.b",  # INTEGER = FLOAT
+    "SELECT l.id, r.id FROM t l, u r WHERE l.b = r.b",
+    "SELECT l.id, r.id FROM t l, u r WHERE l.c = r.c",
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a AND l.b = r.b",
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.b AND l.c = r.c",
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a AND l.b < r.b",
+    "SELECT l.id, r.id, r.c FROM t l LEFT JOIN u r ON l.a = r.a",
+    "SELECT l.id, r.id, r.c FROM t l LEFT JOIN u r ON l.a = r.b AND l.c = r.c",
+    "SELECT l.id, r.id, r.c FROM t l LEFT JOIN u r ON l.a = r.a AND l.b < r.b",
+    "SELECT l.id, m.id, r.id FROM t l, u m, t r WHERE l.a = m.a AND m.b = r.b",
+    "SELECT l.id, m.c, r.id FROM t l LEFT JOIN u m ON l.a = m.a "
+    "LEFT JOIN u r ON m.b = r.b",
+    "SELECT l.id, r.id FROM t l, t r WHERE l.a = r.b",  # self-join
+    "SELECT l.id, r.id FROM u l, u r WHERE l.a = r.a AND l.id < r.id",
+    "SELECT l.a, COUNT(*), SUM(r.b), MIN(r.id) FROM t l, u r WHERE l.a = r.a "
+    "GROUP BY l.a",
+    "SELECT r.b, COUNT(*), MIN(l.id) FROM t l, u r WHERE l.a = r.a GROUP BY r.b",
+    "SELECT l.b, r.c, COUNT(*), MIN(l.id) FROM t l LEFT JOIN u r ON l.a = r.b "
+    "GROUP BY l.b, r.c",
+    f"SELECT COUNT(*), MIN(l.id) FROM t l, u r WHERE l.a = r.a GROUP BY {_MIXED_KEY}",
+    f"SELECT COUNT(*), MIN(l.id) FROM t l GROUP BY l.c, {_MIXED_KEY}",
+    # Error paths: the same first exception from every mode.
+    "SELECT SUM(l.c) FROM t l, u r WHERE l.a = r.a",
+    "SELECT l.id FROM t l, u r WHERE l.a = r.a AND l.b + r.c > 1",
+    "SELECT l.id FROM t l LEFT JOIN u r ON l.a = r.a WHERE r.b + l.c > 1",
+)
+
+_join_rows = st.lists(
+    st.tuples(
+        st.sampled_from(_A_KEYS), st.sampled_from(_B_KEYS), st.sampled_from(_C_KEYS)
+    ),
+    max_size=9,
+)
+
+
+def _first_of_each(rows, column):
+    """``rows`` without later duplicates of a ``column`` value (NULLs stay)."""
+    seen = set()
+    return [
+        row for row in rows
+        if row[column] is None or not (row[column] in seen or seen.add(row[column]))
+    ]
+
+
+def _join_surface(mode, left_rows, right_rows, sql):
+    db = Database(execution_mode=mode)
+    for name, data in (("t", left_rows), ("u", right_rows)):
+        db.execute(_JOIN_CREATE.format(name))
+        db.table(name).insert_many(
+            [(serial,) + row for serial, row in enumerate(data)]
+        )
+    try:
+        result = db.execute(sql)
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+    return result.columns, _bits(result.rows), asdict(result.stats)
+
+
+class TestJoinsAndGroups:
+    @settings(max_examples=120, deadline=None)
+    @example([(1, 1.0, "x")], [(1, 1.0, ""), (1, 0.5, "x")], False, _JOIN_QUERIES[0])
+    @example([(None, _NAN, None)], [(None, _NAN, None)], True, _JOIN_QUERIES[4])
+    @given(_join_rows, _join_rows, st.booleans(), st.sampled_from(_JOIN_QUERIES))
+    def test_rows_order_stats_and_first_error_match_interpreted(
+        self, left_rows, right_rows, distinct_build, sql
+    ):
+        if distinct_build:  # every build key once: the one-probe arm
+            right_rows = _first_of_each(right_rows, 0)
+        reference = _join_surface("interpreted", left_rows, right_rows, sql)
+        for mode in EXECUTION_MODES[1:]:
+            assert _join_surface(mode, left_rows, right_rows, sql) == reference, mode

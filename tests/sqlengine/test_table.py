@@ -76,6 +76,21 @@ class TestInsertAndRead:
             table.rows_by_ids(row_ids)
         assert str(gathered.value) == str(per_id.value) == message
 
+    @pytest.mark.parametrize("deleted", [None, 4])  # no tombstone / one elsewhere
+    def test_rows_by_ids_with_and_without_tombstones(self, deleted):
+        table = make_table()
+        table.insert_many([[k, float(k), "x"] for k in range(5)])
+        if deleted is not None:
+            table.delete_row(deleted)
+        assert table.rows_by_ids([3, 1]) == [(3, 3.0, "x"), (1, 1.0, "x")]
+        for row_ids, message in [
+            ([1, 5], "row id out of range: 5"),
+            ([1, -5], "row id out of range: -5"),
+        ]:
+            with pytest.raises(SqlExecutionError) as gathered:
+                table.rows_by_ids(row_ids)
+            assert str(gathered.value) == message
+
     def test_insert_many(self):
         table = make_table()
         ids = table.insert_many([[1, 1.0, "x"], [2, 2.0, "y"]])

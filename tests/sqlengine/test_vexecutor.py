@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from repro.errors import SqlExecutionError
-from repro.sqlengine import Database, EXECUTION_MODES, VectorizedExecutor
+from repro.sqlengine import Database, EXECUTION_MODES, VectorizedExecutor, vexecutor
 from repro.sqlengine.batch import LazyColumns
+from repro.sqlengine.expr import RowLayout
 from tests.property.test_vectorized_equivalence import result_surface
 
 
@@ -71,6 +72,15 @@ class TestStatsParity:
 class TestGroupByFallback:
     def test_non_numeric_sum_matches_reference_error(self):
         sql = "SELECT SUM(grp) FROM t"
+        with pytest.raises(SqlExecutionError) as reference:
+            build("interpreted").execute(sql)
+        with pytest.raises(SqlExecutionError) as vectorized:
+            build("vectorized").execute(sql)
+        assert str(vectorized.value) == str(reference.value)
+
+    def test_non_numeric_sum_over_a_join_matches_reference_error(self):
+        # The fallback transposes the join's lazy column set into rows.
+        sql = "SELECT SUM(a.grp) FROM t a, t b WHERE a.val = b.id"
         with pytest.raises(SqlExecutionError) as reference:
             build("interpreted").execute(sql)
         with pytest.raises(SqlExecutionError) as vectorized:
@@ -189,19 +199,35 @@ def build_wide(matching, mode="vectorized"):
     return db
 
 
-def storage_calls(db, sql):
-    """Python-level calls into ``Table`` / ``OrderedIndex`` while ``sql`` runs.
+CHAIN_SQL = "SELECT x.x3, y.y0, z.z7 FROM x, y, z WHERE x.k = y.k AND y.j = z.j"
 
-    Counts frames entered in table.py and indexes.py (a generator resumed per
-    id counts per id); C-level passes over the ids are free, which is the point.
+
+def build_chain(mode="vectorized"):
+    """Three ten-column tables: ``k``, ``j`` and eight payload columns each."""
+    db = Database(execution_mode=mode)
+    for name in "xyz":
+        payload = ", ".join(f"{name}{i} INTEGER" for i in range(8))
+        db.execute(f"CREATE TABLE {name} (k INTEGER, j INTEGER, {payload})")
+        db.table(name).insert_many([(i % 7, i % 5) + (i,) * 8 for i in range(40)])
+    return db
+
+
+STORAGE_FILES = ("sqlengine/table.py", "sqlengine/indexes.py")
+OPERATOR_FILES = ("sqlengine/vexecutor.py", "sqlengine/batch.py")
+
+
+def storage_calls(db, sql, files=STORAGE_FILES):
+    """Python-level calls into ``files`` while ``sql`` runs.
+
+    Counts frames entered there — by default table.py and indexes.py, i.e.
+    ``Table`` / ``OrderedIndex`` — and a generator resumed per id counts per
+    id; C-level passes over the ids are free, which is the point.
     """
     calls = 0
 
     def profiler(frame, event, _arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_filename.endswith(
-            ("sqlengine/table.py", "sqlengine/indexes.py")
-        ):
+        if event == "call" and frame.f_code.co_filename.endswith(files):
             calls += 1
 
     sys.setprofile(profiler)
@@ -234,6 +260,29 @@ class TestLateMaterialisation:
         assert touched == built
         assert result.rows == build_wide(100).execute(sql).rows  # unpatched
 
+    def test_a_join_chain_gathers_its_keys_and_what_is_projected(self, monkeypatch):
+        made = []
+        construct = LazyColumns.__init__
+
+        def recording(self, parts):
+            construct(self, parts)
+            made.append(self)
+
+        monkeypatch.setattr(LazyColumns, "__init__", recording)
+        result = build_chain().execute(CHAIN_SQL)
+        built = [
+            {p for p, vector in enumerate(columns._vectors) if vector is not None}
+            for columns in made
+        ]
+        # x ++ y hands on y.j (the next key); x ++ y ++ z the three projected.
+        assert [positions for positions in built if positions] == [
+            {10 + 1},
+            {2 + 3, 10 + 2 + 0, 20 + 2 + 7},
+        ]
+        assert result_surface(result) == result_surface(
+            build_chain("interpreted").execute(CHAIN_SQL)
+        )
+
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_storage_calls_do_not_grow_with_matching_rows(self, mode):
         small_calls, small = storage_calls(build_wide(100, mode), WIDE_Q2)
@@ -260,3 +309,80 @@ class TestLateMaterialisation:
         table.update_row(61, (61, -2.0, 0.5, "1995-02-03") + (1,) * 12)
         db.execute("DELETE FROM w WHERE k > 100")
         assert result_surface(result) == expected
+
+
+# ----------------------------------------------------------------------
+# Joins and GROUP BY at C level; kernels lowered once per cached plan
+# ----------------------------------------------------------------------
+def build_facts(rows, columns=("k", "k2", "grp", "val"), mode="vectorized"):
+    """``f`` and ``d``: ``rows`` rows each, ``(k, k2)`` and ``k`` alone unique."""
+    db = Database(execution_mode=mode)
+    data = {"k": range(rows), "k2": [i % 3 for i in range(rows)],
+            "grp": [i % 7 for i in range(rows)], "val": [i * 3 for i in range(rows)]}
+    for name in ("f", "d"):
+        db.execute(
+            f"CREATE TABLE {name} ({', '.join(c + ' INTEGER' for c in columns)})"
+        )
+        db.table(name).insert_many(list(zip(*(data[c] for c in columns))))
+    return db
+
+
+JOIN_GROUP_SQL = (
+    "SELECT f.grp, COUNT(*), SUM(d.val) FROM f, d WHERE f.k = d.k GROUP BY f.grp"
+)
+
+
+class TestOperatorCost:
+    @pytest.mark.parametrize("on", ["f.k = d.k", "f.k = d.k AND f.k2 = d.k2"])
+    def test_python_calls_do_not_grow_with_rows(self, on):
+        sql = f"SELECT f.grp, COUNT(*), SUM(d.val) FROM f, d WHERE {on} GROUP BY f.grp"
+        small_calls, small = storage_calls(build_facts(200), sql, OPERATOR_FILES)
+        large_calls, large = storage_calls(build_facts(2000), sql, OPERATOR_FILES)
+        assert (small.stats.join_probe_rows, large.stats.join_probe_rows) == (200, 2000)
+        assert small_calls == large_calls
+        assert large.rows == build_facts(2000, mode="interpreted").execute(sql).rows
+
+    @pytest.mark.parametrize("prepared", [False, True])
+    def test_a_cached_plan_lowers_nothing_the_second_time(self, monkeypatch, prepared):
+        lowered = []
+
+        def counting(target, name):
+            original = getattr(target, name)
+
+            def counted(*args, **kwargs):
+                lowered.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(target, name, counted)
+
+        counting(vexecutor, "compile_vector_filter")
+        counting(vexecutor, "compile_vector_evaluator")
+        counting(RowLayout, "__init__")
+        db = build_facts(50)
+        sql = (
+            "SELECT f.grp, SUM(d.val * 2) AS s FROM f, d WHERE f.k = d.k "
+            "AND d.val > 9 AND f.val + d.val > 30 GROUP BY f.grp ORDER BY s"
+        )
+        if prepared:
+            plan = db.prepare(sql)
+            run = lambda: db.execute_prepared(plan)  # noqa: E731
+        else:
+            run = lambda: db.execute(sql)  # noqa: E731
+        first = run()
+        assert {"compile_vector_filter", "compile_vector_evaluator", "__init__"} <= set(
+            lowered
+        )
+        del lowered[:]
+        assert run().rows == first.rows
+        assert lowered == []
+
+    def test_a_shipped_plan_is_lowered_again_for_another_column_order(self):
+        sql = JOIN_GROUP_SQL + " ORDER BY f.grp"
+        owner = build_facts(30)
+        other = build_facts(30, columns=("val", "grp", "k2", "k"))
+        expected = build_facts(
+            30, columns=("val", "grp", "k2", "k"), mode="interpreted"
+        ).execute(sql)
+        plan = owner.prepare(sql)
+        for db in (owner, other, owner, other):
+            assert db.execute_prepared(plan).rows == expected.rows
