@@ -1,22 +1,21 @@
 """Perf-regression microbenchmarks for the local SQL engine.
 
-Each kernel times the *same* query in all three execution modes of
+Each kernel times the *same* query in both execution modes of
 :class:`~repro.sqlengine.database.Database` — interpreted ``Expr.evaluate``
-tree-walks, the compiled closures of :mod:`repro.sqlengine.compile`, and
-the batch kernels of :mod:`repro.sqlengine.vectorize` running over
-column-major storage — and asserts the modes produce identical rows *and*
+tree-walks (the semantic oracle) and the batch kernels of
+:mod:`repro.sqlengine.vectorize` running over column-major storage (the
+production path) — and asserts the two produce identical rows *and*
 identical :class:`~repro.sqlengine.executor.ExecStats` before any timing
 counts.  Because simulated latencies are derived purely from those
-counters, neither compilation nor vectorization can change a single figure
-in the paper reproduction; they only change how fast the figures are
-produced.
+counters, vectorization cannot change a single figure in the paper
+reproduction; it only changes how fast the figures are produced.
 
 The emitted ``BENCH_perf.json`` records a median-of-k wall-clock per mode
-plus speedup ratios (compiled/interpreted, vectorized/interpreted, and
-vectorized/compiled).  The CI gate compares *ratios* (measured within one
-run, on one machine) against the checked-in baseline, so the check is
-machine-independent: a kernel fails only if a mode lost a significant
-fraction of its relative advantage.
+plus the one ratio ``vectorized_speedup`` (interpreted over vectorized).
+The CI gate compares that *ratio* (measured within one run, on one
+machine) against the checked-in baseline, so the check is
+machine-independent: a kernel fails only if the production path lost a
+significant fraction of its advantage over the oracle.
 
 Usage::
 
@@ -32,12 +31,13 @@ from __future__ import annotations
 import argparse
 import json
 import random
+import statistics
 import sys
 import time
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.sqlengine.database import Database
+from repro.sqlengine.database import EXECUTION_MODES, Database
 
 #: Relative regression tolerance for the CI gate: a kernel fails when its
 #: measured speedup drops below ``baseline * (1 - TOLERANCE)``.
@@ -47,30 +47,21 @@ DEFAULT_REPEAT = 5
 DEFAULT_SCALE = 1.0
 SEED = 1729
 
-#: Timed execution modes, slowest first (ratios are relative to the first).
-MODES = ("interpreted", "compiled", "vectorized")
-
 _SHIP_DATES = ("1995-01-10", "1995-03-15", "1995-06-01", "1995-09-20")
 _ORDER_DATES = ("1995-02-01", "1995-03-01", "1995-04-01", "1995-08-01")
 
 
 @dataclass
 class KernelResult:
-    """One kernel's measurement: all modes, their ratios, the work done."""
+    """One kernel's measurement: both modes, their ratio, the work done."""
 
     name: str
     sql: str
     rows_out: int
     interpreted_s: float
-    compiled_s: float
     vectorized_s: float
-    #: compiled over interpreted (the historical ratio name).
-    speedup: float
-    #: vectorized over interpreted.
+    #: interpreted time over vectorized time.
     vectorized_speedup: float
-    #: vectorized over compiled — the batch path must not lose to the
-    #: row-at-a-time compiled path on any kernel.
-    vectorized_vs_compiled: float
     stats: Dict[str, int]
 
 
@@ -177,14 +168,6 @@ def kernel_sql(sql: str, scale: float) -> str:
     return sql.format(median_orderkey=_num_orders(scale) // 2)
 
 
-def _median(samples: List[float]) -> float:
-    ordered = sorted(samples)
-    middle = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[middle]
-    return (ordered[middle - 1] + ordered[middle]) / 2.0
-
-
 def _time_once(db: Database, sql: str, mode: str) -> float:
     db.execution_mode = mode
     started = time.perf_counter()  # repro: allow[SIM002] driver wall-time, not simulated time
@@ -197,60 +180,51 @@ def _time_once(db: Database, sql: str, mode: str) -> float:
 def _time_modes(db: Database, sql: str, repeat: int) -> Dict[str, float]:
     """Median wall-clock of ``repeat`` runs per mode, sampled interleaved.
 
-    Alternating all three modes within each round keeps slow host drift
-    (thermal throttling, background load) out of the speedup ratios.
-    Untimed warm-up runs populate the per-mode plan cache first, so every
-    timed run measures execution — the exact per-row and per-batch work the
-    fast paths target — with parse+plan amortized identically in all modes.
+    Alternating the modes within each round keeps slow host drift (thermal
+    throttling, background load) out of the speedup ratio.  Untimed warm-up
+    runs populate the plan cache (and the plan's lowered kernels) first, so
+    every timed run measures execution — the exact per-row and per-batch
+    work — with parse+plan amortized identically in both modes.
     """
-    for mode in MODES:
+    for mode in EXECUTION_MODES:
         _time_once(db, sql, mode)
-    samples: Dict[str, List[float]] = {mode: [] for mode in MODES}
+    samples: Dict[str, List[float]] = {mode: [] for mode in EXECUTION_MODES}
     for _ in range(repeat):
-        for mode in MODES:
+        for mode in EXECUTION_MODES:
             samples[mode].append(_time_once(db, sql, mode))
-    return {mode: _median(samples[mode]) for mode in MODES}
+    return {mode: statistics.median(samples[mode]) for mode in EXECUTION_MODES}
 
 
 def _assert_equivalent(db: Database, sql: str) -> Tuple[int, Dict[str, int]]:
-    """All modes must yield identical rows and identical ExecStats."""
+    """Both modes must yield identical rows and identical ExecStats."""
     db.clear_plan_cache()
     db.execution_mode = "interpreted"
     reference = db.execute(sql)
-    for mode in MODES[1:]:
-        db.clear_plan_cache()
-        db.execution_mode = mode
-        result = db.execute(sql)
-        if reference.rows != result.rows:
-            raise AssertionError(f"row mismatch ({mode} mode) for: {sql}")
-        if asdict(reference.stats) != asdict(result.stats):
-            raise AssertionError(
-                f"ExecStats mismatch ({mode} mode) for: {sql}"
-            )
+    db.clear_plan_cache()
+    db.execution_mode = "vectorized"
+    result = db.execute(sql)
+    if reference.rows != result.rows:
+        raise AssertionError(f"row mismatch (vectorized mode) for: {sql}")
+    if asdict(reference.stats) != asdict(result.stats):
+        raise AssertionError(f"ExecStats mismatch (vectorized mode) for: {sql}")
     return len(reference.rows), asdict(reference.stats)
 
 
 def run_kernel(db: Database, name: str, sql: str, repeat: int) -> KernelResult:
-    """Verify mode equivalence for one kernel, then time every mode."""
+    """Verify mode equivalence for one kernel, then time both modes."""
     rows_out, stats = _assert_equivalent(db, sql)
     medians = _time_modes(db, sql, repeat)
     interpreted_s = medians["interpreted"]
-    compiled_s = medians["compiled"]
     vectorized_s = medians["vectorized"]
-
-    def ratio(slow: float, fast: float) -> float:
-        return slow / fast if fast > 0 else float("inf")
-
     return KernelResult(
         name=name,
         sql=sql,
         rows_out=rows_out,
         interpreted_s=interpreted_s,
-        compiled_s=compiled_s,
         vectorized_s=vectorized_s,
-        speedup=ratio(interpreted_s, compiled_s),
-        vectorized_speedup=ratio(interpreted_s, vectorized_s),
-        vectorized_vs_compiled=ratio(compiled_s, vectorized_s),
+        vectorized_speedup=(
+            interpreted_s / vectorized_s if vectorized_s > 0 else float("inf")
+        ),
         stats=stats,
     )
 
@@ -259,7 +233,7 @@ def run_plan_cache_workload(db: Database, rounds: int = 20) -> Dict[str, int]:
     """A repeated-query workload: every round after the first should hit.
 
     Runs in vectorized mode (the default), so the check also proves the
-    batch path reuses cached plans under its ``(mode, sql)`` cache key.
+    production path reuses cached plans.
     """
     db.clear_plan_cache()
     db.plan_cache_hits = 0
@@ -297,32 +271,28 @@ def check_against_baseline(
     baseline: Dict[str, object],
     tolerance: float = TOLERANCE,
 ) -> List[str]:
-    """Failures (empty = pass) comparing speedup ratios with a tolerance.
+    """Failures (empty = pass) comparing ``vectorized_speedup`` per kernel.
 
-    Ratios are measured within one run on one machine, so absolute host
-    speed cancels out; only a genuine loss of a mode's advantage fails.
-    Every ratio field present in a baseline kernel entry is checked, so a
-    baseline can gate compiled/interpreted, vectorized/interpreted, and
-    vectorized/compiled independently.
+    The ratio is measured within one run on one machine, so absolute host
+    speed cancels out; only a genuine loss of the vectorized path's
+    advantage over the interpreted oracle fails.
     """
     failures: List[str] = []
-    ratio_fields = ("speedup", "vectorized_speedup", "vectorized_vs_compiled")
     current_kernels = current["kernels"]
     for name, entry in baseline["kernels"].items():
         measured = current_kernels.get(name)
         if measured is None:
             failures.append(f"{name}: kernel missing from current run")
             continue
-        for field in ratio_fields:
-            if field not in entry:
-                continue
-            floor = entry[field] * (1.0 - tolerance)
-            if measured[field] < floor:
-                failures.append(
-                    f"{name}: {field} {measured[field]:.2f}x fell below "
-                    f"{floor:.2f}x (baseline {entry[field]:.2f}x "
-                    f"- {tolerance:.0%} tolerance)"
-                )
+        baselined = entry["vectorized_speedup"]
+        floor = baselined * (1.0 - tolerance)
+        if measured["vectorized_speedup"] < floor:
+            failures.append(
+                f"{name}: vectorized_speedup "
+                f"{measured['vectorized_speedup']:.2f}x fell below "
+                f"{floor:.2f}x (baseline {baselined:.2f}x "
+                f"- {tolerance:.0%} tolerance)"
+            )
     hits = current.get("plan_cache", {}).get("hits", 0)
     if not hits:
         failures.append("plan_cache: repeated-query workload recorded no hits")
@@ -334,8 +304,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.microbench",
         description=(
-            "SQL-engine microbenchmarks: interpreted vs compiled vs "
-            "vectorized."
+            "SQL-engine microbenchmarks: the interpreted oracle vs the "
+            "vectorized production path."
         ),
     )
     parser.add_argument("--out", help="write BENCH_perf.json here")
@@ -350,11 +320,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     for name, entry in payload["kernels"].items():
         print(
             f"{name:>14}: interpreted {entry['interpreted_s'] * 1e3:8.2f} ms  "
-            f"compiled {entry['compiled_s'] * 1e3:8.2f} ms  "
             f"vectorized {entry['vectorized_s'] * 1e3:8.2f} ms  "
-            f"({entry['speedup']:.2f}x / {entry['vectorized_speedup']:.2f}x "
-            f"/ vs-compiled {entry['vectorized_vs_compiled']:.2f}x, "
-            f"{entry['rows_out']} rows)"
+            f"({entry['vectorized_speedup']:.2f}x, {entry['rows_out']} rows)"
         )
     cache = payload["plan_cache"]
     print(f"    plan cache: hits={cache['hits']} misses={cache['misses']}")

@@ -11,10 +11,14 @@ reproduction's stand-in for both: a small but real relational engine with
 * a SQL parser for the dialect the paper's workloads need
   (:mod:`~repro.sqlengine.parser`),
 * a rule-based planner with index selection (:mod:`~repro.sqlengine.planner`),
-* a pull-based executor with hash joins, aggregation, sorting
-  (:mod:`~repro.sqlengine.executor`),
-* a vectorized executor running batch kernels over column-major storage
-  (:mod:`~repro.sqlengine.vectorize`, :mod:`~repro.sqlengine.vexecutor`),
+* a vectorized executor running batch kernels over column-major storage —
+  the one production path (:mod:`~repro.sqlengine.vectorize`,
+  :mod:`~repro.sqlengine.vexecutor`),
+* a row-at-a-time interpreted executor kept as the semantic oracle the
+  vectorized one is tested against (:mod:`~repro.sqlengine.executor`),
+* row closures for code that works one row or one group at a time — the
+  distributed engines, UPDATE/DELETE, the group-by fallback — and not a
+  ``Database`` mode (:mod:`~repro.sqlengine.compile`),
 * the immutable column batch results travel in between plan boundaries
   (:mod:`~repro.sqlengine.batch`), and
 * per-table statistics feeding histograms and the cost model

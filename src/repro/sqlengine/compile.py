@@ -1,23 +1,24 @@
-"""Expression compilation: lower :class:`Expr` trees into flat closures.
+"""The row-closure lowering for one-group-at-a-time code.
 
-The interpreted path (:meth:`Expr.evaluate`) re-resolves every column name
-against the :class:`RowLayout` and re-dispatches on node types *per row*.
-For the hot query path — the same subquery interpreted at every data-owner
-peer over thousands of rows — that tree walk dominates wall-clock time.
+Not a ``Database`` execution mode (queries run vectorized, or interpreted
+as the oracle): these closures serve the code that inherently visits one
+row or one group at a time — the distributed engines' keys, residuals and
+reducers (``hadoopdb.driver``, ``engine_basic``, ``engine_parallel``,
+``executor.compile_aggregates``), ``Database``'s UPDATE/DELETE, and the
+vectorized executor's group-by fallback.
 
-This module compiles an expression **once** against a fixed layout into a
-nest of plain Python closures: column references become tuple indexing with
+An expression is compiled **once** against a fixed layout into a nest of
+plain Python closures: column references become tuple indexing with
 positions resolved at compile time, operators become specialized closures,
-LIKE patterns become pre-built regexes.  The compiled closure is a drop-in
-replacement for ``expr.evaluate(row, layout)``:
+LIKE patterns become pre-built regexes.  The closure is a drop-in
+replacement for ``expr.evaluate(row, layout)``, which re-resolves every
+column name and re-dispatches on node types *per row*:
 
 * identical values, including SQL three-valued NULL semantics,
 * identical errors (``SqlExecutionError`` with matching behaviour for type
-  mismatches, division by zero, unknown functions),
-* identical :class:`~repro.sqlengine.executor.ExecStats` when used by the
-  executor — compilation changes *how* expressions are evaluated, never how
-  many rows flow through the plan — so simulated costs are provably
-  unchanged.
+  mismatches, division by zero, unknown functions) — compilation changes
+  *how* expressions are evaluated, never a result or a simulated cost
+  (``tests/property/test_compile_equivalence.py`` holds it to that).
 
 Anything the compiler cannot lower (or whose lowering raises, e.g. a column
 missing from the layout so the interpreted path would raise per row) falls
@@ -106,6 +107,13 @@ def compile_key(
 def interpreted_evaluator(expr: Expr, layout: RowLayout) -> Evaluator:
     """The reference path as an evaluator: a closure over ``Expr.evaluate``."""
     return lambda row: expr.evaluate(row, layout)
+
+
+def interpreted_predicate(
+    expr: Expr, layout: RowLayout
+) -> Callable[[Tuple[object, ...]], bool]:
+    """The reference path as a predicate: only SQL TRUE keeps a row."""
+    return lambda row: expr.evaluate(row, layout) is True
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ catalogue of tables and executes SQL text.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import collections
 
@@ -18,6 +18,7 @@ from repro.sqlengine.compile import (
     compile_evaluator,
     compile_predicate,
     interpreted_evaluator,
+    interpreted_predicate,
 )
 from repro.sqlengine.subquery import contains_subquery, resolve_subqueries
 from repro.sqlengine.executor import ExecStats, Executor
@@ -38,8 +39,8 @@ from repro.sqlengine.stats import TableStats, collect_table_stats
 from repro.sqlengine.table import Table
 from repro.sqlengine.vexecutor import VectorizedExecutor
 
-#: Supported expression-evaluation strategies, slowest to fastest.
-EXECUTION_MODES = ("interpreted", "compiled", "vectorized")
+#: The semantic oracle, then the production path.
+EXECUTION_MODES = ("interpreted", "vectorized")
 
 
 class QueryResult:
@@ -119,16 +120,16 @@ class PreparedSelect:
 class Database:
     """An embedded relational database with a SQL interface.
 
-    Repeated statements hit an LRU parse+plan cache keyed by the execution
-    mode, the SQL text, and the catalogue version (every table's mutation
-    counter), so any DDL/insert/delete invalidates affected entries without
-    explicit hooks.  ``execution_mode`` selects one of
-    :data:`EXECUTION_MODES`: ``"interpreted"`` walks expression trees per
-    row (the reference), ``"compiled"`` runs closure-compiled evaluators per
-    row, and ``"vectorized"`` (the default) runs batch kernels over
-    column-major storage.  All three must produce identical rows, stats, and
-    errors.  ``use_compiled`` survives as a compatibility alias covering the
-    two row-at-a-time modes.
+    Repeated statements hit an LRU parse+plan cache keyed by the SQL text
+    and the catalogue version (every table's mutation counter), so any
+    DDL/insert/delete invalidates affected entries without explicit hooks;
+    plans do not depend on the execution mode.  ``execution_mode`` selects
+    one of :data:`EXECUTION_MODES`: ``"vectorized"`` (the default, and what
+    every peer and engine runs) executes batch kernels over column-major
+    storage; ``"interpreted"`` walks expression trees per row through
+    :class:`~repro.sqlengine.executor.Executor` and exists as the semantic
+    oracle the vectorized path is tested against.  Both must produce
+    identical rows, stats, and errors.
     """
 
     #: Default maximum number of cached plans per database.
@@ -137,25 +138,13 @@ class Database:
     def __init__(
         self,
         name: str = "db",
-        use_compiled: Optional[bool] = None,
         plan_cache_size: int = PLAN_CACHE_SIZE,
-        execution_mode: Optional[str] = None,
-        batch_size: int = VectorizedExecutor.DEFAULT_BATCH_SIZE,
+        execution_mode: str = "vectorized",
     ) -> None:
         self.name = name
         self._tables: Dict[str, Table] = {}
-        if use_compiled is not None and execution_mode is not None:
-            raise SqlExecutionError(
-                "pass either use_compiled or execution_mode, not both"
-            )
-        if execution_mode is not None:
-            self.execution_mode = execution_mode
-        elif use_compiled is not None:
-            self._execution_mode = "compiled" if use_compiled else "interpreted"
-        else:
-            self._execution_mode = "vectorized"
-        self._batch_size = batch_size
-        self._plan_cache: "collections.OrderedDict[Tuple[str, str], Tuple[Tuple[Tuple[str, int], ...], object, bool]]" = (
+        self.execution_mode = execution_mode
+        self._plan_cache: "collections.OrderedDict[str, Tuple[Tuple[Tuple[str, int], ...], object, bool]]" = (
             collections.OrderedDict()
         )
         self._plan_cache_size = plan_cache_size
@@ -174,15 +163,6 @@ class Database:
                 f"{', '.join(EXECUTION_MODES)}"
             )
         self._execution_mode = mode
-
-    @property
-    def use_compiled(self) -> bool:
-        """Compatibility view: is any compiled evaluation strategy active?"""
-        return self._execution_mode != "interpreted"
-
-    @use_compiled.setter
-    def use_compiled(self, value: bool) -> None:
-        self._execution_mode = "compiled" if value else "interpreted"
 
     # ------------------------------------------------------------------
     # Catalogue
@@ -280,13 +260,9 @@ class Database:
 
     def _run_plan(self, plan: object) -> QueryResult:
         if self._execution_mode == "vectorized":
-            _, batch, stats = VectorizedExecutor(
-                self._tables, batch_size=self._batch_size
-            ).execute(plan)
+            _, batch, stats = VectorizedExecutor(self._tables).execute(plan)
         else:
-            layout, rows, stats = Executor(
-                self._tables, use_compiled=self._execution_mode == "compiled"
-            ).execute(plan)
+            layout, rows, stats = Executor(self._tables).execute(plan)
             batch = ColumnBatch.from_rows(layout.columns, rows)
         return QueryResult(batch, stats)
 
@@ -301,24 +277,19 @@ class Database:
 
     def _cached_plan(self, sql: str) -> Optional[Tuple[object, bool]]:
         """The current ``(plan, shareable)`` cached for ``sql``, if any."""
-        # Plans themselves are mode-independent, but keying on the mode
-        # keeps per-mode hit/miss accounting honest when a benchmark flips
-        # modes between runs of the same statement.
-        cache_key = (self._execution_mode, sql)
-        entry = self._plan_cache.get(cache_key)
+        entry = self._plan_cache.get(sql)
         if entry is None:
             return None
         state, plan, shareable = entry
         if state != self._catalog_state():
-            del self._plan_cache[cache_key]
+            del self._plan_cache[sql]
             return None
-        self._plan_cache.move_to_end(cache_key)
+        self._plan_cache.move_to_end(sql)
         return plan, shareable
 
     def _store_plan(self, sql: str, plan: object, shareable: bool = True) -> None:
-        cache_key = (self._execution_mode, sql)
-        self._plan_cache[cache_key] = (self._catalog_state(), plan, shareable)
-        self._plan_cache.move_to_end(cache_key)
+        self._plan_cache[sql] = (self._catalog_state(), plan, shareable)
+        self._plan_cache.move_to_end(sql)
         while len(self._plan_cache) > self._plan_cache_size:
             self._plan_cache.popitem(last=False)
 
@@ -418,50 +389,46 @@ class Database:
         table.insert_many(rows)
         return _no_rows(len(rows))
 
-    def _execute_update(self, statement: UpdateStmt) -> QueryResult:
-        table = self.table(statement.table)
+    def _row_closures(self, table: Table):
+        """``(layout, evaluator factory, predicate factory)`` for UPDATE and
+        DELETE, which visit one row at a time: row closures in production,
+        ``Expr.evaluate`` itself under the oracle."""
         layout = RowLayout(
             [f"{table.schema.name}.{column}" for column in table.schema.column_names]
         )
+        if self._execution_mode == "interpreted":
+            return layout, interpreted_evaluator, interpreted_predicate
+        return layout, compile_evaluator, compile_predicate
+
+    def _execute_update(self, statement: UpdateStmt) -> QueryResult:
+        table = self.table(statement.table)
+        layout, evaluator, predicate = self._row_closures(table)
         assignments = [
-            (table.schema.column_index(column), self._evaluator(expr, layout))
+            (table.schema.column_index(column), evaluator(expr, layout))
             for column, expr in statement.assignments
         ]
         matches = (
-            None
-            if statement.where is None
-            else self._predicate(statement.where, layout)
+            None if statement.where is None else predicate(statement.where, layout)
         )
-        updated = 0
-        for row_id in list(table.row_ids()):
-            row = table.row_by_id(row_id)
-            if matches is not None and not matches(row):
-                continue
-            values = list(row)
-            for position, evaluate in assignments:
-                values[position] = evaluate(row)
-            table.update_row(row_id, values)
-            updated += 1
-        return _no_rows(updated)
 
-    def _evaluator(self, expr, layout: RowLayout):
-        if self.use_compiled:
-            return compile_evaluator(expr, layout)
-        return interpreted_evaluator(expr, layout)
+        def new_rows():
+            for row_id, row in zip(table.row_ids(), table.rows()):
+                if matches is not None and not matches(row):
+                    continue
+                values = list(row)
+                for position, evaluate in assignments:
+                    values[position] = evaluate(row)
+                yield row_id, values
 
-    def _predicate(self, expr, layout: RowLayout):
-        if self.use_compiled:
-            return compile_predicate(expr, layout)
-        return lambda row: expr.evaluate(row, layout) is True
+        # Nothing is written until every new row is computed and checked.
+        return _no_rows(table.update_rows(new_rows()))
 
     def _execute_delete(self, statement: DeleteStmt) -> QueryResult:
         table = self.table(statement.table)
-        layout = RowLayout(
-            [f"{table.schema.name}.{column}" for column in table.schema.column_names]
-        )
         if statement.where is None:
             deleted = len(table)
             table.truncate()
         else:
-            deleted = table.delete_where(self._predicate(statement.where, layout))
+            layout, _, predicate = self._row_closures(table)
+            deleted = table.delete_where(predicate(statement.where, layout))
         return _no_rows(deleted)

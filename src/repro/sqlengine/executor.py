@@ -1,4 +1,10 @@
-"""Pull-based plan executor.
+"""Pull-based, row-at-a-time plan executor: the interpreted reference.
+
+``Database(execution_mode="interpreted")`` runs plans here, with every
+expression walked by ``Expr.evaluate``; it is the oracle the vectorized
+executor is tested against, and nothing in production runs it.  The module
+also holds what both executors share: :class:`ExecStats`, index resolution,
+the reference GROUP BY loop and the aggregate states.
 
 Each plan node executes to a ``(RowLayout, rows)`` pair; rows are tuples.
 Execution gathers :class:`ExecStats` (base-table rows scanned, rows produced,
@@ -14,8 +20,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import SqlExecutionError
 from repro.sqlengine.compile import (
     compile_evaluator,
-    compile_predicate,
     interpreted_evaluator,
+    interpreted_predicate,
 )
 from repro.sqlengine.expr import (
     ColumnRef,
@@ -57,30 +63,17 @@ class ExecStats:
 
 
 class Executor:
-    """Executes plan trees against a table catalogue.
+    """The interpreted reference executor: plan trees, one row at a time.
 
-    With ``use_compiled`` (the default) every expression is lowered once
-    per plan node via :mod:`repro.sqlengine.compile`; with it off, the
-    row-at-a-time interpreted ``Expr.evaluate`` reference path runs
-    instead.  Both paths produce identical rows and identical
-    :class:`ExecStats` — the microbench and the equivalence tests assert
-    it — so simulated costs never depend on the switch.
+    Every expression is walked by ``Expr.evaluate`` per row.  This is the
+    semantic oracle, not a production path: the vectorized executor must
+    produce identical rows, errors and :class:`ExecStats` — the microbench
+    and the equivalence tests assert it — so simulated costs never depend
+    on which of the two ran.
     """
 
-    def __init__(self, catalog: Dict[str, Table], use_compiled: bool = True) -> None:
+    def __init__(self, catalog: Dict[str, Table]) -> None:
         self._catalog = catalog
-        self._use_compiled = use_compiled
-
-    # Expression lowering helpers: one closure per plan node, never per row.
-    def _evaluator(self, expr: Expr, layout: RowLayout):
-        if self._use_compiled:
-            return compile_evaluator(expr, layout)
-        return interpreted_evaluator(expr, layout)
-
-    def _predicate(self, expr: Expr, layout: RowLayout):
-        if self._use_compiled:
-            return compile_predicate(expr, layout)
-        return lambda row: expr.evaluate(row, layout) is True
 
     def execute(self, plan: object, stats: Optional[ExecStats] = None):
         """Run ``plan``; returns ``(layout, rows, stats)``."""
@@ -126,7 +119,7 @@ class Executor:
             rows = list(table.rows())
             stats.rows_scanned += len(table)
         if node.predicate is not None:
-            predicate = self._predicate(node.predicate, layout)
+            predicate = interpreted_predicate(node.predicate, layout)
             rows = [row for row in rows if predicate(row)]
         return layout, rows
 
@@ -135,7 +128,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _execute_filter(self, node: FilterNode, stats: ExecStats):
         layout, rows = self._execute(node.child, stats)
-        predicate = self._predicate(node.predicate, layout)
+        predicate = interpreted_predicate(node.predicate, layout)
         return layout, [row for row in rows if predicate(row)]
 
     def _execute_join(self, node: JoinNode, stats: ExecStats):
@@ -177,7 +170,7 @@ class Executor:
         condition = (
             None
             if node.condition is None
-            else self._predicate(node.condition, layout)
+            else interpreted_predicate(node.condition, layout)
         )
         results: List[Tuple[object, ...]] = []
         null_pad = (None,) * len(right_layout)
@@ -201,7 +194,7 @@ class Executor:
         condition = (
             None
             if node.condition is None
-            else self._predicate(node.condition, layout)
+            else interpreted_predicate(node.condition, layout)
         )
         results: List[Tuple[object, ...]] = []
         null_pad = (None,) * len(right_layout)
@@ -222,7 +215,7 @@ class Executor:
     # ------------------------------------------------------------------
     def _execute_group_by(self, node: GroupByNode, stats: ExecStats):
         child_layout, child_rows = self._execute(node.child, stats)
-        return group_rows_reference(node, child_layout, child_rows, self._evaluator)
+        return group_rows_reference(node, child_layout, child_rows, interpreted_evaluator)
 
     # ------------------------------------------------------------------
     # Project / distinct / sort / limit
@@ -243,7 +236,7 @@ class Executor:
                     evaluators.append(_position_getter(position))
                 continue
             output_names.append(item.output_name().lower())
-            evaluators.append(self._evaluator(item.expr, child_layout))
+            evaluators.append(interpreted_evaluator(item.expr, child_layout))
 
         layout = RowLayout(output_names)
         rows = [
@@ -259,12 +252,12 @@ class Executor:
 
     def _execute_sort(self, node: SortNode, stats: ExecStats):
         layout, rows = self._execute(node.child, stats)
-        # One precompiled key tuple per row (each OrderItem expression is
+        # One key tuple per row (each OrderItem expression is
         # evaluated exactly once), then stable sorts applied last-to-first
         # exactly as before — composition of stable sorts preserves the
         # reference ordering for mixed ASC/DESC.
         items = node.order_items
-        evaluators = [self._evaluator(item.expr, layout) for item in items]
+        evaluators = [interpreted_evaluator(item.expr, layout) for item in items]
         decorated = [
             (tuple(_sort_key(evaluate(row)) for evaluate in evaluators), row)
             for row in rows

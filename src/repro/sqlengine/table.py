@@ -13,7 +13,17 @@ data into the local MySQL when the MemTable is full" (Section 5.2).
 from __future__ import annotations
 
 import collections
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import SqlCatalogError, SqlExecutionError
 from repro.sqlengine.batch import ColumnBatch
@@ -253,26 +263,43 @@ class Table:
             self.delete_row(row_id)
         return len(victims)
 
-    def update_row(self, row_id: int, values: Sequence[object]) -> None:
-        old = self.row_by_id(row_id)
-        new = self.schema.coerce_row(values)
+    def update_rows(self, updates: Iterable[Tuple[int, Sequence[object]]]) -> int:
+        """Atomically rewrite live rows in place; returns how many.
+
+        ``updates`` yields ``(row_id, new values)``, row ids distinct, and is
+        consumed — each row coerced as it arrives — before the first write:
+        an error it raises half-way, a coercion error or a unique-key
+        collision leaves the table unchanged.  Unique keys are checked
+        against the table *minus* the rewritten rows (rows may keep or trade
+        keys).  Row ids and row order stay; one version bump.
+        """
+        staged = [
+            (row_id, self.row_by_id(row_id), self.schema.coerce_row(values))
+            for row_id, values in updates
+        ]
+        if not staged:
+            return 0
+        row_ids, _, news = zip(*staged)
+        self._check_unique(news, frozenset(row_ids))
         for index in self.indexes.values():
             position = self.schema.column_index(index.column)
-            if index.unique and new[position] != old[position]:
-                if new[position] is not None and index.lookup(new[position]):
-                    raise SqlExecutionError(
-                        f"duplicate key {new[position]!r} for unique index "
-                        f"{index.name!r}"
-                    )
-        for index in self.indexes.values():
-            position = self.schema.column_index(index.column)
-            if old[position] != new[position]:
-                index.remove(old[position], row_id)
-                index.insert(new[position], row_id)
-        self._rows[row_id] = new
-        self._byte_size += self._row_bytes(new) - self._row_bytes(old)
+            moved = [
+                (row_id, old[position], new[position])
+                for row_id, old, new in staged
+                if old[position] != new[position]
+            ]
+            # Every old entry leaves before a new one arrives, so rows that
+            # trade keys never meet in a unique index.
+            for row_id, old_key, _ in moved:
+                index.remove(old_key, row_id)
+            for row_id, _, new_key in moved:
+                index.insert(new_key, row_id)
+        for row_id, old, new in staged:
+            self._rows[row_id] = new
+            self._byte_size += self._row_bytes(new) - self._row_bytes(old)
         self._drop_column_store()
         self.version += 1
+        return len(staged)
 
     def truncate(self) -> None:
         self._rows.clear()

@@ -4,7 +4,7 @@ Mirrors :class:`repro.sqlengine.executor.Executor` node for node, but every
 operator consumes and produces ``(RowLayout, columns, row_count)`` — a list
 of column vectors instead of a list of row tuples.  Dense base-table scans
 read :meth:`Table.column_data` straight out of storage with zero copying;
-predicates narrow selection vectors in ``batch_size`` chunks via
+predicates narrow selection vectors in ``BATCH_SIZE`` chunks via
 :mod:`repro.sqlengine.vectorize` kernels; joins build and probe over key
 vectors at C level and hand on ``(left, right)`` index vectors over their
 inputs, from which a column is gathered when a consumer first reads it
@@ -123,15 +123,10 @@ class VectorizedExecutor:
     #: Rows per predicate-evaluation chunk.  Large enough to amortize the
     #: per-batch kernel dispatch, small enough that selection vectors and
     #: intermediate value vectors stay cache-resident.
-    DEFAULT_BATCH_SIZE = 1024
+    BATCH_SIZE = 1024
 
-    def __init__(
-        self, catalog: Dict[str, Table], batch_size: int = DEFAULT_BATCH_SIZE
-    ) -> None:
-        if batch_size <= 0:
-            raise SqlExecutionError(f"batch size must be positive: {batch_size}")
+    def __init__(self, catalog: Dict[str, Table]) -> None:
         self._catalog = catalog
-        self._batch_size = batch_size
 
     def execute(self, plan: object, stats: Optional[ExecStats] = None):
         """Run ``plan``; returns ``(layout, batch, stats)``.
@@ -212,7 +207,7 @@ class VectorizedExecutor:
 
     def _passing(self, kernel, cols, n: int) -> List[int]:
         """The rows of ``range(n)`` that ``kernel`` keeps, chunk by chunk."""
-        batch = self._batch_size
+        batch = self.BATCH_SIZE
         kept: List[int] = []
         for start in range(0, n, batch):
             passing, errs = kernel(cols, range(start, min(start + batch, n)))
@@ -236,7 +231,7 @@ class VectorizedExecutor:
         Returns ``(values, first_error)`` where ``first_error`` is the
         earliest deferred ``(row, exception)`` or None.
         """
-        batch = self._batch_size
+        batch = self.BATCH_SIZE
         if n <= batch:
             values, errs = kernel(cols, range(n))
             return values, (errs[0] if errs else None)

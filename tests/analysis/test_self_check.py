@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
@@ -22,16 +24,19 @@ def _run(*argv):
     )
 
 
-def test_repo_is_clean_under_all_rules():
-    """``python -m repro.analysis src tests benchmarks`` exits 0."""
-    proc = _run("src", "tests", "benchmarks")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+@pytest.fixture(scope="module")
+def self_check():
+    """One four-tier run over the repo (the CI command), shared below."""
+    return _run("src", "tests", "benchmarks", "--json", "--strict-baseline")
 
 
-def test_repo_is_clean_in_json_mode_with_no_stale_baseline():
-    proc = _run("src", "tests", "benchmarks", "--json", "--strict-baseline")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
+def test_repo_is_clean_under_all_rules(self_check):
+    """The analysis job's command exits 0."""
+    assert self_check.returncode == 0, self_check.stdout + self_check.stderr
+
+
+def test_repo_is_clean_in_json_mode_with_no_stale_baseline(self_check):
+    payload = json.loads(self_check.stdout)
     assert payload["ok"] is True
     assert payload["findings"] == []
     assert payload["baseline"]["stale"] == []

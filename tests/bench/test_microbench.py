@@ -8,15 +8,21 @@ absolute times).
 
 import json
 
+import pytest
+
+from repro.bench import microbench
 from repro.bench.microbench import (
     KERNELS,
     build_database,
     check_against_baseline,
     kernel_sql,
     main,
+    run_kernel,
     run_microbench,
     run_plan_cache_workload,
 )
+from repro.sqlengine.executor import ExecStats, Executor
+from repro.sqlengine.expr import RowLayout
 
 SMOKE = {"scale": 0.05, "repeat": 1}
 
@@ -30,13 +36,15 @@ class TestHarness:
         payload = small_payload()
         assert set(payload["kernels"]) == {name for name, _ in KERNELS}
         for entry in payload["kernels"].values():
+            # Two timings and the one ratio between them, nothing else.
+            assert set(entry) == {
+                "name", "sql", "rows_out", "stats",
+                "interpreted_s", "vectorized_s", "vectorized_speedup",
+            }
             assert entry["rows_out"] >= 0
             assert entry["interpreted_s"] > 0
-            assert entry["compiled_s"] > 0
             assert entry["vectorized_s"] > 0
-            assert entry["speedup"] > 0
             assert entry["vectorized_speedup"] > 0
-            assert entry["vectorized_vs_compiled"] > 0
             assert set(entry["stats"]) == {
                 "rows_scanned",
                 "rows_output",
@@ -44,6 +52,15 @@ class TestHarness:
                 "join_build_rows",
                 "join_probe_rows",
             }
+
+    def test_modes_that_disagree_are_never_timed(self, monkeypatch):
+        empty = (RowLayout(["x"]), [], ExecStats())
+        monkeypatch.setattr(Executor, "execute", lambda *args: empty)
+        monkeypatch.setattr(
+            microbench, "_time_modes", lambda *args: pytest.fail("timed anyway")
+        )
+        with pytest.raises(AssertionError, match="row mismatch"):
+            run_kernel(build_database(scale=SMOKE["scale"]), *KERNELS[0], repeat=1)
 
     def test_kernels_produce_rows(self):
         # Selectivities must not degenerate at small scale — an empty
@@ -95,7 +112,7 @@ class TestBaselineCheck:
         payload = small_payload()
         greedy = {
             "kernels": {
-                name: {"speedup": entry["speedup"] * 10}
+                name: {"vectorized_speedup": entry["vectorized_speedup"] * 10}
                 for name, entry in payload["kernels"].items()
             }
         }
@@ -104,22 +121,18 @@ class TestBaselineCheck:
         assert all("fell below" in failure for failure in failures)
 
     def test_fails_on_lost_vectorized_ratio(self):
-        # Every ratio field present in a baseline entry is gated, so a
-        # regression of the batch path against either reference fails even
-        # when compiled-vs-interpreted is unchanged.
+        # One kernel losing its ratio fails the gate, and the failure names
+        # the kernel and the ratio.
         payload = small_payload()
-        for field in ("vectorized_speedup", "vectorized_vs_compiled"):
-            greedy = {
-                "kernels": {
-                    "scan": {field: payload["kernels"]["scan"][field] * 10}
-                }
-            }
-            failures = check_against_baseline(payload, greedy)
-            assert failures and field in failures[0]
+        lost = payload["kernels"]["scan"]["vectorized_speedup"] * 10
+        greedy = {"kernels": {"scan": {"vectorized_speedup": lost}}}
+        failures = check_against_baseline(payload, greedy)
+        assert len(failures) == 1
+        assert failures[0].startswith("scan: vectorized_speedup ")
 
     def test_fails_on_missing_kernel(self):
         payload = small_payload()
-        baseline = {"kernels": {"no_such_kernel": {"speedup": 1.0}}}
+        baseline = {"kernels": {"no_such_kernel": {"vectorized_speedup": 1.0}}}
         failures = check_against_baseline(payload, baseline)
         assert failures == ["no_such_kernel: kernel missing from current run"]
 
@@ -134,7 +147,7 @@ class TestBaselineCheck:
         # A baseline 20% above the measurement stays inside the 25% band.
         near = {
             "kernels": {
-                name: {"speedup": entry["speedup"] * 1.2}
+                name: {"vectorized_speedup": entry["vectorized_speedup"] * 1.2}
                 for name, entry in payload["kernels"].items()
             }
         }
@@ -155,7 +168,7 @@ class TestCli:
     def test_check_failure_sets_exit_code(self, tmp_path, capsys):
         baseline = tmp_path / "baseline.json"
         baseline.write_text(
-            json.dumps({"kernels": {"scan": {"speedup": 1000.0}}})
+            json.dumps({"kernels": {"scan": {"vectorized_speedup": 1000.0}}})
         )
         code = main(
             ["--scale", "0.05", "--repeat", "1", "--check", str(baseline)]

@@ -1,17 +1,17 @@
-"""Fast execution modes must be observationally identical to interpreted.
+"""The vectorized production path must be observationally identical to the
+interpreted oracle.
 
-The acceptance bar for expression compilation and vectorization (and the
-reason the batch path is safe to enable by default): over the full TPC-H
-benchmark suite, all three execution modes return byte-identical rows and
-identical :class:`ExecStats` — and therefore, at the network level,
-identical simulated bytes and latency.  A fast path may only change how
-fast the reproduction runs, never a figure it produces.
+The acceptance bar for vectorization (and the reason the batch path is the
+default): over the full TPC-H benchmark suite, both execution modes return
+byte-identical rows and identical :class:`ExecStats` — and therefore, at
+the network level, identical simulated bytes and latency.  The fast path
+may only change how fast the reproduction runs, never a figure it produces.
 """
 
 import pytest
 
 from repro.core import BestPeerNetwork
-from repro.sqlengine import Database, EXECUTION_MODES
+from repro.sqlengine import Database
 from repro.tpch import (
     Q1,
     Q2,
@@ -23,10 +23,9 @@ from repro.tpch import (
     TpchGenerator,
     create_tpch_tables,
 )
-from tests.property.test_vectorized_equivalence import result_surface
+from tests.helpers import result_surface
 
 NUM_PEERS = 3
-FAST_MODES = tuple(mode for mode in EXECUTION_MODES if mode != "interpreted")
 SUITE = (
     ("q1", Q1()),
     ("q2", Q2()),
@@ -61,11 +60,10 @@ def build_network(execution_mode: str) -> BestPeerNetwork:
 
 
 class TestLocalSuite:
-    @pytest.mark.parametrize("mode", FAST_MODES)
     @pytest.mark.parametrize("name,sql", SUITE)
-    def test_rows_and_stats_identical(self, mode, name, sql):
+    def test_rows_and_stats_identical(self, name, sql):
         interpreted = build_oracle("interpreted").execute(sql)
-        fast = build_oracle(mode).execute(sql)
+        fast = build_oracle("vectorized").execute(sql)
         assert result_surface(interpreted) == result_surface(fast)
         # Guard against a vacuous pass: the suite's selectivities are tuned
         # to return data.
@@ -73,11 +71,10 @@ class TestLocalSuite:
 
 
 class TestDistributedSuite:
-    @pytest.mark.parametrize("mode", FAST_MODES)
     @pytest.mark.parametrize("engine", ["basic", "parallel"])
-    def test_records_and_simulated_costs_identical(self, mode, engine):
+    def test_records_and_simulated_costs_identical(self, engine):
         interpreted_net = build_network("interpreted")
-        fast_net = build_network(mode)
+        fast_net = build_network("vectorized")
         for name, sql in SUITE:
             interpreted = interpreted_net.execute(sql, engine=engine)
             fast = fast_net.execute(sql, engine=engine)
@@ -88,9 +85,8 @@ class TestDistributedSuite:
             assert interpreted.latency_s == fast.latency_s
             assert interpreted.strategy == fast.strategy
 
-    @pytest.mark.parametrize("mode", FAST_MODES)
-    def test_repeated_queries_hit_the_plan_cache(self, mode):
-        net = build_network(mode)
+    def test_repeated_queries_hit_the_plan_cache(self):
+        net = build_network("vectorized")
         sql = Q3()
         first = net.execute(sql, engine="basic")
         second = net.execute(sql, engine="basic")

@@ -3,8 +3,9 @@
 Random expression trees over random rows — including NULLs, mixed types,
 unresolvable columns, and unknown functions — must produce the same value,
 or fail with the same error, in both execution paths.  This is the
-load-bearing invariant behind ``Database.use_compiled``: the compiler may
-only change *speed*, never a single observable outcome.
+load-bearing invariant behind every row closure the distributed engines,
+UPDATE/DELETE and the group-by fallback run: the compiler may only change
+*speed*, never a single observable outcome.
 """
 
 from hypothesis import given, settings, strategies as st

@@ -4,7 +4,7 @@ Random expression trees over random row batches — including NULLs, mixed
 types, unresolvable columns, and unknown functions — must produce, for every
 row, the same value or the same deferred error that ``Expr.evaluate``
 produces for that row; and whole queries must return identical rows,
-identical :class:`ExecStats`, and identical first errors in all three
+identical :class:`ExecStats`, and identical first errors in both
 ``Database`` execution modes.  This is the load-bearing invariant behind
 ``execution_mode="vectorized"``: batching may only change *speed*, never a
 single observable outcome.
@@ -15,13 +15,14 @@ from dataclasses import asdict
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SqlExecutionError
-from repro.sqlengine import Database, EXECUTION_MODES
+from repro.sqlengine import Database
 from repro.sqlengine.compile import interpreted_evaluator
 from repro.sqlengine.expr import BinaryOp, ColumnRef, Literal
 from repro.sqlengine.vectorize import (
     compile_vector_evaluator,
     compile_vector_filter,
 )
+from tests.helpers import result_surface
 from tests.property.test_compile_equivalence import (
     LAYOUT,
     _assert_same_outcome,
@@ -121,7 +122,7 @@ class TestFilterKernel:
 
 
 # ----------------------------------------------------------------------
-# Whole-query equivalence across all three execution modes
+# Whole-query equivalence across both execution modes
 # ----------------------------------------------------------------------
 _CREATE = "CREATE TABLE t (a INTEGER, b FLOAT, c TEXT)"
 _QUERIES = (
@@ -155,27 +156,6 @@ table_rows = st.lists(
 )
 
 
-def result_surface(result):
-    """Everything a :class:`QueryResult` exposes, as plain data.
-
-    The row modes build their batch from rows and derive vectors; the
-    vectorized mode builds it from vectors and derives rows.  Comparing the
-    whole surface checks both derivations against each other.
-    """
-    return {
-        "columns": result.columns,
-        "qualified_columns": result.qualified_columns,
-        "rows": result.rows,
-        "iterated": list(result),
-        "vectors": [list(vector) for vector in result.batch.vectors],
-        "by_name": [result.column(name) for name in result.columns],
-        "len": len(result),
-        "rowcount": result.rowcount,
-        "byte_size": result.byte_size,
-        "stats": asdict(result.stats),
-    }
-
-
 def _run(mode, data_rows, sql):
     db = Database(execution_mode=mode)
     db.execute(_CREATE)
@@ -194,8 +174,7 @@ class TestDatabaseModes:
     @given(table_rows, st.sampled_from(_QUERIES))
     def test_all_modes_agree_end_to_end(self, data_rows, sql):
         reference = _run("interpreted", data_rows, sql)
-        for mode in EXECUTION_MODES[1:]:
-            assert _run(mode, data_rows, sql) == reference, (mode, sql)
+        assert _run("vectorized", data_rows, sql) == reference, sql
 
 
 # ----------------------------------------------------------------------
@@ -262,8 +241,7 @@ class TestIndexScans:
         assert "(index " in plan
         if not second:
             assert " filter " not in plan  # the only conjunct is dropped
-        for mode in EXECUTION_MODES[1:]:
-            assert _run_ops(mode, ops, sql) == (rows, stats, plan), mode
+        assert _run_ops("vectorized", ops, sql) == (rows, stats, plan)
         # Index order: non-decreasing keys, and no NULL key ever.
         keys = [row[0] for row in rows]
         assert keys == sorted(keys)
@@ -402,8 +380,7 @@ class TestSumOrder:
     @given(sum_rows, st.sampled_from(_SUM_QUERIES))
     def test_sums_are_bit_identical_to_interpreted(self, data_rows, sql):
         reference = _sum_surface("interpreted", data_rows, sql)
-        for mode in EXECUTION_MODES[1:]:
-            assert _sum_surface(mode, data_rows, sql) == reference, (mode, sql)
+        assert _sum_surface("vectorized", data_rows, sql) == reference, sql
 
     def test_the_fold_is_left_to_right_from_the_first_value(self):
         # What builtin ``sum`` would get wrong: it starts from 0 (so -0.0
@@ -500,5 +477,4 @@ class TestJoinsAndGroups:
         if distinct_build:  # every build key once: the one-probe arm
             right_rows = _first_of_each(right_rows, 0)
         reference = _join_surface("interpreted", left_rows, right_rows, sql)
-        for mode in EXECUTION_MODES[1:]:
-            assert _join_surface(mode, left_rows, right_rows, sql) == reference, mode
+        assert _join_surface("vectorized", left_rows, right_rows, sql) == reference

@@ -5,7 +5,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.errors import SqlCatalogError, SqlExecutionError
-from repro.sqlengine import Database
+from repro.sqlengine import Database, EXECUTION_MODES
 from repro.sqlengine.compile import (
     compile_evaluator,
     compile_key,
@@ -102,18 +102,18 @@ class TestModeEquivalence:
 
     @pytest.mark.parametrize("sql", QUERIES)
     def test_rows_and_stats_identical(self, db, sql):
-        db.use_compiled = False
+        db.execution_mode = "interpreted"
         interpreted = db.execute(sql)
         db.clear_plan_cache()
-        db.use_compiled = True
-        compiled = db.execute(sql)
-        assert interpreted.rows == compiled.rows
-        assert asdict(interpreted.stats) == asdict(compiled.stats)
+        db.execution_mode = "vectorized"
+        vectorized = db.execute(sql)
+        assert interpreted.rows == vectorized.rows
+        assert asdict(interpreted.stats) == asdict(vectorized.stats)
 
     def test_update_and_delete_identical_across_modes(self):
         results = {}
-        for mode in (False, True):
-            database = Database("m", use_compiled=mode)
+        for mode in EXECUTION_MODES:
+            database = Database("m", execution_mode=mode)
             database.execute("CREATE TABLE t (a INTEGER, b INTEGER)")
             database.execute(
                 "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30), (4, NULL)"
@@ -123,7 +123,7 @@ class TestModeEquivalence:
             results[mode] = database.execute(
                 "SELECT a, b FROM t ORDER BY a"
             ).rows
-        assert results[False] == results[True]
+        assert results["interpreted"] == results["vectorized"]
 
 
 class TestPlanCache:

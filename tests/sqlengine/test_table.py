@@ -183,13 +183,13 @@ class TestUpdate:
     def test_update_row(self):
         table = make_table()
         row_id = table.insert([1, 1.0, "x"])
-        table.update_row(row_id, [1, 9.0, "z"])
+        table.update_rows([(row_id, [1, 9.0, "z"])])
         assert table.row_by_id(row_id) == (1, 9.0, "z")
 
     def test_update_maintains_index(self):
         table = make_table()
         row_id = table.insert([1, 1.0, "x"])
-        table.update_row(row_id, [7, 1.0, "x"])
+        table.update_rows([(row_id, [7, 1.0, "x"])])
         assert table.index_on("id").lookup(1) == []
         assert table.index_on("id").lookup(7) == [row_id]
 
@@ -198,7 +198,7 @@ class TestUpdate:
         table.insert([1, 1.0, "x"])
         row_id = table.insert([2, 2.0, "y"])
         with pytest.raises(SqlExecutionError):
-            table.update_row(row_id, [1, 2.0, "y"])
+            table.update_rows([(row_id, [1, 2.0, "y"])])
 
 
 class TestSecondaryIndexes:
@@ -430,7 +430,7 @@ class TestColumnStore:
         table = make_table()
         row_id = table.insert([1, 1.0, "x"])
         table.column_data()
-        table.update_row(row_id, [1, 7.5, "w"])
+        table.update_rows([(row_id, [1, 7.5, "w"])])
         assert table.column_data() == [[1], [7.5], ["w"]]
 
     def test_create_index_keeps_store_current(self):

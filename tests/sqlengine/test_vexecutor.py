@@ -8,11 +8,11 @@ from repro.errors import SqlExecutionError
 from repro.sqlengine import Database, EXECUTION_MODES, VectorizedExecutor, vexecutor
 from repro.sqlengine.batch import LazyColumns
 from repro.sqlengine.expr import RowLayout
-from tests.property.test_vectorized_equivalence import result_surface
+from tests.helpers import result_surface
 
 
-def build(mode="vectorized", **kwargs):
-    db = Database(execution_mode=mode, **kwargs)
+def build(mode="vectorized"):
+    db = Database(execution_mode=mode)
     db.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, grp TEXT, val INTEGER)"
     )
@@ -23,29 +23,20 @@ def build(mode="vectorized", **kwargs):
     return db
 
 
-def both(sql, **kwargs):
+def both(sql):
     """(interpreted result, vectorized result) over identical data."""
-    return build("interpreted", **kwargs).execute(sql), build(
-        "vectorized", **kwargs
-    ).execute(sql)
+    return build("interpreted").execute(sql), build("vectorized").execute(sql)
 
 
 class TestBatching:
     @pytest.mark.parametrize("batch_size", [1, 3, 100, 1024])
-    def test_results_independent_of_batch_size(self, batch_size):
-        reference = build("interpreted").execute(
-            "SELECT grp, SUM(val) FROM t WHERE val > 10 GROUP BY grp "
-            "ORDER BY grp"
-        )
-        result = build("vectorized", batch_size=batch_size).execute(
+    def test_results_independent_of_batch_size(self, batch_size, monkeypatch):
+        monkeypatch.setattr(VectorizedExecutor, "BATCH_SIZE", batch_size)
+        reference, result = both(
             "SELECT grp, SUM(val) FROM t WHERE val > 10 GROUP BY grp "
             "ORDER BY grp"
         )
         assert result_surface(result) == result_surface(reference)
-
-    def test_batch_size_must_be_positive(self):
-        with pytest.raises(SqlExecutionError):
-            VectorizedExecutor({}, batch_size=0)
 
 
 class TestStatsParity:
@@ -97,6 +88,7 @@ class TestGroupByFallback:
 
 class TestExecutionModes:
     def test_default_mode_is_vectorized(self):
+        assert EXECUTION_MODES == ("interpreted", "vectorized")  # oracle, production
         assert Database().execution_mode == "vectorized"
 
     def test_unknown_mode_rejected(self):
@@ -106,32 +98,15 @@ class TestExecutionModes:
         with pytest.raises(SqlExecutionError):
             db.execution_mode = "jit"
 
-    def test_mode_and_use_compiled_are_exclusive(self):
-        with pytest.raises(SqlExecutionError):
-            Database(use_compiled=True, execution_mode="vectorized")
-
-    def test_use_compiled_compatibility_mapping(self):
-        assert Database(use_compiled=True).execution_mode == "compiled"
-        assert Database(use_compiled=False).execution_mode == "interpreted"
-        db = Database()
-        db.use_compiled = False
-        assert db.execution_mode == "interpreted"
-        assert not db.use_compiled
-        db.use_compiled = True
-        assert db.execution_mode == "compiled"
-        assert db.use_compiled
-
-    def test_plan_cache_keys_include_the_mode(self):
+    def test_a_plan_is_cached_once_for_both_modes(self):
         db = build("vectorized")
         sql = "SELECT id FROM t WHERE val > 40"
-        db.execute(sql)
-        db.execute(sql)
-        assert db.plan_cache_hits == 1
-        db.execution_mode = "compiled"
-        db.execute(sql)  # same SQL, different mode: a fresh miss
-        assert db.plan_cache_misses >= 2
-        db.execute(sql)
-        assert db.plan_cache_hits == 2
+        vectorized = db.execute(sql)
+        db.execution_mode = "interpreted"
+        interpreted = db.execute(sql)  # same SQL, same plan: a hit
+        assert (db.plan_cache_misses, db.plan_cache_hits) == (1, 1)
+        assert db.plan_cache_len == 1
+        assert result_surface(interpreted) == result_surface(vectorized)
 
     @pytest.mark.parametrize("mode", EXECUTION_MODES)
     def test_every_mode_runs_dml_and_queries(self, mode):
@@ -306,7 +281,7 @@ class TestLateMaterialisation:
         table = db.table("w")
         table.insert((55, -1.0, 0.5, "1995-02-02") + (0,) * 12)
         table.delete_row(60)
-        table.update_row(61, (61, -2.0, 0.5, "1995-02-03") + (1,) * 12)
+        table.update_rows([(61, (61, -2.0, 0.5, "1995-02-03") + (1,) * 12)])
         db.execute("DELETE FROM w WHERE k > 100")
         assert result_surface(result) == expected
 
