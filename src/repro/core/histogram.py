@@ -34,8 +34,9 @@ def numeric_value(value: object) -> Optional[float]:
 
     Numbers pass through; ISO dates (the engine's DATE representation) map
     to their ordinal day number so date histograms and date query regions
-    work; everything else (free text, NULL) is not histogrammable and
-    yields ``None``.
+    work; everything else (free text, NULL, a date-shaped string that is no
+    calendar day — DATE columns check the pattern only) is not
+    histogrammable and yields ``None``.
     """
     if value is None:
         return None
@@ -44,7 +45,10 @@ def numeric_value(value: object) -> Optional[float]:
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str) and _DATE_RE.match(value):
-        return float(datetime.date.fromisoformat(value).toordinal())
+        try:
+            return float(datetime.date.fromisoformat(value).toordinal())
+        except ValueError:  # '1998-02-30'
+            return None
     return None
 
 
@@ -122,11 +126,15 @@ class Histogram:
         if num_buckets < 1:
             raise BestPeerError(f"need at least one bucket: {num_buckets}")
         columns = [column.lower() for column in columns]
-        points = []
-        for row in rows:
-            converted = tuple(numeric_value(value) for value in row)
-            if all(value is not None for value in converted):
-                points.append(converted)
+        axes = []
+        for vector in zip(*rows):
+            if set(map(type, vector)) <= {str, type(None)}:
+                # Dates repeat: convert each distinct one once.
+                axis = {value: numeric_value(value) for value in dict.fromkeys(vector)}
+                axes.append(map(axis.__getitem__, vector))
+            else:
+                axes.append(map(numeric_value, vector))
+        points = [point for point in zip(*axes) if None not in point]
         if not points:
             zero = tuple(0.0 for _ in columns)
             return cls(columns, [Bucket(zero, zero, 0)])

@@ -30,7 +30,10 @@ from repro.sqlengine.database import Database
 
 @dataclass
 class SnapshotDelta:
-    """The outcome of one differential refresh of one global table."""
+    """The outcome of one load or differential refresh of one global table.
+
+    Read-only: an initial load's ``inserted`` is the snapshot store's own list.
+    """
 
     table: str
     inserted: List[tuple] = field(default_factory=list)
@@ -140,8 +143,10 @@ class DataLoader:
                 f"{global_table!r} already loaded; use refresh()"
             )
         self.database.table(global_table).insert_many(transformed)
-        self._snapshots[global_table] = list(transformed)
-        return SnapshotDelta(global_table, inserted=list(transformed))
+        # One list for the store and the delta; its tuples are, where
+        # coercion changed nothing, the table's own too.
+        self._snapshots[global_table] = transformed
+        return SnapshotDelta(global_table, inserted=transformed)
 
     # ------------------------------------------------------------------
     # Differential refresh
@@ -170,7 +175,7 @@ class DataLoader:
         )
         # Atomic: a delta the table refuses leaves it and the snapshot as is.
         self.database.table(global_table).apply_delta(deleted, inserted)
-        self._snapshots[global_table] = list(transformed)
+        self._snapshots[global_table] = transformed
         return SnapshotDelta(global_table, inserted=inserted, deleted=deleted)
 
     def snapshot_of(self, global_table: str) -> Optional[List[tuple]]:

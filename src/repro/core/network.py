@@ -17,6 +17,7 @@ normal peers into the system a user of the paper's platform would see:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.baton.loadbalance import (
@@ -321,15 +322,14 @@ class BestPeerNetwork:
     ) -> Histogram:
         """Build a global MHIST histogram over all peers' partitions."""
         rows: List[tuple] = []
-        positions = None
         for peer in self.peers.values():
             if not peer.database.has_table(table):
                 continue
-            schema = peer.database.table(table).schema
-            if positions is None:
-                positions = [schema.column_index(column) for column in columns]
-            for row in peer.database.table(table).rows():
-                rows.append(tuple(row[position] for position in positions))
+            owned = peer.database.table(table)
+            pick = itemgetter(*map(owned.schema.column_index, columns))
+            picked = map(pick, owned.rows())
+            # itemgetter of one position yields the bare value: wrap it.
+            rows.extend(picked if len(columns) > 1 else zip(picked))
         histogram = Histogram.build(columns, rows, num_buckets)
         stats = self.statistics.get(table.lower())
         if stats is not None:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaMappingError
+from repro.sqlengine.batch import vectors_from_rows
 from repro.sqlengine.schema import TableSchema
 
 
@@ -99,21 +100,25 @@ class SchemaMapping:
                     mapping.value_map.get(global_column.lower()),
                 )
             )
-        width = len(schema.columns)
-        transformed: List[Tuple[object, ...]] = []
-        for row in rows:
-            if len(row) != len(local_columns):
-                raise SchemaMappingError(
-                    f"row width {len(row)} does not match local columns "
-                    f"{len(local_columns)}"
-                )
-            values: List[object] = [None] * width
-            for local_position, global_position, value_map in positions:
-                value = row[local_position]
-                if value_map is not None and value in value_map:
-                    value = value_map[value]
-                values[global_position] = value
-            transformed.append(tuple(values))
+        # Column at a time.  A row of the wrong width ends the batch where a
+        # row-by-row walk would stop: the rows before it are mapped first.
+        rows = rows if isinstance(rows, list) else list(rows)
+        expected, stop = len(local_columns), len(rows)
+        if set(map(len, rows)) - {expected}:
+            stop = next(i for i, row in enumerate(rows) if len(row) != expected)
+        local = vectors_from_rows(rows[:stop], expected)
+        vectors: List[Sequence[object]] = [[None] * stop] * len(schema.columns)
+        for local_position, global_position, value_map in positions:
+            vector = local[local_position]
+            if value_map is not None:
+                vector = [value_map[v] if v in value_map else v for v in vector]
+            vectors[global_position] = vector
+        if stop < len(rows):
+            raise SchemaMappingError(
+                f"row width {len(rows[stop])} does not match local columns "
+                f"{expected}"
+            )
+        transformed = list(zip(*vectors))
         return mapping.global_table.lower(), transformed
 
 

@@ -169,8 +169,9 @@ class ColumnBatch:
         The rows are kept as the batch's ``rows``; vectors are transposed
         from them only if somebody asks.
         """
+        rows = rows if isinstance(rows, list) else list(rows)
         batch = cls(columns, None, len(rows))
-        batch._rows = rows if isinstance(rows, list) else list(rows)
+        batch._rows = rows
         return batch
 
     def __len__(self) -> int:

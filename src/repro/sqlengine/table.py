@@ -2,7 +2,11 @@
 
 A :class:`Table` stores rows as tuples in insertion order with tombstoned
 deletes, maintains its primary/secondary indexes, and tracks approximate byte
-sizes so the distributed engines can price network transfers.
+sizes so the distributed engines can price network transfers.  Every bulk
+write — the loader's initial load and refresh, a HadoopDB worker load, a
+peer restored from its backup, a multi-row SQL ``INSERT``, a staging spill —
+enters through :meth:`Table.insert_many`, which validates and prices the
+batch column by column; :meth:`Table.insert` is the one-row door.
 
 A :class:`MemTable` is the bounded in-memory buffer the paper's query
 executor uses on the query-submitting peer: "the peer P creates a set of
@@ -13,6 +17,7 @@ data into the local MySQL when the MemTable is full" (Section 5.2).
 from __future__ import annotations
 
 import collections
+import operator
 from typing import (
     Callable,
     Dict,
@@ -25,7 +30,7 @@ from typing import (
     Union,
 )
 
-from repro.errors import SqlCatalogError, SqlExecutionError
+from repro.errors import SqlCatalogError, SqlError, SqlExecutionError
 from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.indexes import OrderedIndex
 from repro.sqlengine.schema import TableSchema
@@ -128,7 +133,7 @@ class Table:
         row_id = len(self._rows)
         # Validate unique indexes before touching any state so a violation
         # leaves the table unchanged.
-        self._check_unique([row])
+        self._check_unique(list(zip(row)))
         self._rows.append(row)
         self._live_count += 1
         self._byte_size += self._row_bytes(row)
@@ -142,73 +147,116 @@ class Table:
         return row_id
 
     def insert_many(
-        self, rows: Union[ColumnBatch, Sequence[Sequence[object]]]
+        self, rows: Union[ColumnBatch, Iterable[Sequence[object]]]
     ) -> List[int]:
         """Bulk-append ``rows`` atomically; returns their row ids.
 
-        One coercion pass, one unique-key validation pass (a violation
-        anywhere in the batch leaves the table unchanged, where per-row
-        insertion would have kept the earlier rows), one mutation-version
-        bump, and one merge per index — instead of per-row work for each.
+        The one bulk-write door: rows arrive as a :class:`ColumnBatch` or are
+        wrapped into one, every column is validated and priced as a whole
+        (:meth:`TableSchema.coerce_columns`, ``vectors_byte_size``), unique
+        keys are proven on the key vectors, then one append, one
+        mutation-version bump and one bulk insert per index.  A batch with a
+        bad row leaves the table unchanged and raises what inserting the rows
+        one by one would have raised first.
 
-        Rows given as a :class:`ColumnBatch` stay columnar: every column is
-        validated and priced as a whole (:meth:`TableSchema.coerce_columns`),
-        the row store is filled by one ``zip``, and a table without live
-        rows takes copies of the vectors as its column mirror, so staged
-        data is never transposed back.
+        Rows that coercion left as they came, given as tuples, are stored as
+        those very tuples (the loader's snapshot store holds them too;
+        tuples are immutable).  Only a caller's :class:`ColumnBatch` may
+        become the column mirror — a table without live rows takes copies of
+        its vectors, so staged data is never transposed back; rows wrapped
+        here leave the mirror to :meth:`column_data`, on first scan.
         """
-        vectors: Optional[List[Sequence[object]]] = None
-        if isinstance(rows, ColumnBatch):
-            vectors = self.schema.coerce_columns(rows.vectors)
-            coerced = list(zip(*vectors))
-            byte_size = self.schema.vectors_byte_size(vectors)
-        else:
-            coerced = [self.schema.coerce_row(row) for row in rows]
-            byte_size = sum(map(self._row_bytes, coerced))
+        return self._append(*self._validated(rows))
+
+    def _validated(
+        self,
+        rows: Union[ColumnBatch, Iterable[Sequence[object]]],
+        leaving: frozenset = frozenset(),
+    ) -> Tuple[List[Sequence[object]], List[Tuple[object, ...]], bool]:
+        """``rows`` proven fit to join the table once rows ``leaving`` left:
+        coerced column vectors, the same as row tuples, and whether the
+        caller's own batch (which may become the mirror) supplied them."""
+        staged = isinstance(rows, ColumnBatch)
+        batch = rows if staged else ColumnBatch.from_rows(self.schema.column_names, rows)
+        try:
+            given = batch.vectors
+            vectors = self.schema.coerce_columns(given)
+            self._check_unique(vectors, leaving)
+        except SqlError:
+            # Row-major, only to raise: the first bad row's own error — a
+            # key taken among the rows before the first that does not coerce
+            # (the ``finally``), else that row's.
+            coerced = []
+            try:
+                for row in batch.rows:
+                    coerced.append(self.schema.coerce_row(row))
+            finally:
+                self._check_unique(list(zip(*coerced)), leaving)
+            raise
+        if (
+            not staged  # a caller's batch keeps no rows worth a pass to share
+            and all(map(operator.is_, vectors, given))
+            and set(map(type, batch.rows)) <= {tuple}
+        ):
+            return vectors, batch.rows, staged
+        return vectors, list(zip(*vectors)), staged
+
+    def _append(
+        self,
+        vectors: List[Sequence[object]],
+        coerced: List[Tuple[object, ...]],
+        staged: bool,
+    ) -> List[int]:
+        """Write validated rows: cannot refuse."""
         if not coerced:
             return []
-        self._check_unique(coerced)
         first_id = len(self._rows)
         row_ids = list(range(first_id, first_id + len(coerced)))
         self._rows.extend(coerced)
         if self._column_store is not None and self._column_store_version == self.version:
-            for column_values, values in zip(
-                self._column_store, vectors if vectors is not None else zip(*coerced)
-            ):
+            for column_values, values in zip(self._column_store, vectors):
                 column_values.extend(values)
             self._column_store_version = self.version + 1
-        elif vectors is not None and not self._live_count:
+        elif staged and not self._live_count:
             # Copies: a batch's vectors may be shared with its producer.
             self._column_store = [list(vector) for vector in vectors]
             self._column_store_version = self.version + 1
         self._live_count += len(coerced)
-        self._byte_size += byte_size
+        self._byte_size += self.schema.vectors_byte_size(vectors)
         self.version += 1
         for index in self.indexes.values():
-            position = self.schema.column_index(index.column)
             index.insert_many(
-                (row[position], row_id) for row, row_id in zip(coerced, row_ids)
+                zip(vectors[self.schema.column_index(index.column)], row_ids)
             )
         return row_ids
 
     def _check_unique(
-        self, coerced: Sequence[tuple], leaving: frozenset = frozenset()
+        self, vectors: Sequence[Sequence[object]], leaving: frozenset = frozenset()
     ) -> None:
-        """Raise unless ``coerced`` may join the table once rows ``leaving`` left."""
-        for index in self.indexes.values():
-            if not index.unique:
-                continue
-            position = self.schema.column_index(index.column)
-            seen = set()
-            for row in coerced:
-                key = row[position]
-                if key is None:
-                    continue
-                if key in seen or not leaving.issuperset(index.lookup(key)):
+        """Raise unless rows with these column vectors may join the table
+        once rows ``leaving`` left.  Distinct keys bound for empty unique
+        indexes are proven whole; otherwise the rows are walked, and the
+        first one whose key is taken names it."""
+        unique = [
+            (index, vectors[self.schema.column_index(index.column)])
+            for index in self.indexes.values()
+            if index.unique and vectors
+        ]
+        if not any(
+            index.distinct_keys() or len(set(keys)) != len(keys)
+            for index, keys in unique
+        ):
+            return
+        seen = [set() for _ in unique]
+        for row_keys in zip(*(keys for _, keys in unique)):
+            for (index, _), key, earlier in zip(unique, row_keys, seen):
+                if key is not None and (
+                    key in earlier or not leaving.issuperset(index.lookup(key))
+                ):
                     raise SqlExecutionError(
                         f"duplicate key {key!r} for unique index {index.name!r}"
                     )
-                seen.add(key)
+                earlier.add(key)
 
     def delete_row(self, row_id: int) -> None:
         self._tombstone(row_id)
@@ -242,15 +290,14 @@ class Table:
         missing = +wanted  # the copies no live row matched
         if missing:
             raise SqlExecutionError(f"no live row to delete: {next(iter(missing))!r}")
-        coerced = [self.schema.coerce_row(row) for row in inserted]
-        self._check_unique(coerced, frozenset(victims))
+        vectors, coerced, staged = self._validated(inserted, frozenset(victims))
         for row_id in victims:
             self._tombstone(row_id)
         if victims:
             self._drop_column_store()
             if not coerced:
                 self.version += 1
-        return self.insert_many(coerced)  # validated above: cannot refuse
+        return self._append(vectors, coerced, staged)
 
     def delete_where(self, predicate: Callable[[Tuple[object, ...]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the count."""
@@ -280,7 +327,7 @@ class Table:
         if not staged:
             return 0
         row_ids, _, news = zip(*staged)
-        self._check_unique(news, frozenset(row_ids))
+        self._check_unique(list(zip(*news)), frozenset(row_ids))
         for index in self.indexes.values():
             position = self.schema.column_index(index.column)
             moved = [

@@ -247,6 +247,42 @@ class TestAdaptiveDecision:
 # ----------------------------------------------------------------------
 # A SQL text is planned once: the compile door and the owners' plan caches
 # ----------------------------------------------------------------------
+class TestDateThatIsNoCalendarDay:
+    """``ColumnType.DATE`` checks the pattern only, so '1998-02-30' is a
+    legal literal and a storable value; the histogram has no ordinal for it."""
+
+    SQL = "SELECT l_orderkey FROM lineitem WHERE l_shipdate > '1998-02-30'"
+
+    @pytest.fixture
+    def two_peers(self):
+        net = BestPeerNetwork(TPCH_SCHEMAS, SECONDARY_INDICES)
+        generator = TpchGenerator(seed=11, scale=0.2)
+        for index in range(2):
+            net.add_peer(f"corp-{index}")
+            net.load_peer(f"corp-{index}", generator.generate_peer(index))
+        net.create_user("bench", "corp-0", net.create_full_access_role())
+        return net
+
+    def test_adaptive_estimates_without_a_region(self, two_peers):
+        two_peers.build_histogram("lineitem", ["l_shipdate"])
+        basic = two_peers.execute(self.SQL, engine="basic").records
+        assert len(basic) > 0
+        # The parent raised a raw "ValueError: day is out of range for month".
+        adaptive = two_peers.execute(self.SQL, engine="adaptive").records
+        assert _sorted(adaptive) == _sorted(basic)
+
+    def test_build_histogram_skips_a_stored_one(self, two_peers):
+        lineitem = two_peers.peers["corp-0"].database.table("lineitem")
+        before = two_peers.build_histogram("lineitem", ["l_shipdate"]).relation_size()
+        row = list(next(lineitem.rows()))
+        row[lineitem.schema.column_index("l_orderkey")] = 10**9
+        row[lineitem.schema.column_index("l_shipdate")] = "1998-02-30"
+        lineitem.insert(row)
+        histogram = two_peers.build_histogram("lineitem", ["l_shipdate"])
+        assert histogram.relation_size() == before
+        assert two_peers.statistics["lineitem"].histogram is histogram
+
+
 def _count_parses(monkeypatch):
     """Count ``parse`` calls through every ``repro`` module binding it."""
     calls = []

@@ -11,6 +11,7 @@ from repro.core.histogram import (
     bucket_idistance_ranges,
     estimate_join_size,
     idistance_key,
+    numeric_value,
 )
 from repro.errors import BestPeerError
 
@@ -56,6 +57,22 @@ class TestBuild:
         rows = [(1.0, 2.0), (None, 3.0), (4.0, None)]
         histogram = Histogram.build(["a", "b"], rows, num_buckets=2)
         assert histogram.relation_size() == 1
+
+    def test_a_date_that_is_no_calendar_day_is_not_histogrammable(self):
+        # DATE columns check the YYYY-MM-DD pattern only, so '1998-02-30'
+        # can be stored; it has no ordinal and is skipped like free text.
+        assert numeric_value("1998-02-30") is None
+        assert numeric_value("1998-02-28") == 729448.0
+        rows = [("1998-02-27",), ("1998-02-30",), ("1998-02-28",), (None,)]
+        histogram = Histogram.build(["d"], rows, num_buckets=2)
+        assert histogram.relation_size() == 2
+        # As a query bound it leaves that side of the region open.
+        assert histogram.region_count(lows={"d": "1998-02-30"}) == 2
+
+    def test_equal_values_of_different_kinds_keep_their_own_conversion(self):
+        # 1 == 1.0 == True, yet a bool is not a point on the axis.
+        rows = [(1,), (1.0,), (True,), (3,)]
+        assert Histogram.build(["a"], rows, num_buckets=1).relation_size() == 3
 
     def test_empty_input(self):
         histogram = Histogram.build(["a"], [], num_buckets=4)

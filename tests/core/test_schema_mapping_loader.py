@@ -7,6 +7,7 @@ import pytest
 from repro.core import BestPeerNetwork
 from repro.core import loader as loader_module
 from repro.core.loader import DataLoader, SnapshotDelta, snapshot_diff
+from repro.core.peer import NormalPeer
 from repro.core.schema_mapping import (
     MappingTemplate,
     SchemaMapping,
@@ -14,7 +15,7 @@ from repro.core.schema_mapping import (
     identity_mapping,
 )
 from repro.errors import SchemaMappingError, SqlExecutionError
-from repro.sqlengine import Column, ColumnType, Database, TableSchema
+from repro.sqlengine import Column, ColumnBatch, ColumnType, Database, TableSchema
 
 
 def global_schemas():
@@ -452,3 +453,96 @@ class TestRefreshTellsTheStatisticsModule:
         with pytest.raises(SqlExecutionError):
             network.refresh_peer("p0", "t", T_LOADED + [(3, "dup")])
         assert self._counts(network) == before
+
+
+# ----------------------------------------------------------------------
+# Loading costs what it validates, and shares what it may
+# ----------------------------------------------------------------------
+class TestLoadGoesThroughTheBulkDoor:
+    @staticmethod
+    def _network(rows):
+        network = BestPeerNetwork({"t": T_SCHEMA})
+        network.add_peer("p0")
+        network.load_peer("p0", {"t": rows}, range_columns={"t": ["id"]})
+        return network
+
+    def test_validation_calls_do_not_grow_with_the_rows(self):
+        counts = []
+        for size in (200, 2000):
+            network = BestPeerNetwork({"t": T_SCHEMA})
+            network.add_peer("p0")
+            rows = _numbered(size)
+            counts.append(
+                _python_calls_into(
+                    ("sqlengine/types.py", "sqlengine/schema.py"),
+                    lambda: network.load_peer("p0", {"t": rows}),
+                )
+            )
+        # The parent made 8 calls per row (coerce_row, a coerce and a
+        # byte_size per value, their generator frames): 1 608 and 16 008.
+        assert counts[0] == counts[1] > 0
+
+    def test_a_loaded_table_has_no_mirror_until_it_is_scanned(self):
+        network = self._network(_numbered(50))
+        table = network.peers["p0"].database.table("t")
+        assert table._column_store is None
+        assert table.column_data() == [list(range(50)), [f"v{i}" for i in range(50)]]
+
+    def test_a_staged_batch_is_still_adopted_as_the_mirror(self):
+        table = Database().create_table(T_SCHEMA)
+        vectors = [[1, 2], ["a", "b"]]
+        table.insert_many(ColumnBatch(T_COLUMNS, vectors, 2))
+        assert table._column_store == vectors
+        assert table._column_store_version == table.version
+        assert all(mine is not given for mine, given in zip(table._column_store, vectors))
+
+    def test_table_and_snapshot_store_share_tuples_safely(self):
+        rows = _numbered(20)
+        network = self._network(list(rows))
+        peer = network.peers["p0"]
+        table = peer.database.table("t")
+        snapshot = peer.loader.snapshot_of("t")
+        assert all(mine is kept for mine, kept in zip(table.rows(), snapshot))
+        backup = peer.make_backup_payload()
+        # Writes behind the loader's back: tombstones and new tuples in the
+        # table, never a write into a shared tuple or the store's list.
+        peer.database.execute("UPDATE t SET v = 'edited' WHERE id < 5")
+        peer.database.execute("DELETE FROM t WHERE id >= 15")
+        assert len(table) == 15
+        assert snapshot == rows
+        assert peer.loader.snapshot_of("t") == rows
+        assert peer.loader.export_snapshots() == {"t": rows}
+        assert backup.tables["t"] == rows
+        assert backup.loader_snapshots == {"t": rows}
+        restored = NormalPeer("p0", peer.instance)
+        restored.set_schema_mapping(peer.loader.mapping)
+        restored.restore_from_payload(backup)
+        assert list(restored.database.table("t").rows()) == rows
+        assert restored.loader.snapshot_of("t") == rows
+
+    def test_a_refresh_replaces_the_store_and_leaves_the_old_one_alone(self):
+        rows = _numbered(20)
+        network = self._network(list(rows))
+        peer = network.peers["p0"]
+        before = peer.loader.snapshot_of("t")
+        delta = network.refresh_peer("p0", "t", _numbered(25, changed=range(3)))
+        assert delta.change_count == 3 + 3 + 5
+        assert before == rows
+        assert peer.loader.snapshot_of("t") == _numbered(25, changed=range(3))
+        assert sorted(peer.database.table("t").rows()) == _numbered(25, changed=range(3))
+        # A refresh's delta lists are its own, not the store's.
+        delta.inserted.clear()
+        assert peer.loader.snapshot_of("t") == _numbered(25, changed=range(3))
+
+    @pytest.mark.parametrize("as_batch", [False, True])
+    def test_second_load_into_a_unique_index_rejects_a_key_already_there(self, as_batch):
+        table = Database().create_table(T_SCHEMA)
+        table.insert_many(_numbered(10))
+        before = _table_state(table)
+        rows = [(10, "new"), (11, "new"), (4, "taken"), (12, "new")]
+        if as_batch:
+            rows = ColumnBatch(T_COLUMNS, [list(v) for v in zip(*rows)], 4)
+        with pytest.raises(SqlExecutionError, match="duplicate key 4 for unique index 'pk_t'"):
+            table.insert_many(rows)
+        assert _table_state(table) == before
+        assert table.insert_many([(10, "new")]) == [10]
