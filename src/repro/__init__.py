@@ -19,8 +19,10 @@ Quickstart::
 
 Package map: :mod:`repro.core` (BestPeer++ itself), :mod:`repro.baton`
 (the overlay), :mod:`repro.sqlengine` (the embedded relational engine),
-:mod:`repro.mapreduce` (mini Hadoop + HDFS), :mod:`repro.hadoopdb` (the
-baseline system), :mod:`repro.tpch` (workloads), :mod:`repro.sim` (the
+:mod:`repro.mapreduce` (mini Hadoop + HDFS), :mod:`repro.plan` (the one
+distributed-plan layer: planner, job driver, root-side merge — what every
+engine and the baseline run), :mod:`repro.hadoopdb` (the baseline system's
+cluster facade), :mod:`repro.tpch` (workloads), :mod:`repro.sim` (the
 simulated cloud substrate), :mod:`repro.bench` (benchmark harness).
 """
 

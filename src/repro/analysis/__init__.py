@@ -63,13 +63,11 @@ Usage::
     python -m repro.analysis graph --format dot src
     python -m repro.analysis effects --who-touches clock src
 
-Deliberate exceptions are either annotated in the source with
-``# repro: allow[RULE] reason`` or grandfathered in the committed
-``analysis-baseline.json`` with a one-line justification.
+A finding is fixed, or annotated where it stands with
+``# repro: allow[RULE] reason``; there is no side file of exceptions.
 """
 
 from repro.analysis.astcache import AstCache
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.engine import (
     AnalysisReport,
     Analyzer,
@@ -103,8 +101,6 @@ __all__ = [
     "AnalysisReport",
     "Analyzer",
     "AstCache",
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "ProjectGraph",
     "ProjectRule",

@@ -9,23 +9,19 @@ Three modes:
   (``python -m repro.analysis effects --who-touches clock``,
   ``... effects --signature repro.sim.events.EventQueue.run``).
 
-Exit codes: 0 clean, 1 findings (or stale baseline entries under
-``--strict-baseline``), 2 usage/internal error — including, under
-``--strict-baseline``, baseline entries whose justification is still the
-``--write-baseline`` placeholder: an unreviewed suppression is a
-configuration error, not a finding.
+Exit codes: 0 clean, 1 findings, 2 usage/internal error.  A finding is
+fixed or suppressed inline (``# repro: allow[RULE] reason``); there is no
+side file of grandfathered findings.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from repro.analysis.astcache import AstCache
-from repro.analysis.baseline import Baseline, DEFAULT_BASELINE_NAME
 from repro.analysis.engine import Analyzer, analyze_source
 from repro.analysis.registry import AnalysisError, all_rules, get_rule
 from repro.analysis.report import to_json, to_text
@@ -54,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="also list suppressed and baselined findings",
+        help="also list suppressed findings",
     )
     parser.add_argument(
         "--select",
@@ -62,47 +58,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file of grandfathered findings "
-            f"(default: ./{DEFAULT_BASELINE_NAME} when present)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "write current findings to the baseline file and exit 0; each "
-            "entry then needs a hand-written justification"
-        ),
-    )
-    parser.add_argument(
-        "--strict-baseline",
-        action="store_true",
-        help=(
-            "fail when the baseline needs attention: exit 1 when entries "
-            "no longer match anything, exit 2 when any entry still "
-            "carries the --write-baseline placeholder justification"
-        ),
-    )
-    parser.add_argument(
         "--ast-cache",
         metavar="DIR",
         help="directory caching parsed ASTs across runs (lint + graph share it)",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help=(
-            "after the run, drop baseline entries that matched nothing "
-            "(fixed code) and rewrite the baseline file"
-        ),
     )
     parser.add_argument(
         "--sarif",
@@ -458,47 +416,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.select:
             rules = _select_rules(args.select)
 
-        baseline_path = args.baseline or DEFAULT_BASELINE_NAME
-        baseline = None
-        if not args.no_baseline and not args.write_baseline:
-            if args.baseline is not None or os.path.exists(baseline_path):
-                baseline = Baseline.load(baseline_path)
-
         paths = args.paths or DEFAULT_PATHS
         report = Analyzer(
-            rules=rules,
-            baseline=baseline,
-            ast_cache=_make_cache(args.ast_cache),
+            rules=rules, ast_cache=_make_cache(args.ast_cache)
         ).run(paths)
-
-        if args.write_baseline:
-            new_baseline = Baseline.from_findings(report.findings)
-            new_baseline.save(baseline_path)
-            print(
-                f"wrote {len(new_baseline)} entr"
-                f"{'y' if len(new_baseline) == 1 else 'ies'} to "
-                f"{baseline_path}; add a justification to each"
-            )
-            return 0
-
-        if args.prune_baseline:
-            if baseline is None:
-                raise AnalysisError(
-                    "--prune-baseline needs a baseline file "
-                    f"(none found at {baseline_path!r})"
-                )
-            stale = baseline.prune()
-            if stale:
-                baseline.save(baseline_path)
-                print(
-                    f"pruned {len(stale)} stale entr"
-                    f"{'y' if len(stale) == 1 else 'ies'} from "
-                    f"{baseline_path}:"
-                )
-                for entry in stale:
-                    print(f"  - {entry.rule} {entry.path}: {entry.match!r}")
-            else:
-                print(f"{baseline_path}: no stale entries")
 
         if args.sarif:
             sarif_rules = rules if rules is not None else all_rules()
@@ -510,33 +431,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(to_json(report, include_clean=args.verbose))
         else:
             print(to_text(report, verbose=args.verbose))
-
-        placeholders = (
-            baseline.placeholder_entries() if baseline is not None else []
-        )
-        if placeholders:
-            print(
-                f"{len(placeholders)} baseline entr"
-                f"{'y' if len(placeholders) == 1 else 'ies'} still "
-                "unjustified (placeholder from --write-baseline):",
-                file=sys.stderr,
-            )
-            for entry in placeholders:
-                print(
-                    f"  - {entry.rule} {entry.path}: {entry.match!r}",
-                    file=sys.stderr,
-                )
-        if args.strict_baseline and placeholders:
-            return 2
-        if not report.ok:
-            return 1
-        if (
-            args.strict_baseline
-            and baseline is not None
-            and baseline.stale_entries()
-        ):
-            return 1
-        return 0
+        return 0 if report.ok else 1
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

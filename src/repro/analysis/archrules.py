@@ -5,11 +5,15 @@ simulated substrate (``sim``) must not know about the platform built on it,
 the SQL engine (``sqlengine``) is a self-contained library, the BATON
 overlay (``baton``) is pure data structure, and this analysis package
 itself must stay stdlib-only so it can judge the rest of the tree from
-outside.  ``core`` is the integration layer and may import everything.
+outside.  The plan layer (``plan``) is what all four executors consume, so
+it may know the SQL engine and the MapReduce framework but neither the
+platform nor the baseline; the HadoopDB baseline (``hadoopdb``) is a leaf
+over it that must not reach into the system it is compared against.
+``core`` is the integration layer and may import everything below it.
 
 The contract below lists, per architectural unit, which *other* units it
 may import at runtime.  A unit's own modules are always allowed, and units
-not listed (``core``, ``hadoopdb``, ``mapreduce``, ...) are unconstrained.
+not listed (``core``, ``serving``, ``bench``, ...) are unconstrained.
 ``if TYPE_CHECKING:`` imports are exempt — typing-only knowledge does not
 couple layers at runtime.
 """
@@ -29,6 +33,9 @@ LAYERING_CONTRACT: Dict[str, FrozenSet[str]] = {
     "sqlengine": frozenset({"errors"}),
     "baton": frozenset({"errors"}),
     "errors": frozenset(),
+    "mapreduce": frozenset({"errors", "sim", "sqlengine"}),
+    "plan": frozenset({"errors", "sqlengine", "mapreduce"}),
+    "hadoopdb": frozenset({"errors", "sim", "sqlengine", "mapreduce", "plan"}),
 }
 
 
@@ -38,7 +45,8 @@ class LayeringRule(ProjectRule):
     severity = Severity.ERROR
     description = (
         "import crosses the declared layering contract "
-        "(sim/sqlengine/baton depend only on errors; analysis is stdlib-only)"
+        "(sim/sqlengine/baton depend only on errors; plan, mapreduce and "
+        "hadoopdb never import core; analysis is stdlib-only)"
     )
     categories = ("src",)
 

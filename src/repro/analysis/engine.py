@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.analysis.astcache import AstCache
-from repro.analysis.baseline import Baseline
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.projectgraph import ProjectGraph
 from repro.analysis.registry import (
@@ -30,7 +29,7 @@ from repro.analysis.registry import (
 from repro.analysis.suppress import SuppressionIndex
 
 #: Pseudo-rule id for files the parser rejects.  Not registered: it cannot
-#: be suppressed or baselined — unparseable code can't be analyzed at all.
+#: be suppressed — unparseable code can't be analyzed at all.
 PARSE_RULE_ID = "PARSE000"
 
 _SKIP_DIR_NAMES = {"__pycache__", ".git", ".hg", ".tox", ".venv", "node_modules"}
@@ -197,7 +196,6 @@ class AnalysisReport:
 
     findings: List[Finding] = field(default_factory=list)
     files_scanned: int = 0
-    baseline: Optional[Baseline] = None
 
     @property
     def reported(self) -> List[Finding]:
@@ -208,25 +206,19 @@ class AnalysisReport:
         return [finding for finding in self.findings if finding.suppressed]
 
     @property
-    def baselined(self) -> List[Finding]:
-        return [finding for finding in self.findings if finding.baselined]
-
-    @property
     def ok(self) -> bool:
         return not self.reported
 
 
 class Analyzer:
-    """Run a rule set over paths, applying suppressions and a baseline."""
+    """Run a rule set over paths, applying inline suppressions."""
 
     def __init__(
         self,
         rules: Optional[Sequence[Rule]] = None,
-        baseline: Optional[Baseline] = None,
         ast_cache: Optional[AstCache] = None,
     ) -> None:
         self.rules = list(rules) if rules is not None else all_rules()
-        self.baseline = baseline
         self.ast_cache = ast_cache
 
     def _parse(self, source: str, filepath: str) -> ast.Module:
@@ -235,7 +227,7 @@ class Analyzer:
         return ast.parse(source, filename=filepath)
 
     def run(self, paths: Sequence[str]) -> AnalysisReport:
-        report = AnalysisReport(baseline=self.baseline)
+        report = AnalysisReport()
         file_rules, project_rules = _split_rules(self.rules)
         contexts: List[FileContext] = []
         suppressions: Dict[str, SuppressionIndex] = {}
@@ -268,10 +260,6 @@ class Analyzer:
                 contexts, project_rules, suppressions, self.ast_cache
             )
         )
-        if self.baseline is not None:
-            for finding in report.findings:
-                if not finding.suppressed:
-                    self.baseline.apply(finding)
         report.findings.sort(key=Finding.sort_key)
         return report
 
@@ -306,10 +294,7 @@ class Analyzer:
 def analyze_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
     ast_cache: Optional[AstCache] = None,
 ) -> AnalysisReport:
     """One-call API: analyze ``paths`` and return the report."""
-    return Analyzer(rules=rules, baseline=baseline, ast_cache=ast_cache).run(
-        paths
-    )
+    return Analyzer(rules=rules, ast_cache=ast_cache).run(paths)

@@ -34,11 +34,10 @@ class Finding:
     line: int
     col: int
     message: str
-    # The stripped source line, used for baseline matching (line numbers
-    # drift; the offending text rarely does).
+    # The stripped source line: the finding's identity across line-number
+    # drift (SARIF fingerprints use it).
     snippet: str = ""
     suppressed: bool = False
-    baselined: bool = False
     justification: Optional[str] = None
     #: For dataflow findings: the source-to-sink hop list, each hop a
     #: ``(path, line, note)`` triple with the source first.
@@ -51,7 +50,7 @@ class Finding:
     @property
     def reported(self) -> bool:
         """Whether this finding should fail the run."""
-        return not (self.suppressed or self.baselined)
+        return not self.suppressed
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.rule)
@@ -66,7 +65,6 @@ class Finding:
             "message": self.message,
             "snippet": self.snippet,
             "suppressed": self.suppressed,
-            "baselined": self.baselined,
         }
         if self.justification is not None:
             payload["justification"] = self.justification
@@ -80,12 +78,7 @@ class Finding:
         return payload
 
     def render(self) -> str:
-        tags = []
-        if self.suppressed:
-            tags.append("suppressed")
-        if self.baselined:
-            tags.append("baselined")
-        suffix = f"  [{', '.join(tags)}]" if tags else ""
+        suffix = "  [suppressed]" if self.suppressed else ""
         text = (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule} {self.severity.value}: {self.message}{suffix}"

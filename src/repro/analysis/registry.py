@@ -121,7 +121,7 @@ class ProjectRule(Rule):
     after the per-file rules.  ``categories`` still applies — it filters
     which files' findings are *emitted*, while the graph itself is always
     built from everything scanned (so e.g. reachability through helper
-    modules is never truncated).  Suppressions and the baseline apply to
+    modules is never truncated).  Inline suppressions apply to
     project findings exactly as to per-file ones.
     """
 

@@ -11,10 +11,10 @@ from repro.analysis.engine import AnalysisReport
 def to_json(report: AnalysisReport, include_clean: bool = False) -> str:
     """Machine-readable output for the CI gate.
 
-    ``findings`` holds only findings that fail the run; the suppressed and
-    baselined ones appear (with their justifications) under ``accepted``
-    when ``include_clean`` is set, so a reviewer can audit every exception
-    from one artifact.
+    ``findings`` holds only findings that fail the run; the suppressed
+    ones appear (with their justifications) under ``accepted`` when
+    ``include_clean`` is set, so a reviewer can audit every exception from
+    one artifact.
     """
     payload: Dict[str, object] = {
         "version": 1,
@@ -23,7 +23,6 @@ def to_json(report: AnalysisReport, include_clean: bool = False) -> str:
             "total": len(report.findings),
             "reported": len(report.reported),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
         },
         "ok": report.ok,
         "findings": [finding.to_dict() for finding in report.reported],
@@ -34,13 +33,6 @@ def to_json(report: AnalysisReport, include_clean: bool = False) -> str:
             for finding in report.findings
             if not finding.reported
         ]
-    if report.baseline is not None:
-        payload["baseline"] = {
-            "entries": len(report.baseline),
-            "stale": [
-                entry.to_dict() for entry in report.baseline.stale_entries()
-            ],
-        }
     return json.dumps(payload, indent=2)
 
 
@@ -55,22 +47,10 @@ def to_text(report: AnalysisReport, verbose: bool = False) -> str:
                 continue
             reason = f" ({finding.justification})" if finding.justification else ""
             lines.append(f"{finding.render()}{reason}")
-    if report.baseline is not None:
-        stale = report.baseline.stale_entries()
-        if stale:
-            lines.append("")
-            lines.append(
-                f"note: {len(stale)} baseline entr"
-                f"{'y is' if len(stale) == 1 else 'ies are'} stale (the "
-                "offending code is gone); prune analysis-baseline.json:"
-            )
-            for entry in stale:
-                lines.append(f"  - {entry.rule} {entry.path}: {entry.match!r}")
     summary = (
         f"{report.files_scanned} files scanned: "
         f"{len(report.reported)} finding(s), "
-        f"{len(report.suppressed)} suppressed, "
-        f"{len(report.baselined)} baselined"
+        f"{len(report.suppressed)} suppressed"
     )
     if lines:
         lines.append("")

@@ -7,7 +7,7 @@ dataflow rules' source-to-sink traces, which map onto SARIF ``codeFlows``
 
 One run object per report: ``tool.driver.rules`` carries every registered
 rule (id, severity, short and full description), each reported finding
-becomes a ``result``, and suppressed/baselined findings are included with
+becomes a ``result``, and suppressed findings are included with
 a ``suppressions`` entry so the artifact is a complete audit of the run,
 matching ``--json --verbose``.
 """
@@ -15,7 +15,7 @@ matching ``--json --verbose``.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from repro.analysis.engine import AnalysisReport
 from repro.analysis.findings import Finding, Severity
@@ -78,8 +78,8 @@ def _result(finding: Finding, rule_index: Dict[str, int]) -> Dict[str, object]:
         result["ruleIndex"] = rule_index[finding.rule]
     if finding.snippet:
         result["partialFingerprints"] = {
-            # Mirrors the baseline's (rule, path, stripped line) identity,
-            # so results stay matched across unrelated line-number drift.
+            # (rule, path, stripped line): results stay matched across
+            # unrelated line-number drift.
             "reproAnalysis/v1": f"{finding.rule}:{finding.path}:{finding.snippet}"
         }
     if finding.trace:
@@ -88,23 +88,13 @@ def _result(finding: Finding, rule_index: Dict[str, int]) -> Dict[str, object]:
         # The effect rules attach the offending function's inferred
         # signature here; code-scanning UIs render it beside the message.
         result["properties"] = dict(finding.properties)
-    suppressions: List[Dict[str, object]] = []
     if finding.suppressed:
-        suppressions.append(
+        result["suppressions"] = [
             {
                 "kind": "inSource",
                 "justification": finding.justification or "",
             }
-        )
-    if finding.baselined:
-        suppressions.append(
-            {
-                "kind": "external",
-                "justification": finding.justification or "",
-            }
-        )
-    if suppressions:
-        result["suppressions"] = suppressions
+        ]
     return result
 
 
@@ -128,7 +118,6 @@ def to_sarif(report: AnalysisReport, rules: Sequence[Rule]) -> str:
             "filesScanned": report.files_scanned,
             "reported": len(report.reported),
             "suppressed": len(report.suppressed),
-            "baselined": len(report.baselined),
         },
     }
     payload = {

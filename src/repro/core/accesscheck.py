@@ -24,7 +24,7 @@ from repro.errors import AccessControlError
 
 if TYPE_CHECKING:
     from repro.core.peer import NormalPeer
-    from repro.hadoopdb.sms import TableLocalPlan
+    from repro.plan.sms import TableLocalPlan
 
 
 def _first_restriction(

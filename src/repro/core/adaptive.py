@@ -20,8 +20,8 @@ the per-engine network ratios from measured runtimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.costmodel import (
     CostEstimate,
@@ -37,11 +37,10 @@ from repro.core.execution import EngineContext, QueryExecution
 from repro.core.histogram import Histogram
 from repro.core.predicates import range_constraint
 from repro.core.processing_graph import ProcessingGraph
-from repro.errors import BestPeerError
-from repro.hadoopdb.sms import DistributedPlan
 from repro.mapreduce.engine import MapReduceConfig
+from repro.plan.sms import DistributedPlan
 from repro.sqlengine.expr import Expr
-from repro.sqlengine.planner import _split_conjuncts
+from repro.sqlengine.planner import split_conjuncts
 
 DEFAULT_SELECTIVITY = 0.5
 
@@ -200,7 +199,7 @@ class AdaptiveEngine:
     def _where_conjuncts(self, plan: DistributedPlan) -> List[Expr]:
         if plan.statement is None or plan.statement.where is None:
             return []
-        return _split_conjuncts(plan.statement.where)
+        return split_conjuncts(plan.statement.where)
 
     def _table_bytes(self, table: str, conjuncts: List[Expr]) -> float:
         """S(T_i), scaled by the histogram selectivity of its predicates."""
@@ -226,5 +225,5 @@ class AdaptiveEngine:
         return max(1, len(peers))
 
     def _partitions(self, plan: DistributedPlan) -> Dict[str, int]:
-        tables = [plan.base.table] + [stage.right.table for stage in plan.joins]
+        tables = [local_plan.table for local_plan in plan.local_plans]
         return {table: self._partition_count(table) for table in tables}

@@ -23,30 +23,29 @@ Optimizations, as in the paper:
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.accesscheck import require_unrestricted_read, unrestricted_read
 from repro.core.bloom import build_filter
-from repro.core.execution import EngineContext, QueryExecution, makespan
+from repro.core.execution import EngineContext, QueryExecution, makespan, prepare_once
 from repro.core.indexer import PeerLookup
 from repro.core.predicates import range_constraint
-from repro.errors import PeerUnavailableError, SqlCatalogError
-from repro.hadoopdb.driver import finalize_records, merge_partial_aggregates
-from repro.hadoopdb.sms import (
+from repro.errors import SqlCatalogError
+from repro.mapreduce.engine import records_byte_size
+from repro.plan.driver import (
+    aggregate_rows,
+    finalize_records,
+    merge_partial_rows,
+)
+from repro.plan.sms import (
     DistributedPlan,
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.sqlengine.compile import compile_key
-from repro.sqlengine.executor import compile_aggregates
-from repro.sqlengine.expr import RowLayout
-from repro.mapreduce.engine import records_byte_size
 from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.database import Database
-from repro.sqlengine.expr import Between, BinaryOp, ColumnRef, Literal
 from repro.sqlengine.parser import SelectStmt, parse
-from repro.sqlengine.planner import _normalize_comparison, _split_conjuncts
+from repro.sqlengine.planner import split_conjuncts
 from repro.sqlengine.schema import Column, TableSchema
 from repro.sqlengine.table import MemTable
 
@@ -61,11 +60,6 @@ def _wire_bytes(shipped: ColumnBatch, local_plan: TableLocalPlan) -> int:
     if local_plan.columns:
         return shipped.byte_size
     return records_byte_size(shipped.rows)
-
-
-def _all_rows(batches: Sequence[ColumnBatch]) -> List[tuple]:
-    """The owners' batches as one list of row tuples, in owner order."""
-    return [row for batch in batches for row in batch.rows]
 
 
 class BasicEngine:
@@ -93,15 +87,14 @@ class BasicEngine:
         all_peers: Set[str] = set()
         for lookup in lookups.values():
             all_peers.update(lookup.peers)
-        self._require_online(all_peers)
+        self.context.require_online(sorted(all_peers))
 
         # The single-peer optimization ships the *original* SQL, so no
         # per-row access rewriting can happen; it only applies when the
         # user's role could not have masked anything (§4.4), otherwise the
         # query falls through to the fetch paths that mask at the owners.
-        local_plans = [plan.base] + [stage.right for stage in plan.joins]
         if len(all_peers) == 1 and unrestricted_read(
-            self.context.peers, local_plans, all_peers, user
+            self.context.peers, plan.local_plans, all_peers, user
         ):
             return self._single_peer(
                 # repro: allow[SIM003] singleton set, the one element is the same in every run
@@ -109,9 +102,7 @@ class BasicEngine:
             )
         if not plan.joins:
             return self._single_table(plan, lookups, index_hops, user, timestamp)
-        return self._fetch_and_process(
-            sql, plan, lookups, index_hops, user, timestamp
-        )
+        return self._fetch_and_process(plan, lookups, index_hops, user, timestamp)
 
     # ------------------------------------------------------------------
     # Single-table queries: push the whole subquery to every owner
@@ -139,74 +130,27 @@ class BasicEngine:
         # when the user's role grants unrestricted reads on every referenced
         # column at every owner; otherwise raw rows are fetched (and masked
         # at the source) and aggregated at the query peer.
-        pushdown_ok = (
+        pushdown = (
             aggregate is not None
             and aggregate.partials is not None
-            and self._pushdown_allowed(plan, lookup, user)
+            and unrestricted_read(context.peers, [plan.base], lookup.peers, user)
         )
-        if pushdown_ok:
-            local_plan = partial_aggregate_plan(plan)
-            group_count = len(aggregate.group_exprs)
-            batches, durations, nbytes = self._fetch_table(
-                local_plan, lookup, user=None, timestamp=timestamp
-            )
-            rows = _all_rows(batches)
-            groups: Dict[tuple, List[tuple]] = {}
-            order: List[tuple] = []
-            for row in rows:
-                key = tuple(row[:group_count])
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                    order.append(key)
-                bucket.append(tuple(row[group_count:]))
-            if not groups and group_count == 0:
-                # Scalar aggregate over zero owners' rows still yields a row.
-                empty = tuple(
-                    None for p in aggregate.partials for _ in p.partial_sqls
-                )
-                groups[()] = [empty]
-                order.append(())
-            records = [
-                key + merge_partial_aggregates(aggregate.partials, groups[key])
-                for key in order
-            ]
-            columns = aggregate.group_names + [
-                call.to_sql().lower() for call in aggregate.aggregates
-            ]
+        batches, durations, nbytes = self._fetch_table(
+            partial_aggregate_plan(plan) if pushdown else plan.base,
+            lookup,
+            None if pushdown else user,
+            timestamp,
+        )
+        # The owners' batches as one list of row tuples, in owner order.
+        records = [row for batch in batches for row in batch.rows]
+        if pushdown:
+            records, columns = merge_partial_rows(aggregate, records)
         elif aggregate is not None:
             # Non-decomposable aggregates (COUNT DISTINCT) or restricted
-            # users: fetch raw rows (access-rewritten at the owners) and
-            # aggregate at the query peer.
-            batches, durations, nbytes = self._fetch_table(
-                plan.base, lookup, user, timestamp
-            )
-            rows = _all_rows(batches)
-            layout = RowLayout(plan.base.columns)
-            group_key = compile_key(aggregate.group_exprs, layout)
-            groups = {}
-            order = []
-            for row in rows:
-                key = group_key(row)
-                bucket = groups.get(key)
-                if bucket is None:
-                    groups[key] = bucket = []
-                    order.append(key)
-                bucket.append(row)
-            if not groups and not aggregate.group_exprs:
-                groups[()] = []
-                order.append(())
-            compute = compile_aggregates(aggregate.aggregates, layout)
-            records = [key + compute(groups[key]) for key in order]
-            columns = aggregate.group_names + [
-                call.to_sql().lower() for call in aggregate.aggregates
-            ]
+            # users: the raw rows are aggregated here.
+            records, columns = aggregate_rows(aggregate, records, plan.base.columns)
         else:
             # Pure selection (Q1): merge the owners' partial results.
-            batches, durations, nbytes = self._fetch_table(
-                plan.base, lookup, user, timestamp
-            )
-            records = _all_rows(batches)
             columns = list(plan.base.columns)
 
         merge_seconds = context.compute_model.rows_seconds(
@@ -245,12 +189,7 @@ class BasicEngine:
         context = self.context
         # execute() already proved the pushdown safe; re-prove it here so
         # the bypass and its access check cannot drift apart.
-        require_unrestricted_read(
-            context.peers,
-            [plan.base] + [stage.right for stage in plan.joins],
-            [peer_id],
-            user,
-        )
+        require_unrestricted_read(context.peers, plan.local_plans, [peer_id], user)
 
         def run_remote():
             owner = context.peer(peer_id)
@@ -283,7 +222,6 @@ class BasicEngine:
     # ------------------------------------------------------------------
     def _fetch_and_process(
         self,
-        sql: str,
         plan: DistributedPlan,
         lookups: Dict[str, PeerLookup],
         index_hops: int,
@@ -294,48 +232,22 @@ class BasicEngine:
 
         # Optional bloom join on the first equi-join: the base side is
         # fetched first, its keys build the filter for the joined side.
+        first_stage = plan.joins[0]
         bloom_filter = None
-        bloom_target_binding = None
-        bloom_joins = 0
-        local_plans = [plan.base] + [stage.right for stage in plan.joins]
+        local_plans = plan.local_plans
         fetched: Dict[str, List[ColumnBatch]] = {}
         fetch_durations: List[float] = []
         bytes_transferred = 0
         peers_contacted: Set[str] = set()
 
-        if context.config.bloom_join_enabled and plan.joins:
-            first_stage = plan.joins[0]
-            base_batches, base_durations, base_bytes = self._fetch_table(
-                plan.base, lookups[plan.base.binding], user, timestamp
-            )
-            fetched[plan.base.binding] = base_batches
-            fetch_durations.extend(base_durations)
-            bytes_transferred += base_bytes
-            peers_contacted.update(lookups[plan.base.binding].peers)
-
-            key_position = plan.base.columns.index(first_stage.left_key)
-            keys: Set[object] = set()
-            for batch in base_batches:
-                keys.update(batch.vectors[key_position])
-            keys.discard(None)
-            if keys:
-                bloom_filter = build_filter(
-                    keys,
-                    bits_per_key=context.config.bloom_filter_bits_per_key,
-                    num_hashes=context.config.bloom_filter_hashes,
-                )
-                bloom_target_binding = first_stage.right.binding
-                bloom_joins = 1
-
         for local_plan in local_plans:
-            if local_plan.binding in fetched:
-                continue
-            if local_plan.binding == bloom_target_binding:
-                stage = plan.joins[0]
-                key_position = local_plan.columns.index(stage.right_key)
+            lookup = lookups[local_plan.binding]
+            select = None
+            if bloom_filter is not None and local_plan is first_stage.right:
+                right_position = local_plan.columns.index(first_stage.right_key)
                 # Shipping the filter to every owner costs its size once per
                 # owner peer.
-                for peer_id in lookups[local_plan.binding].peers:
+                for peer_id in lookup.peers:
 
                     def ship_filter(peer_id: str = peer_id):
                         return context.network.transfer(
@@ -349,34 +261,40 @@ class BasicEngine:
                         context.call_resilient(peer_id, ship_filter)
                     )
 
-                def probably_matching(batch: ColumnBatch) -> ColumnBatch:
-                    # Join keys repeat: probe the filter once per distinct key.
-                    keys = batch.vectors[key_position]
+                def select(batch: ColumnBatch) -> ColumnBatch:
+                    # Ship only (probably-)matching tuples.  Join keys
+                    # repeat: probe the filter once per distinct key.
+                    keys = batch.vectors[right_position]
                     passing = {key for key in set(keys) if key in bloom_filter}
                     return batch.take(
                         [i for i, key in enumerate(keys) if key in passing]
                     )
 
-                batches, durations, nbytes = self._fetch_table(
-                    local_plan,
-                    lookups[local_plan.binding],
-                    user,
-                    timestamp,
-                    select=probably_matching,
-                )
-            else:
-                batches, durations, nbytes = self._fetch_table(
-                    local_plan, lookups[local_plan.binding], user, timestamp
-                )
+            batches, durations, nbytes = self._fetch_table(
+                local_plan, lookup, user, timestamp, select
+            )
             fetched[local_plan.binding] = batches
             fetch_durations.extend(durations)
             bytes_transferred += nbytes
-            peers_contacted.update(lookups[local_plan.binding].peers)
+            peers_contacted.update(lookup.peers)
+
+            if local_plan is plan.base and context.config.bloom_join_enabled:
+                left_position = plan.base.columns.index(first_stage.left_key)
+                keys: Set[object] = set()
+                for batch in batches:
+                    keys.update(batch.vectors[left_position])
+                keys.discard(None)
+                if keys:
+                    bloom_filter = build_filter(
+                        keys,
+                        bits_per_key=context.config.bloom_filter_bits_per_key,
+                        num_hashes=context.config.bloom_filter_hashes,
+                    )
 
         fetch_seconds = makespan(fetch_durations, context.config.fetch_threads)
 
         # Processing phase: stage into MemTables, bulk insert, run locally.
-        staging_db, spills, staging_rows = self._stage(plan, local_plans, fetched)
+        staging_db, spills, staging_rows = self._stage(local_plans, fetched)
         staging_seconds = context.compute_model.rows_seconds(
             staging_rows, context.query_peer.compute_units
         )
@@ -406,7 +324,7 @@ class BasicEngine:
             bytes_transferred=bytes_transferred,
             peers_contacted=len(peers_contacted),
             index_hops=index_hops,
-            bloom_joins=bloom_joins,
+            bloom_joins=int(bloom_filter is not None),
             memtable_spills=spills,
             dollar_cost=context.config.pricing.basic_cost(
                 bytes_transferred, latency
@@ -416,17 +334,6 @@ class BasicEngine:
                 "staging_s": staging_seconds,
                 "processing_s": processing_seconds,
             },
-        )
-
-    def _pushdown_allowed(
-        self,
-        plan: DistributedPlan,
-        lookup: PeerLookup,
-        user: Optional[str],
-    ) -> bool:
-        """Whole-query pushdown is safe only if no masking can apply."""
-        return unrestricted_read(
-            self.context.peers, [plan.base], lookup.peers, user
         )
 
     # ------------------------------------------------------------------
@@ -449,24 +356,19 @@ class BasicEngine:
         batches: List[ColumnBatch] = []
         durations: List[float] = []
         total_bytes = 0
-        # The same subquery goes to every owner: prepare (parse+plan) it at
-        # the first owner that hosts the table and ship the plan to the rest
-        # — all peers share the global schema by construction (§4.1).
-        prepared_holder: List[object] = []
+        # May raise SqlCatalogError exactly like executing the SQL would,
+        # preserving broadcast skip semantics.
+        prepared_at = prepare_once(local_plan.sql)
         for peer_id in lookup.peers:
 
             def fetch_one(peer_id: str = peer_id):
                 # Resolve the owner inside the attempt: a fail-over rebinds
                 # the peer to a fresh instance between retries.
                 owner = context.peer(peer_id)
-                if not prepared_holder:
-                    # May raise SqlCatalogError exactly like executing the
-                    # SQL would, preserving broadcast skip semantics.
-                    prepared_holder.append(owner.prepare_fetch(local_plan.sql))
                 execution = owner.execute_fetch(
                     local_plan.table, local_plan.sql, user=user,
                     query_timestamp=timestamp,
-                    prepared=prepared_holder[0],
+                    prepared=prepared_at(owner),
                 )
                 shipped = execution.result.batch
                 if select is not None:
@@ -494,7 +396,6 @@ class BasicEngine:
 
     def _stage(
         self,
-        plan: DistributedPlan,
         local_plans: Sequence[TableLocalPlan],
         fetched: Dict[str, List[ColumnBatch]],
     ) -> Tuple[Database, int, int]:
@@ -536,7 +437,7 @@ class BasicEngine:
         self, stmt: SelectStmt, plan: DistributedPlan
     ) -> Dict[str, PeerLookup]:
         """One indexer lookup per table binding, range-constrained if possible."""
-        conjuncts = _split_conjuncts(stmt.where)
+        conjuncts = split_conjuncts(stmt.where)
         lookups: Dict[str, PeerLookup] = {}
         # Under a partial indexing policy, unindexed tables degrade to a
         # broadcast over the whole membership (just-in-time retrieval).
@@ -546,38 +447,13 @@ class BasicEngine:
             if policy is not None and policy.is_partial
             else None
         )
-        for local_plan in [plan.base] + [stage.right for stage in plan.joins]:
-            constraint = self._range_constraint(local_plan, conjuncts)
-            if constraint is None:
-                lookups[local_plan.binding] = self.context.indexer.locate(
-                    local_plan.table, fallback_peers=fallback
-                )
-            else:
-                column, low, high = constraint
-                lookups[local_plan.binding] = self.context.indexer.locate(
-                    local_plan.table, column, low, high,
-                    fallback_peers=fallback,
-                )
+        for local_plan in plan.local_plans:
+            # The first ``col <op> literal`` constraint over this table:
+            # ``(column, low, high)``, or nothing to constrain the lookup by.
+            constraint = range_constraint(
+                self.context.schemas[local_plan.table], conjuncts
+            )
+            lookups[local_plan.binding] = self.context.indexer.locate(
+                local_plan.table, *(constraint or ()), fallback_peers=fallback
+            )
         return lookups
-
-    def _range_constraint(
-        self, local_plan: TableLocalPlan, conjuncts
-    ) -> Optional[Tuple[str, object, object]]:
-        """The first ``col <op> literal`` constraint over this table."""
-        return range_constraint(self.context.schemas[local_plan.table], conjuncts)
-
-    # ------------------------------------------------------------------
-    # Availability (strong consistency, §3.2)
-    # ------------------------------------------------------------------
-    def _require_online(self, peer_ids: Set[str]) -> None:
-        """Recover crashed data owners before fanning the query out.
-
-        With a resilience context installed the recovery happens here, at
-        sub-query granularity; without one the historical behaviour stands:
-        raise and let the facade block on fail-over, then retry the query.
-        """
-        for peer_id in sorted(peer_ids):
-            peer = self.context.peers.get(peer_id)
-            if peer is None or not peer.online:
-                if not self.context.ensure_peer_available(peer_id):
-                    raise PeerUnavailableError(peer_id)

@@ -5,21 +5,21 @@ engine for BestPeer++ ... the mappers read data directly from the BestPeer++
 instances and the output of reducers are written back to HDFS" — the job
 shapes are the same as HadoopDB's (symmetric hash joins, one shuffle per
 level), so the engine reuses the shared
-:class:`~repro.hadoopdb.driver.DistributedPlanDriver`; only the input side
+:class:`~repro.plan.driver.DistributedPlanDriver`; only the input side
 differs: splits run pushed-down SQL on the *normal peers'* local databases
 through BestPeer++'s messaging substrate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.accesscheck import require_unrestricted_read
 from repro.core.execution import EngineContext, QueryExecution
 from repro.errors import PeerUnavailableError
-from repro.hadoopdb.driver import DistributedPlanDriver, LocalResult
 from repro.mapreduce.engine import MapReduceConfig, MapReduceEngine
 from repro.mapreduce.hdfs import Hdfs
+from repro.plan.driver import DistributedPlanDriver, LocalResult
 
 
 class BestPeerMapReduceEngine:
@@ -44,19 +44,20 @@ class BestPeerMapReduceEngine:
         _, plan = context.planner.compile_text(sql)
 
         # The engine runs over every peer holding any involved table.
-        index_hops = 0
-        involved: List[str] = []
-        local_plans = [plan.base] + [stage.right for stage in plan.joins]
-        for local_plan in local_plans:
-            lookup = context.indexer.locate(local_plan.table)
-            index_hops += lookup.hops
-            for peer_id in lookup.peers:
-                if peer_id not in involved:
-                    involved.append(peer_id)
+        local_plans = plan.local_plans
+        lookups = [context.indexer.locate(p.table) for p in local_plans]
+        index_hops = sum(lookup.hops for lookup in lookups)
+        involved: List[str] = list(
+            dict.fromkeys(peer for lookup in lookups for peer in lookup.peers)
+        )
         if not involved:
             return QueryExecution(
                 columns=[], records=[], latency_s=0.0, strategy="mapreduce"
             )
+        # Raise, never recover here (unlike ``context.require_online``): map
+        # tasks read through ``execute_local``, outside the retry layer, and
+        # MapReduce recovers by re-running the job — the facade blocks on
+        # the fail-over and resubmits the whole query.
         for peer_id in involved:
             peer = context.peers.get(peer_id)
             if peer is None or not peer.online:

@@ -14,18 +14,13 @@ trade-off the cost model (Eq. 8) prices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
-from repro.core.execution import EngineContext, QueryExecution
+from repro.core.execution import EngineContext, QueryExecution, prepare_once
 from repro.core.indexer import PeerLookup
-from repro.errors import BestPeerError, PeerUnavailableError
-from repro.hadoopdb.driver import finalize_records
-from repro.hadoopdb.sms import DistributedPlan
 from repro.mapreduce.engine import records_byte_size
+from repro.plan.driver import aggregate_rows, finalize_records, lower_join_stage
 from repro.sim.clock import parallel_duration
-from repro.sqlengine.compile import compile_key, compile_predicate
-from repro.sqlengine.executor import compile_aggregates
-from repro.sqlengine.expr import RowLayout
 
 
 @dataclass
@@ -61,35 +56,31 @@ class ParallelP2PEngine:
 
         lookups: Dict[str, PeerLookup] = {}
         index_hops = 0
-        for local_plan in [plan.base] + [stage.right for stage in plan.joins]:
+        for local_plan in plan.local_plans:
             lookup = context.indexer.locate(local_plan.table)
             lookups[local_plan.binding] = lookup
             index_hops += lookup.hops
-            self._require_online(lookup.peers)
+            context.require_online(lookup.peers)
 
         bytes_transferred = 0
         peers_contacted: Set[str] = set()
         level_seconds: List[float] = []
 
         # Level L: scan the base table at its owners; parts stay local.
-        # The base subquery is identical at every owner: prepare it once at
-        # the first owner and ship the plan to the rest (shared schema, §4.1).
         stream: List[_StreamPart] = []
         scan_durations = []
-        base_prepared: List[object] = []
+        base_prepared_at = prepare_once(plan.base.sql)
         for peer_id in lookups[plan.base.binding].peers:
 
             def scan_one(peer_id: str = peer_id):
                 owner = context.peer(peer_id)
-                if not base_prepared:
-                    base_prepared.append(owner.prepare_fetch(plan.base.sql))
                 # The scanned parts *stay on the owner* (that is the point
                 # of the replicated-join strategy); the per-part broadcast
                 # in join_at_owner prices every byte when parts do move.
                 execution = owner.execute_fetch(  # repro: allow[ISO002] parts stay local; the join-level broadcast prices shipping
                     plan.base.table, plan.base.sql, user=user,
                     query_timestamp=timestamp,
-                    prepared=base_prepared[0],
+                    prepared=base_prepared_at(owner),
                 )
                 return list(execution.result.rows), execution.seconds
 
@@ -103,33 +94,21 @@ class ParallelP2PEngine:
         # One level per join: broadcast the stream to the owners of the new
         # table, join locally in parallel.
         for stage in plan.joins:
+            left_position, right_position, out_columns, residual = (
+                lower_join_stage(stage, columns)
+            )
             owners = lookups[stage.right.binding].peers
             if not owners:
-                stream = []
-                columns = columns + stage.right.columns
+                stream, columns = [], out_columns
                 continue
             stream_rows = [row for part in stream for row in part.rows]
             stream_bytes = sum(part.nbytes for part in stream)
-
-            left_layout = RowLayout(columns)
-            left_position = left_layout.resolve(stage.left_key)
-            right_layout = RowLayout(stage.right.columns)
-            right_position = right_layout.resolve(stage.right_key)
-            out_columns = columns + stage.right.columns
-            out_layout = RowLayout(out_columns)
-            # The residual predicate runs per joined row at every owner:
-            # compile it once per stage instead of tree-walking per row.
-            residual = (
-                None
-                if stage.residual is None
-                else compile_predicate(stage.residual, out_layout)
-            )
 
             join_durations = []
             new_stream: List[_StreamPart] = []
             # As with the base scan: one prepare for the stage's subquery,
             # shared by every owner of the joined table.
-            stage_prepared: List[object] = []
+            stage_prepared_at = prepare_once(stage.right.sql)
             for peer_id in owners:
                 peers_contacted.add(peer_id)
 
@@ -138,7 +117,7 @@ class ParallelP2PEngine:
                     stream: List[_StreamPart] = stream,
                     stage=stage,
                     residual=residual,
-                    stage_prepared: List[object] = stage_prepared,
+                    stage_prepared_at=stage_prepared_at,
                 ):
                     owner = context.peer(peer_id)
                     # Replicate the full intermediate result to this owner:
@@ -151,14 +130,10 @@ class ParallelP2PEngine:
                             part.nbytes,
                         )
 
-                    if not stage_prepared:
-                        stage_prepared.append(
-                            owner.prepare_fetch(stage.right.sql)
-                        )
                     execution = owner.execute_fetch(
                         stage.right.table, stage.right.sql, user=user,
                         query_timestamp=timestamp,
-                        prepared=stage_prepared[0],
+                        prepared=stage_prepared_at(owner),
                     )
                     local_rows = execution.result.rows
 
@@ -213,7 +188,7 @@ class ParallelP2PEngine:
 
         # Group-by level + every unassigned operator run at the root.
         if plan.aggregate is not None:
-            final_rows, columns = self._aggregate(plan, final_rows, columns)
+            final_rows, columns = aggregate_rows(plan.aggregate, final_rows, columns)
         root_seconds = context.compute_model.rows_seconds(
             len(final_rows), context.query_peer.compute_units
         )
@@ -240,38 +215,3 @@ class ParallelP2PEngine:
                 for i, seconds in enumerate(level_seconds)
             },
         )
-
-    # ------------------------------------------------------------------
-    # Aggregation at the root
-    # ------------------------------------------------------------------
-    def _aggregate(
-        self, plan: DistributedPlan, rows: List[tuple], columns: List[str]
-    ) -> Tuple[List[tuple], List[str]]:
-        aggregate = plan.aggregate
-        layout = RowLayout(columns)
-        group_key = compile_key(aggregate.group_exprs, layout)
-        groups: Dict[tuple, List[tuple]] = {}
-        order: List[tuple] = []
-        for row in rows:
-            key = group_key(row)
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = bucket = []
-                order.append(key)
-            bucket.append(row)
-        if not groups and not aggregate.group_exprs:
-            groups[()] = []
-            order.append(())
-        compute = compile_aggregates(aggregate.aggregates, layout)
-        out_rows = [key + compute(groups[key]) for key in order]
-        out_columns = aggregate.group_names + [
-            call.to_sql().lower() for call in aggregate.aggregates
-        ]
-        return out_rows, out_columns
-
-    def _require_online(self, peer_ids: Sequence[str]) -> None:
-        for peer_id in peer_ids:
-            peer = self.context.peers.get(peer_id)
-            if peer is None or not peer.online:
-                if not self.context.ensure_peer_available(peer_id):
-                    raise PeerUnavailableError(peer_id)

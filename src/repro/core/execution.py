@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.config import BestPeerConfig
 from repro.core.indexer import DataIndexer
 from repro.core.peer import NormalPeer
 from repro.core.resilience import ResilienceContext
-from repro.errors import BestPeerError
-from repro.hadoopdb.sms import SmsPlanner
+from repro.errors import BestPeerError, PeerUnavailableError
+from repro.plan.sms import SmsPlanner
 from repro.sim.compute import ComputeModel
 from repro.sim.network import SimNetwork
 from repro.sqlengine.schema import TableSchema
@@ -51,11 +51,22 @@ class EngineContext:
             return fn()
         return self.resilience.call(peer_id, fn)
 
-    def ensure_peer_available(self, peer_id: str) -> bool:
-        """Recover a crashed peer before fanning a query out to it."""
-        if self.resilience is None:
-            return False
-        return self.resilience.ensure_available(peer_id)
+    def require_online(self, peer_ids: Iterable[str]) -> None:
+        """Recover crashed data owners before fanning the query out (§3.2).
+
+        With a resilience context installed the recovery happens here, at
+        sub-query granularity; without one the historical behaviour stands:
+        raise and let the facade block on fail-over, then retry the query.
+        Peers are taken in the caller's order — recoveries advance the
+        simulated clock, so each engine keeps its own.
+        """
+        for peer_id in peer_ids:
+            peer = self.peers.get(peer_id)
+            if peer is None or not peer.online:
+                if self.resilience is None or not (
+                    self.resilience.ensure_available(peer_id)
+                ):
+                    raise PeerUnavailableError(peer_id)
 
 
 @dataclass
@@ -91,6 +102,24 @@ class QueryExecution:
                 f"scalar() needs a 1x1 result, got {len(self.records)} rows"
             )
         return self.records[0][0]
+
+
+def prepare_once(sql: str) -> Callable[[NormalPeer], object]:
+    """``owner -> prepared plan`` for a subquery that goes to every owner.
+
+    Prepared (parse + plan) at the first owner asked and shipped to the
+    rest — all peers share the global schema by construction (§4.1).  The
+    first call raises whatever preparing ``sql`` there raises, and a later
+    owner then prepares it afresh.
+    """
+    prepared: List[object] = []
+
+    def prepared_at(owner: NormalPeer) -> object:
+        if not prepared:
+            prepared.append(owner.prepare_fetch(sql))
+        return prepared[0]
+
+    return prepared_at
 
 
 def makespan(durations: List[float], workers: int) -> float:

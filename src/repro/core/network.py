@@ -16,7 +16,6 @@ normal peers into the system a user of the paper's platform would see:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
@@ -65,8 +64,8 @@ from repro.errors import (
     ReplicaUnavailableError,
     TransientNetworkError,
 )
-from repro.hadoopdb.sms import SmsPlanner
 from repro.mapreduce.engine import MapReduceConfig
+from repro.plan.sms import SmsPlanner
 from repro.sim.clock import SimClock
 from repro.sim.cloud import CloudProvider
 from repro.sim.compute import ComputeModel, DEFAULT_COMPUTE_MODEL

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterator, List, Optional
 
 from repro.core.accesscheck import require_unrestricted_read
 from repro.errors import BestPeerError
+from repro.plan.sms import partial_aggregate_plan
 
 # Two-sided z-values for the confidence levels users typically request.
 _Z_VALUES = {0.90: 1.645, 0.95: 1.960, 0.99: 2.576}
@@ -127,8 +128,6 @@ def online_aggregate(
     Only single-table scalar SUM queries qualify (the online-aggregation
     sweet spot); anything else raises.
     """
-    from repro.hadoopdb.sms import partial_aggregate_plan
-
     _, plan = network.planner.compile_text(sql)
     if plan.joins or plan.aggregate is None or plan.aggregate.group_exprs:
         raise BestPeerError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from repro.sqlengine.expr import Between, BinaryOp, ColumnRef, Expr, Literal
-from repro.sqlengine.planner import _normalize_comparison
+from repro.sqlengine.planner import normalize_comparison
 from repro.sqlengine.schema import TableSchema
 
 
@@ -35,7 +35,7 @@ def range_constraint(
                     return column, conjunct.low.value, conjunct.high.value
         if not isinstance(conjunct, BinaryOp):
             continue
-        column, literal, op = _normalize_comparison(conjunct)
+        column, literal, op = normalize_comparison(conjunct)
         if column is None or not schema.has_column(column):
             continue
         if op == "=":

@@ -12,11 +12,11 @@ storage level:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from repro.errors import BestPeerError
-from repro.hadoopdb.sms import DistributedPlan
+from repro.plan.sms import DistributedPlan
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.hadoopdb.driver import DistributedPlanDriver, DriverResult, LocalResult
-from repro.hadoopdb.sms import SmsPlanner
 from repro.mapreduce.engine import MapReduceConfig, MapReduceEngine
 from repro.mapreduce.hdfs import Hdfs
+from repro.plan.driver import DistributedPlanDriver, LocalResult
+from repro.plan.sms import SmsPlanner
 from repro.sim.compute import DEFAULT_COMPUTE_MODEL, ComputeModel
-from repro.sim.network import NetworkConfig, SimNetwork
+from repro.sim.network import SimNetwork
 from repro.sqlengine.database import Database
 from repro.sqlengine.schema import TableSchema
 
@@ -71,6 +71,9 @@ class HadoopDbCluster:
         }
         self._schemas: Dict[str, TableSchema] = {}
         self._planner = SmsPlanner(self._schemas)
+        self._driver = DistributedPlanDriver(
+            self.engine, self.workers, self._local_execute
+        )
         self._query_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -104,11 +107,7 @@ class HadoopDbCluster:
     def execute(self, sql: str) -> HadoopDbResult:
         """Compile with the SMS planner and run the MapReduce job chain."""
         _, plan = self._planner.compile_text(sql)
-        driver = DistributedPlanDriver(
-            self.engine, self.workers, self._local_execute
-        )
-        query_id = f"q{next(self._query_counter)}"
-        result = driver.run(plan, query_id)
+        result = self._driver.run(plan, f"q{next(self._query_counter)}")
         return HadoopDbResult(
             columns=result.columns,
             records=result.records,

@@ -1,9 +1,13 @@
-"""Executes a :class:`~repro.hadoopdb.sms.DistributedPlan` as MapReduce jobs.
+"""Executes a :class:`~repro.plan.sms.DistributedPlan` as MapReduce jobs.
 
 This driver is shared between HadoopDB and BestPeer++'s own MapReduce engine
 (§5.4) — the job shapes are identical; only where the input splits come from
 differs (PostgreSQL workers vs. BestPeer++ instances), which is abstracted
 behind the ``local_execute`` callback.
+
+The steps every executor runs at its coordinating node live here too:
+:func:`aggregate_rows`, :func:`merge_partial_rows` / :func:`partial_merger`
+and :func:`finalize_records`.
 """
 
 from __future__ import annotations
@@ -13,21 +17,22 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
-from repro.hadoopdb.sms import (
+from repro.mapreduce.engine import MapReduceEngine
+from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
+from repro.plan.sms import (
     AggregateStage,
     DistributedPlan,
     JoinStage,
+    PartialAggregate,
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
 from repro.sqlengine.compile import (
     compile_evaluator,
     compile_key,
     compile_predicate,
 )
-from repro.sqlengine.executor import _sort_key, compile_aggregates
+from repro.sqlengine.executor import compile_aggregates, sort_key
 from repro.sqlengine.expr import ColumnRef, RowLayout
 
 
@@ -74,35 +79,43 @@ class DistributedPlanDriver:
     # Entry point
     # ------------------------------------------------------------------
     def run(self, plan: DistributedPlan, query_id: str) -> DriverResult:
-        jobs: List[JobResult] = []
+        aggregate = plan.aggregate
+        columns = list(plan.columns_after_joins)
+        jobs, join_path = self._run_join_chain(plan, query_id)
 
-        if not plan.joins and plan.aggregate is None:
-            # Q1 shape: one map-only job pushing the full selection down.
-            result = self.engine.run_job(
-                MapReduceJob(
-                    name=f"{query_id}-select",
-                    splits=self._table_splits(plan.base),
-                    map_fn=lambda row: [(None, row)],
+        if aggregate is None:
+            if not plan.joins:
+                # Q1 shape: one map-only job pushing the full selection down.
+                jobs.append(
+                    self.engine.run_job(
+                        MapReduceJob(
+                            name=f"{query_id}-select",
+                            splits=self._table_splits(plan.base),
+                            map_fn=lambda row: [(None, row)],
+                        )
+                    )
                 )
+        elif plan.joins or aggregate.partials is None:
+            # The aggregation job reads the last join's HDFS output; without
+            # joins, non-decomposable aggregates shuffle raw rows (rare path).
+            splits = (
+                self._hdfs_splits(join_path)
+                if plan.joins
+                else self._table_splits(plan.base)
             )
-            jobs.append(result)
-            columns = list(plan.columns_after_joins)
-            records = result.records
-        elif not plan.joins and plan.aggregate is not None:
-            result, columns = self._run_single_table_aggregate(plan, query_id)
-            jobs.append(result)
-            records = result.records
+            jobs.append(self._run_aggregate_job(aggregate, splits, columns, query_id))
         else:
-            records, columns, join_jobs = self._run_join_chain(plan, query_id)
-            jobs.extend(join_jobs)
-            if plan.aggregate is not None:
-                agg_result, columns = self._run_aggregate_job(
-                    plan, query_id, len(jobs)
-                )
-                jobs.append(agg_result)
-                records = agg_result.records
+            jobs.append(self._run_partial_aggregate_job(plan, query_id))
 
-        records, columns = self._finalize(plan, records, columns)
+        records = jobs[-1].records
+        if aggregate is not None:
+            if not records:
+                # No map output, so no reducer ran — but a scalar aggregate
+                # over nothing is still one row.  The coordinator applies the
+                # shared rule: no job, no bytes, no simulated time.
+                records, _ = aggregate_rows(aggregate, records, columns)
+            columns = aggregate.output_columns
+        records, columns = finalize_records(plan, records, columns)
         return DriverResult(columns=columns, records=records, jobs=jobs)
 
     # ------------------------------------------------------------------
@@ -111,66 +124,52 @@ class DistributedPlanDriver:
     def _table_splits(
         self, local_plan: TableLocalPlan, tag: Optional[str] = None
     ) -> List[InputSplit]:
-        splits = []
-        for host in self.workers:
-            def fetch(host=host, sql=local_plan.sql, tag=tag):
-                local = self.local_execute(host, sql)
-                records = local.records
-                if tag is not None:
-                    records = [(tag, row) for row in records]
-                return SplitData(records=records, local_seconds=local.seconds)
+        def read(host, index):
+            local = self.local_execute(host, local_plan.sql)
+            return local.records, local.seconds
 
-            splits.append(
-                InputSplit(host=host, fetch=fetch, label=local_plan.table)
-            )
-        return splits
+        return self._splits(local_plan.table, read, tag)
 
     def _hdfs_splits(self, path: str, tag: Optional[str] = None) -> List[InputSplit]:
         """Each worker reads its share of the previous stage's HDFS output."""
         worker_count = len(self.workers)
+
+        def read(host, index):
+            records, seconds = self.engine.hdfs.read(path, host)
+            return records[index::worker_count], seconds / worker_count
+
+        return self._splits(path, read, tag)
+
+    def _splits(self, label: str, read, tag: Optional[str]) -> List[InputSplit]:
+        """One split per worker; ``read(host, index) -> (records, seconds)``."""
         splits = []
         for index, host in enumerate(self.workers):
-            def fetch(host=host, index=index, tag=tag):
-                records, seconds = self.engine.hdfs.read(path, host)
-                share = records[index::worker_count]
+            def fetch(host=host, index=index):
+                records, seconds = read(host, index)
                 if tag is not None:
-                    share = [(tag, row) for row in share]
-                return SplitData(
-                    records=share, local_seconds=seconds / worker_count
-                )
+                    records = [(tag, row) for row in records]
+                return SplitData(records=records, local_seconds=seconds)
 
-            splits.append(InputSplit(host=host, fetch=fetch, label=path))
+            splits.append(InputSplit(host=host, fetch=fetch, label=label))
         return splits
 
     # ------------------------------------------------------------------
     # Join chain (Q3/Q4/Q5 shapes)
     # ------------------------------------------------------------------
     def _run_join_chain(self, plan: DistributedPlan, query_id: str):
+        """One shuffle-join job per stage; returns (jobs, last HDFS path)."""
         columns = list(plan.base.columns)
         jobs: List[JobResult] = []
         previous_path: Optional[str] = None
         for stage_index, stage in enumerate(plan.joins):
-            left_layout = RowLayout(columns)
-            left_position = left_layout.resolve(stage.left_key)
-            right_layout = RowLayout(stage.right.columns)
-            right_position = right_layout.resolve(stage.right_key)
-
+            lp, rp, out_columns, residual = lower_join_stage(stage, columns)
             if previous_path is None:
                 left_splits = self._table_splits(plan.base, tag="L")
             else:
                 left_splits = self._hdfs_splits(previous_path, tag="L")
             right_splits = self._table_splits(stage.right, tag="R")
 
-            out_columns = columns + stage.right.columns
-            # The residual runs per joined row in every reducer: lower it
-            # once per stage instead of tree-walking per row.
-            residual = (
-                None
-                if stage.residual is None
-                else compile_predicate(stage.residual, RowLayout(out_columns))
-            )
-
-            def map_fn(tagged, lp=left_position, rp=right_position):
+            def map_fn(tagged, lp=lp, rp=rp):
                 tag, row = tagged
                 key = row[lp] if tag == "L" else row[rp]
                 if key is None:
@@ -200,20 +199,23 @@ class DistributedPlanDriver:
             jobs.append(result)
             previous_path = output_path
             columns = out_columns
-        self._last_join_path = previous_path
-        return jobs[-1].records, columns, jobs
+        return jobs, previous_path
 
     # ------------------------------------------------------------------
     # Aggregation jobs
     # ------------------------------------------------------------------
     def _run_aggregate_job(
-        self, plan: DistributedPlan, query_id: str, stage_index: int
-    ):
-        aggregate = plan.aggregate
-        layout = RowLayout(plan.columns_after_joins)
-        aggregates = aggregate.aggregates
+        self, aggregate: AggregateStage, splits, columns, query_id: str
+    ) -> JobResult:
+        """Shuffle rows by group key; each reducer aggregates its groups.
+
+        One job for both callers: after a join chain the splits read the
+        last stage's HDFS output, for a non-decomposable single-table
+        aggregate they read the workers' tables.
+        """
+        layout = RowLayout(columns)
         group_key = compile_key(aggregate.group_exprs, layout)
-        compute = compile_aggregates(aggregates, layout)
+        compute = compile_aggregates(aggregate.aggregates, layout)
 
         def map_fn(row):
             return [(group_key(row), row)]
@@ -221,74 +223,32 @@ class DistributedPlanDriver:
         def reduce_fn(key, rows):
             return [tuple(key) + compute(rows)]
 
-        result = self.engine.run_job(
+        return self.engine.run_job(
             MapReduceJob(
                 name=f"{query_id}-aggregate",
-                splits=self._hdfs_splits(self._last_join_path),
+                splits=splits,
                 map_fn=map_fn,
                 reduce_fn=reduce_fn,
                 num_reducers=len(self.workers),
             )
         )
-        columns = aggregate.group_names + [
-            call.to_sql().lower() for call in aggregates
-        ]
-        return result, columns
 
-    def _run_single_table_aggregate(self, plan: DistributedPlan, query_id: str):
-        aggregate = plan.aggregate
-        group_count = len(aggregate.group_exprs)
-        columns = aggregate.group_names + [
-            call.to_sql().lower() for call in aggregate.aggregates
-        ]
-
-        if aggregate.partials is None:
-            # Non-decomposable aggregates: shuffle raw rows (rare path).
-            layout = RowLayout(plan.base.columns)
-            group_key = compile_key(aggregate.group_exprs, layout)
-            compute = compile_aggregates(aggregate.aggregates, layout)
-
-            def raw_map(row):
-                return [(group_key(row), row)]
-
-            def raw_reduce(key, rows):
-                return [tuple(key) + compute(rows)]
-
-            result = self.engine.run_job(
-                MapReduceJob(
-                    name=f"{query_id}-aggregate",
-                    splits=self._table_splits(plan.base),
-                    map_fn=raw_map,
-                    reduce_fn=raw_reduce,
-                    num_reducers=len(self.workers),
-                )
-            )
-            return result, columns
-
-        # The Q2 path: maps compute partial aggregates via local SQL; the
-        # reduce round merges them.
-        partial_plan = self._partial_aggregate_plan(plan)
-        partials = aggregate.partials
-        merge_ops: List[str] = []
-        for partial in partials:
-            merge_ops.extend(partial.merge_ops)
+    def _run_partial_aggregate_job(self, plan: DistributedPlan, query_id: str):
+        """The Q2 path: maps compute partial aggregates via local SQL; the
+        reduce round merges them."""
+        group_count = len(plan.aggregate.group_exprs)
+        merge = partial_merger(plan.aggregate.partials)
 
         def partial_map(row):
             return [(tuple(row[:group_count]), tuple(row[group_count:]))]
 
         def partial_reduce(key, partial_rows):
-            merged = list(partial_rows[0])
-            for partial_row in partial_rows[1:]:
-                for position, op in enumerate(merge_ops):
-                    merged[position] = _merge_value(
-                        op, merged[position], partial_row[position]
-                    )
-            return [tuple(key) + _finalize_partials(partials, merged)]
+            return [tuple(key) + merge(partial_rows)]
 
-        result = self.engine.run_job(
+        return self.engine.run_job(
             MapReduceJob(
                 name=f"{query_id}-partial-aggregate",
-                splits=self._table_splits(partial_plan),
+                splits=self._table_splits(partial_aggregate_plan(plan)),
                 map_fn=partial_map,
                 reduce_fn=partial_reduce,
                 # A scalar aggregate has a single group; more reducers would
@@ -296,17 +256,103 @@ class DistributedPlanDriver:
                 num_reducers=1 if group_count == 0 else len(self.workers),
             )
         )
-        return result, columns
 
-    def _partial_aggregate_plan(self, plan: DistributedPlan) -> TableLocalPlan:
-        """Rewrite the base local SQL to compute partial aggregates."""
-        return partial_aggregate_plan(plan)
 
-    # ------------------------------------------------------------------
-    # Driver-side finishing: HAVING, projection, DISTINCT, ORDER, LIMIT
-    # ------------------------------------------------------------------
-    def _finalize(self, plan: DistributedPlan, records, columns):
-        return finalize_records(plan, records, columns)
+# ----------------------------------------------------------------------
+# Steps with one definition each, run by every executor
+# ----------------------------------------------------------------------
+def lower_join_stage(stage: JoinStage, columns: List[str]):
+    """Resolve one join stage against the accumulated stream's ``columns``.
+
+    Returns ``(left key position, right key position, joined columns,
+    residual)``.  The residual runs per joined row in every reducer or
+    owner: it is lowered once per stage instead of tree-walking per row
+    (``None`` when the stage has none).
+    """
+    out_columns = columns + stage.right.columns
+    residual = (
+        None
+        if stage.residual is None
+        else compile_predicate(stage.residual, RowLayout(out_columns))
+    )
+    return (
+        RowLayout(columns).resolve(stage.left_key),
+        RowLayout(stage.right.columns).resolve(stage.right_key),
+        out_columns,
+        residual,
+    )
+
+
+def _first_seen_groups(aggregate, keys, members, empty_group):
+    """``key -> [members]`` in first-seen key order.
+
+    A scalar aggregate (no GROUP BY) over nothing still has its one group,
+    holding ``empty_group`` — SQL answers one row, COUNT = 0 and NULL for
+    the rest; a grouped aggregate over nothing has no group.
+    """
+    groups: Dict[tuple, List[tuple]] = {}
+    for key, member in zip(keys, members):
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = bucket = []
+        bucket.append(member)
+    if not groups and not aggregate.group_exprs:
+        groups[()] = empty_group
+    return groups
+
+
+def aggregate_rows(
+    aggregate: AggregateStage, rows: Sequence[tuple], columns: Sequence[str]
+) -> Tuple[List[tuple], List[str]]:
+    """Group ``rows`` (laid out as ``columns``), aggregate each group; returns
+    ``(records, column names)`` for :func:`finalize_records`.
+
+    The basic engine's raw-row arm, the parallel engine's root, and this
+    driver when no map output reached a reducer.
+    """
+    layout = RowLayout(columns)
+    group_key = compile_key(aggregate.group_exprs, layout)
+    compute = compile_aggregates(aggregate.aggregates, layout)
+    groups = _first_seen_groups(aggregate, map(group_key, rows), rows, [])
+    records = [key + compute(members) for key, members in groups.items()]
+    return records, aggregate.output_columns
+
+
+def merge_partial_rows(
+    aggregate: AggregateStage, rows: Sequence[tuple]
+) -> Tuple[List[tuple], List[str]]:
+    """Merge the owners' partial-aggregate rows (group keys first) and
+    finalize them: §6.1.7's "final aggregation" at the query peer."""
+    count = len(aggregate.group_exprs)
+    merge = partial_merger(aggregate.partials)
+    width = sum(len(partial.partial_sqls) for partial in aggregate.partials)
+    groups = _first_seen_groups(
+        aggregate,
+        (tuple(row[:count]) for row in rows),
+        (tuple(row[count:]) for row in rows),
+        [(None,) * width],
+    )
+    records = [key + merge(members) for key, members in groups.items()]
+    return records, aggregate.output_columns
+
+
+def partial_merger(partials: Sequence[PartialAggregate]):
+    """``one group's partial rows -> its finalized aggregate values``.
+
+    The rows hold only the partial values (group keys stripped).  Built once
+    per job or query; HadoopDB's reducers and BestPeer++'s basic engine run
+    the same merger.
+    """
+    merge_ops = [op for partial in partials for op in partial.merge_ops]
+
+    def merge(partial_rows: Sequence[tuple]) -> Tuple[object, ...]:
+        merged = list(partial_rows[0])
+        for row in partial_rows[1:]:
+            for position, op in enumerate(merge_ops):
+                merged[position] = _merge_value(op, merged[position], row[position])
+        return _finalize_partials(partials, merged)
+
+    return merge
 
 
 def finalize_records(plan: DistributedPlan, records, columns):
@@ -351,7 +397,7 @@ def finalize_records(plan: DistributedPlan, records, columns):
                 # Not in the projection: the key reads the merged records
                 # (the local planner's sort-below-project case).
                 keys = list(map(_row_getter(item.expr, layout), records))
-            sortable = list(map(_sort_key, keys))
+            sortable = list(map(sort_key, keys))
             order.sort(key=sortable.__getitem__, reverse=not item.ascending)
         projected = [projected[i] for i in order]
 
@@ -369,23 +415,6 @@ def _row_getter(expr, layout: RowLayout):
     if isinstance(expr, ColumnRef) and layout.has(expr.name):
         return itemgetter(layout.resolve(expr.name))
     return compile_evaluator(expr, layout)
-
-
-def merge_partial_aggregates(partials, partial_rows: Sequence[tuple]) -> Tuple[object, ...]:
-    """Merge map-side partial aggregate rows and finalize them.
-
-    ``partial_rows`` hold only the partial values (group keys stripped);
-    returns the finalized aggregate values.  Shared by HadoopDB's reducers
-    and BestPeer++'s basic engine (§6.1.7's "final aggregation").
-    """
-    merge_ops: List[str] = []
-    for partial in partials:
-        merge_ops.extend(partial.merge_ops)
-    merged = list(partial_rows[0])
-    for row in partial_rows[1:]:
-        for position, op in enumerate(merge_ops):
-            merged[position] = _merge_value(op, merged[position], row[position])
-    return _finalize_partials(partials, merged)
 
 
 def _merge_value(op: str, left: object, right: object) -> object:

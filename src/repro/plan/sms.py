@@ -22,7 +22,7 @@ driver (the paper's SMS does the same — those run in the final serial step).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SqlCatalogError, SqlExecutionError
@@ -35,7 +35,7 @@ from repro.sqlengine.expr import (
     find_aggregates,
 )
 from repro.sqlengine.parser import SelectItem, SelectStmt, parse
-from repro.sqlengine.planner import _combine_conjuncts, _split_conjuncts
+from repro.sqlengine.planner import combine_conjuncts, split_conjuncts
 from repro.sqlengine.schema import TableSchema
 
 
@@ -83,6 +83,13 @@ class AggregateStage:
     # Filled only on the single-table pushdown path.
     partials: Optional[List[PartialAggregate]] = None
 
+    @property
+    def output_columns(self) -> List[str]:
+        """Names of the aggregated stream: group columns, then each call."""
+        return self.group_names + [
+            call.to_sql().lower() for call in self.aggregates
+        ]
+
 
 @dataclass
 class DistributedPlan:
@@ -104,6 +111,11 @@ class DistributedPlan:
     # partitions using exactly this residual predicate.
     statement: Optional[SelectStmt] = None
     residual_where: Optional[Expr] = None
+
+    @property
+    def local_plans(self) -> List[TableLocalPlan]:
+        """Every table binding's local plan, in join (FROM) order."""
+        return [self.base] + [stage.right for stage in self.joins]
 
     @property
     def num_jobs(self) -> int:
@@ -155,14 +167,14 @@ class SmsPlanner:
             raise SqlExecutionError("the SMS planner only compiles SELECT")
 
         bindings = self._resolve_bindings(stmt)
-        where_conjuncts = _split_conjuncts(stmt.where)
+        where_conjuncts = split_conjuncts(stmt.where)
         conjuncts = list(where_conjuncts)
         for join in stmt.joins:
             if join.kind != "inner":
                 raise SqlExecutionError(
                     "the SMS planner supports inner joins only"
                 )
-            conjuncts.extend(_split_conjuncts(join.condition))
+            conjuncts.extend(split_conjuncts(join.condition))
 
         local_predicates: Dict[str, List[Expr]] = {b: [] for b in bindings}
         multi: List[Expr] = []
@@ -188,14 +200,18 @@ class SmsPlanner:
         if len(order) == 1 and aggregates:
             partials = _decompose_aggregates(aggregates)
 
-        base = self._local_plan(
-            order[0],
-            bindings[order[0]],
-            local_predicates[order[0]],
-            needed[order[0]],
-            # On the pushdown path the local SQL computes partial aggregates
-            # itself, built by the driver from the AggregateStage.
-        )
+        # On the pushdown path the local SQL computes partial aggregates
+        # itself: ``partial_aggregate_plan`` rewrites the base plan.
+        local_plans = {
+            binding: self._local_plan(
+                binding,
+                bindings[binding],
+                local_predicates[binding],
+                needed[binding],
+            )
+            for binding in order
+        }
+        base = local_plans[order[0]]
 
         joins: List[JoinStage] = []
         in_tree: Set[str] = {order[0]}
@@ -203,12 +219,7 @@ class SmsPlanner:
         accumulated = list(base.columns)
         for binding in order[1:]:
             in_tree.add(binding)
-            right = self._local_plan(
-                binding,
-                bindings[binding],
-                local_predicates[binding],
-                needed[binding],
-            )
+            right = local_plans[binding]
             equi, residuals = self._pick_join_condition(
                 multi, used, in_tree, binding, bindings
             )
@@ -223,7 +234,7 @@ class SmsPlanner:
                     left_key=left_key,
                     right=right,
                     right_key=right_key,
-                    residual=_combine_conjuncts(residuals),
+                    residual=combine_conjuncts(residuals),
                 )
             )
             accumulated.extend(right.columns)
@@ -237,14 +248,12 @@ class SmsPlanner:
 
         aggregate_stage = None
         if stmt.group_by or aggregates:
-            group_names = []
-            for expr in stmt.group_by:
-                if isinstance(expr, ColumnRef):
-                    group_names.append(
-                        self._qualify(expr.name, bindings)
-                    )
-                else:
-                    group_names.append(expr.to_sql().lower())
+            group_names = [
+                self._qualify(expr.name, bindings)
+                if isinstance(expr, ColumnRef)
+                else expr.to_sql().lower()
+                for expr in stmt.group_by
+            ]
             aggregate_stage = AggregateStage(
                 group_exprs=tuple(stmt.group_by),
                 group_names=group_names,
@@ -265,7 +274,7 @@ class SmsPlanner:
             distinct=stmt.distinct,
             columns_after_joins=accumulated,
             statement=stmt,
-            residual_where=_combine_conjuncts(residual_where),
+            residual_where=combine_conjuncts(residual_where),
         )
 
     # ------------------------------------------------------------------
@@ -278,7 +287,7 @@ class SmsPlanner:
         predicates: List[Expr],
         columns: List[str],
     ) -> TableLocalPlan:
-        where = _combine_conjuncts(predicates)
+        where = combine_conjuncts(predicates)
         bare = [name.rsplit(".", 1)[-1] for name in columns]
         select_list = ", ".join(f"{binding}.{column}" for column in bare)
         sql = f"SELECT {select_list} FROM {table} {binding}"
@@ -350,15 +359,10 @@ class SmsPlanner:
             if bare not in needed[owner]:
                 needed[owner].append(bare)
 
-        star_all = any(item.is_star and item.star_qualifier is None
-                       for item in stmt.items)
-        star_bindings = {
-            item.star_qualifier
-            for item in stmt.items
-            if item.is_star and item.star_qualifier is not None
-        }
+        # ``*`` (qualifier None) keeps every binding's columns, ``t.*`` t's.
+        stars = {item.star_qualifier for item in stmt.items if item.is_star}
         for binding, table in bindings.items():
-            if star_all or binding in star_bindings:
+            if None in stars or binding in stars:
                 needed[binding] = list(self._schemas[table].column_names)
 
         sources: List[Expr] = [
@@ -411,13 +415,12 @@ class SmsPlanner:
             touched = self._bindings_of(conjunct, bindings)
             if not touched <= in_tree or new_binding not in touched:
                 continue
+            used.append(conjunct)
             pair = self._as_equi_pair(conjunct, new_binding, bindings)
             if pair is not None and equi is None:
                 equi = pair
-                used.append(conjunct)
             else:
                 residuals.append(conjunct)
-                used.append(conjunct)
         return equi, residuals
 
     def _as_equi_pair(
@@ -469,7 +472,8 @@ def partial_aggregate_plan(plan: DistributedPlan) -> TableLocalPlan:
     aggregate = plan.aggregate
     if aggregate is None or aggregate.partials is None:
         raise SqlExecutionError("plan has no decomposable aggregates")
-    select_parts = [expr.to_sql() for expr in aggregate.group_exprs]
+    group_sqls = [expr.to_sql() for expr in aggregate.group_exprs]
+    select_parts = list(group_sqls)
     for partial in aggregate.partials:
         select_parts.extend(partial.partial_sqls)
     sql = (
@@ -479,10 +483,8 @@ def partial_aggregate_plan(plan: DistributedPlan) -> TableLocalPlan:
     where_index = plan.base.sql.upper().find(" WHERE ")
     if where_index >= 0:
         sql += plan.base.sql[where_index:]
-    if aggregate.group_exprs:
-        sql += " GROUP BY " + ", ".join(
-            expr.to_sql() for expr in aggregate.group_exprs
-        )
+    if group_sqls:
+        sql += " GROUP BY " + ", ".join(group_sqls)
     return TableLocalPlan(
         binding=plan.base.binding,
         table=plan.base.table,
@@ -502,28 +504,12 @@ def _decompose_aggregates(
     """
     partials: List[PartialAggregate] = []
     for call in aggregates:
-        if call.distinct:
+        # ``f(*)`` counts rows whatever ``f`` is, as in the local executor.
+        name = "count" if call.star else call.name.lower()
+        if call.distinct or name not in ("count", "sum", "min", "max", "avg"):
             return None
-        name = call.name.lower()
-        if call.star:
-            partials.append(
-                PartialAggregate(call, ["COUNT(*)"], ["sum"], "identity")
-            )
-            continue
-        arg_sql = call.args[0].to_sql()
-        if name in ("sum", "count"):
-            partials.append(
-                PartialAggregate(
-                    call, [f"{name.upper()}({arg_sql})"], ["sum"], "identity"
-                )
-            )
-        elif name in ("min", "max"):
-            partials.append(
-                PartialAggregate(
-                    call, [f"{name.upper()}({arg_sql})"], [name], "identity"
-                )
-            )
-        elif name == "avg":
+        arg_sql = "*" if call.star else call.args[0].to_sql()
+        if name == "avg":
             partials.append(
                 PartialAggregate(
                     call,
@@ -532,6 +518,12 @@ def _decompose_aggregates(
                     "div",
                 )
             )
-        else:  # pragma: no cover - parser limits aggregate names
-            return None
+        else:
+            # Partial counts and sums add up; partial minima and maxima fold.
+            merge_op = name if name in ("min", "max") else "sum"
+            partials.append(
+                PartialAggregate(
+                    call, [f"{name.upper()}({arg_sql})"], [merge_op], "identity"
+                )
+            )
     return partials

@@ -3,9 +3,9 @@
 Not a ``Database`` execution mode (queries run vectorized, or interpreted
 as the oracle): these closures serve the code that inherently visits one
 row or one group at a time — the distributed engines' keys, residuals and
-reducers (``hadoopdb.driver``, ``engine_basic``, ``engine_parallel``,
-``executor.compile_aggregates``), ``Database``'s UPDATE/DELETE, and the
-vectorized executor's group-by fallback.
+reducers (all through ``plan.driver`` and ``executor.compile_aggregates``),
+``Database``'s UPDATE/DELETE, and the vectorized executor's group-by
+fallback.
 
 An expression is compiled **once** against a fixed layout into a nest of
 plain Python closures: column references become tuple indexing with

@@ -14,7 +14,7 @@ time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
@@ -29,7 +29,6 @@ from repro.sqlengine.expr import (
     FuncCall,
     RowLayout,
 )
-from repro.sqlengine.parser import OrderItem, SelectItem
 from repro.sqlengine.planner import (
     DistinctNode,
     FilterNode,
@@ -259,7 +258,7 @@ class Executor:
         items = node.order_items
         evaluators = [interpreted_evaluator(item.expr, layout) for item in items]
         decorated = [
-            (tuple(_sort_key(evaluate(row)) for evaluate in evaluators), row)
+            (tuple(sort_key(evaluate(row)) for evaluate in evaluators), row)
             for row in rows
         ]
         for index in range(len(items) - 1, -1, -1):
@@ -385,7 +384,8 @@ class _MinType:
 _NULL_SORTS_FIRST = _MinType()
 
 
-def _sort_key(value: object):
+def sort_key(value: object):
+    """``value`` as an ORDER BY key: NULL sorts before every value."""
     return _NULL_SORTS_FIRST if value is None else value
 
 

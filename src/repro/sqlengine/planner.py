@@ -36,7 +36,6 @@ from repro.sqlengine.parser import (
     OrderItem,
     SelectItem,
     SelectStmt,
-    TableRef,
 )
 from repro.sqlengine.types import ColumnType
 
@@ -150,7 +149,7 @@ class Planner:
 
     def plan(self, stmt: SelectStmt) -> object:
         bindings = self._resolve_bindings(stmt)
-        conjuncts = _split_conjuncts(stmt.where)
+        conjuncts = split_conjuncts(stmt.where)
 
         # Partition WHERE conjuncts by which bindings they reference.
         scan_predicates: Dict[str, List[Expr]] = {name: [] for name in bindings}
@@ -265,7 +264,7 @@ class Planner:
                 # TRUE set: only the other conjuncts are left to check.
                 predicates = [p for p in predicates if p is not predicate]
                 break
-        residual = _combine_conjuncts(predicates)
+        residual = combine_conjuncts(predicates)
         return ScanNode(
             table=table_name,
             binding=binding,
@@ -293,7 +292,7 @@ class Planner:
             return None
         if not isinstance(predicate, BinaryOp) or predicate.op not in _COMPARISONS:
             return None
-        column, literal, op = _normalize_comparison(predicate)
+        column, literal, op = normalize_comparison(predicate)
         if column is None or not _index_comparable(table, column, literal):
             return None
         if op == "=":
@@ -336,7 +335,7 @@ class Planner:
             in_tree.add(binding)
             ready = applicable_conjuncts()
             used.extend(ready)
-            condition = _combine_conjuncts(ready)
+            condition = combine_conjuncts(ready)
             plan = self._make_join(plan, scans[binding], condition, "inner", bindings)
 
         # Explicit JOIN ... ON clauses, in statement order.
@@ -363,7 +362,7 @@ class Planner:
         right_binding = right.binding if isinstance(right, ScanNode) else None
         equi_keys: List[Tuple[str, str]] = []
         residual: List[Expr] = []
-        for conjunct in _split_conjuncts(condition):
+        for conjunct in split_conjuncts(condition):
             pair = self._extract_equi_pair(conjunct, right_binding, bindings)
             if pair is not None:
                 equi_keys.append(pair)
@@ -372,7 +371,7 @@ class Planner:
         node = JoinNode(
             left=left,
             right=right,
-            condition=_combine_conjuncts(residual),
+            condition=combine_conjuncts(residual),
             kind=kind,
             equi_keys=tuple(equi_keys),
         )
@@ -440,15 +439,17 @@ class Planner:
 # ----------------------------------------------------------------------
 # Helpers
 # ----------------------------------------------------------------------
-def _split_conjuncts(expr: Optional[Expr]) -> List[Expr]:
+def split_conjuncts(expr: Optional[Expr]) -> List[Expr]:
+    """The AND-ed conjuncts of ``expr``, left to right (none for ``None``)."""
     if expr is None:
         return []
     if isinstance(expr, BinaryOp) and expr.op == "and":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
     return [expr]
 
 
-def _combine_conjuncts(conjuncts: Sequence[Expr]) -> Optional[Expr]:
+def combine_conjuncts(conjuncts: Sequence[Expr]) -> Optional[Expr]:
+    """``conjuncts`` AND-ed back into one expression (``None`` for none)."""
     if not conjuncts:
         return None
     combined = conjuncts[0]
@@ -571,7 +572,7 @@ def _index_comparable(table: object, column: str, *bounds: object) -> bool:
     return all(isinstance(bound, kind) for bound in bounds)
 
 
-def _normalize_comparison(predicate: BinaryOp):
+def normalize_comparison(predicate: BinaryOp):
     """Return (column, literal, op) with the column on the left, else Nones."""
     flipped = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
     if isinstance(predicate.left, ColumnRef) and isinstance(

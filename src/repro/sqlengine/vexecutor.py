@@ -45,7 +45,7 @@ from repro.sqlengine.batch import (
 from repro.sqlengine.compile import compile_evaluator
 from repro.sqlengine.executor import (
     ExecStats,
-    _sort_key,
+    sort_key,
     group_output_layout,
     group_rows_reference,
     index_rows,
@@ -606,7 +606,7 @@ class VectorizedExecutor:
         # ordering for mixed ASC/DESC; sorting an index vector by a
         # precomputed key vector replaces per-row key tuples.
         for index in range(len(items) - 1, -1, -1):
-            sortable = [_sort_key(value) for value in key_vectors[index]]
+            sortable = [sort_key(value) for value in key_vectors[index]]
             order.sort(
                 key=sortable.__getitem__, reverse=not items[index].ascending
             )

@@ -1,5 +1,11 @@
 """ARCH001: the layering contract over the module import graph."""
 
+import pytest
+
+
+def _path(module):
+    return "src/" + module.replace(".", "/") + ".py"
+
 
 class TestPositive:
     def test_sim_importing_core_fires(self, project):
@@ -37,8 +43,54 @@ class TestPositive:
         # analysis must stay stdlib-only: even ``errors`` is off limits.
         assert len(findings) == 1
 
+    @pytest.mark.parametrize(
+        "importer, imported",
+        [
+            ("repro.plan.driver", "repro.core.peer"),
+            ("repro.plan.sms", "repro.hadoopdb.system"),
+            ("repro.hadoopdb.system", "repro.core.network"),
+            ("repro.mapreduce.engine", "repro.core.peer"),
+        ],
+    )
+    def test_the_plan_layer_border_fires(self, project, importer, imported):
+        """The executors share ``repro.plan``; it, the MapReduce framework
+        and the HadoopDB leaf never reach up into the platform, and the plan
+        layer never into the baseline."""
+        findings = project(
+            "ARCH001",
+            {
+                _path(importer): f"import {imported}\n",
+                _path(imported): "X = 1\n",
+            },
+        )
+        assert [finding.path for finding in findings] == [_path(importer)]
+        assert imported in findings[0].message
+
 
 class TestNegative:
+    def test_the_baseline_is_a_leaf_over_the_plan_layer(self, project):
+        assert not project(
+            "ARCH001",
+            {
+                "src/repro/hadoopdb/system.py": (
+                    "from repro.plan.driver import Driver\n"
+                    "from repro.mapreduce.engine import Engine\n"
+                    "from repro.sim.network import Net\n"
+                ),
+                "src/repro/plan/driver.py": (
+                    "from repro.mapreduce.engine import Engine\n"
+                    "from repro.sqlengine.expr import Expr\n"
+                    "class Driver:\n    pass\n"
+                ),
+                "src/repro/mapreduce/engine.py": (
+                    "from repro.sim.network import Net\n"
+                    "class Engine:\n    pass\n"
+                ),
+                "src/repro/sim/network.py": "class Net:\n    pass\n",
+                "src/repro/sqlengine/expr.py": "class Expr:\n    pass\n",
+            },
+        )
+
     def test_sim_importing_errors_is_allowed(self, project):
         assert not project(
             "ARCH001",

@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.analysis.__main__ import main
-from repro.analysis.baseline import Baseline
 
 
 @pytest.fixture
@@ -19,15 +18,6 @@ def tree(tmp_path, monkeypatch):
     (src / "clean.py").write_text("x = 1\n")
     monkeypatch.chdir(tmp_path)
     return tmp_path
-
-
-def justify_baseline(tree, reason="deliberate: test fixture noise"):
-    """Replace the write-time TODO placeholder with a real justification."""
-    path = tree / "analysis-baseline.json"
-    payload = json.loads(path.read_text())
-    for entry in payload["entries"]:
-        entry["justification"] = reason
-    path.write_text(json.dumps(payload))
 
 
 class TestExitCodes:
@@ -137,112 +127,6 @@ class TestAstCache:
         (tree / "blocker").write_text("a file, not a directory\n")
         assert main(["--ast-cache", "blocker/nested", "src"]) == 2
         assert "AST cache" in capsys.readouterr().err
-
-
-class TestBaselineFlow:
-    def test_write_then_justify_then_pass(self, tree, capsys):
-        assert main(["--write-baseline", "src"]) == 0
-        assert "1 entry" in capsys.readouterr().out
-
-        # A freshly written baseline stamps each entry with a TODO
-        # justification for a human to replace.
-        baseline = Baseline.load("analysis-baseline.json")
-        assert baseline.entries[0].justification == "TODO: justify or fix"
-        assert main(["src"]) == 0
-
-    def test_baselined_finding_no_longer_fails(self, tree, capsys):
-        main(["--write-baseline", "src"])
-        capsys.readouterr()
-        assert main(["src"]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-    def test_no_baseline_flag_ignores_file(self, tree, capsys):
-        main(["--write-baseline", "src"])
-        capsys.readouterr()
-        assert main(["--no-baseline", "src"]) == 1
-
-    def test_strict_baseline_fails_on_stale_entries(self, tree, capsys):
-        main(["--write-baseline", "src"])
-        justify_baseline(tree)  # isolate staleness from the TODO gate
-        capsys.readouterr()
-        (tree / "src" / "repro" / "dirty.py").write_text("x = 1\n")
-        assert main(["src"]) == 0
-        assert "stale" in capsys.readouterr().out
-        assert main(["--strict-baseline", "src"]) == 1
-
-    def test_explicit_missing_baseline_exits_two(self, tree, capsys):
-        assert main(["--baseline", "nope.json", "src"]) == 2
-        assert "cannot read baseline" in capsys.readouterr().err
-
-
-class TestPruneBaseline:
-    def test_prune_rewrites_the_file_and_lists_entries(self, tree, capsys):
-        main(["--write-baseline", "src"])
-        capsys.readouterr()
-        # Fix the grandfathered finding, then prune its stale entry.
-        (tree / "src" / "repro" / "dirty.py").write_text("x = 1\n")
-        assert main(["--prune-baseline", "src"]) == 0
-        out = capsys.readouterr().out
-        assert "pruned 1" in out
-        assert "SIM001" in out
-        assert not Baseline.load("analysis-baseline.json").entries
-        # A pruned baseline satisfies the strict check again.
-        assert main(["--strict-baseline", "src"]) == 0
-
-    def test_prune_on_clean_baseline_is_a_no_op(self, tree, capsys):
-        main(["--write-baseline", "src"])
-        before = (tree / "analysis-baseline.json").read_text()
-        capsys.readouterr()
-        assert main(["--prune-baseline", "src"]) == 0
-        assert "no stale entries" in capsys.readouterr().out
-        assert (tree / "analysis-baseline.json").read_text() == before
-
-    def test_prune_without_a_baseline_exits_two(self, tree, capsys):
-        assert main(["--prune-baseline", "src"]) == 2
-        assert "needs a baseline file" in capsys.readouterr().err
-
-
-class TestStrictBaselinePlaceholders:
-    def test_placeholder_entry_fails_strict_with_exit_two(self, tree, capsys):
-        main(["--write-baseline", "src"])
-        capsys.readouterr()
-        # The entry still carries the write-time TODO: a suppression
-        # nobody reviewed is a configuration error under --strict-baseline.
-        assert main(["--strict-baseline", "src"]) == 2
-        err = capsys.readouterr().err
-        assert "unjustified" in err
-        assert "SIM001" in err
-        assert "dirty.py" in err
-
-    def test_placeholders_reported_but_tolerated_without_strict(
-        self, tree, capsys
-    ):
-        main(["--write-baseline", "src"])
-        capsys.readouterr()
-        assert main(["src"]) == 0
-        assert "unjustified" in capsys.readouterr().err
-
-    def test_justified_baseline_passes_strict(self, tree, capsys):
-        main(["--write-baseline", "src"])
-        justify_baseline(tree)
-        capsys.readouterr()
-        assert main(["--strict-baseline", "src"]) == 0
-        assert "unjustified" not in capsys.readouterr().err
-
-    def test_mixed_baseline_lists_only_the_placeholders(self, tree, capsys):
-        (tree / "src" / "repro" / "dirty2.py").write_text(
-            "import random\ny = random.random()\n"
-        )
-        main(["--write-baseline", "src"])
-        # Justify one of the two entries; the other keeps its TODO.
-        path = tree / "analysis-baseline.json"
-        payload = json.loads(path.read_text())
-        payload["entries"][0]["justification"] = "deliberate: fixture"
-        path.write_text(json.dumps(payload))
-        capsys.readouterr()
-        assert main(["--strict-baseline", "src"]) == 2
-        err = capsys.readouterr().err
-        assert "1 baseline entry still unjustified" in err
 
 
 class TestSarifOutput:

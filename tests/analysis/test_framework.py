@@ -1,12 +1,10 @@
-"""The framework itself: registry, suppressions, baseline, reports."""
+"""The framework itself: registry, suppressions, reports."""
 
 import json
 
 import pytest
 
 from repro.analysis import (
-    Baseline,
-    BaselineEntry,
     Severity,
     all_rules,
     analyze_paths,
@@ -14,7 +12,6 @@ from repro.analysis import (
     get_rule,
     register_rule,
 )
-from repro.analysis.baseline import BASELINE_VERSION
 from repro.analysis.engine import PARSE_RULE_ID, categorize
 from repro.analysis.registry import AnalysisError, Rule
 from repro.analysis.report import to_json, to_text
@@ -103,102 +100,6 @@ class TestParseErrors:
         assert findings[0].rule == PARSE_RULE_ID
         assert findings[0].severity is Severity.ERROR
         assert findings[0].reported
-
-
-class TestBaseline:
-    SOURCE = "import random\nx = random.random()\n"
-
-    def _finding(self):
-        (finding,) = analyze_source(self.SOURCE, path="src/repro/fake.py")
-        return finding
-
-    def test_matching_entry_baselines_finding(self):
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    rule="SIM001",
-                    path="src/repro/fake.py",
-                    match="x = random.random()",
-                    justification="grandfathered",
-                )
-            ]
-        )
-        finding = self._finding()
-        assert baseline.apply(finding)
-        assert finding.baselined
-        assert not finding.reported
-        assert finding.justification == "grandfathered"
-        assert not baseline.stale_entries()
-
-    def test_non_matching_entry_is_stale(self):
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    rule="SIM001",
-                    path="src/repro/fake.py",
-                    match="this line no longer exists",
-                    justification="obsolete",
-                )
-            ]
-        )
-        finding = self._finding()
-        assert not baseline.apply(finding)
-        assert finding.reported
-        assert len(baseline.stale_entries()) == 1
-
-    def test_roundtrip_through_json(self, tmp_path):
-        path = str(tmp_path / "baseline.json")
-        original = Baseline(
-            [
-                BaselineEntry(
-                    rule="SIM001",
-                    path="src/repro/fake.py",
-                    match="x = random.random()",
-                    justification="grandfathered",
-                )
-            ]
-        )
-        original.save(path)
-        loaded = Baseline.load(path)
-        assert len(loaded) == 1
-        assert loaded.entries[0] == original.entries[0]
-
-    def test_load_rejects_missing_justification(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "version": BASELINE_VERSION,
-                    "entries": [
-                        {
-                            "rule": "SIM001",
-                            "path": "src/repro/fake.py",
-                            "match": "x = random.random()",
-                            "justification": "   ",
-                        }
-                    ],
-                }
-            )
-        )
-        with pytest.raises(AnalysisError, match="no justification"):
-            Baseline.load(str(path))
-
-    def test_load_rejects_wrong_version(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"version": 99, "entries": []}))
-        with pytest.raises(AnalysisError, match="version"):
-            Baseline.load(str(path))
-
-    def test_from_findings_skips_suppressed(self):
-        source = (
-            "import random\n"
-            "x = random.random()  # repro: allow[SIM001] demo\n"
-            "y = random.random()\n"
-        )
-        findings = analyze_source(source, path="src/repro/fake.py")
-        baseline = Baseline.from_findings(findings)
-        assert len(baseline) == 1
-        assert baseline.entries[0].match == "y = random.random()"
 
 
 class TestReports:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.analysis import all_rules, get_rule
 from repro.analysis.engine import Analyzer
-from repro.analysis.baseline import Baseline, BaselineEntry
 from repro.analysis.sarif import to_sarif
 
 
@@ -14,13 +13,13 @@ from repro.analysis.sarif import to_sarif
 def sarif_run(tmp_path, monkeypatch):
     """Run the analyzer over a small dirty tree; returns the parsed run."""
 
-    def build(source, rules=None, baseline=None):
+    def build(source, rules=None):
         src = tmp_path / "src" / "repro"
         src.mkdir(parents=True, exist_ok=True)
         (src / "mod.py").write_text(source)
         monkeypatch.chdir(tmp_path)
         selected = rules if rules is not None else all_rules()
-        report = Analyzer(rules=selected, baseline=baseline).run(["src"])
+        report = Analyzer(rules=selected).run(["src"])
         doc = json.loads(to_sarif(report, selected))
         assert doc["version"] == "2.1.0"
         assert len(doc["runs"]) == 1
@@ -81,26 +80,6 @@ class TestCodeFlows:
 
 
 class TestSuppressions:
-    def test_baselined_finding_is_marked_suppressed(self, sarif_run):
-        baseline = Baseline(
-            [
-                BaselineEntry(
-                    rule="SIM001",
-                    path="src/repro/mod.py",
-                    match="x = random.random()",
-                    justification="fixture noise",
-                )
-            ]
-        )
-        run = sarif_run(
-            "import random\nx = random.random()\n",
-            rules=[get_rule("SIM001")],
-            baseline=baseline,
-        )
-        result = run["results"][0]
-        assert result["suppressions"][0]["kind"] == "external"
-        assert result["suppressions"][0]["justification"] == "fixture noise"
-
     def test_inline_allow_is_marked_in_source(self, sarif_run):
         run = sarif_run(
             "import random\n"

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.config import PricingConfig
 from repro.core.costmodel import (
-    CostEstimate,
     CostParams,
     FeedbackCalibrator,
     LevelSpec,
@@ -18,7 +17,7 @@ from repro.core.costmodel import (
 )
 from repro.core.processing_graph import ProcessingGraph
 from repro.errors import BestPeerError
-from repro.hadoopdb import SmsPlanner
+from repro.plan import SmsPlanner
 from repro.tpch import Q1, Q3, Q4, Q5, TPCH_SCHEMAS
 
 

@@ -9,8 +9,10 @@ import sys
 import pytest
 
 from repro.core import BestPeerNetwork
+from repro.core.costmodel import CostParams
 from repro.errors import BestPeerError, SqlExecutionError
-from repro.hadoopdb.sms import SmsPlanner
+from repro.hadoopdb import HadoopDbCluster
+from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Database, parser
 from repro.sqlengine.planner import Planner
 from repro.tpch import (
@@ -242,6 +244,93 @@ class TestAdaptiveDecision:
     def test_simple_query_always_p2p(self, network):
         execution = network.execute(Q1(), engine="adaptive")
         assert execution.strategy in ("fetch-and-process", "single-peer")
+
+
+_NO_ORDER = "l_orderkey = o_orderkey AND o_totalprice < -5"
+_EMPTY_SCALAR = {
+    "count_star_join": (
+        f"SELECT COUNT(*) FROM lineitem, orders WHERE {_NO_ORDER}"
+    ),
+    "count_distinct": (
+        "SELECT COUNT(DISTINCT l_suppkey) FROM lineitem WHERE l_quantity < -1"
+    ),
+    "count_and_count_distinct": (
+        "SELECT COUNT(*), COUNT(DISTINCT l_suppkey) FROM lineitem "
+        "WHERE l_quantity < -1"
+    ),
+    "max_expr_join": (
+        "SELECT MAX(l_extendedprice * (1 - l_discount)) "
+        f"FROM lineitem, orders WHERE {_NO_ORDER}"
+    ),
+    "sum_count_join": (
+        "SELECT SUM(l_quantity), COUNT(*) "
+        f"FROM lineitem, orders WHERE {_NO_ORDER}"
+    ),
+    "having_drops_the_row": (
+        "SELECT SUM(l_quantity), COUNT(*) "
+        f"FROM lineitem, orders WHERE {_NO_ORDER} HAVING COUNT(*) > 0"
+    ),
+    "grouped": (
+        "SELECT l_suppkey, COUNT(*) "
+        f"FROM lineitem, orders WHERE {_NO_ORDER} GROUP BY l_suppkey"
+    ),
+}
+
+
+class TestScalarAggregateOverNothing:
+    """SQL: a scalar aggregate over zero qualifying rows is still one row
+    (COUNT = 0, the rest NULL), then HAVING; a grouped one has no row.  The
+    rule lives once, in ``repro.plan.driver``; the MapReduce job shapes used
+    to skip it because no reducer runs without map output."""
+
+    @pytest.fixture(scope="class")
+    def systems(self):
+        # Priced so that Algorithm 2 sends every join to its MapReduce arm.
+        net = BestPeerNetwork(
+            TPCH_SCHEMAS,
+            SECONDARY_INDICES,
+            cost_params=CostParams(beta_bp=1.0, phi=0.0),
+        )
+        cluster = HadoopDbCluster(3)
+        cluster.create_tables(TPCH_SCHEMAS.values(), SECONDARY_INDICES)
+        oracle = Database()
+        create_tpch_tables(oracle)
+        generator = TpchGenerator(seed=11)
+        for index in range(3):
+            data = generator.generate_peer(index)
+            net.add_peer(f"corp-{index}")
+            net.load_peer(f"corp-{index}", data)
+            cluster.load_worker(index, data)
+            for table, rows in data.items():
+                if table not in ("nation", "region") or index == 0:
+                    oracle.table(table).insert_many(rows)
+        run = {
+            engine: lambda sql, engine=engine: net.execute(sql, engine=engine)
+            for engine in ENGINES
+        }
+
+        def adaptive(sql):
+            # A fresh calibrator: feedback from earlier runs flips the choice.
+            net._adaptive.clear()
+            return net.execute(sql, engine="adaptive")
+
+        run["adaptive"] = adaptive
+        run["hadoopdb"] = cluster.execute
+        return run, oracle
+
+    @pytest.mark.parametrize("name", sorted(_EMPTY_SCALAR))
+    @pytest.mark.parametrize("system", ENGINES + ["adaptive", "hadoopdb"])
+    def test_matches_the_local_database(self, systems, system, name):
+        run, oracle = systems
+        sql = _EMPTY_SCALAR[name]
+        expected = list(oracle.execute(sql).rows)
+        assert len(expected) == (
+            0 if name in ("having_drops_the_row", "grouped") else 1
+        )
+        result = run[system](sql)
+        assert result.records == expected
+        if system == "adaptive" and "FROM lineitem, orders" in sql:
+            assert result.strategy == "mapreduce"
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ import pytest
 
 from repro.core import BestPeerNetwork
 from repro.hadoopdb import HadoopDbCluster
-from repro.hadoopdb.driver import DistributedPlanDriver, LocalResult
-from repro.hadoopdb.sms import SmsPlanner
+from repro.plan.driver import DistributedPlanDriver, LocalResult
+from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 
 NUM_NODES = 3

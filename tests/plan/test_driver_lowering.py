@@ -10,8 +10,8 @@ import pytest
 
 from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
-from repro.hadoopdb.driver import finalize_records
-from repro.hadoopdb.sms import SmsPlanner
+from repro.plan.driver import finalize_records
+from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.sqlengine.executor import _AggState
 from repro.sqlengine.expr import RowLayout

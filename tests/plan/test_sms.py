@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SqlExecutionError
-from repro.hadoopdb import SmsPlanner
+from repro.plan import SmsPlanner
 from repro.tpch import Q1, Q2, Q3, Q4, Q5, TPCH_SCHEMAS
 
 

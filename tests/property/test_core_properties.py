@@ -5,7 +5,7 @@ them), the compile door, histograms, makespan scheduling."""
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     BestPeerNetwork,
@@ -19,7 +19,7 @@ from repro.core.histogram import Histogram
 from repro.core.loader import DataLoader
 from repro.core.schema_mapping import identity_mapping
 from repro.errors import ReproError
-from repro.hadoopdb.sms import SmsPlanner
+from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.sqlengine.parser import parse
 from repro.sqlengine.table import Table
