@@ -169,6 +169,8 @@ def kernel_sql(sql: str, scale: float) -> str:
 
 
 def _time_once(db: Database, sql: str, mode: str) -> float:
+    # Assigning the mode, even the one already set, makes the database
+    # forget remembered results: every timed run executes its kernels.
     db.execution_mode = mode
     started = time.perf_counter()  # repro: allow[SIM002] driver wall-time, not simulated time
     # Rows are derived from the result's batch on first use: consume them

@@ -46,7 +46,9 @@ EXECUTION_MODES = ("interpreted", "vectorized")
 class QueryResult:
     """What :meth:`Database.execute` returns: one :class:`ColumnBatch` plus
     metadata.  ``rows`` and ``byte_size`` are derived from the batch on
-    first use; the batch is immutable, so neither ever goes stale."""
+    first use; the batch is immutable, so neither ever goes stale.  A
+    repeated SELECT may hand out the same batch (and its ``rows`` list)
+    again: read, never write, them."""
 
     def __init__(
         self,
@@ -117,19 +119,41 @@ class PreparedSelect:
     tables: Tuple[str, ...]
 
 
+class _CachedPlan:
+    """One plan-cache entry: the catalogue state it was made under, the plan
+    (``None`` when the entry only remembers a shipped plan's result), whether
+    :meth:`Database.prepare` may hand the plan out, and the last
+    ``(plan, batch, stats)`` run under that state."""
+
+    __slots__ = ("state", "plan", "shareable", "result")
+
+    def __init__(self, state: tuple, plan: object, shareable: bool) -> None:
+        self.state = state
+        self.plan = plan
+        self.shareable = shareable
+        self.result: Optional[Tuple[object, ColumnBatch, ExecStats]] = None
+
+
 class Database:
     """An embedded relational database with a SQL interface.
 
     Repeated statements hit an LRU parse+plan cache keyed by the SQL text
-    and the catalogue version (every table's mutation counter), so any
-    DDL/insert/delete invalidates affected entries without explicit hooks;
-    plans do not depend on the execution mode.  ``execution_mode`` selects
+    and the catalogue state (every table object and its mutation counter),
+    so any DDL/insert/delete invalidates affected entries without explicit
+    hooks; plans do not depend on the execution mode.  An entry also keeps
+    its plan's last result: a SELECT repeated against an unchanged catalogue
+    — same plan object, same table objects, same versions, same mode —
+    replays the immutable batch and a fresh copy of its :class:`ExecStats`
+    instead of running the kernels again, so callers charge the same
+    simulated cost either way.  ``execution_mode`` selects
     one of :data:`EXECUTION_MODES`: ``"vectorized"`` (the default, and what
     every peer and engine runs) executes batch kernels over column-major
     storage; ``"interpreted"`` walks expression trees per row through
     :class:`~repro.sqlengine.executor.Executor` and exists as the semantic
     oracle the vectorized path is tested against.  Both must produce
-    identical rows, stats, and errors.
+    identical rows, stats, and errors.  Assigning ``execution_mode`` (even
+    the current one) forgets every remembered result, so the oracle, a mode
+    switch and a timed benchmark run always execute.
     """
 
     #: Default maximum number of cached plans per database.
@@ -143,10 +167,10 @@ class Database:
     ) -> None:
         self.name = name
         self._tables: Dict[str, Table] = {}
-        self.execution_mode = execution_mode
-        self._plan_cache: "collections.OrderedDict[str, Tuple[Tuple[Tuple[str, int], ...], object, bool]]" = (
+        self._plan_cache: "collections.OrderedDict[str, _CachedPlan]" = (
             collections.OrderedDict()
         )
+        self.execution_mode = execution_mode
         self._plan_cache_size = plan_cache_size
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
@@ -163,6 +187,8 @@ class Database:
                 f"{', '.join(EXECUTION_MODES)}"
             )
         self._execution_mode = mode
+        for entry in self._plan_cache.values():
+            entry.result = None
 
     # ------------------------------------------------------------------
     # Catalogue
@@ -208,10 +234,10 @@ class Database:
     # ------------------------------------------------------------------
     def execute(self, sql: str) -> QueryResult:
         """Parse and run one SQL statement."""
-        cached = self._cached_plan(sql)
-        if cached is not None:
+        entry = self._cached_plan(sql)
+        if entry is not None:
             self.plan_cache_hits += 1
-            return self._run_plan(cached[0])
+            return self._run_cached(entry, entry.plan)
         statement = parse(sql)
         if isinstance(statement, SelectStmt):
             self.plan_cache_misses += 1
@@ -251,12 +277,24 @@ class Database:
     ) -> QueryResult:
         resolved = self._resolve_subqueries(statement)
         plan = Planner(self._tables).plan(resolved)
-        if cache_key is not None:
-            # Safe even for resolved subqueries: the cache key includes
-            # every table's data version, so new data re-plans.  Such a plan
-            # inlines local results, so prepare() must not hand it out.
-            self._store_plan(cache_key, plan, shareable=resolved is statement)
-        return self._run_plan(plan)
+        if cache_key is None:
+            return self._run_plan(plan)
+        # Safe even for resolved subqueries: the cache key includes every
+        # table's data version, so new data re-plans.  Such a plan inlines
+        # local results, so prepare() must not hand it out.
+        entry = self._store_plan(cache_key, plan, shareable=resolved is statement)
+        return self._run_cached(entry, plan)
+
+    def _run_cached(self, entry: _CachedPlan, plan: object) -> QueryResult:
+        """Run ``plan`` under ``entry``'s current catalogue state, or replay
+        the entry's last result when it was this very plan's.  Only results
+        are remembered: a plan that raises raises again next time."""
+        if entry.result is not None and entry.result[0] is plan:
+            _, batch, stats = entry.result
+            return QueryResult(batch, dataclasses.replace(stats))
+        result = self._run_plan(plan)
+        entry.result = (plan, result.batch, dataclasses.replace(result.stats))
+        return result
 
     def _run_plan(self, plan: object) -> QueryResult:
         if self._execution_mode == "vectorized":
@@ -269,29 +307,42 @@ class Database:
     # ------------------------------------------------------------------
     # Plan cache & prepared statements
     # ------------------------------------------------------------------
-    def _catalog_state(self) -> Tuple[Tuple[str, int], ...]:
-        """The cache-keying fingerprint: every table's mutation counter."""
+    def _catalog_state(self) -> Tuple[Tuple[str, Table, int], ...]:
+        """The cache-keying fingerprint: every table object (compared by
+        identity, so a dropped and recreated table never matches) and its
+        mutation counter."""
         return tuple(
-            (name, self._tables[name].version) for name in sorted(self._tables)
+            (name, table, table.version)
+            for name, table in sorted(self._tables.items())
         )
 
-    def _cached_plan(self, sql: str) -> Optional[Tuple[object, bool]]:
-        """The current ``(plan, shareable)`` cached for ``sql``, if any."""
+    def _entry(self, sql: str) -> Optional[_CachedPlan]:
+        """The entry for ``sql`` if made under the current catalogue state;
+        a stale one is dropped on sight, with the result it holds."""
         entry = self._plan_cache.get(sql)
         if entry is None:
             return None
-        state, plan, shareable = entry
-        if state != self._catalog_state():
+        if entry.state != self._catalog_state():
             del self._plan_cache[sql]
             return None
         self._plan_cache.move_to_end(sql)
-        return plan, shareable
+        return entry
 
-    def _store_plan(self, sql: str, plan: object, shareable: bool = True) -> None:
-        self._plan_cache[sql] = (self._catalog_state(), plan, shareable)
+    def _cached_plan(self, sql: str) -> Optional[_CachedPlan]:
+        """The current entry holding a plan for ``sql``, if any."""
+        entry = self._entry(sql)
+        return None if entry is None or entry.plan is None else entry
+
+    def _store_plan(
+        self, sql: str, plan: object, shareable: bool = True
+    ) -> _CachedPlan:
+        entry = self._plan_cache[sql] = _CachedPlan(
+            self._catalog_state(), plan, shareable
+        )
         self._plan_cache.move_to_end(sql)
         while len(self._plan_cache) > self._plan_cache_size:
             self._plan_cache.popitem(last=False)
+        return entry
 
     def clear_plan_cache(self) -> None:
         self._plan_cache.clear()
@@ -307,9 +358,9 @@ class Database:
         Statements with IN-subqueries are rejected: their plans inline
         locally-resolved results, which are not shareable across peers.
         """
-        cached = self._cached_plan(sql)
-        if cached is not None:
-            plan, shareable = cached
+        entry = self._cached_plan(sql)
+        if entry is not None:
+            plan, shareable = entry.plan, entry.shareable
             self.plan_cache_hits += shareable
         else:
             statement = parse(sql)
@@ -335,16 +386,23 @@ class Database:
         Missing tables raise :class:`SqlCatalogError` so broadcast callers
         keep their skip-if-absent semantics.  Any execution-time mismatch
         (e.g. the plan probes an index this peer lacks) falls back to a
-        fresh local parse+plan of the original SQL.
+        fresh local parse+plan of the original SQL, and only a plan that ran
+        counts as a plan-cache hit.  The result is remembered on this
+        database's entry for the text (one without a plan of its own if the
+        text was never planned here), for this plan object only.
         """
         for name in prepared.tables:
             if name not in self._tables:
                 raise SqlCatalogError(f"no such table: {name!r}")
-        self.plan_cache_hits += 1
+        entry = self._entry(prepared.sql)
+        if entry is None:
+            entry = self._store_plan(prepared.sql, None, shareable=False)
         try:
-            return self._run_plan(prepared.plan)
+            result = self._run_cached(entry, prepared.plan)
         except SqlExecutionError:
             return self.execute(prepared.sql)
+        self.plan_cache_hits += 1
+        return result
 
     def _resolve_subqueries(self, statement: SelectStmt) -> SelectStmt:
         """Execute uncorrelated IN-subqueries and inline their results."""

@@ -23,6 +23,7 @@ from repro.bench.microbench import (
 )
 from repro.sqlengine.executor import ExecStats, Executor
 from repro.sqlengine.expr import RowLayout
+from repro.sqlengine.vexecutor import VectorizedExecutor
 
 SMOKE = {"scale": 0.05, "repeat": 1}
 
@@ -90,6 +91,25 @@ class TestHarness:
             sql = kernel_sql(dict(KERNELS)["index_agg"], scale)
             scanned = db.execute(sql).stats.rows_scanned
             assert 0.4 < scanned / len(db.table("lineitem")) < 0.6, scale
+
+    def test_every_timed_run_executes_its_kernels(self, monkeypatch):
+        # The database remembers a plan's last result; a timed run answered
+        # from it would time nothing.  Warm-up plus two repeats, per mode,
+        # and a repeat in one mode too (no mode switch in between).
+        runs = {"interpreted": 0, "vectorized": 0}
+        for mode, cls in (("interpreted", Executor), ("vectorized", VectorizedExecutor)):
+            def counting(self, plan, _original=cls.execute, _mode=mode):
+                runs[_mode] += 1
+                return _original(self, plan)
+
+            monkeypatch.setattr(cls, "execute", counting)
+        db = build_database(scale=SMOKE["scale"])
+        sql = kernel_sql(KERNELS[0][1], SMOKE["scale"])
+        microbench._time_modes(db, sql, repeat=2)
+        assert runs == {"interpreted": 3, "vectorized": 3}
+        microbench._time_once(db, sql, "vectorized")
+        microbench._time_once(db, sql, "vectorized")
+        assert runs == {"interpreted": 3, "vectorized": 5}
 
     def test_plan_cache_workload_hits(self):
         db = build_database(scale=SMOKE["scale"])
