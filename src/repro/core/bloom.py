@@ -34,20 +34,25 @@ class BloomFilter:
             raise BestPeerError("bits_per_key and num_hashes must be >= 1")
         self.num_bits = expected_keys * bits_per_key
         self.num_hashes = num_hashes
-        self._bits = 0
+        # Bit ``p`` is bit ``p % 8`` of byte ``p // 8``: setting or testing
+        # one touches one byte, where a big int copies the whole filter.
+        self._bits = bytearray(self.size_bytes)
         self._count = 0
 
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
     def add(self, value: object) -> None:
+        bits = self._bits
         for position in self._positions(value):
-            self._bits |= 1 << position
+            bits[position >> 3] |= 1 << (position & 7)
         self._count += 1
 
     def __contains__(self, value: object) -> bool:
+        bits = self._bits
         return all(
-            self._bits & (1 << position) for position in self._positions(value)
+            bits[position >> 3] >> (position & 7) & 1
+            for position in self._positions(value)
         )
 
     def update(self, values: Iterable[object]) -> None:

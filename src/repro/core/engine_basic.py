@@ -8,6 +8,8 @@ The query submitted at peer P is evaluated in two steps:
    back to P,
 2. **processing** — P stages the fetched tuples in MemTables, bulk-inserts
    them into its local database, and evaluates the original query locally.
+   Here the final plan scans the fetched batches in place; the staging is
+   charged in simulated seconds and counted in MemTable spills.
 
 Optimizations, as in the paper:
 
@@ -22,8 +24,7 @@ Optimizations, as in the paper:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.accesscheck import require_unrestricted_read, unrestricted_read
 from repro.core.bloom import build_filter
@@ -39,15 +40,15 @@ from repro.plan.driver import (
 )
 from repro.plan.sms import (
     DistributedPlan,
+    SmsPlanner,
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.sqlengine.batch import ColumnBatch
-from repro.sqlengine.database import Database
+from repro.sqlengine.batch import ColumnBatch, ColumnRelation
+from repro.sqlengine.database import QueryResult
 from repro.sqlengine.parser import SelectStmt, parse
 from repro.sqlengine.planner import split_conjuncts
-from repro.sqlengine.schema import Column, TableSchema
-from repro.sqlengine.table import MemTable
+from repro.sqlengine.vexecutor import VectorizedExecutor
 
 
 def _wire_bytes(shipped: ColumnBatch, local_plan: TableLocalPlan) -> int:
@@ -60,6 +61,47 @@ def _wire_bytes(shipped: ColumnBatch, local_plan: TableLocalPlan) -> int:
     if local_plan.columns:
         return shipped.byte_size
     return records_byte_size(shipped.rows)
+
+
+def _process_fetched(
+    planner: SmsPlanner,
+    plan: DistributedPlan,
+    fetched: Dict[str, List[ColumnBatch]],
+    capacity: int,
+) -> Tuple[QueryResult, int, int]:
+    """The processing phase (§5.2) over the batches fetched per binding:
+    the final result, and the MemTable spills and rows that staging them
+    in MemTables of ``capacity`` bytes costs.  The final plan scans each
+    binding's batches in place."""
+    schemas, processing = planner.processing_plan(plan)
+    catalog: Dict[str, ColumnRelation] = {}
+    spills = 0
+    for local_plan, schema in zip(plan.local_plans, schemas):
+        batches = fetched[local_plan.binding]
+        catalog[local_plan.binding] = relation = ColumnRelation(schema, batches)
+        spills += _spills(relation, batches, capacity)
+    _, batch, stats = VectorizedExecutor(catalog).execute(processing)
+    return QueryResult(batch, stats), spills, sum(map(len, catalog.values()))
+
+
+def _spills(relation: ColumnRelation, batches: List[ColumnBatch], capacity: int) -> int:
+    """How often a MemTable of ``capacity`` bytes spills staging ``relation``,
+    the fetched ``batches``: where a row buffer would, each time the typed
+    size of the rows buffered since the last spill reaches ``capacity``, and
+    at the closing flush if rows are left.  A value that coercion passes as
+    it is costs no more typed than on the wire, so under ``capacity`` wire
+    bytes the closing flush is the only spill."""
+    if not relation.retyped and sum(batch.byte_size for batch in batches) < capacity:
+        return int(len(relation) > 0)
+    spills = buffered = 0
+    for size in map(sum, zip(*[  # every row costs at least one byte
+        map(column.column_type.byte_size, vector)
+        for column, vector in zip(relation.schema.columns, relation.column_data())
+    ])):
+        buffered += size
+        if buffered >= capacity:
+            spills, buffered = spills + 1, 0
+    return spills + (buffered > 0)
 
 
 class BasicEngine:
@@ -231,9 +273,12 @@ class BasicEngine:
         context = self.context
 
         # Optional bloom join on the first equi-join: the base side is
-        # fetched first, its keys build the filter for the joined side.
+        # fetched first, its keys (``passing``) build the filter for the
+        # joined side.
         first_stage = plan.joins[0]
         bloom_filter = None
+        passing: Set[object] = set()
+        failing: Set[object] = set()
         local_plans = plan.local_plans
         fetched: Dict[str, List[ColumnBatch]] = {}
         fetch_durations: List[float] = []
@@ -262,10 +307,13 @@ class BasicEngine:
                     )
 
                 def select(batch: ColumnBatch) -> ColumnBatch:
-                    # Ship only (probably-)matching tuples.  Join keys
-                    # repeat: probe the filter once per distinct key.
+                    # Ship only (probably-)matching tuples.  A build key
+                    # passes unhashed (no false negatives); any other is
+                    # hashed once per query, whichever owner ships it.
                     keys = batch.vectors[right_position]
-                    passing = {key for key in set(keys) if key in bloom_filter}
+                    fresh = set(keys).difference(passing, failing)
+                    passing.update(filter(bloom_filter.__contains__, fresh))
+                    failing.update(fresh.difference(passing))
                     return batch.take(
                         [i for i, key in enumerate(keys) if key in passing]
                     )
@@ -280,32 +328,25 @@ class BasicEngine:
 
             if local_plan is plan.base and context.config.bloom_join_enabled:
                 left_position = plan.base.columns.index(first_stage.left_key)
-                keys: Set[object] = set()
                 for batch in batches:
-                    keys.update(batch.vectors[left_position])
-                keys.discard(None)
-                if keys:
+                    passing.update(batch.vectors[left_position])
+                passing.discard(None)
+                if passing:
                     bloom_filter = build_filter(
-                        keys,
+                        passing,
                         bits_per_key=context.config.bloom_filter_bits_per_key,
                         num_hashes=context.config.bloom_filter_hashes,
                     )
 
         fetch_seconds = makespan(fetch_durations, context.config.fetch_threads)
 
-        # Processing phase: stage into MemTables, bulk insert, run locally.
-        staging_db, spills, staging_rows = self._stage(local_plans, fetched)
+        # Processing phase: charged as staging in MemTables, then the query.
+        final, spills, staging_rows = _process_fetched(
+            context.planner, plan, fetched, context.config.memtable_capacity_bytes
+        )
         staging_seconds = context.compute_model.rows_seconds(
             staging_rows, context.query_peer.compute_units
         )
-        # Re-evaluate over the staged partitions with only the residual
-        # (multi-table) predicates — the single-table ones were already
-        # applied at the data owners, whose pruned projections may not even
-        # carry the filtered columns.
-        processing_stmt = dataclasses.replace(
-            plan.statement, where=plan.residual_where
-        )
-        final = staging_db.execute_select(processing_stmt)
         processing_seconds = context.compute_model.seconds(
             final.stats, context.query_peer.compute_units
         )
@@ -393,42 +434,6 @@ class BasicEngine:
             total_bytes += nbytes
             batches.append(shipped)
         return batches, durations, total_bytes
-
-    def _stage(
-        self,
-        local_plans: Sequence[TableLocalPlan],
-        fetched: Dict[str, List[ColumnBatch]],
-    ) -> Tuple[Database, int, int]:
-        """Build the staging database holding the fetched partitions.
-
-        Tables carry only the pruned column set; the original SQL references
-        exactly those columns by construction of the pushdown planner.
-        """
-        context = self.context
-        staging = Database(f"{context.query_peer.peer_id}-staging")
-        spills = total_rows = 0
-        created: Set[str] = set()
-        for local_plan in local_plans:
-            if local_plan.table in created:
-                continue
-            created.add(local_plan.table)
-            global_schema = context.schemas[local_plan.table]
-            columns = [
-                global_schema.column(name.rsplit(".", 1)[-1])
-                for name in local_plan.columns
-            ]
-            # All nullable here: masking can null any column (§4.4).
-            columns = [Column(c.name, c.column_type) for c in columns]
-            memtable = MemTable(
-                staging.create_table(TableSchema(local_plan.table, columns)),
-                capacity_bytes=context.config.memtable_capacity_bytes,
-            )
-            for batch in fetched[local_plan.binding]:
-                memtable.extend(batch)
-                total_rows += len(batch)
-            memtable.flush()
-            spills += memtable.spill_count
-        return staging, spills, total_rows
 
     # ------------------------------------------------------------------
     # Index lookups

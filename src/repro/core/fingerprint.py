@@ -50,12 +50,15 @@ def fingerprint_tuple(row: Sequence[object]) -> int:
     """Fingerprint one relational tuple.
 
     Values are rendered with an unambiguous, type-tagged encoding so that
-    e.g. ``(1, "2")`` and ``("1", 2)`` fingerprint differently.
+    e.g. ``(1, "2")`` and ``("1", 2)`` fingerprint differently, while equal
+    values of one type render alike: ``-0.0 + 0.0`` is ``0.0``.
     """
     parts = []
     for value in row:
         if value is None:
             parts.append("N|")
         else:
+            if type(value) is float:
+                value += 0.0
             parts.append(f"{type(value).__name__}:{value!r}|")
     return fingerprint_bytes("".join(parts).encode("utf-8"))

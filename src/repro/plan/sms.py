@@ -22,10 +22,11 @@ driver (the paper's SMS does the same — those run in the final serial step).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SqlCatalogError, SqlExecutionError
+from repro.sqlengine.batch import ColumnRelation
 from repro.sqlengine.database import Database
 from repro.sqlengine.expr import (
     BinaryOp,
@@ -34,9 +35,9 @@ from repro.sqlengine.expr import (
     FuncCall,
     find_aggregates,
 )
-from repro.sqlengine.parser import SelectItem, SelectStmt, parse
-from repro.sqlengine.planner import combine_conjuncts, split_conjuncts
-from repro.sqlengine.schema import TableSchema
+from repro.sqlengine.parser import SelectItem, SelectStmt, TableRef, parse
+from repro.sqlengine.planner import Planner, combine_conjuncts, split_conjuncts
+from repro.sqlengine.schema import Column, TableSchema
 
 
 # ----------------------------------------------------------------------
@@ -111,6 +112,12 @@ class DistributedPlan:
     # partitions using exactly this residual predicate.
     statement: Optional[SelectStmt] = None
     residual_where: Optional[Expr] = None
+    #: ``(staging schemas, plan)`` once :meth:`SmsPlanner.processing_plan`
+    #: made them, kept here as a plan node keeps its lowering.  Not part of
+    #: the identity.
+    processing: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def local_plans(self) -> List[TableLocalPlan]:
@@ -159,6 +166,44 @@ class SmsPlanner:
         else:
             self._compiled.move_to_end(sql)
         return pair
+
+    def processing_plan(self, plan: DistributedPlan) -> tuple:
+        """The basic engine's final step over ``plan``'s fetched partitions
+        (§5.2): each binding's staging schema and the plan over them, made
+        once per compiled plan and kept on it.
+
+        A staging schema holds the binding's pruned columns (which the SQL
+        references exactly), all nullable: masking can null any column
+        (§4.4).  Each table reference names its own binding, so a self-join
+        reads two relations; only the residual multi-table predicates are
+        left to apply, the owners applied the rest.
+        """
+        if plan.processing is None:
+            catalog = {}
+            for local_plan in plan.local_plans:
+                table = self._schemas[local_plan.table]
+                columns = [
+                    table.column(name.rsplit(".", 1)[-1]) for name in local_plan.columns
+                ]
+                schema = TableSchema(
+                    local_plan.table, [Column(c.name, c.column_type) for c in columns]
+                )
+                catalog[local_plan.binding] = ColumnRelation(schema, [])
+            stmt = plan.statement
+            statement = replace(
+                stmt,
+                where=plan.residual_where,
+                tables=tuple(TableRef(ref.binding) for ref in stmt.tables),
+                joins=tuple(
+                    replace(join, table=TableRef(join.table.binding))
+                    for join in stmt.joins
+                ),
+            )
+            plan.processing = (
+                [relation.schema for relation in catalog.values()],
+                Planner(catalog).plan(statement),
+            )
+        return plan.processing
 
     def compile(self, stmt) -> DistributedPlan:
         if isinstance(stmt, str):

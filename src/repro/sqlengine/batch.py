@@ -2,7 +2,7 @@
 
 A :class:`ColumnBatch` is what leaves a data owner's plan, is masked by the
 access controller, filtered by the bloom join, priced for the wire, and
-staged at the query peer (§5.2) — column vectors end to end, so typed data
+scanned at the query peer (§5.2) — column vectors end to end, so typed data
 is never transposed into tuples and back, re-coerced or re-priced on the
 way.  It is **immutable**: masking and selection build new batches, and the
 wire size is computed once.
@@ -10,19 +10,20 @@ wire size is computed once.
 A batch's vectors may be *shared*: a dense scan passes the owner table's
 live column mirror through without copying, and an unrestricted column
 passes through masking the same way.  Hence the two rules every consumer
-follows: never write into a vector, and copy before keeping one (``MemTable``
-and ``Table.insert_many`` do).  An owner's later inserts extend its mirror
-in place, which is why a batch carries its own ``count`` and bounds
+follows: never write into a vector, and copy before keeping one past the
+query (``MemTable`` and ``Table.insert_many`` do; a :class:`ColumnRelation`
+only reads them while the query runs).  An owner's later inserts extend its
+mirror in place, which is why a batch carries its own ``count`` and bounds
 everything it derives by it.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice
+from operator import is_, itemgetter
 from typing import List, Optional, Sequence, Tuple
 
-from repro.errors import SqlExecutionError
+from repro.errors import SqlError, SqlExecutionError
 from repro.sqlengine.types import value_byte_size
 
 #: Exact types (no subclasses) that are numbers to arithmetic and pricing.
@@ -216,3 +217,42 @@ class ColumnBatch:
             [[vector[i] for i in positions] for vector in self.vectors],
             len(positions),
         )
+
+
+class ColumnRelation:
+    """Batches as one read-only table.
+
+    It answers what the planner and the vectorized executor ask of a
+    catalogue entry — ``schema``, ``index_on``, ``column_data()`` and
+    ``len`` — with no row store, no mirror and no index: the query peer's
+    final plan scans its fetched partitions through one per table binding
+    (§5.2).  The vectors are the batches' own, concatenated once if there
+    are several, and type-checked as a write into a table checks them: a bad
+    value raises the first bad row's error, and ``retyped`` says whether
+    the check replaced a vector.  A vector may be shared with the batch's
+    producer, so the batch rule holds: never write into one.
+    """
+
+    def __init__(self, schema, batches: Sequence[ColumnBatch]) -> None:
+        given = batches[0].vectors if len(batches) == 1 else [
+            list(chain.from_iterable(batch.vectors[k] for batch in batches))
+            for k in range(len(schema.columns))
+        ]
+        try:
+            self._vectors = schema.coerce_columns(given)
+        except SqlError:
+            for row in zip(*given):  # row-major, only to raise
+                schema.coerce_row(row)
+            raise
+        self.schema = schema
+        self.retyped = not all(map(is_, self._vectors, given))
+        self._count = sum(map(len, batches))
+
+    def __len__(self) -> int:
+        return self._count
+
+    def column_data(self) -> Sequence[Sequence[object]]:
+        return self._vectors
+
+    def index_on(self, column: str) -> None:
+        return None

@@ -11,7 +11,8 @@ batch column by column; :meth:`Table.insert` is the one-row door.
 A :class:`MemTable` is the bounded in-memory buffer the paper's query
 executor uses on the query-submitting peer: "the peer P creates a set of
 MemTables to hold the data retrieved from other peers and bulk inserts these
-data into the local MySQL when the MemTable is full" (Section 5.2).
+data into the local MySQL when the MemTable is full" (Section 5.2).  The
+basic engine counts its spills without running it; it is their oracle.
 """
 
 from __future__ import annotations
@@ -161,10 +162,8 @@ class Table:
 
         Rows that coercion left as they came, given as tuples, are stored as
         those very tuples (the loader's snapshot store holds them too;
-        tuples are immutable).  Only a caller's :class:`ColumnBatch` may
-        become the column mirror — a table without live rows takes copies of
-        its vectors, so staged data is never transposed back; rows wrapped
-        here leave the mirror to :meth:`column_data`, on first scan.
+        tuples are immutable).  A table whose mirror is current extends it;
+        otherwise the mirror waits for :meth:`column_data`, on first scan.
         """
         return self._append(*self._validated(rows))
 
@@ -172,12 +171,14 @@ class Table:
         self,
         rows: Union[ColumnBatch, Iterable[Sequence[object]]],
         leaving: frozenset = frozenset(),
-    ) -> Tuple[List[Sequence[object]], List[Tuple[object, ...]], bool]:
+    ) -> Tuple[List[Sequence[object]], List[Tuple[object, ...]]]:
         """``rows`` proven fit to join the table once rows ``leaving`` left:
-        coerced column vectors, the same as row tuples, and whether the
-        caller's own batch (which may become the mirror) supplied them."""
-        staged = isinstance(rows, ColumnBatch)
-        batch = rows if staged else ColumnBatch.from_rows(self.schema.column_names, rows)
+        coerced column vectors and the same as row tuples."""
+        batch = (
+            rows
+            if isinstance(rows, ColumnBatch)
+            else ColumnBatch.from_rows(self.schema.column_names, rows)
+        )
         try:
             given = batch.vectors
             vectors = self.schema.coerce_columns(given)
@@ -193,19 +194,14 @@ class Table:
             finally:
                 self._check_unique(list(zip(*coerced)), leaving)
             raise
-        if (
-            not staged  # a caller's batch keeps no rows worth a pass to share
-            and all(map(operator.is_, vectors, given))
-            and set(map(type, batch.rows)) <= {tuple}
+        if all(map(operator.is_, vectors, given)) and (
+            set(map(type, batch.rows)) <= {tuple}
         ):
-            return vectors, batch.rows, staged
-        return vectors, list(zip(*vectors)), staged
+            return vectors, batch.rows
+        return vectors, list(zip(*vectors))
 
     def _append(
-        self,
-        vectors: List[Sequence[object]],
-        coerced: List[Tuple[object, ...]],
-        staged: bool,
+        self, vectors: List[Sequence[object]], coerced: List[Tuple[object, ...]]
     ) -> List[int]:
         """Write validated rows: cannot refuse."""
         if not coerced:
@@ -216,10 +212,6 @@ class Table:
         if self._column_store is not None and self._column_store_version == self.version:
             for column_values, values in zip(self._column_store, vectors):
                 column_values.extend(values)
-            self._column_store_version = self.version + 1
-        elif staged and not self._live_count:
-            # Copies: a batch's vectors may be shared with its producer.
-            self._column_store = [list(vector) for vector in vectors]
             self._column_store_version = self.version + 1
         self._live_count += len(coerced)
         self._byte_size += self.schema.vectors_byte_size(vectors)
@@ -290,14 +282,14 @@ class Table:
         missing = +wanted  # the copies no live row matched
         if missing:
             raise SqlExecutionError(f"no live row to delete: {next(iter(missing))!r}")
-        vectors, coerced, staged = self._validated(inserted, frozenset(victims))
+        vectors, coerced = self._validated(inserted, frozenset(victims))
         for row_id in victims:
             self._tombstone(row_id)
         if victims:
             self._drop_column_store()
             if not coerced:
                 self.version += 1
-        return self._append(vectors, coerced, staged)
+        return self._append(vectors, coerced)
 
     def delete_where(self, predicate: Callable[[Tuple[object, ...]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the count."""

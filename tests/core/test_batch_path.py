@@ -3,16 +3,18 @@
 A shipped batch may share the owner table's live column mirror: a dense
 scan with an identity selection passes ``Table.column_data()`` through
 without copying, and the owner's insert paths extend that mirror in place.
-So masking builds new vectors, staging copies on adoption, and whatever a
-batch derives later stops at its own row count.  And however the fetched
-rows are batched, the MemTable spills where a row-at-a-time buffer would.
+So masking builds new vectors, the query peer's final plan only reads the
+fetched vectors while the query runs, and whatever a batch derives later
+stops at its own row count.  And however the fetched rows are batched, the
+spills counted are where a row-at-a-time MemTable would spill.
 """
 
 import pytest
 
 from repro.core import READ, BestPeerConfig, BestPeerNetwork, Role, rule
-from repro.core.engine_basic import BasicEngine
+from repro.core import engine_basic
 from repro.sqlengine import Column, ColumnType, TableSchema
+from repro.sqlengine.batch import ColumnRelation
 
 JOIN_SQL = "SELECT a.id, a.v, b.w FROM a, b WHERE a.id = b.id"
 A_ROWS = [(i, float(i)) for i in range(20)]
@@ -54,17 +56,16 @@ def net():
 
 @pytest.fixture
 def staged(monkeypatch):
-    """Every staging database the basic engine builds during the test."""
-    databases = []
-    original = BasicEngine._stage
+    """Every relation the basic engine's final plan reads during the test."""
+    relations = []
 
-    def spy(self, *args, **kwargs):
-        result = original(self, *args, **kwargs)
-        databases.append(result[0])
-        return result
+    class Recorded(ColumnRelation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            relations.append(self)
 
-    monkeypatch.setattr(BasicEngine, "_stage", spy)
-    return databases
+    monkeypatch.setattr(engine_basic, "ColumnRelation", Recorded)
+    return relations
 
 
 def test_results_and_staging_survive_owner_mutation(net, staged):
@@ -86,22 +87,12 @@ def test_results_and_staging_survive_owner_mutation(net, staged):
     records = list(execution.records)
     assert sorted(records) == [(i, float(i), 10.0 * i) for i in range(20)]
 
-    # Staging copied: no staged column is an owner's list.
-    owner_lists = [
-        column
-        for peer in net.peers.values()
-        for name in peer.database.table_names()
-        for column in peer.database.table(name).column_data()
-    ]
-    (staging,) = staged
-    staged_lists = [
-        column
-        for name in staging.table_names()
-        for column in staging.table(name).column_data()
-    ]
-    assert staged_lists
-    assert not any(
-        mine is theirs for mine in staged_lists for theirs in owner_lists
+    # Read in place: one owner's batch is its binding's relation, down to the
+    # owner's mirror lists, and nothing writes into them.
+    relation_a, relation_b = staged
+    assert [len(relation_a), len(relation_b)] == [20, 20]
+    assert all(
+        mine is theirs for mine, theirs in zip(relation_a.column_data(), mirror)
     )
 
     # In-place growth of the shared mirror, then destructive rewrites.
@@ -116,8 +107,9 @@ def test_results_and_staging_survive_owner_mutation(net, staged):
     assert held_lazy.rows == A_ROWS  # derived only now, bounded by count
     assert held_lazy.column("id") == [row[0] for row in A_ROWS]
     assert held_lazy.byte_size == held_eager.byte_size == 20 * 16
-    assert list(staging.table("a").rows()) == A_ROWS
-    assert staging.table("a").column_data() == [list(c) for c in zip(*A_ROWS)]
+    # The relation's lists grew with the owner's: it lives only while its
+    # query runs, and the records it produced are tuples of their own.
+    assert len(relation_a.column_data()[0]) == 25 and len(relation_a) == 20
 
 
 def test_masking_never_writes_into_the_owner_table(net, staged):

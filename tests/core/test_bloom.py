@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import BloomFilter, build_filter
+from repro.core import BestPeerConfig, BestPeerNetwork, BloomFilter, build_filter
 from repro.errors import BestPeerError
+from repro.sqlengine import Column, ColumnType, TableSchema
 
 
 class TestBloomFilter:
@@ -56,3 +57,56 @@ class TestBloomFilter:
         bloom = build_filter([])
         assert bloom.size_bytes >= 1
         assert 1 not in bloom
+
+
+class TestBloomJoinHashesEachKeyOnce:
+    """A query hashes each distinct build key once to build the filter and
+    each distinct probe key that is not a build key once to probe it: a
+    build key passes unhashed, and a key that several owners ship is
+    probed once."""
+
+    SQL = "SELECT a.id, b.w FROM a, b WHERE a.id = b.id AND a.v < 5"
+
+    @staticmethod
+    def _network(bloom_join_enabled=True):
+        schemas = {
+            name: TableSchema(
+                name,
+                [Column("id", ColumnType.INTEGER), Column(other, ColumnType.FLOAT)],
+            )
+            for name, other in (("a", "v"), ("b", "w"))
+        }
+        net = BestPeerNetwork(
+            schemas, config=BestPeerConfig(bloom_join_enabled=bloom_join_enabled)
+        )
+        for index in range(3):
+            net.add_peer(f"p{index}")
+            net.load_peer(
+                f"p{index}",
+                {
+                    "a": [(i, float(i)) for i in range(index, 30, 3)],
+                    # Every owner of b ships ids 0-19.
+                    "b": [(i, 10.0 * i + index) for i in range(20)],
+                },
+            )
+        return net
+
+    def test_hashes_per_query(self, monkeypatch):
+        hashed = []
+        original = BloomFilter._positions
+
+        def counting(self, value):
+            hashed.append(value)
+            return original(self, value)
+
+        monkeypatch.setattr(BloomFilter, "_positions", counting)
+        execution = self._network().execute(self.SQL, engine="basic")
+        monkeypatch.undo()
+        assert execution.bloom_joins == 1
+        build = set(range(5))
+        probe = set(range(20))
+        assert len(hashed) <= len(build) + len(probe - build)  # 5 + 15
+        # The parent hashed every distinct key once per owner: 5 + 3 * 20.
+        plain = self._network(bloom_join_enabled=False).execute(self.SQL)
+        assert sorted(execution.records) == sorted(plain.records)
+        assert len(execution.records) == 5 * 3

@@ -13,7 +13,8 @@ from repro.core.costmodel import CostParams
 from repro.errors import BestPeerError, SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
 from repro.plan.sms import SmsPlanner
-from repro.sqlengine import Database, parser
+from repro.sqlengine import Database, MemTable, Table, parser, vexecutor
+from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.planner import Planner
 from repro.tpch import (
     Q1,
@@ -211,6 +212,40 @@ class TestEngineBehaviour:
         assert network.clock.now > before
 
 
+class TestSelfJoin:
+    """Two bindings of one table are two partitions at the query peer: each
+    reads its own rows and its own pruned columns."""
+
+    NATION = [(0, "FRANCE", 1), (2, "GERMANY", 1), (1, "CHINA", 2), (3, "JAPAN", 2)]
+    QUERIES = {
+        "same_columns": (
+            "SELECT n1.n_name, n2.n_name FROM nation n1, nation n2 "
+            "WHERE n1.n_regionkey = n2.n_regionkey "
+            "AND n1.n_name = 'FRANCE' AND n2.n_name = 'GERMANY'"
+        ),
+        "other_columns": (
+            "SELECT n1.n_name, n2.n_nationkey FROM nation n1, nation n2 "
+            "WHERE n1.n_nationkey = n2.n_regionkey AND n2.n_name = 'GERMANY'"
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(QUERIES))
+    @pytest.mark.parametrize("engine", ENGINES + ["adaptive"])
+    def test_matches_the_local_database(self, engine, name):
+        schema = TPCH_SCHEMAS["nation"]
+        rows = [row + (f"comment {row[0]}",) for row in self.NATION]
+        net = BestPeerNetwork({"nation": schema})
+        for index in range(2):  # two owners: the query is fetched and processed
+            net.add_peer(f"p{index}")
+            net.load_peer(f"p{index}", {"nation": rows[index::2]})
+        oracle = Database()
+        oracle.create_table(schema).insert_many(rows)
+        sql = self.QUERIES[name]
+        expected = oracle.execute(sql).rows
+        assert len(expected) == 1
+        assert net.execute(sql, engine=engine).records == expected
+
+
 class TestSinglePeerOptimization:
     def test_whole_query_shipped_to_single_owner(self):
         net = BestPeerNetwork(TPCH_SCHEMAS, SECONDARY_INDICES)
@@ -401,6 +436,39 @@ def _count_plans(monkeypatch):
     return catalogs
 
 
+def _count_calls(monkeypatch, targets):
+    """Record the name of every call to each ``(namespace, name)`` target."""
+    calls = []
+    for target, name in targets:
+
+        def counting(*args, _original=getattr(target, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, counting)
+    return calls
+
+
+def _count_lowerings(monkeypatch):
+    """Record every layout and vector kernel the executor lowers."""
+    return _count_calls(
+        monkeypatch,
+        [
+            (vexecutor, "compile_vector_filter"),
+            (vexecutor, "compile_vector_evaluator"),
+            (RowLayout, "__init__"),
+        ],
+    )
+
+
+def _count_constructions(monkeypatch):
+    """Record every Database, Table and MemTable built."""
+    return _count_calls(
+        monkeypatch,
+        [(Database, "__init__"), (Table, "__init__"), (MemTable, "__init__")],
+    )
+
+
 class TestPlannedOnce:
     @pytest.fixture
     def two_owner_network(self):
@@ -439,17 +507,27 @@ class TestPlannedOnce:
                 net.execute(sql, peer_id="corp-1", engine=chosen)
         parses = _count_parses(monkeypatch)
         catalogs = _count_plans(monkeypatch)
+        lowered = _count_lowerings(monkeypatch)
+        built = _count_constructions(monkeypatch)
         second = net.execute(sql, peer_id="corp-1", engine=engine)
         assert sorted(second.records) == sorted(first.records)
-        assert parses == []
-        # Only the basic engine's staging database — new for every query —
-        # is planned against; no peer's catalogue is.
-        peer_catalogs = [peer.database._tables for peer in net.peers.values()]
-        assert not any(
-            catalog is peers for catalog in catalogs for peers in peer_catalogs
-        )
-        staged = second.strategy == "fetch-and-process" and query is Q3
-        assert len(catalogs) == (1 if staged else 0)
+        # Not the owners' plans, and not the basic engine's final plan over
+        # the fetched partitions either: that rides on the compiled text,
+        # lowered kernels and all (the other engines lower their stages per run).
+        assert parses == catalogs == []
+        assert lowered == [] or engine != "basic"
+        assert built == []  # no staging Database, Table or MemTable
+
+    def test_the_final_plan_is_made_once_per_text(self, two_owner_network):
+        sql = Q3("1995-06-01", "1995-06-01")
+        first = two_owner_network.execute(sql, peer_id="corp-1", engine="basic")
+        assert first.strategy == "fetch-and-process"
+        _, plan = two_owner_network.planner.compile_text(sql)
+        schemas, processing = plan.processing
+        two_owner_network.execute(sql, peer_id="corp-2", engine="basic")
+        assert plan.processing[1] is processing
+        assert [schema.name for schema in schemas] == ["orders", "lineitem"]
+        assert all(column.nullable for s in schemas for column in s.columns)
 
     def test_adaptive_compiles_a_new_text_once(self, two_owner_network, monkeypatch):
         parses = _count_parses(monkeypatch)

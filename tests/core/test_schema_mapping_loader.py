@@ -488,13 +488,13 @@ class TestLoadGoesThroughTheBulkDoor:
         assert table._column_store is None
         assert table.column_data() == [list(range(50)), [f"v{i}" for i in range(50)]]
 
-    def test_a_staged_batch_is_still_adopted_as_the_mirror(self):
+    def test_a_batch_builds_no_mirror(self):
         table = Database().create_table(T_SCHEMA)
         vectors = [[1, 2], ["a", "b"]]
         table.insert_many(ColumnBatch(T_COLUMNS, vectors, 2))
-        assert table._column_store == vectors
-        assert table._column_store_version == table.version
-        assert all(mine is not given for mine, given in zip(table._column_store, vectors))
+        assert table._column_store is None
+        assert table.column_data() == vectors
+        assert all(mine is not given for mine, given in zip(table.column_data(), vectors))
 
     def test_table_and_snapshot_store_share_tuples_safely(self):
         rows = _numbered(20)

@@ -159,7 +159,7 @@ class TestInsertManyIsTheInsertLoopMadeAtomic:
         }
         for door, write in doors.items():
             table = build(scenario)
-            was_current, was_empty = mirror_is_current(table), not len(table)
+            was_current = mirror_is_current(table)
             ids, error = attempt(lambda: write(table))
             assert error == expected_error, door
             if error is not None:
@@ -169,11 +169,9 @@ class TestInsertManyIsTheInsertLoopMadeAtomic:
             # One bump for the batch, where the loop bumps once per row.
             assert table.version == untouched["version"] + bool(batch), door
             assert oracle.version == untouched["version"] + len(batch)
-            # Who may have a mirror now: a table whose mirror was current
-            # keeps it current; an empty one adopts a caller's batch; rows
-            # wrapped at the door never build one.
-            adopted = door == "batch" and was_empty and bool(batch)
-            assert mirror_is_current(table) == (was_current or adopted), door
+            # A table whose mirror was current keeps it current; no other
+            # builds one before its first scan, whichever door was used.
+            assert mirror_is_current(table) == was_current, door
             got, want = surface(table), surface(oracle)
             for part in ("rows", "types", "len", "byte_size", "indexes"):
                 assert got[part] == want[part], (door, part)

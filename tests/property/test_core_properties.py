@@ -2,10 +2,11 @@
 snapshot diffs (and the loader's prefilter and atomic apply in front of
 them), the compile door, histograms, makespan scheduling."""
 
+import hashlib
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     BestPeerNetwork,
@@ -23,6 +24,7 @@ from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.sqlengine.parser import parse
 from repro.sqlengine.table import Table
+from repro.sqlengine.types import canonical_key
 from repro.tpch import (
     Q1,
     Q2,
@@ -41,6 +43,41 @@ from repro.tpch import (
 # Bloom filters: never a false negative
 # ----------------------------------------------------------------------
 values = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=200)
+#: Join keys of several kinds, some equal across kinds.
+EQUAL_ACROSS_TYPES = [
+    1, 1.0, True, 0, 0.0, -0.0, False, (1, "a"), (1.0, "a"), "1", None
+]
+keys = st.one_of(
+    st.integers(-50, 50),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-50, max_value=50),
+    st.booleans(),
+    st.text(max_size=4),
+    st.none(),
+    st.tuples(st.integers(-3, 3), st.text(max_size=2)),
+    st.sampled_from(EQUAL_ACROSS_TYPES),
+)
+
+
+class BigIntBloom:
+    """The construction the byte array replaced (the oracle): the filter is
+    one Python int and bit ``p`` is ``1 << p``; keys hash as the filter's
+    double hashing of ``repr(canonical_key(key))``."""
+
+    def __init__(self, num_bits, num_hashes):
+        self.num_bits, self.num_hashes, self.bits = num_bits, num_hashes, 0
+
+    def _positions(self, value):
+        digest = hashlib.sha256(repr(canonical_key(value)).encode("utf-8")).digest()
+        h1 = int.from_bytes(digest[:8], "big")
+        h2 = int.from_bytes(digest[8:16], "big") | 1
+        return [(h1 + i * h2) % self.num_bits for i in range(self.num_hashes)]
+
+    def add(self, value):
+        for position in self._positions(value):
+            self.bits |= 1 << position
+
+    def __contains__(self, value):
+        return all(self.bits & (1 << position) for position in self._positions(value))
 
 
 class TestBloomProperties:
@@ -73,6 +110,27 @@ class TestBloomProperties:
         bloom = build_filter(inserted, bits_per_key=10)
         assert bloom.size_bytes == (len(inserted) * 10 + 7) // 8
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(keys, max_size=40),
+        st.lists(keys, max_size=40),
+        st.integers(1, 12),
+        st.integers(1, 6),
+    )
+    def test_bits_and_verdicts_are_the_big_int_filters(
+        self, inserted, probes, bits_per_key, num_hashes
+    ):
+        bloom = build_filter(inserted, bits_per_key, num_hashes)
+        oracle = BigIntBloom(bloom.num_bits, num_hashes)
+        for value in inserted:
+            oracle.add(value)
+        assert int.from_bytes(bloom._bits, "little") == oracle.bits
+        members = set(inserted)
+        for value in inserted + probes + EQUAL_ACROSS_TYPES:
+            assert (value in bloom) == (value in oracle)
+            # Why the bloom join may pass a key equal to a build key unhashed.
+            assert value not in members or value in bloom
+
 
 # ----------------------------------------------------------------------
 # Rabin fingerprints over tuples
@@ -96,6 +154,7 @@ class TestFingerprintProperties:
         assert 0 <= fingerprint_tuple(row) < (1 << 32)
 
     @given(tuples_, tuples_)
+    @example((0.0,), (-0.0,))
     def test_equal_rows_equal_fingerprints(self, a, b):
         if a == b and [type(x) for x in a] == [type(x) for x in b]:
             assert fingerprint_tuple(a) == fingerprint_tuple(b)
