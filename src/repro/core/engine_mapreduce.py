@@ -85,10 +85,7 @@ class BestPeerMapReduceEngine:
             execution = peer.execute_local(  # repro: allow[ISO002,RES001] map-side local read; shuffle prices the movement and MapReduce recovers by re-executing the job, not by retrying messages
                 fragment_sql, query_timestamp=timestamp
             )
-            return LocalResult(
-                records=list(execution.result.rows),
-                seconds=execution.seconds,
-            )
+            return LocalResult(execution.result.batch, execution.seconds)
 
         driver = DistributedPlanDriver(engine, hosts, local_execute)
         self._query_counter += 1

@@ -118,8 +118,6 @@ class HadoopDbCluster:
     def _local_execute(self, host: str, sql: str) -> LocalResult:
         query_result = self.databases[host].execute(sql)
         return LocalResult(
-            records=list(query_result.rows),
-            seconds=self.compute_model.seconds(
-                query_result.stats, self.compute_units
-            ),
+            query_result.batch,
+            self.compute_model.seconds(query_result.stats, self.compute_units),
         )

@@ -17,13 +17,20 @@ time is simulated.
 """
 
 from repro.mapreduce.hdfs import Hdfs, HdfsFile
-from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
+from repro.mapreduce.job import (
+    InputSplit,
+    JobResult,
+    MapOutput,
+    MapReduceJob,
+    SplitData,
+)
 from repro.mapreduce.engine import MapReduceConfig, MapReduceEngine
 
 __all__ = [
     "Hdfs",
     "HdfsFile",
     "InputSplit",
+    "MapOutput",
     "SplitData",
     "MapReduceJob",
     "JobResult",

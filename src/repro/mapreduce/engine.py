@@ -11,19 +11,13 @@ delay, §6.1.7).
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.hdfs import Hdfs
-from repro.mapreduce.job import (
-    InputSplit,
-    JobResult,
-    MapReduceJob,
-    PhaseTimings,
-    SplitData,
-)
+from repro.mapreduce.job import JobResult, MapOutput, MapReduceJob, PhaseTimings
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
 from repro.sqlengine.batch import wire_size
@@ -104,15 +98,20 @@ class MapReduceEngine:
 
         map_outputs, timings.map_s = self._run_map_phase(job)
 
+        widths: Optional[List[int]] = None
         if job.reduce_fn is None:
-            records = [value for _, outputs in map_outputs for _, value in outputs]
+            records = list(
+                chain.from_iterable(output.values for _, output in map_outputs)
+            )
             bytes_shuffled = 0
             reduce_tasks = 0
         else:
-            partitions, bytes_shuffled, timings.shuffle_s = self._shuffle(
+            inputs, bytes_shuffled, timings.shuffle_s = self._shuffle(
                 job, map_outputs
             )
-            records, timings.reduce_s = self._run_reduce_phase(job, partitions)
+            records, widths, timings.reduce_s = self._run_reduce_phase(
+                job, inputs
+            )
             reduce_tasks = job.num_reducers
 
         if job.output_path is not None:
@@ -122,7 +121,7 @@ class MapReduceEngine:
                 )
             writer = self._reducer_host(0)
             timings.hdfs_write_s = self.hdfs.write(
-                job.output_path, records, records_byte_size(records), writer
+                job.output_path, records, records_byte_size(records), writer, widths
             )
 
         return JobResult(
@@ -142,18 +141,16 @@ class MapReduceEngine:
     # Phases
     # ------------------------------------------------------------------
     def _run_map_phase(self, job: MapReduceJob):
-        """Run every map task; returns ([(host, [(k, v)])], phase duration).
+        """Run every map task; returns ([(host, MapOutput)], phase duration).
 
         Tasks on different hosts run in parallel; multiple splits landing on
         the same host queue behind its map slots.
         """
         per_host_seconds: Dict[str, float] = {}
-        outputs: List[Tuple[str, List[Tuple[object, object]]]] = []
+        outputs: List[Tuple[str, MapOutput]] = []
         for split in job.splits:
             data = split.fetch()
-            pairs: List[Tuple[object, object]] = []
-            for record in data.records:
-                pairs.extend(job.map_fn(record))
+            outputs.append((split.host, job.map_fn(data)))
             task_seconds = (
                 data.local_seconds
                 + len(data.records) * self.config.map_cpu_per_record_s
@@ -161,7 +158,6 @@ class MapReduceEngine:
             per_host_seconds[split.host] = (
                 per_host_seconds.get(split.host, 0.0) + task_seconds
             )
-            outputs.append((split.host, pairs))
         slots = self.config.map_slots_per_host
         duration = parallel_duration(
             *(seconds / slots for seconds in per_host_seconds.values())
@@ -169,36 +165,50 @@ class MapReduceEngine:
         return outputs, duration
 
     def _shuffle(self, job: MapReduceJob, map_outputs):
-        """Partition intermediate pairs to reducers over the network."""
+        """Route every map output to its reducer over the network.
+
+        Returns each reducer's input — ``(keys, values, sizes)`` in arrival
+        order: split by split, position by position — the bytes shipped
+        and the phase duration.  One wire transfer per non-empty (mapper
+        host, reducer) lane, priced ``wire_size(keys) + sum(sizes)``.
+        """
         reducers = range(job.num_reducers)
-        partitions: List[Dict[object, List[object]]] = [{} for _ in reducers]
+        inputs = [([], [], []) for _ in reducers]
         # Keys repeat (both join sides, every row of a group): hash each
-        # distinct key once.  Equal keys are one dict entry, which is exact
+        # distinct key once.  Equal keys share an entry, which is exact
         # because ``_partition_of`` sends equal keys to one reducer.
         reducer_of: Dict[object, int] = {}
-        # One wire transfer per (mapper host, reducer) lane: gather each
-        # lane's keys and values so the lane is priced as a batch.
-        lanes: Dict[str, List[Tuple[List[object], List[object]]]] = {}
-        for host, pairs in map_outputs:
+        lanes: Dict[str, List[Tuple[List[object], List[int]]]] = {}
+        for host, output in map_outputs:
+            keys, values, sizes = output.keys, output.values, output.sizes
+            for key in dict.fromkeys(keys):
+                if key not in reducer_of:
+                    reducer_of[key] = self._partition_of(key, job.num_reducers)
+            routes: List[List[int]] = [[] for _ in reducers]
+            appends = [positions.append for positions in routes]
+            for position, key in enumerate(keys):
+                appends[reducer_of[key]](position)
             host_lanes = lanes.setdefault(host, [([], []) for _ in reducers])
-            for key, value in pairs:
-                reducer = reducer_of.get(key)
-                if reducer is None:
-                    reducer = reducer_of[key] = self._partition_of(
-                        key, job.num_reducers
-                    )
-                partitions[reducer].setdefault(key, []).append(value)
-                lane_keys, lane_values = host_lanes[reducer]
-                lane_keys.append(key)
-                lane_values.append(value)
+            for reducer, positions in enumerate(routes):
+                if not positions:
+                    continue
+                routed = [
+                    list(map(vector.__getitem__, positions))
+                    for vector in (keys, values, sizes)
+                ]
+                for into, part in zip(inputs[reducer], routed):
+                    into.extend(part)
+                lane_keys, lane_sizes = host_lanes[reducer]
+                lane_keys.extend(routed[0])
+                lane_sizes.extend(routed[2])
 
         total_bytes = 0
         per_reducer_seconds = [0.0] * job.num_reducers
         for host in sorted(lanes):
-            for reducer, (keys, values) in enumerate(lanes[host]):
+            for reducer, (keys, sizes) in enumerate(lanes[host]):
                 if not keys:
                     continue  # nothing to send: no transfer, as on a real wire
-                nbytes = wire_size(keys) + records_byte_size(values)
+                nbytes = wire_size(keys) + sum(sizes)
                 total_bytes += nbytes
                 per_reducer_seconds[reducer] += self.network.transfer(
                     host, self._reducer_host(reducer), nbytes
@@ -207,24 +217,28 @@ class MapReduceEngine:
             self.config.shuffle_notification_delay_s
             + parallel_duration(*per_reducer_seconds)
         )
-        return partitions, total_bytes, duration
+        return inputs, total_bytes, duration
 
-    def _run_reduce_phase(self, job: MapReduceJob, partitions):
+    def _run_reduce_phase(self, job: MapReduceJob, inputs):
+        """Each reducer reduces its whole input; returns (records, their
+        widths if every reducer knew them, phase duration)."""
         records: List[object] = []
+        widths: Optional[List[int]] = []
         per_reducer_seconds: List[float] = []
-        for partition in partitions:
-            input_count = sum(len(values) for values in partition.values())
+        for keys, values, sizes in inputs:
             reducer_records: List[object] = []
-            # Hadoop merge-sorts keys before reducing; keep that ordering
-            # (it makes merge-join reducers and test output deterministic).
-            for key in sorted(partition, key=_sortable):
-                reducer_records.extend(job.reduce_fn(key, partition[key]))
+            if keys:  # a reducer nothing reached does no work
+                reducer_records, reducer_widths = job.reduce_fn(keys, values, sizes)
+                if widths is not None and reducer_widths is not None:
+                    widths.extend(reducer_widths)
+                else:
+                    widths = None
             per_reducer_seconds.append(
-                (input_count + len(reducer_records))
+                (len(keys) + len(reducer_records))
                 * self.config.reduce_cpu_per_record_s
             )
             records.extend(reducer_records)
-        return records, parallel_duration(*per_reducer_seconds)
+        return records, widths, parallel_duration(*per_reducer_seconds)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -238,8 +252,3 @@ class MapReduceEngine:
         # ``hash`` is salted for strings, so CRC32 over repr is used instead;
         # over the canonical key, so that 1 and 1.0 meet at one reducer).
         return zlib.crc32(repr(canonical_key(key)).encode("utf-8")) % num_reducers
-
-
-def _sortable(key: object):
-    """Total order over heterogeneous keys for deterministic reducers."""
-    return (type(key).__name__, repr(key))

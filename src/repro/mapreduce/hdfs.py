@@ -20,11 +20,16 @@ DEFAULT_REPLICATION = 3
 
 @dataclass
 class HdfsBlock:
-    """One block of a file: a slice of records plus its replica placement."""
+    """One block of a file: a slice of records plus its replica placement.
+
+    ``widths`` keeps each record's ``len(str(record))`` next to it when the
+    writer knew them, so a reader need not measure the rows again.
+    """
 
     size_bytes: int
     records: List[object]
     replica_hosts: Tuple[str, ...]
+    widths: Optional[List[int]] = None
 
 
 @dataclass
@@ -44,6 +49,13 @@ class HdfsFile:
         for block in self.blocks:
             collected.extend(block.records)
         return collected
+
+    @property
+    def widths(self) -> Optional[List[int]]:
+        """Every record's width, in record order; None if any is unknown."""
+        if any(block.widths is None for block in self.blocks):
+            return None
+        return [width for block in self.blocks for width in block.widths]
 
 
 class Hdfs:
@@ -106,12 +118,14 @@ class Hdfs:
         records: Sequence[object],
         size_bytes: int,
         writer_host: str,
+        widths: Optional[Sequence[int]] = None,
     ) -> float:
         """Write a file from ``writer_host``; returns the simulated duration.
 
         The record list is split into blocks by byte proportion; each block
         is pipelined to ``replication`` datanodes (the first replica prefers
-        the writer itself, as real HDFS does).
+        the writer itself, as real HDFS does).  ``widths``, when given, are
+        the records' text widths, stored beside them and never priced.
         """
         if not self._datanodes:
             raise HdfsError("no datanodes registered")
@@ -126,12 +140,7 @@ class Hdfs:
         blocks: List[HdfsBlock] = []
         duration = 0.0
         for block_index in range(block_count):
-            if records:
-                chunk = records[
-                    block_index * per_block : (block_index + 1) * per_block
-                ]
-            else:
-                chunk = []
+            chunk = slice(block_index * per_block, (block_index + 1) * per_block)
             chunk_bytes = (
                 size_bytes // block_count
                 if block_index < block_count - 1
@@ -143,7 +152,14 @@ class Hdfs:
             for replica in replicas:
                 duration += self.network.transfer(source, replica, chunk_bytes)
                 source = replica
-            blocks.append(HdfsBlock(chunk_bytes, list(chunk), tuple(replicas)))
+            blocks.append(
+                HdfsBlock(
+                    chunk_bytes,
+                    records[chunk],
+                    tuple(replicas),
+                    None if widths is None else list(widths[chunk]),
+                )
+            )
         self._files[path] = HdfsFile(path, blocks)
         return duration
 

@@ -13,12 +13,20 @@ and :func:`finalize_records`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress, count
+from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
 from repro.mapreduce.engine import MapReduceEngine
-from repro.mapreduce.job import InputSplit, JobResult, MapReduceJob, SplitData
+from repro.mapreduce.job import (
+    InputSplit,
+    JobResult,
+    MapOutput,
+    MapReduceJob,
+    SplitData,
+    key_order,
+)
 from repro.plan.sms import (
     AggregateStage,
     DistributedPlan,
@@ -32,15 +40,22 @@ from repro.sqlengine.compile import (
     compile_key,
     compile_predicate,
 )
+from repro.sqlengine.batch import ColumnBatch, concat_text_offset
 from repro.sqlengine.executor import compile_aggregates, sort_key
 from repro.sqlengine.expr import ColumnRef, RowLayout
+
+#: A join shuffles ``(tag, row)``, priced as a record: the one-letter tag
+#: (1 + 4 bytes) plus the row as one value, its text plus 4.
+TAGGED_ROW_BYTES = 9
 
 
 @dataclass
 class LocalResult:
-    """What running a pushed-down SQL fragment on one worker yields."""
+    """What running a pushed-down SQL fragment on one worker yields: its
+    result batch, whose rows and row widths are read, never written, and
+    the simulated seconds it took."""
 
-    records: List[tuple]
+    batch: ColumnBatch
     seconds: float
 
 
@@ -79,34 +94,19 @@ class DistributedPlanDriver:
     # Entry point
     # ------------------------------------------------------------------
     def run(self, plan: DistributedPlan, query_id: str) -> DriverResult:
+        try:
+            jobs = self._run_jobs(plan, query_id)
+        finally:
+            # The chain's stage files are the query's temporary files: gone
+            # once read, or once the query failed (no simulated cost).
+            hdfs = self.engine.hdfs
+            for index in range(len(plan.joins)):
+                path = _stage_path(query_id, index)
+                if hdfs is not None and hdfs.exists(path):
+                    hdfs.delete(path)
+
         aggregate = plan.aggregate
         columns = list(plan.columns_after_joins)
-        jobs, join_path = self._run_join_chain(plan, query_id)
-
-        if aggregate is None:
-            if not plan.joins:
-                # Q1 shape: one map-only job pushing the full selection down.
-                jobs.append(
-                    self.engine.run_job(
-                        MapReduceJob(
-                            name=f"{query_id}-select",
-                            splits=self._table_splits(plan.base),
-                            map_fn=lambda row: [(None, row)],
-                        )
-                    )
-                )
-        elif plan.joins or aggregate.partials is None:
-            # The aggregation job reads the last join's HDFS output; without
-            # joins, non-decomposable aggregates shuffle raw rows (rare path).
-            splits = (
-                self._hdfs_splits(join_path)
-                if plan.joins
-                else self._table_splits(plan.base)
-            )
-            jobs.append(self._run_aggregate_job(aggregate, splits, columns, query_id))
-        else:
-            jobs.append(self._run_partial_aggregate_job(plan, query_id))
-
         records = jobs[-1].records
         if aggregate is not None:
             if not records:
@@ -118,6 +118,39 @@ class DistributedPlanDriver:
         records, columns = finalize_records(plan, records, columns)
         return DriverResult(columns=columns, records=records, jobs=jobs)
 
+    def _run_jobs(self, plan: DistributedPlan, query_id: str) -> List[JobResult]:
+        """The join chain, then the job that finishes the query."""
+        aggregate = plan.aggregate
+        jobs = self._run_join_chain(plan, query_id)
+        if aggregate is None:
+            if not plan.joins:
+                # Q1 shape: one map-only job pushing the full selection down.
+                jobs.append(
+                    self.engine.run_job(
+                        MapReduceJob.per_record(
+                            f"{query_id}-select",
+                            self._table_splits(plan.base),
+                            map_fn=lambda row: [(None, row)],
+                        )
+                    )
+                )
+        elif plan.joins or aggregate.partials is None:
+            # The aggregation job reads the last join's HDFS output; without
+            # joins, non-decomposable aggregates shuffle raw rows (rare path).
+            splits = (
+                self._hdfs_splits(_stage_path(query_id, len(plan.joins) - 1))
+                if plan.joins
+                else self._table_splits(plan.base)
+            )
+            jobs.append(
+                self._run_aggregate_job(
+                    aggregate, splits, plan.columns_after_joins, query_id
+                )
+            )
+        else:
+            jobs.append(self._run_partial_aggregate_job(plan, query_id))
+        return jobs
+
     # ------------------------------------------------------------------
     # Splits
     # ------------------------------------------------------------------
@@ -126,80 +159,67 @@ class DistributedPlanDriver:
     ) -> List[InputSplit]:
         def read(host, index):
             local = self.local_execute(host, local_plan.sql)
-            return local.records, local.seconds
+            batch = local.batch
+            widths = None if tag is None else batch.widths
+            return SplitData(batch.rows, local.seconds, widths, tag)
 
-        return self._splits(local_plan.table, read, tag)
+        return self._splits(local_plan.table, read)
 
     def _hdfs_splits(self, path: str, tag: Optional[str] = None) -> List[InputSplit]:
-        """Each worker reads its share of the previous stage's HDFS output."""
+        """Each worker reads its share of the previous stage's HDFS output,
+        and the share's row widths kept beside it."""
         worker_count = len(self.workers)
 
         def read(host, index):
-            records, seconds = self.engine.hdfs.read(path, host)
-            return records[index::worker_count], seconds / worker_count
+            hdfs = self.engine.hdfs
+            records, seconds = hdfs.read(path, host)
+            share = slice(index, None, worker_count)
+            widths = None if tag is None else hdfs.file(path).widths[share]
+            return SplitData(records[share], seconds / worker_count, widths, tag)
 
-        return self._splits(path, read, tag)
+        return self._splits(path, read)
 
-    def _splits(self, label: str, read, tag: Optional[str]) -> List[InputSplit]:
-        """One split per worker; ``read(host, index) -> (records, seconds)``."""
-        splits = []
-        for index, host in enumerate(self.workers):
-            def fetch(host=host, index=index):
-                records, seconds = read(host, index)
-                if tag is not None:
-                    records = [(tag, row) for row in records]
-                return SplitData(records=records, local_seconds=seconds)
-
-            splits.append(InputSplit(host=host, fetch=fetch, label=label))
-        return splits
+    def _splits(self, label: str, read) -> List[InputSplit]:
+        """One split per worker; ``read(host, index) -> SplitData``."""
+        return [
+            InputSplit(host, lambda host=host, index=index: read(host, index), label)
+            for index, host in enumerate(self.workers)
+        ]
 
     # ------------------------------------------------------------------
     # Join chain (Q3/Q4/Q5 shapes)
     # ------------------------------------------------------------------
-    def _run_join_chain(self, plan: DistributedPlan, query_id: str):
-        """One shuffle-join job per stage; returns (jobs, last HDFS path)."""
+    def _run_join_chain(self, plan: DistributedPlan, query_id: str) -> List[JobResult]:
+        """One shuffle-join job per stage, each persisted to HDFS."""
         columns = list(plan.base.columns)
         jobs: List[JobResult] = []
-        previous_path: Optional[str] = None
         for stage_index, stage in enumerate(plan.joins):
             lp, rp, out_columns, residual = lower_join_stage(stage, columns)
-            if previous_path is None:
+            if stage_index == 0:
                 left_splits = self._table_splits(plan.base, tag="L")
             else:
-                left_splits = self._hdfs_splits(previous_path, tag="L")
+                left_splits = self._hdfs_splits(
+                    _stage_path(query_id, stage_index - 1), tag="L"
+                )
             right_splits = self._table_splits(stage.right, tag="R")
-
-            def map_fn(tagged, lp=lp, rp=rp):
-                tag, row = tagged
-                key = row[lp] if tag == "L" else row[rp]
-                if key is None:
-                    return []
-                return [(key, tagged)]
-
-            def reduce_fn(key, tagged_rows, residual=residual):
-                lefts = [row for tag, row in tagged_rows if tag == "L"]
-                rights = [row for tag, row in tagged_rows if tag == "R"]
-                joined = [left + right for left in lefts for right in rights]
-                return joined if residual is None else list(filter(residual, joined))
-
             # Every stage persists to HDFS ("The join results are then
             # written to HDFS", §6.1.9); the next join or the aggregation
             # job reads it back.
-            output_path = f"/{query_id}/stage-{stage_index}"
             result = self.engine.run_job(
                 MapReduceJob(
                     name=f"{query_id}-join-{stage_index}",
                     splits=left_splits + right_splits,
-                    map_fn=map_fn,
-                    reduce_fn=reduce_fn,
+                    map_fn=_join_map(lp, rp),
+                    reduce_fn=_join_reduce(
+                        residual, len(columns), len(stage.right.columns)
+                    ),
                     num_reducers=len(self.workers),
-                    output_path=output_path,
+                    output_path=_stage_path(query_id, stage_index),
                 )
             )
             jobs.append(result)
-            previous_path = output_path
             columns = out_columns
-        return jobs, previous_path
+        return jobs
 
     # ------------------------------------------------------------------
     # Aggregation jobs
@@ -224,9 +244,9 @@ class DistributedPlanDriver:
             return [tuple(key) + compute(rows)]
 
         return self.engine.run_job(
-            MapReduceJob(
-                name=f"{query_id}-aggregate",
-                splits=splits,
+            MapReduceJob.per_record(
+                f"{query_id}-aggregate",
+                splits,
                 map_fn=map_fn,
                 reduce_fn=reduce_fn,
                 num_reducers=len(self.workers),
@@ -246,9 +266,9 @@ class DistributedPlanDriver:
             return [tuple(key) + merge(partial_rows)]
 
         return self.engine.run_job(
-            MapReduceJob(
-                name=f"{query_id}-partial-aggregate",
-                splits=self._table_splits(partial_aggregate_plan(plan)),
+            MapReduceJob.per_record(
+                f"{query_id}-partial-aggregate",
+                self._table_splits(partial_aggregate_plan(plan)),
                 map_fn=partial_map,
                 reduce_fn=partial_reduce,
                 # A scalar aggregate has a single group; more reducers would
@@ -281,6 +301,77 @@ def lower_join_stage(stage: JoinStage, columns: List[str]):
         out_columns,
         residual,
     )
+
+
+def _stage_path(query_id: str, stage_index: int) -> str:
+    return f"/{query_id}/stage-{stage_index}"
+
+
+def _join_map(left_key: int, right_key: int):
+    """A join stage's map over one split: key every row by its side's join
+    column, drop NULL keys, and price each ``(tag, row)`` from the row's
+    known width."""
+
+    def map_split(data: SplitData) -> MapOutput:
+        tag, rows = data.tag, data.records
+        keys = list(map(itemgetter(left_key if tag == "L" else right_key), rows))
+        values = [(tag, row) for row in rows]
+        sizes = [width + TAGGED_ROW_BYTES for width in data.widths]
+        if None in keys:
+            kept = [key is not None for key in keys]
+            keys, values, sizes = (
+                list(compress(vector, kept)) for vector in (keys, values, sizes)
+            )
+        return MapOutput(keys, values, sizes)
+
+    return map_split
+
+
+def _join_reduce(residual, left_width: int, right_width: int):
+    """A join stage's reducer over its whole input.
+
+    Key groups in merge-sort order, each group's lefts x rights in arrival
+    order, then the residual over all of them in that same order — so the
+    rows, and the first error, are those of joining group by group.  A
+    joined row's width is its halves' plus :func:`concat_text_offset`.
+    """
+    # sizes are widths + TAGGED_ROW_BYTES, one such on each side
+    offset = concat_text_offset(left_width, right_width) - 2 * TAGGED_ROW_BYTES
+
+    def reduce_input(keys, tagged, sizes):
+        lefts_of: Dict[object, List[int]] = {}
+        rights_of: Dict[object, List[int]] = {}
+        for position, key, (tag, _) in zip(count(), keys, tagged):
+            groups = lefts_of if tag == "L" else rights_of
+            bucket = groups.get(key)
+            if bucket is None:
+                groups[key] = [position]
+            else:
+                bucket.append(position)
+        pair_lefts: List[int] = []
+        pair_rights: List[int] = []
+        for key in key_order(keys):
+            lefts, rights = lefts_of.get(key), rights_of.get(key)
+            if lefts and rights:
+                pair_rights.extend(rights * len(lefts))
+                pair_lefts.extend(
+                    lefts if len(rights) == 1 else [p for p in lefts for _ in rights]
+                )
+        row_of = list(map(itemgetter(1), tagged)).__getitem__
+        rows = list(map(add, map(row_of, pair_lefts), map(row_of, pair_rights)))
+        if residual is not None:
+            kept = list(map(residual, rows))
+            rows, pair_lefts, pair_rights = (
+                list(compress(vector, kept))
+                for vector in (rows, pair_lefts, pair_rights)
+            )
+        widths = [
+            sizes[left] + sizes[right] + offset
+            for left, right in zip(pair_lefts, pair_rights)
+        ]
+        return rows, widths
+
+    return reduce_input
 
 
 def _first_seen_groups(aggregate, keys, members, empty_group):

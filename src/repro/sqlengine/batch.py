@@ -5,7 +5,7 @@ access controller, filtered by the bloom join, priced for the wire, and
 scanned at the query peer (§5.2) — column vectors end to end, so typed data
 is never transposed into tuples and back, re-coerced or re-priced on the
 way.  It is **immutable**: masking and selection build new batches, and the
-wire size is computed once.
+wire size and the rows' text widths are computed once.
 
 A batch's vectors may be *shared*: a dense scan passes the owner table's
 live column mirror through without copying, and an unrestricted column
@@ -52,6 +52,42 @@ def wire_size(vector: Sequence[object]) -> int:
     values = (value for value in vector if value is not None) if nulls else vector
     texts = values if kinds == {str} else map(str, values)
     return sum(map(len, texts)) + 4 * present + nulls
+
+
+def value_sizes(vector: Sequence[object]) -> List[int]:
+    """Each value's :func:`wire_size`, by the same kind dispatch:
+    ``sum(value_sizes(v)) == wire_size(v)``, for pricing values that are
+    routed one by one (a MapReduce shuffle's)."""
+    kinds = set(map(type, vector))
+    kinds.discard(type(None))
+    if kinds <= NUMERIC_KINDS:
+        return [1 if value is None else 8 for value in vector]
+    if any(issubclass(kind, (int, float)) for kind in kinds):
+        return list(map(value_byte_size, vector))
+    text = len if kinds == {str} else (lambda value: len(str(value)))
+    return [1 if value is None else text(value) + 4 for value in vector]
+
+
+def text_widths(rows: Sequence[Tuple[object, ...]]) -> List[int]:
+    """Each row's text width, ``len(str(row))``: what a shuffled row is
+    priced by.  Measured once per batch (:attr:`ColumnBatch.widths`) and
+    derived after that (:func:`concat_text_offset`)."""
+    return list(map(len, map(str, rows)))
+
+
+def concat_text_offset(left: int, right: int) -> int:
+    """``len(str(l + r)) - len(str(l)) - len(str(r))`` for tuples of
+    ``left`` and ``right`` values.
+
+    A tuple's text is its values' reprs joined by ", " in parentheses,
+    ``()`` when empty and ``(x,)`` for one value: ``c(n)`` = 2, 3 and
+    ``2n`` characters around the reprs.  So a joined row's width follows
+    from its halves' without a ``str()``.
+    """
+    def around(n: int) -> int:
+        return 2 if n == 0 else 3 if n == 1 else 2 * n
+
+    return around(left + right) - around(left) - around(right)
 
 
 def rows_from_vectors(
@@ -160,6 +196,7 @@ class ColumnBatch:
         )
         self._rows: Optional[List[Tuple[object, ...]]] = None
         self._byte_size: Optional[int] = None
+        self._widths: Optional[List[int]] = None
 
     @classmethod
     def from_rows(
@@ -207,6 +244,13 @@ class ColumnBatch:
         if self._byte_size is None:
             self._byte_size = sum(map(wire_size, self.vectors))
         return self._byte_size
+
+    @property
+    def widths(self) -> List[int]:
+        """Each row's :func:`text_widths`, measured on first use.  Read-only."""
+        if self._widths is None:
+            self._widths = text_widths(self.rows)
+        return self._widths
 
     def take(self, positions: Sequence[int]) -> "ColumnBatch":
         """The rows at ``positions`` (increasing) as a new batch."""

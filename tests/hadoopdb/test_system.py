@@ -6,6 +6,7 @@ database and compare the distributed result against the local one.
 
 import pytest
 
+from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
 from repro.mapreduce import MapReduceConfig
 from repro.sqlengine import Database
@@ -124,3 +125,43 @@ class TestConfiguration:
         for index in range(2):
             cluster.load_worker(index, generator.generate_peer(index))
         assert cluster.execute(Q1()).duration_s >= 99.0
+
+
+class TestStageFilesAreDeleted:
+    """A query's join-chain files are temporary: one HDFS serves the cluster's
+    whole lifetime, so keeping them would grow it by every query."""
+
+    FAILING_JOIN = (
+        "SELECT c_custkey, l_orderkey FROM customer, orders, lineitem "
+        "WHERE c_custkey = o_custkey AND o_orderkey = l_orderkey "
+        "AND l_quantity / (c_nationkey - c_nationkey) > 1"
+    )
+
+    @staticmethod
+    def build():
+        cluster = HadoopDbCluster(NUM_WORKERS)
+        cluster.create_tables(TPCH_SCHEMAS.values(), SECONDARY_INDICES)
+        generator = TpchGenerator(seed=11, scale=0.4)
+        for index in range(NUM_WORKERS):
+            cluster.load_worker(index, generator.generate_peer(index))
+        return cluster
+
+    def run(self, cluster):
+        durations = []
+        for sql in (Q3(), Q5(), self.FAILING_JOIN, Q3()):
+            try:
+                durations.append(cluster.execute(sql).duration_s)
+            except SqlExecutionError as error:
+                assert "division by zero" in str(error)
+                durations.append(None)
+        return durations
+
+    def test_no_file_outlives_its_query_and_no_duration_moves(self):
+        cleaned, keeping = self.build(), self.build()
+        # The twin keeps every file: what the cluster did before.
+        keeping.hdfs.delete = lambda path: None
+        durations = self.run(cleaned)
+        assert durations[2] is None  # the join chain failed part-way
+        assert cleaned.hdfs.list_files() == []
+        assert durations == self.run(keeping)
+        assert keeping.hdfs.list_files()  # it would have leaked

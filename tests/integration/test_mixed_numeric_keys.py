@@ -96,7 +96,7 @@ def test_group_key_column_mixing_int_and_float_is_one_group_per_value():
         cluster.engine,
         cluster.workers,
         lambda host, fragment: LocalResult(
-            list(cluster.databases[host].execute(fragment).rows), 0.0
+            cluster.databases[host].execute(fragment).batch, 0.0
         ),
     )
     records = driver.run(plan, "mixed").records

@@ -39,7 +39,7 @@ def word_splits(hosts, texts):
 
 
 def word_count_job(hosts, texts, num_reducers=2, output_path=None):
-    return MapReduceJob(
+    return MapReduceJob.per_record(
         name="wordcount",
         splits=word_splits(hosts, texts),
         map_fn=lambda word: [(word, 1)],
@@ -52,12 +52,12 @@ def word_count_job(hosts, texts, num_reducers=2, output_path=None):
 class TestJobValidation:
     def test_empty_splits_rejected(self):
         with pytest.raises(MapReduceError):
-            MapReduceJob("j", [], map_fn=lambda r: [])
+            MapReduceJob.per_record("j", [], map_fn=lambda r: [])
 
     def test_zero_reducers_rejected(self):
         split = InputSplit("h", lambda: SplitData([]))
         with pytest.raises(MapReduceError):
-            MapReduceJob("j", [split], map_fn=lambda r: [], num_reducers=0)
+            MapReduceJob.per_record("j", [split], map_fn=lambda r: [], num_reducers=0)
 
     def test_empty_cluster_rejected(self):
         with pytest.raises(MapReduceError):
@@ -100,7 +100,7 @@ class TestWordCount:
 class TestMapOnlyJobs:
     def test_map_only_skips_shuffle(self):
         engine, hosts = make_cluster()
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             name="filter",
             splits=word_splits(hosts, ["1 22 333", "4444", "5", "66"]),
             map_fn=lambda word: [(None, word)] if len(word) > 1 else [],
@@ -138,7 +138,7 @@ class TestCostModel:
         splits = [
             InputSplit(hosts[0], lambda: SplitData(records=["a"], local_seconds=2.5))
         ]
-        job = MapReduceJob("j", splits, map_fn=lambda r: [(r, 1)],
+        job = MapReduceJob.per_record("j", splits, map_fn=lambda r: [(r, 1)],
                            reduce_fn=lambda k, vs: [(k, len(vs))])
         result = engine.run_job(job)
         assert result.timings.map_s >= 2.5
@@ -149,7 +149,7 @@ class TestCostModel:
             InputSplit(host, lambda: SplitData(records=[], local_seconds=3.0))
             for host in hosts
         ]
-        job = MapReduceJob("j", splits, map_fn=lambda r: [])
+        job = MapReduceJob.per_record("j", splits, map_fn=lambda r: [])
         result = engine.run_job(job)
         assert result.timings.map_s == pytest.approx(3.0)
 
@@ -159,7 +159,7 @@ class TestCostModel:
             InputSplit(hosts[0], lambda: SplitData(records=[], local_seconds=3.0))
             for _ in range(2)
         ]
-        job = MapReduceJob("j", splits, map_fn=lambda r: [])
+        job = MapReduceJob.per_record("j", splits, map_fn=lambda r: [])
         result = engine.run_job(job)
         assert result.timings.map_s == pytest.approx(6.0)
 
@@ -183,7 +183,7 @@ class TestHdfsOutput:
         network = SimNetwork()
         network.add_host("w")
         engine = MapReduceEngine(["w"], network, hdfs=None)
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             "j",
             [InputSplit("w", lambda: SplitData(records=["a"]))],
             map_fn=lambda r: [(r, 1)],
@@ -207,7 +207,7 @@ class TestJobChains:
             return [InputSplit(hosts[0], fetch)]
 
         results = [engine.run_job(first)]
-        second = MapReduceJob(
+        second = MapReduceJob.per_record(
             name="total",
             splits=second_splits(),
             map_fn=lambda record: [("total", record[1])],

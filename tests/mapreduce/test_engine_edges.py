@@ -11,6 +11,7 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.engine import records_byte_size
 from repro.sim import SimNetwork
+from repro.sqlengine.types import value_byte_size
 
 
 def make_engine(n=3):
@@ -27,7 +28,7 @@ def make_engine(n=3):
 class TestReducerEdges:
     def test_more_reducers_than_keys(self):
         engine, hosts = make_engine()
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             "j",
             [InputSplit(hosts[0], lambda: SplitData(records=["a", "a"]))],
             map_fn=lambda r: [(r, 1)],
@@ -40,7 +41,7 @@ class TestReducerEdges:
 
     def test_empty_input_with_reduce(self):
         engine, hosts = make_engine()
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             "j",
             [InputSplit(hosts[0], lambda: SplitData(records=[]))],
             map_fn=lambda r: [(r, 1)],
@@ -52,7 +53,7 @@ class TestReducerEdges:
 
     def test_map_emits_multiple_pairs(self):
         engine, hosts = make_engine()
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             "j",
             [InputSplit(hosts[0], lambda: SplitData(records=["ab"]))],
             map_fn=lambda r: [(ch, 1) for ch in r],
@@ -63,7 +64,7 @@ class TestReducerEdges:
 
     def test_none_keys_shuffle(self):
         engine, hosts = make_engine()
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             "j",
             [InputSplit(hosts[0], lambda: SplitData(records=[1, 2, 3]))],
             map_fn=lambda r: [(None, r)],
@@ -75,7 +76,7 @@ class TestReducerEdges:
 
     def test_mixed_key_types_deterministic(self):
         engine, hosts = make_engine()
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             "j",
             [InputSplit(hosts[0], lambda: SplitData(records=[1, "1", (1,)]))],
             map_fn=lambda r: [(r, 1)],
@@ -99,7 +100,7 @@ class TestRecordsByteSize:
 class TestShuffleAccounting:
     def test_bytes_shuffled_reported(self):
         engine, hosts = make_engine()
-        job = MapReduceJob(
+        job = MapReduceJob.per_record(
             "j",
             [
                 InputSplit(host, lambda: SplitData(records=["k"] * 10))
@@ -117,7 +118,8 @@ class TestShuffleAccounting:
     def test_pricing_calls_do_not_grow_with_the_input(
         self, monkeypatch, hosts_count, num_reducers
     ):
-        """A lane is priced as a batch: per-record pricing must not creep back."""
+        """A lane is priced from its values' sizes: ``records_byte_size``
+        runs once per HDFS file, never per lane or per record."""
         import repro.mapreduce.engine as engine_module
 
         def pricing_calls(rows_per_table):
@@ -130,7 +132,7 @@ class TestShuffleAccounting:
             )
             left = [("L", (k, f"name-{k}")) for k in range(rows_per_table)]
             right = [("R", (k, k * 0.5, None)) for k in range(rows_per_table)]
-            job = MapReduceJob(
+            job = MapReduceJob.per_record(
                 "join",
                 [
                     InputSplit(host, lambda rows=rows[i::hosts_count]: SplitData(records=rows))
@@ -148,8 +150,11 @@ class TestShuffleAccounting:
             )
             result = engine.run_job(job)
             assert len(result.records) == rows_per_table
-            assert sum(calls) >= 2 * rows_per_table  # every value was priced
-            return len(calls)
+            assert result.bytes_shuffled == sum(
+                value_byte_size(row[0]) + value_byte_size(tag) + value_byte_size(row)
+                for tag, row in left + right
+            )
+            return calls
 
-        small, large = pricing_calls(50), pricing_calls(1000)
-        assert small == large <= 2 * hosts_count * num_reducers + 1
+        assert pricing_calls(50) == [50]  # the output file, once
+        assert pricing_calls(1000) == [1000]

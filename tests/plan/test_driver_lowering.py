@@ -2,8 +2,10 @@
 
 The driver lowers a join stage's residual, an aggregate job's group keys and
 its aggregates' argument getters once per job.  These tests take the very
-jobs it submits — their ``map_fn`` / ``reduce_fn`` closures — and replay each
-reducer group against the interpreted tree walk, row for row.
+jobs it submits — their split-level ``map_fn`` and reducer-level
+``reduce_fn`` — and replay each reducer group, on its own, against the
+interpreted tree walk, row for row and error for error.  Every stage file
+must also hold each row's text width beside it.
 """
 
 import pytest
@@ -13,6 +15,7 @@ from repro.hadoopdb import HadoopDbCluster
 from repro.plan.driver import finalize_records
 from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
+from repro.sqlengine.batch import text_widths
 from repro.sqlengine.executor import _AggState
 from repro.sqlengine.expr import RowLayout
 from repro.tpch import (
@@ -38,32 +41,58 @@ def tpch_cluster():
 
 
 def submitted_jobs(cluster, sql):
-    """Run ``sql``; returns (plan, jobs submitted, result or the error raised)."""
+    """Run ``sql``; returns (plan, jobs submitted, result or the error raised).
+
+    Each job comes back with its map tasks' outputs, recorded as it ran:
+    the stage files they read are gone once the query ends.  Every file
+    written must carry its rows' text widths.
+    """
     jobs = []
     run_job = cluster.engine.run_job
+    write = cluster.hdfs.write
 
     def capture(job):
-        jobs.append(job)
+        outputs = []
+        map_split = job.map_fn
+
+        def recording(data):
+            outputs.append(map_split(data))
+            return outputs[-1]
+
+        job.map_fn = recording
+        jobs.append((job, outputs))
         return run_job(job)
 
+    def checked_write(path, records, size_bytes, writer_host, widths=None):
+        assert widths == text_widths(records), path
+        return write(path, records, size_bytes, writer_host, widths)
+
     cluster.engine.run_job = capture
+    cluster.hdfs.write = checked_write
     try:
         outcome = cluster.execute(sql)
     except SqlExecutionError as error:
         outcome = error
     finally:
         del cluster.engine.run_job
+        del cluster.hdfs.write
     return SmsPlanner(cluster._schemas).compile(sql), jobs, outcome
 
 
-def reducer_groups(job):
-    """The job's input re-read and mapped: key -> values, in map order."""
+def reducer_groups(outputs):
+    """The job's map outputs grouped: key -> (values, sizes), in map order."""
     groups = {}
-    for split in job.splits:
-        for record in split.fetch().records:
-            for key, value in job.map_fn(record):
-                groups.setdefault(key, []).append(value)
+    for output in outputs:
+        for key, value, size in zip(output.keys, output.values, output.sizes):
+            values, sizes = groups.setdefault(key, ([], []))
+            values.append(value)
+            sizes.append(size)
     return groups
+
+
+def reduce_one_group(job, key, values, sizes):
+    """The job's reducer run over one key group alone."""
+    return job.reduce_fn([key] * len(values), values, sizes)
 
 
 def outcome_of(thunk):
@@ -85,10 +114,10 @@ def check_against_interpreter(plan, jobs):
     """Every submitted job, group by group; returns rows a residual rejected."""
     rejected = 0
     columns = list(plan.base.columns)
-    for stage, job in zip(plan.joins, jobs):
+    for stage, (job, outputs) in zip(plan.joins, jobs):
         columns = columns + stage.right.columns
         layout = RowLayout(columns)
-        for key, tagged_rows in reducer_groups(job).items():
+        for key, (tagged_rows, sizes) in reducer_groups(outputs).items():
             assert key is not None
 
             def interpreted(tagged_rows=tagged_rows):
@@ -102,24 +131,29 @@ def check_against_interpreter(plan, jobs):
                     or stage.residual.evaluate(left + right, layout) is True
                 ]
 
+            def lowered(key=key, tagged_rows=tagged_rows, sizes=sizes):
+                rows, widths = reduce_one_group(job, key, tagged_rows, sizes)
+                assert widths == text_widths(rows)
+                return rows
+
             want = outcome_of(interpreted)
-            assert outcome_of(lambda: job.reduce_fn(key, tagged_rows)) == want
+            assert outcome_of(lowered) == want
             if stage.residual is not None and isinstance(want, list):
                 tags = [tag for tag, _ in tagged_rows]
                 rejected += tags.count("L") * tags.count("R") - len(want)
     if plan.aggregate is not None and plan.joins:
-        job = jobs[len(plan.joins)]
+        job, outputs = jobs[len(plan.joins)]
         layout = RowLayout(plan.columns_after_joins)
-        for key, rows in reducer_groups(job).items():
+        for key, (rows, sizes) in reducer_groups(outputs).items():
             for row in rows:
                 assert key == tuple(
                     expr.evaluate(row, layout)
                     for expr in plan.aggregate.group_exprs
                 )
-            assert job.reduce_fn(key, rows) == [
-                key
-                + interpreted_aggregates(plan.aggregate.aggregates, rows, layout)
-            ]
+            assert reduce_one_group(job, key, rows, sizes) == (
+                [key + interpreted_aggregates(plan.aggregate.aggregates, rows, layout)],
+                None,
+            )
     return rejected
 
 

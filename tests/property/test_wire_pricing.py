@@ -2,10 +2,14 @@
 
 Every byte the simulated network is charged comes from one vector pricer
 (:func:`repro.sqlengine.batch.wire_size`); :func:`records_byte_size` is its
-rows-shaped door and the MapReduce shuffle prices each ``(mapper host,
-reducer)`` lane as one batch.  The loops those replaced live on here as the
-oracles: the per-value record price and the per-pair shuffle.  Batching may
-change speed only — never a byte, a transfer, its order, or an output row.
+rows-shaped door, :func:`value_sizes` / :func:`record_sizes` its per-value
+form, and the MapReduce shuffle prices each ``(mapper host, reducer)`` lane
+as ``wire_size(keys) + sum(sizes)``.  A join's ``(tag, row)`` is priced from
+the row's text width, measured once per batch and summed through joins by
+the tuple-text identity.  The loops those replaced live on here as the
+oracles: the per-value record price, ``len(str(row))`` and the per-pair
+shuffle.  Batching may change speed only — never a byte, a transfer, its
+order, or an output row.
 """
 
 import enum
@@ -14,9 +18,17 @@ import zlib
 from hypothesis import given, settings, strategies as st
 
 from repro.mapreduce import InputSplit, MapReduceEngine, MapReduceJob, SplitData
-from repro.mapreduce.engine import _sortable, records_byte_size
+from repro.mapreduce.engine import records_byte_size
+from repro.mapreduce.job import _sortable, record_sizes
+from repro.plan.driver import TAGGED_ROW_BYTES, _join_map, _join_reduce
 from repro.sim import SimNetwork
-from repro.sqlengine.batch import wire_size
+from repro.sqlengine.batch import (
+    ColumnBatch,
+    concat_text_offset,
+    text_widths,
+    value_sizes,
+    wire_size,
+)
 from repro.sqlengine.types import canonical_key, value_byte_size
 
 
@@ -77,6 +89,12 @@ class TestOnePricer:
         # A nested tuple inside a vector is *a value*: its text plus 4.
         assert wire_size(vector) == sum(map(value_byte_size, vector))
         assert wire_size(tuple(vector)) == wire_size(vector)
+        assert value_sizes(vector) == list(map(value_byte_size, vector))
+
+    @settings(max_examples=400, deadline=None)
+    @given(RECORDS)
+    def test_record_sizes_are_each_records_price(self, records):
+        assert record_sizes(records) == [by_value_byte_size([r]) for r in records]
 
     def test_the_tagged_row_quirk_is_part_of_the_cost_model(self):
         row = (7, "ab", 2.5, None)
@@ -99,13 +117,14 @@ class RecordingNetwork(SimNetwork):
         return super().transfer(src, dst, nbytes, messages)
 
 
-def per_pair_shuffle(engine, job, map_outputs):
-    """The shuffle as it was: one partition hash and one price per pair."""
-    partitions = [{} for _ in range(job.num_reducers)]
+def per_pair_shuffle(engine, num_reducers, map_outputs, reduce_group):
+    """The shuffle as it was: one partition hash and one price per pair,
+    ``reduce_group(key, values)`` per key in merge-sort order."""
+    partitions = [{} for _ in range(num_reducers)]
     lane_bytes = {}
     for host, pairs in map_outputs:
         for key, value in pairs:
-            reducer = engine._partition_of(key, job.num_reducers)
+            reducer = engine._partition_of(key, num_reducers)
             partitions[reducer].setdefault(key, []).append(value)
             lane_bytes[(host, reducer)] = (
                 lane_bytes.get((host, reducer), 0)
@@ -119,7 +138,7 @@ def per_pair_shuffle(engine, job, map_outputs):
     records = []
     for partition in partitions:
         for key in sorted(partition, key=_sortable):
-            records.extend(job.reduce_fn(key, partition[key]))
+            records.extend(reduce_group(key, partition[key]))
     return records, sum(lane_bytes.values()), transfers
 
 
@@ -155,24 +174,104 @@ class TestLanePricing:
         for host in hosts:
             network.add_host(host)
         engine = MapReduceEngine(hosts, network)
-        job = MapReduceJob(
+        reduce_group = lambda key, values: [(key, len(values), values)]  # noqa: E731
+        job = MapReduceJob.per_record(
             "j",
             [
                 InputSplit(hosts[index % host_count], lambda pairs=pairs: SplitData(records=pairs))
                 for index, pairs in splits
             ],
             map_fn=lambda pair: [pair],
-            reduce_fn=lambda key, values: [(key, len(values), values)],
+            reduce_fn=reduce_group,
             num_reducers=num_reducers,
         )
         map_outputs = [(split.host, split.fetch().records) for split in job.splits]
-        records, nbytes, transfers = per_pair_shuffle(engine, job, map_outputs)
+        records, nbytes, transfers = per_pair_shuffle(
+            engine, num_reducers, map_outputs, reduce_group
+        )
 
         result = engine.run_job(job)
         assert result.bytes_shuffled == nbytes
         assert network.log == transfers
         assert result.records == records
         assert [type(r[0]) for r in result.records] == [type(r[0]) for r in records]
+
+
+# ----------------------------------------------------------------------
+# Row text widths: measured once, summed through joins
+# ----------------------------------------------------------------------
+ROWS = st.lists(SCALARS, max_size=4).map(tuple)
+
+
+class TestRowWidths:
+    @settings(max_examples=400, deadline=None)
+    @given(ROWS, ROWS)
+    def test_a_joined_rows_width_is_derived_from_its_halves(self, left, right):
+        derived = (
+            len(str(left)) + len(str(right)) + concat_text_offset(len(left), len(right))
+        )
+        assert derived == len(str(left + right))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("LR"), st.integers(0, 3), ROWS), max_size=16),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_the_join_reducer_derives_every_output_width(self, inputs, nl, nr):
+        """Its rows are each group's lefts x rights, its widths their texts."""
+        tagged = [
+            (tag, (key,) + (row + (None,) * 4)[: (nl if tag == "L" else nr)])
+            for tag, key, row in inputs
+        ]
+        keys = [row[0] for _, row in tagged]
+        sizes = [width + TAGGED_ROW_BYTES for width in text_widths([r for _, r in tagged])]
+        rows, widths = _join_reduce(None, nl + 1, nr + 1)(keys, tagged, sizes)
+        assert rows == [
+            left + right
+            for key in sorted(dict.fromkeys(keys), key=_sortable)
+            for tag, left in tagged if tag == "L" and left[0] == key
+            for other, right in tagged if other == "R" and right[0] == key
+        ]
+        assert widths == text_widths(rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from("LR"),
+        st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)), ROWS), max_size=16),
+    )
+    def test_a_lane_priced_from_sizes_is_its_pairs_price(self, tag, keyed):
+        rows = [(key,) + row for key, row in keyed]
+        data = SplitData(rows, widths=text_widths(rows), tag=tag)
+        output = _join_map(0, 0)(data)
+        assert output.values == [(tag, row) for row in rows if row[0] is not None]
+        assert output.keys == [value[1][0] for value in output.values]
+        lane_price = wire_size(output.keys) + sum(output.sizes)
+        assert sum(output.sizes) == records_byte_size(output.values)
+        assert lane_price == sum(
+            value_byte_size(key) + by_value_byte_size([value])
+            for key, value in zip(output.keys, output.values)
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda width: st.lists(st.tuples(*[SCALARS] * width), min_size=1, max_size=12)
+        ),
+        st.integers(min_value=0, max_value=12),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_cached_widths_stay_within_a_grown_mirror(self, rows, count, grown):
+        """A batch over an owner's shared column mirror sees only its own
+        ``count`` rows, although the mirror grew before it was measured."""
+        count = min(count, len(rows))
+        columns = [list(column) for column in zip(*rows)]
+        mirror = [column[:count] for column in columns]
+        batch = ColumnBatch([f"c{k}" for k in range(len(mirror))], mirror, count)
+        for vector, column in zip(mirror, columns):
+            vector.extend(column[count:] * grown)  # the owner inserts later
+        assert batch.widths == text_widths(rows[:count])
+        assert batch.widths is batch.widths  # measured once
 
 
 def respelled(key):
