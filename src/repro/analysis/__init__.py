@@ -35,8 +35,6 @@ RES001    cross-peer call sites not covered by a RetryPolicy/deadline
           context from ``repro.core.resilience``
 RES004    call sites through which NetworkError-family exceptions escape
           to an entry point with no coverage on the propagation path
-PERF001   ``RowLayout.resolve`` called inside a loop over rows (hoist the
-          position lookup or compile via ``repro.sqlengine.compile``)
 PERF002   per-row evaluator call inside a rows-loop of a module that
           declares vectorized kernels (batch via ``sqlengine.vectorize``)
 ARCH001   imports violating the layering contract (``sim``/``sqlengine``/

@@ -145,12 +145,12 @@ class Pure001(_EffectContractRule):
         "mutation)"
     )
     categories = ("src",)
-    example_path = "proj/sqlengine/compile.py"
+    example_path = "proj/sqlengine/vectorize.py"
     rationale = (
-        "The compiled query path lowers expression trees into flat\n"
-        "closures precisely so the executor can run them millions of\n"
-        "times without re-deciding anything.  That bargain only holds if\n"
-        "a kernel is a pure function of its row: a clock read makes two\n"
+        "The query path lowers expression trees into vector kernels\n"
+        "once, precisely so the executor can run them millions of times\n"
+        "without re-deciding anything.  That bargain only holds if a\n"
+        "kernel is a pure function of its rows: a clock read makes two\n"
         "identical queries disagree, a network send hides unpriced\n"
         "traffic from the cost model, and mutation of state owned\n"
         "outside the engine turns a scan into a side channel.  The\n"
@@ -183,8 +183,7 @@ class Pure001(_EffectContractRule):
         for qual in sorted(inference.bases):
             module = inference.bases[qual].module
             if (
-                module.endswith("sqlengine.compile")
-                or module.endswith("sqlengine.executor")
+                module.endswith("sqlengine.executor")
                 or module.endswith("sqlengine.vectorize")
                 or module.endswith("sqlengine.vexecutor")
             ):

@@ -1,15 +1,10 @@
-"""Performance rules: PERF001 and PERF002 (per-row work in hot loops).
+"""Performance rule PERF002: per-row work in a module with batch kernels.
 
-Expression compilation (:mod:`repro.sqlengine.compile`) exists precisely to
-hoist :meth:`RowLayout.resolve` out of per-row code: positions are looked up
-once against the layout and baked into closures.  Calling ``resolve`` inside
-a loop over rows reintroduces the dictionary lookup the compiler removed —
-an O(rows) cost that is invisible in correctness tests and silently erodes
-the measured speedups guarded by ``benchmarks/perf_baseline.json``
-(PERF001).  Vectorization (:mod:`repro.sqlengine.vectorize`) raises the bar
-again: a module that declares batch kernels has already paid for
-whole-column evaluation, so dropping back to a per-row ``evaluate()`` loop
-in that module forfeits the batch speedup one tuple at a time (PERF002).
+Vectorization (:mod:`repro.sqlengine.vectorize`) lowers an expression once
+and evaluates whole columns: a module that declares batch kernels has
+already paid for whole-column evaluation, so dropping back to a per-row
+``evaluate()`` loop in that module forfeits the batch speedup one tuple at
+a time.
 """
 
 from __future__ import annotations
@@ -20,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import FileContext, Rule, register_rule
 
-#: Climbing stops here: a resolve inside a nested function or lambda runs on
+#: Climbing stops here: a call inside a nested function or lambda runs on
 #: that function's schedule, not once per iteration of the enclosing loop.
 _SCOPE_BOUNDARIES = (
     ast.FunctionDef,
@@ -39,11 +34,6 @@ def _tail_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Attribute):
         return node.attr
     return None
-
-
-def _is_layout(node: ast.AST) -> bool:
-    name = _tail_name(node)
-    return name is not None and "layout" in name.lower()
 
 
 def _is_row_name(name: str) -> bool:
@@ -88,44 +78,6 @@ def _enclosing_row_loop(ctx: FileContext, node: ast.AST) -> Optional[ast.AST]:
                     return current
         current = ctx.parent(current)
     return None
-
-
-@register_rule
-class PerRowResolveRule(Rule):
-    """PERF001: ``layout.resolve(...)`` evaluated once per row.
-
-    Column positions are loop-invariant — the layout does not change while
-    rows are streamed.  Resolve before the loop (bind the position to a
-    local) or lower the whole expression with
-    :func:`repro.sqlengine.compile.compile_evaluator`.
-    """
-
-    id = "PERF001"
-    severity = Severity.WARNING
-    description = (
-        "RowLayout.resolve() inside a loop over rows; resolve once before "
-        "the loop or compile the expression"
-    )
-    categories = ("src", "benchmarks")
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "resolve"
-                and _is_layout(node.func.value)
-            ):
-                continue
-            loop = _enclosing_row_loop(ctx, node)
-            if loop is not None:
-                yield self.finding(
-                    ctx,
-                    node,
-                    "layout.resolve() re-resolves a column on every row of "
-                    "this loop; hoist the position lookup above the loop or "
-                    "compile the expression (repro.sqlengine.compile)",
-                )
 
 
 def _declares_vector_kernel(tree: ast.AST) -> bool:

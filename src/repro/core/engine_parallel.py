@@ -20,6 +20,7 @@ from repro.core.execution import EngineContext, QueryExecution, prepare_once
 from repro.core.indexer import PeerLookup
 from repro.mapreduce.engine import records_byte_size
 from repro.plan.driver import aggregate_rows, finalize_records, lower_join_stage
+from repro.sqlengine.batch import LazyColumns
 from repro.sim.clock import parallel_duration
 
 
@@ -97,6 +98,7 @@ class ParallelP2PEngine:
             left_position, right_position, out_columns, residual = (
                 lower_join_stage(stage, columns)
             )
+            width = len(out_columns)
             owners = lookups[stage.right.binding].peers
             if not owners:
                 stream, columns = [], out_columns
@@ -117,6 +119,7 @@ class ParallelP2PEngine:
                     stream: List[_StreamPart] = stream,
                     stage=stage,
                     residual=residual,
+                    width=width,
                     stage_prepared_at=stage_prepared_at,
                 ):
                     owner = context.peer(peer_id)
@@ -142,13 +145,16 @@ class ParallelP2PEngine:
                         key = row[right_position]
                         if key is not None:
                             buckets.setdefault(key, []).append(row)
-                    joined: List[tuple] = []
-                    for left_row in stream_rows:
-                        key = left_row[left_position]
-                        for right_row in buckets.get(key, ()):
-                            combined = left_row + right_row
-                            if residual is None or residual(combined):
-                                joined.append(combined)
+                    joined = [
+                        left_row + right_row
+                        for left_row in stream_rows
+                        for right_row in buckets.get(left_row[left_position], ())
+                    ]
+                    if residual is not None:
+                        kept = residual(
+                            LazyColumns.over_rows(joined, width), len(joined)
+                        )
+                        joined = list(map(joined.__getitem__, kept))
                     join_seconds = context.compute_model.rows_seconds(
                         len(stream_rows) + len(local_rows) + len(joined),
                         owner.compute_units,

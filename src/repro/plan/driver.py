@@ -17,7 +17,6 @@ from itertools import compress, count
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import SqlExecutionError
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import (
     InputSplit,
@@ -25,7 +24,9 @@ from repro.mapreduce.job import (
     MapOutput,
     MapReduceJob,
     SplitData,
+    key_groups,
     key_order,
+    record_sizes,
 )
 from repro.plan.sms import (
     AggregateStage,
@@ -35,14 +36,16 @@ from repro.plan.sms import (
     TableLocalPlan,
     partial_aggregate_plan,
 )
-from repro.sqlengine.compile import (
-    compile_evaluator,
-    compile_key,
-    compile_predicate,
+from repro.sqlengine.batch import (
+    ColumnBatch,
+    LazyColumns,
+    concat_text_offset,
+    rows_from_vectors,
 )
-from repro.sqlengine.batch import ColumnBatch, concat_text_offset
-from repro.sqlengine.executor import compile_aggregates, sort_key
-from repro.sqlengine.expr import ColumnRef, RowLayout
+from repro.sqlengine.executor import projection, sort_order
+from repro.sqlengine.expr import RowLayout
+from repro.sqlengine.planner import order_resolvable
+from repro.sqlengine.vexecutor import lower_aggregate, lower_filter, lower_values
 
 #: A join shuffles ``(tag, row)``, priced as a record: the one-letter tag
 #: (1 + 4 bytes) plus the row as one value, its text plus 4.
@@ -231,24 +234,39 @@ class DistributedPlanDriver:
 
         One job for both callers: after a join chain the splits read the
         last stage's HDFS output, for a non-decomposable single-table
-        aggregate they read the workers' tables.
+        aggregate they read the workers' tables.  A map keys a whole split
+        at once; a key is the tuple of its group values (a shuffled key is
+        priced by its text, so a one-value key stays a 1-tuple).  A reducer
+        lays its input out group by group in merge-sort order and
+        aggregates it in one call, so its records, and the first error, are
+        those of reducing group by group.
         """
         layout = RowLayout(columns)
-        group_key = compile_key(aggregate.group_exprs, layout)
-        compute = compile_aggregates(aggregate.aggregates, layout)
+        width = len(columns)
+        group_values = lower_values(aggregate.group_exprs, layout)
+        grouped = lower_aggregate(aggregate.group_exprs, aggregate.aggregates, layout)
 
-        def map_fn(row):
-            return [(group_key(row), row)]
+        def map_split(data: SplitData) -> MapOutput:
+            rows = data.records
+            vectors = group_values(LazyColumns.over_rows(rows, width), len(rows))
+            keys = list(zip(*vectors)) if vectors else [()] * len(rows)
+            return MapOutput(keys, rows, record_sizes(rows))
 
-        def reduce_fn(key, rows):
-            return [tuple(key) + compute(rows)]
+        def reduce_input(keys, rows, sizes):
+            arranged = [
+                rows[position]
+                for _, positions in key_groups(keys)
+                for position in positions
+            ]
+            out, groups = grouped(LazyColumns.over_rows(arranged, width), len(arranged))
+            return rows_from_vectors(out, groups), None
 
         return self.engine.run_job(
-            MapReduceJob.per_record(
+            MapReduceJob(
                 f"{query_id}-aggregate",
                 splits,
-                map_fn=map_fn,
-                reduce_fn=reduce_fn,
+                map_split,
+                reduce_input,
                 num_reducers=len(self.workers),
             )
         )
@@ -285,15 +303,16 @@ def lower_join_stage(stage: JoinStage, columns: List[str]):
     """Resolve one join stage against the accumulated stream's ``columns``.
 
     Returns ``(left key position, right key position, joined columns,
-    residual)``.  The residual runs per joined row in every reducer or
-    owner: it is lowered once per stage instead of tree-walking per row
-    (``None`` when the stage has none).
+    residual)``.  The residual, lowered once per stage, is a
+    :func:`~repro.sqlengine.vexecutor.lower_filter` over the joined rows
+    (``None`` when the stage has none): every reducer or owner runs it once
+    over all of the rows it joined.
     """
     out_columns = columns + stage.right.columns
     residual = (
         None
         if stage.residual is None
-        else compile_predicate(stage.residual, RowLayout(out_columns))
+        else lower_filter(stage.residual, RowLayout(out_columns))
     )
     return (
         RowLayout(columns).resolve(stage.left_key),
@@ -337,6 +356,7 @@ def _join_reduce(residual, left_width: int, right_width: int):
     """
     # sizes are widths + TAGGED_ROW_BYTES, one such on each side
     offset = concat_text_offset(left_width, right_width) - 2 * TAGGED_ROW_BYTES
+    width = left_width + right_width
 
     def reduce_input(keys, tagged, sizes):
         lefts_of: Dict[object, List[int]] = {}
@@ -360,9 +380,9 @@ def _join_reduce(residual, left_width: int, right_width: int):
         row_of = list(map(itemgetter(1), tagged)).__getitem__
         rows = list(map(add, map(row_of, pair_lefts), map(row_of, pair_rights)))
         if residual is not None:
-            kept = list(map(residual, rows))
+            kept = residual(LazyColumns.over_rows(rows, width), len(rows))
             rows, pair_lefts, pair_rights = (
-                list(compress(vector, kept))
+                list(map(vector.__getitem__, kept))
                 for vector in (rows, pair_lefts, pair_rights)
             )
         widths = [
@@ -374,39 +394,23 @@ def _join_reduce(residual, left_width: int, right_width: int):
     return reduce_input
 
 
-def _first_seen_groups(aggregate, keys, members, empty_group):
-    """``key -> [members]`` in first-seen key order.
-
-    A scalar aggregate (no GROUP BY) over nothing still has its one group,
-    holding ``empty_group`` — SQL answers one row, COUNT = 0 and NULL for
-    the rest; a grouped aggregate over nothing has no group.
-    """
-    groups: Dict[tuple, List[tuple]] = {}
-    for key, member in zip(keys, members):
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = bucket = []
-        bucket.append(member)
-    if not groups and not aggregate.group_exprs:
-        groups[()] = empty_group
-    return groups
-
-
 def aggregate_rows(
-    aggregate: AggregateStage, rows: Sequence[tuple], columns: Sequence[str]
+    aggregate: AggregateStage, rows: List[tuple], columns: Sequence[str]
 ) -> Tuple[List[tuple], List[str]]:
     """Group ``rows`` (laid out as ``columns``), aggregate each group; returns
     ``(records, column names)`` for :func:`finalize_records`.
 
     The basic engine's raw-row arm, the parallel engine's root, and this
-    driver when no map output reached a reducer.
+    driver when no map output reached a reducer — one
+    :func:`~repro.sqlengine.vexecutor.lower_aggregate` call, so groups come
+    out in first-seen order, a scalar aggregate over nothing is one row
+    (COUNT = 0, NULL for the rest), and an error is the local database's.
     """
-    layout = RowLayout(columns)
-    group_key = compile_key(aggregate.group_exprs, layout)
-    compute = compile_aggregates(aggregate.aggregates, layout)
-    groups = _first_seen_groups(aggregate, map(group_key, rows), rows, [])
-    records = [key + compute(members) for key, members in groups.items()]
-    return records, aggregate.output_columns
+    grouped = lower_aggregate(
+        aggregate.group_exprs, aggregate.aggregates, RowLayout(columns)
+    )
+    out, groups = grouped(LazyColumns.over_rows(rows, len(columns)), len(rows))
+    return rows_from_vectors(out, groups), aggregate.output_columns
 
 
 def merge_partial_rows(
@@ -416,13 +420,17 @@ def merge_partial_rows(
     finalize them: §6.1.7's "final aggregation" at the query peer."""
     count = len(aggregate.group_exprs)
     merge = partial_merger(aggregate.partials)
-    width = sum(len(partial.partial_sqls) for partial in aggregate.partials)
-    groups = _first_seen_groups(
-        aggregate,
-        (tuple(row[:count]) for row in rows),
-        (tuple(row[count:]) for row in rows),
-        [(None,) * width],
-    )
+    groups: Dict[tuple, List[tuple]] = {}
+    for row in rows:
+        key = tuple(row[:count])
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = bucket = []
+        bucket.append(tuple(row[count:]))
+    if not groups and not count:
+        # A scalar aggregate over nothing is still one row.
+        width = sum(len(partial.partial_sqls) for partial in aggregate.partials)
+        groups[()] = [(None,) * width]
     records = [key + merge(members) for key, members in groups.items()]
     return records, aggregate.output_columns
 
@@ -446,66 +454,48 @@ def partial_merger(partials: Sequence[PartialAggregate]):
     return merge
 
 
-def finalize_records(plan: DistributedPlan, records, columns):
-    """Apply HAVING, projection, ORDER BY, DISTINCT and LIMIT serially.
+def finalize_records(plan: DistributedPlan, records: List[tuple], columns):
+    """Apply HAVING, ORDER BY, projection, DISTINCT and LIMIT serially.
 
     Shared by every distributed execution path (HadoopDB's driver and
     BestPeer++'s engines): these steps run on the coordinating node over the
-    already-small final record stream.  Every expression is resolved once
-    against the record layout, never per row.
+    already-small final record stream, in the local plan's order.  As
+    there, :func:`~repro.sqlengine.planner.order_resolvable` places the
+    sort: above the projection when every key resolves on the projected
+    row, else below it, reading the records.
     """
     layout = RowLayout(columns)
     if plan.having is not None:
-        records = list(filter(compile_predicate(plan.having, layout), records))
+        kept = lower_filter(plan.having, layout)(
+            LazyColumns.over_rows(records, len(columns)), len(records)
+        )
+        records = list(map(records.__getitem__, kept))
+    sort_above = order_resolvable(plan.items, plan.order_by)
+    if plan.order_by and not sort_above:
+        records = _sorted(plan.order_by, records, layout)
 
-    output_names: List[str] = []
-    getters = []
-    for item in plan.items:
-        if item.is_star:
-            for position, column in enumerate(layout.columns):
-                if item.star_qualifier is not None and not column.startswith(
-                    item.star_qualifier + "."
-                ):
-                    continue
-                output_names.append(column)
-                getters.append(itemgetter(position))
-            continue
-        output_names.append(item.output_name().lower())
-        getters.append(_row_getter(item.expr, layout))
-    # ``zip`` pulls one value per getter per row: row-major, like the
-    # reference, so the first error raised is the same one.
-    projected = list(zip(*(map(getter, records) for getter in getters)))
-
-    if plan.order_by:
-        # One key vector per ORDER BY item, one index permutation sorted
-        # last key to first (stable sorts compose), applied once.
-        out_layout = RowLayout(output_names)
-        order = list(range(len(projected)))
-        for item in reversed(plan.order_by):
-            try:
-                keys = list(map(_row_getter(item.expr, out_layout), projected))
-            except SqlExecutionError:
-                # Not in the projection: the key reads the merged records
-                # (the local planner's sort-below-project case).
-                keys = list(map(_row_getter(item.expr, layout), records))
-            sortable = list(map(sort_key, keys))
-            order.sort(key=sortable.__getitem__, reverse=not item.ascending)
-        projected = [projected[i] for i in order]
+    names, outputs = projection(plan.items, layout)
+    values = lower_values(outputs, layout)
+    n = len(records)
+    projected = rows_from_vectors(
+        values(LazyColumns.over_rows(records, len(columns)), n), n
+    )
 
     if plan.distinct:
-        # After the sort, as the local plan's sort-below-project has it; for
-        # keys of the projected row itself either order gives the same rows.
         projected = list(dict.fromkeys(projected))
+    if plan.order_by and sort_above:
+        projected = _sorted(plan.order_by, projected, RowLayout(names))
     if plan.limit is not None:
         projected = projected[: plan.limit]
-    return projected, output_names
+    return projected, names
 
 
-def _row_getter(expr, layout: RowLayout):
-    """``row -> value`` for ``expr``: an ``itemgetter`` for a bare column."""
-    if isinstance(expr, ColumnRef) and layout.has(expr.name):
-        return itemgetter(layout.resolve(expr.name))
-    return compile_evaluator(expr, layout)
+def _sorted(order_by, rows: List[tuple], layout: RowLayout) -> List[tuple]:
+    """``rows`` (laid out as ``layout``) in ORDER BY order."""
+    keys = lower_values([item.expr for item in order_by], layout)
+    n = len(rows)
+    order = sort_order(keys(LazyColumns.over_rows(rows, len(layout)), n), order_by, n)
+    return list(map(rows.__getitem__, order))
 
 
 def _merge_value(op: str, left: object, right: object) -> object:

@@ -11,14 +11,15 @@ reproduction's stand-in for both: a small but real relational engine with
 * a SQL parser for the dialect the paper's workloads need
   (:mod:`~repro.sqlengine.parser`),
 * a rule-based planner with index selection (:mod:`~repro.sqlengine.planner`),
-* a vectorized executor running batch kernels over column-major storage —
-  the one production path (:mod:`~repro.sqlengine.vectorize`,
-  :mod:`~repro.sqlengine.vexecutor`),
+* one expression lowering, into batch kernels over column vectors
+  (:mod:`~repro.sqlengine.vectorize`), and a vectorized executor running
+  them over column-major storage (:mod:`~repro.sqlengine.vexecutor`) — the
+  one production path; its three evaluation functions (values, filter,
+  grouped aggregate) are what the distributed engines' reducers and root
+  steps run too,
 * a row-at-a-time interpreted executor kept as the semantic oracle the
-  vectorized one is tested against (:mod:`~repro.sqlengine.executor`),
-* row closures for code that works one row or one group at a time — the
-  distributed engines, UPDATE/DELETE, the group-by fallback — and not a
-  ``Database`` mode (:mod:`~repro.sqlengine.compile`),
+  vectorized one is tested against, which also evaluates UPDATE/DELETE
+  and the group-by fallback (:mod:`~repro.sqlengine.executor`),
 * the immutable column batch results travel in between plan boundaries
   (:mod:`~repro.sqlengine.batch`), and
 * per-table statistics feeding histograms and the cost model

@@ -14,14 +14,13 @@ import collections
 
 from repro.errors import SqlCatalogError, SqlExecutionError
 from repro.sqlengine.batch import ColumnBatch
-from repro.sqlengine.compile import (
-    compile_evaluator,
-    compile_predicate,
+from repro.sqlengine.subquery import contains_subquery, resolve_subqueries
+from repro.sqlengine.executor import (
+    ExecStats,
+    Executor,
     interpreted_evaluator,
     interpreted_predicate,
 )
-from repro.sqlengine.subquery import contains_subquery, resolve_subqueries
-from repro.sqlengine.executor import ExecStats, Executor
 from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.parser import (
     CreateIndexStmt,
@@ -447,26 +446,19 @@ class Database:
         table.insert_many(rows)
         return _no_rows(len(rows))
 
-    def _row_closures(self, table: Table):
-        """``(layout, evaluator factory, predicate factory)`` for UPDATE and
-        DELETE, which visit one row at a time: row closures in production,
-        ``Expr.evaluate`` itself under the oracle."""
-        layout = RowLayout(
-            [f"{table.schema.name}.{column}" for column in table.schema.column_names]
-        )
-        if self._execution_mode == "interpreted":
-            return layout, interpreted_evaluator, interpreted_predicate
-        return layout, compile_evaluator, compile_predicate
-
     def _execute_update(self, statement: UpdateStmt) -> QueryResult:
+        # UPDATE and DELETE visit one stored row at a time, and no workload
+        # runs them: they evaluate with the oracle, ``Expr.evaluate``.
         table = self.table(statement.table)
-        layout, evaluator, predicate = self._row_closures(table)
+        layout = _row_layout(table)
         assignments = [
-            (table.schema.column_index(column), evaluator(expr, layout))
+            (table.schema.column_index(column), interpreted_evaluator(expr, layout))
             for column, expr in statement.assignments
         ]
         matches = (
-            None if statement.where is None else predicate(statement.where, layout)
+            None
+            if statement.where is None
+            else interpreted_predicate(statement.where, layout)
         )
 
         def new_rows():
@@ -487,6 +479,14 @@ class Database:
             deleted = len(table)
             table.truncate()
         else:
-            layout, _, predicate = self._row_closures(table)
-            deleted = table.delete_where(predicate(statement.where, layout))
+            deleted = table.delete_where(
+                interpreted_predicate(statement.where, _row_layout(table))
+            )
         return _no_rows(deleted)
+
+
+def _row_layout(table: Table) -> RowLayout:
+    """A stored row's layout: the table's columns, qualified by its name."""
+    return RowLayout(
+        [f"{table.schema.name}.{column}" for column in table.schema.column_names]
+    )

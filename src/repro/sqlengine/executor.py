@@ -2,9 +2,10 @@
 
 ``Database(execution_mode="interpreted")`` runs plans here, with every
 expression walked by ``Expr.evaluate``; it is the oracle the vectorized
-executor is tested against, and nothing in production runs it.  The module
+executor is tested against, and no query in production runs it.  The module
 also holds what both executors share: :class:`ExecStats`, index resolution,
-the reference GROUP BY loop and the aggregate states.
+the reference GROUP BY loop and the aggregate states — and the oracle's
+evaluators, which ``Database``'s UPDATE/DELETE run as well.
 
 Each plan node executes to a ``(RowLayout, rows)`` pair; rows are tuples.
 Execution gathers :class:`ExecStats` (base-table rows scanned, rows produced,
@@ -15,14 +16,10 @@ time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
-from repro.sqlengine.compile import (
-    compile_evaluator,
-    interpreted_evaluator,
-    interpreted_predicate,
-)
 from repro.sqlengine.expr import (
     ColumnRef,
     Expr,
@@ -41,6 +38,20 @@ from repro.sqlengine.planner import (
     SortNode,
 )
 from repro.sqlengine.table import Table
+
+
+def interpreted_evaluator(
+    expr: Expr, layout: RowLayout
+) -> Callable[[Tuple[object, ...]], object]:
+    """The reference path as an evaluator: a closure over ``Expr.evaluate``."""
+    return lambda row: expr.evaluate(row, layout)
+
+
+def interpreted_predicate(
+    expr: Expr, layout: RowLayout
+) -> Callable[[Tuple[object, ...]], bool]:
+    """The reference path as a predicate: only SQL TRUE keeps a row."""
+    return lambda row: expr.evaluate(row, layout) is True
 
 
 @dataclass
@@ -214,34 +225,26 @@ class Executor:
     # ------------------------------------------------------------------
     def _execute_group_by(self, node: GroupByNode, stats: ExecStats):
         child_layout, child_rows = self._execute(node.child, stats)
-        return group_rows_reference(node, child_layout, child_rows, interpreted_evaluator)
+        return group_output_layout(node, child_layout), group_rows_reference(
+            node.group_exprs, node.aggregates, child_layout, child_rows
+        )
 
     # ------------------------------------------------------------------
     # Project / distinct / sort / limit
     # ------------------------------------------------------------------
     def _execute_project(self, node: ProjectNode, stats: ExecStats):
         child_layout, child_rows = self._execute(node.child, stats)
-
-        output_names: List[str] = []
-        evaluators: List[Callable[[Tuple[object, ...]], object]] = []
-        for item in node.items:
-            if item.is_star:
-                for position, column in enumerate(child_layout.columns):
-                    if item.star_qualifier is not None and not column.startswith(
-                        item.star_qualifier + "."
-                    ):
-                        continue
-                    output_names.append(column)
-                    evaluators.append(_position_getter(position))
-                continue
-            output_names.append(item.output_name().lower())
-            evaluators.append(interpreted_evaluator(item.expr, child_layout))
-
-        layout = RowLayout(output_names)
+        names, outputs = projection(node.items, child_layout)
+        evaluators = [
+            itemgetter(output)
+            if isinstance(output, int)
+            else interpreted_evaluator(output, child_layout)
+            for output in outputs
+        ]
         rows = [
             tuple(evaluate(row) for evaluate in evaluators) for row in child_rows
         ]
-        return layout, rows
+        return RowLayout(names), rows
 
     def _execute_distinct(self, node: DistinctNode, stats: ExecStats):
         layout, rows = self._execute(node.child, stats)
@@ -273,8 +276,24 @@ class Executor:
         return layout, rows[: node.limit]
 
 
-def _position_getter(position: int) -> Callable[[Tuple[object, ...]], object]:
-    return lambda row: row[position]
+def projection(items, layout: RowLayout) -> Tuple[List[str], List[object]]:
+    """A select list against ``layout``: its output names, and per output
+    column the expression to evaluate or, for a star expansion, the
+    input column's position."""
+    names: List[str] = []
+    outputs: List[object] = []
+    for item in items:
+        if item.is_star:
+            for position, column in enumerate(layout.columns):
+                if item.star_qualifier is None or column.startswith(
+                    item.star_qualifier + "."
+                ):
+                    names.append(column)
+                    outputs.append(position)
+            continue
+        names.append(item.output_name().lower())
+        outputs.append(item.expr)
+    return names, outputs
 
 
 def index_rows(
@@ -323,46 +342,35 @@ def group_output_layout(node: GroupByNode, child_layout: RowLayout) -> RowLayout
 
 
 def group_rows_reference(
-    node: GroupByNode,
-    child_layout: RowLayout,
-    child_rows: Sequence[Tuple[object, ...]],
-    evaluator_factory: Callable[[Expr, RowLayout], Callable],
-):
-    """The reference row-at-a-time GROUP BY loop.
+    group_exprs: Sequence[Expr],
+    aggregates: Sequence[FuncCall],
+    layout: RowLayout,
+    rows: Sequence[Tuple[object, ...]],
+) -> List[Tuple[object, ...]]:
+    """The reference row-at-a-time GROUP BY loop: group key values then
+    aggregate values, one row per group in first-seen order.
 
-    Shared by :class:`Executor` (its only group-by implementation) and the
-    vectorized executor, whose columnar fast path falls back here whenever
-    any evaluation errors so the surfaced exception matches the reference
-    row-visit order exactly.
+    :class:`Executor`'s only group-by implementation, and where the
+    vectorized grouped aggregate falls back whenever anything surprises it,
+    so the surfaced exception matches the reference row-visit order.
     """
-    layout = group_output_layout(node, child_layout)
-    key_evaluators = [
-        evaluator_factory(expr, child_layout) for expr in node.group_exprs
-    ]
-    make_states = _state_factory(node.aggregates, child_layout, evaluator_factory)
-
     groups: Dict[Tuple[object, ...], List[_AggState]] = {}
-    group_order: List[Tuple[object, ...]] = []
-    for row in child_rows:
-        key = tuple(evaluate(row) for evaluate in key_evaluators)
+    for row in rows:
+        key = tuple(expr.evaluate(row, layout) for expr in group_exprs)
         states = groups.get(key)
         if states is None:
-            states = make_states()
-            groups[key] = states
-            group_order.append(key)
+            states = groups[key] = [_AggState(call) for call in aggregates]
         for state in states:
-            state.accumulate(row, child_layout)
+            state.accumulate(row, layout)
 
     # A scalar aggregate over an empty input still yields one row.
-    if not groups and not node.group_exprs:
-        groups[()] = make_states()
-        group_order.append(())
+    if not groups and not group_exprs:
+        groups[()] = [_AggState(call) for call in aggregates]
 
-    rows = [
-        key + tuple(state.result() for state in groups[key])
-        for key in group_order
+    return [
+        key + tuple(state.result() for state in states)
+        for key, states in groups.items()
     ]
-    return layout, rows
 
 
 class _MinType:
@@ -389,58 +397,24 @@ def sort_key(value: object):
     return _NULL_SORTS_FIRST if value is None else value
 
 
-def _state_factory(
-    aggregates: Sequence[FuncCall],
-    layout: RowLayout,
-    evaluator_factory: Callable[[Expr, RowLayout], Callable],
-) -> Callable[[], List["_AggState"]]:
-    """Lower the aggregates' arguments once; returns a maker of fresh states.
+def sort_order(key_vectors, order_items, n: int) -> List[int]:
+    """``range(n)`` in ORDER BY order, given one key vector per item.
 
-    COUNT(*) and malformed calls get no argument getter; ``_AggState`` keeps
-    its per-row arity error for the latter, matching the reference path.
+    Stable sorts applied last key to first compose to the reference
+    ordering for mixed ASC/DESC; sorting an index vector by a precomputed
+    key vector replaces per-row key tuples.
     """
-    arg_getters = [
-        None
-        if aggregate.star or len(aggregate.args) != 1
-        else evaluator_factory(aggregate.args[0], layout)
-        for aggregate in aggregates
-    ]
-    return lambda: [
-        _AggState(aggregate, arg_getter)
-        for aggregate, arg_getter in zip(aggregates, arg_getters)
-    ]
-
-
-def compile_aggregates(
-    aggregates: Sequence[FuncCall], layout: RowLayout
-) -> Callable[[Sequence[Tuple[object, ...]]], Tuple[object, ...]]:
-    """Lower aggregate calls into ``rows of one group -> aggregate values``.
-
-    For the distributed engines (BestPeer++'s engines and HadoopDB's
-    SMS-generated reducers), which aggregate outside a local GroupBy plan
-    node: compile once per job, call once per group.  The compiled argument
-    closures are value-identical to the interpreted path.
-    """
-    make_states = _state_factory(aggregates, layout, compile_evaluator)
-
-    def compute(rows: Sequence[Tuple[object, ...]]) -> Tuple[object, ...]:
-        states = make_states()
-        for row in rows:
-            for state in states:
-                state.accumulate(row, layout)
-        return tuple(state.result() for state in states)
-
-    return compute
+    order = list(range(n))
+    for keys, item in reversed(list(zip(key_vectors, order_items))):
+        sortable = list(map(sort_key, keys))
+        order.sort(key=sortable.__getitem__, reverse=not item.ascending)
+    return order
 
 
 class _AggState:
-    """Incremental state for one aggregate function.
+    """Incremental state for one aggregate function."""
 
-    ``arg_getter`` is an optional precompiled evaluator for the aggregate's
-    single argument; without it the argument is interpreted per row.
-    """
-
-    def __init__(self, call: FuncCall, arg_getter=None) -> None:
+    def __init__(self, call: FuncCall) -> None:
         self.call = call
         self.name = call.name.lower()
         self.count = 0
@@ -448,7 +422,6 @@ class _AggState:
         self.minimum: object = None
         self.maximum: object = None
         self.distinct_values: Optional[set] = set() if call.distinct else None
-        self._arg_getter = arg_getter
 
     def accumulate(self, row: Tuple[object, ...], layout: RowLayout) -> None:
         if self.call.star:
@@ -458,10 +431,7 @@ class _AggState:
             raise SqlExecutionError(
                 f"{self.call.name.upper()} takes exactly one argument"
             )
-        if self._arg_getter is not None:
-            value = self._arg_getter(row)
-        else:
-            value = self.call.args[0].evaluate(row, layout)
+        value = self.call.args[0].evaluate(row, layout)
         if value is None:
             return
         if self.distinct_values is not None:

@@ -136,6 +136,28 @@ class LimitNode(PlanNode):
 # ----------------------------------------------------------------------
 # Planner
 # ----------------------------------------------------------------------
+def order_resolvable(items, order_by) -> bool:
+    """True if every ORDER BY expression resolves on the projection output.
+
+    Decides, per statement, where the sort runs: above the projection
+    (keys read the projected row, aliases included) or below it (keys read
+    the rows being projected, dropped columns included).
+    """
+    output_names = set()
+    for item in items:
+        if item.is_star:
+            # A star projection keeps every input column; anything the
+            # sort references will still be present.
+            return True
+        output_names.add(item.output_name().lower())
+    for order_item in order_by:
+        for name in order_item.expr.referenced_columns():
+            bare = name.lower().rsplit(".", 1)[-1]
+            if bare not in output_names:
+                return False
+    return True
+
+
 class Planner:
     """Plans SELECT statements against a catalogue of tables.
 
@@ -192,7 +214,9 @@ class Planner:
 
         # ORDER BY may reference projection aliases (sort above the
         # projection) or columns the projection drops (sort below it).
-        sort_below_project = stmt.order_by and not self._order_resolvable(stmt)
+        sort_below_project = stmt.order_by and not order_resolvable(
+            stmt.items, stmt.order_by
+        )
         if sort_below_project:
             plan = SortNode(plan, stmt.order_by)
 
@@ -399,22 +423,6 @@ class Planner:
         if right_side == {right_binding} and right_binding not in left_side:
             return (conjunct.left.name, conjunct.right.name)
         return None
-
-    def _order_resolvable(self, stmt: SelectStmt) -> bool:
-        """True if every ORDER BY expression resolves on the projection output."""
-        output_names = set()
-        for item in stmt.items:
-            if item.is_star:
-                # A star projection keeps every input column; anything the
-                # sort references will still be present.
-                return True
-            output_names.add(item.output_name().lower())
-        for order_item in stmt.order_by:
-            for name in order_item.expr.referenced_columns():
-                bare = name.lower().rsplit(".", 1)[-1]
-                if bare not in output_names:
-                    return False
-        return True
 
     # ------------------------------------------------------------------
     # Aggregates

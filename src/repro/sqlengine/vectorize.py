@@ -1,8 +1,8 @@
 """Vector expression compilation: lower :class:`Expr` trees into batch kernels.
 
-Where :mod:`repro.sqlengine.compile` lowers an expression into a closure
-evaluated once per row, this module lowers it once per plan into a *vector*
-kernel evaluated once per batch.  A kernel takes the operator's column
+This module is the one lowering of an expression: once per plan node, job
+or query, into a *vector* kernel evaluated once per batch (the vectorized
+executor's three evaluation functions wrap it).  A kernel takes the column
 vectors plus a **selection vector** (strictly increasing row indices into
 those columns, often a plain ``range``) and returns per-row results for
 exactly the selected rows.
@@ -27,11 +27,11 @@ path) and the executor re-raises the earliest one in row order at the
 operator boundary.  Within one row, recording follows interpreted
 evaluation order (left before right, condition before result).
 
-Like the row compiler, LIKE regexes and IN-list frozensets are resolved at
-compile time, and anything that cannot be lowered (a column missing from
-the layout, an unresolved subquery, an unknown node type) falls back to a
-per-row adapter over ``Expr.evaluate`` so the interpreted path stays the
-reference semantics.
+LIKE regexes and IN-list frozensets are resolved at compile time, and
+anything that cannot be lowered (a column missing from the layout, an
+unresolved subquery, an unknown node type) falls back to a per-row adapter
+over ``Expr.evaluate`` so the interpreted path stays the reference
+semantics.
 
 Callers must treat returned value vectors as read-only: kernels pass
 through underlying column storage unchanged when the selection covers it

@@ -16,6 +16,13 @@ plan node.  The plan's output leaves as a :class:`ColumnBatch`; row tuples
 exist only under an index scan's lazily built columns and inside the two
 inherently tuple-keyed operators, DISTINCT and the group-by fallback.
 
+Operators evaluate expressions through three public functions, each lowered
+once and run over ``(cols, n)``: :func:`lower_values` (one vector per
+expression), :func:`lower_filter` (the kept positions) and
+:func:`lower_aggregate` (group keys and aggregates).  The distributed
+engines' reducers and root-side steps (:mod:`repro.plan.driver`) call the
+same three over their rows, so an expression has one lowering everywhere.
+
 Equivalence contract: identical rows, identical :class:`ExecStats`, and the
 identical first exception (vector kernels defer per-row errors, and every
 operator re-raises the earliest one in reference row-visit order; the
@@ -42,15 +49,15 @@ from repro.sqlengine.batch import (
     rows_from_vectors,
     vectors_from_rows,
 )
-from repro.sqlengine.compile import compile_evaluator
 from repro.sqlengine.executor import (
     ExecStats,
-    sort_key,
     group_output_layout,
     group_rows_reference,
     index_rows,
+    projection,
+    sort_order,
 )
-from repro.sqlengine.expr import ColumnRef, RowLayout
+from repro.sqlengine.expr import ColumnRef, Expr, FuncCall, RowLayout
 from repro.sqlengine.planner import (
     DistinctNode,
     FilterNode,
@@ -69,7 +76,7 @@ from repro.sqlengine.vectorize import (
 
 
 class _FallbackToReference(Exception):
-    """Internal: the group-by fast path punts to the reference loop."""
+    """Internal: the grouped aggregate's fast path punts to the reference loop."""
 
 
 def _lower_value(expr, layout: RowLayout):
@@ -86,6 +93,254 @@ def _lower_value(expr, layout: RowLayout):
         except SqlExecutionError:
             pass
     return compile_vector_evaluator(expr, layout)
+
+
+def _vector_of(lowered, cols, n: int):
+    """The value vector of a :func:`_lower_value` result over ``n`` rows,
+    in batch-size chunks, and its earliest deferred ``(row, exception)``
+    or None."""
+    if isinstance(lowered, int):
+        return cols[lowered], None
+    batch = VectorizedExecutor.BATCH_SIZE
+    if n <= batch:
+        values, errs = lowered(cols, range(n))
+        return values, (errs[0] if errs else None)
+    values: List[object] = []
+    first_err = None
+    for start in range(0, n, batch):
+        chunk_values, errs = lowered(cols, range(start, min(start + batch, n)))
+        values.extend(chunk_values)
+        if errs and first_err is None:
+            first_err = errs[0]
+    return values, first_err
+
+
+# ----------------------------------------------------------------------
+# The three ways an expression is evaluated over column vectors.  Each is
+# lowered once per plan node, job or query, and each run raises exactly the
+# exception the interpreted reference raises first.
+# ----------------------------------------------------------------------
+def lower_values(exprs: Sequence[object], layout: RowLayout):
+    """``(cols, n) -> one value vector per expression`` over ``n`` rows.
+
+    An ``int`` among ``exprs`` is a column position (a star expansion).  A
+    bare column passes its vector through.  The reference evaluates items
+    row-major, so the error raised is the minimum over (row, item).
+    """
+    lowered = [
+        expr if isinstance(expr, int) else _lower_value(expr, layout)
+        for expr in exprs
+    ]
+
+    def values(cols, n: int) -> List[Sequence[object]]:
+        vectors: List[Sequence[object]] = []
+        first_err: Optional[Tuple[int, BaseException]] = None
+        for item in lowered:
+            vector, err = _vector_of(item, cols, n)
+            # Strictly earlier rows only: on a tie the leftmost item wins.
+            if err is not None and (first_err is None or err[0] < first_err[0]):
+                first_err = err
+            vectors.append(vector)
+        if first_err is not None:
+            raise first_err[1]
+        return vectors
+
+    return values
+
+
+def lower_filter(predicate: Expr, layout: RowLayout):
+    """``(cols, n) -> the positions in range(n) where predicate is TRUE``."""
+    kernel = compile_vector_filter(predicate, layout)
+
+    def kept(cols, n: int) -> List[int]:
+        batch = VectorizedExecutor.BATCH_SIZE
+        positions: List[int] = []
+        for start in range(0, n, batch):
+            passing, errs = kernel(cols, range(start, min(start + batch, n)))
+            if errs:
+                # The earliest error in row order: exactly what the
+                # reference row loop raises (rows past it never evaluate
+                # there, but kernels are pure, so that is unobservable).
+                raise errs[0][1]
+            positions.extend(passing)
+        return positions
+
+    return kept
+
+
+def lower_aggregate(
+    group_exprs: Sequence[Expr], aggregates: Sequence[FuncCall], layout: RowLayout
+):
+    """``(cols, n) -> (group key columns + aggregate columns, group count)``.
+
+    Groups come out in first-seen order; a scalar aggregate (no group
+    expressions) over nothing is one group.  Any error or typing surprise —
+    a deferred evaluation error, an unhashable key, a non-numeric SUM,
+    mixed-type MIN/MAX — re-runs :func:`group_rows_reference`, which visits
+    rows in the interpreted order and so raises the reference's exception
+    (or, for a case the fast path does not model, gives the reference's
+    result).
+    """
+    key_lowered = [_lower_value(expr, layout) for expr in group_exprs]
+    arg_lowered = [
+        None
+        if aggregate.star or len(aggregate.args) != 1
+        else _lower_value(aggregate.args[0], layout)
+        for aggregate in aggregates
+    ]
+    width = len(group_exprs) + len(aggregates)
+
+    def aggregate(cols, n: int):
+        try:
+            return _aggregate_fast(aggregates, key_lowered, arg_lowered, cols, n)
+        except Exception:
+            rows = rows_from_vectors(cols, n)
+            out_rows = group_rows_reference(group_exprs, aggregates, layout, rows)
+            return vectors_from_rows(out_rows, width), len(out_rows)
+
+    return aggregate
+
+
+def _aggregate_fast(aggregates, key_lowered, arg_lowered, cols, n: int):
+    for aggregate in aggregates:
+        if not aggregate.star and len(aggregate.args) != 1 and n:
+            raise _FallbackToReference  # per-row arity error
+    vectors: List[Optional[Sequence[object]]] = []
+    for lowered in key_lowered + arg_lowered:
+        if lowered is None:
+            vectors.append(None)
+            continue
+        values, first_err = _vector_of(lowered, cols, n)
+        if first_err is not None:
+            raise _FallbackToReference
+        vectors.append(values)
+    key_vectors = vectors[: len(key_lowered)]
+    arg_vectors = vectors[len(key_lowered) :]
+
+    if key_vectors:
+        # A dense group id per row.  ``dict.fromkeys`` keeps the first of
+        # equal keys in first-occurrence order, which is the key and the
+        # order the reference loop outputs.
+        one = len(key_vectors) == 1
+        keys = key_vectors[0] if one else list(zip(*key_vectors))
+        groups = dict.fromkeys(keys)
+        ngroups = len(groups)
+        key_columns = (
+            [list(groups)]
+            if one
+            else vectors_from_rows(list(groups), len(key_vectors))
+        )
+        group_ids = list(map(dict(zip(groups, range(ngroups))).__getitem__, keys))
+    else:
+        # A scalar aggregate: one group, even over empty input.
+        group_ids = [0] * n
+        ngroups = 1
+        key_columns = []
+
+    agg_columns = [
+        _accumulate(aggregate, arg, group_ids, ngroups)
+        for aggregate, arg in zip(aggregates, arg_vectors)
+    ]
+    return key_columns + agg_columns, ngroups
+
+
+def _accumulate(aggregate, arg, group_ids, ngroups: int) -> List[object]:
+    """One aggregate over all groups in a single tight pass.
+
+    Accumulation visits rows in order, so float SUM/AVG reproduce the
+    reference path's addition sequence bit for bit.
+    """
+    name = aggregate.name.lower()
+    if aggregate.star:
+        counts = [0] * ngroups
+        for gid in group_ids:
+            counts[gid] += 1
+        return counts
+    seen: Optional[List[set]] = (
+        [set() for _ in range(ngroups)] if aggregate.distinct else None
+    )
+    if name == "count":
+        counts = [0] * ngroups
+        for gid, value in zip(group_ids, arg):
+            if value is None:
+                continue
+            if seen is not None:
+                bucket = seen[gid]
+                if value in bucket:
+                    continue
+                bucket.add(value)
+            counts[gid] += 1
+        return counts
+    if name in ("sum", "avg"):
+        if (
+            ngroups == 1
+            and seen is None
+            and arg
+            and set(map(type, arg)) <= NUMERIC_KINDS
+        ):
+            # One group of plain numbers: the same left-to-right
+            # additions in one C-level fold.  Not ``sum``, which starts
+            # from 0 (``-0.0`` would become ``0.0``) and compensates
+            # float addition from Python 3.12 on.
+            totals: List[object] = [reduce(operator.add, arg)]
+            counts = [len(arg)]
+        else:
+            totals, counts = [None] * ngroups, [0] * ngroups
+            for gid, value in zip(group_ids, arg):
+                if value is None:
+                    continue
+                if seen is not None:
+                    bucket = seen[gid]
+                    if value in bucket:
+                        continue
+                    bucket.add(value)
+                if not isinstance(value, (int, float)):
+                    raise _FallbackToReference  # reference raises per row
+                counts[gid] += 1
+                total = totals[gid]
+                totals[gid] = value if total is None else total + value
+        if name == "sum":
+            return totals
+        return [
+            None if count == 0 else total / count
+            for total, count in zip(totals, counts)
+        ]
+    if name == "min":
+        best: List[object] = [None] * ngroups
+        for gid, value in zip(group_ids, arg):
+            if value is None:
+                continue
+            if seen is not None:
+                bucket = seen[gid]
+                if value in bucket:
+                    continue
+                bucket.add(value)
+            current = best[gid]
+            if current is None or value < current:
+                best[gid] = value
+        return best
+    if name == "max":
+        best = [None] * ngroups
+        for gid, value in zip(group_ids, arg):
+            if value is None:
+                continue
+            if seen is not None:
+                bucket = seen[gid]
+                if value in bucket:
+                    continue
+                bucket.add(value)
+            current = best[gid]
+            if current is None or value > current:
+                best[gid] = value
+        return best
+    raise _FallbackToReference  # unknown aggregate: reference raises
+
+
+def _filter_columns(kept, cols, n: int):
+    positions = kept(cols, n)
+    if len(positions) == n:
+        return cols, n
+    return gather(cols, positions), len(positions)
 
 
 def _lowered(node, columns, lower):
@@ -173,9 +428,9 @@ class VectorizedExecutor:
             )
             if node.predicate is None:
                 return layout, None
-            return layout, compile_vector_filter(node.predicate, layout)
+            return layout, lower_filter(node.predicate, layout)
 
-        layout, kernel = _lowered(node, table.schema.columns, lower)
+        layout, kept = _lowered(node, table.schema.columns, lower)
         if node.index_access is not None:
             # Late materialisation: a column is built when an operator
             # first reads it, from the row store (ids need no id->position
@@ -191,64 +446,17 @@ class VectorizedExecutor:
             cols = table.column_data()
             n = len(table)
             stats.rows_scanned += n
-        if kernel is not None:
-            cols, n = self._filter_columns(kernel, cols, n)
+        if kept is not None:
+            cols, n = _filter_columns(kept, cols, n)
         return layout, cols, n
 
     def _execute_filter(self, node: FilterNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)
-        kernel = _lowered(
-            node,
-            layout.columns,
-            lambda: compile_vector_filter(node.predicate, layout),
+        kept = _lowered(
+            node, layout.columns, lambda: lower_filter(node.predicate, layout)
         )
-        cols, n = self._filter_columns(kernel, cols, n)
+        cols, n = _filter_columns(kept, cols, n)
         return layout, cols, n
-
-    def _passing(self, kernel, cols, n: int) -> List[int]:
-        """The rows of ``range(n)`` that ``kernel`` keeps, chunk by chunk."""
-        batch = self.BATCH_SIZE
-        kept: List[int] = []
-        for start in range(0, n, batch):
-            passing, errs = kernel(cols, range(start, min(start + batch, n)))
-            if errs:
-                # The earliest error in row order: exactly what the
-                # reference row loop raises (rows past it never evaluate
-                # there, but kernels are pure, so that is unobservable).
-                raise errs[0][1]
-            kept.extend(passing)
-        return kept
-
-    def _filter_columns(self, kernel, cols, n: int):
-        kept = self._passing(kernel, cols, n)
-        if len(kept) == n:
-            return cols, n
-        return gather(cols, kept), len(kept)
-
-    def _run_kernel_chunked(self, kernel, cols, n: int):
-        """Evaluate a value kernel over all ``n`` rows in batch-size chunks.
-
-        Returns ``(values, first_error)`` where ``first_error`` is the
-        earliest deferred ``(row, exception)`` or None.
-        """
-        batch = self.BATCH_SIZE
-        if n <= batch:
-            values, errs = kernel(cols, range(n))
-            return values, (errs[0] if errs else None)
-        values: List[object] = []
-        first_err = None
-        for start in range(0, n, batch):
-            chunk_values, errs = kernel(cols, range(start, min(start + batch, n)))
-            values.extend(chunk_values)
-            if errs and first_err is None:
-                first_err = errs[0]
-        return values, first_err
-
-    def _value_vector(self, lowered, cols, n: int):
-        """The value vector of a :func:`_lower_value` result."""
-        if isinstance(lowered, int):
-            return cols[lowered], None
-        return self._run_kernel_chunked(lowered, cols, n)
 
     # ------------------------------------------------------------------
     # Joins
@@ -265,7 +473,7 @@ class VectorizedExecutor:
                 [right_layout.resolve(key) for _, key in node.equi_keys],
                 None
                 if node.condition is None
-                else compile_vector_filter(node.condition, layout),
+                else lower_filter(node.condition, layout),
             )
 
         layout, left_positions, right_positions, condition = _lowered(
@@ -279,7 +487,7 @@ class VectorizedExecutor:
             if condition is not None and left_idx:
                 # The residual condition reads candidate pairs in place.
                 pairs = gather(left_cols, left_idx) + gather(right_cols, right_idx)
-                kept = self._passing(condition, pairs, len(left_idx))
+                kept = condition(pairs, len(left_idx))
                 if len(kept) < len(left_idx):
                     left_idx = list(map(left_idx.__getitem__, kept))
                     right_idx = list(map(right_idx.__getitem__, kept))
@@ -360,7 +568,7 @@ class VectorizedExecutor:
             # values, pass the right columns through untouched.
             combined = [[col[i]] * rn for col in left_cols]
             combined.extend(right_cols)
-            matches = self._passing(condition, combined, rn)
+            matches = condition(combined, rn)
             left_idx.extend([i] * len(matches))
             right_idx.extend(matches)
         return left_idx, right_idx
@@ -370,168 +578,16 @@ class VectorizedExecutor:
     # ------------------------------------------------------------------
     def _execute_group_by(self, node: GroupByNode, stats: ExecStats):
         child_layout, cols, n = self._execute(node.child, stats)
-        try:
-            return self._group_by_fast(node, child_layout, cols, n)
-        except Exception:
-            # Any trouble on the fast path — a deferred evaluation error,
-            # an unhashable key, a non-numeric SUM, mixed-type MIN/MAX —
-            # re-runs the reference row-at-a-time loop, which visits rows
-            # in the exact interpreted order and therefore raises the
-            # exact reference exception (or, for recoverable cases the
-            # fast path doesn't model, produces the reference result).
-            rows = rows_from_vectors(cols, n)
-            layout, out_rows = group_rows_reference(
-                node, child_layout, rows, compile_evaluator
-            )
-            return layout, vectors_from_rows(out_rows, len(layout)), len(out_rows)
-
-    def _group_by_fast(self, node: GroupByNode, child_layout, cols, n: int):
-        layout, key_lowered, arg_lowered = _lowered(
+        layout, aggregate = _lowered(
             node,
             child_layout.columns,
             lambda: (
                 group_output_layout(node, child_layout),
-                [_lower_value(expr, child_layout) for expr in node.group_exprs],
-                [
-                    None
-                    if aggregate.star or len(aggregate.args) != 1
-                    else _lower_value(aggregate.args[0], child_layout)
-                    for aggregate in node.aggregates
-                ],
+                lower_aggregate(node.group_exprs, node.aggregates, child_layout),
             ),
         )
-        for aggregate in node.aggregates:
-            if not aggregate.star and len(aggregate.args) != 1 and n:
-                raise _FallbackToReference  # per-row arity error
-        vectors: List[Optional[Sequence[object]]] = []
-        for lowered in key_lowered + arg_lowered:
-            if lowered is None:
-                vectors.append(None)
-                continue
-            values, first_err = self._value_vector(lowered, cols, n)
-            if first_err is not None:
-                raise _FallbackToReference
-            vectors.append(values)
-        key_vectors = vectors[: len(key_lowered)]
-        arg_vectors = vectors[len(key_lowered) :]
-
-        if key_vectors:
-            # A dense group id per row.  ``dict.fromkeys`` keeps the first
-            # of equal keys in first-occurrence order, which is the key and
-            # the order the reference loop outputs.
-            one = len(key_vectors) == 1
-            keys = key_vectors[0] if one else list(zip(*key_vectors))
-            groups = dict.fromkeys(keys)
-            ngroups = len(groups)
-            key_columns = (
-                [list(groups)]
-                if one
-                else vectors_from_rows(list(groups), len(key_vectors))
-            )
-            group_ids = list(map(dict(zip(groups, range(ngroups))).__getitem__, keys))
-        else:
-            # A scalar aggregate: one group, even over empty input.
-            group_ids = [0] * n
-            ngroups = 1
-            key_columns = []
-
-        agg_columns = [
-            self._accumulate(aggregate, arg, group_ids, ngroups)
-            for aggregate, arg in zip(node.aggregates, arg_vectors)
-        ]
-        return layout, key_columns + agg_columns, ngroups
-
-    @staticmethod
-    def _accumulate(aggregate, arg, group_ids, ngroups: int) -> List[object]:
-        """One aggregate over all groups in a single tight pass.
-
-        Accumulation visits rows in order, so float SUM/AVG reproduce the
-        reference path's addition sequence bit for bit.
-        """
-        name = aggregate.name.lower()
-        if aggregate.star:
-            counts = [0] * ngroups
-            for gid in group_ids:
-                counts[gid] += 1
-            return counts
-        seen: Optional[List[set]] = (
-            [set() for _ in range(ngroups)] if aggregate.distinct else None
-        )
-        if name == "count":
-            counts = [0] * ngroups
-            for gid, value in zip(group_ids, arg):
-                if value is None:
-                    continue
-                if seen is not None:
-                    bucket = seen[gid]
-                    if value in bucket:
-                        continue
-                    bucket.add(value)
-                counts[gid] += 1
-            return counts
-        if name in ("sum", "avg"):
-            if (
-                ngroups == 1
-                and seen is None
-                and arg
-                and set(map(type, arg)) <= NUMERIC_KINDS
-            ):
-                # One group of plain numbers: the same left-to-right
-                # additions in one C-level fold.  Not ``sum``, which starts
-                # from 0 (``-0.0`` would become ``0.0``) and compensates
-                # float addition from Python 3.12 on.
-                totals: List[object] = [reduce(operator.add, arg)]
-                counts = [len(arg)]
-            else:
-                totals, counts = [None] * ngroups, [0] * ngroups
-                for gid, value in zip(group_ids, arg):
-                    if value is None:
-                        continue
-                    if seen is not None:
-                        bucket = seen[gid]
-                        if value in bucket:
-                            continue
-                        bucket.add(value)
-                    if not isinstance(value, (int, float)):
-                        raise _FallbackToReference  # reference raises per row
-                    counts[gid] += 1
-                    total = totals[gid]
-                    totals[gid] = value if total is None else total + value
-            if name == "sum":
-                return totals
-            return [
-                None if count == 0 else total / count
-                for total, count in zip(totals, counts)
-            ]
-        if name == "min":
-            best: List[object] = [None] * ngroups
-            for gid, value in zip(group_ids, arg):
-                if value is None:
-                    continue
-                if seen is not None:
-                    bucket = seen[gid]
-                    if value in bucket:
-                        continue
-                    bucket.add(value)
-                current = best[gid]
-                if current is None or value < current:
-                    best[gid] = value
-            return best
-        if name == "max":
-            best = [None] * ngroups
-            for gid, value in zip(group_ids, arg):
-                if value is None:
-                    continue
-                if seen is not None:
-                    bucket = seen[gid]
-                    if value in bucket:
-                        continue
-                    bucket.add(value)
-                current = best[gid]
-                if current is None or value > current:
-                    best[gid] = value
-            return best
-        raise _FallbackToReference  # unknown aggregate: reference raises
+        out_cols, count = aggregate(cols, n)
+        return layout, out_cols, count
 
     # ------------------------------------------------------------------
     # Project / distinct / sort / limit
@@ -540,38 +596,11 @@ class VectorizedExecutor:
         child_layout, cols, n = self._execute(node.child, stats)
 
         def lower():
-            output_names: List[str] = []
-            # Star expansions pass child columns straight through (an int
-            # position); everything else is a position or a vector kernel.
-            outputs: List[object] = []
-            for item in node.items:
-                if item.is_star:
-                    for position, column in enumerate(child_layout.columns):
-                        if item.star_qualifier is None or column.startswith(
-                            item.star_qualifier + "."
-                        ):
-                            output_names.append(column)
-                            outputs.append(position)
-                    continue
-                output_names.append(item.output_name().lower())
-                outputs.append(_lower_value(item.expr, child_layout))
-            return RowLayout(output_names), outputs
+            names, outputs = projection(node.items, child_layout)
+            return RowLayout(names), lower_values(outputs, child_layout)
 
-        layout, outputs = _lowered(node, child_layout.columns, lower)
-        out_cols: List[Sequence[object]] = []
-        first_err: Optional[Tuple[int, int, BaseException]] = None
-        for index, output in enumerate(outputs):
-            values, err = self._value_vector(output, cols, n)
-            # The reference path evaluates items row-major, so the first
-            # exception is the minimum over (row, item position).
-            if err is not None and (
-                first_err is None or (err[0], index) < (first_err[0], first_err[1])
-            ):
-                first_err = (err[0], index, err[1])
-            out_cols.append(values)
-        if first_err is not None:
-            raise first_err[2]
-        return layout, out_cols, n
+        layout, values = _lowered(node, child_layout.columns, lower)
+        return layout, values(cols, n), n
 
     def _execute_distinct(self, node: DistinctNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)
@@ -585,32 +614,12 @@ class VectorizedExecutor:
     def _execute_sort(self, node: SortNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)
         items = node.order_items
-        lowered_items = _lowered(
+        keys = _lowered(
             node,
             layout.columns,
-            lambda: [_lower_value(item.expr, layout) for item in items],
+            lambda: lower_values([item.expr for item in items], layout),
         )
-        key_vectors: List[Sequence[object]] = []
-        first_err: Optional[Tuple[int, int, BaseException]] = None
-        for index, lowered in enumerate(lowered_items):
-            values, err = self._value_vector(lowered, cols, n)
-            if err is not None and (
-                first_err is None or (err[0], index) < (first_err[0], first_err[1])
-            ):
-                first_err = (err[0], index, err[1])
-            key_vectors.append(values)
-        if first_err is not None:
-            raise first_err[2]
-        order = list(range(n))
-        # Stable sorts applied last-to-first compose to the reference
-        # ordering for mixed ASC/DESC; sorting an index vector by a
-        # precomputed key vector replaces per-row key tuples.
-        for index in range(len(items) - 1, -1, -1):
-            sortable = [sort_key(value) for value in key_vectors[index]]
-            order.sort(
-                key=sortable.__getitem__, reverse=not items[index].ascending
-            )
-        return layout, gather(cols, order), n
+        return layout, gather(cols, sort_order(keys(cols, n), items, n)), n
 
     def _execute_limit(self, node: LimitNode, stats: ExecStats):
         layout, cols, n = self._execute(node.child, stats)

@@ -1,7 +1,7 @@
 """PURE001: compiled evaluators / executor kernels must be pure."""
 
 
-KERNEL = "proj/sqlengine/compile.py"
+KERNEL = "proj/sqlengine/vectorize.py"
 EXECUTOR = "proj/sqlengine/executor.py"
 
 

@@ -97,7 +97,7 @@ class TestEffectProperties:
         # the real kernel path instead of the shared mod.py fixture.
         kernel = tmp_path / "src" / "repro" / "sqlengine"
         kernel.mkdir(parents=True)
-        (kernel / "compile.py").write_text(
+        (kernel / "vectorize.py").write_text(
             "import time\n"
             "\n"
             "def lower_probe():\n"

@@ -8,6 +8,7 @@ both systems and all BestPeer++ engines.
 import pytest
 
 from repro.core import BestPeerNetwork
+from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.tpch import (
@@ -188,3 +189,72 @@ class TestOrderByDroppedKey:
     def test_hadoopdb_keeps_local_order(self, order_systems, sql):
         local, _, cluster = order_systems
         assert cluster.execute(sql).records == local.execute(sql).rows
+
+
+# ----------------------------------------------------------------------
+# Where the sort runs: decided by name resolution, as the local planner does
+# ----------------------------------------------------------------------
+ALIAS_SCHEMA = TableSchema(
+    "a",
+    [
+        Column("id", ColumnType.INTEGER),
+        Column("v", ColumnType.FLOAT),
+        Column("s", ColumnType.TEXT),
+    ],
+)
+ALIAS_ROWS = [(1, 3.0, "x"), (2, 1.0, "y"), (3, 2.0, "z")]
+
+
+@pytest.fixture(scope="module")
+def alias_systems():
+    local = Database()
+    local.create_table(ALIAS_SCHEMA).insert_many(ALIAS_ROWS)
+    net = BestPeerNetwork({"a": ALIAS_SCHEMA}, {})
+    cluster = HadoopDbCluster(NUM_NODES)
+    cluster.create_tables([ALIAS_SCHEMA], {})
+    for index in range(NUM_NODES):
+        share = {"a": ALIAS_ROWS[index::NUM_NODES]}
+        net.add_peer(f"p{index}")
+        net.load_peer(f"p{index}", share)
+        cluster.load_worker(index, share)
+    return local, net, cluster
+
+
+class TestOrderByAlias:
+    """``v`` names the projected ``s``, so ``ORDER BY v * 2`` sorts the
+    projected rows and fails on text; it must never quietly sort by the
+    base column ``a.v`` instead."""
+
+    SQL = "SELECT id, s AS v FROM a ORDER BY v * 2"
+
+    def expected_error(self, local):
+        with pytest.raises(SqlExecutionError) as error:
+            local.execute(self.SQL)
+        assert str(error.value) == "non-numeric arithmetic: 'x' * 2"
+        return str(error.value)
+
+    @pytest.mark.parametrize("engine", ["basic", "parallel", "mapreduce"])
+    def test_engine_raises_what_the_local_database_raises(
+        self, alias_systems, engine
+    ):
+        local, net, _ = alias_systems
+        with pytest.raises(SqlExecutionError) as error:
+            net.execute(self.SQL, engine=engine)
+        assert str(error.value) == self.expected_error(local)
+
+    def test_hadoopdb_raises_what_the_local_database_raises(self, alias_systems):
+        local, _, cluster = alias_systems
+        with pytest.raises(SqlExecutionError) as error:
+            cluster.execute(self.SQL)
+        assert str(error.value) == self.expected_error(local)
+
+    def test_an_alias_key_that_evaluates_sorts_the_projected_rows(
+        self, alias_systems
+    ):
+        local, net, cluster = alias_systems
+        sql = "SELECT id, s AS v FROM a ORDER BY v DESC"
+        expected = local.execute(sql).rows
+        assert expected == [(3, "z"), (2, "y"), (1, "x")]
+        for engine in ("basic", "parallel", "mapreduce"):
+            assert net.execute(sql, engine=engine).records == expected
+        assert cluster.execute(sql).records == expected

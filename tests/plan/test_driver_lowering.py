@@ -1,7 +1,7 @@
 """The plan driver's lowered expressions against interpreted ``Expr.evaluate``.
 
 The driver lowers a join stage's residual, an aggregate job's group keys and
-its aggregates' argument getters once per job.  These tests take the very
+its aggregates once per job, into vector kernels.  These tests take the very
 jobs it submits — their split-level ``map_fn`` and reducer-level
 ``reduce_fn`` — and replay each reducer group, on its own, against the
 interpreted tree walk, row for row and error for error.  Every stage file
@@ -18,6 +18,7 @@ from repro.sqlengine import Column, ColumnType, Database, TableSchema
 from repro.sqlengine.batch import text_widths
 from repro.sqlengine.executor import _AggState
 from repro.sqlengine.expr import RowLayout
+from repro.sqlengine.planner import order_resolvable
 from repro.tpch import (
     Q3,
     Q4,
@@ -229,6 +230,36 @@ class TestNullsAndErrors:
         check_against_interpreter(plan, jobs)
 
 
+    def test_group_keys_raise_the_row_major_first_error(self):
+        # Row 0 fails only its second key (1 / 0.0), row 1 only its first
+        # ('x' + 1): keying the split one expression at a time would raise
+        # row 1's error, row by row raises row 0's, as the oracle does.
+        schema = TableSchema(
+            "s",
+            [
+                Column("id", ColumnType.INTEGER),
+                Column("v", ColumnType.FLOAT),
+                Column("t", ColumnType.TEXT),
+            ],
+        )
+        rows = [(1, 0.0, None), (2, 1.0, "x")]
+        cluster = HadoopDbCluster(1)
+        cluster.create_tables([schema])
+        cluster.load_worker(0, {"s": rows})
+        sql = (
+            "SELECT t + 1, id / v, COUNT(DISTINCT id) FROM s "
+            "GROUP BY t + 1, id / v"
+        )
+        plan, jobs, error = submitted_jobs(cluster, sql)
+        assert [job.name.rsplit("-", 1)[-1] for job, _ in jobs] == ["aggregate"]
+        oracle = Database(execution_mode="interpreted")
+        oracle.create_table(schema).insert_many(rows)
+        with pytest.raises(SqlExecutionError) as expected:
+            oracle.execute(sql)
+        assert isinstance(error, SqlExecutionError)
+        assert str(error) == str(expected.value) == "division by zero"
+
+
 # ----------------------------------------------------------------------
 # finalize_records: the positional merge against the interpreted tree walk
 # ----------------------------------------------------------------------
@@ -248,7 +279,9 @@ MERGE_RECORDS = [
 
 
 def interpreted_finalize(plan, records, columns):
-    """HAVING, projection and a tuple-key sort, one ``Expr.evaluate`` at a time."""
+    """HAVING, projection and a tuple-key sort, one ``Expr.evaluate`` at a
+    time; the sort reads the projected row if every key resolves there (the
+    local planner's rule), else the record."""
     layout = RowLayout(columns)
     if plan.having is not None:
         records = [r for r in records if plan.having.evaluate(r, layout) is True]
@@ -258,12 +291,13 @@ def interpreted_finalize(plan, records, columns):
     ]
     names = [item.output_name().lower() for item in plan.items]
     out_layout = RowLayout(names)
+    on_output = order_resolvable(plan.items, plan.order_by)
 
     def key_of(pair, item):
         row, out = pair
-        try:
+        if on_output:
             value = item.expr.evaluate(out, out_layout)
-        except SqlExecutionError:
+        else:
             value = item.expr.evaluate(row, layout)
         return (value is not None, value)  # NULLS FIRST
 

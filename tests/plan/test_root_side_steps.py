@@ -4,11 +4,13 @@
 ``merge_partial_rows`` / ``partial_merger`` (owners' partial aggregates
 merged) are what every executor runs; each must answer what one local
 database answers — NULL group keys, groups whose values are all NULL (AVG
-over a zero count), and no input at all, grouped versus scalar.
+over a zero count), and no input at all, grouped versus scalar — and raise
+the error it raises first.
 """
 
 import pytest
 
+from repro.errors import SqlExecutionError
 from repro.plan import (
     SmsPlanner,
     aggregate_rows,
@@ -108,3 +110,20 @@ def test_one_merger_serves_every_group():
         1.0, 0.5, 5, 3,
     )
     assert merge([(None, None, 0, None, 0)]) == (None, None, None, 0)
+
+
+def test_aggregate_rows_raises_the_local_databases_first_error():
+    # Row 0's key is NULL and its SUM divides by zero; row 1's key is
+    # 'x' + 1.  Row by row, the division fails first — computing every key
+    # before any aggregate would raise row 1's error instead.
+    rows = [(1, None, 0.0, None), (2, "x", 1.0, None)]
+    sql = "SELECT h + 1, COUNT(DISTINCT g), SUM(g / v) FROM t GROUP BY h + 1"
+    for mode in ("interpreted", "vectorized"):
+        db = database(rows)
+        db.execution_mode = mode
+        with pytest.raises(SqlExecutionError, match="^division by zero$"):
+            db.execute(sql)
+    plan = SmsPlanner({"t": T}).compile(sql)
+    fetched = list(database(rows).execute(plan.base.sql).rows)
+    with pytest.raises(SqlExecutionError, match="^division by zero$"):
+        aggregate_rows(plan.aggregate, fetched, plan.base.columns)

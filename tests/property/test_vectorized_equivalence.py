@@ -16,20 +16,112 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SqlExecutionError
 from repro.sqlengine import Database
-from repro.sqlengine.compile import interpreted_evaluator
-from repro.sqlengine.expr import BinaryOp, ColumnRef, Literal
+from repro.sqlengine.executor import interpreted_evaluator
+from repro.sqlengine.expr import (
+    Between,
+    BinaryOp,
+    CaseWhen,
+    ColumnRef,
+    FuncCall,
+    InList,
+    IsNull,
+    Like,
+    Literal,
+    RowLayout,
+    UnaryOp,
+)
 from repro.sqlengine.vectorize import (
     compile_vector_evaluator,
     compile_vector_filter,
 )
 from tests.helpers import result_surface
-from tests.property.test_compile_equivalence import (
-    LAYOUT,
-    _assert_same_outcome,
-    _outcome,
-    expr_trees,
-    rows,
+
+COLUMNS = ("a", "b", "c")
+LAYOUT = RowLayout(COLUMNS)
+
+_BINARY_OPS = (
+    "and", "or", "=", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", "%",
 )
+
+literals = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-20, max_value=20),
+    st.floats(min_value=-50, max_value=50, allow_nan=False),
+    st.sampled_from(["red", "green", "", "r%"]),
+)
+
+# "missing" is deliberate: the layout cannot resolve it, so the interpreted
+# path raises per row and the kernels must defer the identical error.
+leaves = st.one_of(
+    literals.map(Literal),
+    st.sampled_from(COLUMNS + ("missing",)).map(ColumnRef),
+)
+
+
+def _extend(children):
+    whens = st.lists(
+        st.tuples(children, children), min_size=1, max_size=2
+    ).map(tuple)
+    return st.one_of(
+        st.builds(BinaryOp, st.sampled_from(_BINARY_OPS), children, children),
+        st.builds(UnaryOp, st.sampled_from(("not", "-")), children),
+        st.builds(Between, children, children, children, st.booleans()),
+        st.builds(
+            InList,
+            children,
+            st.lists(children, max_size=3).map(tuple),
+            st.booleans(),
+        ),
+        st.builds(
+            Like,
+            children,
+            st.sampled_from(("r%", "%e%", "__", "%")),
+            st.booleans(),
+        ),
+        st.builds(IsNull, children, st.booleans()),
+        st.builds(CaseWhen, whens, st.one_of(st.none(), children)),
+        # "nope" is an unknown function: both paths must raise identically.
+        st.builds(
+            FuncCall,
+            st.sampled_from(("upper", "lower", "abs", "length", "nope")),
+            st.tuples(children),
+        ),
+    )
+
+
+expr_trees = st.recursive(leaves, _extend, max_leaves=10)
+
+rows = st.tuples(
+    st.one_of(st.none(), st.integers(min_value=-20, max_value=20)),
+    st.one_of(
+        st.none(), st.floats(min_value=-50, max_value=50, allow_nan=False)
+    ),
+    st.one_of(st.none(), st.sampled_from(["red", "green", ""])),
+)
+
+
+def _outcome(evaluator, row):
+    """What a caller observes: the value, or the error kind and message."""
+    try:
+        return ("value", evaluator(row))
+    except SqlExecutionError as exc:
+        return ("sql-error", str(exc))
+    except TypeError as exc:
+        # BETWEEN over incomparable types propagates the raw TypeError in
+        # the interpreted path; the kernels must do the same.
+        return ("type-error", str(exc))
+
+
+def _assert_same_outcome(expected, actual):
+    assert expected[0] == actual[0], (expected, actual)
+    if expected[0] == "value":
+        assert type(expected[1]) is type(actual[1]), (expected, actual)
+        assert expected[1] == actual[1] or (
+            expected[1] != expected[1] and actual[1] != actual[1]
+        ), (expected, actual)
+    else:
+        assert expected[1] == actual[1], (expected, actual)
 
 
 def _columns(batch):
