@@ -8,64 +8,45 @@ the type system — one stray ``random.random()``, ``time.time()``, unsorted
 ``set`` iteration, or a direct peer-to-peer row fetch silently breaks them.
 
 This package is a stdlib-``ast`` linter that encodes those invariants as
-rules.  The per-file rules check one parse tree at a time; the
-*interprocedural* rules run on a whole-program import/call graph
+ten rules, each kept because it caught a real bug or guards a fixed point
+the evaluation rests on.  The per-file rules check one parse tree at a
+time; the *interprocedural* rules run on a whole-program import/call graph
 (:mod:`repro.analysis.projectgraph`) built once per run from the same
-parsed contexts:
+parsed contexts, with value-flow (:mod:`repro.analysis.dataflow`) and
+effect inference (:mod:`repro.analysis.effects`) layered on it:
 
 ========  ==================================================================
-SIM001    global / unseeded ``random`` module use
-SIM002    wall clock (``time.time``/``sleep``, ``datetime.now``) instead of
-          the sim clock
 SIM003    nondeterministic ``set`` iteration feeding ordered results
-SIM004    ``id()`` / hash-order leaking into outputs
-ISO001    cross-object reach into another component's private state
 ISO002    row-moving peer calls that bypass ``SimNetwork`` byte accounting
 CFG001    config keys read with inline literal defaults that can drift
           from ``repro.core.config``
-SIM005    wall-clock / global-random *values* flowing into EventQueue
-          timestamps or FaultPlan/RNG seeds (dataflow)
-SEC001    rows fetched without access rewriting reaching a cross-peer
-          transfer with no role check on the path (§4.4 taint)
 SEC002    peers admitted / credentialed before certificate verification
-SEC003    tenant-controlled values (rows, request payloads, certificates)
-          flowing into privileged sinks unsanitized (§4.4 dataflow, with
-          source→sink traces)
-RES001    cross-peer call sites not covered by a RetryPolicy/deadline
-          context from ``repro.core.resilience``
-RES004    call sites through which NetworkError-family exceptions escape
-          to an entry point with no coverage on the propagation path
-PERF002   per-row evaluator call inside a rows-loop of a module that
-          declares vectorized kernels (batch via ``sqlengine.vectorize``)
+SEC003    tenant-controlled values (unrewritten rows, request payloads,
+          certificates) flowing into privileged sinks unsanitized (§4.4
+          dataflow, with source→sink traces)
+RES004    cross-peer calls and call sites through which NetworkError-family
+          exceptions escape with no resilience coverage or handler
 ARCH001   imports violating the layering contract (``sim``/``sqlengine``/
           ``baton`` depend only on ``errors``; ``analysis`` is stdlib-only)
 PURE001   effects (clock, randomness, I/O, network, shared mutation)
-          reachable from compiled evaluators / executor kernels (effects)
-DET003    wall-clock / real-I/O / global-random effects reachable from
-          EventQueue handlers and ``repro.sim`` callbacks (effects)
-ATOM001   bootstrap-metadata mutation paired with a network send that
-          bypasses the ``metalog`` WAL reducer (effects)
+          reachable from executor kernels (effects)
+DET003    wall-clock / real-I/O / global-random effects anywhere in the
+          library outside ``bench``, ``console`` and ``analysis`` (effects)
+ATOM001   bootstrap-metadata mutation on a path that bypasses the
+          ``metalog`` WAL reducer (effects)
 ========  ==================================================================
-
-The ``effects`` rows run on the fourth tier — interprocedural effect
-inference (:mod:`repro.analysis.effects`), which assigns every function a
-``{wallclock, global_random, real_io, network_send, mutates, raises}``
-signature by SCC fixpoint over the call graph; query it directly with
-``python -m repro.analysis effects --who-touches clock``.
 
 Usage::
 
     python -m repro.analysis src tests benchmarks
     python -m repro.analysis --json src
     python -m repro.analysis --list-rules
-    python -m repro.analysis graph --format dot src
-    python -m repro.analysis effects --who-touches clock src
 
 A finding is fixed, or annotated where it stands with
-``# repro: allow[RULE] reason``; there is no side file of exceptions.
+``# repro: allow[RULE] reason``; there is no side file of exceptions, and
+an ``allow`` naming an unknown rule id is an error.
 """
 
-from repro.analysis.astcache import AstCache
 from repro.analysis.engine import (
     AnalysisReport,
     Analyzer,
@@ -89,8 +70,6 @@ from repro.analysis import isolation as _isolation  # noqa: F401
 from repro.analysis import configrules as _configrules  # noqa: F401
 from repro.analysis import archrules as _archrules  # noqa: F401
 from repro.analysis import securityrules as _securityrules  # noqa: F401
-from repro.analysis import resiliencerules as _resiliencerules  # noqa: F401
-from repro.analysis import perfrules as _perfrules  # noqa: F401
 from repro.analysis import dataflowrules as _dataflowrules  # noqa: F401
 from repro.analysis import exceptionflow as _exceptionflow  # noqa: F401
 from repro.analysis import effectrules as _effectrules  # noqa: F401
@@ -98,7 +77,6 @@ from repro.analysis import effectrules as _effectrules  # noqa: F401
 __all__ = [
     "AnalysisReport",
     "Analyzer",
-    "AstCache",
     "Finding",
     "ProjectGraph",
     "ProjectRule",

@@ -8,7 +8,7 @@ set (or a module alias) when the evidence is in the same file.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
 
 
 class ImportMap:
@@ -38,16 +38,6 @@ class ImportMap:
 
     def member_origin(self, name: str) -> Optional[Tuple[str, str]]:
         return self.member_aliases.get(name)
-
-    def is_module_alias(self, name: str) -> bool:
-        return name in self.module_aliases
-
-
-def call_receiver(node: ast.Call) -> Optional[ast.expr]:
-    """The object a method call is made on, or None for plain calls."""
-    if isinstance(node.func, ast.Attribute):
-        return node.func.value
-    return None
 
 
 def is_name(node: ast.AST, *names: str) -> bool:
@@ -120,19 +110,16 @@ class SetTypes:
     """
 
     def __init__(
-        self,
-        scope: ast.AST,
-        enclosing_class: Optional[ast.ClassDef] = None,
+        self, scope: ast.AST, self_attrs: FrozenSet[str] = frozenset()
     ) -> None:
         self._names: Set[str] = set()
-        self._self_attrs: Set[str] = set()
+        #: ``self.x`` attributes known to hold sets (:meth:`class_attrs`).
+        self._self_attrs: Set[str] = set(self_attrs)
         if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = scope.args
             for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
                 if _annotation_is_set(arg.annotation):
                     self._names.add(arg.arg)
-        if enclosing_class is not None:
-            self._collect_class_attrs(enclosing_class)
         # Two passes so ``a = set(); b = a`` resolves regardless of order.
         for _ in range(2):
             for node in scope_body_walk(scope):
@@ -150,6 +137,14 @@ class SetTypes:
                 elif isinstance(node, ast.AugAssign):
                     if isinstance(node.target, ast.Name) and self.is_set(node.value):
                         self._names.add(node.target.id)
+
+    @classmethod
+    def class_attrs(cls, class_def: ast.ClassDef) -> FrozenSet[str]:
+        """The ``self.x`` attributes a class annotates or assigns a set
+        to — computed once per class, shared by all its methods' scopes."""
+        probe = cls(ast.Module(body=[], type_ignores=[]))
+        probe._collect_class_attrs(class_def)
+        return frozenset(probe._self_attrs)
 
     def _collect_class_attrs(self, cls: ast.ClassDef) -> None:
         for node in ast.walk(cls):
@@ -216,21 +211,3 @@ def enclosing_class_of(
 
     visit(tree, None)
     return mapping
-
-
-def class_owned_private_attrs(cls: ast.ClassDef) -> Set[str]:
-    """Private names a class touches on ``self`` or defines as methods.
-
-    Used by ISO001's same-class exemption: ``derived._rules`` inside a
-    method of ``Role`` is the ordinary build-a-sibling idiom when ``Role``
-    itself owns ``_rules``.
-    """
-    owned: Set[str] = set()
-    for node in ast.walk(cls):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            if node.name.startswith("_"):
-                owned.add(node.name)
-        elif isinstance(node, ast.Attribute) and is_name(node.value, "self"):
-            if node.attr.startswith("_"):
-                owned.add(node.attr)
-    return owned

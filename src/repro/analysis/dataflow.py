@@ -1,8 +1,7 @@
 """Value-flow engine: per-function def-use summaries + interprocedural taint.
 
-The reachability rules (SEC001, RES001) ask "does a *path* exist" on the
-call graph; they cannot see *which value* travels it.  This module adds the
-missing half in two phases:
+Call-graph reachability asks "does a *path* exist"; it cannot see *which
+value* travels it.  This module adds the missing half in two phases:
 
 **Phase A — per-function flow summaries** (:class:`FunctionFlow`).  Each
 function (and each module's top-level pseudo-function) is abstractly
@@ -12,9 +11,7 @@ match, branches merge by union, loop bodies run twice so loop-carried flow
 is seen, ``except X as e`` kills then rebinds, comprehensions bind their
 generator targets, and writes to ``self.attr`` land in a per-attribute
 *cell* that Phase B links across the methods of a class.  The summary is
-spec-independent — pure def-use edges between abstract value nodes — so it
-is cached per module next to the pickled AST (same content-hash key,
-different tag) and reused byte-for-byte across runs and rules.
+spec-independent — pure def-use edges between abstract value nodes.
 
 **Phase B — interprocedural taint** (:class:`TaintEngine`).  A breadth-
 first search over global ``(function, node)`` pairs, stitched through the
@@ -28,8 +25,9 @@ cells in every other method of the class.  Sources, sinks, sanitizers and
 guards are declarative (:class:`TaintSpec`); a finding is emitted only when
 tainted data reaches a sink argument with no guard *must-executed* before
 the sink in its function and no guard reachable (precise edges only) from
-the lexical scope chain of either endpoint — the same closure idiom SEC001
-honors.  Every finding carries the actual source-to-sink hop list.
+the lexical scope chain of either endpoint (the closure-under-
+``call_resilient`` idiom).  Every finding carries the actual source-to-sink
+hop list.
 
 Everything iterates in sorted order; two runs over the same tree produce
 identical findings and identical traces regardless of input file order.
@@ -52,11 +50,6 @@ from typing import (
 )
 
 from repro.analysis.projectgraph import MODULE_SCOPE, CallSite, ProjectGraph
-
-#: Bump when the summary format changes; part of the flow-cache tag.
-FLOW_VERSION = 2
-#: Aux-cache tag under which module summaries are pickled.
-FLOW_TAG = f"flow{FLOW_VERSION}"
 
 #: Abstract value node, one of::
 #:
@@ -121,7 +114,7 @@ class LocalCall:
 
 @dataclass
 class FunctionFlow:
-    """The cacheable def-use summary of one function."""
+    """The def-use summary of one function."""
 
     qualname: str
     module: str
@@ -545,7 +538,7 @@ class _FlowExtractor:
 
 
 # ----------------------------------------------------------------------
-# per-module extraction + caching
+# per-module extraction
 
 
 def iter_function_defs(
@@ -566,7 +559,7 @@ def iter_function_defs(
                 yield from walk(child, path + [child.name], None)
             elif isinstance(child, ast.ClassDef):
                 yield from walk(child, path + [child.name], child.name)
-            else:
+            elif not isinstance(child, ast.expr):  # no def inside an expression
                 yield from walk(child, path, direct_cls)
 
     yield from walk(tree, [], None)
@@ -615,34 +608,6 @@ def extract_module_flows(
     return flows
 
 
-def compute_flows(graph: ProjectGraph) -> Dict[str, FunctionFlow]:
-    """Phase A over every module of ``graph``, memoized on the graph and
-    persisted per module in the shared AST cache when one is attached."""
-    memo = getattr(graph, "memo", None)
-    if memo is not None and "flows" in memo:
-        return memo["flows"]
-    cache = getattr(graph, "ast_cache", None)
-    flows: Dict[str, FunctionFlow] = {}
-    for name in sorted(graph.modules):
-        mod = graph.modules[name]
-        source = "\n".join(mod.lines)
-        module_flows = None
-        if cache is not None:
-            payload = cache.load_aux(source, FLOW_TAG)
-            if isinstance(payload, dict) and all(
-                isinstance(v, FunctionFlow) for v in payload.values()
-            ):
-                module_flows = payload
-        if module_flows is None:
-            module_flows = extract_module_flows(mod.name, mod.tree)
-            if cache is not None:
-                cache.store_aux(source, FLOW_TAG, module_flows)
-        flows.update(module_flows)
-    if memo is not None:
-        memo["flows"] = flows
-    return flows
-
-
 # ----------------------------------------------------------------------
 # Phase B: declarative specs + the interprocedural taint search
 
@@ -655,11 +620,9 @@ class SourceSpec:
     describe: str
     #: Callee names whose *results* are sources.
     calls: Tuple[str, ...] = ()
-    #: "any" | "remote" (receiver present, not self/cls) | "exact".
-    receiver_mode: str = "any"
-    #: Exact rendered receivers for mode "exact"; "" matches a bare call.
-    receiver_names: Tuple[str, ...] = ()
-    #: The SEC001 predicate: only a fetch without an effective user taints.
+    #: Only calls on a remote receiver (present, not self/cls) taint.
+    remote_only: bool = False
+    #: Only a fetch without an effective user taints.
     require_no_user: bool = False
     #: Attribute reads ``(base_token, attr)`` that are sources; a base
     #: token "" matches any base.
@@ -674,8 +637,6 @@ class SinkSpec:
     calls: Tuple[str, ...]
     #: Receiver must contain one of these identifier tokens (None = any).
     receiver_tokens: Optional[Tuple[str, ...]] = None
-    #: Admissible argument positions (ints / "kw:<name>"; None = any).
-    positions: Optional[Tuple[object, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -723,37 +684,32 @@ def _call_has_no_user(call: LocalCall) -> bool:
 def _match_source_call(source: SourceSpec, call: LocalCall) -> bool:
     if call.callee_name not in source.calls:
         return False
-    receiver = call.receiver
-    if source.receiver_mode == "remote":
-        if receiver is None or receiver in ("self", "cls"):
-            return False
-    elif source.receiver_mode == "exact":
-        if (receiver or "") not in source.receiver_names:
-            return False
+    if source.remote_only and call.receiver in (None, "self", "cls"):
+        return False
     if source.require_no_user and not _call_has_no_user(call):
         return False
     return True
 
 
-def _match_sink(sink: SinkSpec, call: LocalCall, pos: object) -> bool:
+def _match_sink(sink: SinkSpec, call: LocalCall) -> bool:
     if call.callee_name not in sink.calls:
         return False
-    if sink.receiver_tokens is not None:
-        if not receiver_tokens(call.receiver) & set(sink.receiver_tokens):
-            return False
-    if sink.positions is not None and pos not in sink.positions:
-        return False
-    return True
+    return sink.receiver_tokens is None or bool(
+        receiver_tokens(call.receiver) & set(sink.receiver_tokens)
+    )
 
 
 class TaintEngine:
     """Phase B: run :class:`TaintSpec` questions over one graph + flows."""
 
-    def __init__(
-        self, graph: ProjectGraph, flows: Dict[str, FunctionFlow]
-    ) -> None:
+    def __init__(self, graph: ProjectGraph) -> None:
         self.graph = graph
-        self.flows = flows
+        self.flows: Dict[str, FunctionFlow] = {}
+        for name in sorted(graph.modules):
+            self.flows.update(
+                extract_module_flows(name, graph.modules[name].tree)
+            )
+        flows = self.flows
         # Keyed by (caller, anchor lineno/col, callee name): chained calls
         # share one anchor, so the name is part of the site's identity.
         self._site_index: Dict[Tuple[str, int, int, str], CallSite] = {}
@@ -791,18 +747,6 @@ class TaintEngine:
                 self._class_methods.setdefault(
                     (flow.module, flow.cls), []
                 ).append(qual)
-
-    @classmethod
-    def for_graph(cls, graph: ProjectGraph) -> "TaintEngine":
-        """The per-run engine, shared by every dataflow rule via the
-        graph's memo (one Phase A + one index build per analysis run)."""
-        memo = getattr(graph, "memo", None)
-        if memo is not None and "taint_engine" in memo:
-            return memo["taint_engine"]
-        engine = cls(graph, compute_flows(graph))
-        if memo is not None:
-            memo["taint_engine"] = engine
-        return engine
 
     # -- splicing ------------------------------------------------------
 
@@ -1088,7 +1032,7 @@ class TaintEngine:
         hits: List[TaintHit],
     ) -> None:
         for sink in spec.sinks:
-            if not _match_sink(sink, call, node[3]):
+            if not _match_sink(sink, call):
                 continue
             key = (qual, call.lineno, call.col, origin_qual, sink.label)
             if key in emitted:

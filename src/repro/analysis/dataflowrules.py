@@ -1,9 +1,7 @@
-"""SEC003/SIM005: value-flow taint rules over :mod:`repro.analysis.dataflow`.
+"""SEC003: tenant-controlled values reaching privileged sinks (§4.4).
 
-**SEC003 — tenant-controlled values reaching privileged sinks (§4.4).**
-SEC001 asks whether a *path* exists from an unrewritten fetch to the wire;
-this rule asks whether the fetched *value* actually travels it.  Three
-source families are tracked with real dataflow evidence:
+Runs on :mod:`repro.analysis.dataflow`.  Three source families are
+tracked with real value-flow evidence:
 
 * rows read remotely without access rewriting (``execute_local``, or
   ``execute_fetch`` with no effective user) reaching a ``SimNetwork``
@@ -18,14 +16,6 @@ result is clean by §4.4's definition); a flow is *cleared* when an access
 check or certificate verification is must-executed before the sink or
 reachable from either endpoint's lexical scope chain.  Every finding
 carries the source→sink hop list.
-
-**SIM005 — wall-clock / global-random taint in the event kernel.**  The
-ROADMAP's next refactor drives the cluster from :class:`EventQueue`; its
-determinism story dies the moment a ``time.time()``-derived timestamp or a
-global-``random`` value reaches ``push``/``schedule`` times or a
-``FaultPlan``/``Random`` seed.  SIM001/SIM002 flag the *calls*; this rule
-flags the *flows*, so a wall-clock reading laundered through arithmetic
-and helper returns is still caught at the scheduling boundary.
 """
 
 from __future__ import annotations
@@ -44,8 +34,8 @@ from repro.analysis.findings import Finding, Severity
 from repro.analysis.projectgraph import ProjectGraph
 from repro.analysis.registry import ProjectRule, register_rule
 
-#: Access-control decisions that clear a rows/request flow (SEC001's set
-#: plus the serving front door's read-restriction checks).
+#: Access-control decisions that clear a rows/request flow (the role
+#: checks plus the serving front door's read-restriction checks).
 _ACCESS_GUARDS = (
     "rewrite_rows",
     "check_readable",
@@ -66,13 +56,13 @@ SEC003_SPECS: Tuple[TaintSpec, ...] = (
                 kind="rows",
                 describe="rows read remotely without access rewriting",
                 calls=("execute_local",),
-                receiver_mode="remote",
+                remote_only=True,
             ),
             SourceSpec(
                 kind="rows",
                 describe="rows fetched without an effective user",
                 calls=("execute_fetch",),
-                receiver_mode="remote",
+                remote_only=True,
                 require_no_user=True,
             ),
         ),
@@ -135,77 +125,22 @@ SEC003_SPECS: Tuple[TaintSpec, ...] = (
     ),
 )
 
-_CLOCK_CALLS = ("time", "monotonic", "perf_counter", "time_ns")
-_RANDOM_CALLS = (
-    "random", "randint", "randrange", "uniform", "gauss", "getrandbits",
-    "choice", "shuffle", "sample", "randbytes",
-)
-_SCHEDULE_SINKS = (
-    SinkSpec(
-        label="event-queue timestamp",
-        calls=("push", "schedule"),
-        positions=(0, "kw:when"),
-    ),
-    SinkSpec(
-        label="fault-plan seed",
-        calls=("FaultPlan",),
-        positions=(0, "kw:seed"),
-    ),
-    SinkSpec(
-        label="RNG seed",
-        calls=("Random", "seed"),
-        positions=(0, "kw:seed"),
-    ),
-)
-
-SIM005_SPECS: Tuple[TaintSpec, ...] = (
-    TaintSpec(
-        name="wall-clock",
-        sources=(
-            SourceSpec(
-                kind="clock",
-                describe="wall-clock reading",
-                calls=_CLOCK_CALLS,
-                receiver_mode="exact",
-                receiver_names=("time", ""),
-            ),
-            SourceSpec(
-                kind="clock",
-                describe="wall-clock reading",
-                calls=("now", "utcnow"),
-                receiver_mode="exact",
-                receiver_names=("datetime", "datetime.datetime", "dt"),
-            ),
-        ),
-        sinks=_SCHEDULE_SINKS,
-    ),
-    TaintSpec(
-        name="global-random",
-        sources=(
-            SourceSpec(
-                kind="random",
-                describe="global-random value",
-                calls=_RANDOM_CALLS,
-                receiver_mode="exact",
-                receiver_names=("random", ""),
-            ),
-        ),
-        sinks=_SCHEDULE_SINKS,
-    ),
-)
-
-
 def _sink_text(hit: TaintHit) -> str:
     call = hit.sink_call
     prefix = f"{call.receiver}." if call.receiver else ""
     return f"{prefix}{call.callee_name}(...)"
 
 
-class _TaintRule(ProjectRule):
-    """Shared driver: run spec bundles, attach traces to findings."""
-
-    specs: Tuple[TaintSpec, ...] = ()
-    advice: str = ""
+@register_rule
+class TenantValueFlowRule(ProjectRule):
+    id = "SEC003"
+    severity = Severity.ERROR
+    description = (
+        "tenant-controlled value (unrewritten rows, request payload, "
+        "unverified certificate) flows into a privileged sink with no "
+        "access check or verification on the flow (§4.4 value-level)"
+    )
+    categories = ("src",)
 
     def _origin_in_scope(self, graph: ProjectGraph, engine, hit) -> bool:
         """Only sources in the rule's own file categories taint: a test
@@ -220,8 +155,8 @@ class _TaintRule(ProjectRule):
         return categorize(module.path) in self.categories
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        engine = TaintEngine.for_graph(graph)
-        for spec in self.specs:
+        engine = TaintEngine(graph)
+        for spec in SEC003_SPECS:
             for hit in engine.run(spec):
                 module = graph.modules.get(hit.sink_module)
                 if module is None:
@@ -233,98 +168,9 @@ class _TaintRule(ProjectRule):
                     hit.sink_call.anchor_lineno,
                     hit.sink_call.anchor_col,
                     f"{hit.origin_desc} flows into {_sink_text(hit)} "
-                    f"[{hit.sink.label}] — {self.advice}",
+                    f"[{hit.sink.label}] — rewrite through AccessController "
+                    f"/ verify the certificate before this value reaches "
+                    f"the sink",
                 )
                 finding.trace = hit.trace
                 yield finding
-
-
-@register_rule
-class TenantValueFlowRule(_TaintRule):
-    id = "SEC003"
-    severity = Severity.ERROR
-    description = (
-        "tenant-controlled value (unrewritten rows, request payload, "
-        "unverified certificate) flows into a privileged sink with no "
-        "access check or verification on the flow (§4.4 value-level)"
-    )
-    categories = ("src",)
-    specs = SEC003_SPECS
-    advice = (
-        "rewrite through AccessController / verify the certificate before "
-        "this value reaches the sink"
-    )
-    rationale = (
-        "SEC001 proves only that a call *path* exists from an unrewritten "
-        "fetch to the wire; it cannot tell whether the fetched rows are "
-        "the value that crosses.  BestPeer++ §4.4 promises every value "
-        "leaving a peer was rewritten for the requesting role, bootstrap "
-        "admits nothing derived from an unverified certificate, and the "
-        "metalog replays on the standby, so a tenant-controlled record "
-        "appended there executes twice.  SEC003 tracks the actual values "
-        "— through assignments, containers, self attributes, and calls — "
-        "and fires only when one reaches a privileged sink unsanitized, "
-        "attaching the source-to-sink hop list as evidence."
-    )
-    example_violation = (
-        "class RemotePeer:\n"
-        "    def execute_local(self, sql):\n"
-        "        return [sql]\n"
-        "\n"
-        "def relay(peer, net, dst):\n"
-        "    rows = peer.execute_local('select * from t')\n"
-        "    net.transfer('here', dst, rows)\n"
-    )
-    example_clean = (
-        "class RemotePeer:\n"
-        "    def execute_local(self, sql):\n"
-        "        return [sql]\n"
-        "\n"
-        "class AccessController:\n"
-        "    def rewrite_rows(self, rows):\n"
-        "        return []\n"
-        "\n"
-        "def relay(peer, controller, net, dst):\n"
-        "    rows = controller.rewrite_rows(\n"
-        "        peer.execute_local('select * from t'))\n"
-        "    net.transfer('here', dst, rows)\n"
-    )
-
-
-@register_rule
-class ScheduleTaintRule(_TaintRule):
-    id = "SIM005"
-    severity = Severity.ERROR
-    description = (
-        "wall-clock or global-random value flows into an EventQueue "
-        "timestamp or a FaultPlan/RNG seed — replay determinism breaks"
-    )
-    categories = ("src",)
-    specs = SIM005_SPECS
-    advice = (
-        "derive the value from the sim clock / a seeded Random held by "
-        "the component"
-    )
-    rationale = (
-        "Seeded chaos runs must replay the exact same event sequence; the "
-        "event kernel orders everything by (timestamp, insertion).  A "
-        "timestamp derived from time.time() — even laundered through "
-        "arithmetic or a helper's return value — or a FaultPlan/Random "
-        "seeded from the wall clock makes two runs of the same seed "
-        "diverge.  SIM001/SIM002 flag the calls where they occur; SIM005 "
-        "follows the value and fires where it enters the scheduling "
-        "boundary, which survives refactors that move the call far from "
-        "the push site."
-    )
-    example_violation = (
-        "import time\n"
-        "\n"
-        "def kickoff(queue):\n"
-        "    deadline = time.time() + 5.0\n"
-        "    queue.push(deadline, 'boot')\n"
-    )
-    example_clean = (
-        "def kickoff(queue, clock):\n"
-        "    deadline = clock.now_s() + 5.0\n"
-        "    queue.push(deadline, 'boot')\n"
-    )

@@ -1,9 +1,9 @@
-"""Determinism rules: SIM001 (global RNG), SIM002 (wall clock),
-SIM003 (set-iteration order), SIM004 (id()/hash-order leaks).
+"""Determinism rule SIM003: set-iteration order feeding ordered results.
 
-The chaos-equivalence harness (PR 1) asserts that seeded runs replay
-row-identical answers; each rule here encodes one way that guarantee has
-historically been broken in P2P simulators.
+The chaos-equivalence harness asserts that seeded runs replay
+row-identical answers.  Wall-clock, real-I/O and global-random effects are
+DET003's (:mod:`repro.analysis.effectrules`); this rule covers the one
+nondeterminism effect inference cannot see — a ``set``'s hash order.
 """
 
 from __future__ import annotations
@@ -12,165 +12,13 @@ import ast
 from typing import Iterator, Optional
 
 from repro.analysis.asthelpers import (
-    ImportMap,
     SetTypes,
     enclosing_class_of,
     function_scopes,
-    is_name,
     scope_body_walk,
 )
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import FileContext, Rule, register_rule
-
-
-@register_rule
-class GlobalRandomRule(Rule):
-    """SIM001: the module-level ``random`` functions share one hidden,
-    unseeded global state; any use makes runs irreproducible.  Construct a
-    ``random.Random(seed)`` instance and thread it explicitly."""
-
-    id = "SIM001"
-    severity = Severity.ERROR
-    description = (
-        "global/unseeded `random` use; construct random.Random(seed) instead"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module == "random" and node.level == 0:
-                    for alias in node.names:
-                        if alias.name not in ("Random", "SystemRandom"):
-                            yield self.finding(
-                                ctx,
-                                node,
-                                f"`from random import {alias.name}` binds the "
-                                "shared global RNG; import random.Random and "
-                                "seed an instance",
-                            )
-                        elif alias.name == "SystemRandom":
-                            yield self.finding(
-                                ctx,
-                                node,
-                                "SystemRandom draws OS entropy and can never "
-                                "be seeded; use random.Random(seed)",
-                            )
-            elif isinstance(node, ast.Call) and isinstance(
-                node.func, ast.Attribute
-            ):
-                base = node.func.value
-                if (
-                    isinstance(base, ast.Name)
-                    and imports.module_of(base.id) == "random"
-                ):
-                    if node.func.attr == "Random":
-                        continue
-                    if node.func.attr == "SystemRandom":
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "SystemRandom draws OS entropy and can never be "
-                            "seeded; use random.Random(seed)",
-                        )
-                        continue
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"`random.{node.func.attr}(...)` uses the shared "
-                        "global RNG; use a seeded random.Random instance",
-                    )
-
-
-#: time-module functions that read or burn wall-clock time.
-_WALL_CLOCK_TIME_FUNCS = {
-    "time",
-    "time_ns",
-    "sleep",
-    "monotonic",
-    "monotonic_ns",
-    "perf_counter",
-    "perf_counter_ns",
-    "localtime",
-    "gmtime",
-    "process_time",
-    "process_time_ns",
-}
-
-_WALL_CLOCK_DATETIME_FUNCS = {"now", "utcnow", "today"}
-
-
-@register_rule
-class WallClockRule(Rule):
-    """SIM002: simulated latency must come from ``repro.sim.clock`` — a
-    wall-clock read makes results depend on the machine running them."""
-
-    id = "SIM002"
-    severity = Severity.ERROR
-    description = (
-        "wall-clock read (time.time/sleep, datetime.now); use the sim clock"
-    )
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                origin = imports.member_origin(func.id)
-                if origin is not None:
-                    module, member = origin
-                    if module == "time" and member in _WALL_CLOCK_TIME_FUNCS:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"`{func.id}(...)` (time.{member}) reads the wall "
-                            "clock; use SimClock / simulated durations",
-                        )
-                continue
-            if not isinstance(func, ast.Attribute):
-                continue
-            base = func.value
-            # time.<fn>()
-            if (
-                isinstance(base, ast.Name)
-                and imports.module_of(base.id) == "time"
-                and func.attr in _WALL_CLOCK_TIME_FUNCS
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`time.{func.attr}(...)` reads the wall clock; use "
-                    "SimClock / simulated durations",
-                )
-                continue
-            if func.attr not in _WALL_CLOCK_DATETIME_FUNCS:
-                continue
-            # datetime.datetime.now() / datetime.date.today()
-            if (
-                isinstance(base, ast.Attribute)
-                and base.attr in ("datetime", "date")
-                and isinstance(base.value, ast.Name)
-                and imports.module_of(base.value.id) == "datetime"
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`datetime.{base.attr}.{func.attr}()` reads the wall "
-                    "clock; use SimClock",
-                )
-                continue
-            # from datetime import datetime; datetime.now()
-            if isinstance(base, ast.Name):
-                origin = imports.member_origin(base.id)
-                if origin is not None and origin[0] == "datetime":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"`{base.id}.{func.attr}()` reads the wall clock; "
-                        "use SimClock",
-                    )
 
 
 #: Consumers for which iteration order genuinely doesn't matter.
@@ -207,13 +55,16 @@ class SetIterationRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         classes = enclosing_class_of(ctx.tree)
+        class_attrs = {}
         for scope in function_scopes(ctx.tree):
-            cls = classes.get(id(scope)) if not isinstance(scope, ast.Module) else None
-            types = SetTypes(scope, enclosing_class=cls)
-            for node in scope_body_walk(scope):
-                yield from self._check_node(ctx, node, types)
+            cls = classes.get(id(scope))
+            if cls is not None and id(cls) not in class_attrs:
+                class_attrs[id(cls)] = SetTypes.class_attrs(cls)
+            types = SetTypes(scope, class_attrs.get(id(cls), frozenset()))
             # Comprehensions and lambdas live inside the scope's statements
             # (scope_body_walk yields them); nested defs get their own pass.
+            for node in scope_body_walk(scope):
+                yield from self._check_node(ctx, node, types)
 
     def _check_node(
         self, ctx: FileContext, node: ast.AST, types: SetTypes
@@ -287,78 +138,3 @@ class SetIterationRule(Rule):
         ):
             return parent.func.id
         return None
-
-
-@register_rule
-class IdentityOrderRule(Rule):
-    """SIM004: ``id()`` is a memory address and ``hash()`` of str varies
-    with PYTHONHASHSEED; either used as an ordering key or emitted into a
-    result ties the output to one process execution.
-
-    One use of ``id()`` *is* deterministic-safe and stays unflagged: an
-    identity-map key (``cache[id(node)]``, ``cache.get(id(node))``,
-    ``seen.add(id(x))``, ``id(x) in seen``) never orders anything and never
-    leaves the process.
-    """
-
-    id = "SIM004"
-    severity = Severity.ERROR
-    description = "id()/hash() ordering leaks process-specific values"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                if is_name(node.func, "id"):
-                    if not self._is_identity_map_key(ctx, node):
-                        yield self.finding(
-                            ctx,
-                            node,
-                            "id() is a memory address, different every run; "
-                            "key on a stable identifier instead",
-                        )
-                    continue
-                for keyword in node.keywords:
-                    if keyword.arg != "key":
-                        continue
-                    if is_name(keyword.value, "hash", "id"):
-                        yield self.finding(
-                            ctx,
-                            keyword.value,
-                            f"sorting with key={keyword.value.id} orders by a "
-                            "per-process value; key on the data itself",
-                        )
-                    elif isinstance(keyword.value, ast.Lambda) and any(
-                        isinstance(inner, ast.Call)
-                        and is_name(inner.func, "hash", "id")
-                        for inner in ast.walk(keyword.value)
-                    ):
-                        yield self.finding(
-                            ctx,
-                            keyword.value,
-                            "sort key calls hash()/id(): per-process order; "
-                            "key on the data itself",
-                        )
-
-    @staticmethod
-    def _is_identity_map_key(ctx: FileContext, node: ast.Call) -> bool:
-        parent = ctx.parent(node)
-        if isinstance(parent, ast.Subscript) and parent.slice is node:
-            return True
-        if isinstance(parent, ast.Dict) and node in parent.keys:
-            return True
-        if (
-            isinstance(parent, ast.Call)
-            and isinstance(parent.func, ast.Attribute)
-            and parent.func.attr
-            in ("get", "setdefault", "pop", "add", "discard", "remove")
-            and parent.args
-            and parent.args[0] is node
-        ):
-            return True
-        if (
-            isinstance(parent, ast.Compare)
-            and parent.left is node
-            and all(isinstance(op, (ast.In, ast.NotIn)) for op in parent.ops)
-        ):
-            return True
-        return False

@@ -1,10 +1,10 @@
-"""Tier 4: interprocedural effect inference over the project call graph.
+"""Interprocedural effect inference over the project call graph.
 
-The first three tiers answer "what does this line do", "who calls whom",
-and "where does this value go".  This tier answers the question the next
-two ROADMAP tentpoles (the discrete-event simulator kernel and the
-columnar/compiled query kernels) actually need: *what is this function
-allowed to do at all*.  Every function gets an inferred effect signature
+The per-file rules answer "what does this line do", the project graph
+"who calls whom", and the dataflow engine "where does this value go".
+This module answers *what is this function allowed to do at all* — the
+question the effect contracts (PURE001, DET003, ATOM001) ask.  Every
+function gets an inferred effect signature
 
     {wallclock, global_random, real_io, network_send,
      mutates(owner class, ...), raises(exception, ...)}
@@ -37,12 +37,9 @@ clauses of the call site (exception-class hierarchy resolved name-wise
 across the project; a bare ``except`` or ``except Exception`` swallows
 everything).  All other atoms propagate unconditionally.
 
-Like the dataflow tier, only the *local* per-module extraction
-(:class:`EffectBase`) is cached — under :data:`EFFECT_TAG`, beside the
-pickled ASTs — because the fixpoint is whole-program and cheap, while
-parsing and walking are per-module and dominated by I/O.  Everything is
-deterministic: modules, functions, edges, SCCs and witness searches all
-iterate in sorted order, and causes are computed only after convergence.
+Everything is deterministic: modules, functions, edges, SCCs and witness
+searches all iterate in sorted order, and causes are computed only after
+convergence.
 """
 
 from __future__ import annotations
@@ -65,12 +62,7 @@ from typing import (
 from repro.analysis.asthelpers import ImportMap
 from repro.analysis.projectgraph import MODULE_SCOPE, ProjectGraph
 
-#: Bump when the extraction format changes; part of the effect-cache tag.
-EFFECT_VERSION = 1
-#: Aux-cache tag under which per-module effect bases are pickled.
-EFFECT_TAG = f"effects{EFFECT_VERSION}"
-
-#: Effect atoms.  Tuples so they pickle, hash and sort without ceremony::
+#: Effect atoms.  Tuples so they hash and sort without ceremony::
 #:
 #:     ("wallclock",)          reads or blocks on the real clock
 #:     ("global_random",)      draws from the process-global RNG / OS entropy
@@ -85,15 +77,6 @@ WALLCLOCK: Atom = ("wallclock",)
 GLOBAL_RANDOM: Atom = ("global_random",)
 REAL_IO: Atom = ("real_io",)
 NETWORK_SEND: Atom = ("network_send",)
-
-#: The non-raise atom kinds, in reporting priority order.
-EFFECT_KINDS = (
-    "wallclock",
-    "global_random",
-    "network_send",
-    "real_io",
-    "mutates",
-)
 
 
 def mutates(owner: str) -> Atom:
@@ -142,10 +125,10 @@ class IntrinsicSite:
 
 @dataclass
 class EffectBase:
-    """The cacheable, purely local effect summary of one function.
+    """The purely local effect summary of one function.
 
     Depends only on its module's source text (plus that module's imports),
-    never on other modules — the precondition for content-hash caching.
+    never on other modules.
     """
 
     qualname: str
@@ -214,7 +197,7 @@ _MUTATOR_METHODS = frozenset(
 
 #: Metadata attributes that mark a ``state``-named receiver as the
 #: bootstrap's replicated state even without an annotation.  Mirrors
-#: RES002's table — the two rules must agree on what "metadata" means.
+#: the ``BootstrapState`` fields ATOM001 confines to the WAL reducer.
 _METADATA_ATTRS = frozenset(
     {"peers", "blacklist", "schemas", "roles", "user_registry", "serials",
      "admission_epochs", "pending_failovers"}
@@ -766,62 +749,21 @@ class _ScopeState:
     globals_declared: Set[str]
 
 
-def extract_module_effects(
-    module_name: str, tree: ast.Module
-) -> Dict[str, object]:
-    """Phase A for one module: the cacheable payload."""
-    extraction = _Extraction(module_name, tree)
-    return {
-        "functions": extraction.functions,
-        "class_bases": extraction.class_bases,
-    }
-
-
-def _payload_ok(payload: object) -> bool:
-    return (
-        isinstance(payload, dict)
-        and isinstance(payload.get("functions"), dict)
-        and isinstance(payload.get("class_bases"), dict)
-        and all(
-            isinstance(v, EffectBase)
-            for v in payload["functions"].values()  # type: ignore[index]
-        )
-    )
-
-
 def compute_effect_bases(
     graph: ProjectGraph,
 ) -> Tuple[Dict[str, EffectBase], Dict[str, FrozenSet[str]]]:
-    """Phase A over every module, memoized on the graph and persisted per
-    module in the shared AST cache under :data:`EFFECT_TAG`."""
-    memo = getattr(graph, "memo", None)
-    if memo is not None and "effect_bases" in memo:
-        return memo["effect_bases"]
-    cache = getattr(graph, "ast_cache", None)
+    """Phase A over every module: local effect bases plus the project's
+    class hierarchy (class name → declared base names)."""
     functions: Dict[str, EffectBase] = {}
     class_bases: Dict[str, Set[str]] = {}
     for name in sorted(graph.modules):
-        mod = graph.modules[name]
-        source = "\n".join(mod.lines)
-        payload = None
-        if cache is not None:
-            loaded = cache.load_aux(source, EFFECT_TAG)
-            if _payload_ok(loaded):
-                payload = loaded
-        if payload is None:
-            payload = extract_module_effects(mod.name, mod.tree)
-            if cache is not None:
-                cache.store_aux(source, EFFECT_TAG, payload)
-        functions.update(payload["functions"])  # type: ignore[index]
-        for cls, bases in payload["class_bases"].items():  # type: ignore[union-attr]
+        extraction = _Extraction(name, graph.modules[name].tree)
+        functions.update(extraction.functions)
+        for cls, bases in extraction.class_bases.items():
             class_bases.setdefault(cls, set()).update(bases)
-    result = (
-        functions,
-        {cls: frozenset(bases) for cls, bases in class_bases.items()},
-    )
-    if memo is not None:
-        memo["effect_bases"] = result
-    return result
+    return functions, {
+        cls: frozenset(bases) for cls, bases in class_bases.items()
+    }
 
 
 # ----------------------------------------------------------------------
@@ -867,17 +809,6 @@ class EffectSignature:
             "mutates": list(self.mutates),
             "raises": list(self.raises),
         }
-
-    def render(self) -> str:
-        parts: List[str] = []
-        for kind in ("wallclock", "global_random", "real_io", "network_send"):
-            if getattr(self, kind):
-                parts.append(kind)
-        for owner in self.mutates:
-            parts.append(f"mutates({owner_class(owner)})")
-        for exc in self.raises:
-            parts.append(f"raises({exc})")
-        return "{" + ", ".join(parts) + "}" if parts else "pure"
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[Atom]) -> "EffectSignature":
@@ -925,14 +856,11 @@ class EffectInference:
     def for_graph(cls, graph: ProjectGraph) -> "EffectInference":
         """The per-run engine, shared by every effect rule via the
         graph's memo (one extraction + one fixpoint per analysis run)."""
-        memo = getattr(graph, "memo", None)
-        if memo is not None and "effect_inference" in memo:
-            return memo["effect_inference"]
-        bases, class_bases = compute_effect_bases(graph)
-        engine = cls(graph, bases, class_bases)
-        if memo is not None:
-            memo["effect_inference"] = engine
-        return engine
+        if "effect_inference" not in graph.memo:
+            graph.memo["effect_inference"] = cls(
+                graph, *compute_effect_bases(graph)
+            )
+        return graph.memo["effect_inference"]
 
     # -- edges ---------------------------------------------------------
 
@@ -1099,9 +1027,6 @@ class EffectInference:
             return PURE_SIGNATURE
         return EffectSignature.from_atoms(atoms)
 
-    def all_signatures(self) -> Dict[str, EffectSignature]:
-        return {qual: self.signature(qual) for qual in sorted(self.bases)}
-
     def has_effect(self, qual: str, pred: Callable[[Atom], bool]) -> bool:
         return any(pred(atom) for atom in self.atoms.get(qual, ()))
 
@@ -1192,30 +1117,3 @@ def short_qual(qual: str) -> str:
     if func == MODULE_SCOPE:
         return f"{module} top-level"
     return func or qual
-
-
-def dotted_qual(qual: str) -> str:
-    """CLI-facing form: ``repro.sim.events:EventQueue.run`` →
-    ``repro.sim.events.EventQueue.run``."""
-    return qual.replace(":", ".", 1)
-
-
-def parse_dotted_qual(
-    dotted: str, bases: Dict[str, EffectBase]
-) -> Optional[str]:
-    """Accept either the internal ``module:Qual.name`` form or the natural
-    dotted form and find the matching function qualname."""
-    if dotted in bases:
-        return dotted
-    if ":" in dotted:
-        return None
-    # Try every split point, longest module prefix first.
-    parts = dotted.split(".")
-    for i in range(len(parts) - 1, 0, -1):
-        candidate = ".".join(parts[:i]) + ":" + ".".join(parts[i:])
-        if candidate in bases:
-            return candidate
-    mod_scope = f"{dotted}:{MODULE_SCOPE}"
-    if mod_scope in bases:
-        return mod_scope
-    return None

@@ -1,10 +1,15 @@
 """RES004: escaping-exception-flow analysis for NetworkError-family errors.
 
-RES001 answers "is this cross-peer *site* under a resilience context?" by
-checking the site's lexical scope chain.  That misses the dual failure: a
-helper that *is* wrapped on one path (so RES001 stays quiet) but is also
-called bare from somewhere else — the ``NetworkError`` raised inside it
-then unwinds through callers none of which retry, breaker, or catch.
+Every cross-peer operation — a ``SimNetwork`` ``transfer``/``broadcast``
+or a remote ``execute_fetch``/``execute_local`` — can raise a
+``NetworkError``, and must run under the retry/breaker/deadline umbrella
+of ``repro.core.resilience`` (a function handed to
+``EngineContext.call_resilient`` / ``ResilienceContext.call``, or
+something such a function calls) or inside a handler that catches the
+family.  Checking each site's own scope is not enough: a helper wrapped on
+one path can also be called bare from somewhere else, and the error
+raised inside it then unwinds through callers none of which retry,
+breaker, or catch.
 
 This rule computes, per function, whether a ``NetworkError``-family
 exception can *escape* it: a cross-peer primitive call or an explicit
@@ -13,13 +18,15 @@ family, or a call to a function the family escapes from, equally unhandled
 — a bottom-up fixpoint over the precise call graph.  It then walks
 top-down from *entry points* (functions with no precise callers) marking
 functions the escape actually *reaches* with no resilience coverage and no
-handler anywhere on the propagation path, and flags each uncaught,
-uncovered call site into an escaping callee on such a path.  The finding's
-trace walks the witness chain down to the primitive that raises.
+handler anywhere on the propagation path, and flags, in each such
+function, every uncaught primitive and every uncaught call into an
+escaping callee.  The finding's trace walks the witness chain down to the
+primitive that raises.
 
-Exemptions mirror RES001: ``sim`` (the substrate is the wire),
-``mapreduce`` (job re-execution is the fault model), ``analysis`` (no
-runtime traffic), and ``repro.core.resilience`` itself.
+Exemptions, by design rather than oversight: ``sim`` (the substrate is
+the wire and cannot wrap itself), ``mapreduce`` (the §5.4 engine inherits
+Hadoop's job re-execution fault model, not per-message retry),
+``analysis`` (no runtime traffic), and ``repro.core.resilience`` itself.
 """
 
 from __future__ import annotations
@@ -32,23 +39,28 @@ from repro.analysis.dataflow import iter_function_defs
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.projectgraph import ProjectGraph
 from repro.analysis.registry import ProjectRule, register_rule
-from repro.analysis.resiliencerules import (
-    EXEMPT_MODULES,
-    EXEMPT_UNITS,
-    WIRE_METHODS,
-    _is_cross_peer,
-    _is_wrapper_site,
-)
 
 #: The family whose escape we track, plus the types that catch it.
-FAMILY_ROOT = "NetworkError"
 _BUILTIN_FAMILY = frozenset(
     {"NetworkError", "TransientNetworkError", "RpcTimeoutError"}
 )
 _FAMILY_ANCESTORS = frozenset(
     {"SimulationError", "ReproError", "Exception", "BaseException"}
 )
-_REMOTE_CALLEES = frozenset(WIRE_METHODS) | {"execute_fetch", "execute_local"}
+#: Cross-peer primitives: the wire, and reads on another peer.
+_REMOTE_CALLEES = frozenset(
+    {"transfer", "broadcast", "execute_fetch", "execute_local"}
+)
+EXEMPT_UNITS = frozenset({"sim", "mapreduce", "analysis"})
+EXEMPT_MODULES = frozenset({"repro.core.resilience"})
+
+
+def _is_wrapper(callee: str, receiver: Optional[str]) -> bool:
+    """``call_resilient(...)`` / ``<...resilience...>.call(...)``: the
+    functions referenced as its arguments run under the resilience layer."""
+    return callee == "call_resilient" or (
+        callee == "call" and receiver is not None and "resilience" in receiver
+    )
 
 
 def _base_names(node: ast.ClassDef) -> Iterator[str]:
@@ -119,7 +131,7 @@ class _CallRecord:
     callee_name: str
     receiver: Optional[str]
     caught: bool  # a family-catching handler encloses the site
-    is_primitive: bool  # a cross-peer wire/exec call (RES001 territory)
+    is_primitive: bool  # a cross-peer wire/exec call
     is_wrapper: bool  # call_resilient / ResilienceContext.call
 
 
@@ -161,11 +173,6 @@ def _summarize_function(
                 and receiver not in ("self", "cls")
                 and callee in _REMOTE_CALLEES
             )
-            is_wrapper = callee == "call_resilient" or (
-                callee == "call"
-                and receiver is not None
-                and "resilience" in receiver
-            )
             summary.calls.append(
                 _CallRecord(
                     lineno=child.lineno,
@@ -174,7 +181,7 @@ def _summarize_function(
                     receiver=receiver,
                     caught=caught,
                     is_primitive=is_primitive,
-                    is_wrapper=is_wrapper,
+                    is_wrapper=_is_wrapper(callee, receiver),
                 )
             )
             if is_primitive and not caught:
@@ -233,50 +240,11 @@ class ExceptionEscapeRule(ProjectRule):
     id = "RES004"
     severity = Severity.WARNING
     description = (
-        "call site through which NetworkError-family exceptions escape "
-        "to an entry point with no resilience coverage or handler "
+        "cross-peer call or call site through which NetworkError-family "
+        "exceptions escape with no resilience coverage or handler "
         "anywhere on the propagation path"
     )
     categories = ("src",)
-    rationale = (
-        "RES001 checks each cross-peer site's own lexical scope chain — "
-        "so a helper wrapped in call_resilient on one path looks covered "
-        "even when a second, bare call path lets its RpcTimeoutError "
-        "unwind through callers that never retry or catch.  RES004 "
-        "computes which functions the NetworkError family can escape "
-        "from (a bottom-up summary over raises, cross-peer primitives "
-        "and uncaught calls), then follows the unwind top-down from "
-        "entry points and flags the uncovered, unhandled hops, with the "
-        "witness chain down to the raising primitive in the trace."
-    )
-    example_violation = (
-        "class Net:\n"
-        "    def transfer(self, src, dst, nbytes):\n"
-        "        return nbytes\n"
-        "\n"
-        "def fetch_block(net, dst):\n"
-        "    return net.transfer('a', dst, 10)\n"
-        "\n"
-        "def sync(net):\n"
-        "    return fetch_block(net, 'b')\n"
-    )
-    example_clean = (
-        "class Net:\n"
-        "    def transfer(self, src, dst, nbytes):\n"
-        "        return nbytes\n"
-        "\n"
-        "class NetworkError(Exception):\n"
-        "    pass\n"
-        "\n"
-        "def fetch_block(net, dst):\n"
-        "    return net.transfer('a', dst, 10)\n"
-        "\n"
-        "def sync(net):\n"
-        "    try:\n"
-        "        return fetch_block(net, 'b')\n"
-        "    except NetworkError:\n"
-        "        return None\n"
-    )
 
     def _exempt(self, graph: ProjectGraph, qualname: str) -> bool:
         module_name = qualname.split(":", 1)[0]
@@ -347,10 +315,11 @@ class ExceptionEscapeRule(ProjectRule):
                     if qual in escapes:
                         break
 
-        # Resilience coverage, exactly as RES001 computes it.
+        # Resilience coverage: everything precisely reachable from a
+        # function handed to a wrapper.
         roots: Set[str] = set()
         for site in graph.call_sites:
-            if _is_wrapper_site(site):
+            if _is_wrapper(site.callee_name, site.receiver):
                 roots.update(site.func_ref_args)
         covered = graph.functions_reachable_from(roots, precise_only=True)
 
@@ -406,13 +375,23 @@ class ExceptionEscapeRule(ProjectRule):
             if module is None:
                 continue
             for rec in summaries[qual].calls:
-                if rec.caught or rec.is_wrapper or rec.is_primitive:
+                if rec.caught or rec.is_wrapper:
                     continue
-                site = site_index.get(
-                    (qual, rec.lineno, rec.col, rec.callee_name)
-                )
-                if site is not None and _is_cross_peer(site):
-                    continue  # RES001's territory
+                if rec.is_primitive:
+                    call = f"{rec.receiver}.{rec.callee_name}(...)"
+                    finding = self.project_finding(
+                        module,
+                        rec.lineno,
+                        rec.col,
+                        f"{call} in {qual!r} can raise NetworkError-family "
+                        f"exceptions with no resilience coverage or handler "
+                        f"on the path — wrap it in a closure passed to "
+                        f"call_resilient/ResilienceContext.call or catch "
+                        f"the family",
+                    )
+                    finding.trace = ((module.path, rec.lineno, f"{call} can raise"),)
+                    yield finding
+                    continue
                 for callee in resolved_callees(qual, rec):
                     if callee not in escapes:
                         continue

@@ -35,7 +35,7 @@ class Finding:
     col: int
     message: str
     # The stripped source line: the finding's identity across line-number
-    # drift (SARIF fingerprints use it).
+    # drift.
     snippet: str = ""
     suppressed: bool = False
     justification: Optional[str] = None
@@ -44,7 +44,7 @@ class Finding:
     trace: Tuple[Tuple[str, int, str], ...] = ()
     #: Rule-specific structured extras (the effect rules attach the
     #: offending function's inferred signature here); carried verbatim
-    #: into the JSON report and each SARIF result's ``properties``.
+    #: into the JSON report.
     properties: Dict[str, object] = field(default_factory=dict)
 
     @property

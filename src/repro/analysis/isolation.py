@@ -1,85 +1,19 @@
-"""Peer-isolation rules: ISO001 (cross-object private state) and ISO002
-(row movement bypassing SimNetwork byte accounting).
+"""Peer-isolation rule ISO002: row movement bypassing SimNetwork pricing.
 
-A peer in the simulation stands for a separate machine.  Reaching into
-another component's private state, or pulling rows out of a remote peer
-without pricing the bytes through :class:`~repro.sim.network.SimNetwork`,
-silently breaks the isolation the cost model (Figs. 6-14) depends on.
+A peer in the simulation stands for a separate machine.  Pulling rows out
+of a remote peer without pricing the bytes through
+:class:`~repro.sim.network.SimNetwork` silently breaks the isolation the
+cost model (Figs. 6-14) depends on.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator
 
-from repro.analysis.asthelpers import (
-    ImportMap,
-    class_owned_private_attrs,
-    enclosing_class_of,
-    function_scopes,
-    is_name,
-    scope_body_walk,
-)
+from repro.analysis.asthelpers import function_scopes, is_name, scope_body_walk
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import FileContext, Rule, register_rule
-
-
-@register_rule
-class CrossObjectPrivateRule(Rule):
-    """ISO001: ``other._attr`` reaches into state the owner never exposed —
-    for peers, that's one simulated machine holding live references into
-    another.  Exemptions: ``self``/``cls`` (own state), module aliases
-    (module-private helpers), dunders, and the build-a-sibling idiom where
-    the enclosing class itself owns the private name."""
-
-    id = "ISO001"
-    severity = Severity.WARNING
-    description = (
-        "cross-object private-state access; use the owner's public API or "
-        "copy through the transfer path"
-    )
-    categories = ("src",)
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        imports = ImportMap(ctx.tree)
-        classes = enclosing_class_of(ctx.tree)
-        owned_cache = {}
-        for scope in function_scopes(ctx.tree):
-            cls = classes.get(id(scope))
-            if cls is not None and id(cls) not in owned_cache:
-                owned_cache[id(cls)] = class_owned_private_attrs(cls)
-            owned = owned_cache.get(id(cls), set()) if cls is not None else set()
-            for node in scope_body_walk(scope):
-                if not isinstance(node, ast.Attribute):
-                    continue
-                attr = node.attr
-                if not attr.startswith("_") or attr.startswith("__"):
-                    continue
-                base = node.value
-                if is_name(base, "self", "cls"):
-                    continue
-                if isinstance(base, ast.Name) and imports.is_module_alias(
-                    base.id
-                ):
-                    continue
-                if attr in owned:
-                    # The enclosing class owns this private name: the
-                    # ordinary "construct a sibling and fill it in" idiom.
-                    continue
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"`{self._render_base(base)}.{attr}` reaches into "
-                    "another object's private state; expose a public API or "
-                    "copy the data through the transfer path",
-                )
-
-    @staticmethod
-    def _render_base(base: ast.expr) -> str:
-        try:
-            return ast.unparse(base)
-        except Exception:  # pragma: no cover - unparse is best-effort
-            return "<expr>"
 
 
 #: Methods that hand rows across a peer boundary.

@@ -4,7 +4,7 @@ The per-file rules in this package reason about one parse tree at a time,
 but BestPeer++'s real invariants are cross-module: §4.4's access-control
 rewrite must sit on every path from local storage to the wire, bootstrap
 must verify certificates before admitting peers, and every cross-peer hop
-must be priced and retry-guarded.  This module builds the shared artifact
+must be retry-guarded.  This module builds the shared artifact
 those checks need — one :class:`ProjectGraph` per analysis run, constructed
 from the same :class:`FileContext` objects the file rules already use, so
 the whole tree is parsed exactly once.
@@ -24,14 +24,13 @@ of a reviewable lint rather than a type checker:
   from the caller, so ``call_resilient(peer, fetch_one)`` both links
   ``fetch_one`` into the graph and marks it as a resilience-covered root.
 
-Everything is deterministic: modules are processed in sorted path order
-and every export is sorted before emission.
+Everything is deterministic: modules are processed in sorted path order.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.asthelpers import ImportMap
@@ -147,10 +146,10 @@ class AttrAssign:
     """One mutation of ``<expr>.attr`` (assignment, item write, or delete).
 
     Beyond plain ``x.attr = value``, this records ``x.attr[k] = v`` /
-    ``x.attr[k] += v`` / ``del x.attr[k]`` (``via_subscript=True``) and
+    ``x.attr[k] += v`` / ``del x.attr[k]`` and
     ``x.attr += v`` / ``del x.attr`` — every syntactic way a statement can
     mutate state hanging off an attribute.  Used by the admission-order
-    check (SEC002) and the WAL-confinement check (RES002).
+    check (SEC002).
     """
 
     caller: str
@@ -160,7 +159,6 @@ class AttrAssign:
     lineno: int
     col: int
     value_is_none: bool
-    via_subscript: bool = False
 
 
 def _type_checking_import_ids(tree: ast.Module) -> Set[int]:
@@ -208,9 +206,6 @@ class ProjectGraph:
         self._classes: Dict[str, Dict[str, Dict[str, str]]] = {}
         self._methods_by_name: Dict[str, Set[str]] = {}
         self._import_maps: Dict[str, ImportMap] = {}
-        #: Optional AstCache the engine attaches so downstream analyses
-        #: (the dataflow summaries) can persist per-module artifacts.
-        self.ast_cache = None
         #: Per-run scratch space for analyses memoized on this graph.
         self.memo: Dict[str, object] = {}
 
@@ -287,7 +282,7 @@ class ProjectGraph:
                     walk(child, path + [child.name], None, qual)
                 elif isinstance(child, ast.ClassDef):
                     walk(child, path + [child.name], child.name, res_scope)
-                else:
+                elif not isinstance(child, ast.expr):  # no def inside an expression
                     walk(child, path, direct_cls, res_scope)
 
         walk(mod.tree, [], None, scope)
@@ -583,13 +578,11 @@ class ProjectGraph:
         col: int,
         value_is_none: bool,
     ) -> None:
-        via_subscript = False
         if isinstance(target, ast.Subscript):
             # ``x.attr[k] = ...`` mutates the container held in ``x.attr``.
             if not isinstance(target.value, ast.Attribute):
                 return
             target = target.value
-            via_subscript = True
         if not isinstance(target, ast.Attribute):
             return
         try:
@@ -605,7 +598,6 @@ class ProjectGraph:
                 lineno=lineno,
                 col=col,
                 value_is_none=value_is_none,
-                via_subscript=via_subscript,
             )
         )
 
@@ -663,72 +655,3 @@ class ProjectGraph:
         if node is None:
             return None
         return self.modules.get(node.module)
-
-    # ------------------------------------------------------------------
-    # export
-
-    def _merged_import_edges(self) -> List[Tuple[str, str, bool]]:
-        """(src, dst, type_checking_only) with duplicates merged; an edge
-        is TYPE_CHECKING-only iff *every* occurrence is guarded."""
-        merged: Dict[Tuple[str, str], bool] = {}
-        for edge in self.import_edges:
-            key = (edge.src, edge.dst)
-            merged[key] = merged.get(key, True) and edge.type_checking_only
-        return [
-            (src, dst, guarded)
-            for (src, dst), guarded in sorted(merged.items())
-        ]
-
-    def to_dot(self) -> str:
-        lines = [
-            "digraph repro_imports {",
-            "  rankdir=LR;",
-            "  node [shape=box, fontsize=10];",
-        ]
-        by_unit: Dict[str, List[str]] = {}
-        for name in sorted(self.modules):
-            by_unit.setdefault(self.modules[name].unit, []).append(name)
-        for unit in sorted(by_unit):
-            lines.append(f'  subgraph "cluster_{unit}" {{')
-            lines.append(f'    label="{unit}";')
-            for name in by_unit[unit]:
-                lines.append(f'    "{name}";')
-            lines.append("  }")
-        for src, dst, guarded in self._merged_import_edges():
-            style = " [style=dashed]" if guarded else ""
-            lines.append(f'  "{src}" -> "{dst}"{style};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> Dict[str, object]:
-        calls = sorted(
-            {
-                (caller, callee)
-                for caller, callees in self.edges.items()
-                for callee in callees
-            }
-        )
-        return {
-            "version": 1,
-            "modules": [
-                {
-                    "name": node.name,
-                    "path": node.path,
-                    "category": node.category,
-                    "unit": node.unit,
-                }
-                for node in (
-                    self.modules[name] for name in sorted(self.modules)
-                )
-            ],
-            "imports": [
-                {
-                    "src": src,
-                    "dst": dst,
-                    "type_checking_only": guarded,
-                }
-                for src, dst, guarded in self._merged_import_edges()
-            ],
-            "functions": sorted(self.functions),
-            "calls": [[caller, callee] for caller, callee in calls],
-        }

@@ -2,8 +2,8 @@
 
 A rule is a named check over one parsed module.  Rules register themselves
 at import time via :func:`register_rule`; the engine runs every registered
-rule whose ``categories`` admit the file being scanned, so future PRs add a
-rule by dropping in a module with one decorated class — no engine changes.
+rule whose ``categories`` admit the file being scanned, so a rule is one
+decorated class — no engine changes.
 """
 
 from __future__ import annotations
@@ -77,22 +77,6 @@ class Rule:
     description: str = ""
     #: Which file categories the rule runs on.
     categories: Iterable[str] = CATEGORIES
-    #: ``--explain`` metadata.  ``rationale`` says *why* the invariant is
-    #: load-bearing; the examples are minimal self-contained sources, the
-    #: first of which must trip the rule and the second must not (the
-    #: explain command runs both through the analyzer to prove it).
-    rationale: str = ""
-    example_violation: str = ""
-    example_clean: str = ""
-    #: Path the worked examples are analyzed under.  Rules whose domain is
-    #: module-name-based (the effect contracts) need the example to live
-    #: at a path that puts it inside the contract boundary.
-    example_path: str = "<string>"
-
-    @property
-    def family(self) -> str:
-        """Rule family from the id prefix (``SEC003`` → ``SEC``)."""
-        return self.id.rstrip("0123456789") or self.id
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         raise NotImplementedError
@@ -124,9 +108,6 @@ class ProjectRule(Rule):
     modules is never truncated).  Inline suppressions apply to
     project findings exactly as to per-file ones.
     """
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        return iter(())
 
     def check_project(self, graph: "ProjectGraph") -> Iterator[Finding]:
         raise NotImplementedError

@@ -1,123 +1,27 @@
-"""SEC001/SEC002: interprocedural security rules over the project graph.
+"""SEC002: admission before verification (§3.1), over the project graph.
 
-**SEC001 — access-control taint (§4.4).**  The paper's promise is that a
-peer "will transform [the query] based on u's access role" before any row
-leaves it: the enforcement point is ``AccessController.rewrite_rows``,
-called from ``NormalPeer.execute_fetch`` when a user is given.  Rows become
-*tainted* at any remote ``execute_local(...)`` call (which never rewrites)
-or remote ``execute_fetch(...)`` called without a user.  A tainted fetch is
-a finding when its function can reach the wire (a ``SimNetwork``
-``transfer``/``broadcast``) without any function on its lexical scope chain
-also reaching an access check (``rewrite_rows``/``check_readable``/
-``can_read``/``rule_for``) — i.e. unmasked rows can cross peers with no
-role decision anywhere on the path.
-
-**SEC002 — admission before verification (§3.1).**  Peers must not be
-admitted (``register_peer``) or handed credentials (``<x>.certificate =
-...``) by code that never consults the certificate authority
-(``verify``/``verify_certificate``).  Clearing a certificate
-(``= None``) is always fine.
-
-Both rules reason over the conservative whole-program call graph, so a
-check performed in a lexically enclosing function (the closure-under-
-``call_resilient`` idiom) or in a callee counts.
+Peers must not be admitted (``register_peer``) or handed credentials
+(``<x>.certificate = ...``) by code that never consults the certificate
+authority (``verify``/``verify_certificate``).  Clearing a certificate
+(``= None``) is always fine.  The rule reasons over the conservative
+whole-program call graph, so a check performed in a lexically enclosing
+function or in a callee counts.
 """
 
 from __future__ import annotations
 
-import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Set
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.projectgraph import CallSite, ProjectGraph
+from repro.analysis.projectgraph import ProjectGraph
 from repro.analysis.registry import ProjectRule, register_rule
 
-#: Methods that put rows on the simulated wire.
-WIRE_METHODS = frozenset({"transfer", "broadcast"})
-#: Methods that constitute an access-control decision.
-ACCESS_CHECK_METHODS = frozenset(
-    {"rewrite_rows", "check_readable", "can_read", "rule_for"}
-)
 #: Methods that consult the certificate authority.
 CERT_VERIFY_METHODS = frozenset({"verify", "verify_certificate"})
 
 
-def _is_local_receiver(receiver: Optional[str]) -> bool:
-    return receiver in ("self", "cls")
-
-
-def _call_kwarg(node: ast.Call, name: str) -> Optional[ast.expr]:
-    for keyword in node.keywords:
-        if keyword.arg == name:
-            return keyword.value
-    return None
-
-
-def _fetch_without_user(node: ast.Call) -> bool:
-    """``execute_fetch(table, sql, user=..., ...)`` with no effective user.
-
-    The user is the third positional or the ``user=`` keyword; a literal
-    ``None`` counts as absent.  A *variable* user is trusted — the rule is
-    flow-insensitive and only flags provably unmasked fetches.
-    """
-    if len(node.args) >= 3:
-        user_arg: Optional[ast.expr] = node.args[2]
-    else:
-        user_arg = _call_kwarg(node, "user")
-    if user_arg is None:
-        return True
-    return isinstance(user_arg, ast.Constant) and user_arg.value is None
-
-
 def _chain_hits(graph: ProjectGraph, scope: str, reaching: Set[str]) -> bool:
     return any(fn in reaching for fn in graph.scope_chain(scope))
-
-
-@register_rule
-class AccessTaintRule(ProjectRule):
-    id = "SEC001"
-    severity = Severity.ERROR
-    description = (
-        "rows fetched without access rewriting can reach a cross-peer "
-        "transfer on a path with no role check (§4.4 enforcement bypass)"
-    )
-    categories = ("src",)
-
-    def _is_taint_source(self, site: CallSite) -> bool:
-        if _is_local_receiver(site.receiver) or site.receiver is None:
-            return False  # a peer's own local read stays on the peer
-        if site.callee_name == "execute_local":
-            return True
-        if site.callee_name == "execute_fetch":
-            return _fetch_without_user(site.node)
-        return False
-
-    def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        # May-reach (suspicion): over-approximate with every edge.
-        reaching_wire = graph.functions_reaching(set(WIRE_METHODS))
-        # Grants-permission: only reliably resolved edges may vouch that a
-        # path performs an access check.
-        reaching_check = graph.functions_reaching(
-            set(ACCESS_CHECK_METHODS), precise_only=True
-        )
-        for site in graph.call_sites:
-            if not self._is_taint_source(site):
-                continue
-            if not _chain_hits(graph, site.caller, reaching_wire):
-                continue
-            if _chain_hits(graph, site.caller, reaching_check):
-                continue
-            module = graph.modules.get(site.module)
-            if module is None:
-                continue
-            yield self.project_finding(
-                module,
-                site.lineno,
-                site.col,
-                f"rows from {site.receiver}.{site.callee_name}(...) are not "
-                f"access-rewritten but can reach a network transfer from "
-                f"{site.caller!r} without any role check on the path",
-            )
 
 
 @register_rule

@@ -2,8 +2,8 @@
 
 Grammar (inside any comment)::
 
-    # repro: allow[SIM002]                       one rule
-    # repro: allow[SIM002,ISO002]                several rules
+    # repro: allow[SIM003]                       one rule
+    # repro: allow[ISO002,RES004]                several rules
     # repro: allow[SIM003] singleton set         trailing free-form reason
 
 An inline comment suppresses findings on its own physical line; a comment
@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 _ALLOW_RE = re.compile(
     r"#\s*repro:\s*allow\[(?P<rules>[A-Za-z0-9_,\s]+)\]\s*(?P<reason>.*)$"
@@ -31,11 +31,13 @@ class SuppressionIndex:
         # line -> set of rule ids allowed on that line
         self._by_line: Dict[int, Set[str]] = {}
         self._reasons: Dict[Tuple[int, str], str] = {}
-        self.parse_failed = False
+        #: Every ``(comment line, rule id)`` named, for id validation.
+        self.mentions: List[Tuple[int, str]] = []
+        if "allow[" not in source:
+            return  # nothing to find: skip tokenizing
         try:
             tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
         except (tokenize.TokenError, SyntaxError, IndentationError):
-            self.parse_failed = True
             return
 
         lines = source.splitlines()
@@ -53,6 +55,7 @@ class SuppressionIndex:
             if not rules:
                 continue
             lineno = token.start[0]
+            self.mentions.extend((lineno, rule) for rule in sorted(rules))
             line_text = lines[lineno - 1] if lineno <= len(lines) else ""
             standalone = line_text.lstrip().startswith("#")
             target = lineno
@@ -77,6 +80,3 @@ class SuppressionIndex:
 
     def reason(self, lineno: int, rule: str) -> Optional[str]:
         return self._reasons.get((lineno, rule.upper()))
-
-    def __len__(self) -> int:
-        return sum(len(rules) for rules in self._by_line.values())

@@ -147,10 +147,10 @@ def main(argv=None) -> int:
     # This is the one place wall time is correct: it reports how long the
     # *driver process* took to regenerate figures, not a simulated quantity
     # — every latency the figures print comes from the sim clock.
-    started = time.time()  # repro: allow[SIM002] driver wall-time, not simulated time
+    started = time.time()
     for name in wanted:
         FIGURES[name]()
-    print(f"\ndone in {time.time() - started:.1f}s wall-clock")  # repro: allow[SIM002] driver wall-time, not simulated time
+    print(f"\ndone in {time.time() - started:.1f}s wall-clock")
     return 0
 
 

@@ -172,11 +172,11 @@ def _time_once(db: Database, sql: str, mode: str) -> float:
     # Assigning the mode, even the one already set, makes the database
     # forget remembered results: every timed run executes its kernels.
     db.execution_mode = mode
-    started = time.perf_counter()  # repro: allow[SIM002] driver wall-time, not simulated time
+    started = time.perf_counter()
     # Rows are derived from the result's batch on first use: consume them
     # inside the timed region so every mode pays for the tuples it hands out.
     db.execute(sql).rows
-    return time.perf_counter() - started  # repro: allow[SIM002] driver wall-time, not simulated time
+    return time.perf_counter() - started
 
 
 def _time_modes(db: Database, sql: str, repeat: int) -> Dict[str, float]:

@@ -82,7 +82,7 @@ class BestPeerMapReduceEngine:
             # A map task reading its own host's database: the rows never
             # leave the instance here — HDFS reads and the shuffle price
             # every cross-host byte inside MapReduceEngine.
-            execution = peer.execute_local(  # repro: allow[ISO002,RES001] map-side local read; shuffle prices the movement and MapReduce recovers by re-executing the job, not by retrying messages
+            execution = peer.execute_local(  # repro: allow[ISO002] map-side local read; shuffle prices the movement and MapReduce recovers by re-executing the job, not by retrying messages
                 fragment_sql, query_timestamp=timestamp
             )
             return LocalResult(execution.result.batch, execution.seconds)

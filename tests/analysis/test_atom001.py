@@ -1,4 +1,4 @@
-"""ATOM001: metadata mutation + network send must route through the WAL."""
+"""ATOM001: bootstrap metadata is mutated only through the WAL reducer."""
 
 
 BOOTSTRAP = "proj/core/bootstrap.py"
@@ -52,8 +52,8 @@ class TestFires:
         assert any("BootstrapState" in owner for owner in sig["mutates"])
 
     def test_pair_split_across_helpers_is_still_caught(self, project):
-        # The mutation and the send live in different functions; only the
-        # caller owns both effects — restructuring must not hide the pair.
+        # The mutation and the send live in different functions; the
+        # mutation is still reported, once, where it bypasses the reducer.
         findings = project("ATOM001", {
             "proj/core/state.py": STATE,
             BOOTSTRAP: """
@@ -76,7 +76,26 @@ class TestFires:
             """,
         })
         assert len(findings) == 1
-        assert "'Bootstrap.admit'" in findings[0].message
+        assert "'Bootstrap._write'" in findings[0].message
+
+    def test_mutation_without_a_send_fires(self, project):
+        # A standby replays the log: state written any other way diverges
+        # whether or not the writer also talks on the wire.
+        findings = project("ATOM001", {
+            "proj/core/state.py": STATE,
+            BOOTSTRAP: """
+                from proj.core.state import BootstrapState
+
+                class Bootstrap:
+                    def __init__(self):
+                        self.state = BootstrapState()
+
+                    def admit_local(self, peer_id, info):
+                        self.state.peers[peer_id] = info
+            """,
+        })
+        assert len(findings) == 1
+        assert "'Bootstrap.admit_local'" in findings[0].message
 
 
 class TestQuiet:
@@ -101,21 +120,6 @@ class TestQuiet:
                         self.log.append(entry)
                         self.log.apply(self.state, entry)
                         self.network.transfer(0, 1, entry)
-            """,
-        }) == []
-
-    def test_mutation_without_a_send_is_fine(self, project):
-        assert project("ATOM001", {
-            "proj/core/state.py": STATE,
-            BOOTSTRAP: """
-                from proj.core.state import BootstrapState
-
-                class Bootstrap:
-                    def __init__(self):
-                        self.state = BootstrapState()
-
-                    def admit_local(self, peer_id, info):
-                        self.state.peers[peer_id] = info
             """,
         }) == []
 

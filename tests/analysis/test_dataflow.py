@@ -1,8 +1,9 @@
-"""Corner cases of the Phase-A flow extractor, driven through SIM005.
+"""Corner cases of the Phase-A flow extractor, driven through SEC003.
 
-Each scenario routes a wall-clock value toward ``queue.push`` so the
-assertion is simply "does the taint survive this construct" — the rule is
-the oscilloscope, the construct under test is the dataflow semantics.
+Each scenario routes rows read remotely without access rewriting
+(``peer.execute_local``) toward ``net.transfer`` so the assertion is
+simply "does the taint survive this construct" — the rule is the
+oscilloscope, the construct under test is the dataflow semantics.
 """
 
 import random
@@ -14,96 +15,83 @@ from repro.analysis.dataflow import receiver_tokens
 class TestConstructs:
     def test_plain_assignment_flows(self, reported):
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue):
-                t = time.time()
-                queue.push(t, 'tick')
+            def go(peer, net):
+                rows = peer.execute_local('q')
+                net.transfer('a', 'b', rows)
             """,
         )
 
     def test_reassignment_kills_taint(self, reported):
         assert not reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue, clock):
-                t = time.time()
-                t = clock.now_s()
-                queue.push(t, 'tick')
+            def go(peer, net):
+                rows = peer.execute_local('q')
+                rows = []
+                net.transfer('a', 'b', rows)
             """,
         )
 
     def test_aug_assign_is_a_weak_update(self, reported):
-        # ``t += time.time()`` mixes taint into whatever t held.
+        # ``rows += fetched`` mixes taint into whatever rows held.
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue):
-                t = 1.0
-                t += time.time()
-                queue.push(t, 'tick')
+            def go(peer, net):
+                rows = []
+                rows += peer.execute_local('q')
+                net.transfer('a', 'b', rows)
             """,
         )
 
     def test_tuple_unpack_is_element_wise(self, reported):
         findings = reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
+            def go(peer, net):
+                a, b = peer.execute_local('q'), 1.0
 
-            def go(queue):
-                a, b = time.time(), 1.0
-                queue.push(b, 'clean')
-                queue.push(a, 'dirty')
+                net.transfer('a', 'b', b)
+                net.transfer('a', 'b', a)
             """,
         )
         assert len(findings) == 1
-        assert findings[0].line == 6  # only the push of ``a``
+        assert findings[0].line == 5  # only the transfer of ``a``
 
     def test_comprehension_taints_the_container(self, reported):
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue):
-                stamps = [time.time() for _ in range(3)]
-                queue.push(stamps[0], 'tick')
+            def go(peer, net, queries):
+                batches = [peer.execute_local(q) for q in queries]
+                net.transfer('a', 'b', batches[0])
             """,
         )
 
     def test_walrus_binds_and_flows(self, reported):
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue):
-                queue.push((t := time.time()) + 1.0, 'tick')
+            def go(peer, net):
+                net.transfer('a', 'b', (rows := peer.execute_local('q')))
             """,
         )
 
     def test_except_rebinding_on_every_path_kills_taint(self, reported):
-        # Both the try body and the handler overwrite ``t`` with a clean
-        # value, so the pre-try taint cannot reach the push.
+        # Both the try body and the handler overwrite ``rows`` with a clean
+        # value, so the pre-try taint cannot reach the transfer.
         assert not reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue, clock):
-                t = time.time()
+            def go(peer, net, cached):
+                rows = peer.execute_local('q')
                 try:
-                    t = clock.now_s()
+                    rows = cached()
                 except ValueError:
-                    t = 0.0
-                queue.push(t, 'tick')
+                    rows = []
+                net.transfer('a', 'b', rows)
             """,
         )
 
@@ -111,105 +99,92 @@ class TestConstructs:
         # The handler runs with the body partially executed: the tainted
         # binding from before the raise point must merge in.
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue, risky):
-                t = 0.0
+            def go(peer, net, risky):
+                rows = []
                 try:
-                    t = time.time()
+                    rows = peer.execute_local('q')
                     risky()
                 except ValueError:
-                    queue.push(t, 'tick')
+                    net.transfer('a', 'b', rows)
             """,
         )
 
     def test_branch_merge_unions_both_arms(self, reported):
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue, flag, clock):
+            def go(peer, net, flag):
                 if flag:
-                    t = time.time()
+                    rows = peer.execute_local('q')
                 else:
-                    t = clock.now_s()
-                queue.push(t, 'tick')
+                    rows = []
+                net.transfer('a', 'b', rows)
             """,
         )
 
     def test_loop_carried_flow_is_seen(self, reported):
-        # ``t`` is tainted only on the second trip around the loop.
+        # ``rows`` is tainted only on the second trip around the loop.
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue, items):
-                t = 0.0
+            def go(peer, net, items):
+                rows = []
                 for _ in items:
-                    queue.push(t, 'tick')
-                    t = time.time()
+                    net.transfer('a', 'b', rows)
+                    rows = peer.execute_local('q')
             """,
         )
 
     def test_taint_through_self_attribute_across_methods(self, reported):
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
             class Driver:
-                def grab(self):
-                    self.t0 = time.time()
+                def grab(self, peer):
+                    self.rows = peer.execute_local('q')
 
-                def go(self, queue):
-                    queue.push(self.t0, 'tick')
+                def go(self, net):
+                    net.transfer('a', 'b', self.rows)
             """,
         )
 
     def test_mutator_pushes_taint_into_container(self, reported):
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
-
-            def go(queue):
+            def go(peer, net):
                 acc = []
-                acc.append(time.time())
-                queue.push(acc[0], 'tick')
+                acc.append(peer.execute_local('q'))
+                net.transfer('a', 'b', acc[0])
             """,
         )
 
     def test_helper_return_launders_nothing(self, reported):
         # Interprocedural: taint survives a helper's return value.
         assert reported(
-            "SIM005",
+            "SEC003",
             """\
-            import time
+            def fetch(peer):
+                return peer.execute_local('q')
 
-            def stamp():
-                return time.time() + 0.5
-
-            def go(queue):
-                queue.push(stamp(), 'tick')
+            def go(peer, net):
+                net.transfer('a', 'b', fetch(peer))
             """,
         )
 
 
 class TestDeterminism:
     FILES = {
-        "src/repro/fake/clocks.py": (
-            "import time\n"
-            "def stamp():\n"
-            "    return time.time()\n"
+        "src/repro/fake/reads.py": (
+            "def fetch(peer):\n"
+            "    return peer.execute_local('q')\n"
         ),
         "src/repro/fake/kernel.py": (
-            "from repro.fake.clocks import stamp\n"
-            "def go(queue):\n"
-            "    queue.push(stamp(), 'tick')\n"
+            "from repro.fake.reads import fetch\n"
+            "def go(peer, net):\n"
+            "    net.transfer('a', 'b', fetch(peer))\n"
         ),
         "src/repro/fake/other.py": (
             "def noop():\n"
@@ -218,7 +193,7 @@ class TestDeterminism:
     }
 
     def test_shuffled_file_orders_render_identically(self):
-        rule = [get_rule("SIM005")]
+        rule = [get_rule("SEC003")]
         rendered = []
         paths = list(self.FILES)
         rng = random.Random(7)

@@ -1,21 +1,11 @@
 """Tier-4 effect inference: extraction, fixpoint, witnesses, determinism."""
 
-import ast
 import random
-import textwrap
-
-import pytest
 
 from repro.analysis import analyze_project
-from repro.analysis.astcache import AstCache
 from repro.analysis.effects import (
-    EFFECT_TAG,
     EffectInference,
-    EffectSignature,
     class_name_tokens,
-    compute_effect_bases,
-    extract_module_effects,
-    parse_dotted_qual,
     receiver_name_tokens,
 )
 from repro.analysis.registry import get_rule
@@ -25,9 +15,8 @@ def infer(graph_of, files):
     return EffectInference.for_graph(graph_of(files))
 
 
-def sig(inference, dotted):
-    qual = parse_dotted_qual(dotted, inference.bases)
-    assert qual is not None, f"no such function: {dotted}"
+def sig(inference, qual):
+    assert qual in inference.bases, f"no such function: {qual}"
     return inference.signature(qual)
 
 
@@ -55,11 +44,11 @@ class TestIntrinsics:
                     return os.listdir('.')
             """,
         })
-        assert sig(inference, "proj.mod.clock").wallclock
-        assert sig(inference, "proj.mod.entropy").global_random
-        assert sig(inference, "proj.mod.disk").real_io
-        assert sig(inference, "proj.mod.wire").network_send
-        assert sig(inference, "proj.mod.listdir").real_io
+        assert sig(inference, "proj.mod:clock").wallclock
+        assert sig(inference, "proj.mod:entropy").global_random
+        assert sig(inference, "proj.mod:disk").real_io
+        assert sig(inference, "proj.mod:wire").network_send
+        assert sig(inference, "proj.mod:listdir").real_io
 
     def test_from_imports_resolve_to_intrinsics(self, graph_of):
         inference = infer(graph_of, {
@@ -74,8 +63,8 @@ class TestIntrinsics:
                     mix(items)
             """,
         })
-        assert sig(inference, "proj.mod.t").wallclock
-        assert sig(inference, "proj.mod.r").global_random
+        assert sig(inference, "proj.mod:t").wallclock
+        assert sig(inference, "proj.mod:r").global_random
 
     def test_seeded_rng_instance_is_not_global_random(self, graph_of):
         inference = infer(graph_of, {
@@ -89,8 +78,8 @@ class TestIntrinsics:
                     return random.Random(7)
             """,
         })
-        assert not sig(inference, "proj.mod.draw").global_random
-        assert not sig(inference, "proj.mod.make").global_random
+        assert not sig(inference, "proj.mod:draw").global_random
+        assert not sig(inference, "proj.mod:make").global_random
 
     def test_self_mutation_owner_is_enclosing_class(self, graph_of):
         inference = infer(graph_of, {
@@ -103,10 +92,10 @@ class TestIntrinsics:
                         self.entries = []
             """,
         })
-        assert sig(inference, "proj.mod.Ledger.record").mutates == (
+        assert sig(inference, "proj.mod:Ledger.record").mutates == (
             "proj.mod:Ledger",
         )
-        assert sig(inference, "proj.mod.Ledger.reset").mutates == (
+        assert sig(inference, "proj.mod:Ledger.reset").mutates == (
             "proj.mod:Ledger",
         )
 
@@ -124,7 +113,7 @@ class TestIntrinsics:
                     state.peers[entry[0]] = entry[1]
             """,
         })
-        assert sig(inference, "proj.apply.apply").mutates == (
+        assert sig(inference, "proj.apply:apply").mutates == (
             "proj.state:BootstrapState",
         )
 
@@ -138,7 +127,7 @@ class TestIntrinsics:
                     return out
             """,
         })
-        assert sig(inference, "proj.mod.build").pure
+        assert sig(inference, "proj.mod:build").pure
 
     def test_global_statement_mutation(self, graph_of):
         inference = infer(graph_of, {
@@ -150,7 +139,7 @@ class TestIntrinsics:
                     _COUNTER += 1
             """,
         })
-        assert sig(inference, "proj.mod.bump").mutates == (
+        assert sig(inference, "proj.mod:bump").mutates == (
             "proj.mod:<globals>",
         )
 
@@ -171,7 +160,7 @@ class TestPropagation:
                     return middle()
             """,
         })
-        assert sig(inference, "proj.mod.top").wallclock
+        assert sig(inference, "proj.mod:top").wallclock
 
     def test_mutual_recursion_converges(self, graph_of):
         inference = infer(graph_of, {
@@ -190,9 +179,9 @@ class TestPropagation:
                     return spin(n - 1) if n else 0
             """,
         })
-        assert sig(inference, "proj.mod.ping").wallclock
-        assert sig(inference, "proj.mod.pong").wallclock
-        assert sig(inference, "proj.mod.spin").pure
+        assert sig(inference, "proj.mod:ping").wallclock
+        assert sig(inference, "proj.mod:pong").wallclock
+        assert sig(inference, "proj.mod:spin").pure
 
     def test_unique_fallback_method_needs_receiver_match(self, graph_of):
         files = {
@@ -214,11 +203,11 @@ class TestPropagation:
         }
         inference = infer(graph_of, files)
         assert "proj.wal:MetadataLog" in sig(
-            inference, "proj.use.Holder.good"
+            inference, "proj.use:Holder.good"
         ).mutates
         assert all(
             "MetadataLog" not in owner
-            for owner in sig(inference, "proj.use.Holder.unrelated").mutates
+            for owner in sig(inference, "proj.use:Holder.unrelated").mutates
         )
 
     def test_decorator_cannot_launder_effects(self, graph_of):
@@ -241,8 +230,8 @@ class TestPropagation:
             """,
         })
         # an effectful decorator taints the function it wraps
-        assert sig(inference, "proj.mod.decorated").wallclock
-        assert sig(inference, "proj.mod.plain").pure
+        assert sig(inference, "proj.mod:decorated").wallclock
+        assert sig(inference, "proj.mod:plain").pure
 
     def test_function_reference_argument_is_assumed_invoked(self, graph_of):
         inference = infer(graph_of, {
@@ -257,7 +246,7 @@ class TestPropagation:
             """,
         })
         # higher-order laundering: passing ``nap`` taints the passer
-        assert sig(inference, "proj.mod.launder").wallclock
+        assert sig(inference, "proj.mod:launder").wallclock
 
 
 class TestRaises:
@@ -277,8 +266,8 @@ class TestRaises:
                         return None
             """,
         })
-        assert sig(inference, "proj.mod.passthrough").raises == ("ValueError",)
-        assert sig(inference, "proj.mod.guarded").raises == ()
+        assert sig(inference, "proj.mod:passthrough").raises == ("ValueError",)
+        assert sig(inference, "proj.mod:guarded").raises == ()
 
     def test_subclass_caught_through_project_hierarchy(self, graph_of):
         inference = infer(graph_of, {
@@ -308,9 +297,9 @@ class TestRaises:
                         return None
             """,
         })
-        assert sig(inference, "proj.mod.boom").raises == ("TimeoutError_",)
-        assert sig(inference, "proj.mod.guarded").raises == ()
-        assert sig(inference, "proj.mod.base_guarded").raises == ()
+        assert sig(inference, "proj.mod:boom").raises == ("TimeoutError_",)
+        assert sig(inference, "proj.mod:guarded").raises == ()
+        assert sig(inference, "proj.mod:base_guarded").raises == ()
 
     def test_local_raise_inside_try_never_escapes(self, graph_of):
         inference = infer(graph_of, {
@@ -322,7 +311,7 @@ class TestRaises:
                         return None
             """,
         })
-        assert sig(inference, "proj.mod.careful").raises == ()
+        assert sig(inference, "proj.mod:careful").raises == ()
 
 
 class TestWitness:
@@ -338,7 +327,7 @@ class TestWitness:
                     return leaf()
             """,
         })
-        qual = parse_dotted_qual("proj.mod.top", inference.bases)
+        qual = "proj.mod:top"
         hops = inference.witness(qual, lambda a: a[0] == "wallclock")
         assert [h[0] for h in hops] == ["proj.mod:top", "proj.mod:leaf"]
         assert hops[-1][2] == "time.monotonic(...)"
@@ -355,7 +344,7 @@ class TestWitness:
                     return via_a()
             """,
         })
-        qual = parse_dotted_qual("proj.mod.top", inference.bases)
+        qual = "proj.mod:top"
         blocked = inference.witness(
             qual,
             lambda a: a[0] == "wallclock",
@@ -365,29 +354,6 @@ class TestWitness:
 
 
 class TestCaching:
-    def test_bases_persist_under_effect_tag(self, graph_of, tmp_path):
-        files = {
-            "proj/mod.py": """
-                import time
-
-                def t():
-                    return time.perf_counter()
-            """,
-        }
-        graph = graph_of(files)
-        cache = AstCache(str(tmp_path))
-        graph.ast_cache = cache
-        bases, _ = compute_effect_bases(graph)
-        source = "\n".join(graph.modules["proj.mod"].lines)
-        assert cache.load_aux(source, EFFECT_TAG) is not None
-
-        # A second graph over the same source hits the cache.
-        graph2 = graph_of(files)
-        graph2.ast_cache = cache
-        bases2, _ = compute_effect_bases(graph2)
-        assert sorted(bases2) == sorted(bases)
-        assert bases2["proj.mod:t"].intrinsics[0].atom == ("wallclock",)
-
     def test_inference_is_memoized_per_graph(self, graph_of):
         graph = graph_of({"proj/mod.py": "def f():\n    return 1\n"})
         first = EffectInference.for_graph(graph)
@@ -444,7 +410,9 @@ class TestDeterminism:
             dumps.append(
                 {
                     qual: signature.to_dict()
-                    for qual, signature in inference.all_signatures().items()
+                    for qual, signature in (
+                        (q, inference.signature(q)) for q in inference.bases
+                    )
                 }
             )
         assert all(d == dumps[0] for d in dumps[1:])
@@ -459,34 +427,3 @@ class TestHelpers:
         tokens = receiver_name_tokens("self._events")
         assert "events" in tokens and "event" in tokens
         assert "self" not in tokens
-
-    def test_parse_dotted_qual_forms(self, graph_of):
-        inference = infer(graph_of, {
-            "proj/mod.py": """
-                class Queue:
-                    def run(self):
-                        return None
-
-                def helper():
-                    return 2
-            """,
-        })
-        assert parse_dotted_qual("proj.mod.Queue.run", inference.bases) == (
-            "proj.mod:Queue.run"
-        )
-        assert parse_dotted_qual("proj.mod.helper", inference.bases) == (
-            "proj.mod:helper"
-        )
-        assert parse_dotted_qual("proj.mod", inference.bases) == (
-            "proj.mod:<module>"
-        )
-        assert parse_dotted_qual("no.such.thing", inference.bases) is None
-
-    def test_signature_render(self):
-        assert EffectSignature().render() == "pure"
-        rendered = EffectSignature(
-            wallclock=True, mutates=("m:Owner",), raises=("KeyError",)
-        ).render()
-        assert "wallclock" in rendered
-        assert "mutates(Owner)" in rendered
-        assert "raises(KeyError)" in rendered

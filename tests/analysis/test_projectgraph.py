@@ -247,39 +247,3 @@ class TestReachability:
         reachable = graph.functions_reachable_from({"repro.a:top"})
         assert {"repro.a:top", "repro.a:mid", "repro.a:sink"} <= reachable
 
-
-class TestExports:
-    FILES = {
-        "src/repro/core/a.py": "from repro.sim.b import helper\n",
-        "src/repro/sim/b.py": "def helper():\n    return 1\n",
-    }
-
-    def test_dot_clusters_by_unit_and_draws_edges(self, graph_of):
-        dot = graph_of(self.FILES).to_dot()
-        assert dot.startswith("digraph repro_imports {")
-        assert '"cluster_core"' in dot
-        assert '"cluster_sim"' in dot
-        assert '"repro.core.a" -> "repro.sim.b";' in dot
-        assert dot.count("{") == dot.count("}")
-
-    def test_dot_dashes_type_checking_edges(self, graph_of):
-        dot = graph_of(
-            {
-                "src/repro/a.py": (
-                    "from typing import TYPE_CHECKING\n"
-                    "if TYPE_CHECKING:\n"
-                    "    from repro.b import Thing\n"
-                ),
-                "src/repro/b.py": "class Thing:\n    pass\n",
-            }
-        ).to_dot()
-        assert '"repro.a" -> "repro.b" [style=dashed];' in dot
-
-    def test_json_payload_is_sorted_and_versioned(self, graph_of):
-        payload = graph_of(self.FILES).to_json_dict()
-        assert payload["version"] == 1
-        names = [module["name"] for module in payload["modules"]]
-        assert names == sorted(names)
-        assert {"src": "repro.core.a", "dst": "repro.sim.b",
-                "type_checking_only": False} in payload["imports"]
-        assert payload["functions"] == sorted(payload["functions"])

@@ -31,6 +31,19 @@ class TestPositive:
         assert trace
         assert any("can raise" in note for _, _, note in trace)
 
+    def test_direct_cross_peer_site_fires(self, reported):
+        # An unprotected primitive in an entry point is itself the escape.
+        findings = reported(
+            "RES004",
+            """\
+            def ship(net, src, dst):
+                return net.transfer(src, dst, 64)
+            """,
+        )
+        assert len(findings) == 1
+        assert "call_resilient" in findings[0].message
+        assert findings[0].trace[0][2] == "net.transfer(...) can raise"
+
     def test_covered_helper_called_bare_elsewhere_fires(self, reported):
         # The helper is wrapped at one site (covered there), but the bare
         # call site lets the family unwind to an entry point.
@@ -87,15 +100,27 @@ class TestNegative:
             """,
         )
 
-    def test_direct_cross_peer_site_is_res001_territory(self, reported):
-        # A *direct* unprotected transfer is RES001's finding; RES004 only
-        # flags indirect propagation through helper layers.
+    def test_resilience_context_call_receiver_also_covers(self, reported):
         assert not reported(
             "RES004",
             """\
-            def ship(net, src, dst):
-                return net.transfer(src, dst, 64)
+            def run(network, owner, query_peer):
+                def fetch_report():
+                    return network.transfer(owner.host, query_peer.host, 8)
+
+                return network.resilience.call('p', fetch_report)
             """,
+        )
+
+    def test_mapreduce_unit_is_exempt(self, reported):
+        # MapReduce's fault model is job re-execution, not message retry.
+        assert not reported(
+            "RES004",
+            """\
+            def shuffle(network, src, dst):
+                return network.transfer(src, dst, 64)
+            """,
+            path="src/repro/mapreduce/shuffle.py",
         )
 
     def test_sim_unit_is_exempt(self, reported):

@@ -1,5 +1,6 @@
 """The repo must pass its own analyzer — the gate CI enforces."""
 
+import ast
 import json
 import os
 import subprocess
@@ -7,27 +8,27 @@ import sys
 
 import pytest
 
+from repro.analysis.engine import categorize, iter_python_files
+from repro.analysis.projectgraph import ProjectGraph
+from repro.analysis.registry import FileContext
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 
-def _run(*argv):
+@pytest.fixture(scope="module")
+def self_check():
+    """One run over the repo (the CI command), shared below."""
     env = dict(os.environ)
     src = os.path.join(REPO_ROOT, "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "repro.analysis", *argv],
+        [sys.executable, "-m", "repro.analysis", "src", "tests", "benchmarks", "--json"],
         cwd=REPO_ROOT,
         env=env,
         capture_output=True,
         text=True,
         check=False,
     )
-
-
-@pytest.fixture(scope="module")
-def self_check():
-    """One four-tier run over the repo (the CI command), shared below."""
-    return _run("src", "tests", "benchmarks", "--json")
 
 
 def test_repo_is_clean_under_all_rules(self_check):
@@ -41,33 +42,20 @@ def test_repo_is_clean_in_json_mode(self_check):
     assert payload["findings"] == []
 
 
-def test_graph_export_covers_every_src_module():
-    """The graph the rules reason over must see the whole package."""
-    proc = _run("graph", "--format", "json", "src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    payload = json.loads(proc.stdout)
-    graphed = {module["path"] for module in payload["modules"]}
-    expected = set()
-    for dirpath, dirnames, filenames in os.walk(
-        os.path.join(REPO_ROOT, "src", "repro")
-    ):
-        dirnames[:] = [d for d in dirnames if d != "__pycache__"]
-        for filename in filenames:
-            if filename.endswith(".py"):
-                relpath = os.path.relpath(
-                    os.path.join(dirpath, filename), REPO_ROOT
-                )
-                expected.add(relpath.replace(os.sep, "/"))
-    assert expected <= graphed
-
-
-def test_dot_export_is_well_formed():
-    proc = _run("graph", "--format", "dot", "src")
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    dot = proc.stdout
-    assert dot.startswith("digraph repro_imports {")
-    assert dot.rstrip().endswith("}")
-    assert dot.count("{") == dot.count("}")
-    # Every layering-contract unit shows up as a cluster.
-    for unit in ("core", "sim", "sqlengine", "baton", "analysis"):
-        assert f'"cluster_{unit}"' in dot
+def test_project_graph_covers_every_src_module():
+    """The graph the interprocedural rules reason over sees the whole
+    package: every ``src/repro`` file becomes a module node."""
+    contexts = []
+    for filepath in iter_python_files([os.path.join(REPO_ROOT, "src", "repro")]):
+        path = os.path.relpath(filepath, REPO_ROOT).replace(os.sep, "/")
+        with open(filepath, encoding="utf-8") as handle:
+            source = handle.read()
+        contexts.append(
+            FileContext(path, categorize(path), source, ast.parse(source))
+        )
+    graph = ProjectGraph.build(contexts)
+    assert contexts
+    assert {module.path for module in graph.modules.values()} == {
+        ctx.path for ctx in contexts
+    }
+    assert all(name.startswith("repro") for name in graph.modules)

@@ -15,26 +15,25 @@ def _analyze(rule_ids, source):
 
 class TestSharedLine:
     SOURCE = """\
-    import time
-
-    def snapshot(rows):
-        return (time.time(), sorted(rows, key=id))
+    def snapshot(peer, options):
+        return peer.execute_local(options.get("sql", "q"))
     """
 
     def test_single_rule_allow_leaves_the_other_reported(self):
         source = self.SOURCE.replace(
-            "key=id))", "key=id))  # repro: allow[SIM002] wall time is part of the snapshot"
+            '"q"))', '"q"))  # repro: allow[ISO002] rows stay on the owner'
         )
-        findings = _analyze(["SIM002", "SIM004"], source)
+        findings = _analyze(["ISO002", "CFG001"], source)
         by_rule = {finding.rule: finding for finding in findings}
-        assert by_rule["SIM002"].suppressed
-        assert by_rule["SIM004"].reported
+        assert by_rule["ISO002"].suppressed
+        assert by_rule["CFG001"].reported
 
     def test_both_rules_can_share_one_allow(self):
         source = self.SOURCE.replace(
-            "key=id))", "key=id))  # repro: allow[SIM002,SIM004] debug snapshot"
+            '"q"))', '"q"))  # repro: allow[ISO002,CFG001] debug snapshot'
         )
-        findings = _analyze(["SIM002", "SIM004"], source)
+        findings = _analyze(["ISO002", "CFG001"], source)
+        assert len(findings) == 2
         assert all(finding.suppressed for finding in findings)
         assert all(
             finding.justification == "debug snapshot" for finding in findings
