@@ -22,6 +22,7 @@ from repro.mapreduce.job import (
     JobResult,
     MapOutput,
     MapReduceJob,
+    ReduceOutput,
     SplitData,
 )
 from repro.mapreduce.engine import MapReduceConfig, MapReduceEngine
@@ -31,6 +32,7 @@ __all__ = [
     "HdfsFile",
     "InputSplit",
     "MapOutput",
+    "ReduceOutput",
     "SplitData",
     "MapReduceJob",
     "JobResult",

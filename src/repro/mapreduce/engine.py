@@ -99,6 +99,7 @@ class MapReduceEngine:
         map_outputs, timings.map_s = self._run_map_phase(job)
 
         widths: Optional[List[int]] = None
+        sizes: Optional[List[int]] = None
         if job.reduce_fn is None:
             records = list(
                 chain.from_iterable(output.values for _, output in map_outputs)
@@ -109,7 +110,7 @@ class MapReduceEngine:
             inputs, bytes_shuffled, timings.shuffle_s = self._shuffle(
                 job, map_outputs
             )
-            records, widths, timings.reduce_s = self._run_reduce_phase(
+            records, widths, sizes, timings.reduce_s = self._run_reduce_phase(
                 job, inputs
             )
             reduce_tasks = job.num_reducers
@@ -119,9 +120,18 @@ class MapReduceEngine:
                 raise MapReduceError(
                     f"job {job.name!r} writes to HDFS but none is mounted"
                 )
-            writer = self._reducer_host(0)
+            # A file whose records' typed sizes the reducers knew is priced
+            # by their sum, the same integer records_byte_size would give.
+            size_bytes = (
+                records_byte_size(records) if sizes is None else sum(sizes)
+            )
             timings.hdfs_write_s = self.hdfs.write(
-                job.output_path, records, records_byte_size(records), writer, widths
+                job.output_path,
+                records,
+                size_bytes,
+                self._reducer_host(0),
+                widths,
+                sizes,
             )
 
         return JobResult(
@@ -167,20 +177,25 @@ class MapReduceEngine:
     def _shuffle(self, job: MapReduceJob, map_outputs):
         """Route every map output to its reducer over the network.
 
-        Returns each reducer's input — ``(keys, values, sizes)`` in arrival
-        order: split by split, position by position — the bytes shipped
-        and the phase duration.  One wire transfer per non-empty (mapper
-        host, reducer) lane, priced ``wire_size(keys) + sum(sizes)``.
+        Returns each reducer's input — ``[keys, values, sizes, row_sizes]``
+        in arrival order: split by split, position by position; row sizes
+        only if every map gave them, else None — the bytes shipped and the
+        phase duration.  One wire transfer per non-empty (mapper host,
+        reducer) lane, priced ``wire_size(keys) + sum(sizes)``.
         """
         reducers = range(job.num_reducers)
-        inputs = [([], [], []) for _ in reducers]
+        carried = all(output.row_sizes is not None for _, output in map_outputs)
+        inputs = [[[], [], [], [] if carried else None] for _ in reducers]
         # Keys repeat (both join sides, every row of a group): hash each
         # distinct key once.  Equal keys share an entry, which is exact
         # because ``_partition_of`` sends equal keys to one reducer.
         reducer_of: Dict[object, int] = {}
         lanes: Dict[str, List[Tuple[List[object], List[int]]]] = {}
         for host, output in map_outputs:
-            keys, values, sizes = output.keys, output.values, output.sizes
+            keys = output.keys
+            vectors = [keys, output.values, output.sizes]
+            if carried:
+                vectors.append(output.row_sizes)
             for key in dict.fromkeys(keys):
                 if key not in reducer_of:
                     reducer_of[key] = self._partition_of(key, job.num_reducers)
@@ -193,8 +208,7 @@ class MapReduceEngine:
                 if not positions:
                     continue
                 routed = [
-                    list(map(vector.__getitem__, positions))
-                    for vector in (keys, values, sizes)
+                    list(map(vector.__getitem__, positions)) for vector in vectors
                 ]
                 for into, part in zip(inputs[reducer], routed):
                     into.extend(part)
@@ -221,24 +235,26 @@ class MapReduceEngine:
 
     def _run_reduce_phase(self, job: MapReduceJob, inputs):
         """Each reducer reduces its whole input; returns (records, their
-        widths if every reducer knew them, phase duration)."""
+        widths and their sizes, each if every reducer knew them, phase
+        duration)."""
         records: List[object] = []
         widths: Optional[List[int]] = []
+        sizes: Optional[List[int]] = []
         per_reducer_seconds: List[float] = []
-        for keys, values, sizes in inputs:
+        for reducer_input in inputs:
+            keys = reducer_input[0]
             reducer_records: List[object] = []
             if keys:  # a reducer nothing reached does no work
-                reducer_records, reducer_widths = job.reduce_fn(keys, values, sizes)
-                if widths is not None and reducer_widths is not None:
-                    widths.extend(reducer_widths)
-                else:
-                    widths = None
+                output = job.reduce_fn(*reducer_input)
+                reducer_records = output.records
+                widths = _extended(widths, output.widths)
+                sizes = _extended(sizes, output.sizes)
             per_reducer_seconds.append(
                 (len(keys) + len(reducer_records))
                 * self.config.reduce_cpu_per_record_s
             )
             records.extend(reducer_records)
-        return records, widths, parallel_duration(*per_reducer_seconds)
+        return records, widths, sizes, parallel_duration(*per_reducer_seconds)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -252,3 +268,13 @@ class MapReduceEngine:
         # ``hash`` is salted for strings, so CRC32 over repr is used instead;
         # over the canonical key, so that 1 and 1.0 meet at one reducer).
         return zlib.crc32(repr(canonical_key(key)).encode("utf-8")) % num_reducers
+
+
+def _extended(
+    collected: Optional[List[int]], part: Optional[List[int]]
+) -> Optional[List[int]]:
+    """``collected`` with ``part`` appended; None once either is unknown."""
+    if collected is None or part is None:
+        return None
+    collected.extend(part)
+    return collected

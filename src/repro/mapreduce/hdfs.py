@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import HdfsError
@@ -22,14 +23,16 @@ DEFAULT_REPLICATION = 3
 class HdfsBlock:
     """One block of a file: a slice of records plus its replica placement.
 
-    ``widths`` keeps each record's ``len(str(record))`` next to it when the
-    writer knew them, so a reader need not measure the rows again.
+    ``widths`` keeps each record's ``len(str(record))`` and ``sizes`` its
+    typed wire size next to it when the writer knew them, so a reader need
+    not measure or price the rows again.
     """
 
     size_bytes: int
     records: List[object]
     replica_hosts: Tuple[str, ...]
     widths: Optional[List[int]] = None
+    sizes: Optional[List[int]] = None
 
 
 @dataclass
@@ -50,12 +53,24 @@ class HdfsFile:
             collected.extend(block.records)
         return collected
 
-    @property
+    # The file is write-once, so each whole-file list is built once, not
+    # once per reader.  Read-only.
+    @cached_property
     def widths(self) -> Optional[List[int]]:
         """Every record's width, in record order; None if any is unknown."""
-        if any(block.widths is None for block in self.blocks):
-            return None
-        return [width for block in self.blocks for width in block.widths]
+        return _joined(block.widths for block in self.blocks)
+
+    @cached_property
+    def sizes(self) -> Optional[List[int]]:
+        """Every record's typed size, in record order; None if any is unknown."""
+        return _joined(block.sizes for block in self.blocks)
+
+
+def _joined(parts) -> Optional[List[int]]:
+    parts = list(parts)
+    if None in parts:
+        return None
+    return list(itertools.chain.from_iterable(parts))
 
 
 class Hdfs:
@@ -119,13 +134,15 @@ class Hdfs:
         size_bytes: int,
         writer_host: str,
         widths: Optional[Sequence[int]] = None,
+        sizes: Optional[Sequence[int]] = None,
     ) -> float:
         """Write a file from ``writer_host``; returns the simulated duration.
 
         The record list is split into blocks by byte proportion; each block
         is pipelined to ``replication`` datanodes (the first replica prefers
-        the writer itself, as real HDFS does).  ``widths``, when given, are
-        the records' text widths, stored beside them and never priced.
+        the writer itself, as real HDFS does).  ``widths`` and ``sizes``,
+        when given, are the records' text widths and typed sizes (summing
+        to ``size_bytes``), stored beside them and never priced again.
         """
         if not self._datanodes:
             raise HdfsError("no datanodes registered")
@@ -135,6 +152,15 @@ class Hdfs:
             raise HdfsError(f"negative file size: {size_bytes}")
 
         records = list(records)
+        for name, per_record in (("widths", widths), ("sizes", sizes)):
+            if per_record is not None and len(per_record) != len(records):
+                raise HdfsError(
+                    f"{len(per_record)} {name} for {len(records)} records: {path!r}"
+                )
+        if sizes is not None and sum(sizes) != size_bytes:
+            raise HdfsError(
+                f"record sizes sum to {sum(sizes)}, not {size_bytes}: {path!r}"
+            )
         block_count = max(1, -(-size_bytes // self.block_size))  # ceil div
         per_block = max(1, -(-len(records) // block_count)) if records else 0
         blocks: List[HdfsBlock] = []
@@ -158,6 +184,7 @@ class Hdfs:
                     records[chunk],
                     tuple(replicas),
                     None if widths is None else list(widths[chunk]),
+                    None if sizes is None else list(sizes[chunk]),
                 )
             )
         self._files[path] = HdfsFile(path, blocks)

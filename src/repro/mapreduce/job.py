@@ -3,9 +3,11 @@
 A job maps whole splits and reduces whole reducer inputs.  A split's map
 returns its key vector, its values and each value's wire size; a reducer
 receives everything routed to it, in arrival order, and groups it with
-:func:`key_groups`.  Jobs written one record at a time (Hadoop's
-``map(record)`` / ``reduce(key, values)``) are built with
-:meth:`MapReduceJob.per_record`.
+:func:`key_groups`.  A reducer that knows its output records' text widths
+and typed sizes hands them on (:class:`ReduceOutput`), so the stage file
+they are written to is priced by a sum, not measured again.  Jobs written
+one record at a time (Hadoop's ``map(record)`` / ``reduce(key, values)``)
+are built with :meth:`MapReduceJob.per_record`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
-from repro.sqlengine.batch import value_sizes, wire_size
+from repro.sqlengine.batch import row_sizes, wire_size
 
 
 @dataclass
@@ -24,34 +26,51 @@ class SplitData:
     ``local_seconds`` is the simulated time the split's host spent producing
     the records — for HadoopDB this is the local database query cost, which
     the SMS planner pushes into the map task.  ``widths`` holds each
-    record's ``len(str(record))`` when its producer already knows it, and
-    ``tag`` names the input a split belongs to in a job that reads several
-    (a reduce-side join tags its two sides).
+    record's ``len(str(record))`` and ``sizes`` its typed wire size (see
+    :func:`record_sizes`) when its producer already knows them, and ``tag``
+    names the input a split belongs to in a job that reads several (a
+    reduce-side join tags its two sides).  All are read-only.
     """
 
     records: List[object]
     local_seconds: float = 0.0
     widths: Optional[List[int]] = None
     tag: Optional[str] = None
+    sizes: Optional[List[int]] = None
 
 
 @dataclass
 class MapOutput:
     """One map task's output: parallel key and value vectors, and each
-    value's wire size (a map-only job ships nothing and may omit them)."""
+    value's wire size (a map-only job ships nothing and may omit them).
+
+    ``row_sizes``, when every map of a job gives them, travel with the
+    values to the reducer unpriced: a join's values carry rows, and a
+    reducer that knows its inputs' typed sizes derives its outputs'."""
 
     keys: List[object]
     values: List[object]
+    sizes: Optional[List[int]] = None
+    row_sizes: Optional[List[int]] = None
+
+
+@dataclass
+class ReduceOutput:
+    """One reducer's output records, with each record's text width and
+    typed size when the reducer knows them (None: measured if needed)."""
+
+    records: List[object]
+    widths: Optional[List[int]] = None
     sizes: Optional[List[int]] = None
 
 
 # A map function turns one whole split into its map output.
 MapFn = Callable[[SplitData], MapOutput]
-# A reduce function turns one reducer's input — keys, values and sizes in
-# arrival order — into (output records, each record's text width or None).
+# A reduce function turns one reducer's input — keys, values, sizes and the
+# maps' row sizes (or None) in arrival order — into its output.
 ReduceFn = Callable[
-    [List[object], List[object], List[int]],
-    Tuple[List[object], Optional[List[int]]],
+    [List[object], List[object], List[int], Optional[List[int]]],
+    ReduceOutput,
 ]
 
 
@@ -112,11 +131,11 @@ class MapReduceJob:
             sizes = None if reduce_fn is None else record_sizes(values)
             return MapOutput(keys, values, sizes)
 
-        def reduce_groups(keys, values, sizes):
+        def reduce_groups(keys, values, sizes, row_sizes):
             records: List[object] = []
             for key, positions in key_groups(keys):
                 records.extend(reduce_fn(key, [values[p] for p in positions]))
-            return records, None
+            return ReduceOutput(records)
 
         return cls(
             name,
@@ -133,9 +152,14 @@ def key_order(keys: Iterable[object]) -> List[object]:
 
     Equal keys are one key (1 and 1.0 meet), named by its first-seen
     object.  Sorting by :func:`_sortable` makes merge-join reducers and
-    test output deterministic.
+    test output deterministic.  Keys of one type sort by ``repr`` alone:
+    the type-name half of :func:`_sortable` is constant then, so the order
+    is the same.
     """
-    return sorted(dict.fromkeys(keys), key=_sortable)
+    distinct = list(dict.fromkeys(keys))
+    if len(set(map(type, distinct))) == 1:
+        return sorted(distinct, key=repr)
+    return sorted(distinct, key=_sortable)
 
 
 def key_groups(keys: Sequence[object]) -> List[Tuple[object, List[int]]]:
@@ -158,9 +182,7 @@ def record_sizes(records: Sequence[object]) -> List[int]:
     if all(isinstance(record, tuple) for record in records) and (
         len(set(map(len, records))) == 1
     ):
-        columns = list(zip(*records))
-        if columns:
-            return list(map(sum, zip(*map(value_sizes, columns))))
+        return row_sizes(list(zip(*records)), len(records))
     return [
         wire_size(record if isinstance(record, tuple) else (record,))
         for record in records

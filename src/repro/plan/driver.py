@@ -23,6 +23,7 @@ from repro.mapreduce.job import (
     JobResult,
     MapOutput,
     MapReduceJob,
+    ReduceOutput,
     SplitData,
     key_groups,
     key_order,
@@ -163,22 +164,31 @@ class DistributedPlanDriver:
         def read(host, index):
             local = self.local_execute(host, local_plan.sql)
             batch = local.batch
-            widths = None if tag is None else batch.widths
-            return SplitData(batch.rows, local.seconds, widths, tag)
+            if tag is None:
+                return SplitData(batch.rows, local.seconds)
+            return SplitData(
+                batch.rows, local.seconds, batch.widths, tag, sizes=batch.sizes
+            )
 
         return self._splits(local_plan.table, read)
 
     def _hdfs_splits(self, path: str, tag: Optional[str] = None) -> List[InputSplit]:
         """Each worker reads its share of the previous stage's HDFS output,
-        and the share's row widths kept beside it."""
+        and the share's row widths and sizes kept beside it."""
         worker_count = len(self.workers)
 
         def read(host, index):
             hdfs = self.engine.hdfs
             records, seconds = hdfs.read(path, host)
             share = slice(index, None, worker_count)
-            widths = None if tag is None else hdfs.file(path).widths[share]
-            return SplitData(records[share], seconds / worker_count, widths, tag)
+            stored = hdfs.file(path)
+            return SplitData(
+                records[share],
+                seconds / worker_count,
+                None if tag is None else stored.widths[share],
+                tag,
+                sizes=stored.sizes[share],
+            )
 
         return self._splits(path, read)
 
@@ -250,16 +260,17 @@ class DistributedPlanDriver:
             rows = data.records
             vectors = group_values(LazyColumns.over_rows(rows, width), len(rows))
             keys = list(zip(*vectors)) if vectors else [()] * len(rows)
-            return MapOutput(keys, rows, record_sizes(rows))
+            sizes = record_sizes(rows) if data.sizes is None else data.sizes
+            return MapOutput(keys, rows, sizes)
 
-        def reduce_input(keys, rows, sizes):
+        def reduce_input(keys, rows, sizes, row_sizes):
             arranged = [
                 rows[position]
                 for _, positions in key_groups(keys)
                 for position in positions
             ]
             out, groups = grouped(LazyColumns.over_rows(arranged, width), len(arranged))
-            return rows_from_vectors(out, groups), None
+            return ReduceOutput(rows_from_vectors(out, groups))
 
         return self.engine.run_job(
             MapReduceJob(
@@ -328,20 +339,22 @@ def _stage_path(query_id: str, stage_index: int) -> str:
 
 def _join_map(left_key: int, right_key: int):
     """A join stage's map over one split: key every row by its side's join
-    column, drop NULL keys, and price each ``(tag, row)`` from the row's
-    known width."""
+    column, drop NULL keys, price each ``(tag, row)`` from the row's known
+    width, and hand the row's known typed size on to the reducer."""
 
     def map_split(data: SplitData) -> MapOutput:
         tag, rows = data.tag, data.records
         keys = list(map(itemgetter(left_key if tag == "L" else right_key), rows))
         values = [(tag, row) for row in rows]
         sizes = [width + TAGGED_ROW_BYTES for width in data.widths]
+        row_sizes = data.sizes
         if None in keys:
             kept = [key is not None for key in keys]
-            keys, values, sizes = (
-                list(compress(vector, kept)) for vector in (keys, values, sizes)
+            keys, values, sizes, row_sizes = (
+                list(compress(vector, kept))
+                for vector in (keys, values, sizes, row_sizes)
             )
-        return MapOutput(keys, values, sizes)
+        return MapOutput(keys, values, sizes, row_sizes)
 
     return map_split
 
@@ -350,15 +363,16 @@ def _join_reduce(residual, left_width: int, right_width: int):
     """A join stage's reducer over its whole input.
 
     Key groups in merge-sort order, each group's lefts x rights in arrival
-    order, then the residual over all of them in that same order — so the
-    rows, and the first error, are those of joining group by group.  A
-    joined row's width is its halves' plus :func:`concat_text_offset`.
+    order, then the residual over all of those pairs in that same order —
+    so the rows, and the first error, are those of joining group by group.
+    The residual reads the pairs' halves in place; only the pairs it keeps
+    are concatenated.  A joined row's width is its halves' plus
+    :func:`concat_text_offset`, its typed size its halves' summed.
     """
     # sizes are widths + TAGGED_ROW_BYTES, one such on each side
     offset = concat_text_offset(left_width, right_width) - 2 * TAGGED_ROW_BYTES
-    width = left_width + right_width
 
-    def reduce_input(keys, tagged, sizes):
+    def reduce_input(keys, tagged, sizes, row_sizes):
         lefts_of: Dict[object, List[int]] = {}
         rights_of: Dict[object, List[int]] = {}
         for position, key, (tag, _) in zip(count(), keys, tagged):
@@ -378,18 +392,29 @@ def _join_reduce(residual, left_width: int, right_width: int):
                     lefts if len(rights) == 1 else [p for p in lefts for _ in rights]
                 )
         row_of = list(map(itemgetter(1), tagged)).__getitem__
-        rows = list(map(add, map(row_of, pair_lefts), map(row_of, pair_rights)))
         if residual is not None:
-            kept = residual(LazyColumns.over_rows(rows, width), len(rows))
-            rows, pair_lefts, pair_rights = (
-                list(map(vector.__getitem__, kept))
-                for vector in (rows, pair_lefts, pair_rights)
+            halves = LazyColumns(
+                [
+                    (left_width, None, list(map(row_of, pair_lefts)), False),
+                    (right_width, None, list(map(row_of, pair_rights)), False),
+                ]
             )
+            kept = residual(halves, len(pair_lefts))
+            pair_lefts, pair_rights = (
+                list(map(vector.__getitem__, kept))
+                for vector in (pair_lefts, pair_rights)
+            )
+        rows = list(map(add, map(row_of, pair_lefts), map(row_of, pair_rights)))
         widths = [
             sizes[left] + sizes[right] + offset
             for left, right in zip(pair_lefts, pair_rights)
         ]
-        return rows, widths
+        size_of = row_sizes.__getitem__
+        return ReduceOutput(
+            rows,
+            widths,
+            list(map(add, map(size_of, pair_lefts), map(size_of, pair_rights))),
+        )
 
     return reduce_input
 

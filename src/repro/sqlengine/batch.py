@@ -5,7 +5,7 @@ access controller, filtered by the bloom join, priced for the wire, and
 scanned at the query peer (§5.2) — column vectors end to end, so typed data
 is never transposed into tuples and back, re-coerced or re-priced on the
 way.  It is **immutable**: masking and selection build new batches, and the
-wire size and the rows' text widths are computed once.
+wire size and the rows' text widths and typed sizes are computed once.
 
 A batch's vectors may be *shared*: a dense scan passes the owner table's
 live column mirror through without copying, and an unrestricted column
@@ -66,6 +66,16 @@ def value_sizes(vector: Sequence[object]) -> List[int]:
         return list(map(value_byte_size, vector))
     text = len if kinds == {str} else (lambda value: len(str(value)))
     return [1 if value is None else text(value) + 4 for value in vector]
+
+
+def row_sizes(vectors: Sequence[Sequence[object]], count: int) -> List[int]:
+    """Each row's typed wire size from its column vectors (each ``count``
+    long): its values' :func:`value_sizes` summed, so the sizes sum to
+    ``sum(map(wire_size, vectors))``.  A value's size does not depend on
+    its neighbours, so a joined row's size is its halves' sizes summed."""
+    if not vectors:
+        return [0] * count
+    return list(map(sum, zip(*map(value_sizes, vectors))))
 
 
 def text_widths(rows: Sequence[Tuple[object, ...]]) -> List[int]:
@@ -197,6 +207,7 @@ class ColumnBatch:
         self._rows: Optional[List[Tuple[object, ...]]] = None
         self._byte_size: Optional[int] = None
         self._widths: Optional[List[int]] = None
+        self._sizes: Optional[List[int]] = None
 
     @classmethod
     def from_rows(
@@ -251,6 +262,14 @@ class ColumnBatch:
         if self._widths is None:
             self._widths = text_widths(self.rows)
         return self._widths
+
+    @property
+    def sizes(self) -> List[int]:
+        """Each row's typed wire size (:func:`row_sizes`), priced column by
+        column on first use: ``sum(sizes) == byte_size``.  Read-only."""
+        if self._sizes is None:
+            self._sizes = row_sizes(self.vectors, self.count)
+        return self._sizes
 
     def take(self, positions: Sequence[int]) -> "ColumnBatch":
         """The rows at ``positions`` (increasing) as a new batch."""

@@ -56,6 +56,36 @@ class TestWrite:
         read, _ = hdfs.read("/out/part-0", "worker-1")
         assert read == records
 
+    def test_widths_and_sizes_are_kept_across_blocks(self, hdfs):
+        records = list(range(100))
+        hdfs.write(
+            "/big", records, 800, "worker-0", list(range(100)), [8] * 100
+        )
+        stored = hdfs.file("/big")
+        assert len(stored.blocks) == 1 and stored.sizes == [8] * 100
+        hdfs.write("/huge", records, 3500, "worker-0", list(range(100)), [35] * 100)
+        stored = hdfs.file("/huge")
+        assert len(stored.blocks) == 4
+        assert stored.widths == list(range(100)) and stored.sizes == [35] * 100
+        # built once per file, not once per reading worker
+        assert stored.widths is stored.widths and stored.sizes is stored.sizes
+
+    def test_unknown_widths_or_sizes_are_none(self, hdfs):
+        hdfs.write("/f", [1, 2], 16, "worker-0")
+        assert hdfs.file("/f").widths is None and hdfs.file("/f").sizes is None
+
+    @pytest.mark.parametrize(
+        "widths, sizes", [([1], None), ([1, 1, 1], None), (None, [8]), (None, [])]
+    )
+    def test_widths_or_sizes_not_one_per_record_rejected(self, hdfs, widths, sizes):
+        with pytest.raises(HdfsError, match="for 2 records"):
+            hdfs.write("/f", [1, 2], 16, "worker-0", widths, sizes)
+        assert not hdfs.exists("/f")
+
+    def test_sizes_that_do_not_sum_to_the_price_rejected(self, hdfs):
+        with pytest.raises(HdfsError, match="sum to 15"):
+            hdfs.write("/f", [1, 2], 16, "worker-0", None, [8, 7])
+
     def test_write_splits_into_blocks(self, hdfs):
         hdfs.write("/big", list(range(100)), 3500, "worker-0")
         hdfs_file = hdfs.file("/big")

@@ -5,13 +5,21 @@ its aggregates once per job, into vector kernels.  These tests take the very
 jobs it submits — their split-level ``map_fn`` and reducer-level
 ``reduce_fn`` — and replay each reducer group, on its own, against the
 interpreted tree walk, row for row and error for error.  Every stage file
-must also hold each row's text width beside it.
+must also hold each row's text width and typed size beside it, and be
+priced as ``records_byte_size`` prices its rows — on HadoopDB and on
+BestPeer++'s MapReduce engine alike.
 """
+
+from functools import partial
 
 import pytest
 
+from repro.core import BestPeerNetwork
 from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
+from repro.mapreduce import Hdfs, ReduceOutput
+from repro.mapreduce.engine import records_byte_size
+from repro.mapreduce.job import record_sizes
 from repro.plan.driver import finalize_records
 from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
@@ -46,11 +54,11 @@ def submitted_jobs(cluster, sql):
 
     Each job comes back with its map tasks' outputs, recorded as it ran:
     the stage files they read are gone once the query ends.  Every file
-    written must carry its rows' text widths.
+    written is checked by :func:`checked_write`.
     """
     jobs = []
     run_job = cluster.engine.run_job
-    write = cluster.hdfs.write
+    written = []
 
     def capture(job):
         outputs = []
@@ -64,12 +72,8 @@ def submitted_jobs(cluster, sql):
         jobs.append((job, outputs))
         return run_job(job)
 
-    def checked_write(path, records, size_bytes, writer_host, widths=None):
-        assert widths == text_widths(records), path
-        return write(path, records, size_bytes, writer_host, widths)
-
     cluster.engine.run_job = capture
-    cluster.hdfs.write = checked_write
+    cluster.hdfs.write = checked_write(cluster.hdfs.write, written)
     try:
         outcome = cluster.execute(sql)
     except SqlExecutionError as error:
@@ -77,23 +81,48 @@ def submitted_jobs(cluster, sql):
     finally:
         del cluster.engine.run_job
         del cluster.hdfs.write
+    if not isinstance(outcome, SqlExecutionError):
+        assert len(written) == sum(job.output_path is not None for job, _ in jobs)
     return SmsPlanner(cluster._schemas).compile(sql), jobs, outcome
 
 
+def checked_write(write, written):
+    """``write`` (an ``Hdfs.write``) behind the stage-file oracle: every
+    record's text width and typed size stored beside it, and the file
+    priced as ``records_byte_size`` prices its records."""
+
+    def checked(path, records, size_bytes, writer_host, widths=None, sizes=None):
+        assert widths == text_widths(records), path
+        assert sizes == record_sizes(records), path
+        assert size_bytes == records_byte_size(records), path
+        written.append(path)
+        return write(path, records, size_bytes, writer_host, widths, sizes)
+
+    return checked
+
+
 def reducer_groups(outputs):
-    """The job's map outputs grouped: key -> (values, sizes), in map order."""
+    """The job's map outputs grouped: key -> (values, sizes, row sizes),
+    in map order (row sizes None where the maps gave none)."""
     groups = {}
     for output in outputs:
-        for key, value, size in zip(output.keys, output.values, output.sizes):
-            values, sizes = groups.setdefault(key, ([], []))
+        row_sizes = output.row_sizes or [None] * len(output.keys)
+        for key, value, size, row_size in zip(
+            output.keys, output.values, output.sizes, row_sizes
+        ):
+            values, sizes, sizes_of_rows = groups.setdefault(key, ([], [], []))
             values.append(value)
             sizes.append(size)
-    return groups
+            sizes_of_rows.append(row_size)
+    return {
+        key: (values, sizes, None if None in row_sizes else row_sizes)
+        for key, (values, sizes, row_sizes) in groups.items()
+    }
 
 
-def reduce_one_group(job, key, values, sizes):
+def reduce_one_group(job, key, values, sizes, row_sizes=None):
     """The job's reducer run over one key group alone."""
-    return job.reduce_fn([key] * len(values), values, sizes)
+    return job.reduce_fn([key] * len(values), values, sizes, row_sizes)
 
 
 def outcome_of(thunk):
@@ -118,8 +147,9 @@ def check_against_interpreter(plan, jobs):
     for stage, (job, outputs) in zip(plan.joins, jobs):
         columns = columns + stage.right.columns
         layout = RowLayout(columns)
-        for key, (tagged_rows, sizes) in reducer_groups(outputs).items():
+        for key, (tagged_rows, sizes, row_sizes) in reducer_groups(outputs).items():
             assert key is not None
+            assert row_sizes == record_sizes([row for _, row in tagged_rows])
 
             def interpreted(tagged_rows=tagged_rows):
                 lefts = [row for tag, row in tagged_rows if tag == "L"]
@@ -132,10 +162,11 @@ def check_against_interpreter(plan, jobs):
                     or stage.residual.evaluate(left + right, layout) is True
                 ]
 
-            def lowered(key=key, tagged_rows=tagged_rows, sizes=sizes):
-                rows, widths = reduce_one_group(job, key, tagged_rows, sizes)
-                assert widths == text_widths(rows)
-                return rows
+            def lowered(key=key, inputs=(tagged_rows, sizes, row_sizes)):
+                output = reduce_one_group(job, key, *inputs)
+                assert output.widths == text_widths(output.records)
+                assert output.sizes == record_sizes(output.records)
+                return output.records
 
             want = outcome_of(interpreted)
             assert outcome_of(lowered) == want
@@ -145,15 +176,16 @@ def check_against_interpreter(plan, jobs):
     if plan.aggregate is not None and plan.joins:
         job, outputs = jobs[len(plan.joins)]
         layout = RowLayout(plan.columns_after_joins)
-        for key, (rows, sizes) in reducer_groups(outputs).items():
+        for key, (rows, sizes, row_sizes) in reducer_groups(outputs).items():
             for row in rows:
                 assert key == tuple(
                     expr.evaluate(row, layout)
                     for expr in plan.aggregate.group_exprs
                 )
-            assert reduce_one_group(job, key, rows, sizes) == (
-                [key + interpreted_aggregates(plan.aggregate.aggregates, rows, layout)],
-                None,
+            # The map read the sizes stored beside the last stage's rows.
+            assert sizes == record_sizes(rows) and row_sizes is None
+            assert reduce_one_group(job, key, rows, sizes) == ReduceOutput(
+                [key + interpreted_aggregates(plan.aggregate.aggregates, rows, layout)]
             )
     return rejected
 
@@ -168,6 +200,28 @@ class TestTpchStages:
         has_residual = any(stage.residual is not None for stage in plan.joins)
         assert has_residual == (query is Q5)
         assert (rejected > 0) == has_residual
+
+
+    @pytest.mark.parametrize("query", [Q3, Q4, Q5])
+    def test_bestpeer_mapreduce_stage_files_are_priced_by_their_rows(
+        self, monkeypatch, query
+    ):
+        net = BestPeerNetwork(TPCH_SCHEMAS, SECONDARY_INDICES)
+        generator = TpchGenerator(seed=23)
+        for index in range(NUM_WORKERS):
+            net.add_peer(f"corp-{index}")
+            net.load_peer(f"corp-{index}", generator.generate_peer(index))
+        written = []
+        write = Hdfs.write
+
+        def patched(hdfs, *args):
+            return checked_write(partial(write, hdfs), written)(*args)
+
+        monkeypatch.setattr(Hdfs, "write", patched)
+        result = net.execute(query(), engine="mapreduce")
+        assert result.records
+        joins = len(SmsPlanner(TPCH_SCHEMAS).compile(query()).joins)
+        assert len(written) == joins > 0
 
 
 A = TableSchema(

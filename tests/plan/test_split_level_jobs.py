@@ -4,25 +4,28 @@ Two properties of the join chains that HadoopDB and BestPeer++'s MapReduce
 engine run:
 
 * a row's text (``len(str(row))``, the price of a shuffled ``(tag, row)``)
-  is measured once, on its owner's result batch: a warm second run of Q5
-  measures nothing, because owners replay their batches and join outputs
-  derive their widths;
+  and its typed size (what a stage file is priced by) are measured once,
+  on its owner's result batch: a warm second run of Q5 measures nothing,
+  because owners replay their batches and join outputs derive their widths
+  and sizes, and no stage file is priced by measuring its records;
 * the shuffle ships exactly what the per-pair shuffle shipped.  That
   shuffle lives on here as the oracle engine: every pair routed, priced by
-  ``str()`` and reduced key group by key group.  The ``(src, dst, nbytes)``
-  sequence of every simulated transfer, the simulated seconds, the bytes
-  and the rows must be identical.
+  ``str()`` and reduced key group by key group, and every stage file
+  priced by measuring its records.  The ``(src, dst, nbytes)`` sequence of
+  every simulated transfer (HDFS writes included), the simulated seconds,
+  the bytes and the rows must be identical.
 """
 
 import pytest
 
 import repro.core.engine_mapreduce as engine_mapreduce
+import repro.mapreduce.engine as engine_module
 import repro.sqlengine.batch as batch_module
 from repro.core import BestPeerNetwork
 from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
 from repro.mapreduce import MapReduceEngine
-from repro.mapreduce.job import _sortable
+from repro.mapreduce.job import _sortable, record_sizes
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
 from repro.sqlengine import Column, ColumnType, TableSchema
@@ -55,15 +58,17 @@ def build_cluster():
 
 class PerPairEngine(MapReduceEngine):
     """The shuffle as it was: each pair routed and priced on its own (the
-    value by ``str()``), then each reducer's key groups reduced one by one."""
+    value by ``str()``), then each reducer's key groups reduced one by one,
+    and the output's widths and sizes measured from its records."""
 
     def _shuffle(self, job, map_outputs):
         partitions = [{} for _ in range(job.num_reducers)]
         lane_bytes = {}
         for host, output in map_outputs:
-            for key, value in zip(output.keys, output.values):
+            row_sizes = output.row_sizes or [None] * len(output.keys)
+            for key, value, row_size in zip(output.keys, output.values, row_sizes):
                 reducer = self._partition_of(key, job.num_reducers)
-                partitions[reducer].setdefault(key, []).append(value)
+                partitions[reducer].setdefault(key, []).append((value, row_size))
                 lane = (host, reducer)
                 lane_bytes[lane] = (
                     lane_bytes.get(lane, 0)
@@ -85,13 +90,21 @@ class PerPairEngine(MapReduceEngine):
         for partition in partitions:
             reduced = []
             for key in sorted(partition, key=_sortable):
-                values = partition[key]
+                values, row_sizes = map(list, zip(*partition[key]))
                 sizes = [by_value_byte_size([value]) for value in values]
-                reduced.extend(job.reduce_fn([key] * len(values), values, sizes)[0])
+                if None in row_sizes:
+                    row_sizes = None
+                output = job.reduce_fn([key] * len(values), values, sizes, row_sizes)
+                reduced.extend(output.records)
             inputs = sum(map(len, partition.values()))
             seconds.append((inputs + len(reduced)) * self.config.reduce_cpu_per_record_s)
             records.extend(reduced)
-        return records, text_widths(records), parallel_duration(*seconds)
+        return (
+            records,
+            text_widths(records),
+            record_sizes(records),
+            parallel_duration(*seconds),
+        )
 
 
 @pytest.fixture
@@ -109,36 +122,47 @@ def transfers(monkeypatch):
 
 @pytest.fixture
 def measured(monkeypatch):
-    """How many row texts have been measured."""
-    rows = [0]
-    original = batch_module.text_widths
+    """How often row texts, rows' typed sizes and whole record lists have
+    been measured."""
+    counts = {}
 
-    def counting(batch_rows):
-        rows[0] += len(batch_rows)
-        return original(batch_rows)
+    def count_calls(module, name):
+        original = getattr(module, name)
+        counts[name] = 0
 
-    monkeypatch.setattr(batch_module, "text_widths", counting)
-    return rows
+        def counting(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+
+    count_calls(batch_module, "text_widths")
+    count_calls(batch_module, "row_sizes")
+    count_calls(engine_module, "records_byte_size")
+    return counts
 
 
 class TestRowsAreMeasuredOnce:
     def test_a_warm_q5_on_mapreduce_measures_no_row(self, measured):
         net = build_network()
         cold = net.execute(Q5(), engine="mapreduce")
-        assert measured[0] > 0
-        before = measured[0]
+        assert measured["text_widths"] > 0 and measured["row_sizes"] > 0
+        before = dict(measured)
         warm = net.execute(Q5(), engine="mapreduce")
-        assert measured[0] == before
+        assert measured == before
         assert warm.records == cold.records
+        # Q5's three stage files are priced by their rows' carried sizes.
+        assert measured["records_byte_size"] == 0
 
     def test_a_warm_q5_on_hadoopdb_measures_no_row(self, measured):
         cluster = build_cluster()
         cold = cluster.execute(Q5())
-        assert measured[0] > 0
-        before = measured[0]
+        assert measured["text_widths"] > 0 and measured["row_sizes"] > 0
+        before = dict(measured)
         warm = cluster.execute(Q5())
-        assert measured[0] == before
+        assert measured == before
         assert warm.records == cold.records
+        assert measured["records_byte_size"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(QUERIES))

@@ -6,9 +6,10 @@ rows-shaped door, :func:`value_sizes` / :func:`record_sizes` its per-value
 form, and the MapReduce shuffle prices each ``(mapper host, reducer)`` lane
 as ``wire_size(keys) + sum(sizes)``.  A join's ``(tag, row)`` is priced from
 the row's text width, measured once per batch and summed through joins by
-the tuple-text identity.  The loops those replaced live on here as the
-oracles: the per-value record price, ``len(str(row))`` and the per-pair
-shuffle.  Batching may change speed only — never a byte, a transfer, its
+the tuple-text identity; a row's typed size (what a stage file is priced
+by) is likewise priced once per batch and summed through joins.  The loops
+those replaced live on here as the oracles: the per-value record price,
+``len(str(row))`` and the per-pair shuffle.  Batching may change speed only — never a byte, a transfer, its
 order, or an output row.
 """
 
@@ -219,21 +220,26 @@ class TestRowWidths:
         st.integers(min_value=0, max_value=4),
     )
     def test_the_join_reducer_derives_every_output_width(self, inputs, nl, nr):
-        """Its rows are each group's lefts x rights, its widths their texts."""
+        """Its rows are each group's lefts x rights, its widths their texts
+        and its sizes their typed prices."""
         tagged = [
             (tag, (key,) + (row + (None,) * 4)[: (nl if tag == "L" else nr)])
             for tag, key, row in inputs
         ]
         keys = [row[0] for _, row in tagged]
-        sizes = [width + TAGGED_ROW_BYTES for width in text_widths([r for _, r in tagged])]
-        rows, widths = _join_reduce(None, nl + 1, nr + 1)(keys, tagged, sizes)
-        assert rows == [
+        halves = [row for _, row in tagged]
+        sizes = [width + TAGGED_ROW_BYTES for width in text_widths(halves)]
+        output = _join_reduce(None, nl + 1, nr + 1)(
+            keys, tagged, sizes, [by_value_byte_size([row]) for row in halves]
+        )
+        assert output.records == [
             left + right
             for key in sorted(dict.fromkeys(keys), key=_sortable)
             for tag, left in tagged if tag == "L" and left[0] == key
             for other, right in tagged if other == "R" and right[0] == key
         ]
-        assert widths == text_widths(rows)
+        assert output.widths == text_widths(output.records)
+        assert output.sizes == [by_value_byte_size([row]) for row in output.records]
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -242,10 +248,11 @@ class TestRowWidths:
     )
     def test_a_lane_priced_from_sizes_is_its_pairs_price(self, tag, keyed):
         rows = [(key,) + row for key, row in keyed]
-        data = SplitData(rows, widths=text_widths(rows), tag=tag)
+        data = SplitData(rows, widths=text_widths(rows), tag=tag, sizes=record_sizes(rows))
         output = _join_map(0, 0)(data)
         assert output.values == [(tag, row) for row in rows if row[0] is not None]
         assert output.keys == [value[1][0] for value in output.values]
+        assert output.row_sizes == record_sizes([row for _, row in output.values])
         lane_price = wire_size(output.keys) + sum(output.sizes)
         assert sum(output.sizes) == records_byte_size(output.values)
         assert lane_price == sum(
@@ -272,6 +279,49 @@ class TestRowWidths:
             vector.extend(column[count:] * grown)  # the owner inserts later
         assert batch.widths == text_widths(rows[:count])
         assert batch.widths is batch.widths  # measured once
+        assert batch.sizes == record_sizes(rows[:count])
+        assert batch.sizes is batch.sizes  # priced once
+
+
+# ----------------------------------------------------------------------
+# Row typed sizes: priced once per batch, summed through joins
+# ----------------------------------------------------------------------
+class TestRowSizes:
+    @settings(max_examples=400, deadline=None)
+    @given(FLAT_ROWS)
+    def test_a_batchs_row_sizes_are_its_price_row_by_row(self, rows):
+        width = len(rows[0]) if rows else 3
+        names = [f"c{k}" for k in range(width)]
+        by_rows = ColumnBatch.from_rows(names, rows)
+        by_vectors = ColumnBatch(names, [list(v) for v in zip(*rows)] or [[]] * width, len(rows))
+        for batch in (by_rows, by_vectors):
+            assert batch.sizes == record_sizes(batch.rows)
+            assert batch.sizes == [by_value_byte_size([row]) for row in rows]
+            assert sum(batch.sizes) == batch.byte_size
+
+    def test_nulls_text_dates_mixed_and_empty_batches(self):
+        batch = ColumnBatch(
+            ["n", "t", "d", "m"],
+            [
+                [None, 1, None],
+                ["ab", None, ""],
+                ["1995-03-15", "1996-01-02", None],
+                [3, "x", 2.5],  # numbers and text in one column
+            ],
+            3,
+        )
+        assert batch.sizes == [1 + 6 + 14 + 8, 8 + 1 + 14 + 5, 1 + 4 + 1 + 8]
+        assert sum(batch.sizes) == batch.byte_size
+        assert ColumnBatch.from_rows([], [(), ()]).sizes == [0, 0]
+        assert ColumnBatch(["a"], [[]], 0).sizes == []
+        assert ColumnBatch.from_rows(["a"], []).sizes == []
+
+    @settings(max_examples=400, deadline=None)
+    @given(ROWS, ROWS)
+    def test_a_joined_rows_size_is_its_halves_summed(self, left, right):
+        (joined,) = record_sizes([left + right])
+        assert joined == sum(record_sizes([left, right]))
+        assert joined == by_value_byte_size([left + right])
 
 
 def respelled(key):
