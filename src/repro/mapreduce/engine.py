@@ -177,15 +177,16 @@ class MapReduceEngine:
     def _shuffle(self, job: MapReduceJob, map_outputs):
         """Route every map output to its reducer over the network.
 
-        Returns each reducer's input — ``[keys, values, sizes, row_sizes]``
-        in arrival order: split by split, position by position; row sizes
-        only if every map gave them, else None — the bytes shipped and the
-        phase duration.  One wire transfer per non-empty (mapper host,
-        reducer) lane, priced ``wire_size(keys) + sum(sizes)``.
+        Returns each reducer's input — ``[keys, values, sizes, row_sizes,
+        runs]`` in arrival order: split by split, position by position; row
+        sizes only if every map gave them, else None; one ``(side, count)``
+        run per map output routed there — the bytes shipped and the phase
+        duration.  One wire transfer per non-empty (mapper host, reducer)
+        lane, priced ``wire_size(keys) + sum(sizes)``.
         """
         reducers = range(job.num_reducers)
         carried = all(output.row_sizes is not None for _, output in map_outputs)
-        inputs = [[[], [], [], [] if carried else None] for _ in reducers]
+        inputs = [[[], [], [], [] if carried else None, []] for _ in reducers]
         # Keys repeat (both join sides, every row of a group): hash each
         # distinct key once.  Equal keys share an entry, which is exact
         # because ``_partition_of`` sends equal keys to one reducer.
@@ -210,8 +211,10 @@ class MapReduceEngine:
                 routed = [
                     list(map(vector.__getitem__, positions)) for vector in vectors
                 ]
-                for into, part in zip(inputs[reducer], routed):
+                reducer_input = inputs[reducer]
+                for into, part in zip(reducer_input, routed):
                     into.extend(part)
+                reducer_input[4].append((output.side, len(positions)))
                 lane_keys, lane_sizes = host_lanes[reducer]
                 lane_keys.extend(routed[0])
                 lane_sizes.extend(routed[2])

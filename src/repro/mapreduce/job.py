@@ -1,8 +1,10 @@
 """MapReduce job specifications and results.
 
 A job maps whole splits and reduces whole reducer inputs.  A split's map
-returns its key vector, its values and each value's wire size; a reducer
-receives everything routed to it, in arrival order, and groups it with
+returns its key vector, its values, each value's wire size and, in a job
+that reads several inputs, the one side all its values belong to; a reducer
+receives everything routed to it, in arrival order, with each routed map
+output's side as a ``(side, count)`` run, and groups it with
 :func:`key_groups`.  A reducer that knows its output records' text widths
 and typed sizes hands them on (:class:`ReduceOutput`), so the stage file
 they are written to is priced by a sum, not measured again.  Jobs written
@@ -45,13 +47,17 @@ class MapOutput:
     value's wire size (a map-only job ships nothing and may omit them).
 
     ``row_sizes``, when every map of a job gives them, travel with the
-    values to the reducer unpriced: a join's values carry rows, and a
-    reducer that knows its inputs' typed sizes derives its outputs'."""
+    values to the reducer unpriced: a join's values are rows, and a
+    reducer that knows its inputs' typed sizes derives its outputs'.
+    ``side`` names the input every value came from (a reduce-side join's
+    ``"L"`` or ``"R"``): it travels once per map output, as the reducer's
+    runs, never once per value."""
 
     keys: List[object]
     values: List[object]
     sizes: Optional[List[int]] = None
     row_sizes: Optional[List[int]] = None
+    side: Optional[str] = None
 
 
 @dataclass
@@ -66,10 +72,14 @@ class ReduceOutput:
 
 # A map function turns one whole split into its map output.
 MapFn = Callable[[SplitData], MapOutput]
+# One reducer's input, map output by map output: ``(side, count)`` per
+# routed output, so its values are the input's next ``count`` values.
+Runs = List[Tuple[Optional[str], int]]
 # A reduce function turns one reducer's input — keys, values, sizes and the
-# maps' row sizes (or None) in arrival order — into its output.
+# maps' row sizes (or None) in arrival order, and the runs naming their
+# sides — into its output.
 ReduceFn = Callable[
-    [List[object], List[object], List[int], Optional[List[int]]],
+    [List[object], List[object], List[int], Optional[List[int]], Runs],
     ReduceOutput,
 ]
 
@@ -131,7 +141,7 @@ class MapReduceJob:
             sizes = None if reduce_fn is None else record_sizes(values)
             return MapOutput(keys, values, sizes)
 
-        def reduce_groups(keys, values, sizes, row_sizes):
+        def reduce_groups(keys, values, sizes, row_sizes, runs):
             records: List[object] = []
             for key, positions in key_groups(keys):
                 records.extend(reduce_fn(key, [values[p] for p in positions]))

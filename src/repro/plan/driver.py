@@ -13,10 +13,11 @@ and :func:`finalize_records`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count, repeat
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import MapReduceError
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import (
     InputSplit,
@@ -48,8 +49,9 @@ from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.planner import order_resolvable
 from repro.sqlengine.vexecutor import lower_aggregate, lower_filter, lower_values
 
-#: A join shuffles ``(tag, row)``, priced as a record: the one-letter tag
-#: (1 + 4 bytes) plus the row as one value, its text plus 4.
+#: A join shuffles a row of one side, priced as the record ``(tag, row)``:
+#: the one-letter tag (1 + 4 bytes) plus the row as one value, its text
+#: plus 4.
 TAGGED_ROW_BYTES = 9
 
 
@@ -263,7 +265,7 @@ class DistributedPlanDriver:
             sizes = record_sizes(rows) if data.sizes is None else data.sizes
             return MapOutput(keys, rows, sizes)
 
-        def reduce_input(keys, rows, sizes, row_sizes):
+        def reduce_input(keys, rows, sizes, row_sizes, runs):
             arranged = [
                 rows[position]
                 for _, positions in key_groups(keys)
@@ -339,22 +341,22 @@ def _stage_path(query_id: str, stage_index: int) -> str:
 
 def _join_map(left_key: int, right_key: int):
     """A join stage's map over one split: key every row by its side's join
-    column, drop NULL keys, price each ``(tag, row)`` from the row's known
-    width, and hand the row's known typed size on to the reducer."""
+    column, drop NULL keys, price each row as its ``(tag, row)`` from the
+    row's known width, and hand the rows, their known typed sizes and
+    their side on to the reducer."""
 
     def map_split(data: SplitData) -> MapOutput:
         tag, rows = data.tag, data.records
         keys = list(map(itemgetter(left_key if tag == "L" else right_key), rows))
-        values = [(tag, row) for row in rows]
-        sizes = [width + TAGGED_ROW_BYTES for width in data.widths]
+        sizes = list(map(TAGGED_ROW_BYTES.__add__, data.widths))
         row_sizes = data.sizes
         if None in keys:
             kept = [key is not None for key in keys]
-            keys, values, sizes, row_sizes = (
+            keys, rows, sizes, row_sizes = (
                 list(compress(vector, kept))
-                for vector in (keys, values, sizes, row_sizes)
+                for vector in (keys, rows, sizes, row_sizes)
             )
-        return MapOutput(keys, values, sizes, row_sizes)
+        return MapOutput(keys, rows, sizes, row_sizes, tag)
 
     return map_split
 
@@ -365,38 +367,56 @@ def _join_reduce(residual, left_width: int, right_width: int):
     Key groups in merge-sort order, each group's lefts x rights in arrival
     order, then the residual over all of those pairs in that same order —
     so the rows, and the first error, are those of joining group by group.
-    The residual reads the pairs' halves in place; only the pairs it keeps
-    are concatenated.  A joined row's width is its halves' plus
-    :func:`concat_text_offset`, its typed size its halves' summed.
+    Each side is cut out of the input by its runs (in any order) and
+    grouped on its own: a side of distinct keys is one dict, only a side
+    with duplicate keys buckets its positions.  The residual reads the
+    pairs' halves in place; only the pairs it keeps are concatenated.  A
+    joined row's width is its halves' plus :func:`concat_text_offset`, its
+    typed size its halves' summed.
     """
     # sizes are widths + TAGGED_ROW_BYTES, one such on each side
     offset = concat_text_offset(left_width, right_width) - 2 * TAGGED_ROW_BYTES
 
-    def reduce_input(keys, tagged, sizes, row_sizes):
-        lefts_of: Dict[object, List[int]] = {}
-        rights_of: Dict[object, List[int]] = {}
-        for position, key, (tag, _) in zip(count(), keys, tagged):
-            groups = lefts_of if tag == "L" else rights_of
-            bucket = groups.get(key)
-            if bucket is None:
-                groups[key] = [position]
-            else:
-                bucket.append(position)
-        pair_lefts: List[int] = []
-        pair_rights: List[int] = []
-        for key in key_order(keys):
-            lefts, rights = lefts_of.get(key), rights_of.get(key)
-            if lefts and rights:
-                pair_rights.extend(rights * len(lefts))
+    def reduce_input(keys, rows, sizes, row_sizes, runs):
+        vectors = (keys, rows, sizes, row_sizes)
+        left_keys, left_rows, left_sizes, left_row_sizes = _side(runs, "L", vectors)
+        right_keys, right_rows, right_sizes, right_row_sizes = _side(
+            runs, "R", vectors
+        )
+        # every key once, named by its first-seen object, as key_order does
+        named = dict.fromkeys(keys)
+        lefts_of, left_distinct = _positions_by_key(left_keys, len(named))
+        rights_of, right_distinct = _positions_by_key(right_keys, len(named))
+        # the keys both sides have, in key_order's order of all keys
+        order = key_order(
+            filter(rights_of.__contains__, filter(lefts_of.__contains__, named))
+        )
+        lefts = list(map(lefts_of.__getitem__, order))
+        rights = list(map(rights_of.__getitem__, order))
+        if left_distinct and right_distinct:
+            pair_lefts, pair_rights = lefts, rights
+        elif left_distinct:
+            pair_rights = list(chain.from_iterable(rights))
+            pair_lefts = list(_repeated(lefts, rights))
+        elif right_distinct:
+            pair_lefts = list(chain.from_iterable(lefts))
+            pair_rights = list(_repeated(rights, lefts))
+        else:
+            pair_lefts, pair_rights = [], []
+            for group_lefts, group_rights in zip(lefts, rights):
+                pair_rights.extend(group_rights * len(group_lefts))
                 pair_lefts.extend(
-                    lefts if len(rights) == 1 else [p for p in lefts for _ in rights]
+                    group_lefts
+                    if len(group_rights) == 1
+                    else [p for p in group_lefts for _ in group_rights]
                 )
-        row_of = list(map(itemgetter(1), tagged)).__getitem__
         if residual is not None:
+            left_halves = list(map(left_rows.__getitem__, pair_lefts))
+            right_halves = list(map(right_rows.__getitem__, pair_rights))
             halves = LazyColumns(
                 [
-                    (left_width, None, list(map(row_of, pair_lefts)), False),
-                    (right_width, None, list(map(row_of, pair_rights)), False),
+                    (left_width, None, left_halves, False),
+                    (right_width, None, right_halves, False),
                 ]
             )
             kept = residual(halves, len(pair_lefts))
@@ -404,19 +424,71 @@ def _join_reduce(residual, left_width: int, right_width: int):
                 list(map(vector.__getitem__, kept))
                 for vector in (pair_lefts, pair_rights)
             )
-        rows = list(map(add, map(row_of, pair_lefts), map(row_of, pair_rights)))
-        widths = [
-            sizes[left] + sizes[right] + offset
-            for left, right in zip(pair_lefts, pair_rights)
-        ]
-        size_of = row_sizes.__getitem__
+
+        def joined(left_vector, right_vector):
+            return map(
+                add,
+                map(left_vector.__getitem__, pair_lefts),
+                map(right_vector.__getitem__, pair_rights),
+            )
+
         return ReduceOutput(
-            rows,
-            widths,
-            list(map(add, map(size_of, pair_lefts), map(size_of, pair_rights))),
+            list(joined(left_rows, right_rows)),
+            list(map(offset.__add__, joined(left_sizes, right_sizes))),
+            list(joined(left_row_sizes, right_row_sizes)),
         )
 
     return reduce_input
+
+
+def _repeated(positions: List[int], groups: List[List[int]]):
+    """Each of ``positions`` once per member of its group."""
+    return chain.from_iterable(map(repeat, positions, map(len, groups)))
+
+
+def _side(runs, side: str, vectors) -> List[list]:
+    """Each of ``vectors`` cut down to the values of the runs naming
+    ``side``, in arrival order; a run of neither side is refused."""
+    spans: List[List[int]] = []
+    start = 0
+    for tag, length in runs:
+        if tag not in ("L", "R"):
+            raise MapReduceError(
+                f"a join input's side must be 'L' or 'R', not {tag!r}"
+            )
+        if tag == side:
+            if spans and spans[-1][1] == start:
+                spans[-1][1] += length
+            else:
+                spans.append([start, start + length])
+        start += length
+    if len(spans) == 1:
+        (start, stop), = spans
+        return [vector[start:stop] for vector in vectors]
+    return [
+        list(chain.from_iterable(vector[start:stop] for start, stop in spans))
+        for vector in vectors
+    ]
+
+
+def _positions_by_key(keys: List[object], most_distinct: int):
+    """``(key -> positions, distinct)``: where every key is distinct (so
+    1, 1.0 and True, which are one key, at most once) the map is one dict
+    of ``key -> position``; otherwise ``key -> [positions]``.  More keys
+    than ``most_distinct`` (how many distinct keys there can be) are not
+    distinct, so only fewer are tried as one dict."""
+    if len(keys) <= most_distinct:
+        index = dict(zip(keys, count()))
+        if len(index) == len(keys):
+            return index, True
+    groups: Dict[object, List[int]] = {}
+    for position, key in enumerate(keys):
+        bucket = groups.get(key)
+        if bucket is None:
+            groups[key] = [position]
+        else:
+            bucket.append(position)
+    return groups, False
 
 
 def aggregate_rows(

@@ -122,15 +122,20 @@ class _CachedPlan:
     """One plan-cache entry: the catalogue state it was made under, the plan
     (``None`` when the entry only remembers a shipped plan's result), whether
     :meth:`Database.prepare` may hand the plan out, and the last
-    ``(plan, batch, stats)`` run under that state."""
+    :data:`RESULTS` ``(plan, batch, stats)`` runs under that state, oldest
+    first — two, so a text's shipped plan and its local plan, run in turn,
+    each replay."""
 
-    __slots__ = ("state", "plan", "shareable", "result")
+    __slots__ = ("state", "plan", "shareable", "results")
+
+    #: How many plans' results an entry remembers.
+    RESULTS = 2
 
     def __init__(self, state: tuple, plan: object, shareable: bool) -> None:
         self.state = state
         self.plan = plan
         self.shareable = shareable
-        self.result: Optional[Tuple[object, ColumnBatch, ExecStats]] = None
+        self.results: List[Tuple[object, ColumnBatch, ExecStats]] = []
 
 
 class Database:
@@ -140,9 +145,9 @@ class Database:
     and the catalogue state (every table object and its mutation counter),
     so any DDL/insert/delete invalidates affected entries without explicit
     hooks; plans do not depend on the execution mode.  An entry also keeps
-    its plan's last result: a SELECT repeated against an unchanged catalogue
-    — same plan object, same table objects, same versions, same mode —
-    replays the immutable batch and a fresh copy of its :class:`ExecStats`
+    its last two plans' results: a SELECT repeated against an unchanged
+    catalogue — same plan object, same table objects, same versions, same
+    mode — replays the immutable batch and a fresh copy of its :class:`ExecStats`
     instead of running the kernels again, so callers charge the same
     simulated cost either way.  ``execution_mode`` selects
     one of :data:`EXECUTION_MODES`: ``"vectorized"`` (the default, and what
@@ -187,7 +192,7 @@ class Database:
             )
         self._execution_mode = mode
         for entry in self._plan_cache.values():
-            entry.result = None
+            entry.results.clear()
 
     # ------------------------------------------------------------------
     # Catalogue
@@ -286,13 +291,15 @@ class Database:
 
     def _run_cached(self, entry: _CachedPlan, plan: object) -> QueryResult:
         """Run ``plan`` under ``entry``'s current catalogue state, or replay
-        the entry's last result when it was this very plan's.  Only results
+        the result the entry remembers for this very plan; a new result
+        evicts the oldest beyond :attr:`_CachedPlan.RESULTS`.  Only results
         are remembered: a plan that raises raises again next time."""
-        if entry.result is not None and entry.result[0] is plan:
-            _, batch, stats = entry.result
-            return QueryResult(batch, dataclasses.replace(stats))
+        for remembered, batch, stats in entry.results:
+            if remembered is plan:
+                return QueryResult(batch, dataclasses.replace(stats))
         result = self._run_plan(plan)
-        entry.result = (plan, result.batch, dataclasses.replace(result.stats))
+        entry.results.append((plan, result.batch, dataclasses.replace(result.stats)))
+        del entry.results[: -_CachedPlan.RESULTS]
         return result
 
     def _run_plan(self, plan: object) -> QueryResult:

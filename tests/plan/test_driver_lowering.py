@@ -11,6 +11,7 @@ BestPeer++'s MapReduce engine alike.
 """
 
 from functools import partial
+from itertools import groupby
 
 import pytest
 
@@ -102,27 +103,33 @@ def checked_write(write, written):
 
 
 def reducer_groups(outputs):
-    """The job's map outputs grouped: key -> (values, sizes, row sizes),
-    in map order (row sizes None where the maps gave none)."""
+    """The job's map outputs grouped: key -> (each value's side, values,
+    sizes, row sizes), in map order (row sizes None where the maps gave
+    none)."""
     groups = {}
     for output in outputs:
         row_sizes = output.row_sizes or [None] * len(output.keys)
         for key, value, size, row_size in zip(
             output.keys, output.values, output.sizes, row_sizes
         ):
-            values, sizes, sizes_of_rows = groups.setdefault(key, ([], [], []))
+            sides, values, sizes, sizes_of_rows = groups.setdefault(
+                key, ([], [], [], [])
+            )
+            sides.append(output.side)
             values.append(value)
             sizes.append(size)
             sizes_of_rows.append(row_size)
     return {
-        key: (values, sizes, None if None in row_sizes else row_sizes)
-        for key, (values, sizes, row_sizes) in groups.items()
+        key: (sides, values, sizes, None if None in row_sizes else row_sizes)
+        for key, (sides, values, sizes, row_sizes) in groups.items()
     }
 
 
-def reduce_one_group(job, key, values, sizes, row_sizes=None):
-    """The job's reducer run over one key group alone."""
-    return job.reduce_fn([key] * len(values), values, sizes, row_sizes)
+def reduce_one_group(job, key, sides, values, sizes, row_sizes=None):
+    """The job's reducer run over one key group alone, its values' sides
+    as runs."""
+    runs = [(side, len(list(run))) for side, run in groupby(sides)]
+    return job.reduce_fn([key] * len(values), values, sizes, row_sizes, runs)
 
 
 def outcome_of(thunk):
@@ -147,11 +154,13 @@ def check_against_interpreter(plan, jobs):
     for stage, (job, outputs) in zip(plan.joins, jobs):
         columns = columns + stage.right.columns
         layout = RowLayout(columns)
-        for key, (tagged_rows, sizes, row_sizes) in reducer_groups(outputs).items():
+        for key, (tags, rows, sizes, row_sizes) in reducer_groups(outputs).items():
             assert key is not None
-            assert row_sizes == record_sizes([row for _, row in tagged_rows])
+            assert row_sizes == record_sizes(rows)
+            # a row shipped without its tag is priced as its (tag, row)
+            assert sizes == record_sizes(list(zip(tags, rows)))
 
-            def interpreted(tagged_rows=tagged_rows):
+            def interpreted(tagged_rows=list(zip(tags, rows))):
                 lefts = [row for tag, row in tagged_rows if tag == "L"]
                 rights = [row for tag, row in tagged_rows if tag == "R"]
                 return [
@@ -162,7 +171,7 @@ def check_against_interpreter(plan, jobs):
                     or stage.residual.evaluate(left + right, layout) is True
                 ]
 
-            def lowered(key=key, inputs=(tagged_rows, sizes, row_sizes)):
+            def lowered(key=key, inputs=(tags, rows, sizes, row_sizes)):
                 output = reduce_one_group(job, key, *inputs)
                 assert output.widths == text_widths(output.records)
                 assert output.sizes == record_sizes(output.records)
@@ -171,12 +180,12 @@ def check_against_interpreter(plan, jobs):
             want = outcome_of(interpreted)
             assert outcome_of(lowered) == want
             if stage.residual is not None and isinstance(want, list):
-                tags = [tag for tag, _ in tagged_rows]
                 rejected += tags.count("L") * tags.count("R") - len(want)
     if plan.aggregate is not None and plan.joins:
         job, outputs = jobs[len(plan.joins)]
         layout = RowLayout(plan.columns_after_joins)
-        for key, (rows, sizes, row_sizes) in reducer_groups(outputs).items():
+        for key, (sides, rows, sizes, row_sizes) in reducer_groups(outputs).items():
+            assert set(sides) == {None}
             for row in rows:
                 assert key == tuple(
                     expr.evaluate(row, layout)
@@ -184,7 +193,7 @@ def check_against_interpreter(plan, jobs):
                 )
             # The map read the sizes stored beside the last stage's rows.
             assert sizes == record_sizes(rows) and row_sizes is None
-            assert reduce_one_group(job, key, rows, sizes) == ReduceOutput(
+            assert reduce_one_group(job, key, sides, rows, sizes) == ReduceOutput(
                 [key + interpreted_aggregates(plan.aggregate.aggregates, rows, layout)]
             )
     return rejected

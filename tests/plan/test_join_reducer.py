@@ -1,21 +1,34 @@
 """The join reducer's semantics: residual before concatenation, key order.
 
-A join stage's reducer pairs each key group's lefts with its rights in
-merge-sort key order and runs the stage's residual over the pairs' halves,
-concatenating only the pairs it keeps.  The oracle here is the reducer as
-it was: concatenate every pair, then filter the joined rows.  Rows, widths,
-sizes and the first error must be the same.  ``key_order`` sorts keys of
-one type by ``repr`` alone; the oracle is the ``_sortable`` sort.
+A join stage's reducer gets its input's rows with their sides as
+``(side, count)`` runs, in any order.  It groups each side on its own (a
+side of distinct keys as one dict), pairs each key group's lefts with its
+rights in merge-sort key order and runs the stage's residual over the
+pairs' halves, concatenating only the pairs it keeps.  The oracle here is
+the reducer as it was: ``(tag, row)`` pairs, every pair concatenated, then
+the joined rows filtered.  Rows, widths, sizes and the first error must be
+the same.  ``key_order`` sorts keys of one type by ``repr`` alone; the
+oracle is the ``_sortable`` sort.
 """
+
+from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import SqlExecutionError
+from repro.errors import MapReduceError, SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
+from repro.mapreduce import InputSplit, MapReduceEngine, MapReduceJob, SplitData
 from repro.mapreduce.job import _sortable, key_order, record_sizes
-from repro.plan.driver import TAGGED_ROW_BYTES, _join_reduce, lower_join_stage
+from repro.plan.driver import (
+    TAGGED_ROW_BYTES,
+    _join_map,
+    _join_reduce,
+    _positions_by_key,
+    lower_join_stage,
+)
 from repro.plan.sms import SmsPlanner
+from repro.sim import SimNetwork
 from repro.sqlengine import Column, ColumnType, TableSchema
 from repro.sqlengine.batch import LazyColumns, text_widths
 
@@ -35,7 +48,8 @@ def lowered_stage(sql):
 
 
 def concatenate_then_filter(residual, keys, tagged, width):
-    """Every pair joined, in key order and lefts x rights, then filtered."""
+    """Every ``(tag, row)`` pair joined, in key order and lefts x rights,
+    then filtered."""
     rows = [
         left + right
         for key in sorted(dict.fromkeys(keys), key=_sortable)
@@ -53,48 +67,166 @@ def outcome(thunk):
         return str(error)
 
 
-A_ROWS = st.tuples(
-    st.integers(0, 3),
-    st.sampled_from([0.0, 1.0, 2.5, None]),
-    st.sampled_from([None, None, "x"]),
+#: Join keys, with equal keys of different types: 0/False, 1/1.0/True and
+#: 2/2.0 are one key each.
+JOIN_KEYS = [0, False, 1, 1.0, True, 2, 2.0, 3]
+EQUAL_KEYS = {0: [0, False], 1: [1, 1.0, True], 2: [2, 2.0], 3: [3]}
+#: One side's keys: none, all distinct (so at most one of 1, 1.0 and True),
+#: or with a duplicate, which may be an equal key of another type.
+SIDE_KEYS = st.one_of(
+    st.just([]),
+    st.lists(st.sampled_from(JOIN_KEYS), min_size=1, max_size=6, unique=True),
+    st.lists(st.sampled_from(JOIN_KEYS), min_size=1, max_size=6).flatmap(
+        lambda keys: st.sampled_from(EQUAL_KEYS[keys[0]]).map(
+            lambda twin: keys + [twin]
+        )
+    ),
 )
-B_ROWS = st.tuples(st.integers(0, 3), st.sampled_from([0.0, 1.0, 4.0, None]))
+A_TAILS = st.tuples(
+    st.sampled_from([0.0, 1.0, 2.5, None]), st.sampled_from([None, None, "x"])
+)
+B_TAILS = st.tuples(st.sampled_from([0.0, 1.0, 4.0, None]))
+
+
+@st.composite
+def tagged_inputs(draw):
+    """A reducer's input as ``(tag, row)`` pairs, the sides interleaved."""
+    tagged = [
+        ("L", (key,) + draw(A_TAILS)) for key in draw(SIDE_KEYS)
+    ] + [("R", (key,) + draw(B_TAILS)) for key in draw(SIDE_KEYS)]
+    order = draw(st.permutations(range(len(tagged))))
+    return [tagged[position] for position in order]
+
+
+PREDICATES = [
+    # rows raise different errors: division by zero where w is 0, text
+    # arithmetic where s is set
+    "a.v / b.w + a.s > 1",
+    "a.v > b.w",
+    "a.v * 0 > b.w + 100",  # rejects every pair
+]
+
+
+def reduce_and_oracle(tagged, predicate):
+    """(the reducer's outcome, the oracle's) over ``tagged``, the reducer
+    given the rows and one run per stretch of one side."""
+    left_key, right_key, columns, residual = lowered_stage(
+        f"SELECT a.id FROM a, b WHERE a.id = b.fid AND {predicate}"
+    )
+    keys = [row[left_key if tag == "L" else right_key] for tag, row in tagged]
+    rows = [row for _, row in tagged]
+    sizes = [width + TAGGED_ROW_BYTES for width in text_widths(rows)]
+    runs = [(tag, len(list(run))) for tag, run in groupby(tag for tag, _ in tagged)]
+    reduce_input = _join_reduce(residual, 3, 2)
+    got = outcome(lambda: reduce_input(keys, rows, sizes, record_sizes(rows), runs))
+    want = outcome(lambda: concatenate_then_filter(residual, keys, tagged, len(columns)))
+    return got, want
+
+
+def assert_same(got, want):
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert got.records == want
+        assert got.widths == text_widths(want)
+        assert got.sizes == record_sizes(want)
 
 
 class TestResidualBeforeConcatenation:
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.lists(st.one_of(
-            A_ROWS.map(lambda row: ("L", row)), B_ROWS.map(lambda row: ("R", row))
-        ), max_size=14),
-        st.sampled_from([
-            # rows raise different errors: division by zero where w is 0,
-            # text arithmetic where s is set
-            "a.v / b.w + a.s > 1",
-            "a.v > b.w",
-            "a.v * 0 > b.w + 100",  # rejects every pair
-        ]),
-    )
+    @given(tagged_inputs(), st.sampled_from(PREDICATES))
     def test_same_rows_and_first_error_as_filtering_joined_rows(self, tagged, predicate):
-        left_key, right_key, columns, residual = lowered_stage(
-            f"SELECT a.id FROM a, b WHERE a.id = b.fid AND {predicate}"
-        )
-        keys = [row[left_key if tag == "L" else right_key] for tag, row in tagged]
-        halves = [row for _, row in tagged]
-        sizes = [width + TAGGED_ROW_BYTES for width in text_widths(halves)]
-        reduce_input = _join_reduce(residual, 3, 2)
-        got = outcome(
-            lambda: reduce_input(keys, tagged, sizes, record_sizes(halves))
-        )
-        want = outcome(
-            lambda: concatenate_then_filter(residual, keys, tagged, len(columns))
-        )
-        if isinstance(want, str):
-            assert got == want
-        else:
-            assert got.records == want
-            assert got.widths == text_widths(want)
-            assert got.sizes == record_sizes(want)
+        assert_same(*reduce_and_oracle(tagged, predicate))
+
+    @pytest.mark.parametrize("predicate", PREDICATES)
+    @pytest.mark.parametrize("left, right", [
+        ([1, 2, 3], [2, 1, 2, 1]),  # unique left
+        ([2, 1, 2, 1], [1, 2, 3]),  # unique right
+        ([3, 1, 2], [2, 3, 0]),  # both unique
+        ([1, 2, 1, 2], [2, 2, 1]),  # both duplicated
+        ([], [1, 2]),  # an empty side
+        ([1, 2], []),
+        ([1, 1.0, True], [True, 2]),  # 1, 1.0 and True are one key
+        ([True, 0], [1.0, False, 1]),
+    ])
+    def test_every_side_shape(self, left, right, predicate):
+        tails = [(1.0, None), (2.5, "x"), (0.0, None), (None, None)]
+        ws = [(0.0,), (1.0,), (4.0,), (None,)]
+        tagged = [("L", (k,) + tails[i % 4]) for i, k in enumerate(left)] + [
+            ("R", (k,) + ws[i % 4]) for i, k in enumerate(right)
+        ]
+        for order in (tagged, tagged[::-1], tagged[1::2] + tagged[::2]):
+            assert_same(*reduce_and_oracle(order, predicate))
+
+    @pytest.mark.parametrize("keys, distinct", [
+        ([], True),
+        ([3, 1, 2], True),
+        ([1, 1.0], False),  # equal keys of two types are not distinct
+        ([True, 2, 1], False),
+        ([0, False], False),
+        ([2, 2], False),
+    ])
+    def test_a_side_is_distinct_only_if_no_two_keys_are_equal(self, keys, distinct):
+        positions, found = _positions_by_key(keys, len(keys))
+        assert found is distinct
+        assert len(positions) == len(set(keys))
+
+
+def join_job(splits, num_reducers):
+    return MapReduceJob(
+        "join",
+        splits,
+        map_fn=_join_map(0, 0),
+        reduce_fn=_join_reduce(None, 2, 2),
+        num_reducers=num_reducers,
+    )
+
+
+def side_split(host, tag, rows):
+    return InputSplit(host, lambda: SplitData(
+        rows, widths=text_widths(rows), tag=tag, sizes=record_sizes(rows)
+    ))
+
+
+class TestRunsInAnyOrder:
+    """The shuffle hands a reducer left splits before right ones; the
+    reducer must not depend on it."""
+
+    def engine(self, hosts):
+        network = SimNetwork()
+        for host in hosts:
+            network.add_host(host)
+        return MapReduceEngine(hosts, network)
+
+    @pytest.mark.parametrize("num_reducers", [1, 2, 3])
+    def test_right_splits_listed_first_join_the_same(self, num_reducers):
+        hosts = ["w0", "w1"]
+        left = [(k % 5, f"l{k}") for k in range(12)]
+        right = [(k % 7, k * 0.5) for k in range(10)]
+        lefts = [side_split(h, "L", left[i::2]) for i, h in enumerate(hosts)]
+        rights = [side_split(h, "R", right[i::2]) for i, h in enumerate(hosts)]
+        results = [
+            self.engine(hosts).run_job(join_job(splits, num_reducers))
+            for splits in (
+                lefts + rights,
+                rights + lefts,  # every reducer's input opens with a right run
+                [rights[0], lefts[1], rights[1], lefts[0]],  # and alternates
+            )
+        ]
+        want = sorted(l + r for l in left for r in right if l[0] == r[0])
+        assert sorted(results[0].records) == want
+        # Within a side, arrival order is kept: only the third job, whose
+        # left splits arrive in another order, pairs in another order.
+        assert results[1].records == results[0].records
+        assert sorted(results[2].records) == want
+        for result in results:
+            assert result.bytes_shuffled == results[0].bytes_shuffled
+
+    def test_a_run_of_no_side_is_refused(self):
+        hosts = ["w0"]
+        split = InputSplit("w0", lambda: SplitData([(1, 2)], widths=[6], sizes=[16]))
+        with pytest.raises(MapReduceError, match="side"):
+            self.engine(hosts).run_job(join_job([split, split], 1))
 
 
 class TestStageFiles:

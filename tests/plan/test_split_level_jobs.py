@@ -8,13 +8,17 @@ engine run:
   on its owner's result batch: a warm second run of Q5 measures nothing,
   because owners replay their batches and join outputs derive their widths
   and sizes, and no stage file is priced by measuring its records;
-* the shuffle ships exactly what the per-pair shuffle shipped.  That
-  shuffle lives on here as the oracle engine: every pair routed, priced by
-  ``str()`` and reduced key group by key group, and every stage file
-  priced by measuring its records.  The ``(src, dst, nbytes)`` sequence of
+* the shuffle ships exactly what the per-pair shuffle shipped, although a
+  join's rows now travel without their tags (a map output names its side
+  once).  That shuffle lives on here as the oracle engine: every pair
+  routed, each join row rebuilt as ``(tag, row)`` and priced by ``str()``,
+  reduced key group by key group, and every stage file priced by measuring
+  its records.  The ``(src, dst, nbytes)`` sequence of
   every simulated transfer (HDFS writes included), the simulated seconds,
   the bytes and the rows must be identical.
 """
+
+from itertools import groupby
 
 import pytest
 
@@ -56,9 +60,15 @@ def build_cluster():
     return cluster
 
 
+def shipped(side, value):
+    """What the per-pair shuffle shipped: a join's row as ``(tag, row)``."""
+    return value if side is None else (side, value)
+
+
 class PerPairEngine(MapReduceEngine):
     """The shuffle as it was: each pair routed and priced on its own (the
-    value by ``str()``), then each reducer's key groups reduced one by one,
+    value, a join's row rebuilt as ``(tag, row)`` from its map output's
+    side, by ``str()``), then each reducer's key groups reduced one by one,
     and the output's widths and sizes measured from its records."""
 
     def _shuffle(self, job, map_outputs):
@@ -68,12 +78,14 @@ class PerPairEngine(MapReduceEngine):
             row_sizes = output.row_sizes or [None] * len(output.keys)
             for key, value, row_size in zip(output.keys, output.values, row_sizes):
                 reducer = self._partition_of(key, job.num_reducers)
-                partitions[reducer].setdefault(key, []).append((value, row_size))
+                partitions[reducer].setdefault(key, []).append(
+                    (output.side, value, row_size)
+                )
                 lane = (host, reducer)
                 lane_bytes[lane] = (
                     lane_bytes.get(lane, 0)
                     + value_byte_size(key)
-                    + by_value_byte_size([value])
+                    + by_value_byte_size([shipped(output.side, value)])
                 )
         seconds = [0.0] * job.num_reducers
         for (host, reducer), nbytes in sorted(lane_bytes.items()):
@@ -90,11 +102,17 @@ class PerPairEngine(MapReduceEngine):
         for partition in partitions:
             reduced = []
             for key in sorted(partition, key=_sortable):
-                values, row_sizes = map(list, zip(*partition[key]))
-                sizes = [by_value_byte_size([value]) for value in values]
+                sides, values, row_sizes = map(list, zip(*partition[key]))
+                sizes = [
+                    by_value_byte_size([shipped(side, value)])
+                    for side, value in zip(sides, values)
+                ]
                 if None in row_sizes:
                     row_sizes = None
-                output = job.reduce_fn([key] * len(values), values, sizes, row_sizes)
+                runs = [(side, len(list(run))) for side, run in groupby(sides)]
+                output = job.reduce_fn(
+                    [key] * len(values), values, sizes, row_sizes, runs
+                )
                 reduced.extend(output.records)
             inputs = sum(map(len, partition.values()))
             seconds.append((inputs + len(reduced)) * self.config.reduce_cpu_per_record_s)

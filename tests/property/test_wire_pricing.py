@@ -15,6 +15,7 @@ order, or an output row.
 
 import enum
 import zlib
+from itertools import groupby
 
 from hypothesis import given, settings, strategies as st
 
@@ -229,8 +230,9 @@ class TestRowWidths:
         keys = [row[0] for _, row in tagged]
         halves = [row for _, row in tagged]
         sizes = [width + TAGGED_ROW_BYTES for width in text_widths(halves)]
+        runs = [(tag, len(list(run))) for tag, run in groupby(t for t, _ in tagged)]
         output = _join_reduce(None, nl + 1, nr + 1)(
-            keys, tagged, sizes, [by_value_byte_size([row]) for row in halves]
+            keys, halves, sizes, [by_value_byte_size([row]) for row in halves], runs
         )
         assert output.records == [
             left + right
@@ -250,14 +252,17 @@ class TestRowWidths:
         rows = [(key,) + row for key, row in keyed]
         data = SplitData(rows, widths=text_widths(rows), tag=tag, sizes=record_sizes(rows))
         output = _join_map(0, 0)(data)
-        assert output.values == [(tag, row) for row in rows if row[0] is not None]
-        assert output.keys == [value[1][0] for value in output.values]
-        assert output.row_sizes == record_sizes([row for _, row in output.values])
+        assert output.side == tag
+        assert output.values == [row for row in rows if row[0] is not None]
+        assert output.keys == [row[0] for row in output.values]
+        assert output.row_sizes == record_sizes(output.values)
+        # The rows travel without their tag, priced as the (tag, row) pairs.
+        pairs = [(tag, row) for row in output.values]
         lane_price = wire_size(output.keys) + sum(output.sizes)
-        assert sum(output.sizes) == records_byte_size(output.values)
+        assert sum(output.sizes) == records_byte_size(pairs)
         assert lane_price == sum(
-            value_byte_size(key) + by_value_byte_size([value])
-            for key, value in zip(output.keys, output.values)
+            value_byte_size(key) + by_value_byte_size([pair])
+            for key, pair in zip(output.keys, pairs)
         )
 
     @settings(max_examples=200, deadline=None)

@@ -1,9 +1,10 @@
-"""A plan-cache entry remembers its plan's last result.
+"""A plan-cache entry remembers its last two plans' results.
 
 A SELECT repeated against an unchanged catalogue — the same plan object,
 the same table objects at the same versions, the same execution mode —
 replays the entry's batch and a fresh copy of its ExecStats instead of
-running the kernels again.  Everything else executes.
+running the kernels again.  Everything else executes.  Two, so that a
+text's local plan and a plan shipped to it, run in turn, each replay.
 """
 
 from dataclasses import asdict
@@ -113,7 +114,7 @@ class TestInvalidation:
         db.execute("SELECT id FROM t")  # another text: SQL's entry untouched
         assert SQL in db._plan_cache
         db.execute(SQL)  # looked up, found stale, replaced
-        assert db._plan_cache[SQL].result[1].count == 3
+        assert [batch.count for _, batch, _ in db._plan_cache[SQL].results] == [3]
 
 
 def build_after(write):
@@ -137,10 +138,10 @@ class TestShippedPlans:
         local = owner.execute(SQL)
         shipped = owner.execute_prepared(prepared)
         again = owner.execute(SQL)
-        assert runs["vectorized"] == 3
+        assert runs["vectorized"] == 2
         assert local.rows == shipped.rows == again.rows == [(7, 80)]
         assert shipped.batch is not local.batch
-        assert again.batch is not shipped.batch
+        assert again.batch is local.batch
 
     def test_a_fallback_counts_no_phantom_hit(self):
         preparer = build("a")
@@ -153,6 +154,67 @@ class TestShippedPlans:
         assert (bare.plan_cache_hits, bare.plan_cache_misses) == (0, 1)
         assert bare.execute_prepared(prepared).rows == [(2,)]
         assert (bare.plan_cache_hits, bare.plan_cache_misses) == (1, 1)
+
+
+class TestTwoPlansPerText:
+    """An owner's local plan and a shipped plan of one text alternate (the
+    parallel and MapReduce engines run Q4's owner fragments in turn)."""
+
+    def plans(self, owner, count):
+        """``count`` plan objects for SQL: the owner's own, then shipped."""
+        shipped = [build(f"p{k}").prepare(SQL) for k in range(count - 1)]
+        return [lambda: owner.execute(SQL)] + [
+            lambda prepared=prepared: owner.execute_prepared(prepared)
+            for prepared in shipped
+        ]
+
+    def test_two_plans_alternating_each_replay(self, runs):
+        owner = build("b", rows=((7, 80),))
+        local, shipped = self.plans(owner, 2)
+        first = [local(), shipped()]
+        for _ in range(3):
+            again = [local(), shipped()]
+            assert all(r.batch is f.batch for r, f in zip(again, first))
+        assert runs["vectorized"] == 2
+        assert len(owner._plan_cache[SQL].results) == 2
+
+    def test_a_third_plan_evicts_the_oldest(self, runs):
+        owner = build("b", rows=((7, 80),))
+        one, two, three = self.plans(owner, 3)
+        one(), two(), three()
+        assert runs["vectorized"] == 3
+        two(), three()  # the last two replay
+        assert runs["vectorized"] == 3
+        assert one().rows == [(7, 80)]  # the oldest was evicted: it runs
+        assert runs["vectorized"] == 4
+        three()  # and evicted two, not three
+        assert runs["vectorized"] == 4
+        two()
+        assert runs["vectorized"] == 5
+
+    def test_a_data_version_change_drops_both(self, runs):
+        owner = build("b", rows=((7, 80),))
+        local, shipped = self.plans(owner, 2)
+        local(), shipped()
+        owner.table("t").insert_many([(8, 90)])
+        assert local().rows == shipped().rows == [(7, 80), (8, 90)]
+        assert runs["vectorized"] == 4
+        assert len(owner._plan_cache[SQL].results) == 2
+
+    def test_each_replay_hands_out_a_fresh_exec_stats(self, runs):
+        owner = build("b", rows=((7, 80),))
+        local, shipped = self.plans(owner, 2)
+        runs_of = {"local": local, "shipped": shipped}
+        expected = {name: asdict(run().stats) for name, run in runs_of.items()}
+        for name, run in runs_of.items():
+            replayed = run()
+            assert asdict(replayed.stats) == expected[name]
+            replayed.stats.rows_scanned += 1000
+        for name, run in runs_of.items():
+            replayed = run()
+            assert replayed.stats is not run().stats
+            assert asdict(replayed.stats) == expected[name]
+        assert runs["vectorized"] == 2
 
 
 class TestModes:
