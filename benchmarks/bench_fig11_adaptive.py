@@ -27,7 +27,7 @@ def test_fig11_adaptive(benchmark):
                 latency_of(points, "MapReduce engine", nodes),
                 latency_of(points, "Adaptive engine", nodes),
                 next(
-                    p.details["strategy"]
+                    p.strategy
                     for p in points
                     if p.system == "Adaptive engine" and p.nodes == nodes
                 ),

@@ -17,6 +17,7 @@ Run:  python examples/failover_demo.py
 
 import os
 import sys
+from dataclasses import asdict
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -41,10 +42,10 @@ def crash_demo(net, baseline):
     print(f"\ncrashed {victim} (instance {old_host})")
 
     execution = net.execute(Q2(ship_date="1995-01-01"), engine="basic")
-    blocked = execution.engine_details.get("blocked_on_failover_s", 0.0)
     print(
-        f"query blocked {blocked:.1f}s for fail-over, then answered "
-        f"{execution.scalar():,.2f} in {execution.latency_s:.1f}s total"
+        f"query blocked {execution.blocked_on_failover_s:.1f}s for fail-over, "
+        f"then answered {execution.scalar():,.2f} "
+        f"in {execution.latency_s:.1f}s total"
     )
     assert abs(execution.scalar() - baseline.scalar()) < 1e-6
 
@@ -70,16 +71,16 @@ def chaos_demo(net, baseline):
     execution = net.execute(Q2(ship_date="1995-01-01"), engine="basic")
     net.install_fault_plan(None)
 
-    faults = net.metrics.faults
     print(
         f"answered {execution.scalar():,.2f} under chaos "
         f"in {execution.latency_s:.1f}s "
-        f"(backoff {execution.engine_details.get('retry_backoff_s', 0.0):.2f}s)"
+        f"(backoff {execution.retry_backoff_s:.2f}s)"
     )
-    print(
-        "faults absorbed: "
-        + ", ".join(f"{k}={v}" for k, v in faults.as_dict().items() if v)
-    )
+    faults = net.metrics.faults.as_dict()
+    wire = asdict(net.network.fault_stats)
+    for label, counts in (("faults absorbed", faults), ("caused by", wire)):
+        print(f"{label}: " + ", ".join(f"{k}={v}" for k, v in counts.items() if v))
+    assert net.network.fault_stats.total > 0
     assert abs(execution.scalar() - baseline.scalar()) < 1e-6
 
 

@@ -14,9 +14,9 @@ benchmarks share setup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.core import BestPeerNetwork
 from repro.core.costmodel import CostParams
@@ -82,7 +82,8 @@ class PerfPoint:
     query: str
     nodes: int
     latency_s: float
-    details: Dict[str, float] = field(default_factory=dict)
+    #: The strategy the engine ran (Fig. 11 reports the adaptive choice).
+    strategy: str = ""
 
 
 # ----------------------------------------------------------------------
@@ -150,7 +151,6 @@ def run_performance_comparison(
                 query=query_name,
                 nodes=nodes,
                 latency_s=execution.latency_s,
-                details=dict(execution.engine_details),
             )
         )
         cluster = get_hadoopdb_cluster(nodes)
@@ -161,7 +161,6 @@ def run_performance_comparison(
                 query=query_name,
                 nodes=nodes,
                 latency_s=result.duration_s,
-                details={"jobs": float(result.num_jobs)},
             )
         )
     return points
@@ -180,15 +179,13 @@ def run_adaptive_comparison(
             ("adaptive", "Adaptive engine"),
         ]:
             execution = network.execute(sql, engine=engine, user="bench")
-            details = dict(execution.engine_details)
-            details["strategy"] = execution.strategy  # type: ignore[assignment]
             points.append(
                 PerfPoint(
                     system=label,
                     query="Q5",
                     nodes=nodes,
                     latency_s=execution.latency_s,
-                    details=details,
+                    strategy=execution.strategy,
                 )
             )
     return points

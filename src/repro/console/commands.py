@@ -27,6 +27,7 @@ import csv
 import io
 import os
 import shlex
+from dataclasses import asdict
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import BestPeerNetwork, READ, Role, WRITE, rule
@@ -378,17 +379,15 @@ class Console:
 
     def _cmd_status(self, rest: str) -> str:
         net = self._require_network()
-        faults = net.metrics.faults
+        databases = [peer.database for peer in net.peers.values()]
         lines = [
             f"peers: {len(net.peers)}",
             f"simulated time: {net.clock.now:.1f}s",
             f"bytes on the wire so far: {net.network.total.bytes:,}",
-            "faults absorbed: "
-            + ", ".join(
-                f"{name}={value}" for name, value in faults.as_dict().items()
-            ),
-            f"plan cache: hits={net.metrics.plan_cache_hits}, "
-            f"misses={net.metrics.plan_cache_misses}",
+            "faults absorbed: " + _pairs(net.metrics.faults.as_dict()),
+            "wire faults: " + _pairs(asdict(net.network.fault_stats)),
+            f"plan cache: hits={sum(db.plan_cache_hits for db in databases)}, "
+            f"misses={sum(db.plan_cache_misses for db in databases)}",
         ]
         for peer_id in sorted(net.peers):
             peer = net.peers[peer_id]
@@ -509,6 +508,10 @@ def _parse_rule(text: str):
             raise ConsoleError(f"range format is low..high, got {pieces[2]!r}")
         value_range = (_coerce(low_text), _coerce(high_text))
     return rule(column, privs, value_range)
+
+
+def _pairs(counts: Dict[str, int]) -> str:
+    return ", ".join(f"{name}={value}" for name, value in counts.items())
 
 
 def _render(value: object) -> str:

@@ -11,7 +11,7 @@ never have changed the answer: the user's role at **every** involved
 peer grants an unrestricted ``read`` on **every** referenced column.
 
 Centralising the proof here keeps the three engines agreeing on what
-"unrestricted" means and gives the SEC001 taint rule one call-graph
+"unrestricted" means and gives the SEC003 taint rule one call-graph
 anchor (``rule_for``) to find on those paths.
 """
 

@@ -120,8 +120,6 @@ class AdaptiveEngine:
         # units via mu (bytes one node processes per second).
         measured_model_units = execution.latency_s * self.calibrator.params.mu
         self.calibrator.observe(engine_name, predicted, measured_model_units)
-        execution.engine_details["predicted_p2p"] = decision.estimate.p2p
-        execution.engine_details["predicted_mr"] = decision.estimate.mapreduce
         return execution
 
     # ------------------------------------------------------------------

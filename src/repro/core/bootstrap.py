@@ -14,7 +14,7 @@ survive failures.  Two layers provide that:
   mutation is a typed record committed to a
   :class:`~repro.core.metalog.MetadataLog` and folded into
   :class:`~repro.core.metalog.BootstrapState` by the single
-  :func:`~repro.core.metalog.apply` reducer (rule RES002 enforces this).
+  :func:`~repro.core.metalog.apply` reducer (rule ATOM001 enforces this).
   Each commit runs under the lease/epoch protocol of
   :mod:`repro.core.leadership`; the epoch fences stale leaders out of the
   log and strides the certificate serial space.
@@ -752,7 +752,7 @@ class BootstrapCluster:
         self._backlog[follower.node_id] = []
 
     # ------------------------------------------------------------------
-    # The single priced transfer site (RES001: routed via resilience)
+    # The single priced transfer site (RES004: routed via resilience)
     # ------------------------------------------------------------------
     def _priced_send(self, src: str, dst: str, nbytes: int) -> float:
         self._send_src = src

@@ -210,10 +210,6 @@ class BasicEngine:
             peers_contacted=len(lookup.peers),
             index_hops=index_hops,
             dollar_cost=context.config.pricing.basic_cost(nbytes, latency),
-            engine_details={
-                "fetch_s": fetch_seconds,
-                "merge_s": merge_seconds,
-            },
         )
 
     # ------------------------------------------------------------------
@@ -370,11 +366,6 @@ class BasicEngine:
             dollar_cost=context.config.pricing.basic_cost(
                 bytes_transferred, latency
             ),
-            engine_details={
-                "fetch_s": fetch_seconds,
-                "staging_s": staging_seconds,
-                "processing_s": processing_seconds,
-            },
         )
 
     # ------------------------------------------------------------------

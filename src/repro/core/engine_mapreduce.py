@@ -104,8 +104,4 @@ class BestPeerMapReduceEngine:
             dollar_cost=context.config.pricing.basic_cost(
                 bytes_shuffled, latency
             ),
-            engine_details={
-                "jobs": float(len(result.jobs)),
-                "startup_s": sum(job.timings.startup_s for job in result.jobs),
-            },
         )

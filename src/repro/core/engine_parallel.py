@@ -216,8 +216,4 @@ class ParallelP2PEngine:
             dollar_cost=context.config.pricing.basic_cost(
                 bytes_transferred, latency
             ),
-            engine_details={
-                f"level_{i}_s": seconds
-                for i, seconds in enumerate(level_seconds)
-            },
         )

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.core.config import BestPeerConfig
@@ -83,7 +83,10 @@ class QueryExecution:
     bloom_joins: int = 0
     memtable_spills: int = 0
     dollar_cost: float = 0.0
-    engine_details: Dict[str, float] = field(default_factory=dict)
+    # Simulated seconds the facade added to ``latency_s``: blocked on a
+    # peer's fail-over, and backing off before resubmitting the query.
+    blocked_on_failover_s: float = 0.0
+    retry_backoff_s: float = 0.0
 
     def __len__(self) -> int:
         return len(self.records)

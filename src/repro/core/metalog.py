@@ -17,7 +17,7 @@ deterministic :func:`apply` reducer, so
   alive under different epochs can never issue the same serial.
 
 The reducer is the *only* place bootstrap metadata may be mutated;
-analysis rule RES002 enforces that project-wide.
+analysis rule ATOM001 enforces that project-wide.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, Dict, List, Sequence, Tuple
 
 from repro.errors import BestPeerError
 
@@ -44,18 +44,16 @@ class FaultCounters:
     """Fault-tolerance counters (retry/fail-over observability).
 
     ``retries``/``circuit_opens``/``failovers`` are incremented by the
-    resilience layer; ``dropped_messages``/``timeouts`` mirror the
-    simulated network's injected-fault counters;
+    resilience layer and the network facade;
     ``blacklist_release_skips`` counts blacklisted instances the
     maintenance daemon could not release because the cloud no longer
-    knew them.
+    knew them.  The wire faults that caused the retries are the
+    simulated network's own :class:`~repro.sim.network.FaultStats`.
     """
 
     retries: int = 0
     circuit_opens: int = 0
     failovers: int = 0
-    dropped_messages: int = 0
-    timeouts: int = 0
     blacklist_release_skips: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -63,8 +61,6 @@ class FaultCounters:
             "retries": self.retries,
             "circuit_opens": self.circuit_opens,
             "failovers": self.failovers,
-            "dropped_messages": self.dropped_messages,
-            "timeouts": self.timeouts,
             "blacklist_release_skips": self.blacklist_release_skips,
         }
 
@@ -83,8 +79,8 @@ class BoundedSamples:
     """A sliding window of measurements with exact percentiles.
 
     Keeps the most recent ``capacity`` values (older ones roll off), so
-    memory stays bounded no matter how many requests the front door serves
-    — the same discipline RES003 enforces on the serving queues themselves.
+    memory stays bounded no matter how many requests the front door serves,
+    as the serving queues themselves are.
     """
 
     def __init__(self, capacity: int = SAMPLE_CAPACITY) -> None:
@@ -161,37 +157,6 @@ class LaneServingStats:
         }
 
 
-@dataclass
-class OverlayLoadStats:
-    """BATON overlay load-balancing observability.
-
-    Written by :meth:`~repro.core.network.BestPeerNetwork.rebalance_overlay`
-    (and anything else driving a :class:`repro.baton.loadbalance.LoadBalancer`),
-    read by the console's ``baton status``.
-    """
-
-    rebalance_rounds: int = 0
-    migrations: int = 0
-    entries_migrated: int = 0
-    census_checks: int = 0
-    fanout_reads: int = 0
-    failover_reads: int = 0
-    #: Max/mean load-score ratio observed at the last rebalance round
-    #: (1.0 = perfectly even load, higher = skew).
-    last_max_mean_ratio: float = 1.0
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "rebalance_rounds": self.rebalance_rounds,
-            "migrations": self.migrations,
-            "entries_migrated": self.entries_migrated,
-            "census_checks": self.census_checks,
-            "fanout_reads": self.fanout_reads,
-            "failover_reads": self.failover_reads,
-            "last_max_mean_ratio": self.last_max_mean_ratio,
-        }
-
-
 class MetricsRegistry:
     """Collects per-query measurements, grouped by engine/strategy."""
 
@@ -202,10 +167,6 @@ class MetricsRegistry:
         self._engines: Dict[str, EngineMetrics] = {}
         self._histogram: List[int] = [0] * (len(self.buckets) + 1)
         self.faults = FaultCounters()
-        # Parse+plan cache effectiveness, summed over every peer's local
-        # database by the network facade after each query.
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
         # Bounded operational event feed: (simulated time, description),
         # oldest first.  Fed by the facade (fail-overs) and the bootstrap
         # cluster (promotions); read by the console's ``bootstrap status``.
@@ -213,9 +174,6 @@ class MetricsRegistry:
         # Serving front-door SLO accounting, keyed (tenant, lane); written
         # by repro.serving, read by the console's ``serving status``.
         self.serving: Dict[Tuple[str, str], LaneServingStats] = {}
-        # BATON overlay load-balancing counters; written by the network
-        # facade's rebalance hook, read by the console's ``baton status``.
-        self.overlay_load = OverlayLoadStats()
 
     # ------------------------------------------------------------------
     # Recording
@@ -323,11 +281,6 @@ class MetricsRegistry:
                 "  faults: "
                 + " ".join(f"{name}={counters[name]}" for name in counters)
             )
-        if self.plan_cache_hits or self.plan_cache_misses:
-            lines.append(
-                f"  plan cache: hits={self.plan_cache_hits} "
-                f"misses={self.plan_cache_misses}"
-            )
         for tenant, lane in sorted(self.serving):
             stats = self.serving[(tenant, lane)]
             lines.append(
@@ -336,24 +289,11 @@ class MetricsRegistry:
                 f"deadline_missed={stats.deadline_missed} "
                 f"p99={stats.e2e_latency.percentile(0.99):.3f}s"
             )
-        load = self.overlay_load
-        if load.rebalance_rounds or load.fanout_reads or load.failover_reads:
-            lines.append(
-                f"  overlay load: rounds={load.rebalance_rounds} "
-                f"migrations={load.migrations} "
-                f"entries_moved={load.entries_migrated} "
-                f"fanout_reads={load.fanout_reads} "
-                f"failover_reads={load.failover_reads} "
-                f"max/mean={load.last_max_mean_ratio:.2f}"
-            )
         return "\n".join(lines)
 
     def reset(self) -> None:
         self._engines.clear()
         self._histogram = [0] * (len(self.buckets) + 1)
         self.faults = FaultCounters()
-        self.plan_cache_hits = 0
-        self.plan_cache_misses = 0
         self.events = []
         self.serving = {}
-        self.overlay_load = OverlayLoadStats()

@@ -19,11 +19,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
-from repro.baton.loadbalance import (
-    LoadBalancer,
-    LoadBalancerConfig,
-    RebalanceReport,
-)
+from repro.baton.loadbalance import LoadBalancer, RebalanceReport
 from repro.baton.replication import ReplicatedOverlay
 from repro.baton.tree import BatonOverlay
 from repro.core.access_control import Role, full_access_role
@@ -145,7 +141,7 @@ class BestPeerNetwork:
         # The serving front door, once attached (attach_serving).
         self.serving = None
         # Measured-load balancer over the overlay (hot-range migration,
-        # census-gated); its counters mirror into metrics.overlay_load.
+        # census-gated); the console's ``baton status`` reads its counters.
         self.load_balancer = LoadBalancer(self.overlay)
 
     # ------------------------------------------------------------------
@@ -447,16 +443,12 @@ class BestPeerNetwork:
                 continue
             absorb(session)
             execution.latency_s += blocked_s + waited_s
-            if blocked_s:
-                execution.engine_details["blocked_on_failover_s"] = blocked_s
-            if waited_s:
-                execution.engine_details["retry_backoff_s"] = waited_s
+            execution.blocked_on_failover_s = blocked_s
+            execution.retry_backoff_s = waited_s
             # Waits taken through the resilience layer already advanced the
             # clock; only advance by the remainder.
             self.clock.advance(max(0.0, execution.latency_s - advanced_s))
             self.metrics.record(execution)
-            self._sync_fault_counters()
-            self._sync_plan_cache_counters()
             return execution
         raise BestPeerError("unreachable")  # pragma: no cover
 
@@ -611,21 +603,13 @@ class BestPeerNetwork:
                 break
         return blocked
 
-    def configure_load_balancer(
-        self, config: LoadBalancerConfig
-    ) -> LoadBalancer:
-        """Replace the overlay load balancer's knobs (keeps its counters)."""
-        self.load_balancer = LoadBalancer(self.overlay, config)
-        return self.load_balancer
-
     def rebalance_overlay(self) -> RebalanceReport:
         """One measured-load balancing round over the BATON overlay.
 
         Detects nodes whose traffic exceeds ``hot_multiple`` times the
         overlay mean, migrates index entries off them (census-gated: a
         lost or duplicated entry raises
-        :class:`~repro.errors.MigrationCensusError`), repairs replicas,
-        and mirrors the balancer's counters into the metrics registry.
+        :class:`~repro.errors.MigrationCensusError`) and repairs replicas.
         Call it from maintenance loops alongside :meth:`run_maintenance`.
         """
         report = self.load_balancer.rebalance()
@@ -637,41 +621,7 @@ class BestPeerNetwork:
                 f"max/mean {report.ratio_before:.2f} -> "
                 f"{report.ratio_after:.2f}",
             )
-        self._sync_overlay_load_stats(last_ratio=report.ratio_after)
         return report
-
-    def _sync_overlay_load_stats(
-        self, last_ratio: Optional[float] = None
-    ) -> None:
-        """Mirror balancer + fan-out tallies into the metrics registry."""
-        stats = self.metrics.overlay_load
-        balancer = self.load_balancer
-        stats.rebalance_rounds = balancer.rounds
-        stats.migrations = balancer.total_migrations
-        stats.entries_migrated = balancer.total_entries_moved
-        stats.census_checks = balancer.census_checks
-        stats.fanout_reads = self.overlay.fanout_reads
-        stats.failover_reads = self.overlay.failover_reads
-        stats.last_max_mean_ratio = (
-            last_ratio
-            if last_ratio is not None
-            else balancer.max_mean_ratio()
-        )
-
-    def _sync_fault_counters(self) -> None:
-        """Mirror the network's injected-fault tallies into the registry."""
-        stats = self.network.fault_stats
-        self.metrics.faults.dropped_messages = stats.dropped_messages
-        self.metrics.faults.timeouts = stats.timeouts
-
-    def _sync_plan_cache_counters(self) -> None:
-        """Mirror every peer's plan-cache tallies into the registry."""
-        self.metrics.plan_cache_hits = sum(
-            peer.database.plan_cache_hits for peer in self.peers.values()
-        )
-        self.metrics.plan_cache_misses = sum(
-            peer.database.plan_cache_misses for peer in self.peers.values()
-        )
 
     # ------------------------------------------------------------------
     # Internals

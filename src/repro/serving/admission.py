@@ -15,8 +15,7 @@ with a retry-after hint — nothing ever queues forever:
    (counted ``shed_queue_full``), so one tenant's flash crowd cannot grow
    state without limit or starve the other tenants' queues.
 
-The queues themselves are ``deque(maxlen=...)`` — the bound is structural,
-which is exactly what the RES003 analysis rule checks for on this package.
+The queues themselves are ``deque(maxlen=...)``: the bound is structural.
 """
 
 from __future__ import annotations

@@ -15,11 +15,15 @@ every run starts from the same deterministic initial state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, field, replace
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ChaosEquivalenceError, MigrationCensusError
 from repro.sim.failure import FaultPlan
+from repro.sim.network import FaultStats
+
+if TYPE_CHECKING:
+    from repro.core.metrics import FaultCounters
 
 
 def _sort_key(row: tuple) -> tuple:
@@ -41,18 +45,17 @@ class QueryOutcome:
 
 @dataclass
 class ChaosRun:
-    """One workload pass plus the fault tolerance it consumed."""
+    """One workload pass plus the fault tolerance it consumed.
+
+    ``faults`` and ``wire`` are end-of-run snapshots of the network's
+    fault counters (retries, fail-overs) and of the wire faults that
+    caused them (drops, timeouts, rejections, crashes).
+    """
 
     plan_seed: Optional[int]
+    faults: FaultCounters
+    wire: FaultStats
     outcomes: List[QueryOutcome] = field(default_factory=list)
-    retries: int = 0
-    failovers: int = 0
-    circuit_opens: int = 0
-    dropped_messages: int = 0
-    timeouts: int = 0
-    transient_rejections: int = 0
-    injected_crashes: int = 0
-    partition_rejections: int = 0
     total_blocked_s: float = 0.0
     bytes_transferred: int = 0
     # Bootstrap HA observability (defaults when the driven network has no
@@ -63,16 +66,6 @@ class ChaosRun:
     log_fingerprint: Tuple = ()
     admitted_peers: Tuple[str, ...] = ()
     leader_transitions: Tuple = ()
-
-    @property
-    def faults_seen(self) -> int:
-        return (
-            self.dropped_messages
-            + self.timeouts
-            + self.transient_rejections
-            + self.injected_crashes
-            + self.partition_rejections
-        )
 
     def row_sets(self) -> List[List[tuple]]:
         return [outcome.rows for outcome in self.outcomes]
@@ -91,13 +84,8 @@ class ChaosRun:
                 (outcome.sql, tuple(outcome.columns), tuple(outcome.rows))
                 for outcome in self.outcomes
             ),
-            self.retries,
-            self.failovers,
-            self.dropped_messages,
-            self.timeouts,
-            self.transient_rejections,
-            self.injected_crashes,
-            self.partition_rejections,
+            astuple(self.faults),
+            astuple(self.wire),
             self.leader_id,
             self.leader_epoch,
             self.promotions,
@@ -473,12 +461,13 @@ class ChaosHarness:
         network = self.network_factory()
         if plan is not None:
             network.install_fault_plan(plan)
-        run = ChaosRun(plan_seed=None if plan is None else plan.seed)
+        outcomes: List[QueryOutcome] = []
+        bytes_transferred = 0
         for sql in self.queries:
             execution = network.execute(
                 sql, peer_id=self.peer_id, engine=self.engine, user=self.user
             )
-            run.outcomes.append(
+            outcomes.append(
                 QueryOutcome(
                     sql=sql,
                     columns=list(execution.columns),
@@ -487,18 +476,15 @@ class ChaosHarness:
                     strategy=execution.strategy,
                 )
             )
-            run.bytes_transferred += execution.bytes_transferred
-        faults = network.metrics.faults
-        stats = network.network.fault_stats
-        run.retries = faults.retries
-        run.failovers = faults.failovers
-        run.circuit_opens = faults.circuit_opens
-        run.dropped_messages = stats.dropped_messages
-        run.timeouts = stats.timeouts
-        run.transient_rejections = stats.transient_rejections
-        run.injected_crashes = stats.injected_crashes
-        run.partition_rejections = stats.partition_rejections
-        run.total_blocked_s = network.total_blocked_s
+            bytes_transferred += execution.bytes_transferred
+        run = ChaosRun(
+            plan_seed=None if plan is None else plan.seed,
+            faults=replace(network.metrics.faults),
+            wire=replace(network.network.fault_stats),
+            outcomes=outcomes,
+            total_blocked_s=network.total_blocked_s,
+            bytes_transferred=bytes_transferred,
+        )
         cluster = getattr(network, "bootstrap_cluster", None)
         if cluster is not None:
             run.leader_id = cluster.leader_id

@@ -5,8 +5,8 @@ The paper measured ~100 MB/s end-to-end bandwidth between EC2 small instances
 
     duration = latency + message_count * per_message_overhead + bytes / bandwidth
 
-and keep per-host and per-link counters so benchmarks can report bytes
-shipped (the quantity the bloom-join optimization reduces).
+and keep a network-wide total so benchmarks can report bytes shipped
+(the quantity the bloom-join optimization reduces).
 
 Hosts are plain string identifiers.  The network supports partitions
 (cutting a host off entirely) which the fail-over tests use to simulate
@@ -15,8 +15,8 @@ crashed instances that stop responding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Optional, Set
 
 from repro.errors import NetworkError, RpcTimeoutError, TransientNetworkError
 
@@ -51,12 +51,6 @@ class TransferStats:
 
     messages: int = 0
     bytes: int = 0
-    total_duration_s: float = 0.0
-
-    def record(self, nbytes: int, duration_s: float, messages: int) -> None:
-        self.messages += messages
-        self.bytes += nbytes
-        self.total_duration_s += duration_s
 
 
 @dataclass
@@ -93,8 +87,6 @@ class SimNetwork:
         self.config = config or NetworkConfig()
         self._hosts: Set[str] = set()
         self._partitioned: Set[str] = set()
-        self._link_stats: Dict[Tuple[str, str], TransferStats] = {}
-        self._host_stats: Dict[str, TransferStats] = {}
         self.total = TransferStats()
         # Message-level fault injection (installed by the chaos layer).
         self.fault_plan = None
@@ -140,7 +132,6 @@ class SimNetwork:
         if host in self._hosts:
             raise NetworkError(f"host already registered: {host!r}")
         self._hosts.add(host)
-        self._host_stats[host] = TransferStats()
 
     def remove_host(self, host: str) -> None:
         self._require_host(host)
@@ -192,7 +183,7 @@ class SimNetwork:
         if src == dst:
             # Loopback never leaves the machine: immune to injected faults.
             duration = nbytes / self.config.loopback_bandwidth_bytes_per_s
-            self._record(src, dst, nbytes, duration, messages)
+            self._record(nbytes, messages)
             return duration
 
         duration = (
@@ -221,19 +212,19 @@ class SimNetwork:
             if plan.should_drop(src, dst):
                 # The payload was transmitted and lost: the traffic counts.
                 self.fault_stats.dropped_messages += 1
-                self._record(src, dst, nbytes, duration, messages)
+                self._record(nbytes, messages)
                 raise TransientNetworkError(
                     f"message dropped on link {src!r} -> {dst!r}"
                 )
             if plan.timeout_s is not None and duration > plan.timeout_s:
                 self.fault_stats.timeouts += 1
-                self._record(src, dst, nbytes, duration, messages)
+                self._record(nbytes, messages)
                 raise RpcTimeoutError(
                     f"delivery {src!r} -> {dst!r} took {duration:.3f}s, "
                     f"over the {plan.timeout_s:.3f}s timeout"
                 )
 
-        self._record(src, dst, nbytes, duration, messages)
+        self._record(nbytes, messages)
         if plan is not None:
             self._completed_transfers += 1
             for host in plan.crashes_due(self._completed_transfers):
@@ -257,17 +248,7 @@ class SimNetwork:
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
-    def link_stats(self, src: str, dst: str) -> TransferStats:
-        return self._link_stats.setdefault((src, dst), TransferStats())
-
-    def host_stats(self, host: str) -> TransferStats:
-        self._require_host(host)
-        return self._host_stats[host]
-
     def reset_stats(self) -> None:
-        self._link_stats.clear()
-        for host in self._host_stats:
-            self._host_stats[host] = TransferStats()
         self.total = TransferStats()
         self.fault_stats = FaultStats()
 
@@ -278,11 +259,6 @@ class SimNetwork:
         if host not in self._hosts:
             raise NetworkError(f"unknown host: {host!r}")
 
-    def _record(
-        self, src: str, dst: str, nbytes: int, duration: float, messages: int
-    ) -> None:
-        self.link_stats(src, dst).record(nbytes, duration, messages)
-        self._host_stats[src].record(nbytes, duration, messages)
-        if dst != src:
-            self._host_stats[dst].record(nbytes, duration, messages)
-        self.total.record(nbytes, duration, messages)
+    def _record(self, nbytes: int, messages: int) -> None:
+        self.total.messages += messages
+        self.total.bytes += nbytes

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.console import Console, ConsoleError
+from repro.core import BestPeerNetwork
+from repro.sim import FaultPlan, Outage
+from repro.tpch import Q2, SECONDARY_INDICES, TPCH_SCHEMAS, TpchGenerator
 
 
 def booted_console():
@@ -207,6 +210,56 @@ class TestOperationalCommands:
     def test_explain_unknown_peer(self):
         with pytest.raises(ConsoleError):
             booted_console().execute("explain peer=ghost SELECT 1 FROM item")
+
+
+def tpch_console():
+    """The three-peer TPC-H deployment of ``examples/failover_demo.py``."""
+    net = BestPeerNetwork(TPCH_SCHEMAS, SECONDARY_INDICES)
+    for index in range(3):
+        net.add_peer(f"corp-{index}")
+        net.load_peer(f"corp-{index}", TpchGenerator(seed=9).generate_peer(index))
+    return Console(net)
+
+
+def demo_fault_plan(net):
+    return FaultPlan(
+        seed=11,
+        drop_probability=0.2,
+        outages=[Outage(net.peers["corp-2"].host, start=2, end=5)],
+    )
+
+
+class TestCountsReadAtSource:
+    def test_status_names_the_wire_fault_behind_each_retry(self):
+        console = tpch_console()
+        net = console.network
+        net.install_fault_plan(demo_fault_plan(net))
+        net.execute(Q2(ship_date="1995-01-01"), engine="basic")
+
+        output = console.execute("status")
+
+        assert "retries=3" in output
+        assert "transient_rejections=3" in output
+        for kind in ("dropped_messages", "timeouts", "injected_crashes",
+                     "partition_rejections"):
+            assert f"{kind}=0" in output
+
+    def test_reset_forgets_every_earlier_count(self):
+        console = tpch_console()
+        net = console.network
+        net.install_fault_plan(demo_fault_plan(net))
+        net.execute(Q2(ship_date="1995-01-01"), engine="basic")
+        net.execute(Q2(ship_date="1995-01-01"), engine="basic")
+        net.install_fault_plan(None)
+        net.metrics.reset()
+
+        net.execute(Q2(ship_date="1995-01-01"), engine="basic")
+
+        assert net.metrics.total_queries == 1
+        assert net.metrics.faults.total == 0
+        header, *engines = console.execute("metrics").splitlines()
+        assert header == "queries: 1"
+        assert len(engines) == 1 and "n=1 " in engines[0]
 
 
 class TestServingStatus:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import BestPeerNetwork
 from repro.errors import BestPeerError, PeerUnavailableError
+from repro.sim import FaultPlan, Outage
 from repro.tpch import Q1, Q2, SECONDARY_INDICES, TPCH_SCHEMAS, TpchGenerator
 
 
@@ -29,7 +30,7 @@ class TestFailoverDuringQueries:
         # from its EBS backup), never a partial result.
         assert execution.scalar() == pytest.approx(baseline.scalar())
         # The fail-over wait is charged to the query.
-        assert "blocked_on_failover_s" in execution.engine_details
+        assert execution.blocked_on_failover_s > 0
         assert execution.latency_s > baseline.latency_s
         assert net.total_blocked_s > 0
 
@@ -59,6 +60,32 @@ class TestFailoverDuringQueries:
         net.crash_peer("corp-2")
         execution = net.execute(Q2(), engine="basic", peer_id="corp-1")
         assert execution.scalar() == pytest.approx(baseline.scalar())
+
+
+class TestRetryBackoff:
+    @pytest.mark.parametrize(
+        "plan",
+        [
+            FaultPlan(seed=7, drop_probability=0.35),
+            FaultPlan(seed=202, outages=[Outage("i-000002", start=1, end=4)]),
+        ],
+        ids=["drops", "outage"],
+    )
+    def test_backoff_is_reported_and_charged(self, plan):
+        baseline = build_network().execute(Q2(), engine="basic")
+        assert baseline.retry_backoff_s == 0.0
+        net = build_network()
+        net.install_fault_plan(plan)
+
+        execution = net.execute(Q2(), engine="basic")
+
+        assert execution.scalar() == pytest.approx(baseline.scalar())
+        assert execution.retry_backoff_s > 0
+        # The resubmitted query does the fault-free query's work; the
+        # backoff before it is what the faults added to its latency.
+        assert execution.latency_s == pytest.approx(
+            baseline.latency_s + execution.retry_backoff_s
+        )
 
 
 class TestRefreshAfterFailover:

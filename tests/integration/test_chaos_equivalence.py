@@ -64,22 +64,22 @@ class TestEquivalence:
         assert all(outcome.rows for outcome in baseline.outcomes)
         for name in ("drops", "outages", "crash"):
             assert runs[name].row_sets() == baseline.row_sets()
-            assert runs[name].faults_seen > 0, name
+            assert runs[name].wire.total > 0, name
 
     def test_fault_free_run_reports_zero_fault_counters(self):
         run = harness().run(None)
-        assert run.retries == 0
-        assert run.failovers == 0
-        assert run.faults_seen == 0
+        assert run.faults.retries == 0
+        assert run.faults.failovers == 0
+        assert run.wire.total == 0
         assert run.total_blocked_s == 0.0
 
     def test_chaos_run_reports_nonzero_counters(self):
         run = harness().run(drop_plan())
-        assert run.dropped_messages > 0
-        assert run.retries > 0
+        assert run.wire.dropped_messages > 0
+        assert run.faults.retries > 0
         crash_run = harness().run(crash_plan())
-        assert crash_run.injected_crashes == 1
-        assert crash_run.failovers >= 1
+        assert crash_run.wire.injected_crashes == 1
+        assert crash_run.faults.failovers >= 1
         assert crash_run.total_blocked_s > 0
 
     def test_combined_plan_with_slow_links(self):
@@ -93,7 +93,7 @@ class TestEquivalence:
             outages=[Outage("i-000001", start=2, end=4)],
         )
         runs = harness().verify_equivalence({"combined": plan})
-        assert runs["combined"].faults_seen > 0
+        assert runs["combined"].wire.total > 0
 
     def test_latency_grows_under_chaos_but_rows_do_not(self):
         h = harness(queries=[Q2()])
@@ -119,8 +119,8 @@ class TestDeterminism:
         # The answers agree even though the fault schedules differ.
         assert first.row_sets() == second.row_sets()
         assert (
-            first.dropped_messages != second.dropped_messages
-            or first.retries != second.retries
+            first.wire.dropped_messages != second.wire.dropped_messages
+            or first.faults.retries != second.faults.retries
         )
 
     def test_crash_schedule_deterministic(self):
@@ -142,7 +142,7 @@ class TestPartialRefetch:
         baseline = h.run(None)
         crashed = h.run(crash_plan())
         assert crashed.row_sets() == baseline.row_sets()
-        assert crashed.failovers >= 1
+        assert crashed.faults.failovers >= 1
         extra = crashed.bytes_transferred - baseline.bytes_transferred
         assert extra <= 0.6 * baseline.bytes_transferred
 
@@ -182,4 +182,4 @@ class TestParallelEngineUnderChaos:
             {"outage": FaultPlan(seed=88,
                                  outages=[Outage("i-000003", 1, 3)])}
         )
-        assert runs["outage"].faults_seen > 0
+        assert runs["outage"].wire.total > 0

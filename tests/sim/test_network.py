@@ -115,28 +115,16 @@ class TestStatistics:
         assert net.total.bytes == 300
         assert net.total.messages == 2
 
-    def test_link_stats_directional(self, net):
-        net.transfer("a", "b", 100)
-        assert net.link_stats("a", "b").bytes == 100
-        assert net.link_stats("b", "a").bytes == 0
-
-    def test_host_stats_count_both_ends(self, net):
-        net.transfer("a", "b", 100)
-        assert net.host_stats("a").bytes == 100
-        assert net.host_stats("b").bytes == 100
-        assert net.host_stats("c").bytes == 0
-
     def test_loopback_counted_once_per_host(self, net):
         net.transfer("a", "a", 100)
-        assert net.host_stats("a").bytes == 100
         assert net.total.bytes == 100
+        assert net.total.messages == 1
 
     def test_reset_stats(self, net):
         net.transfer("a", "b", 100)
         net.reset_stats()
         assert net.total.bytes == 0
-        assert net.host_stats("a").bytes == 0
-        assert net.link_stats("a", "b").bytes == 0
+        assert net.total.messages == 0
 
 
 class TestNetworkConfig:
