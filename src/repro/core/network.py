@@ -16,7 +16,6 @@ normal peers into the system a user of the paper's platform would see:
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Dict, List, Optional, Sequence
 
 from repro.baton.loadbalance import LoadBalancer, RebalanceReport
@@ -321,10 +320,8 @@ class BestPeerNetwork:
             if not peer.database.has_table(table):
                 continue
             owned = peer.database.table(table)
-            pick = itemgetter(*map(owned.schema.column_index, columns))
-            picked = map(pick, owned.rows())
-            # itemgetter of one position yields the bare value: wrap it.
-            rows.extend(picked if len(columns) > 1 else zip(picked))
+            data = owned.column_data()
+            rows.extend(zip(*(data[owned.schema.column_index(c)] for c in columns)))
         histogram = Histogram.build(columns, rows, num_buckets)
         stats = self.statistics.get(table.lower())
         if stats is not None:

@@ -35,6 +35,7 @@ from repro.errors import (
 )
 from repro.sim.cloud import CloudProvider, Instance, InstanceState
 from repro.sim.compute import ComputeModel, DEFAULT_COMPUTE_MODEL
+from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.database import Database, PreparedSelect, QueryResult
 from repro.sqlengine.schema import TableSchema
 
@@ -51,6 +52,11 @@ class LocalExecution:
 class BackupPayload:
     """What an EBS snapshot of a peer's database contains.
 
+    Each table is held as a :class:`ColumnBatch` over the table's own column
+    lists: a table only appends to its lists in place and builds new ones
+    for any other write, and a batch reads its first ``count`` values, so
+    the payload is a point-in-time copy that copies nothing.
+
     Includes the loader's snapshot store: it lives "in the normal peer
     instance but in a separate database" (§4.2), so it is backed up and
     restored with everything else — otherwise the first differential
@@ -59,13 +65,13 @@ class BackupPayload:
 
     schemas: List[TableSchema]
     secondary_indices: Dict[str, List[str]]
-    tables: Dict[str, List[tuple]]
+    tables: Dict[str, ColumnBatch]
     last_refresh_at: float
     loader_snapshots: Dict[str, List[tuple]] = field(default_factory=dict)
 
     @property
     def total_rows(self) -> int:
-        return sum(len(rows) for rows in self.tables.values())
+        return sum(map(len, self.tables.values()))
 
 
 class NormalPeer:
@@ -254,15 +260,15 @@ class NormalPeer:
     # Backup / restore (EBS snapshots, §2.1/§3.2)
     # ------------------------------------------------------------------
     def make_backup_payload(self) -> BackupPayload:
+        tables = list(map(self.database.table, self.database.table_names()))
         return BackupPayload(
-            schemas=[
-                self.database.table(name).schema
-                for name in self.database.table_names()
-            ],
+            schemas=[table.schema for table in tables],
             secondary_indices=dict(self._secondary_indices),
             tables={
-                name: list(self.database.table(name).rows())
-                for name in self.database.table_names()
+                table.schema.name: ColumnBatch(
+                    table.schema.column_names, table.column_data(), len(table)
+                )
+                for table in tables
             },
             last_refresh_at=self.last_refresh_at,
             loader_snapshots=(
@@ -286,8 +292,8 @@ class NormalPeer:
             self.create_table(
                 schema, payload.secondary_indices.get(schema.name, ())
             )
-        for table, rows in payload.tables.items():
-            self.database.table(table).insert_many(rows)
+        for table, batch in payload.tables.items():
+            self.database.table(table).insert_many(batch)
         self.last_refresh_at = payload.last_refresh_at
         # Rebind the loader to the rebuilt database and reinstall its
         # backed-up snapshot store, so future differential refreshes diff

@@ -148,8 +148,9 @@ class CloudProvider:
         self.clock = clock or SimClock()
         self.cloudwatch = CloudWatch(self)
         self._instances: Dict[str, Instance] = {}
+        #: Instance id -> its newest snapshot, the one restore point a
+        #: fail-over reads; a newer snapshot releases the one it replaces.
         self._snapshots: Dict[str, EbsSnapshot] = {}
-        self._latest_snapshot: Dict[str, str] = {}
         self._instance_counter = itertools.count(1)
         self._snapshot_counter = itertools.count(1)
 
@@ -245,7 +246,8 @@ class CloudProvider:
 
         Backups are asynchronous in the paper ("no service interrupt during
         the back-up process"), so this costs the *instance* nothing; the
-        snapshot simply becomes the newest restore point.
+        snapshot simply becomes the newest restore point, and the one it
+        supersedes is dropped.
         """
         instance = self.describe_instance(instance_id)
         self._require_running(instance)
@@ -258,15 +260,11 @@ class CloudProvider:
             payload_bytes=payload_bytes,
             payload=payload,
         )
-        self._snapshots[snapshot.snapshot_id] = snapshot
-        self._latest_snapshot[instance_id] = snapshot.snapshot_id
+        self._snapshots[instance_id] = snapshot
         return snapshot
 
     def latest_snapshot(self, instance_id: str) -> Optional[EbsSnapshot]:
-        snapshot_id = self._latest_snapshot.get(instance_id)
-        if snapshot_id is None:
-            return None
-        return self._snapshots[snapshot_id]
+        return self._snapshots.get(instance_id)
 
     def restore_duration_s(self, snapshot: EbsSnapshot) -> float:
         """Simulated time to restore a database from ``snapshot``."""

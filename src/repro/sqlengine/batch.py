@@ -8,13 +8,13 @@ way.  It is **immutable**: masking and selection build new batches, and the
 wire size and the rows' text widths and typed sizes are computed once.
 
 A batch's vectors may be *shared*: a dense scan passes the owner table's
-live column mirror through without copying, and an unrestricted column
+own column lists through without copying, and an unrestricted column
 passes through masking the same way.  Hence the two rules every consumer
 follows: never write into a vector, and copy before keeping one past the
 query (``MemTable`` and ``Table.insert_many`` do; a :class:`ColumnRelation`
 only reads them while the query runs).  An owner's later inserts extend its
-mirror in place, which is why a batch carries its own ``count`` and bounds
-everything it derives by it.
+lists in place, which is why a batch carries its own ``count`` and bounds
+everything it derives by it; its other writes build new lists.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ class ColumnBatch:
                 self._rows, len(self.columns)
             )
         elif any(len(vector) != self.count for vector in vectors):
-            # A shared owner mirror grew in place since the scan; inserts
+            # A shared owner column grew in place since the scan; inserts
             # only append, so this batch is still its first ``count`` values.
             vectors = self._vectors = [vector[: self.count] for vector in vectors]
         return vectors
@@ -287,10 +287,10 @@ class ColumnRelation:
 
     It answers what the planner and the vectorized executor ask of a
     catalogue entry — ``schema``, ``index_on``, ``column_data()`` and
-    ``len`` — with no row store, no mirror and no index: the query peer's
-    final plan scans its fetched partitions through one per table binding
-    (§5.2).  The vectors are the batches' own, concatenated once if there
-    are several, and type-checked as a write into a table checks them: a bad
+    ``len`` — with no index and no writes: the query peer's final plan
+    scans its fetched partitions through one per table binding (§5.2).
+    The vectors are the batches' own, concatenated once if there are
+    several, and type-checked as a write into a table checks them: a bad
     value raises the first bad row's error, and ``retyped`` says whether
     the check replaced a vector.  A vector may be shared with the batch's
     producer, so the batch rule holds: never write into one.

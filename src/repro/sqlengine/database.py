@@ -469,7 +469,7 @@ class Database:
         )
 
         def new_rows():
-            for row_id, row in zip(table.row_ids(), table.rows()):
+            for row_id, row in enumerate(table.rows()):
                 if matches is not None and not matches(row):
                     continue
                 values = list(row)

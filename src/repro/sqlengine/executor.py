@@ -124,7 +124,7 @@ class Executor:
         )
         rows: List[Tuple[object, ...]]
         if node.index_access is not None:
-            rows = index_rows(table, node.index_access, stats)
+            rows = table.rows_by_ids(index_ids(table, node.index_access, stats))
         else:
             rows = list(table.rows())
             stats.rows_scanned += len(table)
@@ -296,15 +296,13 @@ def projection(items, layout: RowLayout) -> Tuple[List[str], List[object]]:
     return names, outputs
 
 
-def index_rows(
-    table: Table, access: IndexAccess, stats: ExecStats
-) -> List[Tuple[object, ...]]:
-    """Resolve an :class:`IndexAccess` to its rows, charging ``stats``.
+def index_ids(table: Table, access: IndexAccess, stats: ExecStats) -> List[int]:
+    """Resolve an :class:`IndexAccess` to its row ids, charging ``stats``.
 
     Shared by the row executor and the vectorized executor so both charge
-    identical probe/scan counts for identical plans.  Rows come back in
-    index order (by key, then as the index holds a key's ids): a float SUM
-    downstream adds in that order.
+    identical probe/scan counts for identical plans.  Ids come back in
+    index order (by key, then ascending): a float SUM downstream adds in
+    that order.
     """
     index = table.index_on(access.column)
     if index is None:
@@ -324,7 +322,7 @@ def index_rows(
         )
     stats.index_probes += 1
     stats.rows_scanned += len(row_ids)
-    return table.rows_by_ids(row_ids)
+    return row_ids
 
 
 def group_output_layout(node: GroupByNode, child_layout: RowLayout) -> RowLayout:

@@ -4,8 +4,9 @@ The engine uses an ordered index (sorted key array + row-id lists, maintained
 with binary search) — the same access paths a B+-tree gives MySQL/MyISAM:
 exact lookup, range scan, and min/max in O(log n).
 
-Row ids are positions into the owning table's row list; deleted rows leave
-tombstones in the table, and the index drops their entries eagerly.
+Row ids are positions into the owning table's column lists, and a key's
+ids are kept ascending.  A table write that moves positions (a delete)
+rebuilds the index with one :meth:`OrderedIndex.insert_many`.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class OrderedIndex:
                 raise SqlExecutionError(
                     f"unique index {self.name!r} violated by key {key!r}"
                 )
-            self._row_ids[position].append(row_id)
+            bisect.insort(self._row_ids[position], row_id)
         else:
             self._keys.insert(position, key)
             self._row_ids.insert(position, [row_id])

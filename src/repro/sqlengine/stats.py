@@ -8,7 +8,7 @@ distinct-value estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sqlengine.table import Table
 
@@ -43,39 +43,30 @@ class TableStats:
 def column_bounds(table: Table, column: str) -> Tuple[object, object]:
     """One column's ``(minimum, maximum)`` over its non-NULL values — what
     :func:`collect_table_stats` reports, without summarizing the others."""
-    position = table.schema.column_index(column)
-    values = [row[position] for row in table.rows() if row[position] is not None]
+    values = _present(table.column_data()[table.schema.column_index(column)])
     return (min(values), max(values)) if values else (None, None)
 
 
+def _present(values: List[object]) -> List[object]:
+    """``values`` without its NULLs."""
+    if None not in values:
+        return values
+    return [value for value in values if value is not None]
+
+
 def collect_table_stats(table: Table) -> TableStats:
-    """Scan ``table`` once and summarize every column."""
-    column_names = table.schema.column_names
-    nulls = [0] * len(column_names)
-    distinct = [set() for _ in column_names]
-    minima: list = [None] * len(column_names)
-    maxima: list = [None] * len(column_names)
-
-    for row in table.rows():
-        for position, value in enumerate(row):
-            if value is None:
-                nulls[position] += 1
-                continue
-            distinct[position].add(value)
-            if minima[position] is None or value < minima[position]:
-                minima[position] = value
-            if maxima[position] is None or value > maxima[position]:
-                maxima[position] = value
-
+    """Summarize every column of ``table``, one column at a time."""
     columns = {
         name.lower(): ColumnStats(
             column=name.lower(),
-            null_count=nulls[position],
-            distinct_count=len(distinct[position]),
-            minimum=minima[position],
-            maximum=maxima[position],
+            null_count=len(table) - len(values),
+            distinct_count=len(set(values)),
+            minimum=min(values) if values else None,
+            maximum=max(values) if values else None,
         )
-        for position, name in enumerate(column_names)
+        for name, values in zip(
+            table.schema.column_names, map(_present, table.column_data())
+        )
     }
     return TableStats(
         table=table.schema.name,

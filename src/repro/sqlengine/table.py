@@ -1,12 +1,17 @@
 """Row storage: tables and MemTables.
 
-A :class:`Table` stores rows as tuples in insertion order with tombstoned
-deletes, maintains its primary/secondary indexes, and tracks approximate byte
-sizes so the distributed engines can price network transfers.  Every bulk
-write — the loader's initial load and refresh, a HadoopDB worker load, a
-peer restored from its backup, a multi-row SQL ``INSERT``, a staging spill —
-enters through :meth:`Table.insert_many`, which validates and prices the
-batch column by column; :meth:`Table.insert` is the one-row door.
+A :class:`Table` stores its rows as one list per column, in insertion order:
+a row id is the row's position.  The vectorized executor scans those lists
+as they are; row tuples are derived only for the row oracle, DML and tests.
+Appends (:meth:`Table.insert`, :meth:`Table.insert_many`) are the only
+writes that extend a list in place; every other write builds new lists, so
+a scan's batch, a memoised result or a backup that holds the old ones keeps
+reading the rows it was given.  A write that removes rows moves the rows
+after them up, and rebuilds each index once.  Every bulk write — the
+loader's initial load and refresh, a HadoopDB worker load, a peer restored
+from its backup, a multi-row SQL ``INSERT``, a staging spill — enters
+through :meth:`Table.insert_many`, which validates and prices the batch
+column by column; :meth:`Table.insert` is the one-row door.
 
 A :class:`MemTable` is the bounded in-memory buffer the paper's query
 executor uses on the query-submitting peer: "the peer P creates a set of
@@ -18,7 +23,7 @@ basic engine counts its spills without running it; it is their oracle.
 from __future__ import annotations
 
 import collections
-import operator
+from itertools import compress
 from typing import (
     Callable,
     Dict,
@@ -32,29 +37,22 @@ from typing import (
 )
 
 from repro.errors import SqlCatalogError, SqlError, SqlExecutionError
-from repro.sqlengine.batch import ColumnBatch
+from repro.sqlengine.batch import ColumnBatch, rows_from_vectors
 from repro.sqlengine.indexes import OrderedIndex
 from repro.sqlengine.schema import TableSchema
 
 
 class Table:
-    """Heap storage for one table plus its indexes."""
+    """One list per column plus the indexes over them."""
 
     def __init__(self, schema: TableSchema) -> None:
         self.schema = schema
-        self._rows: List[Optional[Tuple[object, ...]]] = []
-        self._live_count = 0
+        self._columns: List[List[object]] = [[] for _ in schema.columns]
         self._byte_size = 0
-        #: Monotonic counter bumped on every mutation (rows or indexes).
+        #: Monotonic counter bumped once by every write (rows or indexes).
         #: Plan caches key on it, so plans stay valid even when loaders
         #: mutate the table directly instead of going through SQL.
         self.version = 0
-        #: Lazily materialized column-major mirror of the live rows, used by
-        #: the vectorized executor.  Valid only while
-        #: ``_column_store_version == version``; insert paths append to it
-        #: incrementally, destructive mutations drop it.
-        self._column_store: Optional[List[List[object]]] = None
-        self._column_store_version = -1
         self.indexes: Dict[str, OrderedIndex] = {}
         if schema.primary_key is not None:
             self.create_index(
@@ -65,65 +63,40 @@ class Table:
     # Introspection
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._live_count
+        return len(self._columns[0])
 
     @property
     def byte_size(self) -> int:
-        """Approximate size of all live rows in bytes."""
+        """Approximate size of all rows in bytes."""
         return self._byte_size
 
     def rows(self) -> Iterator[Tuple[object, ...]]:
-        """Iterate live rows in insertion order."""
-        for row in self._rows:
-            if row is not None:
-                yield row
+        """Iterate the rows as tuples, in insertion order."""
+        return zip(*self._columns)
 
     def row_by_id(self, row_id: int) -> Tuple[object, ...]:
-        if row_id < 0 or row_id >= len(self._rows):
+        if row_id < 0 or row_id >= len(self):
             raise SqlExecutionError(f"row id out of range: {row_id}")
-        row = self._rows[row_id]
-        if row is None:
-            raise SqlExecutionError(f"row {row_id} was deleted")
-        return row
+        return tuple(column[row_id] for column in self._columns)
 
     def rows_by_ids(self, row_ids: Sequence[int]) -> List[Tuple[object, ...]]:
-        """The rows at ``row_ids``, gathered in one C-level pass.
+        """The rows at ``row_ids``, gathered column by column; the first id
+        out of range raises what :meth:`row_by_id` raises."""
+        if row_ids and (min(row_ids) < 0 or max(row_ids) >= len(self)):
+            return list(map(self.row_by_id, row_ids))
+        return rows_from_vectors(
+            [list(map(column.__getitem__, row_ids)) for column in self._columns],
+            len(row_ids),
+        )
 
-        Proven good on the vector (in range, no tombstone — which a table
-        without tombstones needs no pass over the rows to know); otherwise
-        :meth:`row_by_id` raises for the first bad id, as a per-id loop would.
-        """
-        try:
-            rows = list(map(self._rows.__getitem__, row_ids))
-            bad = self._live_count != len(self._rows) and None in rows
-        except IndexError:
-            bad = True
-        if bad or (row_ids and min(row_ids) < 0):
-            rows = list(map(self.row_by_id, row_ids))
-        return rows
-
-    def row_ids(self) -> Iterator[int]:
-        for row_id, row in enumerate(self._rows):
-            if row is not None:
-                yield row_id
+    def row_ids(self) -> range:
+        return range(len(self))
 
     def column_data(self) -> List[List[object]]:
-        """Column-major view of the live rows, cached per table version.
-
-        ``column_data()[k][i]`` is the ``k``-th attribute of the ``i``-th
-        live row in insertion order (tombstones compacted away, so positions
-        are *not* row ids).  The cache rebuilds lazily after destructive
-        mutations; the insert paths extend it incrementally so repeated
-        scans of an append-mostly table never re-transpose.
-        """
-        if self._column_store_version != self.version:
-            if self._live_count:
-                self._column_store = [list(col) for col in zip(*self.rows())]
-            else:
-                self._column_store = [[] for _ in self.schema.columns]
-            self._column_store_version = self.version
-        assert self._column_store is not None
-        return self._column_store
+        """The store itself: ``column_data()[k][i]`` is the ``k``-th value
+        of row ``i``.  Read it, never write into it; an append extends
+        these lists, any other write replaces them."""
+        return self._columns
 
     # ------------------------------------------------------------------
     # Mutation
@@ -131,21 +104,11 @@ class Table:
     def insert(self, values: Sequence[object]) -> int:
         """Insert one row; returns its row id."""
         row = self.schema.coerce_row(values)
-        row_id = len(self._rows)
+        vectors = [[value] for value in row]
         # Validate unique indexes before touching any state so a violation
         # leaves the table unchanged.
-        self._check_unique(list(zip(row)))
-        self._rows.append(row)
-        self._live_count += 1
-        self._byte_size += self._row_bytes(row)
-        if self._column_store is not None and self._column_store_version == self.version:
-            for column_values, value in zip(self._column_store, row):
-                column_values.append(value)
-            self._column_store_version = self.version + 1
-        self.version += 1
-        for index in self.indexes.values():
-            index.insert(row[self.schema.column_index(index.column)], row_id)
-        return row_id
+        self._check_unique(vectors)
+        return self._append(vectors)[0]
 
     def insert_many(
         self, rows: Union[ColumnBatch, Iterable[Sequence[object]]]
@@ -155,33 +118,28 @@ class Table:
         The one bulk-write door: rows arrive as a :class:`ColumnBatch` or are
         wrapped into one, every column is validated and priced as a whole
         (:meth:`TableSchema.coerce_columns`, ``vectors_byte_size``), unique
-        keys are proven on the key vectors, then one append, one
-        mutation-version bump and one bulk insert per index.  A batch with a
-        bad row leaves the table unchanged and raises what inserting the rows
-        one by one would have raised first.
-
-        Rows that coercion left as they came, given as tuples, are stored as
-        those very tuples (the loader's snapshot store holds them too;
-        tuples are immutable).  A table whose mirror is current extends it;
-        otherwise the mirror waits for :meth:`column_data`, on first scan.
+        keys are proven on the key vectors, then one append per column (a
+        copy: the caller's vectors are never kept), one mutation-version
+        bump and one bulk insert per index.  A batch with a bad row leaves
+        the table unchanged and raises what inserting the rows one by one
+        would have raised first.
         """
-        return self._append(*self._validated(rows))
+        return self._append(self._validated(rows))
 
     def _validated(
         self,
         rows: Union[ColumnBatch, Iterable[Sequence[object]]],
         leaving: frozenset = frozenset(),
-    ) -> Tuple[List[Sequence[object]], List[Tuple[object, ...]]]:
-        """``rows`` proven fit to join the table once rows ``leaving`` left:
-        coerced column vectors and the same as row tuples."""
+    ) -> List[Sequence[object]]:
+        """``rows`` proven fit to join the table once rows ``leaving`` left,
+        as coerced column vectors."""
         batch = (
             rows
             if isinstance(rows, ColumnBatch)
             else ColumnBatch.from_rows(self.schema.column_names, rows)
         )
         try:
-            given = batch.vectors
-            vectors = self.schema.coerce_columns(given)
+            vectors = self.schema.coerce_columns(batch.vectors)
             self._check_unique(vectors, leaving)
         except SqlError:
             # Row-major, only to raise: the first bad row's own error — a
@@ -194,26 +152,16 @@ class Table:
             finally:
                 self._check_unique(list(zip(*coerced)), leaving)
             raise
-        if all(map(operator.is_, vectors, given)) and (
-            set(map(type, batch.rows)) <= {tuple}
-        ):
-            return vectors, batch.rows
-        return vectors, list(zip(*vectors))
+        return vectors
 
-    def _append(
-        self, vectors: List[Sequence[object]], coerced: List[Tuple[object, ...]]
-    ) -> List[int]:
-        """Write validated rows: cannot refuse."""
-        if not coerced:
+    def _append(self, vectors: List[Sequence[object]]) -> List[int]:
+        """Write validated rows at the end, in place: cannot refuse."""
+        first_id = len(self)
+        row_ids = list(range(first_id, first_id + len(vectors[0])))
+        if not row_ids:
             return []
-        first_id = len(self._rows)
-        row_ids = list(range(first_id, first_id + len(coerced)))
-        self._rows.extend(coerced)
-        if self._column_store is not None and self._column_store_version == self.version:
-            for column_values, values in zip(self._column_store, vectors):
-                column_values.extend(values)
-            self._column_store_version = self.version + 1
-        self._live_count += len(coerced)
+        for column, values in zip(self._columns, vectors):
+            column.extend(values)
         self._byte_size += self.schema.vectors_byte_size(vectors)
         self.version += 1
         for index in self.indexes.values():
@@ -251,22 +199,14 @@ class Table:
                 earlier.add(key)
 
     def delete_row(self, row_id: int) -> None:
-        self._tombstone(row_id)
-        self._drop_column_store()
-        self.version += 1
-
-    def _tombstone(self, row_id: int) -> None:
-        row = self.row_by_id(row_id)
-        for index in self.indexes.values():
-            index.remove(row[self.schema.column_index(index.column)], row_id)
-        self._rows[row_id] = None
-        self._live_count -= 1
-        self._byte_size -= self._row_bytes(row)
+        """Delete the row at ``row_id``; the rows after it move up one."""
+        self.row_by_id(row_id)  # in range, or raise
+        self._rewrite([row_id])
 
     def apply_delta(
         self, deleted: Sequence[tuple], inserted: Sequence[Sequence[object]]
     ) -> List[int]:
-        """Atomically delete one live copy of each ``deleted`` row (the first
+        """Atomically delete one copy of each ``deleted`` row (the first
         equal one; all found in one pass) and append ``inserted``; returns the
         new row ids.  Everything is validated before the first write: every
         victim found, the new rows' unique keys checked against the table
@@ -275,42 +215,56 @@ class Table:
             return self.insert_many(inserted)  # nothing to find: no pass
         wanted = collections.Counter(deleted)
         victims = []
-        for row_id in [i for i, row in enumerate(self._rows) if row in wanted]:
-            if wanted[self._rows[row_id]]:
-                wanted[self._rows[row_id]] -= 1
+        for row_id, row in enumerate(self.rows()):
+            if wanted.get(row):
+                wanted[row] -= 1
                 victims.append(row_id)
-        missing = +wanted  # the copies no live row matched
+        missing = +wanted  # the copies no row matched
         if missing:
             raise SqlExecutionError(f"no live row to delete: {next(iter(missing))!r}")
-        vectors, coerced = self._validated(inserted, frozenset(victims))
-        for row_id in victims:
-            self._tombstone(row_id)
-        if victims:
-            self._drop_column_store()
-            if not coerced:
-                self.version += 1
-        return self._append(vectors, coerced)
+        vectors = self._validated(inserted, frozenset(victims))
+        self._rewrite(victims, vectors)
+        return list(range(len(self) - len(vectors[0]), len(self)))
 
     def delete_where(self, predicate: Callable[[Tuple[object, ...]], bool]) -> int:
         """Delete all rows matching ``predicate``; returns the count."""
-        victims = [
-            row_id
-            for row_id, row in enumerate(self._rows)
-            if row is not None and predicate(row)
-        ]
-        for row_id in victims:
-            self.delete_row(row_id)
+        victims = [row_id for row_id, row in enumerate(self.rows()) if predicate(row)]
+        if victims:
+            self._rewrite(victims)
         return len(victims)
 
+    def _rewrite(
+        self, victims: Sequence[int], appended: Optional[List[Sequence[object]]] = None
+    ) -> None:
+        """Drop the rows at ``victims`` (distinct ids) and append the
+        validated ``appended`` vectors, into new lists: the rows after a
+        victim move up, so each index is rebuilt once.  Cannot refuse."""
+        keep = [True] * len(self)
+        for row_id in victims:
+            keep[row_id] = False
+        gone = [list(map(column.__getitem__, victims)) for column in self._columns]
+        self._columns = [list(compress(column, keep)) for column in self._columns]
+        self._byte_size -= self.schema.vectors_byte_size(gone)
+        if appended is not None:
+            for column, values in zip(self._columns, appended):
+                column.extend(values)
+            self._byte_size += self.schema.vectors_byte_size(appended)
+        self.indexes = {
+            name: self._index_over(name, index.column, index.unique)
+            for name, index in self.indexes.items()
+        }
+        self.version += 1
+
     def update_rows(self, updates: Iterable[Tuple[int, Sequence[object]]]) -> int:
-        """Atomically rewrite live rows in place; returns how many.
+        """Atomically rewrite rows where they stand; returns how many.
 
         ``updates`` yields ``(row_id, new values)``, row ids distinct, and is
         consumed — each row coerced as it arrives — before the first write:
         an error it raises half-way, a coercion error or a unique-key
         collision leaves the table unchanged.  Unique keys are checked
         against the table *minus* the rewritten rows (rows may keep or trade
-        keys).  Row ids and row order stay; one version bump.
+        keys).  Row ids and row order stay; the columns are new lists; one
+        version bump.
         """
         staged = [
             (row_id, self.row_by_id(row_id), self.schema.coerce_row(values))
@@ -318,7 +272,7 @@ class Table:
         ]
         if not staged:
             return 0
-        row_ids, _, news = zip(*staged)
+        row_ids, olds, news = zip(*staged)
         self._check_unique(list(zip(*news)), frozenset(row_ids))
         for index in self.indexes.values():
             position = self.schema.column_index(index.column)
@@ -333,23 +287,18 @@ class Table:
                 index.remove(old_key, row_id)
             for row_id, _, new_key in moved:
                 index.insert(new_key, row_id)
-        for row_id, old, new in staged:
-            self._rows[row_id] = new
-            self._byte_size += self._row_bytes(new) - self._row_bytes(old)
-        self._drop_column_store()
+        self._columns = [list(column) for column in self._columns]
+        for row_id, new in zip(row_ids, news):
+            for column, value in zip(self._columns, new):
+                column[row_id] = value
+        self._byte_size += self.schema.vectors_byte_size(
+            list(zip(*news))
+        ) - self.schema.vectors_byte_size(list(zip(*olds)))
         self.version += 1
         return len(staged)
 
     def truncate(self) -> None:
-        self._rows.clear()
-        self._live_count = 0
-        self._byte_size = 0
-        self._drop_column_store()
-        self.version += 1
-        for index in list(self.indexes.values()):
-            self.indexes[index.name] = OrderedIndex(
-                index.name, index.column, index.unique
-            )
+        self._rewrite(self.row_ids())
 
     # ------------------------------------------------------------------
     # Indexes
@@ -361,17 +310,15 @@ class Table:
             raise SqlCatalogError(
                 f"cannot index unknown column {column!r} of {self.schema.name!r}"
             )
-        index = OrderedIndex(name, column, unique)
-        position = self.schema.column_index(column)
-        for row_id, row in enumerate(self._rows):
-            if row is not None:
-                index.insert(row[position], row_id)
-        self.indexes[name] = index
-        # Index creation bumps the version without changing row content, so
-        # a current column store stays current.
-        if self._column_store_version == self.version:
-            self._column_store_version += 1
+        index = self.indexes[name] = self._index_over(name, column, unique)
         self.version += 1
+        return index
+
+    def _index_over(self, name: str, column: str, unique: bool) -> OrderedIndex:
+        """A new index on ``column``, holding every row."""
+        index = OrderedIndex(name, column, unique)
+        values = self._columns[self.schema.column_index(column)]
+        index.insert_many(zip(values, range(len(values))))
         return index
 
     def index_on(self, column: str) -> Optional[OrderedIndex]:
@@ -384,19 +331,6 @@ class Table:
                     return index
                 best = best or index
         return best
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _drop_column_store(self) -> None:
-        self._column_store = None
-        self._column_store_version = -1
-
-    def _row_bytes(self, row: Tuple[object, ...]) -> int:
-        return sum(
-            column.column_type.byte_size(value)
-            for column, value in zip(self.schema.columns, row)
-        )
 
 
 class MemTable:

@@ -3,7 +3,8 @@
 Mirrors :class:`repro.sqlengine.executor.Executor` node for node, but every
 operator consumes and produces ``(RowLayout, columns, row_count)`` — a list
 of column vectors instead of a list of row tuples.  Dense base-table scans
-read :meth:`Table.column_data` straight out of storage with zero copying;
+read :meth:`Table.column_data` straight out of storage with zero copying,
+and an index scan gathers from those lists at the ids the index returns;
 predicates narrow selection vectors in ``BATCH_SIZE`` chunks via
 :mod:`repro.sqlengine.vectorize` kernels; joins build and probe over key
 vectors at C level and hand on ``(left, right)`` index vectors over their
@@ -13,8 +14,8 @@ aggregation assigns group ids without a per-row loop and runs tight
 per-column accumulation loops.  What a node needs lowered — layouts,
 kernels, output names — is computed on its first execution and kept on the
 plan node.  The plan's output leaves as a :class:`ColumnBatch`; row tuples
-exist only under an index scan's lazily built columns and inside the two
-inherently tuple-keyed operators, DISTINCT and the group-by fallback.
+exist only inside the two inherently tuple-keyed operators, DISTINCT and
+the group-by fallback.
 
 Operators evaluate expressions through three public functions, each lowered
 once and run over ``(cols, n)``: :func:`lower_values` (one vector per
@@ -44,7 +45,6 @@ from repro.errors import SqlExecutionError
 from repro.sqlengine.batch import (
     NUMERIC_KINDS,
     ColumnBatch,
-    LazyColumns,
     gather,
     rows_from_vectors,
     vectors_from_rows,
@@ -53,7 +53,7 @@ from repro.sqlengine.executor import (
     ExecStats,
     group_output_layout,
     group_rows_reference,
-    index_rows,
+    index_ids,
     projection,
     sort_order,
 )
@@ -432,16 +432,14 @@ class VectorizedExecutor:
 
         layout, kept = _lowered(node, table.schema.columns, lower)
         if node.index_access is not None:
-            # Late materialisation: a column is built when an operator
-            # first reads it, from the row store (ids need no id->position
-            # map over tombstones, and no owner builds a mirror for this).
-            rows = index_rows(table, node.index_access, stats)
-            cols: Sequence[Sequence[object]] = LazyColumns.over_rows(
-                rows, len(layout)
-            )
-            n = len(rows)
+            # Late materialisation: a column is gathered from the table's
+            # own lists when an operator first reads it (a row id is a
+            # position in them).
+            row_ids = index_ids(table, node.index_access, stats)
+            cols: Sequence[Sequence[object]] = gather(table.column_data(), row_ids)
+            n = len(row_ids)
         else:
-            # The dense path reads the table's columnar mirror directly;
+            # The dense path reads the table's column lists directly;
             # downstream operators never mutate input columns.
             cols = table.column_data()
             n = len(table)

@@ -1,18 +1,21 @@
 """The batch path through the basic engine: aliasing and spill parity.
 
-A shipped batch may share the owner table's live column mirror: a dense
-scan with an identity selection passes ``Table.column_data()`` through
-without copying, and the owner's insert paths extend that mirror in place.
-So masking builds new vectors, the query peer's final plan only reads the
+A shipped batch may share the owner table's column lists: a dense scan
+with an identity selection passes ``Table.column_data()`` through without
+copying, and the owner's insert paths extend those lists in place.  So
+masking builds new vectors, the query peer's final plan only reads the
 fetched vectors while the query runs, and whatever a batch derives later
-stops at its own row count.  And however the fetched rows are batched, the
-spills counted are where a row-at-a-time MemTable would spill.
+stops at its own row count.  Every other write builds new lists, so a
+batch, a memoised result or a backup taken before it keeps its rows.  And
+however the fetched rows are batched, the spills counted are where a
+row-at-a-time MemTable would spill.
 """
 
 import pytest
 
 from repro.core import READ, BestPeerConfig, BestPeerNetwork, Role, rule
 from repro.core import engine_basic
+from repro.core.peer import NormalPeer
 from repro.sqlengine import Column, ColumnType, TableSchema
 from repro.sqlengine.batch import ColumnRelation
 
@@ -71,14 +74,14 @@ def staged(monkeypatch):
 def test_results_and_staging_survive_owner_mutation(net, staged):
     owner = net.peers["p0"]
     table = owner.database.table("a")
-    mirror = list(table.column_data())
+    store = list(table.column_data())
 
-    # The premise: an unfiltered projection ships the mirror itself.
+    # The premise: an unfiltered projection ships the table's lists.
     held_lazy = owner.execute_fetch("a", "SELECT a.id, a.v FROM a a").result
     held_eager = owner.execute_fetch("a", "SELECT a.id, a.v FROM a a").result
     assert all(
         vector is column
-        for vector, column in zip(held_lazy.batch.vectors, mirror)
+        for vector, column in zip(held_lazy.batch.vectors, store)
     )
     eager_rows = held_eager.rows
 
@@ -88,16 +91,16 @@ def test_results_and_staging_survive_owner_mutation(net, staged):
     assert sorted(records) == [(i, float(i), 10.0 * i) for i in range(20)]
 
     # Read in place: one owner's batch is its binding's relation, down to the
-    # owner's mirror lists, and nothing writes into them.
+    # owner's column lists, and nothing writes into them.
     relation_a, relation_b = staged
     assert [len(relation_a), len(relation_b)] == [20, 20]
     assert all(
-        mine is theirs for mine, theirs in zip(relation_a.column_data(), mirror)
+        mine is theirs for mine, theirs in zip(relation_a.column_data(), store)
     )
 
-    # In-place growth of the shared mirror, then destructive rewrites.
+    # In-place growth of the shared lists, then destructive rewrites.
     table.insert_many([(100 + i, -1.0) for i in range(5)])
-    assert table.column_data()[0] is mirror[0] and len(mirror[0]) == 25
+    assert table.column_data()[0] is store[0] and len(store[0]) == 25
     owner.database.execute("UPDATE a SET v = 99.0 WHERE id = 3")
     owner.database.execute("DELETE FROM a WHERE id = 4")
 
@@ -110,6 +113,38 @@ def test_results_and_staging_survive_owner_mutation(net, staged):
     # The relation's lists grew with the owner's: it lives only while its
     # query runs, and the records it produced are tuples of their own.
     assert len(relation_a.column_data()[0]) == 25 and len(relation_a) == 20
+
+
+WRITES = {
+    "delete_row": lambda table: table.delete_row(3),
+    "update_rows": lambda table: table.update_rows([(3, (3, 99.0))]),
+    "apply_delta": lambda table: table.apply_delta([(3, 3.0)], [(3, -3.0)]),
+}
+
+
+@pytest.mark.parametrize("write", sorted(WRITES))
+def test_batches_memos_and_backups_keep_their_rows_across_a_write(net, write):
+    owner = net.peers["p0"]
+    table = owner.database.table("a")
+    sql = "SELECT a.id, a.v FROM a a"
+    shipped = owner.execute_fetch("a", sql).result.batch
+    first = owner.database.execute(sql)
+    memo = owner.database.execute(sql)
+    backup = owner.make_backup_payload()
+    # The premise: all three hold the table's own lists, and the second
+    # run was replayed from the plan-cache entry.
+    assert memo.batch is first.batch
+    for held in (shipped, memo.batch, backup.tables["a"]):
+        assert all(v is c for v, c in zip(held.vectors, table.column_data()))
+
+    WRITES[write](table)
+    table.insert_many([(100, -1.0)])  # and the new lists grow in place
+    assert list(table.rows()) != A_ROWS
+    assert shipped.rows == memo.rows == backup.tables["a"].rows == A_ROWS
+    assert backup.total_rows == len(A_ROWS)
+    restored = NormalPeer("p0", owner.instance)
+    restored.restore_from_payload(backup)
+    assert list(restored.database.table("a").rows()) == A_ROWS
 
 
 def test_masking_never_writes_into_the_owner_table(net, staged):

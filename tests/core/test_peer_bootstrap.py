@@ -1,5 +1,8 @@
 """Tests for the normal peer and the bootstrap peer (Algorithm 1)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.bootstrap import BootstrapPeer, PeerRecord
@@ -224,6 +227,27 @@ class TestAlgorithm1:
         assert result.scalar() == 2
         # The crashed instance is released in the same epoch.
         assert old_host in report.released_instances
+
+    def test_a_second_backup_releases_the_first(self, cloud, bootstrap):
+        peer = make_peer(cloud)
+        bootstrap.register_peer(peer)
+        peer.load_initial("item", ["id", "price"], [(1, 10.0), (2, 20.0)])
+        first = weakref.ref(peer.backup_to(cloud).payload)
+        refreshed = [(1, 10.0), (2, 25.0), (3, 30.0)]
+        peer.refresh("item", ["id", "price"], refreshed, now=1.0)
+        second = peer.backup_to(cloud)
+        gc.collect()
+        # Only the newest snapshot is a restore point; the one it replaced
+        # pinned its payload, and with it the table's old column lists.
+        assert first() is None
+        assert cloud.latest_snapshot(peer.host) is second
+        cloud.crash_instance(peer.host)
+
+        report = bootstrap.run_maintenance_epoch({"peer-1": peer})
+
+        assert report.failovers[0].restored_rows == 3
+        result = peer.execute_local("SELECT id, price FROM item ORDER BY id")
+        assert result.result.rows == refreshed
 
     def test_failover_without_backup_loses_unbacked_data(self, cloud, bootstrap):
         peer = make_peer(cloud)

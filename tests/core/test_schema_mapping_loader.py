@@ -226,7 +226,7 @@ T_LOADED = [(1, "a"), (2, "b"), (3, "c")]
 def _table_state(table):
     """Everything a refresh may touch, in comparable form."""
     return {
-        "rows": list(table._rows),
+        "rows": list(table.rows()),
         "version": table.version,
         "byte_size": table.byte_size,
         "live": len(table),
@@ -234,7 +234,7 @@ def _table_state(table):
             name: (list(index.keys()), [index.lookup(k) for k in index.keys()])
             for name, index in table.indexes.items()
         },
-        "mirror": [list(column) for column in table.column_data()],
+        "columns": [list(column) for column in table.column_data()],
     }
 
 
@@ -280,7 +280,9 @@ class TestRefreshIsAtomic:
         delta = loader.refresh("t", T_COLUMNS, [(1, "a"), (2, "B"), (3, "c")])
         assert (delta.deleted, delta.inserted) == ([(2, "b")], [(2, "B")])
         assert table.version == version + 1
-        assert list(table._rows) == [(1, "a"), None, (3, "c"), (2, "B")]
+        # The victim's successors move up one; the new row goes last.
+        assert list(table.rows()) == [(1, "a"), (3, "c"), (2, "B")]
+        assert table.index_on("id").lookup(3) == [1]
 
     def test_empty_delta_touches_nothing(self, loader):
         table = loader.database.table("t")
@@ -456,7 +458,7 @@ class TestRefreshTellsTheStatisticsModule:
 
 
 # ----------------------------------------------------------------------
-# Loading costs what it validates, and shares what it may
+# Loading costs what it validates, and the store shares nothing it took
 # ----------------------------------------------------------------------
 class TestLoadGoesThroughTheBulkDoor:
     @staticmethod
@@ -483,36 +485,35 @@ class TestLoadGoesThroughTheBulkDoor:
         assert counts[0] == counts[1] > 0
 
     def test_a_loaded_table_has_no_mirror_until_it_is_scanned(self):
+        # Nor after: a scan reads the table's one store, the column lists.
         network = self._network(_numbered(50))
         table = network.peers["p0"].database.table("t")
-        assert table._column_store is None
         assert table.column_data() == [list(range(50)), [f"v{i}" for i in range(50)]]
+        assert table.column_data() is table.column_data()
 
     def test_a_batch_builds_no_mirror(self):
         table = Database().create_table(T_SCHEMA)
         vectors = [[1, 2], ["a", "b"]]
         table.insert_many(ColumnBatch(T_COLUMNS, vectors, 2))
-        assert table._column_store is None
         assert table.column_data() == vectors
         assert all(mine is not given for mine, given in zip(table.column_data(), vectors))
 
-    def test_table_and_snapshot_store_share_tuples_safely(self):
+    def test_writes_behind_the_loader_leave_store_and_backup_alone(self):
         rows = _numbered(20)
         network = self._network(list(rows))
         peer = network.peers["p0"]
         table = peer.database.table("t")
         snapshot = peer.loader.snapshot_of("t")
-        assert all(mine is kept for mine, kept in zip(table.rows(), snapshot))
         backup = peer.make_backup_payload()
-        # Writes behind the loader's back: tombstones and new tuples in the
-        # table, never a write into a shared tuple or the store's list.
+        # Writes behind the loader's back: new column lists in the table,
+        # never a write into the store's list or the backup's.
         peer.database.execute("UPDATE t SET v = 'edited' WHERE id < 5")
         peer.database.execute("DELETE FROM t WHERE id >= 15")
         assert len(table) == 15
         assert snapshot == rows
         assert peer.loader.snapshot_of("t") == rows
         assert peer.loader.export_snapshots() == {"t": rows}
-        assert backup.tables["t"] == rows
+        assert backup.tables["t"].rows == rows
         assert backup.loader_snapshots == {"t": rows}
         restored = NormalPeer("p0", peer.instance)
         restored.set_schema_mapping(peer.loader.mapping)

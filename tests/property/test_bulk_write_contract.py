@@ -3,15 +3,21 @@
 ``Table.insert_many`` validates and prices a batch column by column; the
 loop it replaced — ``insert`` per row — lives on here as the oracle.  For
 generated schemas (NOT NULL, primary key, secondary index), tables that
-already hold rows, tombstones and perhaps a built column mirror, and sloppy
-batches (ints in FLOAT columns, numeric strings, ``bool``, ``date`` objects,
-NULLs, ragged rows, duplicate keys, list rows, a generator argument), the
-rows-shaped door and the :class:`ColumnBatch`-shaped door must leave what
-the loop leaves — or, where the loop raises, raise its *first* error and
-leave the table exactly as it was.
+already hold rows and perhaps saw a delete, and sloppy batches (ints in
+FLOAT columns, numeric strings, ``bool``, ``date`` objects, NULLs, ragged
+rows, duplicate keys, list rows, a generator argument), the rows-shaped
+door and the :class:`ColumnBatch`-shaped door must leave what the loop
+leaves — or, where the loop raises, raise its *first* error and leave the
+table exactly as it was.
+
+Every write at all is then checked against a reference model, a plain list
+of tuples: random sequences of the table's writes must leave the same rows
+in the same order, the same index answers and byte size, one version bump
+per call that writes, nothing changed by a call that raises, and the column
+lists a reader held before the call untouched.
 
 ``SchemaMapping.transform`` went column-major in the same change; its
-per-row loop is the second oracle below.
+per-row loop is the third oracle below.
 """
 
 import datetime
@@ -19,7 +25,7 @@ import datetime
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schema_mapping import SchemaMapping, TableMapping
-from repro.errors import SchemaMappingError, SqlError
+from repro.errors import SchemaMappingError, SqlCatalogError, SqlError, SqlExecutionError
 from repro.sqlengine import Column, ColumnBatch, ColumnType, Table, TableSchema
 
 KINDS = list(ColumnType)
@@ -69,8 +75,7 @@ def scenarios(draw):
         "schema": schema,
         "secondary": secondary,
         "resident": draw(st.lists(row, max_size=5)),
-        "tombstone": draw(st.booleans()),
-        "mirror": draw(st.booleans()),
+        "deleted": draw(st.booleans()),
         "batch": [misshapen(r) for r in draw(st.lists(row, max_size=8))],
         "generator": draw(st.booleans()),
     }
@@ -86,22 +91,13 @@ def build(scenario):
             table.insert(row)
         except SqlError:
             pass  # residents that do not fit simply are not there
-    if scenario["tombstone"] and len(table):
-        table.delete_row(next(table.row_ids()))
-    if scenario["mirror"]:
-        table.column_data()
+    if scenario["deleted"] and len(table):
+        table.delete_row(0)
     return table
 
 
-def mirror_is_current(table):
-    return table._column_store is not None and (
-        table._column_store_version == table.version
-    )
-
-
 def surface(table):
-    """Everything a write may touch, mirror state included, without
-    building the mirror by looking."""
+    """Everything a write may touch."""
     indexes = {}
     for name, index in table.indexes.items():
         keys = list(index.keys())
@@ -114,14 +110,13 @@ def surface(table):
             len(index),
         )
     return {
-        "rows": list(table._rows),
-        "types": [None if row is None else list(map(type, row)) for row in table._rows],
+        "rows": list(table.rows()),
+        "types": [list(map(type, row)) for row in table.rows()],
         "len": len(table),
         "byte_size": table.byte_size,
         "indexes": indexes,
         "version": table.version,
-        "mirror": mirror_is_current(table)
-        and [list(column) for column in table._column_store],
+        "columns": [list(column) for column in table.column_data()],
     }
 
 
@@ -159,7 +154,6 @@ class TestInsertManyIsTheInsertLoopMadeAtomic:
         }
         for door, write in doors.items():
             table = build(scenario)
-            was_current = mirror_is_current(table)
             ids, error = attempt(lambda: write(table))
             assert error == expected_error, door
             if error is not None:
@@ -169,40 +163,252 @@ class TestInsertManyIsTheInsertLoopMadeAtomic:
             # One bump for the batch, where the loop bumps once per row.
             assert table.version == untouched["version"] + bool(batch), door
             assert oracle.version == untouched["version"] + len(batch)
-            # A table whose mirror was current keeps it current; no other
-            # builds one before its first scan, whichever door was used.
-            assert mirror_is_current(table) == was_current, door
             got, want = surface(table), surface(oracle)
-            for part in ("rows", "types", "len", "byte_size", "indexes"):
+            for part in ("rows", "types", "len", "byte_size", "indexes", "columns"):
                 assert got[part] == want[part], (door, part)
-            assert table.column_data() == oracle.column_data(), door
 
-    @settings(max_examples=300, deadline=None)
-    @given(scenarios(), st.data())
-    def test_stored_tuples_are_the_callers_when_nothing_was_coerced(self, scenario, data):
-        schema = scenario["schema"]
-        typed = st.tuples(
-            *[
-                st.one_of(st.none(), TYPED[column.column_type])
-                if column.nullable
-                else TYPED[column.column_type]
-                for column in schema.columns
+
+# ----------------------------------------------------------------------
+# Every write against a plain list of tuples
+# ----------------------------------------------------------------------
+MODEL_SCHEMA = TableSchema(
+    "m",
+    [
+        Column("k", ColumnType.INTEGER, nullable=False),
+        Column("v", ColumnType.FLOAT),
+        Column("s", ColumnType.TEXT),
+    ],
+    primary_key="k",
+)
+MODEL_ROW = st.tuples(
+    st.one_of(st.integers(0, 6), st.just("x"), st.none()),  # "x", None: refused
+    st.sampled_from([None, 0.0, 1.5, 2, "2.5"]),
+    st.sampled_from([None, "a", "b"]),
+)
+PREDICATES = {
+    "k < 3": lambda row: row[0] < 3,
+    "v is NULL": lambda row: row[1] is None,
+    "s = 'a'": lambda row: row[2] == "a",
+}
+
+
+class Model:
+    """The reference: a list of coerced tuples and ``name -> (position,
+    unique)`` per index.  Each write either raises the error class the
+    table must raise, changing nothing, or returns how many version bumps
+    it owes (0 or 1)."""
+
+    def __init__(self):
+        self.rows = []
+        self.indexes = {"pk_m": (0, True), "ix_v": (1, False)}
+
+    def _admit(self, rows, leaving=()):
+        """``rows`` coerced, or the first error inserting them one by one
+        (after the rows at ``leaving`` left) would raise."""
+        kept = [row for i, row in enumerate(self.rows) if i not in set(leaving)]
+        admitted = []
+        for row in rows:
+            row = MODEL_SCHEMA.coerce_row(row)
+            for position, unique in self.indexes.values():
+                key = row[position]
+                if unique and key is not None and key in [r[position] for r in kept]:
+                    raise SqlExecutionError(f"duplicate key {key!r}")
+            kept.append(row)
+            admitted.append(row)
+        return admitted
+
+    def insert_many(self, rows):
+        self.rows += self._admit(rows)
+        return int(bool(rows))
+
+    def delete_row(self, row_id):
+        if not 0 <= row_id < len(self.rows):
+            raise SqlExecutionError(f"row id out of range: {row_id}")
+        del self.rows[row_id]
+        return 1
+
+    def delete_where(self, predicate):
+        kept = [row for row in self.rows if not predicate(row)]
+        bump = int(len(kept) < len(self.rows))
+        self.rows = kept
+        return bump
+
+    def apply_delta(self, deleted, inserted):
+        if not deleted:
+            return self.insert_many(inserted)
+        victims = []
+        for row in deleted:
+            free = [
+                i for i, r in enumerate(self.rows) if r == row and i not in victims
             ]
+            if not free:
+                raise SqlExecutionError(f"no live row to delete: {row!r}")
+            victims.append(free[0])
+        admitted = self._admit(inserted, victims)
+        self.rows = [r for i, r in enumerate(self.rows) if i not in victims]
+        self.rows += admitted
+        return 1
+
+    def update_rows(self, updates):
+        news = []
+        for row_id, values in updates:
+            if not 0 <= row_id < len(self.rows):
+                raise SqlExecutionError(f"row id out of range: {row_id}")
+            news.append((row_id, MODEL_SCHEMA.coerce_row(values)))
+        if not news:
+            return 0
+        leaving = {row_id for row_id, _ in news}
+        for position, unique in self.indexes.values():
+            taken = [r[position] for i, r in enumerate(self.rows) if i not in leaving]
+            for _, row in news:
+                if unique and row[position] is not None and row[position] in taken:
+                    raise SqlExecutionError(f"duplicate key {row[position]!r}")
+                taken.append(row[position])
+        for row_id, row in news:
+            self.rows[row_id] = row
+        return 1
+
+    def truncate(self):
+        self.rows = []
+        return 1
+
+    def create_index(self, name, column, unique):
+        if name in self.indexes:
+            raise SqlCatalogError(f"index already exists: {name!r}")
+        position = MODEL_SCHEMA.column_index(column)
+        keys = [row[position] for row in self.rows if row[position] is not None]
+        if unique and len(set(keys)) < len(keys):
+            raise SqlExecutionError("unique index violated")
+        self.indexes[name] = (position, unique)
+        return 1
+
+    def surface(self):
+        indexes = {}
+        for name, (position, _) in self.indexes.items():
+            entries = sorted(
+                (row[position], i)
+                for i, row in enumerate(self.rows)
+                if row[position] is not None
+            )
+            keys = sorted({key for key, _ in entries})
+            indexes[name] = (
+                keys,
+                [[i for key, i in entries if key == k] for k in keys],
+                [i for _, i in entries],
+                [[i for key, i in entries if key > k] for k in keys],
+            )
+        return {
+            "rows": [(row, list(map(type, row))) for row in self.rows],
+            "indexes": indexes,
+            "byte_size": sum(
+                column.column_type.byte_size(value)
+                for row in self.rows
+                for column, value in zip(MODEL_SCHEMA.columns, row)
+            ),
+            "columns": [list(column) for column in zip(*self.rows)] or [[], [], []],
+        }
+
+
+def table_surface(table):
+    indexes = {}
+    for name, index in table.indexes.items():
+        keys = list(index.keys())
+        indexes[name] = (
+            keys,
+            [index.lookup(key) for key in keys],
+            list(index.range_scan()),
+            [list(index.range_scan(low=key, low_inclusive=False)) for key in keys],
         )
-        batch = data.draw(st.lists(typed, min_size=1, max_size=6))
-        table = build(scenario)
-        ids, error = attempt(lambda: table.insert_many(batch))
-        if error is None:  # else: a duplicate key
-            stored = list(map(table.row_by_id, ids))
-            assert all(mine is given for mine, given in zip(stored, batch))
-            # One value of another kind and every row is a new tuple, equal
-            # to what coerce_row makes of it.
-            sloppy = [tuple(map(str, batch[0]))] + batch[1:]
-            other = build(scenario)
-            ids, error = attempt(lambda: other.insert_many(sloppy))
-            if error is None:
-                stored = list(map(other.row_by_id, ids))
-                assert stored == list(map(schema.coerce_row, sloppy))
+    return {
+        "rows": [(row, list(map(type, row))) for row in table.rows()],
+        "indexes": indexes,
+        "byte_size": table.byte_size,
+        "columns": [list(column) for column in table.column_data()],
+    }
+
+
+@st.composite
+def writes(draw, rows):
+    """One write to a table holding ``rows``: ``(name, args)``, with
+    arguments that may be refused."""
+    size = len(rows)
+    batch = st.lists(MODEL_ROW, max_size=4)
+    name = draw(
+        st.sampled_from(
+            ["insert", "insert_many", "insert_many", "delete_row", "delete_where",
+             "apply_delta", "apply_delta", "update_rows", "truncate", "create_index"]
+        )
+    )
+    if name == "insert":
+        return name, (draw(MODEL_ROW),)
+    if name == "insert_many":
+        return name, (draw(batch),)
+    if name == "delete_row":
+        return name, (draw(st.integers(-1, size)),)
+    if name == "delete_where":
+        return name, (draw(st.sampled_from(sorted(PREDICATES))),)
+    if name == "apply_delta":
+        return name, (draw(st.lists(st.integers(0, size), max_size=3)), draw(batch))
+    if name == "update_rows":
+        # Ids in range, but for an empty table's 0 (refused).
+        ids = draw(st.lists(st.integers(0, max(size - 1, 0)), max_size=3, unique=True))
+        news = [draw(MODEL_ROW) for _ in ids]
+        # Often the row keeps its key, so the rewrite is not refused.
+        news = [
+            rows[i][:1] + new[1:] if i < size and draw(st.booleans()) else new
+            for i, new in zip(ids, news)
+        ]
+        return name, (list(zip(ids, news)),)
+    if name == "create_index":
+        return name, (draw(st.sampled_from(["ix_a", "ix_b"])),
+                      draw(st.sampled_from(["v", "s", "k"])), draw(st.booleans()))
+    return name, ()
+
+
+def run(target, name, args, rows):
+    """Apply one drawn write to the table or the model.  Row-position
+    arguments of ``apply_delta`` name the model's current rows (an id past
+    the end names a row that is not there)."""
+    if name == "insert":
+        return target.insert_many(list(args)) if isinstance(target, Model) else target.insert(*args)
+    if name == "delete_where":
+        return target.delete_where(PREDICATES[args[0]])
+    if name == "apply_delta":
+        picked, inserted = args
+        deleted = [rows[i] if i < len(rows) else (99, None, None) for i in picked]
+        return target.apply_delta(deleted, inserted)
+    return getattr(target, name)(*args)
+
+
+class TestEveryWriteAgreesWithAListOfTuples:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_writes_leave_what_the_model_leaves(self, data):
+        table, model = Table(MODEL_SCHEMA), Model()
+        table.create_index("ix_v", "v")
+        for _ in range(data.draw(st.integers(1, 20))):
+            rows = list(model.rows)
+            name, args = data.draw(writes(rows))
+            before, version = table_surface(table), table.version
+            held = table.column_data()
+            copies = [list(column) for column in held]
+            try:
+                bump, expected = run(model, name, args, rows), None
+            except SqlError as error:
+                bump, expected = 0, type(error)
+            try:
+                run(table, name, args, rows)
+                got = None
+            except SqlError as error:
+                got = type(error)
+            assert got == expected, (name, args)
+            if got is not None:
+                assert table_surface(table) == before, (name, args)
+            assert table.version == version + bump, (name, args)
+            assert table_surface(table) == model.surface(), (name, args)
+            # A reader's lists keep the rows it was given: only an append
+            # writes into them, and only past their end.
+            assert [column[: len(copies[0])] for column in held] == copies, name
 
 
 # ----------------------------------------------------------------------

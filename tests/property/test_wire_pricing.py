@@ -274,8 +274,8 @@ class TestRowWidths:
         st.integers(min_value=1, max_value=5),
     )
     def test_cached_widths_stay_within_a_grown_mirror(self, rows, count, grown):
-        """A batch over an owner's shared column mirror sees only its own
-        ``count`` rows, although the mirror grew before it was measured."""
+        """A batch over an owner table's shared column lists sees only its
+        own ``count`` rows, although the lists grew before it was measured."""
         count = min(count, len(rows))
         columns = [list(column) for column in zip(*rows)]
         mirror = [column[:count] for column in columns]

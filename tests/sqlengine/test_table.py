@@ -61,8 +61,8 @@ class TestInsertAndRead:
         [
             ([0, 5, 2], "row id out of range: 5"),
             ([0, -1], "row id out of range: -1"),
-            ([1, 2, 0], "row 2 was deleted"),
-            ([2, 7], "row 2 was deleted"),  # the first bad id, as a loop has it
+            ([1, 2, 4], "row id out of range: 4"),  # the delete moved row 4 up
+            ([4, 7], "row id out of range: 4"),  # the first bad id, as a loop has it
             ([7, 2], "row id out of range: 7"),
         ],
     )
@@ -70,13 +70,14 @@ class TestInsertAndRead:
         table = make_table()
         table.insert_many([[k, float(k), "x"] for k in range(5)])
         table.delete_row(2)
+        assert table.rows_by_ids([2, 3]) == [(3, 3.0, "x"), (4, 4.0, "x")]
         with pytest.raises(SqlExecutionError) as per_id:
             [table.row_by_id(row_id) for row_id in row_ids]
         with pytest.raises(SqlExecutionError) as gathered:
             table.rows_by_ids(row_ids)
         assert str(gathered.value) == str(per_id.value) == message
 
-    @pytest.mark.parametrize("deleted", [None, 4])  # no tombstone / one elsewhere
+    @pytest.mark.parametrize("deleted", [None, 4])  # no delete / one after the ids
     def test_rows_by_ids_with_and_without_tombstones(self, deleted):
         table = make_table()
         table.insert_many([[k, float(k), "x"] for k in range(5)])
@@ -153,6 +154,7 @@ class TestDelete:
         table = make_table()
         row_id = table.insert([1, 1.0, "x"])
         table.delete_row(row_id)
+        # The id now names no row: it is past the end of the table.
         with pytest.raises(SqlExecutionError):
             table.delete_row(row_id)
 
@@ -192,6 +194,15 @@ class TestUpdate:
         table.update_rows([(row_id, [7, 1.0, "x"])])
         assert table.index_on("id").lookup(1) == []
         assert table.index_on("id").lookup(7) == [row_id]
+
+    def test_a_moved_key_keeps_its_ids_ascending(self):
+        table = make_table()
+        table.create_index("idx_price", "price")
+        table.insert_many([[1, 0.0, "x"], [2, 1.5, "y"], [3, 1.5, "z"]])
+        table.update_rows([(0, [1, 1.5, "x"])])
+        # Ids in row order, as a delete's rebuild would leave them.
+        assert table.index_on("price").lookup(1.5) == [0, 1, 2]
+        assert list(table.index_on("price").range_scan()) == [0, 1, 2]
 
     def test_update_to_duplicate_pk_rejected(self):
         table = make_table()
@@ -385,6 +396,9 @@ class TestInsertManyFromABatch:
 
 
 class TestColumnStore:
+    """The column lists are the table's one store: appends extend them in
+    place, every other write replaces them and leaves the old ones alone."""
+
     def test_column_data_transposes_live_rows(self):
         table = make_table()
         table.insert([1, 9.5, "a"])
@@ -394,7 +408,7 @@ class TestColumnStore:
     def test_empty_table_yields_empty_columns(self):
         assert make_table().column_data() == [[], [], []]
 
-    def test_cached_between_reads(self):
+    def test_cached_between_reads(self):  # the store itself, not a copy
         table = make_table()
         table.insert([1, 1.0, "x"])
         assert table.column_data() is table.column_data()
@@ -421,17 +435,20 @@ class TestColumnStore:
         table.insert([1, 1.0, "x"])
         row_id = table.insert([2, 2.0, "y"])
         table.insert([3, 3.0, "z"])
-        table.column_data()
+        store = table.column_data()
         table.delete_row(row_id)
-        # Tombstones are compacted away: positions are not row ids.
+        # The rows after it move up: a position is a row id.
         assert table.column_data() == [[1, 3], [1.0, 3.0], ["x", "z"]]
+        assert table.index_on("id").lookup(3) == [1]
+        assert store == [[1, 2, 3], [1.0, 2.0, 3.0], ["x", "y", "z"]]
 
     def test_update_invalidates(self):
         table = make_table()
         row_id = table.insert([1, 1.0, "x"])
-        table.column_data()
+        store = table.column_data()
         table.update_rows([(row_id, [1, 7.5, "w"])])
         assert table.column_data() == [[1], [7.5], ["w"]]
+        assert store == [[1], [1.0], ["x"]]
 
     def test_create_index_keeps_store_current(self):
         table = make_table()

@@ -264,7 +264,7 @@ class TestLateMaterialisation:
         large_calls, large = storage_calls(build_wide(2000, mode), WIDE_Q2)
         assert (small.stats.rows_scanned, large.stats.rows_scanned) == (100, 2000)
         assert small_calls == large_calls
-        assert small_calls < 20  # index_on, range_scan, rows_by_ids, not per row
+        assert small_calls < 20  # index_on, range_scan, one gather: not per row
 
     @pytest.mark.parametrize(
         "sql",
