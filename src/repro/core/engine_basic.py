@@ -24,10 +24,11 @@ Optimizations, as in the paper:
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.accesscheck import require_unrestricted_read, unrestricted_read
-from repro.core.bloom import build_filter
+from repro.core.bloom import BloomFilter
 from repro.core.execution import EngineContext, QueryExecution, makespan, prepare_once
 from repro.core.indexer import PeerLookup
 from repro.core.predicates import range_constraint
@@ -307,11 +308,19 @@ class BasicEngine:
                     # passes unhashed (no false negatives); any other is
                     # hashed once per query, whichever owner ships it.
                     keys = batch.vectors[right_position]
-                    fresh = set(keys).difference(passing, failing)
-                    passing.update(filter(bloom_filter.__contains__, fresh))
-                    failing.update(fresh.difference(passing))
+                    present = set(keys)
+                    fresh = present.difference(passing, failing)
+                    if fresh:
+                        if len(bloom_filter) == 0:
+                            # Filled on first need: until a verdict is
+                            # taken, ``passing`` is exactly the build keys.
+                            bloom_filter.update(passing)
+                        passing.update(filter(bloom_filter.__contains__, fresh))
+                        failing.update(fresh.difference(passing))
+                    if passing.issuperset(present):
+                        return batch
                     return batch.take(
-                        [i for i, key in enumerate(keys) if key in passing]
+                        list(compress(count(), map(passing.__contains__, keys)))
                     )
 
             batches, durations, nbytes = self._fetch_table(
@@ -328,8 +337,10 @@ class BasicEngine:
                     passing.update(batch.vectors[left_position])
                 passing.discard(None)
                 if passing:
-                    bloom_filter = build_filter(
-                        passing,
+                    # Sized (and so priced) for the build keys now; their
+                    # bits are set only if a probe key needs a verdict.
+                    bloom_filter = BloomFilter(
+                        len(passing),
                         bits_per_key=context.config.bloom_filter_bits_per_key,
                         num_hashes=context.config.bloom_filter_hashes,
                     )

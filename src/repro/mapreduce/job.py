@@ -15,10 +15,10 @@ are built with :meth:`MapReduceJob.per_record`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
-from repro.sqlengine.batch import row_sizes, wire_size
+from repro.sqlengine.batch import positions_by_key, row_sizes, wire_size
 
 
 @dataclass
@@ -175,13 +175,7 @@ def key_order(keys: Iterable[object]) -> List[object]:
 def key_groups(keys: Sequence[object]) -> List[Tuple[object, List[int]]]:
     """``(key, positions)`` per distinct key, in :func:`key_order`;
     positions keep arrival order."""
-    groups: Dict[object, List[int]] = {}
-    for position, key in enumerate(keys):
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [position]
-        else:
-            bucket.append(position)
+    groups, _ = positions_by_key(keys, 0)
     return [(key, groups[key]) for key in key_order(groups)]
 
 

@@ -13,7 +13,7 @@ and :func:`finalize_records`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, repeat
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,6 +42,7 @@ from repro.sqlengine.batch import (
     ColumnBatch,
     LazyColumns,
     concat_text_offset,
+    positions_by_key,
     rows_from_vectors,
 )
 from repro.sqlengine.executor import projection, sort_order
@@ -385,8 +386,8 @@ def _join_reduce(residual, left_width: int, right_width: int):
         )
         # every key once, named by its first-seen object, as key_order does
         named = dict.fromkeys(keys)
-        lefts_of, left_distinct = _positions_by_key(left_keys, len(named))
-        rights_of, right_distinct = _positions_by_key(right_keys, len(named))
+        lefts_of, left_distinct = positions_by_key(left_keys, len(named))
+        rights_of, right_distinct = positions_by_key(right_keys, len(named))
         # the keys both sides have, in key_order's order of all keys
         order = key_order(
             filter(rights_of.__contains__, filter(lefts_of.__contains__, named))
@@ -469,26 +470,6 @@ def _side(runs, side: str, vectors) -> List[list]:
         list(chain.from_iterable(vector[start:stop] for start, stop in spans))
         for vector in vectors
     ]
-
-
-def _positions_by_key(keys: List[object], most_distinct: int):
-    """``(key -> positions, distinct)``: where every key is distinct (so
-    1, 1.0 and True, which are one key, at most once) the map is one dict
-    of ``key -> position``; otherwise ``key -> [positions]``.  More keys
-    than ``most_distinct`` (how many distinct keys there can be) are not
-    distinct, so only fewer are tried as one dict."""
-    if len(keys) <= most_distinct:
-        index = dict(zip(keys, count()))
-        if len(index) == len(keys):
-            return index, True
-    groups: Dict[object, List[int]] = {}
-    for position, key in enumerate(keys):
-        bucket = groups.get(key)
-        if bucket is None:
-            groups[key] = [position]
-        else:
-            bucket.append(position)
-    return groups, False
 
 
 def aggregate_rows(

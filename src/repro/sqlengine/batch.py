@@ -19,9 +19,9 @@ everything it derives by it; its other writes build new lists.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import is_, itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlError, SqlExecutionError
 from repro.sqlengine.types import value_byte_size
@@ -116,6 +116,32 @@ def vectors_from_rows(
     if not rows:
         return [[] for _ in range(width)]
     return [list(column) for column in zip(*rows)]
+
+
+def positions_by_key(keys: Sequence[object], most_distinct: int):
+    """``(key -> positions, distinct)`` over ``keys``, each key named by its
+    first-seen object and its positions in arrival order.
+
+    Where every key is distinct (so 1, 1.0 and True, which are one key, at
+    most once) the map is one dict of ``key -> position``; otherwise
+    ``key -> [positions]``.  More keys than ``most_distinct`` (how many
+    distinct keys there can be) are not distinct, so only fewer are tried
+    as one dict; ``most_distinct=0`` buckets any non-empty keys, for a caller
+    that wants lists or already knows them not distinct.
+    """
+    if len(keys) <= most_distinct:
+        index = dict(zip(keys, count()))
+        if len(index) == len(keys):
+            return index, True
+    groups: Dict[object, List[int]] = {}
+    bucket_of = groups.get
+    for position, key in enumerate(keys):
+        bucket = bucket_of(key)
+        if bucket is None:
+            groups[key] = [position]
+        else:
+            bucket.append(position)
+    return groups, False
 
 
 class LazyColumns:
@@ -277,7 +303,7 @@ class ColumnBatch:
             return self
         return ColumnBatch(
             self.columns,
-            [[vector[i] for i in positions] for vector in self.vectors],
+            [list(map(vector.__getitem__, positions)) for vector in self.vectors],
             len(positions),
         )
 

@@ -37,8 +37,9 @@ success, and both equivalence suites assert them there.
 
 from __future__ import annotations
 
-import operator
 from functools import reduce
+from itertools import chain, compress, count, repeat
+from operator import add, and_, eq, is_, is_not, or_
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SqlExecutionError
@@ -46,6 +47,7 @@ from repro.sqlengine.batch import (
     NUMERIC_KINDS,
     ColumnBatch,
     gather,
+    positions_by_key,
     rows_from_vectors,
     vectors_from_rows,
 )
@@ -282,7 +284,7 @@ def _accumulate(aggregate, arg, group_ids, ngroups: int) -> List[object]:
             # additions in one C-level fold.  Not ``sum``, which starts
             # from 0 (``-0.0`` would become ``0.0``) and compensates
             # float addition from Python 3.12 on.
-            totals: List[object] = [reduce(operator.add, arg)]
+            totals: List[object] = [reduce(add, arg)]
             counts = [len(arg)]
         else:
             totals, counts = [None] * ngroups, [0] * ngroups
@@ -356,20 +358,48 @@ def _lowered(node, columns, lower):
     return memo[1]
 
 
-def _join_keys(cols, positions: Sequence[int]) -> Sequence[object]:
-    """One hashable key per row, ``None`` where SQL says the key is NULL.
+def _probe_pairs(probe_keys, ln: int, index, distinct: bool):
+    """The ``(left, right)`` pairs of probing ``index``, a build column's
+    :func:`~repro.sqlengine.batch.positions_by_key`, by left then build
+    order."""
+    if distinct:
+        # One probe per row finds the only candidate, or nothing.
+        found = list(map(index.get, probe_keys))
+        if None not in found:
+            return range(ln), found
+        hit = list(map(is_not, found, repeat(None)))
+        return list(compress(range(ln), hit)), list(compress(found, hit))
+    found = list(map(index.get, probe_keys, repeat(())))
+    return (
+        [i for i, matches in enumerate(found) for _ in matches],
+        list(chain.from_iterable(found)),
+    )
 
-    A one-column key is the column itself.  A multi-column key is the tuple
-    of its parts, and ``None`` if any part is NULL; the build side drops its
-    ``None`` entry, so a NULL key on either side matches nothing.
+
+def _matching_parts(left_idx, right_idx, left_parts, right_parts):
+    """The pairs whose values in each of ``left_parts`` and the matching
+    ``right_parts`` column meet as a tuple key's elements do: ``a is b or
+    a == b`` (1, 1.0 and True meet; a NaN meets only itself), and NULL on
+    either side meets nothing.
+
+    Only NULL equals NULL, and only a NaN is unequal to itself; so the NULL
+    mask matters only where the build column holds NULL, and the identity
+    test only where it holds a NaN.  One pass over the build column decides
+    each, instead of one over every pair.
     """
-    if len(positions) == 1:
-        return cols[positions[0]]
-    columns = [cols[position] for position in positions]
-    keys = list(zip(*columns))
-    if any(None in column for column in columns):
-        keys = [None if None in key else key for key in keys]
-    return keys
+    for left_part, right_part in zip(left_parts, right_parts):
+        lefts = list(map(left_part.__getitem__, left_idx))
+        rights = list(map(right_part.__getitem__, right_idx))
+        keep = map(eq, lefts, rights)
+        if not all(map(eq, right_part, right_part)):
+            keep = map(or_, map(is_, lefts, rights), keep)
+        if None in right_part:
+            keep = map(and_, keep, map(is_not, rights, repeat(None)))
+        keep = list(keep)
+        if not all(keep):
+            left_idx = list(compress(left_idx, keep))
+            right_idx = list(compress(right_idx, keep))
+    return left_idx, right_idx
 
 
 class VectorizedExecutor:
@@ -479,8 +509,9 @@ class VectorizedExecutor:
         )
         if node.equi_keys:
             left_idx, right_idx = self._hash_join_pairs(
-                _join_keys(left_cols, left_positions), ln,
-                _join_keys(right_cols, right_positions), rn, stats,
+                [left_cols[position] for position in left_positions], ln,
+                [right_cols[position] for position in right_positions], rn,
+                stats,
             )
             if condition is not None and left_idx:
                 # The residual condition reads candidate pairs in place.
@@ -515,41 +546,39 @@ class VectorizedExecutor:
         return layout, out_cols, len(left_idx)
 
     @staticmethod
-    def _hash_join_pairs(probe_keys, ln: int, build_keys, rn: int, stats):
+    def _hash_join_pairs(probe_parts, ln: int, build_parts, rn: int, stats):
         """Matching ``(left, right)`` positions, by left then build order.
 
-        The build side is the right input, like the reference executor.
+        The build side is the right input, like the reference executor.  The
+        key's first build column that is distinct on its own is probed, its
+        one dict being the proof, else the column with the most distinct
+        values, bucketed; the other parts are compared at the candidate
+        pairs.  Each probe row meets the build rows whose parts all equal
+        its own, in build order: the pairs of probing the whole key as a
+        tuple, with no tuple built.
         """
-        index = dict(zip(build_keys, range(rn)))
-        unique = len(index) == rn  # every build key distinct (NULL at most once)
-        if not unique:
-            index = {}
-            bucket_of = index.get
-            for key, position in zip(build_keys, range(rn)):
-                bucket = bucket_of(key)
-                if bucket is None:
-                    index[key] = [position]
-                else:
-                    bucket.append(position)
-        index.pop(None, None)
         stats.join_build_rows += rn
         stats.join_probe_rows += ln
-        found = list(map(index.get, probe_keys))
-        if unique:
-            # One probe per row finds the only candidate, or nothing.
-            if None not in found:
-                return range(ln), found
-            return (
-                [i for i, position in enumerate(found) if position is not None],
-                [position for position in found if position is not None],
-            )
-        left_idx: List[int] = []
-        right_idx: List[int] = []
-        for i, matches in enumerate(found):
-            if matches:
-                left_idx.extend([i] * len(matches))
-                right_idx.extend(matches)
-        return left_idx, right_idx
+        sizes = []
+        for part, column in enumerate(build_parts):
+            index = dict(zip(column, count()))
+            if len(index) == rn:
+                distinct = True
+                break
+            sizes.append(len(index))
+        else:
+            # the column with the most keys gives the fewest candidates
+            part = sizes.index(max(sizes))
+            index, distinct = positions_by_key(build_parts[part], 0)
+        index.pop(None, None)  # a NULL key part matches nothing
+        left_idx, right_idx = _probe_pairs(probe_parts[part], ln, index, distinct)
+        others = [k for k in range(len(build_parts)) if k != part]
+        return _matching_parts(
+            left_idx,
+            right_idx,
+            [probe_parts[k] for k in others],
+            [build_parts[k] for k in others],
+        )
 
     def _nested_loop_pairs(self, condition, left_cols, ln, right_cols, rn, stats):
         left_idx: List[int] = []

@@ -24,13 +24,12 @@ from repro.plan.driver import (
     TAGGED_ROW_BYTES,
     _join_map,
     _join_reduce,
-    _positions_by_key,
     lower_join_stage,
 )
 from repro.plan.sms import SmsPlanner
 from repro.sim import SimNetwork
 from repro.sqlengine import Column, ColumnType, TableSchema
-from repro.sqlengine.batch import LazyColumns, text_widths
+from repro.sqlengine.batch import LazyColumns, positions_by_key, text_widths
 
 A = TableSchema("a", [
     Column("id", ColumnType.INTEGER),
@@ -167,7 +166,7 @@ class TestResidualBeforeConcatenation:
         ([2, 2], False),
     ])
     def test_a_side_is_distinct_only_if_no_two_keys_are_equal(self, keys, distinct):
-        positions, found = _positions_by_key(keys, len(keys))
+        positions, found = positions_by_key(keys, len(keys))
         assert found is distinct
         assert len(positions) == len(set(keys))
 

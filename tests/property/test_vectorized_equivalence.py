@@ -15,8 +15,8 @@ from dataclasses import asdict
 from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import SqlExecutionError
-from repro.sqlengine import Database
-from repro.sqlengine.executor import interpreted_evaluator
+from repro.sqlengine import Column, ColumnType, Database, TableSchema
+from repro.sqlengine.executor import Executor, interpreted_evaluator
 from repro.sqlengine.expr import (
     Between,
     BinaryOp,
@@ -30,10 +30,13 @@ from repro.sqlengine.expr import (
     RowLayout,
     UnaryOp,
 )
+from repro.sqlengine.parser import parse
+from repro.sqlengine.planner import Planner
 from repro.sqlengine.vectorize import (
     compile_vector_evaluator,
     compile_vector_filter,
 )
+from repro.sqlengine.vexecutor import VectorizedExecutor
 from tests.helpers import result_surface
 
 COLUMNS = ("a", "b", "c")
@@ -505,9 +508,11 @@ _JOIN_QUERIES = (
     "SELECT l.id, r.id FROM t l, u r WHERE l.c = r.c",
     "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a AND l.b = r.b",
     "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.b AND l.c = r.c",
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a AND l.b = r.b AND l.c = r.c",
     "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a AND l.b < r.b",
     "SELECT l.id, r.id, r.c FROM t l LEFT JOIN u r ON l.a = r.a",
     "SELECT l.id, r.id, r.c FROM t l LEFT JOIN u r ON l.a = r.b AND l.c = r.c",
+    "SELECT l.id, r.id, r.b FROM t l LEFT JOIN u r ON l.c = r.c AND l.b = r.b",
     "SELECT l.id, r.id, r.c FROM t l LEFT JOIN u r ON l.a = r.a AND l.b < r.b",
     "SELECT l.id, m.id, r.id FROM t l, u m, t r WHERE l.a = m.a AND m.b = r.b",
     "SELECT l.id, m.c, r.id FROM t l LEFT JOIN u m ON l.a = m.a "
@@ -544,6 +549,49 @@ def _first_of_each(rows, column):
     ]
 
 
+#: Key parts of every kind in one column: 1, 1.0 and True are one key, so
+#: are 0, 0.0, -0.0 and False; two NaN objects are two keys.
+_UNTYPED_KEYS = (None, 0, 1, 1.0, True, False, -0.0, _NAN, float("nan"), "x")
+_UNTYPED_QUERIES = (
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a AND l.b = r.b",
+    "SELECT l.id, r.id FROM t l, u r WHERE l.a = r.a AND l.b = r.b AND l.c = r.c",
+    "SELECT l.id, r.id FROM t l LEFT JOIN u r ON l.c = r.c AND l.a = r.b",
+)
+_untyped_rows = st.lists(st.tuples(*[st.sampled_from(_UNTYPED_KEYS)] * 3), max_size=9)
+
+
+class _Untyped:
+    """A catalogue entry over rows as given: no type checks a value."""
+
+    schema = TableSchema(
+        "t", [Column(name, ColumnType.INTEGER) for name in ("id", "a", "b", "c")]
+    )
+
+    def __init__(self, rows):
+        self._rows = [(serial,) + row for serial, row in enumerate(rows)]
+
+    def __len__(self):
+        return len(self._rows)
+
+    def rows(self):
+        return self._rows
+
+    def column_data(self):
+        return [list(column) for column in zip(*self._rows)] or [[]] * 4
+
+    def index_on(self, column):
+        return None
+
+
+def _untyped_surface(executor, left_rows, right_rows, sql):
+    catalog = {"t": _Untyped(left_rows), "u": _Untyped(right_rows)}
+    layout, result, stats = executor(catalog).execute(
+        Planner(catalog).plan(parse(sql))
+    )
+    rows = result if isinstance(result, list) else result.rows
+    return layout.columns, [tuple(map(repr, row)) for row in rows], asdict(stats)
+
+
 def _join_surface(mode, left_rows, right_rows, sql):
     db = Database(execution_mode=mode)
     for name, data in (("t", left_rows), ("u", right_rows)):
@@ -558,15 +606,72 @@ def _join_surface(mode, left_rows, right_rows, sql):
     return result.columns, _bits(result.rows), asdict(result.stats)
 
 
+_AB = _JOIN_QUERIES[4]  # l.a = r.a AND l.b = r.b
+_BC = _JOIN_QUERIES[5]  # l.a = r.b AND l.c = r.c: INTEGER meets FLOAT
+_OTHER_NAN = float("nan")
+
+
 class TestJoinsAndGroups:
-    @settings(max_examples=120, deadline=None)
-    @example([(1, 1.0, "x")], [(1, 1.0, ""), (1, 0.5, "x")], False, _JOIN_QUERIES[0])
-    @example([(None, _NAN, None)], [(None, _NAN, None)], True, _JOIN_QUERIES[4])
-    @given(_join_rows, _join_rows, st.booleans(), st.sampled_from(_JOIN_QUERIES))
+    """A key probes the first build column distinct on its own, else its
+    first column bucketed, and compares the other parts; so
+    ``distinct_column`` makes each column of the build side distinct in
+    turn (None: as drawn)."""
+
+    @settings(max_examples=150, deadline=None)
+    @example([(1, 1.0, "x")], [(1, 1.0, ""), (1, 0.5, "x")], None, _JOIN_QUERIES[0])
+    @example([(None, _NAN, None)], [(None, _NAN, None)], 0, _AB)
+    # The probed column matches; the compared one holds one NaN object,
+    # two NaN objects, NULL on one side or both, and 1 against 1.0.
+    @example([(1, _NAN, "x")], [(1, _NAN, "x")], 0, _AB)
+    @example([(1, _NAN, "x")], [(1, _OTHER_NAN, "x")], 0, _AB)
+    @example([(1, None, "x")], [(1, 1.0, "x")], 0, _AB)
+    @example([(1, 1.0, "x")], [(1, None, "x")], 0, _AB)
+    @example([(1, None, "x")], [(1, None, "x")], 0, _AB)
+    @example([(1, 0.5, "x")], [(0, 1.0, "x"), (2, 1.0, "")], 2, _BC)
+    @example([(1, _NAN, "x"), (0, 1.0, "")], [(0, 1.0, "x"), (1, _NAN, "x")], 1, _AB)
+    # No column distinct on its own, the key distinct as a whole or not: the
+    # first column is bucketed and the second compared.
+    @example([(1, 1.0, "x")], [(1, 1.0, "x"), (1, 0.5, "x"), (0, 1.0, "")], None, _AB)
+    @example([(1, 1.0, "x")], [(1, 1.0, "x"), (1, 1.0, "")], None, _AB)
+    @example(
+        [(1, _NAN, "x"), (1, None, "x")],
+        [(1, _NAN, "x"), (1, _OTHER_NAN, "x"), (1, None, "")],
+        None,
+        _AB,
+    )
+    @given(
+        _join_rows,
+        _join_rows,
+        st.sampled_from((None, 0, 1, 2)),
+        st.sampled_from(_JOIN_QUERIES),
+    )
     def test_rows_order_stats_and_first_error_match_interpreted(
-        self, left_rows, right_rows, distinct_build, sql
+        self, left_rows, right_rows, distinct_column, sql
     ):
-        if distinct_build:  # every build key once: the one-probe arm
-            right_rows = _first_of_each(right_rows, 0)
+        if distinct_column is not None:  # the one-probe arm, on that column
+            right_rows = _first_of_each(right_rows, distinct_column)
         reference = _join_surface("interpreted", left_rows, right_rows, sql)
         assert _join_surface("vectorized", left_rows, right_rows, sql) == reference
+
+    @settings(max_examples=150, deadline=None)
+    @example([(1, True, "x")], [(1, 1, "x"), (2, 1.0, "x")], 0, _UNTYPED_QUERIES[0])
+    @example([(1, 1.0, True)], [(1, 1, 1.0), (2, 1.0, "x")], 0, _UNTYPED_QUERIES[1])
+    @example([(1, _NAN, None)], [(1, _NAN, None), (1, 0, "x")], 2, _UNTYPED_QUERIES[1])
+    @given(
+        _untyped_rows,
+        _untyped_rows,
+        st.sampled_from((None, 0, 1, 2)),
+        st.sampled_from(_UNTYPED_QUERIES),
+    )
+    def test_untyped_key_parts_meet_as_tuple_elements(
+        self, left_rows, right_rows, distinct_column, sql
+    ):
+        """Columns no table type coerced, so 1, 1.0 and True meet in one key
+        part and a bool against a number, as a tuple key's elements do."""
+        if distinct_column is not None:
+            right_rows = _first_of_each(right_rows, distinct_column)
+        reference = _untyped_surface(Executor, left_rows, right_rows, sql)
+        assert (
+            _untyped_surface(VectorizedExecutor, left_rows, right_rows, sql)
+            == reference
+        )
