@@ -53,7 +53,6 @@ from repro.core.engine_parallel import ParallelP2PEngine
 from repro.core.execution import EngineContext, QueryExecution
 from repro.core.fingerprint import fingerprint_bytes, fingerprint_tuple
 from repro.core.histogram import Histogram
-from repro.core.histogram_index import HistogramIndex
 from repro.core.indexer import (
     DataIndexer,
     FULL_INDEX_POLICY,
@@ -120,7 +119,6 @@ __all__ = [
     "FeedbackCalibrator",
     "ProcessingGraph",
     "Histogram",
-    "HistogramIndex",
     "InstanceMatcher",
     "InstanceMatchResult",
     "DataIndexer",

@@ -1,4 +1,4 @@
-"""Multi-dimensional histograms (MHIST) with iDistance bucket mapping (§5.1).
+"""Multi-dimensional histograms (MHIST) for cost estimation (§5.1).
 
 "Since attributes in a relation are correlated, single-dimensional
 histograms are not sufficient ... BestPeer++ adopts MHIST [17] to build
@@ -8,18 +8,16 @@ histograms until enough histogram buckets are generated. Then, the buckets
 (multi-dimensional hypercube) are mapped into one dimensional ranges using
 iDistance [12] and we index the buckets in BATON based on their ranges."
 
-The module provides:
-
-* :class:`Histogram` — MHIST-style construction plus the paper's three
-  estimators: relation size ES(R), region count EC(H, Q_R), and pairwise
-  join result size ES(q),
-* :func:`idistance_key` — the hypercube -> 1-D mapping for BATON indexing.
+:class:`Histogram` is MHIST-style construction plus the paper's three
+estimators: relation size ES(R), region count EC(H, Q_R), and pairwise join
+result size ES(q).  The statistics module keeps one per table, built on
+the query peer from every peer's partition; the buckets are not published
+into BATON (DESIGN.md §2).
 """
 
 from __future__ import annotations
 
 import datetime
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -88,11 +86,6 @@ class Bucket:
         return all(
             low <= value <= high
             for low, high, value in zip(self.lows, self.highs, point)
-        )
-
-    def center(self) -> Tuple[float, ...]:
-        return tuple(
-            (low + high) / 2.0 for low, high in zip(self.lows, self.highs)
         )
 
 
@@ -274,45 +267,3 @@ def estimate_join_size(
     for width in query_widths:
         denominator *= width
     return numerator / denominator
-
-
-# ----------------------------------------------------------------------
-# iDistance mapping (§5.1: buckets -> one-dimensional ranges)
-# ----------------------------------------------------------------------
-def idistance_key(
-    point: Sequence[float],
-    reference_points: Sequence[Sequence[float]],
-    partition_width: float = 1.0,
-) -> float:
-    """Map a point to its iDistance key.
-
-    iDistance assigns each point to its nearest reference point ``O_j`` and
-    keys it as ``j · c + dist(point, O_j)`` where ``c`` (the partition
-    width) exceeds any intra-partition distance — giving every partition a
-    disjoint one-dimensional range.
-    """
-    if not reference_points:
-        raise BestPeerError("iDistance needs at least one reference point")
-    best_index = 0
-    best_distance = math.inf
-    for index, reference in enumerate(reference_points):
-        distance = math.dist(point, reference)
-        if distance < best_distance:
-            best_distance = distance
-            best_index = index
-    return best_index * partition_width + best_distance
-
-
-def bucket_idistance_ranges(
-    histogram: Histogram,
-    reference_points: Sequence[Sequence[float]],
-    partition_width: float = 1.0,
-) -> List[Tuple[float, Bucket]]:
-    """The 1-D key of every bucket (by its center), for BATON indexing."""
-    return [
-        (
-            idistance_key(bucket.center(), reference_points, partition_width),
-            bucket,
-        )
-        for bucket in histogram.buckets
-    ]

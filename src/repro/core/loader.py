@@ -13,30 +13,41 @@ system is maintained by snapshot differentials:
    (the algorithm of Garcia-Molina & Labio [8]),
 3. the delta (inserts + deletes; an update is a delete-insert pair) is
    applied to the peer's MySQL database.
+
+Substitution for step 1 (DESIGN.md §2): only the loader writes a loaded
+table, so the table holds exactly the last extraction, coerced through its
+schema.  The loaded table *is* the snapshot; no second copy is kept.  A
+refresh coerces the new extraction the same way and diffs the values the
+table holds, so a write behind the loader is part of what the next refresh
+diffs against, and that refresh brings the table back to the extraction.
 """
 
 from __future__ import annotations
 
-import marshal
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple, Union
 
 from repro.core.fingerprint import fingerprint_tuple
 from repro.core.schema_mapping import SchemaMapping
-from repro.errors import SchemaMappingError
+from repro.errors import SchemaMappingError, SqlError
+from repro.sqlengine.batch import ColumnBatch, vectors_from_rows
 from repro.sqlengine.database import Database
+from repro.sqlengine.schema import TableSchema
+from repro.sqlengine.types import exact_key
 
 
 @dataclass
 class SnapshotDelta:
     """The outcome of one load or differential refresh of one global table.
 
-    Read-only: an initial load's ``inserted`` is the snapshot store's own list.
+    Read-only.  An initial load's ``inserted`` is the loaded
+    :class:`ColumnBatch` (``len`` and truth read as a list's; ``.rows``
+    builds the tuples); a refresh's two lists hold coerced row tuples.
     """
 
     table: str
-    inserted: List[tuple] = field(default_factory=list)
+    inserted: Union[List[tuple], ColumnBatch] = field(default_factory=list)
     deleted: List[tuple] = field(default_factory=list)
 
     @property
@@ -91,19 +102,8 @@ def _merge_key(entry: Tuple[int, tuple]) -> Tuple[int, str]:
     return entry[0], repr(entry[1])
 
 
-def _cancel_key(row: tuple) -> object:
-    """Equal for two rows only if :func:`fingerprint_tuple` encodes them alike,
-    which ``==`` does not promise (``1 == 1.0 == True``, ``0.0 == -0.0``):
-    marshal version 2 is exact on type and value.  A row it refuses gets a
-    key equal to nothing."""
-    try:
-        return marshal.dumps(row, 2)
-    except ValueError:
-        return object()
-
-
-def _residue(rows: Sequence[tuple], keys: list, unmatched: Counter) -> List[tuple]:
-    """``rows``, in order, minus one per equal-keyed row of the other snapshot
+def _residue(rows: Iterable[tuple], keys: list, unmatched: Counter) -> List[tuple]:
+    """``rows``, in order, minus one per equal-keyed row of the other side
     (its key counts, consumed here): pairs the reference merge would cancel
     too, so it need not see them."""
     kept = []
@@ -118,12 +118,14 @@ def _residue(rows: Sequence[tuple], keys: list, unmatched: Counter) -> List[tupl
 class DataLoader:
     """Loads and refreshes one peer's share of the corporate network data."""
 
-    def __init__(self, database: Database, mapping: SchemaMapping) -> None:
+    def __init__(
+        self, database: Database, mapping: SchemaMapping, loaded: Iterable[str] = ()
+    ) -> None:
         self.database = database
         self.mapping = mapping
-        # The snapshot store ("also stored in the normal peer instance but
-        # in a separate database"): global table -> last extracted rows.
-        self._snapshots: Dict[str, List[tuple]] = {}
+        # The global tables loaded so far.  Each one is its own snapshot: it
+        # holds exactly the coerced last extraction (module docstring).
+        self.loaded: Set[str] = set(loaded)
 
     # ------------------------------------------------------------------
     # Initial extraction
@@ -135,18 +137,16 @@ class DataLoader:
         rows: Sequence[Sequence[object]],
     ) -> SnapshotDelta:
         """First extraction of one local table into the peer database."""
-        global_table, transformed = self.mapping.transform(
+        global_table, batch = self.mapping.transform(
             local_table, local_columns, rows
         )
-        if global_table in self._snapshots:
+        if global_table in self.loaded:
             raise SchemaMappingError(
                 f"{global_table!r} already loaded; use refresh()"
             )
-        self.database.table(global_table).insert_many(transformed)
-        # One list for the store and the delta; its tuples are, where
-        # coercion changed nothing, the table's own too.
-        self._snapshots[global_table] = transformed
-        return SnapshotDelta(global_table, inserted=transformed)
+        self.database.table(global_table).insert_many(batch)
+        self.loaded.add(global_table)
+        return SnapshotDelta(global_table, inserted=batch)
 
     # ------------------------------------------------------------------
     # Differential refresh
@@ -158,37 +158,38 @@ class DataLoader:
         rows: Sequence[Sequence[object]],
     ) -> SnapshotDelta:
         """Re-extract a table and apply only the changes."""
-        global_table, transformed = self.mapping.transform(
+        global_table, batch = self.mapping.transform(
             local_table, local_columns, rows
         )
-        old_snapshot = self._snapshots.get(global_table)
-        if old_snapshot is None:
+        if global_table not in self.loaded:
             raise SchemaMappingError(
                 f"{global_table!r} was never loaded; use initial_load()"
             )
-        # Fingerprint-sort-merge only what the snapshots do not share.
-        old_keys = list(map(_cancel_key, old_snapshot))
-        new_keys = list(map(_cancel_key, transformed))
+        table = self.database.table(global_table)
+        # Fingerprint-sort-merge only what the table and the extraction do
+        # not share.  The table's rows are zipped twice, for their keys and
+        # for the residue, so no old row outlives its key.  A new row that
+        # cancels is exactly some table row, so it is coerced already: only
+        # the new residue is coerced, and every row the schema refuses is in
+        # it, in extraction order.
+        old_keys = list(map(exact_key, table.rows()))
+        new_keys = list(map(exact_key, batch.rows))
         inserted, deleted = snapshot_diff(
-            _residue(old_snapshot, old_keys, Counter(new_keys)),
-            _residue(transformed, new_keys, Counter(old_keys)),
+            _residue(table.rows(), old_keys, Counter(new_keys)),
+            _coerced(table.schema, _residue(batch.rows, new_keys, Counter(old_keys))),
         )
-        # Atomic: a delta the table refuses leaves it and the snapshot as is.
-        self.database.table(global_table).apply_delta(deleted, inserted)
-        self._snapshots[global_table] = transformed
+        # Atomic: a delta the table refuses leaves it as it was.
+        table.apply_delta(deleted, inserted)
         return SnapshotDelta(global_table, inserted=inserted, deleted=deleted)
 
-    def snapshot_of(self, global_table: str) -> Optional[List[tuple]]:
-        snapshot = self._snapshots.get(global_table.lower())
-        return list(snapshot) if snapshot is not None else None
 
-    def export_snapshots(self) -> Dict[str, List[tuple]]:
-        """The whole snapshot store (for EBS backups: the snapshots live
-        "in the normal peer instance but in a separate database", §4.2)."""
-        return {table: list(rows) for table, rows in self._snapshots.items()}
-
-    def restore_snapshots(self, snapshots: Dict[str, List[tuple]]) -> None:
-        """Reinstall a backed-up snapshot store after fail-over recovery."""
-        self._snapshots = {
-            table: list(rows) for table, rows in snapshots.items()
-        }
+def _coerced(schema: TableSchema, rows: List[tuple]) -> List[tuple]:
+    """``rows`` as the table would store them.  A bad row raises what
+    :meth:`Table.insert_many` would raise for it first."""
+    try:
+        vectors = schema.coerce_columns(vectors_from_rows(rows, len(schema.columns)))
+    except SqlError:
+        for row in rows:  # only to raise: the first bad row's error
+            schema.coerce_row(row)
+        raise
+    return list(zip(*vectors))

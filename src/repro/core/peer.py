@@ -20,8 +20,8 @@ so the result reflects one consistent snapshot across peers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from repro.core.access_control import AccessController, Role
 from repro.core.config import BestPeerConfig
@@ -57,17 +57,16 @@ class BackupPayload:
     for any other write, and a batch reads its first ``count`` values, so
     the payload is a point-in-time copy that copies nothing.
 
-    Includes the loader's snapshot store: it lives "in the normal peer
-    instance but in a separate database" (§4.2), so it is backed up and
-    restored with everything else — otherwise the first differential
-    refresh after a fail-over would diff against a stale snapshot.
+    The loader's snapshots (§4.2) are among those tables: a loaded table
+    is its own snapshot (:mod:`repro.core.loader`), so the payload names
+    which tables the loader has loaded and holds no second copy of them.
     """
 
     schemas: List[TableSchema]
     secondary_indices: Dict[str, List[str]]
     tables: Dict[str, ColumnBatch]
     last_refresh_at: float
-    loader_snapshots: Dict[str, List[tuple]] = field(default_factory=dict)
+    loaded_tables: FrozenSet[str]
 
     @property
     def total_rows(self) -> int:
@@ -271,10 +270,10 @@ class NormalPeer:
                 for table in tables
             },
             last_refresh_at=self.last_refresh_at,
-            loader_snapshots=(
-                self._loader.export_snapshots()
+            loaded_tables=(
+                frozenset(self._loader.loaded)
                 if self._loader is not None
-                else {}
+                else frozenset()
             ),
         )
 
@@ -295,13 +294,12 @@ class NormalPeer:
         for table, batch in payload.tables.items():
             self.database.table(table).insert_many(batch)
         self.last_refresh_at = payload.last_refresh_at
-        # Rebind the loader to the rebuilt database and reinstall its
-        # backed-up snapshot store, so future differential refreshes diff
-        # against what the restored database actually contains.
+        # Rebind the loader to the rebuilt database, whose tables are the
+        # snapshots future differential refreshes diff against.
         if self._loader is not None:
-            mapping = self._loader.mapping
-            self._loader = DataLoader(self.database, mapping)
-            self._loader.restore_snapshots(payload.loader_snapshots)
+            self._loader = DataLoader(
+                self.database, self._loader.mapping, payload.loaded_tables
+            )
         self._update_storage_metric()
 
     def rebind_instance(self, instance: Instance) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaMappingError
-from repro.sqlengine.batch import vectors_from_rows
+from repro.sqlengine.batch import ColumnBatch, vectors_from_rows
 from repro.sqlengine.schema import TableSchema
 
 
@@ -79,12 +79,13 @@ class SchemaMapping:
         local_table: str,
         local_columns: Sequence[str],
         rows: Sequence[Sequence[object]],
-    ) -> Tuple[str, List[Tuple[object, ...]]]:
-        """Rewrite local rows into global-schema rows.
+    ) -> Tuple[str, ColumnBatch]:
+        """Rewrite local rows into global-schema columns.
 
         Unmapped local columns are dropped; unmapped global columns become
         NULL; value mappings translate local terms per column.  Returns
-        ``(global_table, rows)``.
+        ``(global_table, batch)``: the batch is over the column vectors, so
+        no global row tuple is built unless somebody reads ``batch.rows``.
         """
         mapping = self.mapping_for(local_table)
         schema = self._global_schemas[mapping.global_table.lower()]
@@ -118,8 +119,9 @@ class SchemaMapping:
                 f"row width {len(rows[stop])} does not match local columns "
                 f"{expected}"
             )
-        transformed = list(zip(*vectors))
-        return mapping.global_table.lower(), transformed
+        return mapping.global_table.lower(), ColumnBatch(
+            schema.column_names, vectors, stop
+        )
 
 
 # ----------------------------------------------------------------------

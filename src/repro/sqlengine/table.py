@@ -40,6 +40,7 @@ from repro.errors import SqlCatalogError, SqlError, SqlExecutionError
 from repro.sqlengine.batch import ColumnBatch, rows_from_vectors
 from repro.sqlengine.indexes import OrderedIndex
 from repro.sqlengine.schema import TableSchema
+from repro.sqlengine.types import exact_key
 
 
 class Table:
@@ -206,22 +207,26 @@ class Table:
     def apply_delta(
         self, deleted: Sequence[tuple], inserted: Sequence[Sequence[object]]
     ) -> List[int]:
-        """Atomically delete one copy of each ``deleted`` row (the first
-        equal one; all found in one pass) and append ``inserted``; returns the
+        """Atomically delete one copy of each ``deleted`` row (the first one
+        equal to it in type and value, so ``0.0`` never takes ``-0.0``'s
+        place; all found in one pass) and append ``inserted``; returns the
         new row ids.  Everything is validated before the first write: every
         victim found, the new rows' unique keys checked against the table
         *minus* the victims (an update of one key passes).  One version bump."""
         if not deleted:
             return self.insert_many(inserted)  # nothing to find: no pass
-        wanted = collections.Counter(deleted)
+        candidates = set(deleted)  # ``==`` first, the exact key on a hit
+        wanted = collections.Counter(map(exact_key, deleted))
         victims = []
         for row_id, row in enumerate(self.rows()):
-            if wanted.get(row):
-                wanted[row] -= 1
-                victims.append(row_id)
-        missing = +wanted  # the copies no row matched
-        if missing:
-            raise SqlExecutionError(f"no live row to delete: {next(iter(missing))!r}")
+            if row in candidates:
+                key = exact_key(row)
+                if wanted.get(key):
+                    wanted[key] -= 1
+                    victims.append(row_id)
+        if +wanted:  # the copies no row matched
+            missing = next(row for row in deleted if wanted[exact_key(row)] > 0)
+            raise SqlExecutionError(f"no live row to delete: {missing!r}")
         vectors = self._validated(inserted, frozenset(victims))
         self._rewrite(victims, vectors)
         return list(range(len(self) - len(vectors[0]), len(self)))

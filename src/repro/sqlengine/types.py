@@ -8,6 +8,7 @@ which keeps comparison semantics trivial and serialization cheap.
 from __future__ import annotations
 
 import enum
+import marshal
 import re
 from typing import Optional, Sequence
 
@@ -156,6 +157,20 @@ def canonical_key(key: object) -> object:
     if isinstance(key, tuple):
         return tuple(map(canonical_key, key))
     return key
+
+
+def exact_key(row: Sequence[object]) -> object:
+    """A key equal for two rows only if their values are alike in type and
+    value, which ``==`` does not promise (``1 == 1.0 == True``,
+    ``0.0 == -0.0``): the row's marshal encoding, version 2 (later versions
+    add flags that depend on object identity, not value), or, for a value
+    marshal refuses (an int subclass, a ``date``), the type and repr of
+    each value.  Two rows with one key are rows the snapshot differential's
+    merge cancels too: it compares type-tagged encodings and reprs."""
+    try:
+        return marshal.dumps(row, 2)
+    except ValueError:
+        return tuple(zip(map(type, row), map(repr, row)))
 
 
 def value_byte_size(value: object, column_type: Optional[ColumnType] = None) -> int:

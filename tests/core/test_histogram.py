@@ -1,6 +1,5 @@
-"""Tests for MHIST histograms and iDistance mapping."""
+"""Tests for MHIST histograms and their estimators."""
 
-import math
 import random
 
 import pytest
@@ -8,9 +7,7 @@ import pytest
 from repro.core.histogram import (
     Bucket,
     Histogram,
-    bucket_idistance_ranges,
     estimate_join_size,
-    idistance_key,
     numeric_value,
 )
 from repro.errors import BestPeerError
@@ -38,9 +35,6 @@ class TestBucket:
     def test_overlap_disjoint(self):
         bucket = Bucket((0.0,), (10.0,), 5)
         assert bucket.overlap_volume([20.0], [30.0]) == 0.0
-
-    def test_center(self):
-        assert Bucket((0.0, 2.0), (10.0, 4.0), 1).center() == (5.0, 3.0)
 
 
 class TestBuild:
@@ -130,30 +124,3 @@ class TestEstimators:
         histogram = Histogram.build(["k"], [(1.0,)])
         with pytest.raises(BestPeerError):
             estimate_join_size(histogram, histogram, query_widths=[0.0])
-
-
-class TestIDistance:
-    def test_key_is_partition_offset_plus_distance(self):
-        refs = [(0.0, 0.0), (100.0, 100.0)]
-        key = idistance_key((1.0, 0.0), refs, partition_width=1000.0)
-        assert key == pytest.approx(1.0)
-        key2 = idistance_key((99.0, 100.0), refs, partition_width=1000.0)
-        assert key2 == pytest.approx(1000.0 + 1.0)
-
-    def test_partitions_disjoint(self):
-        refs = [(0.0,), (10.0,)]
-        near_zero = idistance_key((2.0,), refs, partition_width=100.0)
-        near_ten = idistance_key((9.0,), refs, partition_width=100.0)
-        assert near_zero < 100.0 <= near_ten
-
-    def test_requires_reference_points(self):
-        with pytest.raises(BestPeerError):
-            idistance_key((1.0,), [])
-
-    def test_bucket_ranges(self):
-        histogram = Histogram.build(["a", "b"], uniform_rows(200), num_buckets=4)
-        refs = [(0.0, 0.0)]
-        ranges = bucket_idistance_ranges(histogram, refs, partition_width=1e6)
-        assert len(ranges) == 4
-        for key, bucket in ranges:
-            assert key == pytest.approx(math.dist(bucket.center(), refs[0]))

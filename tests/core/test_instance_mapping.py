@@ -114,7 +114,7 @@ class TestMatching:
             "kunden", ["knr", "kname", "saldo"], [(7, "ACME", 50.0)]
         )
         assert table == "customer"
-        assert transformed == [(7, "ACME", 50.0)]
+        assert transformed.rows == [(7, "ACME", 50.0)]
 
 
 class TestValidation:

@@ -114,13 +114,25 @@ class TestRefreshAfterFailover:
         assert total == solo  # corp-1 contributes nothing anymore
 
     def test_loader_snapshots_travel_with_backups(self):
-        net = build_network(2)
-        peer = net.peers["corp-1"]
-        snapshot_before = peer.loader.snapshot_of("orders")
-        net.crash_peer("corp-1")
-        net.execute(Q2(ship_date="1995-01-01"), engine="basic")
-        assert net.peers["corp-1"].loader.snapshot_of("orders") == (
-            snapshot_before
+        """A loaded table is the loader's snapshot, so a peer restored from
+        its backup refreshes exactly as a twin that never crashed."""
+        crashed, twin = build_network(2), build_network(2)
+        crashed.crash_peer("corp-1")
+        crashed.execute(Q2(ship_date="1995-01-01"), engine="basic")  # fail-over
+        assert crashed.peers["corp-1"].online
+        # A mutated extraction: rows dropped, rows changed, rows added.
+        rows = list(twin.peers["corp-1"].database.table("orders").rows())
+        extraction = rows[10:]
+        extraction[:5] = [row[:-1] + (row[-1] + "*",) for row in extraction[:5]]
+        extraction += [(10**6 + i,) + rows[i][1:] for i in range(3)]
+        deltas = [
+            network.refresh_peer("corp-1", "orders", list(extraction))
+            for network in (crashed, twin)
+        ]
+        assert deltas[0] == deltas[1]
+        assert deltas[0].change_count == 10 + 5 + 5 + 3
+        assert list(crashed.peers["corp-1"].database.table("orders").rows()) == (
+            list(twin.peers["corp-1"].database.table("orders").rows())
         )
 
 

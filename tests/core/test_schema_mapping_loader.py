@@ -1,5 +1,6 @@
 """Tests for schema mapping and the snapshot-differential data loader."""
 
+import datetime
 import sys
 
 import pytest
@@ -48,27 +49,27 @@ def mapping():
 
 class TestSchemaMapping:
     def test_transform_renames_and_translates(self, mapping):
-        table, rows = mapping.transform(
+        table, batch = mapping.transform(
             "kunden",
             ["knr", "kname", "land"],
             [(1, "ACME", "DE"), (2, "Bolt", "US")],
         )
         assert table == "customer"
-        assert rows == [(1, "ACME", "GERMANY"), (2, "Bolt", "US")]
+        assert batch.rows == [(1, "ACME", "GERMANY"), (2, "Bolt", "US")]
 
     def test_unmapped_local_column_dropped(self, mapping):
-        table, rows = mapping.transform(
+        table, batch = mapping.transform(
             "kunden", ["knr", "kname", "land", "extra"], [(1, "A", "DE", "junk")]
         )
-        assert rows == [(1, "A", "GERMANY")]
+        assert batch.rows == [(1, "A", "GERMANY")]
 
     def test_unmapped_global_column_is_null(self):
         schema_mapping = SchemaMapping(global_schemas())
         schema_mapping.add_table_mapping(
             TableMapping("kunden", "customer", {"knr": "c_custkey"})
         )
-        _, rows = schema_mapping.transform("kunden", ["knr"], [(7,)])
-        assert rows == [(7, None, None)]
+        _, batch = schema_mapping.transform("kunden", ["knr"], [(7,)])
+        assert batch.rows == [(7, None, None)]
 
     def test_unknown_global_table_rejected(self):
         schema_mapping = SchemaMapping(global_schemas())
@@ -92,11 +93,11 @@ class TestSchemaMapping:
 
     def test_identity_mapping(self):
         mapping = identity_mapping(global_schemas())
-        table, rows = mapping.transform(
+        table, batch = mapping.transform(
             "customer", ["c_custkey", "c_name", "c_nation"], [(1, "A", "X")]
         )
         assert table == "customer"
-        assert rows == [(1, "A", "X")]
+        assert batch.rows == [(1, "A", "X")]
 
     def test_template_instantiation_with_override(self):
         template = MappingTemplate(
@@ -194,14 +195,19 @@ class TestDataLoader:
         with pytest.raises(SchemaMappingError):
             loader.refresh("kunden", ["knr", "kname", "land"], [])
 
-    def test_snapshot_kept_separately(self, loader):
+    def test_the_loaded_table_is_the_snapshot(self, loader):
         columns = ["knr", "kname", "land"]
-        loader.initial_load("kunden", columns, [(1, "A", "DE")])
-        snapshot = loader.snapshot_of("customer")
-        assert snapshot == [(1, "A", "GERMANY")]
-        # Mutating the returned list must not corrupt the stored snapshot.
-        snapshot.append(("junk",))
-        assert loader.snapshot_of("customer") == [(1, "A", "GERMANY")]
+        delta = loader.initial_load("kunden", columns, [(1, "A", "DE")])
+        assert delta.inserted.rows == [(1, "A", "GERMANY")]
+        # The loader keeps the table's name, not a copy of its rows.
+        assert vars(loader) == {
+            "database": loader.database,
+            "mapping": loader.mapping,
+            "loaded": {"customer"},
+        }
+        assert list(loader.database.table("customer").rows()) == [
+            (1, "A", "GERMANY")
+        ]
 
     def test_update_roundtrip(self, loader):
         columns = ["knr", "kname", "land"]
@@ -209,6 +215,65 @@ class TestDataLoader:
         loader.refresh("kunden", columns, [(1, "A-renamed", "DE")])
         names = loader.database.execute("SELECT c_name FROM customer")
         assert names.column("c_name") == ["A-renamed"]
+
+
+# ----------------------------------------------------------------------
+# A refresh diffs the values the table holds, not the raw extraction
+# ----------------------------------------------------------------------
+TYPED_SCHEMA = TableSchema(
+    "typed",
+    [
+        Column("id", ColumnType.INTEGER),
+        Column("name", ColumnType.TEXT),
+        Column("day", ColumnType.DATE),
+    ],
+)
+TYPED_COLUMNS = ["id", "name", "day"]
+
+
+class TestRefreshDiffsCoercedValues:
+    """The table coerces what it is given; a refresh that diffed the raw
+    extraction asked it to delete rows it never held."""
+
+    @pytest.mark.parametrize(
+        "first, second, inserted, deleted, held",
+        [
+            pytest.param(  # a deleted row with an int in the TEXT column
+                [(1, 7, "1998-09-15"), (2, "b", "1998-09-16")],
+                [(2, "b", "1998-09-16")],
+                [],
+                [(1, "7", "1998-09-15")],
+                [(2, "b", "1998-09-16")],
+                id="int-in-text-deleted",
+            ),
+            pytest.param(  # a deleted row with a datetime.date
+                [(1, "a", datetime.date(1998, 9, 15)), (2, "b", "1998-09-16")],
+                [(2, "b", "1998-09-16"), (3, "c", datetime.date(1998, 9, 17))],
+                [(3, "c", "1998-09-17")],
+                [(1, "a", "1998-09-15")],
+                [(2, "b", "1998-09-16"), (3, "c", "1998-09-17")],
+                id="date-object-deleted",
+            ),
+            pytest.param(  # an unchanged row whose raw value went 7 -> "7"
+                [(1, 7, "1998-09-15"), (2, "b", "1998-09-16")],
+                [(1, "7", "1998-09-15"), (2, "b", "1998-09-16")],
+                [],
+                [],
+                [(1, "7", "1998-09-15"), (2, "b", "1998-09-16")],
+                id="raw-int-became-text",
+            ),
+        ],
+    )
+    def test_refresh_of_a_coerced_row(self, first, second, inserted, deleted, held):
+        database = Database()
+        table = database.create_table(TYPED_SCHEMA)
+        loader = DataLoader(database, identity_mapping({"typed": TYPED_SCHEMA}))
+        loader.initial_load("typed", TYPED_COLUMNS, first)
+        delta = loader.refresh("typed", TYPED_COLUMNS, second)
+        assert (delta.inserted, delta.deleted) == (inserted, deleted)
+        assert sorted(table.rows()) == held
+        # And the table can be refreshed again: it is not wedged.
+        assert loader.refresh("typed", TYPED_COLUMNS, second).is_empty
 
 
 # ----------------------------------------------------------------------
@@ -255,7 +320,6 @@ class TestRefreshIsAtomic:
                 "t", T_COLUMNS, [(1, "a"), (2, "B"), (3, "c"), (3, "dup")]
             )
         assert _table_state(table) == before
-        assert loader.snapshot_of("t") == T_LOADED
         # The parent had deleted (2, 'b') by now and was wedged for good:
         # "snapshot delta wants to delete a missing row".
         delta = loader.refresh("t", T_COLUMNS, [(1, "a"), (2, "B"), (3, "c")])
@@ -264,13 +328,24 @@ class TestRefreshIsAtomic:
 
     def test_missing_victim_leaves_everything_as_it_was(self, loader):
         table = loader.database.table("t")
-        # Edited behind the loader's back: the snapshot still says (2, 'b').
-        loader.database.execute("UPDATE t SET v = 'edited' WHERE id = 2")
         before = _table_state(table)
-        with pytest.raises(SqlExecutionError, match="no live row to delete"):
-            loader.refresh("t", T_COLUMNS, [(1, "A"), (3, "c"), (4, "d")])
+        # (2.0, 'b') == (2, 'b'), but the table holds an int: no victim.
+        with pytest.raises(SqlExecutionError, match=r"no live row to delete: \(2\.0, 'b'\)"):
+            table.apply_delta([(1, "a"), (2.0, "b")], [(4, "d")])
         assert _table_state(table) == before
-        assert loader.snapshot_of("t") == T_LOADED
+        assert loader.refresh("t", T_COLUMNS, [(1, "a"), (3, "c")]).change_count == 1
+
+    def test_a_write_behind_the_loader_is_diffed_by_the_next_refresh(self, loader):
+        table = loader.database.table("t")
+        # Edited behind the loader's back: the table, which is the snapshot,
+        # says (2, 'edited') now, and the refresh diffs against that.
+        loader.database.execute("UPDATE t SET v = 'edited' WHERE id = 2")
+        delta = loader.refresh("t", T_COLUMNS, [(1, "A"), (3, "c"), (4, "d")])
+        assert sorted(delta.deleted) == [(1, "a"), (2, "edited")]
+        assert sorted(delta.inserted) == [(1, "A"), (4, "d")]
+        assert sorted(table.rows()) == [(1, "A"), (3, "c"), (4, "d")]
+        # Back in step with the extraction: the same one again is no change.
+        assert loader.refresh("t", T_COLUMNS, [(1, "A"), (3, "c"), (4, "d")]).is_empty
 
     def test_update_of_one_primary_key_passes(self, loader):
         # Delete + insert of key 2: unique keys are checked against the
@@ -458,7 +533,7 @@ class TestRefreshTellsTheStatisticsModule:
 
 
 # ----------------------------------------------------------------------
-# Loading costs what it validates, and the store shares nothing it took
+# Loading costs what it validates, and a table shares nothing it took
 # ----------------------------------------------------------------------
 class TestLoadGoesThroughTheBulkDoor:
     @staticmethod
@@ -498,42 +573,41 @@ class TestLoadGoesThroughTheBulkDoor:
         assert table.column_data() == vectors
         assert all(mine is not given for mine, given in zip(table.column_data(), vectors))
 
-    def test_writes_behind_the_loader_leave_store_and_backup_alone(self):
+    def test_writes_behind_the_loader_leave_the_backup_alone(self):
         rows = _numbered(20)
         network = self._network(list(rows))
         peer = network.peers["p0"]
         table = peer.database.table("t")
-        snapshot = peer.loader.snapshot_of("t")
         backup = peer.make_backup_payload()
         # Writes behind the loader's back: new column lists in the table,
-        # never a write into the store's list or the backup's.
+        # never a write into the backup's.
         peer.database.execute("UPDATE t SET v = 'edited' WHERE id < 5")
         peer.database.execute("DELETE FROM t WHERE id >= 15")
         assert len(table) == 15
-        assert snapshot == rows
-        assert peer.loader.snapshot_of("t") == rows
-        assert peer.loader.export_snapshots() == {"t": rows}
         assert backup.tables["t"].rows == rows
-        assert backup.loader_snapshots == {"t": rows}
+        assert backup.loaded_tables == {"t"}
         restored = NormalPeer("p0", peer.instance)
         restored.set_schema_mapping(peer.loader.mapping)
         restored.restore_from_payload(backup)
         assert list(restored.database.table("t").rows()) == rows
-        assert restored.loader.snapshot_of("t") == rows
+        # The restored table is the restored loader's snapshot.
+        assert restored.loader.loaded == {"t"}
+        assert restored.loader.refresh("t", T_COLUMNS, rows).is_empty
 
     def test_a_refresh_replaces_the_store_and_leaves_the_old_one_alone(self):
         rows = _numbered(20)
         network = self._network(list(rows))
         peer = network.peers["p0"]
-        before = peer.loader.snapshot_of("t")
+        before = peer.make_backup_payload().tables["t"]
         delta = network.refresh_peer("p0", "t", _numbered(25, changed=range(3)))
         assert delta.change_count == 3 + 3 + 5
-        assert before == rows
-        assert peer.loader.snapshot_of("t") == _numbered(25, changed=range(3))
+        # The table's new column lists hold the new extraction; a batch over
+        # the old ones still reads the rows it was given.
         assert sorted(peer.database.table("t").rows()) == _numbered(25, changed=range(3))
-        # A refresh's delta lists are its own, not the store's.
+        assert before.rows == rows
+        # A refresh's delta lists are its own, not the table's.
         delta.inserted.clear()
-        assert peer.loader.snapshot_of("t") == _numbered(25, changed=range(3))
+        assert sorted(peer.database.table("t").rows()) == _numbered(25, changed=range(3))
 
     @pytest.mark.parametrize("as_batch", [False, True])
     def test_second_load_into_a_unique_index_rejects_a_key_already_there(self, as_batch):

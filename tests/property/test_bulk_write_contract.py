@@ -494,7 +494,7 @@ class TestTransformIsThePerRowLoop:
                 return type(error), str(error)
 
         expected = outcome(lambda: reference_transform(table_mapping, local_columns, rows))
-        got = outcome(lambda: mapping.transform("loc", local_columns, rows)[1])
+        got = outcome(lambda: mapping.transform("loc", local_columns, rows)[1].rows)
         assert got == expected
         if isinstance(got, list):
             assert all(type(row) is tuple for row in got)

@@ -2,6 +2,7 @@
 snapshot diffs (and the loader's prefilter and atomic apply in front of
 them), the compile door, histograms, makespan scheduling."""
 
+import datetime
 import hashlib
 from collections import Counter
 
@@ -193,74 +194,14 @@ class TestSnapshotDiffProperties:
 
 
 # ----------------------------------------------------------------------
-# The loader's prefilter: same delta as the reference, fingerprinting less
+# The loader: a loaded table is its own snapshot, and a refresh gives the
+# reference's delta over the coerced extractions
 # ----------------------------------------------------------------------
 class _Key(int):
     """An int subclass: ``fingerprint_tuple`` tags it ``_Key``, not ``int``."""
 
 
 _NAN = float("nan")
-# Values that tuple ``==`` conflates and the reference's encoding does not
-# (1 / 1.0 / True, 0 / 0.0 / -0.0 / False), plus what marshal refuses.
-_WILD_POOL = [
-    None, 1, 1.0, True, 0, 0.0, -0.0, False, "", "a", "1", "1998-09-15",
-    "1998-09-16", 2**70, -(2**70), _NAN, _Key(1), _Key(7),
-]
-_wild_rows = st.lists(
-    st.tuples(st.sampled_from(_WILD_POOL), st.sampled_from(_WILD_POOL)),
-    max_size=25,
-)
-_PAIR_SCHEMA = TableSchema(
-    "t", [Column("a", ColumnType.TEXT), Column("b", ColumnType.TEXT)]
-)
-
-
-def _exact(rows):
-    """Rows as the reference's encoding sees them: type and repr per value."""
-    return [[(type(value).__name__, repr(value)) for value in row] for row in rows]
-
-
-class _RecordingTable:
-    """Stands in for the peer database: records what the loader applies."""
-
-    def table(self, name):
-        return self
-
-    def insert_many(self, rows):
-        pass
-
-    def apply_delta(self, deleted, inserted):
-        self.applied = (inserted, deleted)
-
-
-class TestLoaderPrefilterProperties:
-    @settings(max_examples=300, deadline=None)
-    @given(_wild_rows, _wild_rows)
-    def test_same_lists_in_the_same_order_as_the_reference(self, old, new):
-        recorder = _RecordingTable()
-        loader = DataLoader(recorder, identity_mapping({"t": _PAIR_SCHEMA}))
-        loader.initial_load("t", ["a", "b"], old)
-        delta = loader.refresh("t", ["a", "b"], new)
-        inserted, deleted = snapshot_diff(old, new)
-        assert _exact(delta.inserted) == _exact(inserted)
-        assert _exact(delta.deleted) == _exact(deleted)
-        assert recorder.applied == (delta.inserted, delta.deleted)
-        assert _exact(loader.snapshot_of("t")) == _exact(new)
-
-    @given(_wild_rows)
-    def test_unchanged_snapshot_fingerprints_nothing(self, rows):
-        recorder = _RecordingTable()
-        loader = DataLoader(recorder, identity_mapping({"t": _PAIR_SCHEMA}))
-        loader.initial_load("t", ["a", "b"], rows)
-        delta = loader.refresh("t", ["a", "b"], list(rows))
-        # Rows marshal refuses (an int subclass) are left to the reference,
-        # which cancels them; everything else never reaches it.
-        assert delta.is_empty
-
-
-# ----------------------------------------------------------------------
-# Table.apply_delta: what the parent's delete-scan + insert_many loop left
-# ----------------------------------------------------------------------
 _TYPED_SCHEMA = TableSchema(
     "t",
     [
@@ -270,32 +211,66 @@ _TYPED_SCHEMA = TableSchema(
         Column("d", ColumnType.DATE),
     ],
 )
-_typed_rows = st.lists(
-    st.tuples(
-        st.sampled_from([None, 0, 1, 2, 2**70, _Key(1)]),
-        st.sampled_from([None, 0.0, -0.0, 1.0, 1, 0, _NAN, 2.5]),
-        st.sampled_from([None, "", "a", "b"]),
-        st.sampled_from([None, "1998-09-15", "1998-09-16"]),
-    ),
-    max_size=20,
+_TYPED_COLUMNS = ["k", "x", "s", "d"]
+# Per column: typed values, values the column coerces (into a value that may
+# also be there typed: 7 / "7", 0 / 0.0, a date / its ISO text), values
+# ``==`` conflates that the reference's encoding does not (0.0 / -0.0,
+# 1 / _Key(1)), NULL and NaN.
+_COERCIBLE = (
+    [None, 0, 1, 7, 2**70, _Key(1), "7", 7.0],
+    [None, 0.0, -0.0, 1.0, 2.5, _NAN, 0, 1, "2.5", "nan"],
+    [None, "", "a", "7", 7, 2.5],
+    [None, "1998-09-15", "1998-09-16", datetime.date(1998, 9, 15)],
 )
+# One value per column that the column refuses.
+_REFUSED = (True, "x", True, "junk")
+_typed_row = st.tuples(*map(st.sampled_from, _COERCIBLE))
 
 
-def _apply_as_the_parent_did(table, deleted, inserted):
-    """The parent's ``DataLoader.refresh`` loop, kept as the oracle: one
-    table scan per deleted row, ``delete_row`` each, then ``insert_many``."""
-    for row in deleted:
-        victim = next(
-            (
-                row_id
-                for row_id in table.row_ids()
-                if table.row_by_id(row_id) == row
-            ),
-            None,
-        )
-        assert victim is not None, row
-        table.delete_row(victim)
-    table.insert_many(inserted)
+@st.composite
+def _refused_sometimes(draw, rows):
+    """``rows``, or rarely ``rows`` with one row the schema refuses."""
+    if rows and draw(st.integers(0, 7)) == 0:
+        at, column = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, 3))
+        bad = list(rows[at])
+        bad[column] = _REFUSED[column]
+        rows = rows[:at] + [tuple(bad)] + rows[at:]
+    return rows
+
+
+@st.composite
+def _extraction_sequences(draw):
+    """A first extraction and 1-4 more, each an edit of the one before:
+    rows kept, dropped, duplicated, updated with their key kept, added."""
+    extraction = draw(st.lists(_typed_row, max_size=10))
+    sequence = [draw(_refused_sometimes(extraction))]
+    for _ in range(draw(st.integers(1, 4))):
+        edited = []
+        for row in extraction:
+            edit = draw(st.sampled_from(["keep", "keep", "drop", "update", "twin"]))
+            if edit == "update":
+                row = row[:1] + draw(_typed_row)[1:]
+            if edit != "drop":
+                edited.append(row)
+            if edit == "twin":
+                edited.append(row)
+        extraction = edited + draw(st.lists(_typed_row, max_size=4))
+        sequence.append(draw(_refused_sometimes(extraction)))
+    return sequence
+
+
+def _exact(rows):
+    """Rows as the reference's encoding sees them: type and repr per value."""
+    return [[(type(value).__name__, repr(value)) for value in row] for row in rows]
+
+
+def _coerced_or_error(extraction):
+    """The extraction as the table holds it, or what inserting it into an
+    empty table raises."""
+    try:
+        return [_TYPED_SCHEMA.coerce_row(row) for row in extraction]
+    except ReproError as error:
+        return error
 
 
 def _storage(table):
@@ -311,6 +286,80 @@ def _storage(table):
     )
 
 
+class TestLoaderPrefilterProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_extraction_sequences(), st.booleans())
+    def test_same_lists_in_the_same_order_as_the_reference(self, sequence, indexed):
+        database = Database()
+        table = database.create_table(_TYPED_SCHEMA)
+        if indexed:
+            table.create_index("idx_k", "k")
+        loader = DataLoader(database, identity_mapping({"t": _TYPED_SCHEMA}))
+        held = None  # the coerced extraction the table holds
+        for extraction in sequence:
+            expected = _coerced_or_error(extraction)
+            step = loader.initial_load if held is None else loader.refresh
+            if isinstance(expected, ReproError):
+                before = (_storage(table), table.version)
+                with pytest.raises(type(expected)) as raised:
+                    step("t", _TYPED_COLUMNS, extraction)
+                assert str(raised.value) == str(expected)
+                assert (_storage(table), table.version) == before
+                continue
+            delta = step("t", _TYPED_COLUMNS, extraction)
+            if held is None:
+                assert _exact(delta.inserted.rows) == _exact(extraction)
+            else:
+                inserted, deleted = snapshot_diff(held, expected)
+                assert _exact(delta.inserted) == _exact(inserted)
+                assert _exact(delta.deleted) == _exact(deleted)
+            assert sorted(_exact(table.rows())) == sorted(_exact(expected))
+            held = expected
+
+    @given(st.lists(_typed_row, max_size=25))
+    def test_unchanged_snapshot_fingerprints_nothing(self, rows):
+        database = Database()
+        table = database.create_table(_TYPED_SCHEMA)
+        loader = DataLoader(database, identity_mapping({"t": _TYPED_SCHEMA}))
+        loader.initial_load("t", _TYPED_COLUMNS, rows)
+        before = (_storage(table), table.version)
+        # Every row cancels before the reference, an int subclass too.
+        assert loader.refresh("t", _TYPED_COLUMNS, list(rows)).is_empty
+        assert (_storage(table), table.version) == before
+
+
+# ----------------------------------------------------------------------
+# Table.apply_delta: what the parent's delete-scan + insert_many loop left
+# ----------------------------------------------------------------------
+_typed_rows = st.lists(
+    st.tuples(
+        st.sampled_from([None, 0, 1, 2, 2**70, _Key(1)]),
+        st.sampled_from([None, 0.0, -0.0, 1.0, 1, 0, _NAN, 2.5]),
+        st.sampled_from([None, "", "a", "b"]),
+        st.sampled_from([None, "1998-09-15", "1998-09-16"]),
+    ),
+    max_size=20,
+)
+
+
+def _apply_one_by_one(table, deleted, inserted):
+    """The parent's ``DataLoader.refresh`` loop, kept as the oracle: one
+    table scan per deleted row for the first row alike in type and value,
+    ``delete_row`` each, then ``insert_many``."""
+    for row in deleted:
+        victim = next(
+            (
+                row_id
+                for row_id in table.row_ids()
+                if _exact([table.row_by_id(row_id)]) == _exact([row])
+            ),
+            None,
+        )
+        assert victim is not None, row
+        table.delete_row(victim)
+    table.insert_many(inserted)
+
+
 class TestApplyDeltaProperties:
     @settings(max_examples=200, deadline=None)
     @given(_typed_rows, _typed_rows, st.booleans())
@@ -320,11 +369,14 @@ class TestApplyDeltaProperties:
             if indexed:
                 table.create_index("idx_k", "k")
             table.insert_many(old)
-        inserted, deleted = snapshot_diff(old, new)
+        # The loader's delta: over the rows as the table holds them.
+        inserted, deleted = snapshot_diff(
+            _coerced_or_error(old), _coerced_or_error(new)
+        )
         ours, reference = tables
         version = ours.version
         row_ids = ours.apply_delta(deleted, inserted)
-        _apply_as_the_parent_did(reference, deleted, inserted)
+        _apply_one_by_one(reference, deleted, inserted)
         assert _storage(ours) == _storage(reference)
         # The victims' successors moved up; the new rows went last.
         first = len(old) - len(deleted)

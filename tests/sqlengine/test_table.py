@@ -180,6 +180,13 @@ class TestDelete:
         assert table.byte_size == 0
         assert table.index_on("id").lookup(1) == []
 
+    def test_apply_delta_takes_the_row_alike_in_type_and_value(self):
+        table = make_table(primary_key=None)
+        table.insert_many([[1, 0.0, "x"], [1, -0.0, "x"]])
+        # (1, 0.0, 'x') == (1, -0.0, 'x'), yet only the second is -0.0.
+        table.apply_delta([(1, -0.0, "x")], [])
+        assert repr(list(table.rows())) == "[(1, 0.0, 'x')]"
+
 
 class TestUpdate:
     def test_update_row(self):
