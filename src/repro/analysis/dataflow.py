@@ -24,8 +24,8 @@ entirely.  ``self.attr`` cells of one method link to the same attribute's
 cells in every other method of the class.  Sources, sinks, sanitizers and
 guards are declarative (:class:`TaintSpec`); a finding is emitted only when
 tainted data reaches a sink argument with no guard *must-executed* before
-the sink in its function and no guard reachable (precise edges only) from
-the lexical scope chain of either endpoint (the closure-under-
+the sink in its function and no guard reachable (over the graph's reliable
+edges) from the lexical scope chain of either endpoint (the closure-under-
 ``call_resilient`` idiom).  Every finding carries the actual source-to-sink
 hop list.
 
@@ -41,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import (
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -49,7 +48,12 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.projectgraph import MODULE_SCOPE, CallSite, ProjectGraph
+from repro.analysis.projectgraph import (
+    MODULE_SCOPE,
+    CallSite,
+    ProjectGraph,
+    iter_function_defs,
+)
 
 #: Abstract value node, one of::
 #:
@@ -541,36 +545,12 @@ class _FlowExtractor:
 # per-module extraction
 
 
-def iter_function_defs(
-    module_name: str, tree: ast.Module
-) -> Iterator[Tuple[str, Optional[ast.AST], Optional[str]]]:
-    """Yield ``(qualname, funcdef, enclosing_class)`` for every function in
-    ``tree`` plus the module pseudo-function, mirroring ProjectGraph's
-    qualname scheme exactly."""
-    yield f"{module_name}:{MODULE_SCOPE}", None, None
-
-    def walk(
-        node: ast.AST, path: List[str], direct_cls: Optional[str]
-    ) -> Iterator[Tuple[str, Optional[ast.AST], Optional[str]]]:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = f"{module_name}:{'.'.join(path + [child.name])}"
-                yield qual, child, direct_cls
-                yield from walk(child, path + [child.name], None)
-            elif isinstance(child, ast.ClassDef):
-                yield from walk(child, path + [child.name], child.name)
-            elif not isinstance(child, ast.expr):  # no def inside an expression
-                yield from walk(child, path, direct_cls)
-
-    yield from walk(tree, [], None)
-
-
 def extract_module_flows(
     module_name: str, tree: ast.Module
 ) -> Dict[str, FunctionFlow]:
     """Phase A for one module: a summary per function, deterministic."""
     flows: Dict[str, FunctionFlow] = {}
-    for qualname, funcdef, cls in iter_function_defs(module_name, tree):
+    for qualname, funcdef, cls, _ in iter_function_defs(module_name, tree):
         if funcdef is None:
             flow = FunctionFlow(
                 qualname=qualname,
@@ -979,9 +959,7 @@ class TaintEngine:
     def run(self, spec: TaintSpec) -> List[TaintHit]:
         guards_reaching: Set[str] = set()
         if spec.guards:
-            guards_reaching = self.graph.functions_reaching(
-                set(spec.guards), precise_only=True
-            )
+            guards_reaching = self.graph.functions_reaching(set(spec.guards))
         hits: List[TaintHit] = []
         emitted: Set[Tuple] = set()
         for seed, source, origin_desc in self._seeds(spec):

@@ -7,19 +7,24 @@ question the effect contracts (PURE001, DET003, ATOM001) ask.  Every
 function gets an inferred effect signature
 
     {wallclock, global_random, real_io, network_send,
-     mutates(owner class, ...), raises(exception, ...)}
+     mutates(owner class, ...)}
 
 seeded from intrinsic tables (``time.monotonic``, ``random.shuffle``,
-``open``, ``sock.sendall``, ``network.transfer``, attribute writes, raise
-statements) and propagated bottom-up over the strongly-connected
-components of the :class:`~repro.analysis.projectgraph.ProjectGraph`
-call graph until a fixpoint.
+``open``, ``sock.sendall``, ``network.transfer``, attribute writes) and
+propagated bottom-up over the strongly-connected components of the
+:class:`~repro.analysis.projectgraph.ProjectGraph` call graph until a
+fixpoint.  Whether an exception escapes is not an effect here: RES004
+(:mod:`repro.analysis.exceptionflow`) answers that for the one family a
+rule cares about.
 
-Edge discipline — the part that keeps the lattice honest:
+Edge discipline — the part that keeps the lattice honest.  The graph's
+``edges`` hold only reliable resolutions; effect inference reads the call
+sites themselves, so it also weighs the ambiguous candidates the graph
+leaves on ``CallSite.resolved``:
 
-* a **reliable** edge (lexical scope, imports, same-class self-call)
+* a **reliable** resolution (lexical scope, imports, same-class self-call)
   propagates the callee's full signature;
-* a **fallback** edge (any-method-of-this-name, even when the name is
+* a **fallback** candidate (any-method-of-this-name, even when the name is
   project-unique) propagates only when the rendered receiver names the
   candidate's class (``self.log.append`` may inherit
   ``MetadataLog.append``; ``pending.append`` may not) — this is the
@@ -31,11 +36,6 @@ Edge discipline — the part that keeps the lattice honest:
   callee (``queue.push(when, handler)`` gives the pusher the handler's
   effects) — over-approximation only raises suspicion, which is the
   correct direction for a purity contract.
-
-``raises`` atoms are filtered at each hop by the enclosing ``except``
-clauses of the call site (exception-class hierarchy resolved name-wise
-across the project; a bare ``except`` or ``except Exception`` swallows
-everything).  All other atoms propagate unconditionally.
 
 Everything is deterministic: modules, functions, edges, SCCs and witness
 searches all iterate in sorted order, and causes are computed only after
@@ -71,7 +71,6 @@ from repro.analysis.projectgraph import MODULE_SCOPE, ProjectGraph
 #:     ("mutates", owner)      writes state owned by ``owner`` —
 #:                             "module:Class", ":Class" (class not resolved
 #:                             to a module) or "module:<globals>"
-#:     ("raises", name)        may raise exception class ``name``
 Atom = Tuple
 WALLCLOCK: Atom = ("wallclock",)
 GLOBAL_RANDOM: Atom = ("global_random",)
@@ -82,11 +81,6 @@ NETWORK_SEND: Atom = ("network_send",)
 def mutates(owner: str) -> Atom:
     """The shared-state-mutation atom for ``owner`` (``module:Class``)."""
     return ("mutates", owner)
-
-
-def raises(name: str) -> Atom:
-    """The may-raise atom for exception class ``name``."""
-    return ("raises", name)
 
 
 def owner_class(owner: str) -> str:
@@ -104,8 +98,6 @@ def render_atom(atom: Atom) -> str:
     """Human-facing form of one atom (``mutates(MetadataLog)``)."""
     if atom[0] == "mutates":
         return f"mutates({owner_class(atom[1])})"
-    if atom[0] == "raises":
-        return f"raises({atom[1]})"
     return atom[0]
 
 
@@ -118,9 +110,6 @@ class IntrinsicSite:
     col: int
     #: Human cause, e.g. ``time.perf_counter(...)`` or ``self.peers[...] =``.
     text: str
-    #: Exception names caught around this site (``raises`` atoms only —
-    #: a raise inside ``try/except ValueError`` never leaves the function).
-    caught: FrozenSet[str] = frozenset()
 
 
 @dataclass
@@ -137,11 +126,6 @@ class EffectBase:
     cls: Optional[str]
     lineno: int
     intrinsics: List[IntrinsicSite] = field(default_factory=list)
-    #: Call anchors ``(lineno, col)`` wrapped in ``try`` → names caught
-    #: there.  Sparse: anchors with nothing caught are simply absent.
-    call_catches: Dict[Tuple[int, int], FrozenSet[str]] = field(
-        default_factory=dict
-    )
 
 
 # ----------------------------------------------------------------------
@@ -251,29 +235,28 @@ def _receiver_root(expr: ast.expr) -> Optional[str]:
 class _Extraction:
     """Walks one module's tree into ``{qualname: EffectBase}``.
 
-    Mirrors the graph's scope/qualname logic exactly (module pseudo-
-    function, class bodies attributed to the enclosing function scope,
-    nested defs as their own scopes with decorators and defaults
-    evaluated in the enclosing scope).  Lambda bodies are attributed to
-    the enclosing function — a documented over-approximation.
+    Keys each function by the graph's qualname for its def and mirrors
+    the graph's scopes (module pseudo-function, class bodies attributed
+    to the enclosing function scope, nested defs as their own scopes with
+    decorators and defaults evaluated in the enclosing scope).  Lambda
+    bodies are attributed to the enclosing function — a documented
+    over-approximation.
     """
 
-    def __init__(self, module_name: str, tree: ast.Module) -> None:
+    def __init__(
+        self,
+        module_name: str,
+        tree: ast.Module,
+        qualname_by_def: Dict[ast.AST, str],
+    ) -> None:
         self.module = module_name
         self.imports = ImportMap(tree)
+        self.qualname_by_def = qualname_by_def
         self.functions: Dict[str, EffectBase] = {}
-        self.class_bases: Dict[str, Tuple[str, ...]] = {}
-        self.local_classes: Set[str] = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                self.local_classes.add(node.name)
-                bases = []
-                for base in node.bases:
-                    if isinstance(base, ast.Name):
-                        bases.append(base.id)
-                    elif isinstance(base, ast.Attribute):
-                        bases.append(base.attr)
-                self.class_bases[node.name] = tuple(bases)
+        self.local_classes: Set[str] = {
+            node.name for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+        }
         mod_scope = f"{module_name}:{MODULE_SCOPE}"
         self._walk_function(
             qual=mod_scope,
@@ -311,23 +294,13 @@ class _Extraction:
             annotations=annotations,
             globals_declared=set(),
         )
-        self._visit_block(body, state, direct_cls=None, caught=frozenset())
-
-    def _child_qual(
-        self, funcname: str, scope: str, direct_cls: Optional[str]
-    ) -> str:
-        if direct_cls is not None:
-            return f"{self.module}:{direct_cls}.{funcname}"
-        if scope.endswith(f":{MODULE_SCOPE}"):
-            return f"{self.module}:{funcname}"
-        return f"{scope}.{funcname}"
+        self._visit_block(body, state, direct_cls=None)
 
     def _enter_def(
         self,
         funcdef: ast.AST,
         state: "_ScopeState",
         direct_cls: Optional[str],
-        caught: FrozenSet[str],
     ) -> None:
         # Decorators, defaults and annotations evaluate at def time, in
         # the *enclosing* scope.
@@ -335,12 +308,7 @@ class _Extraction:
         for expr in list(funcdef.decorator_list) + list(args.defaults) + [
             d for d in args.kw_defaults if d is not None
         ]:
-            self._visit_expr(expr, state, caught)
-        qual = self._child_qual(
-            funcdef.name,  # type: ignore[attr-defined]
-            state.base.qualname,
-            direct_cls,
-        )
+            self._visit_expr(expr, state)
         params = [a.arg for a in args.posonlyargs + args.args]
         cls = direct_cls
         method_cls = direct_cls if direct_cls is not None else state.method_cls
@@ -351,7 +319,7 @@ class _Extraction:
             if ann is not None:
                 annotations[arg.arg] = ann
         self._walk_function(
-            qual=qual,
+            qual=self.qualname_by_def[funcdef],
             name=funcdef.name,  # type: ignore[attr-defined]
             cls=cls,
             lineno=funcdef.lineno,  # type: ignore[attr-defined]
@@ -384,136 +352,95 @@ class _Extraction:
         stmts: Sequence[ast.stmt],
         state: "_ScopeState",
         direct_cls: Optional[str],
-        caught: FrozenSet[str],
     ) -> None:
         for stmt in stmts:
-            self._visit_stmt(stmt, state, direct_cls, caught)
+            self._visit_stmt(stmt, state, direct_cls)
 
     def _visit_stmt(
-        self,
-        stmt: ast.stmt,
-        state: "_ScopeState",
-        direct_cls: Optional[str],
-        caught: FrozenSet[str],
+        self, stmt: ast.stmt, state: "_ScopeState", direct_cls: Optional[str]
     ) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._enter_def(stmt, state, direct_cls, caught)
+            self._enter_def(stmt, state, direct_cls)
             return
         if isinstance(stmt, ast.ClassDef):
             for expr in list(stmt.decorator_list) + list(stmt.bases) + [
                 kw.value for kw in stmt.keywords
             ]:
-                self._visit_expr(expr, state, caught)
+                self._visit_expr(expr, state)
             # Class bodies execute at definition time in this scope.
-            self._visit_block(stmt.body, state, stmt.name, caught)
+            self._visit_block(stmt.body, state, stmt.name)
             return
         if isinstance(stmt, ast.Try) or (
             hasattr(ast, "TryStar") and isinstance(stmt, ast.TryStar)
         ):
-            names: Set[str] = set()
+            self._visit_block(stmt.body, state, direct_cls)
             for handler in stmt.handlers:
-                names |= self._handler_names(handler)
-            self._visit_block(stmt.body, state, direct_cls, caught | names)
-            for handler in stmt.handlers:
-                self._visit_block(handler.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
-            self._visit_block(stmt.finalbody, state, direct_cls, caught)
+                self._visit_block(handler.body, state, direct_cls)
+            self._visit_block(stmt.orelse, state, direct_cls)
+            self._visit_block(stmt.finalbody, state, direct_cls)
             return
         if isinstance(stmt, ast.If):
-            self._visit_expr(stmt.test, state, caught)
-            self._visit_block(stmt.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
+            self._visit_expr(stmt.test, state)
+            self._visit_block(stmt.body, state, direct_cls)
+            self._visit_block(stmt.orelse, state, direct_cls)
             return
         if isinstance(stmt, ast.While):
-            self._visit_expr(stmt.test, state, caught)
-            self._visit_block(stmt.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
+            self._visit_expr(stmt.test, state)
+            self._visit_block(stmt.body, state, direct_cls)
+            self._visit_block(stmt.orelse, state, direct_cls)
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._visit_expr(stmt.iter, state, caught)
+            self._visit_expr(stmt.iter, state)
             self._record_target_mutation(stmt.target, state, stmt)
-            self._visit_block(stmt.body, state, direct_cls, caught)
-            self._visit_block(stmt.orelse, state, direct_cls, caught)
+            self._visit_block(stmt.body, state, direct_cls)
+            self._visit_block(stmt.orelse, state, direct_cls)
             return
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
             for item in stmt.items:
-                self._visit_expr(item.context_expr, state, caught)
-            self._visit_block(stmt.body, state, direct_cls, caught)
+                self._visit_expr(item.context_expr, state)
+            self._visit_block(stmt.body, state, direct_cls)
             return
         if hasattr(ast, "Match") and isinstance(stmt, ast.Match):
-            self._visit_expr(stmt.subject, state, caught)
+            self._visit_expr(stmt.subject, state)
             for case in stmt.cases:
                 if case.guard is not None:
-                    self._visit_expr(case.guard, state, caught)
-                self._visit_block(case.body, state, direct_cls, caught)
+                    self._visit_expr(case.guard, state)
+                self._visit_block(case.body, state, direct_cls)
             return
         if isinstance(stmt, ast.Global):
             state.globals_declared.update(stmt.names)
             return
-        if isinstance(stmt, ast.Raise):
-            self._record_raise(stmt, state, caught)
-            if stmt.exc is not None:
-                self._visit_expr(stmt.exc, state, caught)
-            if stmt.cause is not None:
-                self._visit_expr(stmt.cause, state, caught)
-            return
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 self._record_target_mutation(target, state, stmt)
-            self._visit_expr(stmt.value, state, caught)
+            self._visit_expr(stmt.value, state)
             return
         if isinstance(stmt, ast.AnnAssign):
             self._record_target_mutation(stmt.target, state, stmt)
             if stmt.value is not None:
-                self._visit_expr(stmt.value, state, caught)
+                self._visit_expr(stmt.value, state)
             return
         if isinstance(stmt, ast.AugAssign):
             self._record_target_mutation(stmt.target, state, stmt)
-            self._visit_expr(stmt.value, state, caught)
+            self._visit_expr(stmt.value, state)
             return
         if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 self._record_target_mutation(target, state, stmt)
             return
-        # Return / Expr / Assert / everything else: scan expressions.
+        # Return / Expr / Raise / Assert / everything else: scan expressions.
         for child in ast.iter_child_nodes(stmt):
             if isinstance(child, ast.expr):
-                self._visit_expr(child, state, caught)
-
-    @staticmethod
-    def _handler_names(handler: ast.ExceptHandler) -> Set[str]:
-        if handler.type is None:
-            return {"BaseException"}
-        types = (
-            handler.type.elts
-            if isinstance(handler.type, ast.Tuple)
-            else [handler.type]
-        )
-        names: Set[str] = set()
-        for t in types:
-            if isinstance(t, ast.Name):
-                names.add(t.id)
-            elif isinstance(t, ast.Attribute):
-                names.add(t.attr)
-        return names
+                self._visit_expr(child, state)
 
     # -- expression walk -----------------------------------------------
 
-    def _visit_expr(
-        self, expr: ast.expr, state: "_ScopeState", caught: FrozenSet[str]
-    ) -> None:
+    def _visit_expr(self, expr: ast.expr, state: "_ScopeState") -> None:
         for node in ast.walk(expr):
             if isinstance(node, ast.Call):
-                self._record_call(node, state, caught)
+                self._record_call(node, state)
 
-    def _record_call(
-        self, node: ast.Call, state: "_ScopeState", caught: FrozenSet[str]
-    ) -> None:
-        if caught:
-            anchor = (node.lineno, node.col_offset)
-            state.base.call_catches[anchor] = (
-                state.base.call_catches.get(anchor, frozenset()) | caught
-            )
+    def _record_call(self, node: ast.Call, state: "_ScopeState") -> None:
         func = node.func
         if isinstance(func, ast.Name):
             self._classify_bare_call(node, func.id, state)
@@ -521,12 +448,7 @@ class _Extraction:
             self._classify_attr_call(node, func, state)
 
     def _add(
-        self,
-        state: "_ScopeState",
-        node: ast.AST,
-        atom: Atom,
-        text: str,
-        caught: FrozenSet[str] = frozenset(),
+        self, state: "_ScopeState", node: ast.AST, atom: Atom, text: str
     ) -> None:
         state.base.intrinsics.append(
             IntrinsicSite(
@@ -534,7 +456,6 @@ class _Extraction:
                 lineno=getattr(node, "lineno", state.base.lineno or 1),
                 col=getattr(node, "col_offset", 0),
                 text=text,
-                caught=caught,
             )
         )
 
@@ -719,27 +640,6 @@ class _Extraction:
             return f"{origin[0]}:{origin[1]}"
         return f":{class_name}"
 
-    # -- raises --------------------------------------------------------
-
-    def _record_raise(
-        self, stmt: ast.Raise, state: "_ScopeState", caught: FrozenSet[str]
-    ) -> None:
-        exc = stmt.exc
-        if exc is None:  # bare re-raise: already propagating from a call
-            return
-        if isinstance(exc, ast.Call):
-            exc = exc.func
-        name = None
-        if isinstance(exc, ast.Name):
-            name = exc.id
-        elif isinstance(exc, ast.Attribute):
-            name = exc.attr
-        if name is not None:
-            self._add(
-                state, stmt, raises(name), f"raise {name}", caught=caught
-            )
-
-
 @dataclass
 class _ScopeState:
     base: EffectBase
@@ -749,21 +649,16 @@ class _ScopeState:
     globals_declared: Set[str]
 
 
-def compute_effect_bases(
-    graph: ProjectGraph,
-) -> Tuple[Dict[str, EffectBase], Dict[str, FrozenSet[str]]]:
-    """Phase A over every module: local effect bases plus the project's
-    class hierarchy (class name → declared base names)."""
+def compute_effect_bases(graph: ProjectGraph) -> Dict[str, EffectBase]:
+    """Phase A over every module: the local effect bases."""
     functions: Dict[str, EffectBase] = {}
-    class_bases: Dict[str, Set[str]] = {}
     for name in sorted(graph.modules):
-        extraction = _Extraction(name, graph.modules[name].tree)
-        functions.update(extraction.functions)
-        for cls, bases in extraction.class_bases.items():
-            class_bases.setdefault(cls, set()).update(bases)
-    return functions, {
-        cls: frozenset(bases) for cls, bases in class_bases.items()
-    }
+        functions.update(
+            _Extraction(
+                name, graph.modules[name].tree, graph.qualname_by_def
+            ).functions
+        )
+    return functions
 
 
 # ----------------------------------------------------------------------
@@ -774,7 +669,6 @@ def compute_effect_bases(
 class _PropEdge:
     callee: str
     lineno: int
-    caught: FrozenSet[str]
 
 
 @dataclass(frozen=True)
@@ -786,12 +680,11 @@ class EffectSignature:
     real_io: bool = False
     network_send: bool = False
     mutates: Tuple[str, ...] = ()
-    raises: Tuple[str, ...] = ()
 
     @property
     def pure(self) -> bool:
-        """No observable side effects.  Raising is control flow, not an
-        effect — a pure evaluator may still raise on malformed input."""
+        """No observable side effects (raising is control flow: a pure
+        evaluator may still raise on malformed input)."""
         return not (
             self.wallclock
             or self.global_random
@@ -807,7 +700,6 @@ class EffectSignature:
             "real_io": self.real_io,
             "network_send": self.network_send,
             "mutates": list(self.mutates),
-            "raises": list(self.raises),
         }
 
     @classmethod
@@ -815,17 +707,12 @@ class EffectSignature:
         kinds = {"wallclock": False, "global_random": False,
                  "real_io": False, "network_send": False}
         muts: Set[str] = set()
-        excs: Set[str] = set()
         for atom in atoms:
             if atom[0] in kinds:
                 kinds[atom[0]] = True
             elif atom[0] == "mutates":
                 muts.add(atom[1])
-            elif atom[0] == "raises":
-                excs.add(atom[1])
-        return cls(
-            mutates=tuple(sorted(muts)), raises=tuple(sorted(excs)), **kinds
-        )
+        return cls(mutates=tuple(sorted(muts)), **kinds)
 
 
 PURE_SIGNATURE = EffectSignature()
@@ -838,14 +725,10 @@ class EffectInference:
     """The fixpoint engine, built once per analysis run."""
 
     def __init__(
-        self,
-        graph: ProjectGraph,
-        bases: Dict[str, EffectBase],
-        class_bases: Dict[str, FrozenSet[str]],
+        self, graph: ProjectGraph, bases: Dict[str, EffectBase]
     ) -> None:
         self.graph = graph
         self.bases = bases
-        self.class_bases = class_bases
         #: caller -> propagation edges, sorted by (lineno, callee).
         self.calls: Dict[str, List[_PropEdge]] = {}
         self._build_edges()
@@ -858,47 +741,33 @@ class EffectInference:
         graph's memo (one extraction + one fixpoint per analysis run)."""
         if "effect_inference" not in graph.memo:
             graph.memo["effect_inference"] = cls(
-                graph, *compute_effect_bases(graph)
+                graph, compute_effect_bases(graph)
             )
         return graph.memo["effect_inference"]
 
     # -- edges ---------------------------------------------------------
 
     def _build_edges(self) -> None:
-        staged: Dict[str, Dict[Tuple[int, str], FrozenSet[str]]] = {}
+        staged: Dict[str, Set[Tuple[int, str]]] = {}
         for site in self.graph.call_sites:
-            base = self.bases.get(site.caller)
-            caught = frozenset()
-            if base is not None:
-                caught = base.call_catches.get(
-                    (site.lineno, site.col), frozenset()
-                )
-            targets: Set[str] = set()
             reliable = site.precise and not site.via_fallback
-            for callee in site.resolved:
-                if callee not in self.bases:
-                    continue
-                if reliable or self._receiver_matches(site.receiver, callee):
-                    targets.add(callee)
-            for ref in site.func_ref_args:
-                if ref in self.bases:
-                    targets.add(ref)
-            if not targets:
-                continue
-            per_caller = staged.setdefault(site.caller, {})
-            for callee in sorted(targets):
-                key = (site.lineno, callee)
-                prior = per_caller.get(key)
-                # Same call repeated on one line under different try
-                # scopes: intersect (an exception escapes only if some
-                # occurrence lets it).
-                per_caller[key] = (
-                    caught if prior is None else prior & caught
-                )
+            edges = {
+                (site.lineno, callee)
+                for callee in site.resolved
+                if callee in self.bases
+                and (reliable or self._receiver_matches(site.receiver, callee))
+            }
+            edges.update(
+                (site.lineno, ref)
+                for ref in site.func_ref_args
+                if ref in self.bases
+            )
+            if edges:
+                staged.setdefault(site.caller, set()).update(edges)
         for caller in sorted(staged):
             self.calls[caller] = [
-                _PropEdge(callee=callee, lineno=lineno, caught=caught)
-                for (lineno, callee), caught in sorted(staged[caller].items())
+                _PropEdge(callee=callee, lineno=lineno)
+                for lineno, callee in sorted(staged[caller])
             ]
 
     def _receiver_matches(
@@ -968,33 +837,6 @@ class EffectInference:
                     low[parent] = min(low[parent], low[node])
         return sccs
 
-    def _local_atoms(self, qual: str) -> Set[Atom]:
-        atoms: Set[Atom] = set()
-        for site in self.bases[qual].intrinsics:
-            if site.atom[0] == "raises" and self._covered(
-                site.atom[1], site.caught
-            ):
-                continue
-            atoms.add(site.atom)
-        return atoms
-
-    def _covered(self, exc: str, caught: FrozenSet[str]) -> bool:
-        if not caught:
-            return False
-        if "BaseException" in caught or "Exception" in caught:
-            return True
-        seen = {exc}
-        frontier = [exc]
-        while frontier:
-            name = frontier.pop()
-            if name in caught:
-                return True
-            for base in sorted(self.class_bases.get(name, ())):
-                if base not in seen:
-                    seen.add(base)
-                    frontier.append(base)
-        return False
-
     def _infer(self) -> None:
         for comp in self._sccs():
             comp_set = set(comp)
@@ -1004,14 +846,9 @@ class EffectInference:
             while True:
                 changed = False
                 for qual in comp:
-                    atoms = self._local_atoms(qual)
+                    atoms = {s.atom for s in self.bases[qual].intrinsics}
                     for edge in self.calls.get(qual, ()):
-                        for atom in self.atoms.get(edge.callee, ()):
-                            if atom[0] == "raises" and self._covered(
-                                atom[1], edge.caught
-                            ):
-                                continue
-                            atoms.add(atom)
+                        atoms.update(self.atoms.get(edge.callee, ()))
                     frozen = frozenset(atoms)
                     if frozen != self.atoms.get(qual):
                         self.atoms[qual] = frozen

@@ -15,8 +15,8 @@ This rule computes, per function, whether a ``NetworkError``-family
 exception can *escape* it: a cross-peer primitive call or an explicit
 ``raise`` of a family type, not enclosed in a handler that catches the
 family, or a call to a function the family escapes from, equally unhandled
-— a bottom-up fixpoint over the precise call graph.  It then walks
-top-down from *entry points* (functions with no precise callers) marking
+— a bottom-up fixpoint over the reliable call graph.  It then walks
+top-down from *entry points* (functions with no reliable callers) marking
 functions the escape actually *reaches* with no resilience coverage and no
 handler anywhere on the propagation path, and flags, in each such
 function, every uncaught primitive and every uncaught call into an
@@ -35,9 +35,8 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
-from repro.analysis.dataflow import iter_function_defs
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.projectgraph import ProjectGraph
+from repro.analysis.projectgraph import ProjectGraph, iter_function_defs
 from repro.analysis.registry import ProjectRule, register_rule
 
 #: The family whose escape we track, plus the types that catch it.
@@ -202,7 +201,8 @@ def _summarize_function(
                     for h in stmt.handlers  # type: ignore[attr-defined]
                 )
                 visit_body(stmt.body, caught or catches)  # type: ignore[attr-defined]
-                visit_body(stmt.orelse, caught or catches)  # type: ignore[attr-defined]
+                # The handlers do not cover the ``else:`` block.
+                visit_body(stmt.orelse, caught)  # type: ignore[attr-defined]
                 for handler in stmt.handlers:  # type: ignore[attr-defined]
                     visit_body(handler.body, caught)
                 visit_body(stmt.finalbody, caught)  # type: ignore[attr-defined]
@@ -258,7 +258,7 @@ class ExceptionEscapeRule(ProjectRule):
         summaries: Dict[str, _FuncSummary] = {}
         for name in sorted(graph.modules):
             mod = graph.modules[name]
-            for qualname, funcdef, _cls in iter_function_defs(
+            for qualname, funcdef, _cls, _scope in iter_function_defs(
                 mod.name, mod.tree
             ):
                 body = (
@@ -315,13 +315,13 @@ class ExceptionEscapeRule(ProjectRule):
                     if qual in escapes:
                         break
 
-        # Resilience coverage: everything precisely reachable from a
-        # function handed to a wrapper.
+        # Resilience coverage: everything reachable from a function handed
+        # to a wrapper.
         roots: Set[str] = set()
         for site in graph.call_sites:
             if _is_wrapper(site.callee_name, site.receiver):
                 roots.update(site.func_ref_args)
-        covered = graph.functions_reachable_from(roots, precise_only=True)
+        covered = graph.functions_reachable_from(roots)
 
         def protected(qual: str) -> bool:
             return any(fn in covered for fn in graph.scope_chain(qual))
@@ -331,7 +331,7 @@ class ExceptionEscapeRule(ProjectRule):
         exposed: Set[str] = set()
         work: List[str] = []
         for qual in sorted(summaries):
-            if qual not in graph.reverse_precise_edges and not protected(
+            if qual not in graph.reverse_edges and not protected(
                 qual
             ):
                 exposed.add(qual)

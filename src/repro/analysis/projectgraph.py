@@ -18,11 +18,21 @@ of a reviewable lint rather than a type checker:
   it has one, otherwise to *every* method named ``m`` in the project;
 * ``alias.m()`` where ``alias`` came from ``from pkg import module``
   resolves inside that module;
-* any other ``recv.m()`` resolves to every method named ``m`` anywhere —
-  an over-approximation that can only make the security rules stricter;
+* any other ``recv.m()`` resolves to every method named ``m`` anywhere;
 * a function *referenced* (not called) as a call argument gets an edge
   from the caller, so ``call_resilient(peer, fetch_one)`` both links
   ``fetch_one`` into the graph and marks it as a resilience-covered root.
+
+The graph keeps one edge map, ``edges`` (and its reverse): the reliably
+resolved calls (every rule above but the any-method fallback, plus a
+fallback whose method name is unique in the project) and the function
+references.  An ambiguous fallback's candidates stay on
+``CallSite.resolved`` only, where effect inference weighs them against
+the receiver text; reachability never follows them, so membership in a
+reachable set cannot be granted by accident.
+
+Every function has one qualname, the dotted path of its enclosing defs
+and classes (:func:`iter_function_defs`), and every analysis keys by it.
 
 Everything is deterministic: modules are processed in sorted path order.
 """
@@ -105,7 +115,8 @@ class FunctionNode:
 
     Qualnames look like ``repro.core.peer:NormalPeer.execute_fetch``,
     ``repro.core.engine_basic:_fetch_table.fetch_one`` (nested), or
-    ``repro.errors:<module>`` (top-level code).
+    ``repro.errors:<module>`` (top-level code); see
+    :func:`iter_function_defs`.
     """
 
     qualname: str
@@ -130,7 +141,8 @@ class CallSite:
     func_ref_args: Tuple[str, ...] = ()
     #: Whether ``resolved`` came from a reliable resolution (lexical
     #: scope, imports, same-class self-call, or a project-unique method
-    #: name) rather than the any-method-of-this-name fallback.
+    #: name) rather than the any-method-of-this-name fallback; only then
+    #: do its callees become ``ProjectGraph.edges``.
     precise: bool = False
     #: Whether ``resolved`` came from the any-method-of-this-name fallback
     #: at all — a *unique* fallback match is still ``precise`` for the
@@ -182,6 +194,34 @@ def _type_checking_import_ids(tree: ast.Module) -> Set[int]:
     return guarded
 
 
+def iter_function_defs(
+    module_name: str, tree: ast.Module
+) -> Iterator[Tuple[str, Optional[ast.AST], Optional[str], Optional[str]]]:
+    """Yield ``(qualname, funcdef, enclosing_class, enclosing_scope)`` for
+    the module pseudo-function (``funcdef`` None) and every function in
+    ``tree``.  The analyzer's one qualname rule: the dotted path of every
+    enclosing def and class (``m:outer.Local.tick``, ``m:Outer.Inner.run``).
+    ``enclosing_scope`` is the nearest enclosing function's qualname (the
+    module pseudo-function for top-level code, None for that itself)."""
+    module_scope = f"{module_name}:{MODULE_SCOPE}"
+    yield module_scope, None, None, None
+
+    def walk(
+        node: ast.AST, path: List[str], direct_cls: Optional[str], scope: str
+    ) -> Iterator[Tuple[str, Optional[ast.AST], Optional[str], Optional[str]]]:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = f"{module_name}:{'.'.join(path + [child.name])}"
+                yield qual, child, direct_cls, scope
+                yield from walk(child, path + [child.name], None, qual)
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, path + [child.name], child.name, scope)
+            elif not isinstance(child, ast.expr):  # no def inside an expression
+                yield from walk(child, path, direct_cls, scope)
+
+    yield from walk(tree, [], None, module_scope)
+
+
 class ProjectGraph:
     """Import graph + call graph over one set of parsed files."""
 
@@ -191,15 +231,12 @@ class ProjectGraph:
         self.functions: Dict[str, FunctionNode] = {}
         self.call_sites: List[CallSite] = []
         self.attr_assigns: List[AttrAssign] = []
-        # caller qualname -> callee qualnames (resolved + referenced).
-        # ``precise_edges`` is the subset whose resolution is reliable
-        # (lexical scope, imports, same-class self-calls, or a method name
-        # unique in the whole project); the rest come from the any-method-
-        # of-this-name fallback and exist only to over-approximate.
+        #: def node -> its qualname, for walkers that meet the def again.
+        self.qualname_by_def: Dict[ast.AST, str] = {}
+        # caller qualname -> reliably resolved callees + referenced
+        # functions (see the module docstring).
         self.edges: Dict[str, Set[str]] = {}
         self.reverse_edges: Dict[str, Set[str]] = {}
-        self.precise_edges: Dict[str, Set[str]] = {}
-        self.reverse_precise_edges: Dict[str, Set[str]] = {}
         # resolution indexes
         self._defs_in_scope: Dict[str, Dict[str, str]] = {}
         self._parent_scope: Dict[str, Optional[str]] = {}
@@ -246,46 +283,29 @@ class ProjectGraph:
         self._defs_in_scope.setdefault(node.qualname, {})
 
     def _collect_defs(self, mod: ModuleNode) -> None:
-        scope = self._module_scope(mod.name)
-        self._add_function(
-            FunctionNode(scope, mod.name, MODULE_SCOPE, None, 0)
-        )
-        self._parent_scope[scope] = None
-        self._classes.setdefault(mod.name, {})
-
-        def walk(
-            node: ast.AST,
-            path: List[str],
-            direct_cls: Optional[str],
-            res_scope: str,
-        ) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{mod.name}:{'.'.join(path + [child.name])}"
-                    self._add_function(
-                        FunctionNode(
-                            qual, mod.name, child.name, direct_cls, child.lineno
-                        )
-                    )
-                    self._parent_scope[qual] = res_scope
-                    if direct_cls is None:
-                        self._defs_in_scope.setdefault(res_scope, {})[
-                            child.name
-                        ] = qual
-                    else:
-                        self._classes[mod.name].setdefault(direct_cls, {})[
-                            child.name
-                        ] = qual
-                        self._methods_by_name.setdefault(
-                            child.name, set()
-                        ).add(qual)
-                    walk(child, path + [child.name], None, qual)
-                elif isinstance(child, ast.ClassDef):
-                    walk(child, path + [child.name], child.name, res_scope)
-                elif not isinstance(child, ast.expr):  # no def inside an expression
-                    walk(child, path, direct_cls, res_scope)
-
-        walk(mod.tree, [], None, scope)
+        classes = self._classes.setdefault(mod.name, {})
+        for qual, funcdef, cls, scope in iter_function_defs(
+            mod.name, mod.tree
+        ):
+            self._parent_scope[qual] = scope
+            if funcdef is None:
+                self._add_function(
+                    FunctionNode(qual, mod.name, MODULE_SCOPE, None, 0)
+                )
+                continue
+            name = funcdef.name  # type: ignore[attr-defined]
+            self._add_function(
+                FunctionNode(
+                    qual, mod.name, name, cls,
+                    funcdef.lineno,  # type: ignore[attr-defined]
+                )
+            )
+            self.qualname_by_def[funcdef] = qual
+            if cls is None:
+                self._defs_in_scope.setdefault(scope, {})[name] = qual
+            else:
+                classes.setdefault(cls, {})[name] = qual
+                self._methods_by_name.setdefault(name, set()).add(qual)
 
     # ------------------------------------------------------------------
     # imports
@@ -416,12 +436,9 @@ class ProjectGraph:
         candidates = sorted(self._methods_by_name.get(attr, ()))
         return candidates, len(candidates) == 1, True
 
-    def _add_edge(self, caller: str, callee: str, precise: bool) -> None:
+    def _add_edge(self, caller: str, callee: str) -> None:
         self.edges.setdefault(caller, set()).add(callee)
         self.reverse_edges.setdefault(callee, set()).add(caller)
-        if precise:
-            self.precise_edges.setdefault(caller, set()).add(callee)
-            self.reverse_precise_edges.setdefault(callee, set()).add(caller)
 
     def _function_ref(
         self,
@@ -457,10 +474,9 @@ class ProjectGraph:
             # *method scope* we are executing in (decides what ``self`` is).
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = self._qualname_of(child, scope, direct_cls, mod)
                     walk(
                         child,
-                        qual,
+                        self.qualname_by_def[child],
                         None,
                         direct_cls if direct_cls is not None else method_cls,
                     )
@@ -477,20 +493,6 @@ class ProjectGraph:
                 walk(child, scope, direct_cls, method_cls)
 
         walk(mod.tree, module_scope, None, None)
-
-    def _qualname_of(
-        self,
-        funcdef: ast.AST,
-        scope: str,
-        direct_cls: Optional[str],
-        mod: ModuleNode,
-    ) -> str:
-        name = funcdef.name  # type: ignore[attr-defined]
-        if direct_cls is not None:
-            return f"{mod.name}:{direct_cls}.{name}"
-        if scope.endswith(f":{MODULE_SCOPE}"):
-            return f"{mod.name}:{name}"
-        return f"{scope}.{name}"
 
     def _record_call(
         self,
@@ -539,10 +541,10 @@ class ProjectGraph:
             via_fallback=via_fallback,
         )
         self.call_sites.append(site)
-        for callee in resolved:
-            self._add_edge(scope, callee, precise)
+        for callee in resolved if precise else ():
+            self._add_edge(scope, callee)
         for ref in refs:
-            self._add_edge(scope, ref, True)
+            self._add_edge(scope, ref)
 
     def _record_attr_assigns(
         self, node: ast.Assign, scope: str, mod: ModuleNode
@@ -604,22 +606,15 @@ class ProjectGraph:
     # ------------------------------------------------------------------
     # queries
 
-    def functions_reaching(
-        self, callee_names: Set[str], precise_only: bool = False
-    ) -> Set[str]:
+    def functions_reaching(self, callee_names: Set[str]) -> Set[str]:
         """Functions from which a call to any of ``callee_names`` is
-        reachable (transitively, through the resolved call graph).
+        reachable (transitively, through ``edges``).
 
         Direct call sites seed the set by *name* regardless of resolution;
-        ``precise_only`` restricts the transitive step to reliably resolved
-        edges — use it when membership grants a permission ("this function
-        does check access"), where ambiguous edges would grant it by
-        accident.  Leave it off when membership raises suspicion ("this
-        function can reach the wire"), where over-approximation is safe.
+        the transitive step follows reliable edges only, so membership
+        ("this function does check access") is never granted through an
+        ambiguous any-method-of-this-name candidate.
         """
-        reverse = (
-            self.reverse_precise_edges if precise_only else self.reverse_edges
-        )
         reaching: Set[str] = set()
         work: List[str] = []
         for site in self.call_sites:
@@ -628,23 +623,20 @@ class ProjectGraph:
                 work.append(site.caller)
         while work:
             fn = work.pop()
-            for caller in reverse.get(fn, ()):
+            for caller in self.reverse_edges.get(fn, ()):
                 if caller not in reaching:
                     reaching.add(caller)
                     work.append(caller)
         return reaching
 
-    def functions_reachable_from(
-        self, roots: Set[str], precise_only: bool = False
-    ) -> Set[str]:
-        """Forward closure: ``roots`` plus everything they (transitively)
-        call or reference (see ``functions_reaching`` for ``precise_only``)."""
-        forward = self.precise_edges if precise_only else self.edges
+    def functions_reachable_from(self, roots: Set[str]) -> Set[str]:
+        """Forward closure over ``edges``: ``roots`` plus everything they
+        (transitively) call or reference."""
         reachable = set(roots)
         work = sorted(roots)
         while work:
             fn = work.pop()
-            for callee in forward.get(fn, ()):
+            for callee in self.edges.get(fn, ()):
                 if callee not in reachable:
                     reachable.add(callee)
                     work.append(callee)

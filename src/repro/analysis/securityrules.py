@@ -35,9 +35,7 @@ class CertificateOrderRule(ProjectRule):
     categories = ("src",)
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
-        reaching_verify = graph.functions_reaching(
-            set(CERT_VERIFY_METHODS), precise_only=True
-        )
+        reaching_verify = graph.functions_reaching(set(CERT_VERIFY_METHODS))
         for site in graph.call_sites:
             if site.callee_name != "register_peer":
                 continue

@@ -64,6 +64,26 @@ class TestFires:
         assert paths[-1] == "proj/bench/util.py"
 
 
+    def test_method_of_a_class_nested_in_a_function(self, project):
+        # The finding names the method by its path through the enclosing
+        # def and class, the one qualname every analysis keys by.
+        findings = project("DET003", {
+            "src/repro/core/clocky.py": """
+                import time
+
+                def outer():
+                    class Local:
+                        def tick(self):
+                            return time.time()
+
+                    return Local().tick()
+            """,
+        })
+        assert len(findings) == 1
+        assert "'outer.Local.tick'" in findings[0].message
+        assert findings[0].line == 7
+
+
 class TestQuiet:
     def test_rescheduling_on_the_simulated_timeline(self, project):
         assert project("DET003", {

@@ -210,6 +210,48 @@ class TestPropagation:
             for owner in sig(inference, "proj.use:Holder.unrelated").mutates
         )
 
+    def test_ambiguous_fallback_method_propagates_on_receiver_match(
+        self, graph_of
+    ):
+        # Two ``append`` methods: the graph keeps no edge, but the call
+        # site's candidates still reach effect inference.
+        inference = infer(graph_of, {
+            "proj/wal.py": """
+                class MetadataLog:
+                    def append(self, entry):
+                        self.entries.append(entry)
+
+                class Journal:
+                    def append(self, entry):
+                        self.lines.append(entry)
+            """,
+            "proj/use.py": """
+                def record(metadata_log, entry):
+                    metadata_log.append(entry)
+            """,
+        })
+        assert sig(inference, "proj.use:record").mutates == (
+            "proj.wal:MetadataLog",
+        )
+
+    def test_nested_class_methods_key_by_the_graph_qualname(self, graph_of):
+        graph = graph_of({
+            "proj/mod.py": """
+                import time
+
+                def outer():
+                    class Local:
+                        def tick(self):
+                            return time.time()
+
+                    return Local().tick()
+            """,
+        })
+        inference = EffectInference.for_graph(graph)
+        assert set(inference.bases) == set(graph.functions)
+        assert sig(inference, "proj.mod:outer.Local.tick").wallclock
+        assert sig(inference, "proj.mod:outer").wallclock
+
     def test_decorator_cannot_launder_effects(self, graph_of):
         inference = infer(graph_of, {
             "proj/mod.py": """
@@ -247,71 +289,6 @@ class TestPropagation:
         })
         # higher-order laundering: passing ``nap`` taints the passer
         assert sig(inference, "proj.mod:launder").wallclock
-
-
-class TestRaises:
-    def test_raise_propagates_until_caught(self, graph_of):
-        inference = infer(graph_of, {
-            "proj/mod.py": """
-                def boom():
-                    raise ValueError('x')
-
-                def passthrough():
-                    return boom()
-
-                def guarded():
-                    try:
-                        return boom()
-                    except ValueError:
-                        return None
-            """,
-        })
-        assert sig(inference, "proj.mod:passthrough").raises == ("ValueError",)
-        assert sig(inference, "proj.mod:guarded").raises == ()
-
-    def test_subclass_caught_through_project_hierarchy(self, graph_of):
-        inference = infer(graph_of, {
-            "proj/errors.py": """
-                class AppError(Exception):
-                    pass
-
-                class TimeoutError_(AppError):
-                    pass
-            """,
-            "proj/mod.py": """
-                from proj.errors import TimeoutError_
-
-                def boom():
-                    raise TimeoutError_('late')
-
-                def guarded():
-                    try:
-                        return boom()
-                    except Exception:
-                        return None
-
-                def base_guarded():
-                    try:
-                        return boom()
-                    except AppError:
-                        return None
-            """,
-        })
-        assert sig(inference, "proj.mod:boom").raises == ("TimeoutError_",)
-        assert sig(inference, "proj.mod:guarded").raises == ()
-        assert sig(inference, "proj.mod:base_guarded").raises == ()
-
-    def test_local_raise_inside_try_never_escapes(self, graph_of):
-        inference = infer(graph_of, {
-            "proj/mod.py": """
-                def careful():
-                    try:
-                        raise KeyError('k')
-                    except KeyError:
-                        return None
-            """,
-        })
-        assert sig(inference, "proj.mod:careful").raises == ()
 
 
 class TestWitness:

@@ -108,11 +108,9 @@ class TestCallGraph:
                 )
             }
         )
-        assert "repro.a:Worker.step" in graph.edges["repro.a:Worker.run"]
-        assert (
-            "repro.a:Worker.step"
-            in graph.precise_edges["repro.a:Worker.run"]
-        )
+        assert graph.edges["repro.a:Worker.run"] == {"repro.a:Worker.step"}
+        (site,) = [s for s in graph.call_sites if s.callee_name == "step"]
+        assert site.precise and not site.via_fallback
 
     def test_nested_function_gets_a_dotted_qualname(self, graph_of):
         graph = graph_of(
@@ -127,6 +125,29 @@ class TestCallGraph:
         )
         assert "repro.a:outer.inner" in graph.functions
         assert "repro.a:outer.inner" in graph.edges["repro.a:outer"]
+
+    def test_nested_class_methods_share_the_one_qualname(self, graph_of):
+        graph = graph_of(
+            {
+                "src/repro/a.py": (
+                    "def helper():\n"
+                    "    return 1\n"
+                    "def outer():\n"
+                    "    class Local:\n"
+                    "        def tick(self):\n"
+                    "            return helper()\n"
+                    "    return Local().tick()\n"
+                    "class Outer:\n"
+                    "    class Inner:\n"
+                    "        def run(self):\n"
+                    "            return helper()\n"
+                )
+            }
+        )
+        callers = {site.caller for site in graph.call_sites}
+        assert {"repro.a:outer.Local.tick", "repro.a:Outer.Inner.run"} <= callers
+        assert callers <= set(graph.functions)
+        assert "repro.a:outer.Local.tick" in graph.edges["repro.a:outer"]
 
     def test_function_reference_argument_becomes_an_edge(self, graph_of):
         graph = graph_of(
@@ -181,7 +202,7 @@ class TestEdgePrecision:
         "src/repro/a.py": (
             "class One:\n"
             "    def run(self):\n"
-            "        return 1\n"
+            "        return check(self)\n"
             "class Two:\n"
             "    def run(self):\n"
             "        return 2\n"
@@ -202,24 +223,26 @@ class TestEdgePrecision:
                 )
             }
         )
-        assert "repro.a:Only.solo" in graph.precise_edges["repro.a:outer"]
+        assert graph.edges["repro.a:outer"] == {"repro.a:Only.solo"}
+        (site,) = [s for s in graph.call_sites if s.callee_name == "solo"]
+        assert site.precise and site.via_fallback
 
     def test_ambiguous_method_name_fallback_is_not_precise(self, graph_of):
+        # The candidates stay on the call site (effect inference weighs
+        # them against the receiver), never in the edge map.
         graph = graph_of(self.AMBIGUOUS)
-        assert graph.edges["repro.a:outer"] == {
-            "repro.a:One.run",
-            "repro.a:Two.run",
-        }
-        assert "repro.a:outer" not in graph.precise_edges
+        (site,) = [s for s in graph.call_sites if s.callee_name == "run"]
+        assert site.resolved == ("repro.a:One.run", "repro.a:Two.run")
+        assert not site.precise
+        assert "repro.a:outer" not in graph.edges
+        assert "repro.a:One.run" not in graph.reverse_edges
 
     def test_precise_only_reachability_drops_ambiguous_paths(self, graph_of):
         graph = graph_of(self.AMBIGUOUS)
-        reachable = graph.functions_reachable_from({"repro.a:outer"})
-        assert "repro.a:One.run" in reachable
-        precise = graph.functions_reachable_from(
-            {"repro.a:outer"}, precise_only=True
-        )
-        assert precise == {"repro.a:outer"}
+        assert graph.functions_reachable_from({"repro.a:outer"}) == {
+            "repro.a:outer"
+        }
+        assert graph.functions_reaching({"check"}) == {"repro.a:One.run"}
 
 
 class TestReachability:

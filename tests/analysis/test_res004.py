@@ -67,6 +67,25 @@ class TestPositive:
         assert all(f.line >= 10 for f in findings)  # only the bare path
 
 
+    def test_else_block_of_a_family_try_is_not_covered(self, reported):
+        # A try's handlers do not catch what its ``else:`` block raises.
+        findings = reported(
+            "RES004",
+            """\
+            from repro.errors import NetworkError
+
+            def ship(net, payload):
+                try:
+                    prepared = payload.prepare()
+                except NetworkError:
+                    return None
+                else:
+                    return net.transfer(0, 1, prepared)
+            """,
+        )
+        assert len(findings) == 1
+        assert findings[0].line == 9
+
 class TestNegative:
     def test_family_handler_on_the_path_is_quiet(self, reported):
         assert not reported(
