@@ -1,4 +1,4 @@
-"""Shared AST utilities: import tracking, scopes, set-type inference.
+"""Shared AST utilities: import tracking and set-type inference.
 
 Everything here is deliberately flow-insensitive and local — the rules are
 reviewable heuristics, not a type checker.  They only claim something is a
@@ -8,18 +8,23 @@ set (or a module alias) when the evidence is in the same file.
 from __future__ import annotations
 
 import ast
-from typing import Dict, FrozenSet, Iterator, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Set, Tuple,
+)
+
+if TYPE_CHECKING:
+    from repro.analysis.scopes import Scope
 
 
 class ImportMap:
     """Which local names are aliases of which modules / module members."""
 
-    def __init__(self, tree: ast.Module) -> None:
+    def __init__(self, imports: Iterable[ast.stmt]) -> None:
         # name -> module it aliases ("random", "time", "datetime", ...)
         self.module_aliases: Dict[str, str] = {}
         # name -> (module, original member name) for ``from m import x as y``
         self.member_aliases: Dict[str, Tuple[str, str]] = {}
-        for node in ast.walk(tree):
+        for node in imports:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     top = alias.name.split(".")[0]
@@ -43,32 +48,6 @@ class ImportMap:
 def is_name(node: ast.AST, *names: str) -> bool:
     """Whether ``node`` is a bare name equal to one of ``names``."""
     return isinstance(node, ast.Name) and node.id in names
-
-
-def function_scopes(tree: ast.Module) -> Iterator[ast.AST]:
-    """Yield the module plus every function/method definition in it."""
-    yield tree
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield node
-
-
-def scope_body_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a scope's own statements without descending into nested defs.
-
-    Nested functions get their own scope from :func:`function_scopes`, so a
-    rule that reasons "within one function" must not see their bodies twice
-    — and more importantly must not attribute a nested closure's behaviour
-    to its enclosing function.
-    """
-    body = scope.body if isinstance(scope, ast.Module) else scope.body
-    stack = list(body)
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 _SET_ANNOTATION_NAMES = {
@@ -110,19 +89,19 @@ class SetTypes:
     """
 
     def __init__(
-        self, scope: ast.AST, self_attrs: FrozenSet[str] = frozenset()
+        self, scope: "Scope", self_attrs: FrozenSet[str] = frozenset()
     ) -> None:
         self._names: Set[str] = set()
         #: ``self.x`` attributes known to hold sets (:meth:`class_attrs`).
         self._self_attrs: Set[str] = set(self_attrs)
-        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            args = scope.args
-            for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs):
+        args = scope.args
+        if args is not None:
+            for arg in args.posonlyargs + args.args + args.kwonlyargs:
                 if _annotation_is_set(arg.annotation):
                     self._names.add(arg.arg)
         # Two passes so ``a = set(); b = a`` resolves regardless of order.
         for _ in range(2):
-            for node in scope_body_walk(scope):
+            for node in scope.nodes:
                 if isinstance(node, ast.Assign):
                     if self.is_set(node.value):
                         for target in node.targets:
@@ -142,7 +121,8 @@ class SetTypes:
     def class_attrs(cls, class_def: ast.ClassDef) -> FrozenSet[str]:
         """The ``self.x`` attributes a class annotates or assigns a set
         to — computed once per class, shared by all its methods' scopes."""
-        probe = cls(ast.Module(body=[], type_ignores=[]))
+        probe = cls.__new__(cls)
+        probe._names, probe._self_attrs = set(), set()
         probe._collect_class_attrs(class_def)
         return frozenset(probe._self_attrs)
 
@@ -190,24 +170,3 @@ class SetTypes:
         if isinstance(node, ast.IfExp):
             return self.is_set(node.body) and self.is_set(node.orelse)
         return False
-
-
-def enclosing_class_of(
-    tree: ast.Module,
-) -> Dict[int, ast.ClassDef]:
-    """Map each function-def's id() to the class directly containing it."""
-    mapping: Dict[int, ast.ClassDef] = {}
-
-    def visit(node: ast.AST, cls: Optional[ast.ClassDef]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                visit(child, child)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if cls is not None:
-                    mapping[id(child)] = cls
-                visit(child, cls)
-            else:
-                visit(child, cls)
-
-    visit(tree, None)
-    return mapping

@@ -71,11 +71,11 @@ class InlineConfigDefaultRule(Rule):
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.path.endswith(_CONFIG_HOME_SUFFIX):
             return
-        for node in ast.walk(ctx.tree):
+        for site in ctx.walk.call_sites():
+            node = site.node
             if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
+                site.receiver is not None
+                and site.callee_name == "get"
                 and len(node.args) >= 2
                 and not node.keywords
             ):

@@ -48,12 +48,8 @@ from typing import (
     Tuple,
 )
 
-from repro.analysis.projectgraph import (
-    MODULE_SCOPE,
-    CallSite,
-    ProjectGraph,
-    iter_function_defs,
-)
+from repro.analysis.projectgraph import ProjectGraph
+from repro.analysis.scopes import CallSite, ModuleWalk, Scope
 
 #: Abstract value node, one of::
 #:
@@ -95,22 +91,13 @@ class LocalCall:
 
     ``(lineno, col)`` is the *end of the callee expression* — unique along
     a chain like ``x.f().g()``, where both ``ast.Call`` nodes share the
-    chain's start position.  ``(anchor_lineno, anchor_col)`` is that shared
-    start position, which is what :class:`ProjectGraph` keys its call
-    sites by; joins with the graph must use the anchor plus the callee
-    name.
+    chain's start position.  ``site`` is the same call in the scope's walk,
+    which the graph resolved.
     """
 
     lineno: int
     col: int
-    anchor_lineno: int
-    anchor_col: int
-    callee_name: str
-    receiver: Optional[str]
-    nargs: int
-    kwnames: Tuple[str, ...]
-    #: Positions (ints / "kw:<name>") holding a literal ``None``.
-    none_args: Tuple[object, ...]
+    site: CallSite
     #: Bare callee names that have *definitely* executed before this site
     #: on every path (branch merges intersect; loops restore).
     must_before: FrozenSet[str]
@@ -118,13 +105,9 @@ class LocalCall:
 
 @dataclass
 class FunctionFlow:
-    """The def-use summary of one function."""
+    """The def-use summary of one function scope."""
 
-    qualname: str
-    module: str
-    name: str
-    cls: Optional[str]
-    lineno: int
+    scope: Scope
     param_names: Tuple[str, ...]
     kwonly_names: Tuple[str, ...]
     vararg: Optional[str]
@@ -150,6 +133,7 @@ class _FlowExtractor:
     def __init__(self, flow: FunctionFlow, self_name: Optional[str]) -> None:
         self.flow = flow
         self.self_name = self_name
+        self.sites = {site.node: site for site in flow.scope.calls}
         self.env: Dict[str, Set[Node]] = {}
         self.must: Set[str] = set()
         for name in flow.param_names + flow.kwonly_names:
@@ -291,18 +275,11 @@ class _FlowExtractor:
             func.end_lineno or node.lineno,
             func.end_col_offset or node.col_offset,
         )
-        receiver_text: Optional[str] = None
+        site = self.sites.get(node)
         receiver_nodes: Set[Node] = set()
-        if isinstance(func, ast.Attribute):
-            callee_name = func.attr
-            try:
-                receiver_text = ast.unparse(func.value)
-            except Exception:
-                receiver_text = "<expr>"
-            receiver_nodes = self.eval(func.value)
-        elif isinstance(func, ast.Name):
-            callee_name = func.id
-        else:
+        if site is not None and site.receiver is not None:
+            receiver_nodes = self.eval(func.value)  # type: ignore[attr-defined]
+        if site is None:
             # A call on a call result: nothing nameable — taint flows
             # through arguments conservatively.
             self.eval(func)
@@ -312,14 +289,10 @@ class _FlowExtractor:
             for kw in node.keywords:
                 out |= self.eval(kw.value)
             return out
-        none_args: List[object] = []
-        kwnames: List[str] = []
         for i, arg in enumerate(node.args):
             arg_node: Node = ("arg", key[0], key[1], i)
             self._edges(self.eval(arg), arg_node)
-            if isinstance(arg, ast.Constant) and arg.value is None:
-                none_args.append(i)
-            if callee_name in _MUTATORS:
+            if site.callee_name in _MUTATORS:
                 # ``acc.append(x)`` pushes x into the object acc holds.
                 # repro: allow[SIM003] edges land in a set; union order cannot matter
                 for recv in receiver_nodes:
@@ -328,11 +301,7 @@ class _FlowExtractor:
             pos: object = f"kw:{kw.arg}" if kw.arg else "kw:**"
             arg_node = ("arg", key[0], key[1], pos)
             self._edges(self.eval(kw.value), arg_node)
-            if kw.arg:
-                kwnames.append(kw.arg)
-                if isinstance(kw.value, ast.Constant) and kw.value.value is None:
-                    none_args.append(pos)
-        if receiver_text is not None:
+        if site.receiver is not None:
             self._edges(receiver_nodes, ("recv", key[0], key[1]))
         must = frozenset(self.must)
         prev = self.flow.calls.get(key)
@@ -340,19 +309,13 @@ class _FlowExtractor:
             self.flow.calls[key] = LocalCall(
                 lineno=key[0],
                 col=key[1],
-                anchor_lineno=node.lineno,
-                anchor_col=node.col_offset,
-                callee_name=callee_name,
-                receiver=receiver_text,
-                nargs=len(node.args),
-                kwnames=tuple(kwnames),
-                none_args=tuple(none_args),
+                site=site,
                 must_before=must,
             )
         else:
             # Loop bodies run twice: only calls on *every* path count.
             prev.must_before = prev.must_before & must
-        self.must.add(callee_name)
+        self.must.add(site.callee_name)
         return {("ret", key[0], key[1])}
 
     # -- binding -------------------------------------------------------
@@ -545,45 +508,21 @@ class _FlowExtractor:
 # per-module extraction
 
 
-def extract_module_flows(
-    module_name: str, tree: ast.Module
-) -> Dict[str, FunctionFlow]:
-    """Phase A for one module: a summary per function, deterministic."""
+def extract_module_flows(walk: ModuleWalk) -> Dict[str, FunctionFlow]:
+    """Phase A for one module: a summary per scope of its walk."""
     flows: Dict[str, FunctionFlow] = {}
-    for qualname, funcdef, cls, _ in iter_function_defs(module_name, tree):
-        if funcdef is None:
-            flow = FunctionFlow(
-                qualname=qualname,
-                module=module_name,
-                name=MODULE_SCOPE,
-                cls=None,
-                lineno=1,
-                param_names=(),
-                kwonly_names=(),
-                vararg=None,
-                kwarg=None,
-            )
-            extractor = _FlowExtractor(flow, self_name=None)
-            extractor.exec_body(tree.body)
-        else:
-            args = funcdef.args  # type: ignore[attr-defined]
-            params = tuple(
-                a.arg for a in list(args.posonlyargs) + list(args.args)
-            )
-            flow = FunctionFlow(
-                qualname=qualname,
-                module=module_name,
-                name=funcdef.name,  # type: ignore[attr-defined]
-                cls=cls,
-                lineno=funcdef.lineno,  # type: ignore[attr-defined]
-                param_names=params,
-                kwonly_names=tuple(a.arg for a in args.kwonlyargs),
-                vararg=args.vararg.arg if args.vararg else None,
-                kwarg=args.kwarg.arg if args.kwarg else None,
-            )
-            self_name = params[0] if cls is not None and params else None
-            extractor = _FlowExtractor(flow, self_name=self_name)
-            extractor.exec_body(funcdef.body)  # type: ignore[attr-defined]
+    for qualname, scope in walk.scopes.items():
+        args = scope.args
+        flow = FunctionFlow(
+            scope=scope,
+            param_names=scope.params,
+            kwonly_names=tuple(a.arg for a in args.kwonlyargs) if args else (),
+            vararg=args.vararg.arg if args and args.vararg else None,
+            kwarg=args.kwarg.arg if args and args.kwarg else None,
+        )
+        _FlowExtractor(flow, scope.self_name).exec_body(
+            scope.node.body  # type: ignore[attr-defined]
+        )
         flows[qualname] = flow
     return flows
 
@@ -654,17 +593,18 @@ GlobalNode = Tuple  # (qualname, Node) or ("~cell", module, cls, attr)
 
 
 def _call_has_no_user(call: LocalCall) -> bool:
-    if call.nargs >= 3:
-        return 2 in call.none_args
-    if "user" in call.kwnames:
-        return "kw:user" in call.none_args
-    return True
+    """``execute_fetch(table, sql, None)`` or ``user=None``, or no user."""
+    node = call.site.node
+    users = node.args[2:3] + [
+        kw.value for kw in node.keywords if kw.arg == "user"
+    ]
+    return all(isinstance(u, ast.Constant) and u.value is None for u in users)
 
 
 def _match_source_call(source: SourceSpec, call: LocalCall) -> bool:
-    if call.callee_name not in source.calls:
+    if call.site.callee_name not in source.calls:
         return False
-    if source.remote_only and call.receiver in (None, "self", "cls"):
+    if source.remote_only and call.site.receiver in (None, "self", "cls"):
         return False
     if source.require_no_user and not _call_has_no_user(call):
         return False
@@ -672,10 +612,10 @@ def _match_source_call(source: SourceSpec, call: LocalCall) -> bool:
 
 
 def _match_sink(sink: SinkSpec, call: LocalCall) -> bool:
-    if call.callee_name not in sink.calls:
+    if call.site.callee_name not in sink.calls:
         return False
     return sink.receiver_tokens is None or bool(
-        receiver_tokens(call.receiver) & set(sink.receiver_tokens)
+        receiver_tokens(call.site.receiver) & set(sink.receiver_tokens)
     )
 
 
@@ -687,16 +627,9 @@ class TaintEngine:
         self.flows: Dict[str, FunctionFlow] = {}
         for name in sorted(graph.modules):
             self.flows.update(
-                extract_module_flows(name, graph.modules[name].tree)
+                extract_module_flows(graph.modules[name].walk)
             )
         flows = self.flows
-        # Keyed by (caller, anchor lineno/col, callee name): chained calls
-        # share one anchor, so the name is part of the site's identity.
-        self._site_index: Dict[Tuple[str, int, int, str], CallSite] = {}
-        for site in graph.call_sites:
-            self._site_index[
-                (site.caller, site.lineno, site.col, site.callee_name)
-            ] = site
         # callee → caller-side ("ret", lineno, col) coordinates of every
         # precise call into it.  Built from the flows (not the raw graph
         # sites) so the coordinates match the summary's call keys.
@@ -705,15 +638,8 @@ class TaintEngine:
             flow = flows[qual]
             for key in sorted(flow.calls):
                 call = flow.calls[key]
-                site = self._site_index.get(
-                    (
-                        qual,
-                        call.anchor_lineno,
-                        call.anchor_col,
-                        call.callee_name,
-                    )
-                )
-                if site is None or not (site.precise and site.resolved):
+                site = call.site
+                if not (site.precise and site.resolved):
                     continue
                 for callee in sorted(site.resolved):
                     if callee in flows:
@@ -723,9 +649,9 @@ class TaintEngine:
         self._class_methods: Dict[Tuple[str, str], List[str]] = {}
         for qual in sorted(flows):
             flow = flows[qual]
-            if flow.cls is not None:
+            if flow.scope.cls is not None:
                 self._class_methods.setdefault(
-                    (flow.module, flow.cls), []
+                    (flow.scope.module, flow.scope.cls), []
                 ).append(qual)
 
     # -- splicing ------------------------------------------------------
@@ -734,7 +660,7 @@ class TaintEngine:
         self, flow: FunctionFlow, call: LocalCall, node: Node
     ) -> Optional[str]:
         """The callee parameter a caller-side arg/recv node lands in."""
-        offset = 1 if flow.cls is not None else 0
+        offset = 1 if flow.scope.cls is not None else 0
         if node[0] == "recv":
             if offset and flow.param_names:
                 return flow.param_names[0]
@@ -774,8 +700,8 @@ class TaintEngine:
             call = flow.calls.get((lineno, col))
             if call is not None:
                 if (
-                    call.callee_name in spec.sanitizers
-                    or call.callee_name in spec.guards
+                    call.site.callee_name in spec.sanitizers
+                    or call.site.callee_name in spec.guards
                 ):
                     # Sanitizers cut arg→result flow; so do guards — a
                     # value handed to ``verify(cert)`` is being *checked*,
@@ -783,16 +709,9 @@ class TaintEngine:
                     # (and back out of the checker's other call sites)
                     # only manufactures context-insensitive noise.
                     return out
-                site = self._site_index.get(
-                    (
-                        qual,
-                        call.anchor_lineno,
-                        call.anchor_col,
-                        call.callee_name,
-                    )
-                )
+                site = call.site
                 spliced = False
-                if site is not None and site.precise and site.resolved:
+                if site.precise and site.resolved:
                     for callee in sorted(site.resolved):
                         callee_flow = self.flows.get(callee)
                         if callee_flow is None:
@@ -804,8 +723,8 @@ class TaintEngine:
                 if not spliced:
                     # Ambiguous or library call: assume taint-through.
                     out.append((qual, ("ret", lineno, col)))
-        elif kind == "cell" and flow.cls is not None:
-            out.append(("~cell", flow.module, flow.cls, node[1]))
+        elif kind == "cell" and flow.scope.cls is not None:
+            out.append(("~cell", flow.scope.module, flow.scope.cls, node[1]))
         elif kind == "return":
             for caller, lineno, col in self._ret_links.get(qual, ()):
                 out.append((caller, ("ret", lineno, col)))
@@ -819,13 +738,13 @@ class TaintEngine:
             return (module.path if module else gnode[1], 1)
         qual, node = gnode
         flow = self.flows[qual]
-        module = self.graph.modules.get(flow.module)
-        path = module.path if module else flow.module
+        module = self.graph.modules.get(flow.scope.module)
+        path = module.path if module else flow.scope.module
         if node[0] in ("ret", "arg", "recv", "obj"):
             return path, node[1]
         if node[0] == "attr":
             return path, node[3]
-        return path, flow.lineno
+        return path, flow.scope.lineno
 
     def _node_note(self, gnode: GlobalNode) -> str:
         if gnode[0] == "~cell":
@@ -835,21 +754,21 @@ class TaintEngine:
         kind = node[0]
         if kind in ("ret", "arg", "recv"):
             call = flow.calls.get((node[1], node[2]))
-            callee = call.callee_name if call else "?"
+            callee = call.site.callee_name if call else "?"
             if kind == "ret":
                 return f"result of {callee}(...)"
             if kind == "recv":
                 return f"receiver of {callee}(...)"
             return f"argument {node[3]} of {callee}(...)"
         if kind == "param":
-            return f"parameter {node[1]!r} of {flow.name}"
+            return f"parameter {node[1]!r} of {flow.scope.name}"
         if kind == "cell":
-            return f"self.{node[1]} in {flow.name}"
+            return f"self.{node[1]} in {flow.scope.name}"
         if kind == "attr":
             return f"read of {node[1]}.{node[2]}"
         if kind == "obj":
-            return f"container in {flow.name}"
-        return f"return value of {flow.name}"
+            return f"container in {flow.scope.name}"
+        return f"return value of {flow.scope.name}"
 
     def _trace(
         self,
@@ -890,9 +809,9 @@ class TaintEngine:
                     call = flow.calls[key]
                     if _match_source_call(source, call):
                         target = (
-                            f"{call.receiver}.{call.callee_name}"
-                            if call.receiver
-                            else call.callee_name
+                            f"{call.site.receiver}.{call.site.callee_name}"
+                            if call.site.receiver
+                            else call.site.callee_name
                         )
                         seeds.append(
                             (
@@ -935,12 +854,7 @@ class TaintEngine:
         # adopting).  If a guard is precisely reachable from the function
         # actually being called at the sink, the value cannot get through
         # unchecked.
-        site = self._site_index.get(
-            (sink_qual, call.anchor_lineno, call.anchor_col, call.callee_name)
-        )
-        if site is not None and any(
-            callee in guards_reaching for callee in site.resolved
-        ):
+        if any(callee in guards_reaching for callee in call.site.resolved):
             return True
         # The closure idiom: a guard reachable from a lexically *enclosing*
         # scope clears the flow (the closure runs under the parent's
@@ -1027,7 +941,7 @@ class TaintEngine:
                     source=source,
                     sink=sink,
                     sink_qual=qual,
-                    sink_module=flow.module,
+                    sink_module=flow.scope.module,
                     sink_call=call,
                     origin_qual=origin_qual,
                     origin_desc=origin_desc,

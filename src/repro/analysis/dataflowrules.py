@@ -127,8 +127,8 @@ SEC003_SPECS: Tuple[TaintSpec, ...] = (
 
 def _sink_text(hit: TaintHit) -> str:
     call = hit.sink_call
-    prefix = f"{call.receiver}." if call.receiver else ""
-    return f"{prefix}{call.callee_name}(...)"
+    prefix = f"{call.site.receiver}." if call.site.receiver else ""
+    return f"{prefix}{call.site.callee_name}(...)"
 
 
 @register_rule
@@ -149,7 +149,7 @@ class TenantValueFlowRule(ProjectRule):
         flow = engine.flows.get(hit.origin_qual)
         if flow is None:
             return True
-        module = graph.modules.get(flow.module)
+        module = graph.modules.get(flow.scope.module)
         if module is None:
             return True
         return categorize(module.path) in self.categories
@@ -165,8 +165,8 @@ class TenantValueFlowRule(ProjectRule):
                     continue
                 finding = self.project_finding(
                     module,
-                    hit.sink_call.anchor_lineno,
-                    hit.sink_call.anchor_col,
+                    hit.sink_call.site.lineno,
+                    hit.sink_call.site.col,
                     f"{hit.origin_desc} flows into {_sink_text(hit)} "
                     f"[{hit.sink.label}] — rewrite through AccessController "
                     f"/ verify the certificate before this value reaches "

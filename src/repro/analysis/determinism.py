@@ -9,14 +9,9 @@ nondeterminism effect inference cannot see — a ``set``'s hash order.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Dict, FrozenSet, Iterator, Set
 
-from repro.analysis.asthelpers import (
-    SetTypes,
-    enclosing_class_of,
-    function_scopes,
-    scope_body_walk,
-)
+from repro.analysis.asthelpers import SetTypes
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import FileContext, Rule, register_rule
 
@@ -54,20 +49,30 @@ class SetIterationRule(Rule):
     categories = ("src", "benchmarks")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        classes = enclosing_class_of(ctx.tree)
-        class_attrs = {}
-        for scope in function_scopes(ctx.tree):
-            cls = classes.get(id(scope))
-            if cls is not None and id(cls) not in class_attrs:
-                class_attrs[id(cls)] = SetTypes.class_attrs(cls)
-            types = SetTypes(scope, class_attrs.get(id(cls), frozenset()))
-            # Comprehensions and lambdas live inside the scope's statements
-            # (scope_body_walk yields them); nested defs get their own pass.
-            for node in scope_body_walk(scope):
-                yield from self._check_node(ctx, node, types)
+        class_attrs: Dict[ast.ClassDef, FrozenSet[str]] = {}
+        for scope in ctx.walk.scopes.values():
+            cls = scope.method_class
+            if cls is not None and cls not in class_attrs:
+                class_attrs[cls] = SetTypes.class_attrs(cls)
+            types = SetTypes(scope, class_attrs.get(cls, frozenset()))
+            # Generators handed straight to an order-insensitive consumer.
+            unordered = {
+                id(arg)
+                for node in scope.nodes
+                if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _ORDER_INSENSITIVE_CALLS
+                for arg in node.args
+            }
+            for node in scope.nodes:
+                yield from self._check_node(ctx, node, types, unordered)
 
     def _check_node(
-        self, ctx: FileContext, node: ast.AST, types: SetTypes
+        self,
+        ctx: FileContext,
+        node: ast.AST,
+        types: SetTypes,
+        unordered: Set[int],
     ) -> Iterator[Finding]:
         if isinstance(node, ast.For):
             if types.is_set(node.iter):
@@ -89,10 +94,7 @@ class SetIterationRule(Rule):
                         "arbitrary order into the result; iterate "
                         "sorted(...)",
                     )
-        elif isinstance(node, ast.GeneratorExp):
-            consumer = self._consumer_name(ctx, node)
-            if consumer in _ORDER_INSENSITIVE_CALLS:
-                return
+        elif isinstance(node, ast.GeneratorExp) and id(node) not in unordered:
             for gen in node.generators:
                 if types.is_set(gen.iter):
                     yield self.finding(
@@ -127,14 +129,3 @@ class SetIterationRule(Rule):
                     "joining a set concatenates in arbitrary order; join "
                     "sorted(...)",
                 )
-
-    @staticmethod
-    def _consumer_name(ctx: FileContext, node: ast.GeneratorExp) -> Optional[str]:
-        parent = ctx.parent(node)
-        if (
-            isinstance(parent, ast.Call)
-            and isinstance(parent.func, ast.Name)
-            and node in parent.args
-        ):
-            return parent.func.id
-        return None

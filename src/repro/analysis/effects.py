@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
@@ -54,13 +54,13 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
 
 from repro.analysis.asthelpers import ImportMap
 from repro.analysis.projectgraph import MODULE_SCOPE, ProjectGraph
+from repro.analysis.scopes import CallSite, ModuleWalk, MutationSite, Scope
 
 #: Effect atoms.  Tuples so they hash and sort without ceremony::
 #:
@@ -110,22 +110,6 @@ class IntrinsicSite:
     col: int
     #: Human cause, e.g. ``time.perf_counter(...)`` or ``self.peers[...] =``.
     text: str
-
-
-@dataclass
-class EffectBase:
-    """The purely local effect summary of one function.
-
-    Depends only on its module's source text (plus that module's imports),
-    never on other modules.
-    """
-
-    qualname: str
-    module: str
-    name: str
-    cls: Optional[str]
-    lineno: int
-    intrinsics: List[IntrinsicSite] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -229,277 +213,82 @@ def _receiver_root(expr: ast.expr) -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Phase A: per-module extraction
+# Phase A: a fold over each module's walk
 
 
-class _Extraction:
-    """Walks one module's tree into ``{qualname: EffectBase}``.
-
-    Keys each function by the graph's qualname for its def and mirrors
-    the graph's scopes (module pseudo-function, class bodies attributed
-    to the enclosing function scope, nested defs as their own scopes with
-    decorators and defaults evaluated in the enclosing scope).  Lambda
-    bodies are attributed to the enclosing function — a documented
-    over-approximation.
-    """
+class _Intrinsics:
+    """Folds one module's walk into ``{qualname: [IntrinsicSite]}``: every
+    call site through the intrinsic tables, every mutation site through
+    the owner tiers of :meth:`_mutation_owner`.  Depends only on the
+    module's own source text and imports, never on other modules."""
 
     def __init__(
-        self,
-        module_name: str,
-        tree: ast.Module,
-        qualname_by_def: Dict[ast.AST, str],
+        self, module: str, walk: ModuleWalk, imports: ImportMap
     ) -> None:
-        self.module = module_name
-        self.imports = ImportMap(tree)
-        self.qualname_by_def = qualname_by_def
-        self.functions: Dict[str, EffectBase] = {}
-        self.local_classes: Set[str] = {
-            node.name for node in ast.walk(tree)
-            if isinstance(node, ast.ClassDef)
-        }
-        mod_scope = f"{module_name}:{MODULE_SCOPE}"
-        self._walk_function(
-            qual=mod_scope,
-            name=MODULE_SCOPE,
-            cls=None,
-            lineno=0,
-            body=tree.body,
-            method_cls=None,
-            self_name=None,
-            annotations={},
-        )
+        self.module = module
+        self.imports = imports
+        self.local_classes = {cls.name for cls in walk.classes}
+        self.sites: Dict[str, List[IntrinsicSite]] = {}
+        for qual, scope in walk.scopes.items():
+            self.sites[qual] = []
+            annotations = scope.annotations()
+            for site in scope.calls:
+                if site.receiver is None:
+                    self._classify_bare_call(
+                        site.node, site.callee_name, scope
+                    )
+                else:
+                    self._classify_attr_call(site, scope, annotations)
+            for mutation in scope.mutations:
+                self._record_mutation(mutation, scope, annotations)
 
-    # -- scope plumbing ------------------------------------------------
-
-    def _walk_function(
-        self,
-        qual: str,
-        name: str,
-        cls: Optional[str],
-        lineno: int,
-        body: Sequence[ast.stmt],
-        method_cls: Optional[str],
-        self_name: Optional[str],
-        annotations: Dict[str, str],
-    ) -> None:
-        base = EffectBase(
-            qualname=qual, module=self.module, name=name, cls=cls,
-            lineno=lineno,
-        )
-        self.functions[qual] = base
-        state = _ScopeState(
-            base=base,
-            method_cls=method_cls,
-            self_name=self_name,
-            annotations=annotations,
-            globals_declared=set(),
-        )
-        self._visit_block(body, state, direct_cls=None)
-
-    def _enter_def(
-        self,
-        funcdef: ast.AST,
-        state: "_ScopeState",
-        direct_cls: Optional[str],
-    ) -> None:
-        # Decorators, defaults and annotations evaluate at def time, in
-        # the *enclosing* scope.
-        args = funcdef.args  # type: ignore[attr-defined]
-        for expr in list(funcdef.decorator_list) + list(args.defaults) + [
-            d for d in args.kw_defaults if d is not None
-        ]:
-            self._visit_expr(expr, state)
-        params = [a.arg for a in args.posonlyargs + args.args]
-        cls = direct_cls
-        method_cls = direct_cls if direct_cls is not None else state.method_cls
-        self_name = params[0] if cls is not None and params else None
-        annotations: Dict[str, str] = {}
-        for arg in args.posonlyargs + args.args + args.kwonlyargs:
-            ann = self._annotation_class(arg.annotation)
-            if ann is not None:
-                annotations[arg.arg] = ann
-        self._walk_function(
-            qual=self.qualname_by_def[funcdef],
-            name=funcdef.name,  # type: ignore[attr-defined]
-            cls=cls,
-            lineno=funcdef.lineno,  # type: ignore[attr-defined]
-            body=funcdef.body,  # type: ignore[attr-defined]
-            method_cls=method_cls,
-            self_name=self_name,
-            annotations=annotations,
-        )
-
-    @staticmethod
-    def _annotation_class(ann: Optional[ast.expr]) -> Optional[str]:
-        if ann is None:
-            return None
-        if isinstance(ann, ast.Name):
-            return ann.id
-        if isinstance(ann, ast.Attribute):
-            return ann.attr
-        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-            return ann.value.split(".")[-1].strip() or None
-        if isinstance(ann, ast.Constant) and ann.value is None:
-            return None
-        if isinstance(ann, ast.Subscript):  # Optional[X] / list[X] — skip
-            return None
-        return None
-
-    # -- statement walk ------------------------------------------------
-
-    def _visit_block(
-        self,
-        stmts: Sequence[ast.stmt],
-        state: "_ScopeState",
-        direct_cls: Optional[str],
-    ) -> None:
-        for stmt in stmts:
-            self._visit_stmt(stmt, state, direct_cls)
-
-    def _visit_stmt(
-        self, stmt: ast.stmt, state: "_ScopeState", direct_cls: Optional[str]
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._enter_def(stmt, state, direct_cls)
-            return
-        if isinstance(stmt, ast.ClassDef):
-            for expr in list(stmt.decorator_list) + list(stmt.bases) + [
-                kw.value for kw in stmt.keywords
-            ]:
-                self._visit_expr(expr, state)
-            # Class bodies execute at definition time in this scope.
-            self._visit_block(stmt.body, state, stmt.name)
-            return
-        if isinstance(stmt, ast.Try) or (
-            hasattr(ast, "TryStar") and isinstance(stmt, ast.TryStar)
-        ):
-            self._visit_block(stmt.body, state, direct_cls)
-            for handler in stmt.handlers:
-                self._visit_block(handler.body, state, direct_cls)
-            self._visit_block(stmt.orelse, state, direct_cls)
-            self._visit_block(stmt.finalbody, state, direct_cls)
-            return
-        if isinstance(stmt, ast.If):
-            self._visit_expr(stmt.test, state)
-            self._visit_block(stmt.body, state, direct_cls)
-            self._visit_block(stmt.orelse, state, direct_cls)
-            return
-        if isinstance(stmt, ast.While):
-            self._visit_expr(stmt.test, state)
-            self._visit_block(stmt.body, state, direct_cls)
-            self._visit_block(stmt.orelse, state, direct_cls)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._visit_expr(stmt.iter, state)
-            self._record_target_mutation(stmt.target, state, stmt)
-            self._visit_block(stmt.body, state, direct_cls)
-            self._visit_block(stmt.orelse, state, direct_cls)
-            return
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._visit_expr(item.context_expr, state)
-            self._visit_block(stmt.body, state, direct_cls)
-            return
-        if hasattr(ast, "Match") and isinstance(stmt, ast.Match):
-            self._visit_expr(stmt.subject, state)
-            for case in stmt.cases:
-                if case.guard is not None:
-                    self._visit_expr(case.guard, state)
-                self._visit_block(case.body, state, direct_cls)
-            return
-        if isinstance(stmt, ast.Global):
-            state.globals_declared.update(stmt.names)
-            return
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                self._record_target_mutation(target, state, stmt)
-            self._visit_expr(stmt.value, state)
-            return
-        if isinstance(stmt, ast.AnnAssign):
-            self._record_target_mutation(stmt.target, state, stmt)
-            if stmt.value is not None:
-                self._visit_expr(stmt.value, state)
-            return
-        if isinstance(stmt, ast.AugAssign):
-            self._record_target_mutation(stmt.target, state, stmt)
-            self._visit_expr(stmt.value, state)
-            return
-        if isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self._record_target_mutation(target, state, stmt)
-            return
-        # Return / Expr / Raise / Assert / everything else: scan expressions.
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.expr):
-                self._visit_expr(child, state)
-
-    # -- expression walk -----------------------------------------------
-
-    def _visit_expr(self, expr: ast.expr, state: "_ScopeState") -> None:
-        for node in ast.walk(expr):
-            if isinstance(node, ast.Call):
-                self._record_call(node, state)
-
-    def _record_call(self, node: ast.Call, state: "_ScopeState") -> None:
-        func = node.func
-        if isinstance(func, ast.Name):
-            self._classify_bare_call(node, func.id, state)
-        elif isinstance(func, ast.Attribute):
-            self._classify_attr_call(node, func, state)
-
-    def _add(
-        self, state: "_ScopeState", node: ast.AST, atom: Atom, text: str
-    ) -> None:
-        state.base.intrinsics.append(
+    def _add(self, scope: Scope, node: ast.AST, atom: Atom, text: str) -> None:
+        self.sites[scope.qualname].append(
             IntrinsicSite(
                 atom=atom,
-                lineno=getattr(node, "lineno", state.base.lineno or 1),
+                lineno=getattr(node, "lineno", scope.lineno or 1),
                 col=getattr(node, "col_offset", 0),
                 text=text,
             )
         )
 
     def _classify_bare_call(
-        self, node: ast.Call, name: str, state: "_ScopeState"
+        self, node: ast.Call, name: str, scope: Scope
     ) -> None:
         if name in ("open", "input", "print", "breakpoint"):
-            self._add(state, node, REAL_IO, f"{name}(...)")
+            self._add(scope, node, REAL_IO, f"{name}(...)")
             return
         origin = self.imports.member_origin(name)
         if origin is None:
             return
         module, member = origin
         if module == "time" and member in _TIME_WALLCLOCK:
-            self._add(state, node, WALLCLOCK, f"time.{member}(...)")
+            self._add(scope, node, WALLCLOCK, f"time.{member}(...)")
         elif module == "random" and (
             member in _RANDOM_FUNCS or member == "SystemRandom"
         ):
-            self._add(state, node, GLOBAL_RANDOM, f"random.{member}(...)")
+            self._add(scope, node, GLOBAL_RANDOM, f"random.{member}(...)")
         elif module == "os" and member in _OS_IO:
-            self._add(state, node, REAL_IO, f"os.{member}(...)")
+            self._add(scope, node, REAL_IO, f"os.{member}(...)")
         elif module == "os" and member == "urandom":
-            self._add(state, node, GLOBAL_RANDOM, "os.urandom(...)")
-            self._add(state, node, REAL_IO, "os.urandom(...)")
+            self._add(scope, node, GLOBAL_RANDOM, "os.urandom(...)")
+            self._add(scope, node, REAL_IO, "os.urandom(...)")
         elif module == "os.path" and member in _OSPATH_IO:
-            self._add(state, node, REAL_IO, f"os.path.{member}(...)")
+            self._add(scope, node, REAL_IO, f"os.path.{member}(...)")
         elif module == "subprocess" and member in _SUBPROCESS_IO:
-            self._add(state, node, REAL_IO, f"subprocess.{member}(...)")
+            self._add(scope, node, REAL_IO, f"subprocess.{member}(...)")
         elif module == "socket" and member in _SOCKET_MODULE:
-            self._add(state, node, NETWORK_SEND, f"socket.{member}(...)")
-            self._add(state, node, REAL_IO, f"socket.{member}(...)")
+            self._add(scope, node, NETWORK_SEND, f"socket.{member}(...)")
+            self._add(scope, node, REAL_IO, f"socket.{member}(...)")
         elif module == "urllib.request" and member == "urlopen":
-            self._add(state, node, NETWORK_SEND, "urllib.request.urlopen(...)")
-            self._add(state, node, REAL_IO, "urllib.request.urlopen(...)")
+            self._add(scope, node, NETWORK_SEND, "urllib.request.urlopen(...)")
+            self._add(scope, node, REAL_IO, "urllib.request.urlopen(...)")
 
     def _classify_attr_call(
-        self, node: ast.Call, func: ast.Attribute, state: "_ScopeState"
+        self, site: CallSite, scope: Scope, annotations: Dict[str, str]
     ) -> None:
-        name = func.attr
-        recv = func.value
-        try:
-            recv_text = ast.unparse(recv)
-        except Exception:  # pragma: no cover - unparse is total on exprs
-            recv_text = "<expr>"
+        node, name, recv_text = site.node, site.callee_name, site.receiver
+        recv = node.func.value  # type: ignore[attr-defined]
         root = _receiver_root(recv)
         recv_module = None
         if root is not None:
@@ -511,50 +300,49 @@ class _Extraction:
                 recv_module = root
         # stdlib modules by receiver
         if recv_module == "time" and name in _TIME_WALLCLOCK:
-            self._add(state, node, WALLCLOCK, f"{recv_text}.{name}(...)")
+            self._add(scope, node, WALLCLOCK, f"{recv_text}.{name}(...)")
         elif name in _DATETIME_NOW and self._is_datetime(root, recv_text):
-            self._add(state, node, WALLCLOCK, f"{recv_text}.{name}(...)")
+            self._add(scope, node, WALLCLOCK, f"{recv_text}.{name}(...)")
         elif recv_module == "random" and recv_text == root and (
             name in _RANDOM_FUNCS or name == "SystemRandom"
         ):
             # Only the module itself: ``rng.shuffle`` on a seeded
             # ``random.Random`` instance is deterministic and fine.
-            self._add(state, node, GLOBAL_RANDOM, f"random.{name}(...)")
+            self._add(scope, node, GLOBAL_RANDOM, f"random.{name}(...)")
         elif recv_module == "os" and recv_text in ("os", root) and (
             name in _OS_IO or name == "urandom"
         ):
             if name == "urandom":
-                self._add(state, node, GLOBAL_RANDOM, "os.urandom(...)")
-            self._add(state, node, REAL_IO, f"os.{name}(...)")
+                self._add(scope, node, GLOBAL_RANDOM, "os.urandom(...)")
+            self._add(scope, node, REAL_IO, f"os.{name}(...)")
         elif recv_text == "os.path" and name in _OSPATH_IO:
-            self._add(state, node, REAL_IO, f"os.path.{name}(...)")
+            self._add(scope, node, REAL_IO, f"os.path.{name}(...)")
         elif recv_module == "subprocess" and name in _SUBPROCESS_IO:
-            self._add(state, node, REAL_IO, f"subprocess.{name}(...)")
+            self._add(scope, node, REAL_IO, f"subprocess.{name}(...)")
         elif recv_module == "socket" and name in _SOCKET_MODULE:
-            self._add(state, node, NETWORK_SEND, f"socket.{name}(...)")
-            self._add(state, node, REAL_IO, f"socket.{name}(...)")
+            self._add(scope, node, NETWORK_SEND, f"socket.{name}(...)")
+            self._add(scope, node, REAL_IO, f"socket.{name}(...)")
         elif recv_module == "requests" and name in _REQUESTS_VERBS:
-            self._add(state, node, NETWORK_SEND, f"requests.{name}(...)")
-            self._add(state, node, REAL_IO, f"requests.{name}(...)")
+            self._add(scope, node, NETWORK_SEND, f"requests.{name}(...)")
+            self._add(scope, node, REAL_IO, f"requests.{name}(...)")
         elif name == "urlopen":
-            self._add(state, node, NETWORK_SEND, f"{recv_text}.urlopen(...)")
-            self._add(state, node, REAL_IO, f"{recv_text}.urlopen(...)")
+            self._add(scope, node, NETWORK_SEND, f"{recv_text}.urlopen(...)")
+            self._add(scope, node, REAL_IO, f"{recv_text}.urlopen(...)")
         elif name in _PATHLIB_IO:
-            self._add(state, node, REAL_IO, f"{recv_text}.{name}(...)")
+            self._add(scope, node, REAL_IO, f"{recv_text}.{name}(...)")
         elif name in _SOCKET_SEND:
-            self._add(state, node, NETWORK_SEND, f"{recv_text}.{name}(...)")
-            self._add(state, node, REAL_IO, f"{recv_text}.{name}(...)")
+            self._add(scope, node, NETWORK_SEND, f"{recv_text}.{name}(...)")
+            self._add(scope, node, REAL_IO, f"{recv_text}.{name}(...)")
         elif name in ("write", "flush") and root == "sys":
-            self._add(state, node, REAL_IO, f"{recv_text}.{name}(...)")
+            self._add(scope, node, REAL_IO, f"{recv_text}.{name}(...)")
         elif name in _PROJECT_SEND and recv_text not in ("self", "cls"):
-            self._add(state, node, NETWORK_SEND, f"{recv_text}.{name}(...)")
+            self._add(scope, node, NETWORK_SEND, f"{recv_text}.{name}(...)")
         # in-place container mutation through a trackable receiver
         if name in _MUTATOR_METHODS:
-            owner = self._mutation_owner(recv, state)
+            owner = self._mutation_owner(recv, recv_text, scope, annotations)
             if owner is not None:
                 self._add(
-                    state, node, mutates(owner),
-                    f"{recv_text}.{name}(...)",
+                    scope, node, mutates(owner), f"{recv_text}.{name}(...)"
                 )
 
     @staticmethod
@@ -563,40 +351,32 @@ class _Extraction:
 
     # -- mutations -----------------------------------------------------
 
-    def _record_target_mutation(
-        self, target: ast.expr, state: "_ScopeState", stmt: ast.stmt
+    def _record_mutation(
+        self, site: MutationSite, scope: Scope, annotations: Dict[str, str]
     ) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._record_target_mutation(elt, state, stmt)
-            return
-        if isinstance(target, ast.Starred):
-            self._record_target_mutation(target.value, state, stmt)
-            return
-        # unwrap subscripts: ``x.attr[k] = v`` mutates ``x.attr``
-        node = target
-        while isinstance(node, ast.Subscript):
-            node = node.value
-        if isinstance(node, ast.Attribute):
-            owner = self._mutation_owner(node.value, state, attr=node.attr)
-            if owner is not None:
-                try:
-                    text = f"{ast.unparse(node)} ="
-                except Exception:  # pragma: no cover
-                    text = f"<expr>.{node.attr} ="
-                self._add(state, stmt, mutates(owner), text)
-            return
-        if isinstance(node, ast.Name) and node.id in state.globals_declared:
+        target = site.target
+        if site.receiver is None:  # a declared global
             self._add(
-                state, stmt,
-                mutates(f"{self.module}:<globals>"),
-                f"global {node.id} =",
+                scope, site.stmt, mutates(f"{self.module}:<globals>"),
+                f"global {target.id} =",  # type: ignore[attr-defined]
+            )
+            return
+        owner = self._mutation_owner(
+            target.value, site.receiver, scope, annotations,  # type: ignore[attr-defined]
+            attr=target.attr,  # type: ignore[attr-defined]
+        )
+        if owner is not None:
+            self._add(
+                scope, site.stmt, mutates(owner),
+                f"{site.receiver}.{target.attr} =",  # type: ignore[attr-defined]
             )
 
     def _mutation_owner(
         self,
         recv: ast.expr,
-        state: "_ScopeState",
+        recv_text: str,
+        scope: Scope,
+        annotations: Dict[str, str],
         attr: Optional[str] = None,
     ) -> Optional[str]:
         """Owner of a mutation through receiver ``recv``.
@@ -608,28 +388,22 @@ class _Extraction:
         yield None (a local list is not shared state).
         """
         root = _receiver_root(recv)
-        try:
-            recv_text = ast.unparse(recv)
-        except Exception:  # pragma: no cover
-            recv_text = ""
         if root is not None and (
-            root in ("self", "cls") or root == state.self_name
+            root in ("self", "cls") or root == scope.self_name
         ):
-            if state.method_cls is not None:
+            if scope.method_cls is not None:
                 # ``self.state.peers[...] = ...`` is still the bootstrap's
                 # metadata, not merely "some attribute of mine".
                 if attr in _METADATA_ATTRS and _STATE_TOKEN_RE.search(
                     recv_text
                 ):
                     return self._resolve_class_owner("BootstrapState")
-                return f"{self.module}:{state.method_cls}"
+                return f"{self.module}:{scope.method_cls}"
             return None
-        if root is not None and root in state.annotations:
-            return self._resolve_class_owner(state.annotations[root])
+        if root is not None and root in annotations:
+            return self._resolve_class_owner(annotations[root])
         if attr in _METADATA_ATTRS and _STATE_TOKEN_RE.search(recv_text):
             return self._resolve_class_owner("BootstrapState")
-        if root is None and attr is None:
-            return None
         return None
 
     def _resolve_class_owner(self, class_name: str) -> str:
@@ -640,25 +414,17 @@ class _Extraction:
             return f"{origin[0]}:{origin[1]}"
         return f":{class_name}"
 
-@dataclass
-class _ScopeState:
-    base: EffectBase
-    method_cls: Optional[str]
-    self_name: Optional[str]
-    annotations: Dict[str, str]
-    globals_declared: Set[str]
 
-
-def compute_effect_bases(graph: ProjectGraph) -> Dict[str, EffectBase]:
-    """Phase A over every module: the local effect bases."""
-    functions: Dict[str, EffectBase] = {}
+def compute_intrinsics(graph: ProjectGraph) -> Dict[str, List[IntrinsicSite]]:
+    """Phase A over every module: each function's local effect sites."""
+    sites: Dict[str, List[IntrinsicSite]] = {}
     for name in sorted(graph.modules):
-        functions.update(
-            _Extraction(
-                name, graph.modules[name].tree, graph.qualname_by_def
-            ).functions
+        sites.update(
+            _Intrinsics(
+                name, graph.modules[name].walk, graph.imports[name]
+            ).sites
         )
-    return functions
+    return sites
 
 
 # ----------------------------------------------------------------------
@@ -724,11 +490,12 @@ WitnessHop = Tuple[str, int, str]
 class EffectInference:
     """The fixpoint engine, built once per analysis run."""
 
-    def __init__(
-        self, graph: ProjectGraph, bases: Dict[str, EffectBase]
-    ) -> None:
+    def __init__(self, graph: ProjectGraph) -> None:
         self.graph = graph
-        self.bases = bases
+        #: Every function the inference covers, by qualname.
+        self.bases: Dict[str, Scope] = graph.functions
+        #: qualname -> the effect sites in its own body (Phase A).
+        self.intrinsics = compute_intrinsics(graph)
         #: caller -> propagation edges, sorted by (lineno, callee).
         self.calls: Dict[str, List[_PropEdge]] = {}
         self._build_edges()
@@ -738,11 +505,9 @@ class EffectInference:
     @classmethod
     def for_graph(cls, graph: ProjectGraph) -> "EffectInference":
         """The per-run engine, shared by every effect rule via the
-        graph's memo (one extraction + one fixpoint per analysis run)."""
+        graph's memo (one fold + one fixpoint per analysis run)."""
         if "effect_inference" not in graph.memo:
-            graph.memo["effect_inference"] = cls(
-                graph, compute_effect_bases(graph)
-            )
+            graph.memo["effect_inference"] = cls(graph)
         return graph.memo["effect_inference"]
 
     # -- edges ---------------------------------------------------------
@@ -846,7 +611,7 @@ class EffectInference:
             while True:
                 changed = False
                 for qual in comp:
-                    atoms = {s.atom for s in self.bases[qual].intrinsics}
+                    atoms = {s.atom for s in self.intrinsics[qual]}
                     for edge in self.calls.get(qual, ()):
                         atoms.update(self.atoms.get(edge.callee, ()))
                     frozen = frozenset(atoms)
@@ -907,7 +672,7 @@ class EffectInference:
     def _first_intrinsic(
         self, qual: str, pred: Callable[[Atom], bool]
     ) -> Optional[IntrinsicSite]:
-        matches = [s for s in self.bases[qual].intrinsics if pred(s.atom)]
+        matches = [s for s in self.intrinsics[qual] if pred(s.atom)]
         if not matches:
             return None
         return min(matches, key=lambda s: (s.lineno, s.col, s.text))

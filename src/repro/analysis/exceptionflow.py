@@ -32,12 +32,12 @@ Hadoop's job re-execution fault model, not per-message retry),
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.projectgraph import ProjectGraph, iter_function_defs
+from repro.analysis.projectgraph import ProjectGraph
 from repro.analysis.registry import ProjectRule, register_rule
+from repro.analysis.scopes import CallSite
 
 #: The family whose escape we track, plus the types that catch it.
 _BUILTIN_FAMILY = frozenset(
@@ -75,10 +75,9 @@ def network_family(graph: ProjectGraph) -> Set[str]:
     across every scanned module (fixtures included) plus the built-ins."""
     subclasses: Dict[str, Set[str]] = {}
     for name in sorted(graph.modules):
-        for node in ast.walk(graph.modules[name].tree):
-            if isinstance(node, ast.ClassDef):
-                for base in _base_names(node):
-                    subclasses.setdefault(base, set()).add(node.name)
+        for node in graph.modules[name].walk.classes:
+            for base in _base_names(node):
+                subclasses.setdefault(base, set()).add(node.name)
     family = set(_BUILTIN_FAMILY)
     work = sorted(family)
     while work:
@@ -90,24 +89,20 @@ def network_family(graph: ProjectGraph) -> Set[str]:
     return family
 
 
-def _handler_catches(handler: ast.ExceptHandler, family: Set[str]) -> bool:
-    if handler.type is None:
-        return True  # bare except
-    types = (
-        handler.type.elts
-        if isinstance(handler.type, ast.Tuple)
-        else [handler.type]
-    )
-    for node in types:
-        name: Optional[str] = None
-        if isinstance(node, ast.Name):
-            name = node.id
-        elif isinstance(node, ast.Attribute):
-            name = node.attr
-        if name is not None and (
-            name in family or name in _FAMILY_ANCESTORS
-        ):
-            return True
+def _caught(handlers: Sequence[ast.ExceptHandler], family: Set[str]) -> bool:
+    """Whether any of ``handlers`` catches the family."""
+    for handler in handlers:
+        if handler.type is None:
+            return True  # bare except
+        types = (
+            handler.type.elts
+            if isinstance(handler.type, ast.Tuple)
+            else [handler.type]
+        )
+        for node in types:
+            name = _raised_name(node)
+            if name in family or name in _FAMILY_ANCESTORS:
+                return True
     return False
 
 
@@ -121,118 +116,12 @@ def _raised_name(node: Optional[ast.expr]) -> Optional[str]:
     return None
 
 
-@dataclass
-class _CallRecord:
-    """One call site inside a function, with its handler context."""
-
-    lineno: int
-    col: int
-    callee_name: str
-    receiver: Optional[str]
-    caught: bool  # a family-catching handler encloses the site
-    is_primitive: bool  # a cross-peer wire/exec call
-    is_wrapper: bool  # call_resilient / ResilienceContext.call
-
-
-@dataclass
-class _FuncSummary:
-    qualname: str
-    module: str
-    calls: List[_CallRecord]
-    #: (lineno, description) of uncaught local family raises/primitives.
-    local_escapes: List[Tuple[int, str]]
-
-
-def _summarize_function(
-    qualname: str,
-    module: str,
-    body: List[ast.stmt],
-    family: Set[str],
-) -> _FuncSummary:
-    summary = _FuncSummary(qualname, module, [], [])
-
-    def visit_expr(node: ast.AST, caught: bool) -> None:
-        for child in ast.walk(node):
-            if not isinstance(child, ast.Call):
-                continue
-            func = child.func
-            receiver: Optional[str] = None
-            if isinstance(func, ast.Attribute):
-                callee = func.attr
-                try:
-                    receiver = ast.unparse(func.value)
-                except Exception:
-                    receiver = "<expr>"
-            elif isinstance(func, ast.Name):
-                callee = func.id
-            else:
-                continue
-            is_primitive = (
-                receiver is not None
-                and receiver not in ("self", "cls")
-                and callee in _REMOTE_CALLEES
-            )
-            summary.calls.append(
-                _CallRecord(
-                    lineno=child.lineno,
-                    col=child.col_offset,
-                    callee_name=callee,
-                    receiver=receiver,
-                    caught=caught,
-                    is_primitive=is_primitive,
-                    is_wrapper=_is_wrapper(callee, receiver),
-                )
-            )
-            if is_primitive and not caught:
-                summary.local_escapes.append(
-                    (child.lineno, f"{receiver}.{callee}(...) can raise")
-                )
-
-    def visit_body(stmts: List[ast.stmt], caught: bool) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue  # nested scopes are their own summaries
-            if isinstance(stmt, ast.Try) or (
-                stmt.__class__.__name__ == "TryStar"
-            ):
-                catches = any(
-                    _handler_catches(h, family)
-                    for h in stmt.handlers  # type: ignore[attr-defined]
-                )
-                visit_body(stmt.body, caught or catches)  # type: ignore[attr-defined]
-                # The handlers do not cover the ``else:`` block.
-                visit_body(stmt.orelse, caught)  # type: ignore[attr-defined]
-                for handler in stmt.handlers:  # type: ignore[attr-defined]
-                    visit_body(handler.body, caught)
-                visit_body(stmt.finalbody, caught)  # type: ignore[attr-defined]
-                continue
-            if isinstance(stmt, ast.Raise):
-                raised = _raised_name(stmt.exc)
-                if raised in family and not caught:
-                    summary.local_escapes.append(
-                        (stmt.lineno, f"raise {raised}")
-                    )
-                if stmt.exc is not None:
-                    visit_expr(stmt.exc, caught)
-                continue
-            if isinstance(stmt, (ast.If, ast.For, ast.AsyncFor, ast.While,
-                                 ast.With, ast.AsyncWith)):
-                for field_name in ("test", "iter", "target"):
-                    value = getattr(stmt, field_name, None)
-                    if isinstance(value, ast.expr):
-                        visit_expr(value, caught)
-                if isinstance(stmt, (ast.With, ast.AsyncWith)):
-                    for item in stmt.items:
-                        visit_expr(item.context_expr, caught)
-                visit_body(stmt.body, caught)
-                visit_body(getattr(stmt, "orelse", []), caught)
-                continue
-            visit_expr(stmt, caught)
-
-    visit_body(body, False)
-    summary.local_escapes.sort()
-    return summary
+def _is_primitive(site: CallSite) -> bool:
+    return (
+        site.receiver is not None
+        and site.receiver not in ("self", "cls")
+        and site.callee_name in _REMOTE_CALLEES
+    )
 
 
 @register_rule
@@ -255,61 +144,58 @@ class ExceptionEscapeRule(ProjectRule):
 
     def check_project(self, graph: ProjectGraph) -> Iterator[Finding]:
         family = network_family(graph)
-        summaries: Dict[str, _FuncSummary] = {}
-        for name in sorted(graph.modules):
-            mod = graph.modules[name]
-            for qualname, funcdef, _cls, _scope in iter_function_defs(
-                mod.name, mod.tree
+        # Per function: the call sites an escape propagates through (no
+        # family handler around them, and not a resilience wrapper, whose
+        # arguments run covered), and the family errors it raises itself.
+        calls: Dict[str, List[CallSite]] = {q: [] for q in graph.functions}
+        for site in graph.call_sites:
+            if not _is_wrapper(site.callee_name, site.receiver) and not (
+                _caught(site.handlers, family)
             ):
-                body = (
-                    mod.tree.body
-                    if funcdef is None
-                    else funcdef.body  # type: ignore[attr-defined]
-                )
-                summaries[qualname] = _summarize_function(
-                    qualname, mod.name, list(body), family
-                )
+                calls[site.caller].append(site)
+        local_escapes: Dict[str, List[Tuple[int, str]]] = {}
+        for qual, scope in graph.functions.items():
+            found = [
+                (site.lineno, f"{site.receiver}.{site.callee_name}(...) "
+                 "can raise")
+                for site in calls[qual]
+                if _is_primitive(site)
+            ] + [
+                (node.lineno, f"raise {_raised_name(node.exc)}")
+                for node, handlers in scope.raises
+                if _raised_name(node.exc) in family
+                and not _caught(handlers, family)
+            ]
+            local_escapes[qual] = sorted(found)
 
-        # Resolution: join each record with the graph's call-site index.
-        # Chained calls (``x.f().g()``) share one anchor position, so the
-        # callee name is part of the key.
-        site_index = {
-            (site.caller, site.lineno, site.col, site.callee_name): site
-            for site in graph.call_sites
-        }
-
-        def resolved_callees(qual: str, rec: _CallRecord) -> Tuple[str, ...]:
-            site = site_index.get((qual, rec.lineno, rec.col, rec.callee_name))
-            if site is None or not site.precise:
+        def resolved_callees(site: CallSite) -> Tuple[str, ...]:
+            if not site.precise:
                 return ()
             return tuple(
                 callee
                 for callee in sorted(site.resolved)
-                if callee in summaries and not self._exempt(graph, callee)
+                if callee in calls and not self._exempt(graph, callee)
             )
 
         # Bottom-up: from which functions does the family escape, and why.
         escapes: Set[str] = set()
         witness: Dict[str, Tuple[str, int, str]] = {}
-        for qual in sorted(summaries):
-            summary = summaries[qual]
-            if summary.local_escapes and not self._exempt(graph, qual):
+        for qual in sorted(calls):
+            if local_escapes[qual] and not self._exempt(graph, qual):
                 escapes.add(qual)
-                lineno, desc = summary.local_escapes[0]
+                lineno, desc = local_escapes[qual][0]
                 witness[qual] = ("prim", lineno, desc)
         changed = True
         while changed:
             changed = False
-            for qual in sorted(summaries):
+            for qual in sorted(calls):
                 if qual in escapes:
                     continue
-                for rec in summaries[qual].calls:
-                    if rec.caught or rec.is_wrapper:
-                        continue
-                    for callee in resolved_callees(qual, rec):
+                for site in calls[qual]:
+                    for callee in resolved_callees(site):
                         if callee in escapes:
                             escapes.add(qual)
-                            witness[qual] = ("call", rec.lineno, callee)
+                            witness[qual] = ("call", site.lineno, callee)
                             changed = True
                             break
                     if qual in escapes:
@@ -330,18 +216,14 @@ class ExceptionEscapeRule(ProjectRule):
         # no protection on the way from an entry point.
         exposed: Set[str] = set()
         work: List[str] = []
-        for qual in sorted(summaries):
-            if qual not in graph.reverse_edges and not protected(
-                qual
-            ):
+        for qual in sorted(calls):
+            if qual not in graph.reverse_edges and not protected(qual):
                 exposed.add(qual)
                 work.append(qual)
         while work:
             qual = work.pop()
-            for rec in summaries[qual].calls:
-                if rec.caught or rec.is_wrapper:
-                    continue
-                for callee in resolved_callees(qual, rec):
+            for site in calls[qual]:
+                for callee in resolved_callees(site):
                     if callee not in exposed and not protected(callee):
                         exposed.add(callee)
                         work.append(callee)
@@ -368,44 +250,42 @@ class ExceptionEscapeRule(ProjectRule):
                 current = detail
             return tuple(hops)
 
-        for qual in sorted(summaries):
+        for qual in sorted(calls):
             if qual not in exposed or self._exempt(graph, qual):
                 continue
-            module = graph.modules.get(summaries[qual].module)
+            module = graph.module_of_function(qual)
             if module is None:
                 continue
-            for rec in summaries[qual].calls:
-                if rec.caught or rec.is_wrapper:
-                    continue
-                if rec.is_primitive:
-                    call = f"{rec.receiver}.{rec.callee_name}(...)"
+            for site in calls[qual]:
+                if _is_primitive(site):
+                    call = f"{site.receiver}.{site.callee_name}(...)"
                     finding = self.project_finding(
                         module,
-                        rec.lineno,
-                        rec.col,
+                        site.lineno,
+                        site.col,
                         f"{call} in {qual!r} can raise NetworkError-family "
                         f"exceptions with no resilience coverage or handler "
                         f"on the path — wrap it in a closure passed to "
                         f"call_resilient/ResilienceContext.call or catch "
                         f"the family",
                     )
-                    finding.trace = ((module.path, rec.lineno, f"{call} can raise"),)
+                    finding.trace = ((module.path, site.lineno, f"{call} can raise"),)
                     yield finding
                     continue
-                for callee in resolved_callees(qual, rec):
+                for callee in resolved_callees(site):
                     if callee not in escapes:
                         continue
                     finding = self.project_finding(
                         module,
-                        rec.lineno,
-                        rec.col,
+                        site.lineno,
+                        site.col,
                         f"NetworkError-family exceptions escape "
                         f"{callee!r} and propagate through {qual!r} with "
                         f"no resilience coverage or handler on the path "
                         f"— wrap the call or catch the family",
                     )
                     finding.trace = witness_trace(
-                        module.path, rec.lineno, callee
+                        module.path, site.lineno, callee
                     )
                     yield finding
                     break  # one finding per site

@@ -8,10 +8,8 @@ cost model (Figs. 6-14) depends on.
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
-from repro.analysis.asthelpers import function_scopes, is_name, scope_body_walk
 from repro.analysis.findings import Finding, Severity
 from repro.analysis.registry import FileContext, Rule, register_rule
 
@@ -40,25 +38,19 @@ class NetworkBypassRule(Rule):
     categories = ("src",)
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        for scope in function_scopes(ctx.tree):
-            calls = [
-                node
-                for node in scope_body_walk(scope)
-                if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ]
-            if any(call.func.attr in _PRICING_METHODS for call in calls):
+        for scope in ctx.walk.scopes.values():
+            calls = [site for site in scope.calls if site.receiver is not None]
+            if any(site.callee_name in _PRICING_METHODS for site in calls):
                 continue
-            for call in calls:
-                if call.func.attr not in _ROW_MOVING_METHODS:
+            for site in calls:
+                if site.callee_name not in _ROW_MOVING_METHODS:
                     continue
-                receiver = call.func.value
-                if is_name(receiver, "self", "cls"):
+                if site.receiver in ("self", "cls"):
                     continue
                 yield self.finding(
                     ctx,
-                    call,
-                    f"`.{call.func.attr}(...)` pulls rows from a peer but "
+                    site.node,
+                    f"`.{site.callee_name}(...)` pulls rows from a peer but "
                     "this function never prices a SimNetwork transfer; "
                     "charge the bytes or annotate why the rows stay remote",
                 )

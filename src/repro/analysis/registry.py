@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Type
 
 from repro.analysis.findings import Finding, Severity
+from repro.analysis.scopes import ModuleWalk, module_name_for_path, walk_module
 
 if TYPE_CHECKING:  # circular at runtime: projectgraph uses FileContext
     from repro.analysis.projectgraph import ModuleNode, ProjectGraph
@@ -42,7 +43,7 @@ class FileContext:
     tree: ast.Module
     lines: List[str] = field(default_factory=list)
 
-    _parents: Optional[Dict[int, ast.AST]] = None
+    _walk: Optional[ModuleWalk] = None
 
     def __post_init__(self) -> None:
         if not self.lines:
@@ -53,15 +54,14 @@ class FileContext:
             return self.lines[lineno - 1].strip()
         return ""
 
-    def parent(self, node: ast.AST) -> Optional[ast.AST]:
-        """The syntactic parent of ``node`` (None for the module)."""
-        if self._parents is None:
-            parents: Dict[int, ast.AST] = {}
-            for outer in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(outer):
-                    parents[id(child)] = outer
-            self._parents = parents
-        return self._parents.get(id(node))
+    @property
+    def walk(self) -> ModuleWalk:
+        """The module's one scoped walk, shared by every rule that reads
+        this file (:mod:`repro.analysis.scopes`)."""
+        if self._walk is None:
+            name = module_name_for_path(self.path)
+            self._walk = walk_module(name, self.tree)
+        return self._walk
 
 
 class Rule:

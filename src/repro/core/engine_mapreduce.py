@@ -16,7 +16,11 @@ from typing import List, Optional
 
 from repro.core.accesscheck import require_unrestricted_read
 from repro.core.execution import EngineContext, QueryExecution
-from repro.errors import PeerUnavailableError
+from repro.errors import (
+    NetworkError,
+    PeerUnavailableError,
+    TransientNetworkError,
+)
 from repro.mapreduce.engine import MapReduceConfig, MapReduceEngine
 from repro.mapreduce.hdfs import Hdfs
 from repro.plan.driver import DistributedPlanDriver, LocalResult
@@ -56,8 +60,9 @@ class BestPeerMapReduceEngine:
             )
         # Raise, never recover here (unlike ``context.require_online``): map
         # tasks read through ``execute_local``, outside the retry layer, and
-        # MapReduce recovers by re-running the job — the facade blocks on
-        # the fail-over and resubmits the whole query.
+        # MapReduce recovers by re-running the job — here, and for a crash
+        # inside the job (below), the facade blocks on the fail-over and
+        # resubmits the whole query.
         for peer_id in involved:
             peer = context.peers.get(peer_id)
             if peer is None or not peer.online:
@@ -89,7 +94,17 @@ class BestPeerMapReduceEngine:
 
         driver = DistributedPlanDriver(engine, hosts, local_execute)
         self._query_counter += 1
-        result = driver.run(plan, f"bpmr-q{self._query_counter}")
+        try:
+            result = driver.run(plan, f"bpmr-q{self._query_counter}")
+        except TransientNetworkError:
+            raise
+        except NetworkError as exc:
+            # A host that crashed mid-job is partitioned; a drop is
+            # transient and left to the facade's whole-query retry.
+            for host in hosts:
+                if context.network.is_partitioned(host):
+                    raise PeerUnavailableError(host_to_peer[host]) from exc
+            raise
 
         bytes_shuffled = sum(job.bytes_shuffled for job in result.jobs)
         latency = context.hop_cost_s(index_hops) + result.duration_s

@@ -83,6 +83,34 @@ class TestFires:
         assert "'outer.Local.tick'" in findings[0].message
         assert findings[0].line == 7
 
+    def test_decorator_argument_is_charged_to_the_module_top_level(
+        self, project
+    ):
+        # The decorator call runs when the def statement does, so the
+        # witness starts at the module's top level, not at the wrapped def.
+        findings = project("DET003", {
+            "proj/bench/util.py": """
+                import time
+
+                def started():
+                    return time.time()
+            """,
+            HANDLERS: """
+                from proj.bench.util import started
+
+                def stamp(at):
+                    return lambda fn: fn
+
+                @stamp(started())
+                def on_tick(now):
+                    return now
+            """,
+        })
+        assert len(findings) == 1
+        assert "proj.sim.handlers top-level" in findings[0].message
+        assert findings[0].trace[0][1] == 7
+        assert findings[0].trace[-1][2] == "started: time.time(...)"
+
 
 class TestQuiet:
     def test_rescheduling_on_the_simulated_timeline(self, project):

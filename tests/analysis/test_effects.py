@@ -271,9 +271,37 @@ class TestPropagation:
                     return v
             """,
         })
-        # an effectful decorator taints the function it wraps
-        assert sig(inference, "proj.mod:decorated").wallclock
+        # the decorator call runs where the def statement does, so its
+        # effect lands on the module's top level, not on the wrapped body
+        assert sig(inference, "proj.mod:<module>").wallclock
+        assert sig(inference, "proj.mod:decorated").pure
         assert sig(inference, "proj.mod:plain").pure
+
+    def test_graph_and_effects_file_decorators_in_the_enclosing_scope(
+        self, graph_of
+    ):
+        graph = graph_of({
+            "proj/mod.py": """
+                import time
+
+                def stamp(at):
+                    return lambda fn: fn
+
+                class Clock:
+                    @stamp(time.time())
+                    def decorated(self, v=time.monotonic()):
+                        return v
+            """,
+        })
+        callers = {site.callee_name: site.caller for site in graph.call_sites}
+        assert callers == {
+            "stamp": "proj.mod:<module>",
+            "time": "proj.mod:<module>",
+            "monotonic": "proj.mod:<module>",
+        }
+        inference = EffectInference.for_graph(graph)
+        assert sig(inference, "proj.mod:<module>").wallclock
+        assert sig(inference, "proj.mod:Clock.decorated").pure
 
     def test_function_reference_argument_is_assumed_invoked(self, graph_of):
         inference = infer(graph_of, {

@@ -1,5 +1,7 @@
 """SEC002: peers admitted or credentialed without CA verification."""
 
+import pytest
+
 
 class TestPositive:
     def test_register_without_verify_fires(self, project):
@@ -24,6 +26,22 @@ class TestPositive:
                     peer.certificate = ca.issue(peer.peer_id)
                 """
             },
+        )
+        assert len(findings) == 1
+        assert "certificate" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "grant",
+        [
+            "peer.certificate, peer.role = cert, 'member'",
+            "peer.certificate: object = cert",
+        ],
+        ids=["tuple-target", "annotated"],
+    )
+    def test_every_target_shape_is_a_handout(self, project, grant):
+        findings = project(
+            "SEC002",
+            {"src/repro/core/boot.py": f"def grant(peer, cert):\n    {grant}\n"},
         )
         assert len(findings) == 1
         assert "certificate" in findings[0].message

@@ -1,5 +1,7 @@
 """SIM003: nondeterministic set iteration feeding ordered results."""
 
+import pytest
+
 
 class TestPositive:
     def test_for_loop_over_set_literal_fires(self, reported):
@@ -97,6 +99,22 @@ class TestPositive:
             """,
         )
         assert len(findings) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "S = {1, 2}\nCONTROL = list(S)\n",
+            # A class body, a default and a nested class body run in the
+            # enclosing scope, where ``S`` is the set.
+            "S = {1, 2}\nclass K:\n    CONTROL = list(S)\n",
+            "S = {1, 2}\ndef f(x=list(S)):\n    return x\n",
+            "def f():\n    S = {1, 2}\n    class K:\n"
+            "        CONTROL = list(S)\n    return K\n",
+        ],
+        ids=["module", "class-body", "default", "nested-class-body"],
+    )
+    def test_set_frozen_where_the_scope_runs_it(self, reported, source):
+        assert len(reported("SIM003", source)) == 1
 
 
 class TestNegative:

@@ -10,7 +10,15 @@ import pytest
 
 from repro.core import BestPeerNetwork
 from repro.sim import ChaosHarness, FaultPlan, LinkFault, Outage
-from repro.tpch import Q1, Q2, Q3, SECONDARY_INDICES, TPCH_SCHEMAS, TpchGenerator
+from repro.tpch import (
+    Q1,
+    Q2,
+    Q3,
+    Q4,
+    SECONDARY_INDICES,
+    TPCH_SCHEMAS,
+    TpchGenerator,
+)
 
 
 def build_network():
@@ -183,3 +191,20 @@ class TestParallelEngineUnderChaos:
                                  outages=[Outage("i-000003", 1, 3)])}
         )
         assert runs["outage"].wire.total > 0
+
+
+class TestMapReduceEngineUnderChaos:
+    @pytest.mark.parametrize(
+        "query", [Q2(), Q3(), Q4()], ids=["Q2", "Q3", "Q4"]
+    )
+    def test_crash_inside_a_job_fails_over_and_reruns(self, query):
+        # The crash partitions a host the job is shuffling with; the
+        # engine reports the peer unavailable, the facade blocks on its
+        # fail-over and resubmits the whole query.
+        h = harness(queries=[query], engine="mapreduce")
+        runs = h.verify_equivalence({"crash": crash_plan()})
+        assert runs["baseline"].outcomes[0].rows
+        assert runs["crash"].row_sets() == runs["baseline"].row_sets()
+        assert runs["crash"].wire.injected_crashes == 1
+        assert runs["crash"].faults.failovers >= 1
+        assert runs["crash"].fingerprint() == h.run(crash_plan()).fingerprint()
