@@ -20,7 +20,7 @@ from repro.core.execution import EngineContext, QueryExecution, prepare_once
 from repro.core.indexer import PeerLookup
 from repro.mapreduce.engine import records_byte_size
 from repro.plan.driver import aggregate_rows, finalize_records, lower_join_stage
-from repro.sqlengine.batch import LazyColumns
+from repro.sqlengine.batch import LazyColumns, positions_by_key
 from repro.sim.clock import parallel_duration
 
 
@@ -98,7 +98,7 @@ class ParallelP2PEngine:
             left_position, right_position, out_columns, residual = (
                 lower_join_stage(stage, columns)
             )
-            width = len(out_columns)
+            left_width = len(columns)
             owners = lookups[stage.right.binding].peers
             if not owners:
                 stream, columns = [], out_columns
@@ -119,7 +119,7 @@ class ParallelP2PEngine:
                     stream: List[_StreamPart] = stream,
                     stage=stage,
                     residual=residual,
-                    width=width,
+                    left_width=left_width,
                     stage_prepared_at=stage_prepared_at,
                 ):
                     owner = context.peer(peer_id)
@@ -138,23 +138,30 @@ class ParallelP2PEngine:
                         query_timestamp=timestamp,
                         prepared=stage_prepared_at(owner),
                     )
-                    local_rows = execution.result.rows
+                    local = execution.result.batch
+                    local_rows = local.rows
 
-                    buckets: Dict[object, List[tuple]] = {}
-                    for row in local_rows:
-                        key = row[right_position]
-                        if key is not None:
-                            buckets.setdefault(key, []).append(row)
-                    joined = [
-                        left_row + right_row
-                        for left_row in stream_rows
-                        for right_row in buckets.get(left_row[left_position], ())
+                    # Left-major, each left's rights in arrival order; a
+                    # NULL key joins nothing.
+                    rights_of, _ = positions_by_key(local.vectors[right_position], 0)
+                    rights_of.pop(None, None)
+                    pairs = [
+                        (left, right)
+                        for left in stream_rows
+                        for right in rights_of.get(left[left_position], ())
                     ]
                     if residual is not None:
-                        kept = residual(
-                            LazyColumns.over_rows(joined, width), len(joined)
+                        lefts = [left for left, _ in pairs]
+                        rights = [right for _, right in pairs]
+                        halves = LazyColumns(
+                            [
+                                (left_width, None, lefts, False),
+                                (len(local.columns), local.vectors, rights, False),
+                            ]
                         )
-                        joined = list(map(joined.__getitem__, kept))
+                        kept = residual(halves, len(pairs))
+                        pairs = list(map(pairs.__getitem__, kept))
+                    joined = [left + local_rows[right] for left, right in pairs]
                     join_seconds = context.compute_model.rows_seconds(
                         len(stream_rows) + len(local_rows) + len(joined),
                         owner.compute_units,

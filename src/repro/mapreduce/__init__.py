@@ -22,7 +22,6 @@ from repro.mapreduce.job import (
     JobResult,
     MapOutput,
     MapReduceJob,
-    ReduceOutput,
     SplitData,
 )
 from repro.mapreduce.engine import MapReduceConfig, MapReduceEngine
@@ -32,7 +31,6 @@ __all__ = [
     "HdfsFile",
     "InputSplit",
     "MapOutput",
-    "ReduceOutput",
     "SplitData",
     "MapReduceJob",
     "JobResult",

@@ -17,10 +17,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.hdfs import Hdfs
-from repro.mapreduce.job import JobResult, MapOutput, MapReduceJob, PhaseTimings
+from repro.mapreduce.job import JobResult, MapOutput, MapReduceJob, PhaseTimings, Run
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
-from repro.sqlengine.batch import wire_size
+from repro.sqlengine.batch import ColumnBatch, wire_size
 from repro.sqlengine.types import canonical_key
 
 
@@ -98,21 +98,15 @@ class MapReduceEngine:
 
         map_outputs, timings.map_s = self._run_map_phase(job)
 
-        widths: Optional[List[int]] = None
-        sizes: Optional[List[int]] = None
         if job.reduce_fn is None:
-            records = list(
-                chain.from_iterable(output.values for _, output in map_outputs)
-            )
+            batch = ColumnBatch.concat([output.batch for _, output in map_outputs])
             bytes_shuffled = 0
             reduce_tasks = 0
         else:
             inputs, bytes_shuffled, timings.shuffle_s = self._shuffle(
                 job, map_outputs
             )
-            records, widths, sizes, timings.reduce_s = self._run_reduce_phase(
-                job, inputs
-            )
+            batch, timings.reduce_s = self._run_reduce_phase(job, inputs)
             reduce_tasks = job.num_reducers
 
         if job.output_path is not None:
@@ -120,32 +114,24 @@ class MapReduceEngine:
                 raise MapReduceError(
                     f"job {job.name!r} writes to HDFS but none is mounted"
                 )
-            # A file whose records' typed sizes the reducers knew is priced
-            # by their sum, the same integer records_byte_size would give.
+            # A file whose rows' typed sizes the reducers knew is priced by
+            # their sum, the same integer records_byte_size would give.
+            sizes = batch.known_sizes
             size_bytes = (
-                records_byte_size(records) if sizes is None else sum(sizes)
+                records_byte_size(batch.rows) if sizes is None else sum(sizes)
             )
             timings.hdfs_write_s = self.hdfs.write(
-                job.output_path,
-                records,
-                size_bytes,
-                self._reducer_host(0),
-                widths,
-                sizes,
+                job.output_path, batch, size_bytes, self._reducer_host(0)
             )
 
         return JobResult(
             job_name=job.name,
-            records=records,
+            batch=batch,
             timings=timings,
             bytes_shuffled=bytes_shuffled,
             map_tasks=len(job.splits),
             reduce_tasks=reduce_tasks,
         )
-
-    def run_chain(self, jobs: Sequence[MapReduceJob]) -> List[JobResult]:
-        """Run jobs sequentially ("processed sequentially", Section 7)."""
-        return [self.run_job(job) for job in jobs]
 
     # ------------------------------------------------------------------
     # Phases
@@ -163,7 +149,7 @@ class MapReduceEngine:
             outputs.append((split.host, job.map_fn(data)))
             task_seconds = (
                 data.local_seconds
-                + len(data.records) * self.config.map_cpu_per_record_s
+                + len(data.batch) * self.config.map_cpu_per_record_s
             )
             per_host_seconds[split.host] = (
                 per_host_seconds.get(split.host, 0.0) + task_seconds
@@ -177,26 +163,21 @@ class MapReduceEngine:
     def _shuffle(self, job: MapReduceJob, map_outputs):
         """Route every map output to its reducer over the network.
 
-        Returns each reducer's input — ``[keys, values, sizes, row_sizes,
-        runs]`` in arrival order: split by split, position by position; row
-        sizes only if every map gave them, else None; one ``(side, count)``
-        run per map output routed there — the bytes shipped and the phase
-        duration.  One wire transfer per non-empty (mapper host, reducer)
-        lane, priced ``wire_size(keys) + sum(sizes)``.
+        Returns each reducer's input — ``(keys, sizes, runs)`` in arrival
+        order: split by split, position by position, one ``(side, batch,
+        positions)`` run per map output routed there — the bytes shipped
+        and the phase duration.  One wire transfer per non-empty (mapper
+        host, reducer) lane, priced ``wire_size(keys) + sum(sizes)``.
         """
         reducers = range(job.num_reducers)
-        carried = all(output.row_sizes is not None for _, output in map_outputs)
-        inputs = [[[], [], [], [] if carried else None, []] for _ in reducers]
+        inputs: List[Tuple[list, list, List[Run]]] = [([], [], []) for _ in reducers]
         # Keys repeat (both join sides, every row of a group): hash each
         # distinct key once.  Equal keys share an entry, which is exact
         # because ``_partition_of`` sends equal keys to one reducer.
         reducer_of: Dict[object, int] = {}
         lanes: Dict[str, List[Tuple[List[object], List[int]]]] = {}
         for host, output in map_outputs:
-            keys = output.keys
-            vectors = [keys, output.values, output.sizes]
-            if carried:
-                vectors.append(output.row_sizes)
+            keys, sizes = output.keys, output.sizes
             for key in dict.fromkeys(keys):
                 if key not in reducer_of:
                     reducer_of[key] = self._partition_of(key, job.num_reducers)
@@ -208,16 +189,15 @@ class MapReduceEngine:
             for reducer, positions in enumerate(routes):
                 if not positions:
                     continue
-                routed = [
-                    list(map(vector.__getitem__, positions)) for vector in vectors
-                ]
-                reducer_input = inputs[reducer]
-                for into, part in zip(reducer_input, routed):
-                    into.extend(part)
-                reducer_input[4].append((output.side, len(positions)))
+                routed_keys = list(map(keys.__getitem__, positions))
+                routed_sizes = list(map(sizes.__getitem__, positions))
+                reducer_keys, reducer_sizes, runs = inputs[reducer]
+                reducer_keys.extend(routed_keys)
+                reducer_sizes.extend(routed_sizes)
+                runs.append((output.side, output.batch, positions))
                 lane_keys, lane_sizes = host_lanes[reducer]
-                lane_keys.extend(routed[0])
-                lane_sizes.extend(routed[2])
+                lane_keys.extend(routed_keys)
+                lane_sizes.extend(routed_sizes)
 
         total_bytes = 0
         per_reducer_seconds = [0.0] * job.num_reducers
@@ -237,27 +217,18 @@ class MapReduceEngine:
         return inputs, total_bytes, duration
 
     def _run_reduce_phase(self, job: MapReduceJob, inputs):
-        """Each reducer reduces its whole input; returns (records, their
-        widths and their sizes, each if every reducer knew them, phase
-        duration)."""
-        records: List[object] = []
-        widths: Optional[List[int]] = []
-        sizes: Optional[List[int]] = []
+        """Each reducer reduces its whole input, an empty one too (it
+        returns an empty batch of its output's shape); returns (the
+        reducers' batches in reducer order, as one, phase duration)."""
+        batches: List[ColumnBatch] = []
         per_reducer_seconds: List[float] = []
-        for reducer_input in inputs:
-            keys = reducer_input[0]
-            reducer_records: List[object] = []
-            if keys:  # a reducer nothing reached does no work
-                output = job.reduce_fn(*reducer_input)
-                reducer_records = output.records
-                widths = _extended(widths, output.widths)
-                sizes = _extended(sizes, output.sizes)
+        for keys, sizes, runs in inputs:
+            batch = job.reduce_fn(keys, sizes, runs)
             per_reducer_seconds.append(
-                (len(keys) + len(reducer_records))
-                * self.config.reduce_cpu_per_record_s
+                (len(keys) + len(batch)) * self.config.reduce_cpu_per_record_s
             )
-            records.extend(reducer_records)
-        return records, widths, sizes, parallel_duration(*per_reducer_seconds)
+            batches.append(batch)
+        return ColumnBatch.concat(batches), parallel_duration(*per_reducer_seconds)
 
     # ------------------------------------------------------------------
     # Helpers
@@ -272,12 +243,3 @@ class MapReduceEngine:
         # over the canonical key, so that 1 and 1.0 meet at one reducer).
         return zlib.crc32(repr(canonical_key(key)).encode("utf-8")) % num_reducers
 
-
-def _extended(
-    collected: Optional[List[int]], part: Optional[List[int]]
-) -> Optional[List[int]]:
-    """``collected`` with ``part`` appended; None once either is unknown."""
-    if collected is None or part is None:
-        return None
-    collected.extend(part)
-    return collected

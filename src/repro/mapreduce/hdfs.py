@@ -1,19 +1,21 @@
 """Simulated HDFS: a replicated block store over the simulated network.
 
 Matches the configuration the paper uses for HadoopDB (Section 6.1.3):
-256 MB blocks, replication factor 3.  Reads prefer a local replica; writes
-pipeline each block to ``replication`` datanodes and pay the network cost.
+256 MB blocks, replication factor 3.  A file holds a
+:class:`~repro.sqlengine.batch.ColumnBatch` and its blocks slice it.  Reads
+prefer a local replica; writes pipeline each block to ``replication``
+datanodes and pay the network cost.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import HdfsError
 from repro.sim.network import SimNetwork
+from repro.sqlengine.batch import ColumnBatch
 
 DEFAULT_BLOCK_SIZE = 256 * 1024 * 1024
 DEFAULT_REPLICATION = 3
@@ -21,18 +23,11 @@ DEFAULT_REPLICATION = 3
 
 @dataclass
 class HdfsBlock:
-    """One block of a file: a slice of records plus its replica placement.
-
-    ``widths`` keeps each record's ``len(str(record))`` and ``sizes`` its
-    typed wire size next to it when the writer knew them, so a reader need
-    not measure or price the rows again.
-    """
+    """One block of a file: a slice of its batch plus its replica placement."""
 
     size_bytes: int
-    records: List[object]
+    batch: ColumnBatch
     replica_hosts: Tuple[str, ...]
-    widths: Optional[List[int]] = None
-    sizes: Optional[List[int]] = None
 
 
 @dataclass
@@ -45,32 +40,6 @@ class HdfsFile:
     @property
     def size_bytes(self) -> int:
         return sum(block.size_bytes for block in self.blocks)
-
-    @property
-    def records(self) -> List[object]:
-        collected: List[object] = []
-        for block in self.blocks:
-            collected.extend(block.records)
-        return collected
-
-    # The file is write-once, so each whole-file list is built once, not
-    # once per reader.  Read-only.
-    @cached_property
-    def widths(self) -> Optional[List[int]]:
-        """Every record's width, in record order; None if any is unknown."""
-        return _joined(block.widths for block in self.blocks)
-
-    @cached_property
-    def sizes(self) -> Optional[List[int]]:
-        """Every record's typed size, in record order; None if any is unknown."""
-        return _joined(block.sizes for block in self.blocks)
-
-
-def _joined(parts) -> Optional[List[int]]:
-    parts = list(parts)
-    if None in parts:
-        return None
-    return list(itertools.chain.from_iterable(parts))
 
 
 class Hdfs:
@@ -130,19 +99,16 @@ class Hdfs:
     def write(
         self,
         path: str,
-        records: Sequence[object],
+        batch: ColumnBatch,
         size_bytes: int,
         writer_host: str,
-        widths: Optional[Sequence[int]] = None,
-        sizes: Optional[Sequence[int]] = None,
     ) -> float:
         """Write a file from ``writer_host``; returns the simulated duration.
 
-        The record list is split into blocks by byte proportion; each block
-        is pipelined to ``replication`` datanodes (the first replica prefers
-        the writer itself, as real HDFS does).  ``widths`` and ``sizes``,
-        when given, are the records' text widths and typed sizes (summing
-        to ``size_bytes``), stored beside them and never priced again.
+        The batch is split into blocks by byte proportion, each a slice of
+        it (the rows' known widths and typed sizes sliced with it); each
+        block is pipelined to ``replication`` datanodes (the first replica
+        prefers the writer itself, as real HDFS does).
         """
         if not self._datanodes:
             raise HdfsError("no datanodes registered")
@@ -151,22 +117,14 @@ class Hdfs:
         if size_bytes < 0:
             raise HdfsError(f"negative file size: {size_bytes}")
 
-        records = list(records)
-        for name, per_record in (("widths", widths), ("sizes", sizes)):
-            if per_record is not None and len(per_record) != len(records):
-                raise HdfsError(
-                    f"{len(per_record)} {name} for {len(records)} records: {path!r}"
-                )
-        if sizes is not None and sum(sizes) != size_bytes:
-            raise HdfsError(
-                f"record sizes sum to {sum(sizes)}, not {size_bytes}: {path!r}"
-            )
+        count = len(batch)
         block_count = max(1, -(-size_bytes // self.block_size))  # ceil div
-        per_block = max(1, -(-len(records) // block_count)) if records else 0
+        per_block = max(1, -(-count // block_count)) if count else 0
         blocks: List[HdfsBlock] = []
         duration = 0.0
         for block_index in range(block_count):
-            chunk = slice(block_index * per_block, (block_index + 1) * per_block)
+            start = min(block_index * per_block, count)
+            chunk = range(start, min(start + per_block, count))
             chunk_bytes = (
                 size_bytes // block_count
                 if block_index < block_count - 1
@@ -178,22 +136,13 @@ class Hdfs:
             for replica in replicas:
                 duration += self.network.transfer(source, replica, chunk_bytes)
                 source = replica
-            blocks.append(
-                HdfsBlock(
-                    chunk_bytes,
-                    records[chunk],
-                    tuple(replicas),
-                    None if widths is None else list(widths[chunk]),
-                    None if sizes is None else list(sizes[chunk]),
-                )
-            )
+            blocks.append(HdfsBlock(chunk_bytes, batch.take(chunk), tuple(replicas)))
         self._files[path] = HdfsFile(path, blocks)
         return duration
 
-    def read(self, path: str, reader_host: str) -> Tuple[List[object], float]:
-        """Read a whole file at ``reader_host``; returns (records, duration)."""
+    def read(self, path: str, reader_host: str) -> Tuple[ColumnBatch, float]:
+        """Read a whole file at ``reader_host``; returns (batch, duration)."""
         hdfs_file = self.file(path)
-        records: List[object] = []
         duration = 0.0
         for block in hdfs_file.blocks:
             if reader_host in block.replica_hosts:
@@ -201,8 +150,8 @@ class Hdfs:
             else:
                 source = block.replica_hosts[0]
             duration += self.network.transfer(source, reader_host, block.size_bytes)
-            records.extend(block.records)
-        return records, duration
+        batch = ColumnBatch.concat([block.batch for block in hdfs_file.blocks])
+        return batch, duration
 
     # ------------------------------------------------------------------
     # Internals

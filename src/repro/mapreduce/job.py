@@ -1,87 +1,67 @@
 """MapReduce job specifications and results.
 
-A job maps whole splits and reduces whole reducer inputs.  A split's map
-returns its key vector, its values, each value's wire size and, in a job
-that reads several inputs, the one side all its values belong to; a reducer
-receives everything routed to it, in arrival order, with each routed map
-output's side as a ``(side, count)`` run, and groups it with
-:func:`key_groups`.  A reducer that knows its output records' text widths
-and typed sizes hands them on (:class:`ReduceOutput`), so the stage file
-they are written to is priced by a sum, not measured again.  Jobs written
-one record at a time (Hadoop's ``map(record)`` / ``reduce(key, values)``)
-are built with :meth:`MapReduceJob.per_record`.
+A job's data is a :class:`~repro.sqlengine.batch.ColumnBatch` from split
+read to reducer output.  A split's map returns its key vector, the batch its
+values are the rows of, each value's wire size and, in a job that reads
+several inputs, the one side all its values belong to.  A reducer receives
+the keys and sizes routed to it, in arrival order, with each routed map
+output as a ``(side, batch, positions)`` run, groups them with
+:func:`key_groups` and returns its output batch — whose rows' text widths
+and typed sizes it may hand in, so the stage file they are written to is
+priced by a sum, not measured again.  Jobs written one record at a time
+(Hadoop's ``map(record)`` / ``reduce(key, values)``) are built with
+:meth:`MapReduceJob.per_record`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
-from repro.sqlengine.batch import positions_by_key, row_sizes, wire_size
+from repro.sqlengine.batch import ColumnBatch, positions_by_key, row_sizes, wire_size
 
 
 @dataclass
 class SplitData:
-    """What an input split yields when fetched.
+    """What an input split yields when fetched: its batch.
 
     ``local_seconds`` is the simulated time the split's host spent producing
-    the records — for HadoopDB this is the local database query cost, which
-    the SMS planner pushes into the map task.  ``widths`` holds each
-    record's ``len(str(record))`` and ``sizes`` its typed wire size (see
-    :func:`record_sizes`) when its producer already knows them, and ``tag``
-    names the input a split belongs to in a job that reads several (a
-    reduce-side join tags its two sides).  All are read-only.
+    the batch — for HadoopDB this is the local database query cost, which
+    the SMS planner pushes into the map task.  ``tag`` names the input a
+    split belongs to in a job that reads several (a reduce-side join tags
+    its two sides).  All are read-only.
     """
 
-    records: List[object]
+    batch: ColumnBatch
     local_seconds: float = 0.0
-    widths: Optional[List[int]] = None
     tag: Optional[str] = None
-    sizes: Optional[List[int]] = None
 
 
 @dataclass
 class MapOutput:
-    """One map task's output: parallel key and value vectors, and each
-    value's wire size (a map-only job ships nothing and may omit them).
+    """One map task's output: a key per row of ``batch`` (its values), and
+    each value's wire size (a map-only job ships nothing and may omit them).
 
-    ``row_sizes``, when every map of a job gives them, travel with the
-    values to the reducer unpriced: a join's values are rows, and a
-    reducer that knows its inputs' typed sizes derives its outputs'.
     ``side`` names the input every value came from (a reduce-side join's
     ``"L"`` or ``"R"``): it travels once per map output, as the reducer's
     runs, never once per value."""
 
     keys: List[object]
-    values: List[object]
+    batch: ColumnBatch
     sizes: Optional[List[int]] = None
-    row_sizes: Optional[List[int]] = None
     side: Optional[str] = None
-
-
-@dataclass
-class ReduceOutput:
-    """One reducer's output records, with each record's text width and
-    typed size when the reducer knows them (None: measured if needed)."""
-
-    records: List[object]
-    widths: Optional[List[int]] = None
-    sizes: Optional[List[int]] = None
 
 
 # A map function turns one whole split into its map output.
 MapFn = Callable[[SplitData], MapOutput]
-# One reducer's input, map output by map output: ``(side, count)`` per
-# routed output, so its values are the input's next ``count`` values.
-Runs = List[Tuple[Optional[str], int]]
-# A reduce function turns one reducer's input — keys, values, sizes and the
-# maps' row sizes (or None) in arrival order, and the runs naming their
-# sides — into its output.
-ReduceFn = Callable[
-    [List[object], List[object], List[int], Optional[List[int]], Runs],
-    ReduceOutput,
-]
+# One reducer's input, map output by map output: its values are the rows of
+# ``batch`` at ``positions``.
+Run = Tuple[Optional[str], ColumnBatch, List[int]]
+# A reduce function turns one reducer's input — keys and sizes in arrival
+# order, and the runs holding their values — into its output batch.
+ReduceFn = Callable[[List[object], List[int], List[Run]], ColumnBatch]
 
 
 @dataclass
@@ -127,25 +107,30 @@ class MapReduceJob:
         num_reducers: int = 1,
         output_path: Optional[str] = None,
     ) -> "MapReduceJob":
-        """A job from per-record functions: ``map_fn(record)`` returns
-        ``(key, value)`` pairs, ``reduce_fn(key, values)`` a key group's
-        output records.  Values are priced by :func:`record_sizes`."""
+        """A job from per-record functions: ``map_fn(record)`` is called on
+        each row of a split's batch and returns ``(key, value)`` pairs,
+        ``reduce_fn(key, values)`` a key group's output records.  Values
+        and records travel as batches of rows; values are priced by
+        :func:`record_sizes`."""
 
         def map_split(data: SplitData) -> MapOutput:
             keys: List[object] = []
             values: List[object] = []
-            for record in data.records:
+            for record in data.batch.rows:
                 for key, value in map_fn(record):
                     keys.append(key)
                     values.append(value)
             sizes = None if reduce_fn is None else record_sizes(values)
-            return MapOutput(keys, values, sizes)
+            return MapOutput(keys, ColumnBatch.from_rows((), values), sizes)
 
-        def reduce_groups(keys, values, sizes, row_sizes, runs):
+        def reduce_groups(keys, sizes, runs):
+            values = list(chain.from_iterable(
+                map(batch.rows.__getitem__, positions) for _, batch, positions in runs
+            ))
             records: List[object] = []
             for key, positions in key_groups(keys):
                 records.extend(reduce_fn(key, [values[p] for p in positions]))
-            return ReduceOutput(records)
+            return ColumnBatch.from_rows((), records)
 
         return cls(
             name,
@@ -221,14 +206,19 @@ class PhaseTimings:
 
 @dataclass
 class JobResult:
-    """Output records plus the simulated cost of producing them."""
+    """The output batch plus the simulated cost of producing it."""
 
     job_name: str
-    records: List[object]
+    batch: ColumnBatch
     timings: PhaseTimings
     bytes_shuffled: int = 0
     map_tasks: int = 0
     reduce_tasks: int = 0
+
+    @property
+    def records(self) -> List[object]:
+        """The output as records: the batch's rows."""
+        return self.batch.rows
 
     @property
     def duration_s(self) -> float:

@@ -13,7 +13,7 @@ and :func:`finalize_records`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 from operator import add, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -24,11 +24,9 @@ from repro.mapreduce.job import (
     JobResult,
     MapOutput,
     MapReduceJob,
-    ReduceOutput,
     SplitData,
     key_groups,
     key_order,
-    record_sizes,
 )
 from repro.plan.sms import (
     AggregateStage,
@@ -42,6 +40,7 @@ from repro.sqlengine.batch import (
     ColumnBatch,
     LazyColumns,
     concat_text_offset,
+    gather,
     positions_by_key,
     rows_from_vectors,
 )
@@ -59,8 +58,8 @@ TAGGED_ROW_BYTES = 9
 @dataclass
 class LocalResult:
     """What running a pushed-down SQL fragment on one worker yields: its
-    result batch, whose rows and row widths are read, never written, and
-    the simulated seconds it took."""
+    result batch, which a job's map reads and never writes, and the
+    simulated seconds it took."""
 
     batch: ColumnBatch
     seconds: float
@@ -166,32 +165,19 @@ class DistributedPlanDriver:
     ) -> List[InputSplit]:
         def read(host, index):
             local = self.local_execute(host, local_plan.sql)
-            batch = local.batch
-            if tag is None:
-                return SplitData(batch.rows, local.seconds)
-            return SplitData(
-                batch.rows, local.seconds, batch.widths, tag, sizes=batch.sizes
-            )
+            return SplitData(local.batch, local.seconds, tag)
 
         return self._splits(local_plan.table, read)
 
     def _hdfs_splits(self, path: str, tag: Optional[str] = None) -> List[InputSplit]:
-        """Each worker reads its share of the previous stage's HDFS output,
-        and the share's row widths and sizes kept beside it."""
+        """Each worker reads its ``[index::workers]`` share of the previous
+        stage's HDFS batch, the rows' widths and typed sizes sliced with it."""
         worker_count = len(self.workers)
 
         def read(host, index):
-            hdfs = self.engine.hdfs
-            records, seconds = hdfs.read(path, host)
-            share = slice(index, None, worker_count)
-            stored = hdfs.file(path)
-            return SplitData(
-                records[share],
-                seconds / worker_count,
-                None if tag is None else stored.widths[share],
-                tag,
-                sizes=stored.sizes[share],
-            )
+            batch, seconds = self.engine.hdfs.read(path, host)
+            share = batch.take(range(index, len(batch), worker_count))
+            return SplitData(share, seconds / worker_count, tag)
 
         return self._splits(path, read)
 
@@ -226,9 +212,7 @@ class DistributedPlanDriver:
                     name=f"{query_id}-join-{stage_index}",
                     splits=left_splits + right_splits,
                     map_fn=_join_map(lp, rp),
-                    reduce_fn=_join_reduce(
-                        residual, len(columns), len(stage.right.columns)
-                    ),
+                    reduce_fn=_join_reduce(residual, out_columns, len(columns)),
                     num_reducers=len(self.workers),
                     output_path=_stage_path(query_id, stage_index),
                 )
@@ -248,9 +232,9 @@ class DistributedPlanDriver:
         One job for both callers: after a join chain the splits read the
         last stage's HDFS output, for a non-decomposable single-table
         aggregate they read the workers' tables.  A map keys a whole split
-        at once; a key is the tuple of its group values (a shuffled key is
-        priced by its text, so a one-value key stays a 1-tuple).  A reducer
-        lays its input out group by group in merge-sort order and
+        batch at once; a key is the tuple of its group values (a shuffled
+        key is priced by its text, so a one-value key stays a 1-tuple).  A
+        reducer lays its input out group by group in merge-sort order and
         aggregates it in one call, so its records, and the first error, are
         those of reducing group by group.
         """
@@ -258,22 +242,25 @@ class DistributedPlanDriver:
         width = len(columns)
         group_values = lower_values(aggregate.group_exprs, layout)
         grouped = lower_aggregate(aggregate.group_exprs, aggregate.aggregates, layout)
+        names = aggregate.output_columns
 
         def map_split(data: SplitData) -> MapOutput:
-            rows = data.records
-            vectors = group_values(LazyColumns.over_rows(rows, width), len(rows))
-            keys = list(zip(*vectors)) if vectors else [()] * len(rows)
-            sizes = record_sizes(rows) if data.sizes is None else data.sizes
-            return MapOutput(keys, rows, sizes)
+            batch = data.batch
+            vectors = group_values(batch.vectors, len(batch))
+            keys = list(zip(*vectors)) if vectors else [()] * len(batch)
+            return MapOutput(keys, batch, batch.sizes)
 
-        def reduce_input(keys, rows, sizes, row_sizes, runs):
+        def reduce_input(keys, sizes, runs):
+            if not keys:  # no group reached this reducer
+                return ColumnBatch(names, [[] for _ in names], 0)
             arranged = [
-                rows[position]
+                position
                 for _, positions in key_groups(keys)
                 for position in positions
             ]
-            out, groups = grouped(LazyColumns.over_rows(arranged, width), len(arranged))
-            return ReduceOutput(rows_from_vectors(out, groups))
+            cols = gather(_stacked(runs, width), arranged)
+            out, groups = grouped(cols, len(arranged))
+            return ColumnBatch(names, out, groups)
 
         return self.engine.run_job(
             MapReduceJob(
@@ -341,28 +328,27 @@ def _stage_path(query_id: str, stage_index: int) -> str:
 
 
 def _join_map(left_key: int, right_key: int):
-    """A join stage's map over one split: key every row by its side's join
-    column, drop NULL keys, price each row as its ``(tag, row)`` from the
-    row's known width, and hand the rows, their known typed sizes and
-    their side on to the reducer."""
+    """A join stage's map over one split: key every row of its batch by its
+    side's join column, drop NULL keys, price each row as its ``(tag,
+    row)`` from the row's known width, and hand the batch and its side on
+    to the reducer."""
 
     def map_split(data: SplitData) -> MapOutput:
-        tag, rows = data.tag, data.records
-        keys = list(map(itemgetter(left_key if tag == "L" else right_key), rows))
-        sizes = list(map(TAGGED_ROW_BYTES.__add__, data.widths))
-        row_sizes = data.sizes
+        tag, batch = data.tag, data.batch
+        key = left_key if tag == "L" else right_key
+        keys = batch.vectors[key]
         if None in keys:
-            kept = [key is not None for key in keys]
-            keys, rows, sizes, row_sizes = (
-                list(compress(vector, kept))
-                for vector in (keys, rows, sizes, row_sizes)
+            batch = batch.take(
+                [position for position, k in enumerate(keys) if k is not None]
             )
-        return MapOutput(keys, rows, sizes, row_sizes, tag)
+            keys = batch.vectors[key]
+        sizes = list(map(TAGGED_ROW_BYTES.__add__, batch.widths))
+        return MapOutput(keys, batch, sizes, tag)
 
     return map_split
 
 
-def _join_reduce(residual, left_width: int, right_width: int):
+def _join_reduce(residual, columns: List[str], left_width: int):
     """A join stage's reducer over its whole input.
 
     Key groups in merge-sort order, each group's lefts x rights in arrival
@@ -371,19 +357,18 @@ def _join_reduce(residual, left_width: int, right_width: int):
     Each side is cut out of the input by its runs (in any order) and
     grouped on its own: a side of distinct keys is one dict, only a side
     with duplicate keys buckets its positions.  The residual reads the
-    pairs' halves in place; only the pairs it keeps are concatenated.  A
-    joined row's width is its halves' plus :func:`concat_text_offset`, its
-    typed size its halves' summed.
+    pairs' halves in place; only the columns of the pairs it keeps are
+    gathered, into a batch laid out as ``columns``.  A joined row's width
+    is its halves' plus :func:`concat_text_offset`, its typed size its
+    halves' summed, both handed to the batch.
     """
+    right_width = len(columns) - left_width
     # sizes are widths + TAGGED_ROW_BYTES, one such on each side
     offset = concat_text_offset(left_width, right_width) - 2 * TAGGED_ROW_BYTES
 
-    def reduce_input(keys, rows, sizes, row_sizes, runs):
-        vectors = (keys, rows, sizes, row_sizes)
-        left_keys, left_rows, left_sizes, left_row_sizes = _side(runs, "L", vectors)
-        right_keys, right_rows, right_sizes, right_row_sizes = _side(
-            runs, "R", vectors
-        )
+    def reduce_input(keys, sizes, runs):
+        left_keys, left_sizes, left = _side(runs, "L", keys, sizes, left_width)
+        right_keys, right_sizes, right = _side(runs, "R", keys, sizes, right_width)
         # every key once, named by its first-seen object, as key_order does
         named = dict.fromkeys(keys)
         lefts_of, left_distinct = positions_by_key(left_keys, len(named))
@@ -411,16 +396,16 @@ def _join_reduce(residual, left_width: int, right_width: int):
                     if len(group_rights) == 1
                     else [p for p in group_lefts for _ in group_rights]
                 )
+
+        halves = LazyColumns(
+            [
+                (left_width, left, pair_lefts, False),
+                (right_width, right, pair_rights, False),
+            ]
+        )
         if residual is not None:
-            left_halves = list(map(left_rows.__getitem__, pair_lefts))
-            right_halves = list(map(right_rows.__getitem__, pair_rights))
-            halves = LazyColumns(
-                [
-                    (left_width, None, left_halves, False),
-                    (right_width, None, right_halves, False),
-                ]
-            )
             kept = residual(halves, len(pair_lefts))
+            halves = halves.take(kept)
             pair_lefts, pair_rights = (
                 list(map(vector.__getitem__, kept))
                 for vector in (pair_lefts, pair_rights)
@@ -433,10 +418,12 @@ def _join_reduce(residual, left_width: int, right_width: int):
                 map(right_vector.__getitem__, pair_rights),
             )
 
-        return ReduceOutput(
-            list(joined(left_rows, right_rows)),
+        return ColumnBatch(
+            columns,
+            halves,
+            len(pair_lefts),
             list(map(offset.__add__, joined(left_sizes, right_sizes))),
-            list(joined(left_row_sizes, right_row_sizes)),
+            list(joined(left[left_width], right[right_width])),
         )
 
     return reduce_input
@@ -447,29 +434,57 @@ def _repeated(positions: List[int], groups: List[List[int]]):
     return chain.from_iterable(map(repeat, positions, map(len, groups)))
 
 
-def _side(runs, side: str, vectors) -> List[list]:
-    """Each of ``vectors`` cut down to the values of the runs naming
-    ``side``, in arrival order; a run of neither side is refused."""
+def _side(runs, side: str, keys, sizes, width: int):
+    """The keys, shuffle sizes and stacked columns (:func:`_stacked`) of
+    the runs naming ``side``, in arrival order; a run of neither side is
+    refused."""
     spans: List[List[int]] = []
+    mine = []
     start = 0
-    for tag, length in runs:
+    for run in runs:
+        tag, _, positions = run
         if tag not in ("L", "R"):
             raise MapReduceError(
                 f"a join input's side must be 'L' or 'R', not {tag!r}"
             )
+        stop = start + len(positions)
         if tag == side:
+            mine.append(run)
             if spans and spans[-1][1] == start:
-                spans[-1][1] += length
+                spans[-1][1] = stop
             else:
-                spans.append([start, start + length])
-        start += length
+                spans.append([start, stop])
+        start = stop
     if len(spans) == 1:
         (start, stop), = spans
-        return [vector[start:stop] for vector in vectors]
-    return [
-        list(chain.from_iterable(vector[start:stop] for start, stop in spans))
-        for vector in vectors
+        cut = [keys[start:stop], sizes[start:stop]]
+    else:
+        cut = [
+            list(chain.from_iterable(vector[start:stop] for start, stop in spans))
+            for vector in (keys, sizes)
+        ]
+    return cut[0], cut[1], _stacked(mine, width, typed=True)
+
+
+def _stacked(runs, width: int, typed: bool = False) -> List[List[object]]:
+    """The ``width`` columns of the runs' batches at their positions, one
+    run after another; with ``typed``, the rows' typed sizes as one more."""
+    parts = [
+        (batch.vectors + [batch.sizes] if typed else batch.vectors, _picker(positions))
+        for _, batch, positions in runs
     ]
+    return [
+        list(chain.from_iterable(pick(vectors[k]) for vectors, pick in parts))
+        for k in range(width + typed)
+    ]
+
+
+def _picker(positions: List[int]):
+    """``vector -> its values at positions`` (one or more), gathered in C."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    (position,) = positions
+    return lambda vector: (vector[position],)
 
 
 def aggregate_rows(

@@ -2,10 +2,12 @@
 
 A :class:`ColumnBatch` is what leaves a data owner's plan, is masked by the
 access controller, filtered by the bloom join, priced for the wire, and
-scanned at the query peer (§5.2) — column vectors end to end, so typed data
-is never transposed into tuples and back, re-coerced or re-priced on the
-way.  It is **immutable**: masking and selection build new batches, and the
-wire size and the rows' text widths and typed sizes are computed once.
+scanned at the query peer (§5.2); it is also what a MapReduce job reads,
+shuffles, reduces and writes to HDFS (§5.4) — column vectors end to end, so
+typed data is never transposed into tuples and back, re-coerced or
+re-priced on the way.  It is **immutable**: masking and selection build new
+batches, and the wire size and the rows' text widths and typed sizes are
+computed once, or handed in by a producer that derived them.
 
 A batch's vectors may be *shared*: a dense scan passes the owner table's
 own column lists through without copying, and an unrestricted column
@@ -217,13 +219,20 @@ def gather(
 
 
 class ColumnBatch:
-    """Output column names, one vector per column, and a row count."""
+    """Output column names, one vector per column, and a row count.
+
+    ``widths`` and ``sizes``, when given, are the rows' :attr:`widths` and
+    :attr:`sizes`, derived by the producer (a join reducer sums its pairs'
+    halves) so that nothing measures them again.
+    """
 
     def __init__(
         self,
         columns: Sequence[str],
         vectors: Optional[Sequence[Sequence[object]]],
         count: int,
+        widths: Optional[List[int]] = None,
+        sizes: Optional[List[int]] = None,
     ) -> None:
         self.columns = list(columns)
         self.count = count
@@ -232,8 +241,8 @@ class ColumnBatch:
         )
         self._rows: Optional[List[Tuple[object, ...]]] = None
         self._byte_size: Optional[int] = None
-        self._widths: Optional[List[int]] = None
-        self._sizes: Optional[List[int]] = None
+        self._widths = widths
+        self._sizes = sizes
 
     @classmethod
     def from_rows(
@@ -297,15 +306,65 @@ class ColumnBatch:
             self._sizes = row_sizes(self.vectors, self.count)
         return self._sizes
 
+    @property
+    def known_sizes(self) -> Optional[List[int]]:
+        """:attr:`sizes` if they are already priced, else None (nothing is
+        measured): for a caller that prices rows it cannot transpose."""
+        return self._sizes
+
     def take(self, positions: Sequence[int]) -> "ColumnBatch":
-        """The rows at ``positions`` (increasing) as a new batch."""
+        """The rows at ``positions`` (increasing; a ``range`` is sliced) as
+        a new batch, with the widths and sizes already known sliced too.  A
+        batch of rows stays rows."""
         if len(positions) == self.count:
             return self
+        if self._vectors is None:
+            return ColumnBatch.from_rows(self.columns, _picked(self._rows, positions))
         return ColumnBatch(
             self.columns,
-            [list(map(vector.__getitem__, positions)) for vector in self.vectors],
+            [_picked(vector, positions) for vector in self.vectors],
             len(positions),
+            *(
+                None if known is None else _picked(known, positions)
+                for known in (self._widths, self._sizes)
+            ),
         )
+
+    @staticmethod
+    def concat(batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
+        """``batches`` (at least one, of one shape) one after another.
+
+        Batches of rows (a per-record MapReduce job's records) stay rows;
+        otherwise the vectors are joined, and the widths and typed sizes
+        carried where every batch knows them.
+        """
+        first = batches[0]
+        if len(batches) == 1:
+            return first
+        if first._vectors is None:
+            return ColumnBatch.from_rows(
+                first.columns, list(chain.from_iterable(b.rows for b in batches))
+            )
+        vectors = [batch.vectors for batch in batches]
+        return ColumnBatch(
+            first.columns,
+            [list(chain.from_iterable(parts)) for parts in zip(*vectors)],
+            sum(batch.count for batch in batches),
+            *(
+                None if None in parts else list(chain.from_iterable(parts))
+                for parts in (
+                    [batch._widths for batch in batches],
+                    [batch._sizes for batch in batches],
+                )
+            ),
+        )
+
+
+def _picked(vector: Sequence[object], positions: Sequence[int]) -> List[object]:
+    """``vector`` at ``positions``; a ``range`` is one slice."""
+    if isinstance(positions, range):
+        return vector[positions.start : positions.stop : positions.step]
+    return list(map(vector.__getitem__, positions))
 
 
 class ColumnRelation:

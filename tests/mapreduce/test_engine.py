@@ -12,6 +12,12 @@ from repro.mapreduce import (
     SplitData,
 )
 from repro.sim import SimNetwork
+from repro.sqlengine.batch import ColumnBatch
+
+
+def records_of(records):
+    """A per-record job's split: ``records`` as a batch of rows."""
+    return ColumnBatch.from_rows((), records)
 
 
 def make_cluster(n=4, config=None):
@@ -32,7 +38,7 @@ def word_splits(hosts, texts):
         splits.append(
             InputSplit(
                 host=host,
-                fetch=lambda text=text: SplitData(records=text.split()),
+                fetch=lambda text=text: SplitData(records_of(text.split())),
             )
         )
     return splits
@@ -136,7 +142,7 @@ class TestCostModel:
     def test_local_seconds_charged_to_map(self):
         engine, hosts = make_cluster()
         splits = [
-            InputSplit(hosts[0], lambda: SplitData(records=["a"], local_seconds=2.5))
+            InputSplit(hosts[0], lambda: SplitData(records_of(["a"]), local_seconds=2.5))
         ]
         job = MapReduceJob.per_record("j", splits, map_fn=lambda r: [(r, 1)],
                            reduce_fn=lambda k, vs: [(k, len(vs))])
@@ -146,7 +152,7 @@ class TestCostModel:
     def test_parallel_hosts_take_max_not_sum(self):
         engine, hosts = make_cluster()
         splits = [
-            InputSplit(host, lambda: SplitData(records=[], local_seconds=3.0))
+            InputSplit(host, lambda: SplitData(records_of([]), local_seconds=3.0))
             for host in hosts
         ]
         job = MapReduceJob.per_record("j", splits, map_fn=lambda r: [])
@@ -156,7 +162,7 @@ class TestCostModel:
     def test_two_splits_same_host_serialize(self):
         engine, hosts = make_cluster()
         splits = [
-            InputSplit(hosts[0], lambda: SplitData(records=[], local_seconds=3.0))
+            InputSplit(hosts[0], lambda: SplitData(records_of([]), local_seconds=3.0))
             for _ in range(2)
         ]
         job = MapReduceJob.per_record("j", splits, map_fn=lambda r: [])
@@ -176,7 +182,8 @@ class TestHdfsOutput:
         job = word_count_job(hosts, ["a b", "a", "b", "c"], output_path="/out")
         result = engine.run_job(job)
         assert engine.hdfs.exists("/out")
-        assert sorted(engine.hdfs.file("/out").records) == sorted(result.records)
+        stored, _ = engine.hdfs.read("/out", hosts[0])
+        assert sorted(stored.rows) == sorted(result.records)
         assert result.timings.hdfs_write_s > 0
 
     def test_output_without_hdfs_rejected(self):
@@ -185,7 +192,7 @@ class TestHdfsOutput:
         engine = MapReduceEngine(["w"], network, hdfs=None)
         job = MapReduceJob.per_record(
             "j",
-            [InputSplit("w", lambda: SplitData(records=["a"]))],
+            [InputSplit("w", lambda: SplitData(records_of(["a"])))],
             map_fn=lambda r: [(r, 1)],
             reduce_fn=lambda k, vs: [k],
             output_path="/out",
@@ -201,8 +208,8 @@ class TestJobChains:
 
         def second_splits():
             def fetch():
-                records, seconds = engine.hdfs.read("/stage1", hosts[0])
-                return SplitData(records=records, local_seconds=seconds)
+                batch, seconds = engine.hdfs.read("/stage1", hosts[0])
+                return SplitData(batch, local_seconds=seconds)
 
             return [InputSplit(hosts[0], fetch)]
 

@@ -11,7 +11,13 @@ from repro.mapreduce import (
 )
 from repro.mapreduce.engine import records_byte_size
 from repro.sim import SimNetwork
+from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.types import value_byte_size
+
+
+def records_of(records):
+    """A per-record job's split: ``records`` as a batch of rows."""
+    return ColumnBatch.from_rows((), records)
 
 
 def make_engine(n=3):
@@ -30,7 +36,7 @@ class TestReducerEdges:
         engine, hosts = make_engine()
         job = MapReduceJob.per_record(
             "j",
-            [InputSplit(hosts[0], lambda: SplitData(records=["a", "a"]))],
+            [InputSplit(hosts[0], lambda: SplitData(records_of(["a", "a"])))],
             map_fn=lambda r: [(r, 1)],
             reduce_fn=lambda k, vs: [(k, len(vs))],
             num_reducers=16,
@@ -43,7 +49,7 @@ class TestReducerEdges:
         engine, hosts = make_engine()
         job = MapReduceJob.per_record(
             "j",
-            [InputSplit(hosts[0], lambda: SplitData(records=[]))],
+            [InputSplit(hosts[0], lambda: SplitData(records_of([])))],
             map_fn=lambda r: [(r, 1)],
             reduce_fn=lambda k, vs: [(k, len(vs))],
         )
@@ -55,7 +61,7 @@ class TestReducerEdges:
         engine, hosts = make_engine()
         job = MapReduceJob.per_record(
             "j",
-            [InputSplit(hosts[0], lambda: SplitData(records=["ab"]))],
+            [InputSplit(hosts[0], lambda: SplitData(records_of(["ab"])))],
             map_fn=lambda r: [(ch, 1) for ch in r],
             reduce_fn=lambda k, vs: [(k, sum(vs))],
         )
@@ -66,7 +72,7 @@ class TestReducerEdges:
         engine, hosts = make_engine()
         job = MapReduceJob.per_record(
             "j",
-            [InputSplit(hosts[0], lambda: SplitData(records=[1, 2, 3]))],
+            [InputSplit(hosts[0], lambda: SplitData(records_of([1, 2, 3])))],
             map_fn=lambda r: [(None, r)],
             reduce_fn=lambda k, vs: [sum(vs)],
             num_reducers=2,
@@ -78,7 +84,7 @@ class TestReducerEdges:
         engine, hosts = make_engine()
         job = MapReduceJob.per_record(
             "j",
-            [InputSplit(hosts[0], lambda: SplitData(records=[1, "1", (1,)]))],
+            [InputSplit(hosts[0], lambda: SplitData(records_of([1, "1", (1,)])))],
             map_fn=lambda r: [(r, 1)],
             reduce_fn=lambda k, vs: [repr(k)],
             num_reducers=1,
@@ -103,7 +109,7 @@ class TestShuffleAccounting:
         job = MapReduceJob.per_record(
             "j",
             [
-                InputSplit(host, lambda: SplitData(records=["k"] * 10))
+                InputSplit(host, lambda: SplitData(records_of(["k"] * 10)))
                 for host in hosts
             ],
             map_fn=lambda r: [(r, 1)],
@@ -135,7 +141,7 @@ class TestShuffleAccounting:
             job = MapReduceJob.per_record(
                 "join",
                 [
-                    InputSplit(host, lambda rows=rows[i::hosts_count]: SplitData(records=rows))
+                    InputSplit(host, lambda rows=rows[i::hosts_count]: SplitData(records_of(rows)))
                     for rows in (left, right)
                     for i, host in enumerate(hosts)
                 ],

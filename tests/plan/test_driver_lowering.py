@@ -5,7 +5,7 @@ its aggregates once per job, into vector kernels.  These tests take the very
 jobs it submits — their split-level ``map_fn`` and reducer-level
 ``reduce_fn`` — and replay each reducer group, on its own, against the
 interpreted tree walk, row for row and error for error.  Every stage file
-must also hold each row's text width and typed size beside it, and be
+must also carry each row's text width and typed size in its batch, and be
 priced as ``records_byte_size`` prices its rows — on HadoopDB and on
 BestPeer++'s MapReduce engine alike.
 """
@@ -18,13 +18,13 @@ import pytest
 from repro.core import BestPeerNetwork
 from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
-from repro.mapreduce import Hdfs, ReduceOutput
+from repro.mapreduce import Hdfs
 from repro.mapreduce.engine import records_byte_size
 from repro.mapreduce.job import record_sizes
 from repro.plan.driver import finalize_records
 from repro.plan.sms import SmsPlanner
 from repro.sqlengine import Column, ColumnType, Database, TableSchema
-from repro.sqlengine.batch import text_widths
+from repro.sqlengine.batch import ColumnBatch, text_widths, vectors_from_rows
 from repro.sqlengine.executor import _AggState
 from repro.sqlengine.expr import RowLayout
 from repro.sqlengine.planner import order_resolvable
@@ -89,47 +89,57 @@ def submitted_jobs(cluster, sql):
 
 def checked_write(write, written):
     """``write`` (an ``Hdfs.write``) behind the stage-file oracle: every
-    record's text width and typed size stored beside it, and the file
-    priced as ``records_byte_size`` prices its records."""
+    row's text width and typed size carried by the batch, and the file
+    priced as ``records_byte_size`` prices its rows."""
 
-    def checked(path, records, size_bytes, writer_host, widths=None, sizes=None):
-        assert widths == text_widths(records), path
-        assert sizes == record_sizes(records), path
-        assert size_bytes == records_byte_size(records), path
+    def checked(path, batch, size_bytes, writer_host):
+        rows = batch.rows
+        assert batch.widths == text_widths(rows), path
+        assert batch.known_sizes == record_sizes(rows), path
+        assert size_bytes == records_byte_size(rows), path
         written.append(path)
-        return write(path, records, size_bytes, writer_host, widths, sizes)
+        return write(path, batch, size_bytes, writer_host)
 
     return checked
 
 
 def reducer_groups(outputs):
     """The job's map outputs grouped: key -> (each value's side, values,
-    sizes, row sizes), in map order (row sizes None where the maps gave
-    none)."""
+    sizes, the values' typed sizes), in map order."""
     groups = {}
     for output in outputs:
-        row_sizes = output.row_sizes or [None] * len(output.keys)
-        for key, value, size, row_size in zip(
-            output.keys, output.values, output.sizes, row_sizes
+        batch = output.batch
+        for key, value, size, typed in zip(
+            output.keys, batch.rows, output.sizes, batch.sizes
         ):
-            sides, values, sizes, sizes_of_rows = groups.setdefault(
+            sides, values, sizes, typed_sizes = groups.setdefault(
                 key, ([], [], [], [])
             )
             sides.append(output.side)
             values.append(value)
             sizes.append(size)
-            sizes_of_rows.append(row_size)
-    return {
-        key: (sides, values, sizes, None if None in row_sizes else row_sizes)
-        for key, (sides, values, sizes, row_sizes) in groups.items()
-    }
+            typed_sizes.append(typed)
+    return groups
 
 
-def reduce_one_group(job, key, sides, values, sizes, row_sizes=None):
-    """The job's reducer run over one key group alone, its values' sides
-    as runs."""
-    runs = [(side, len(list(run))) for side, run in groupby(sides)]
-    return job.reduce_fn([key] * len(values), values, sizes, row_sizes, runs)
+def reduce_one_group(job, key, sides, values, sizes, typed_sizes):
+    """The job's reducer run over one key group alone, one run (a batch of
+    its rows, their typed sizes carried) per stretch of one side."""
+    runs = []
+    start = 0
+    for side, run in groupby(sides):
+        stop = start + len(list(run))
+        rows = values[start:stop]
+        width = len(rows[0])
+        batch = ColumnBatch(
+            [f"c{k}" for k in range(width)],
+            vectors_from_rows(rows, width),
+            len(rows),
+            sizes=typed_sizes[start:stop],
+        )
+        runs.append((side, batch, list(range(len(rows)))))
+        start = stop
+    return job.reduce_fn([key] * len(values), sizes, runs)
 
 
 def outcome_of(thunk):
@@ -154,9 +164,9 @@ def check_against_interpreter(plan, jobs):
     for stage, (job, outputs) in zip(plan.joins, jobs):
         columns = columns + stage.right.columns
         layout = RowLayout(columns)
-        for key, (tags, rows, sizes, row_sizes) in reducer_groups(outputs).items():
+        for key, (tags, rows, sizes, typed_sizes) in reducer_groups(outputs).items():
             assert key is not None
-            assert row_sizes == record_sizes(rows)
+            assert typed_sizes == record_sizes(rows)
             # a row shipped without its tag is priced as its (tag, row)
             assert sizes == record_sizes(list(zip(tags, rows)))
 
@@ -171,11 +181,11 @@ def check_against_interpreter(plan, jobs):
                     or stage.residual.evaluate(left + right, layout) is True
                 ]
 
-            def lowered(key=key, inputs=(tags, rows, sizes, row_sizes)):
+            def lowered(key=key, inputs=(tags, rows, sizes, typed_sizes)):
                 output = reduce_one_group(job, key, *inputs)
-                assert output.widths == text_widths(output.records)
-                assert output.sizes == record_sizes(output.records)
-                return output.records
+                assert output.widths == text_widths(output.rows)
+                assert output.known_sizes == record_sizes(output.rows)
+                return output.rows
 
             want = outcome_of(interpreted)
             assert outcome_of(lowered) == want
@@ -184,18 +194,19 @@ def check_against_interpreter(plan, jobs):
     if plan.aggregate is not None and plan.joins:
         job, outputs = jobs[len(plan.joins)]
         layout = RowLayout(plan.columns_after_joins)
-        for key, (sides, rows, sizes, row_sizes) in reducer_groups(outputs).items():
+        for key, (sides, rows, sizes, typed_sizes) in reducer_groups(outputs).items():
             assert set(sides) == {None}
             for row in rows:
                 assert key == tuple(
                     expr.evaluate(row, layout)
                     for expr in plan.aggregate.group_exprs
                 )
-            # The map read the sizes stored beside the last stage's rows.
-            assert sizes == record_sizes(rows) and row_sizes is None
-            assert reduce_one_group(job, key, sides, rows, sizes) == ReduceOutput(
-                [key + interpreted_aggregates(plan.aggregate.aggregates, rows, layout)]
-            )
+            # The map read the sizes carried by the last stage's batch.
+            assert sizes == typed_sizes == record_sizes(rows)
+            output = reduce_one_group(job, key, sides, rows, sizes, typed_sizes)
+            assert output.rows == [
+                key + interpreted_aggregates(plan.aggregate.aggregates, rows, layout)
+            ]
     return rejected
 
 

@@ -1,7 +1,7 @@
 """The join reducer's semantics: residual before concatenation, key order.
 
-A join stage's reducer gets its input's rows with their sides as
-``(side, count)`` runs, in any order.  It groups each side on its own (a
+A join stage's reducer gets its input as ``(side, batch, positions)``
+runs, in any order.  It groups each side on its own (a
 side of distinct keys as one dict), pairs each key group's lefts with its
 rights in merge-sort key order and runs the stage's residual over the
 pairs' halves, concatenating only the pairs it keeps.  The oracle here is
@@ -11,7 +11,6 @@ the same.  ``key_order`` sorts keys of one type by ``repr`` alone; the
 oracle is the ``_sortable`` sort.
 """
 
-from itertools import groupby
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,7 +28,8 @@ from repro.plan.driver import (
 from repro.plan.sms import SmsPlanner
 from repro.sim import SimNetwork
 from repro.sqlengine import Column, ColumnType, TableSchema
-from repro.sqlengine.batch import LazyColumns, positions_by_key, text_widths
+from repro.sqlengine.batch import ColumnBatch, LazyColumns, positions_by_key, text_widths
+from tests.property.test_wire_pricing import join_runs
 
 A = TableSchema("a", [
     Column("id", ColumnType.INTEGER),
@@ -108,16 +108,16 @@ PREDICATES = [
 
 def reduce_and_oracle(tagged, predicate):
     """(the reducer's outcome, the oracle's) over ``tagged``, the reducer
-    given the rows and one run per stretch of one side."""
+    given one run (a batch of its rows) per stretch of one side."""
     left_key, right_key, columns, residual = lowered_stage(
         f"SELECT a.id FROM a, b WHERE a.id = b.fid AND {predicate}"
     )
     keys = [row[left_key if tag == "L" else right_key] for tag, row in tagged]
     rows = [row for _, row in tagged]
     sizes = [width + TAGGED_ROW_BYTES for width in text_widths(rows)]
-    runs = [(tag, len(list(run))) for tag, run in groupby(tag for tag, _ in tagged)]
-    reduce_input = _join_reduce(residual, 3, 2)
-    got = outcome(lambda: reduce_input(keys, rows, sizes, record_sizes(rows), runs))
+    runs = join_runs(tagged, {"L": 3, "R": 2})
+    reduce_input = _join_reduce(residual, ["a.id", "a.v", "a.s", "b.fid", "b.w"], 3)
+    got = outcome(lambda: reduce_input(keys, sizes, runs))
     want = outcome(lambda: concatenate_then_filter(residual, keys, tagged, len(columns)))
     return got, want
 
@@ -126,9 +126,9 @@ def assert_same(got, want):
     if isinstance(want, str):
         assert got == want
     else:
-        assert got.records == want
+        assert got.rows == want
         assert got.widths == text_widths(want)
-        assert got.sizes == record_sizes(want)
+        assert got.known_sizes == record_sizes(want)
 
 
 class TestResidualBeforeConcatenation:
@@ -176,14 +176,14 @@ def join_job(splits, num_reducers):
         "join",
         splits,
         map_fn=_join_map(0, 0),
-        reduce_fn=_join_reduce(None, 2, 2),
+        reduce_fn=_join_reduce(None, ["l.k", "l.v", "r.k", "r.v"], 2),
         num_reducers=num_reducers,
     )
 
 
 def side_split(host, tag, rows):
     return InputSplit(host, lambda: SplitData(
-        rows, widths=text_widths(rows), tag=tag, sizes=record_sizes(rows)
+        ColumnBatch.from_rows(["k", "v"], rows), tag=tag
     ))
 
 
@@ -223,7 +223,7 @@ class TestRunsInAnyOrder:
 
     def test_a_run_of_no_side_is_refused(self):
         hosts = ["w0"]
-        split = InputSplit("w0", lambda: SplitData([(1, 2)], widths=[6], sizes=[16]))
+        split = InputSplit("w0", lambda: SplitData(ColumnBatch.from_rows(["k", "v"], [(1, 2)])))
         with pytest.raises(MapReduceError, match="side"):
             self.engine(hosts).run_job(join_job([split, split], 1))
 
@@ -240,9 +240,9 @@ class TestStageFiles:
         written = []
         write = cluster.hdfs.write
 
-        def recording(path, records, size_bytes, *args):
-            written.append((path, list(records), size_bytes))
-            return write(path, records, size_bytes, *args)
+        def recording(path, batch, size_bytes, *args):
+            written.append((path, batch.rows, size_bytes))
+            return write(path, batch, size_bytes, *args)
 
         cluster.hdfs.write = recording
         result = cluster.execute(

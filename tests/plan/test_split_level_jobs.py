@@ -18,8 +18,6 @@ engine run:
   the bytes and the rows must be identical.
 """
 
-from itertools import groupby
-
 import pytest
 
 import repro.core.engine_mapreduce as engine_mapreduce
@@ -29,11 +27,11 @@ from repro.core import BestPeerNetwork
 from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
 from repro.mapreduce import MapReduceEngine
-from repro.mapreduce.job import _sortable, record_sizes
+from repro.mapreduce.job import _sortable
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
 from repro.sqlengine import Column, ColumnType, TableSchema
-from repro.sqlengine.batch import text_widths
+from repro.sqlengine.batch import ColumnBatch
 from repro.sqlengine.types import value_byte_size
 from repro.tpch import Q3, Q4, Q5, SECONDARY_INDICES, TPCH_SCHEMAS, TpchGenerator
 from tests.property.test_wire_pricing import by_value_byte_size
@@ -69,17 +67,17 @@ class PerPairEngine(MapReduceEngine):
     """The shuffle as it was: each pair routed and priced on its own (the
     value, a join's row rebuilt as ``(tag, row)`` from its map output's
     side, by ``str()``), then each reducer's key groups reduced one by one,
-    and the output's widths and sizes measured from its records."""
+    and the output's widths and sizes measured from its rows."""
 
     def _shuffle(self, job, map_outputs):
         partitions = [{} for _ in range(job.num_reducers)]
         lane_bytes = {}
         for host, output in map_outputs:
-            row_sizes = output.row_sizes or [None] * len(output.keys)
-            for key, value, row_size in zip(output.keys, output.values, row_sizes):
+            batch = output.batch
+            for position, (key, value) in enumerate(zip(output.keys, batch.rows)):
                 reducer = self._partition_of(key, job.num_reducers)
                 partitions[reducer].setdefault(key, []).append(
-                    (output.side, value, row_size)
+                    (output.side, batch, position)
                 )
                 lane = (host, reducer)
                 lane_bytes[lane] = (
@@ -102,27 +100,20 @@ class PerPairEngine(MapReduceEngine):
         for partition in partitions:
             reduced = []
             for key in sorted(partition, key=_sortable):
-                sides, values, row_sizes = map(list, zip(*partition[key]))
+                values = partition[key]
                 sizes = [
-                    by_value_byte_size([shipped(side, value)])
-                    for side, value in zip(sides, values)
+                    by_value_byte_size([shipped(side, batch.rows[position])])
+                    for side, batch, position in values
                 ]
-                if None in row_sizes:
-                    row_sizes = None
-                runs = [(side, len(list(run))) for side, run in groupby(sides)]
-                output = job.reduce_fn(
-                    [key] * len(values), values, sizes, row_sizes, runs
-                )
-                reduced.extend(output.records)
+                runs = [(side, batch, [position]) for side, batch, position in values]
+                output = job.reduce_fn([key] * len(values), sizes, runs)
+                reduced.extend(output.rows)
             inputs = sum(map(len, partition.values()))
             seconds.append((inputs + len(reduced)) * self.config.reduce_cpu_per_record_s)
             records.extend(reduced)
-        return (
-            records,
-            text_widths(records),
-            record_sizes(records),
-            parallel_duration(*seconds),
-        )
+        # An empty input gives the output's shape; nothing rides with the rows.
+        columns = job.reduce_fn([], [], []).columns
+        return ColumnBatch.from_rows(columns, records), parallel_duration(*seconds)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ order, or an output row.
 import enum
 import zlib
 from itertools import groupby
+from operator import itemgetter
 
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +30,7 @@ from repro.sqlengine.batch import (
     concat_text_offset,
     text_widths,
     value_sizes,
+    vectors_from_rows,
     wire_size,
 )
 from repro.sqlengine.types import canonical_key, value_byte_size
@@ -43,6 +45,28 @@ def by_value_byte_size(records):
         else:
             total += value_byte_size(record)
     return total
+
+
+def records_of(records):
+    """A per-record job's split: ``records`` as a batch of rows."""
+    return ColumnBatch.from_rows((), records)
+
+
+def join_runs(tagged, widths):
+    """A join reducer's runs over ``(tag, row)`` pairs: one batch per
+    stretch of one side (``widths[tag]`` columns), its rows' typed sizes
+    priced by the per-value oracle."""
+    runs = []
+    for tag, stretch in groupby(tagged, key=itemgetter(0)):
+        rows = [row for _, row in stretch]
+        batch = ColumnBatch(
+            [f"{tag}{k}" for k in range(widths[tag])],
+            vectors_from_rows(rows, widths[tag]),
+            len(rows),
+            sizes=[by_value_byte_size([row]) for row in rows],
+        )
+        runs.append((tag, batch, list(range(len(rows)))))
+    return runs
 
 
 class Code(int):
@@ -180,14 +204,14 @@ class TestLanePricing:
         job = MapReduceJob.per_record(
             "j",
             [
-                InputSplit(hosts[index % host_count], lambda pairs=pairs: SplitData(records=pairs))
+                InputSplit(hosts[index % host_count], lambda pairs=pairs: SplitData(records_of(pairs)))
                 for index, pairs in splits
             ],
             map_fn=lambda pair: [pair],
             reduce_fn=reduce_group,
             num_reducers=num_reducers,
         )
-        map_outputs = [(split.host, split.fetch().records) for split in job.splits]
+        map_outputs = [(split.host, split.fetch().batch.rows) for split in job.splits]
         records, nbytes, transfers = per_pair_shuffle(
             engine, num_reducers, map_outputs, reduce_group
         )
@@ -230,34 +254,47 @@ class TestRowWidths:
         keys = [row[0] for _, row in tagged]
         halves = [row for _, row in tagged]
         sizes = [width + TAGGED_ROW_BYTES for width in text_widths(halves)]
-        runs = [(tag, len(list(run))) for tag, run in groupby(t for t, _ in tagged)]
-        output = _join_reduce(None, nl + 1, nr + 1)(
-            keys, halves, sizes, [by_value_byte_size([row]) for row in halves], runs
+        columns = [f"c{k}" for k in range(nl + nr + 2)]
+        output = _join_reduce(None, columns, nl + 1)(
+            keys, sizes, join_runs(tagged, {"L": nl + 1, "R": nr + 1})
         )
-        assert output.records == [
+        assert output.rows == [
             left + right
             for key in sorted(dict.fromkeys(keys), key=_sortable)
             for tag, left in tagged if tag == "L" and left[0] == key
             for other, right in tagged if other == "R" and right[0] == key
         ]
-        assert output.widths == text_widths(output.records)
-        assert output.sizes == [by_value_byte_size([row]) for row in output.records]
+        assert output.columns == columns
+        assert output.widths == text_widths(output.rows)
+        assert output.known_sizes == [by_value_byte_size([row]) for row in output.rows]
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.sampled_from("LR"),
-        st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)), ROWS), max_size=16),
+        # a batch's rows are all one width
+        st.integers(min_value=0, max_value=4).flatmap(
+            lambda width: st.lists(
+                st.tuples(
+                    st.one_of(st.none(), st.integers(0, 3)),
+                    st.tuples(*[SCALARS] * width),
+                ),
+                max_size=16,
+            )
+        ),
     )
     def test_a_lane_priced_from_sizes_is_its_pairs_price(self, tag, keyed):
         rows = [(key,) + row for key, row in keyed]
-        data = SplitData(rows, widths=text_widths(rows), tag=tag, sizes=record_sizes(rows))
+        width = len(rows[0]) if rows else 1
+        data = SplitData(
+            ColumnBatch.from_rows([f"c{k}" for k in range(width)], rows), tag=tag
+        )
         output = _join_map(0, 0)(data)
         assert output.side == tag
-        assert output.values == [row for row in rows if row[0] is not None]
-        assert output.keys == [row[0] for row in output.values]
-        assert output.row_sizes == record_sizes(output.values)
+        assert output.batch.rows == [row for row in rows if row[0] is not None]
+        assert output.keys == [row[0] for row in output.batch.rows]
+        assert output.batch.sizes == record_sizes(output.batch.rows)
         # The rows travel without their tag, priced as the (tag, row) pairs.
-        pairs = [(tag, row) for row in output.values]
+        pairs = [(tag, row) for row in output.batch.rows]
         lane_price = wire_size(output.keys) + sum(output.sizes)
         assert sum(output.sizes) == records_byte_size(pairs)
         assert lane_price == sum(
