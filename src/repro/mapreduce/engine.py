@@ -23,6 +23,18 @@ from repro.sim.network import SimNetwork
 from repro.sqlengine.batch import ColumnBatch, wire_size
 from repro.sqlengine.types import canonical_key
 
+#: How many distinct keys one reducer count's partition memo holds before it
+#: is cleared: a bound on the process's memory, not a tuning knob.
+PARTITION_MEMO_CAP = 1 << 16
+
+# num_reducers -> {key: its reducer}: the partition memo, shared by every
+# engine in the process (the BestPeer++ facade builds an engine per query,
+# and a query's join stages, its aggregate job and the next query shuffle
+# the same keys).  Equal keys share an entry, which is exact because
+# ``_partition_of`` sends equal keys to one reducer.  The memo stands for
+# that one partitioner, so an engine must not route by another.
+_REDUCER_OF: Dict[int, Dict[object, int]] = {}
+
 
 @dataclass(frozen=True)
 class MapReduceConfig:
@@ -167,25 +179,30 @@ class MapReduceEngine:
         order: split by split, position by position, one ``(side, batch,
         positions)`` run per map output routed there — the bytes shipped
         and the phase duration.  One wire transfer per non-empty (mapper
-        host, reducer) lane, priced ``wire_size(keys) + sum(sizes)``.
+        host, reducer) lane, in sorted lane order, priced as the sum of its
+        routed chunks' ``wire_size(keys) + sum(sizes)`` (``wire_size`` is a
+        per-value sum, so that is the lane's keys and sizes priced whole).
         """
-        reducers = range(job.num_reducers)
-        inputs: List[Tuple[list, list, List[Run]]] = [([], [], []) for _ in reducers]
-        # Keys repeat (both join sides, every row of a group): hash each
-        # distinct key once.  Equal keys share an entry, which is exact
-        # because ``_partition_of`` sends equal keys to one reducer.
-        reducer_of: Dict[object, int] = {}
-        lanes: Dict[str, List[Tuple[List[object], List[int]]]] = {}
+        num_reducers = job.num_reducers
+        inputs: List[Tuple[list, list, List[Run]]] = [
+            ([], [], []) for _ in range(num_reducers)
+        ]
+        memo = _REDUCER_OF.setdefault(num_reducers, {})
+        lane_bytes: Dict[Tuple[str, int], int] = {}
         for host, output in map_outputs:
             keys, sizes = output.keys, output.sizes
-            for key in dict.fromkeys(keys):
-                if key not in reducer_of:
-                    reducer_of[key] = self._partition_of(key, job.num_reducers)
-            routes: List[List[int]] = [[] for _ in reducers]
+            if len(memo) > PARTITION_MEMO_CAP:
+                memo.clear()
+            targets = list(map(memo.get, keys))
+            if None in targets:
+                missing = (key for key, target in zip(keys, targets) if target is None)
+                for key in dict.fromkeys(missing):
+                    memo[key] = self._partition_of(key, num_reducers)
+                targets = list(map(memo.get, keys))
+            routes: List[List[int]] = [[] for _ in range(num_reducers)]
             appends = [positions.append for positions in routes]
-            for position, key in enumerate(keys):
-                appends[reducer_of[key]](position)
-            host_lanes = lanes.setdefault(host, [([], []) for _ in reducers])
+            for position, target in enumerate(targets):
+                appends[target](position)
             for reducer, positions in enumerate(routes):
                 if not positions:
                     continue
@@ -195,26 +212,23 @@ class MapReduceEngine:
                 reducer_keys.extend(routed_keys)
                 reducer_sizes.extend(routed_sizes)
                 runs.append((output.side, output.batch, positions))
-                lane_keys, lane_sizes = host_lanes[reducer]
-                lane_keys.extend(routed_keys)
-                lane_sizes.extend(routed_sizes)
-
-        total_bytes = 0
-        per_reducer_seconds = [0.0] * job.num_reducers
-        for host in sorted(lanes):
-            for reducer, (keys, sizes) in enumerate(lanes[host]):
-                if not keys:
-                    continue  # nothing to send: no transfer, as on a real wire
-                nbytes = wire_size(keys) + sum(sizes)
-                total_bytes += nbytes
-                per_reducer_seconds[reducer] += self.network.transfer(
-                    host, self._reducer_host(reducer), nbytes
+                lane = (host, reducer)
+                lane_bytes[lane] = (
+                    lane_bytes.get(lane, 0)
+                    + wire_size(routed_keys)
+                    + sum(routed_sizes)
                 )
+
+        per_reducer_seconds = [0.0] * num_reducers
+        for (host, reducer), nbytes in sorted(lane_bytes.items()):
+            per_reducer_seconds[reducer] += self.network.transfer(
+                host, self._reducer_host(reducer), nbytes
+            )
         duration = (
             self.config.shuffle_notification_delay_s
             + parallel_duration(*per_reducer_seconds)
         )
-        return inputs, total_bytes, duration
+        return inputs, sum(lane_bytes.values()), duration
 
     def _run_reduce_phase(self, job: MapReduceJob, inputs):
         """Each reducer reduces its whole input, an empty one too (it

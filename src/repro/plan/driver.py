@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import add, itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.engine import MapReduceEngine
@@ -101,7 +101,7 @@ class DistributedPlanDriver:
     # ------------------------------------------------------------------
     def run(self, plan: DistributedPlan, query_id: str) -> DriverResult:
         try:
-            jobs = self._run_jobs(plan, query_id)
+            jobs, columns = self._run_jobs(plan, query_id)
         finally:
             # The chain's stage files are the query's temporary files: gone
             # once read, or once the query failed (no simulated cost).
@@ -112,7 +112,6 @@ class DistributedPlanDriver:
                     hdfs.delete(path)
 
         aggregate = plan.aggregate
-        columns = list(plan.columns_after_joins)
         records = jobs[-1].records
         if aggregate is not None:
             if not records:
@@ -124,10 +123,13 @@ class DistributedPlanDriver:
         records, columns = finalize_records(plan, records, columns)
         return DriverResult(columns=columns, records=records, jobs=jobs)
 
-    def _run_jobs(self, plan: DistributedPlan, query_id: str) -> List[JobResult]:
-        """The join chain, then the job that finishes the query."""
+    def _run_jobs(
+        self, plan: DistributedPlan, query_id: str
+    ) -> Tuple[List[JobResult], List[str]]:
+        """The join chain, then the job that finishes the query; returns the
+        jobs and the columns the chain's output keeps."""
         aggregate = plan.aggregate
-        jobs = self._run_join_chain(plan, query_id)
+        jobs, columns = self._run_join_chain(plan, query_id)
         if aggregate is None:
             if not plan.joins:
                 # Q1 shape: one map-only job pushing the full selection down.
@@ -148,14 +150,10 @@ class DistributedPlanDriver:
                 if plan.joins
                 else self._table_splits(plan.base)
             )
-            jobs.append(
-                self._run_aggregate_job(
-                    aggregate, splits, plan.columns_after_joins, query_id
-                )
-            )
+            jobs.append(self._run_aggregate_job(aggregate, splits, columns, query_id))
         else:
             jobs.append(self._run_partial_aggregate_job(plan, query_id))
-        return jobs
+        return jobs, columns
 
     # ------------------------------------------------------------------
     # Splits
@@ -191,12 +189,25 @@ class DistributedPlanDriver:
     # ------------------------------------------------------------------
     # Join chain (Q3/Q4/Q5 shapes)
     # ------------------------------------------------------------------
-    def _run_join_chain(self, plan: DistributedPlan, query_id: str) -> List[JobResult]:
-        """One shuffle-join job per stage, each persisted to HDFS."""
+    def _run_join_chain(
+        self, plan: DistributedPlan, query_id: str
+    ) -> Tuple[List[JobResult], List[str]]:
+        """One shuffle-join job per stage, each persisted to HDFS; returns
+        the jobs and the last stage's output columns.
+
+        A stage's output keeps only the columns a later step reads
+        (:func:`live_stage_columns`); its rows' widths and typed sizes stay
+        those of the whole joined row, so every shuffle lane and stage file
+        is priced as if it held every column.
+        """
         columns = list(plan.base.columns)
+        width = len(columns)  # the whole left row's
         jobs: List[JobResult] = []
+        live = live_stage_columns(plan)
         for stage_index, stage in enumerate(plan.joins):
-            lp, rp, out_columns, residual = lower_join_stage(stage, columns)
+            map_fn, reduce_fn, out_columns = _join_stage(
+                stage, columns, width, live[stage_index]
+            )
             if stage_index == 0:
                 left_splits = self._table_splits(plan.base, tag="L")
             else:
@@ -211,15 +222,16 @@ class DistributedPlanDriver:
                 MapReduceJob(
                     name=f"{query_id}-join-{stage_index}",
                     splits=left_splits + right_splits,
-                    map_fn=_join_map(lp, rp),
-                    reduce_fn=_join_reduce(residual, out_columns, len(columns)),
+                    map_fn=map_fn,
+                    reduce_fn=reduce_fn,
                     num_reducers=len(self.workers),
                     output_path=_stage_path(query_id, stage_index),
                 )
             )
             jobs.append(result)
             columns = out_columns
-        return jobs
+            width += len(stage.right.columns)
+        return jobs, columns
 
     # ------------------------------------------------------------------
     # Aggregation jobs
@@ -239,7 +251,7 @@ class DistributedPlanDriver:
         those of reducing group by group.
         """
         layout = RowLayout(columns)
-        width = len(columns)
+        every_column = range(len(columns))
         group_values = lower_values(aggregate.group_exprs, layout)
         grouped = lower_aggregate(aggregate.group_exprs, aggregate.aggregates, layout)
         names = aggregate.output_columns
@@ -258,7 +270,7 @@ class DistributedPlanDriver:
                 for _, positions in key_groups(keys)
                 for position in positions
             ]
-            cols = gather(_stacked(runs, width), arranged)
+            cols = gather(_stacked(runs, every_column), arranged)
             out, groups = grouped(cols, len(arranged))
             return ColumnBatch(names, out, groups)
 
@@ -306,8 +318,9 @@ def lower_join_stage(stage: JoinStage, columns: List[str]):
     Returns ``(left key position, right key position, joined columns,
     residual)``.  The residual, lowered once per stage, is a
     :func:`~repro.sqlengine.vexecutor.lower_filter` over the joined rows
-    (``None`` when the stage has none): every reducer or owner runs it once
-    over all of the rows it joined.
+    (``None`` when the stage has none): every owner of the parallel engine
+    runs it once over all of the rows it joined.  The driver's join jobs
+    lower a stage over the columns they keep instead (:func:`_join_stage`).
     """
     out_columns = columns + stage.right.columns
     residual = (
@@ -348,7 +361,101 @@ def _join_map(left_key: int, right_key: int):
     return map_split
 
 
-def _join_reduce(residual, columns: List[str], left_width: int):
+def live_stage_columns(plan: DistributedPlan) -> List[Set[str]]:
+    """Per join stage, the names of its output columns that a later step
+    reads: a later stage's left key or residual, the aggregate's group and
+    argument expressions or, with no aggregate, the select list, HAVING
+    and ORDER BY.
+
+    A name keeps every column it could resolve to
+    (:meth:`~repro.sqlengine.expr.RowLayout.candidates`, so an ambiguous
+    or unresolved name keeps every candidate) and a star every column it
+    expands to, so each later step resolves its names on the kept columns
+    as on all of them.  A stage's set may name columns its output lacks.
+    """
+    inputs = []
+    columns = list(plan.base.columns)
+    for stage in plan.joins:
+        inputs.append(columns)
+        columns = columns + stage.right.columns
+    aggregate = plan.aggregate
+    if aggregate is not None:
+        live = _names_read(columns, aggregate.group_exprs + aggregate.aggregates)
+    else:
+        _, outputs = projection(plan.items, RowLayout(columns))
+        live = {columns[output] for output in outputs if isinstance(output, int)}
+        live |= _names_read(
+            columns,
+            [output for output in outputs if not isinstance(output, int)]
+            + [plan.having]
+            + [item.expr for item in plan.order_by],
+        )
+    per_stage = []
+    for stage, left in zip(reversed(plan.joins), reversed(inputs)):
+        per_stage.append(live)
+        key = RowLayout(left).candidates(stage.left_key)
+        live = (
+            live
+            | _names_read(left + stage.right.columns, [stage.residual])
+            | {left[position] for position in key}
+        )
+    return per_stage[::-1]
+
+
+def _names_read(columns: Sequence[str], exprs) -> Set[str]:
+    """The names of ``columns`` that ``exprs`` (None: no expression) could
+    read."""
+    layout = RowLayout(columns)
+    return {
+        columns[position]
+        for expr in exprs
+        if expr is not None
+        for name in expr.referenced_columns()
+        for position in layout.candidates(name)
+    }
+
+
+def _join_stage(stage: JoinStage, columns: List[str], width: int, live: Set[str]):
+    """One join stage's ``(map_fn, reduce_fn, output columns)``.
+
+    ``columns`` lay out the left input, the kept columns of a ``width``
+    columns wide row.  The reducer stacks the left and right columns that
+    ``live`` or the residual names, runs the residual over them and keeps
+    the ``live`` ones.  Every name resolves as on the whole row, because
+    the left input kept each column a name could resolve to.
+    """
+    right_columns = stage.right.columns
+    needed = live | _names_read(columns + right_columns, [stage.residual])
+    left = [k for k, column in enumerate(columns) if column in needed]
+    right = [k for k, column in enumerate(right_columns) if column in needed]
+    stacked = [columns[k] for k in left] + [right_columns[k] for k in right]
+    output = [k for k, column in enumerate(stacked) if column in live]
+    residual = (
+        None
+        if stage.residual is None
+        else lower_filter(stage.residual, RowLayout(stacked))
+    )
+    out_columns = [stacked[k] for k in output]
+    return (
+        _join_map(
+            RowLayout(columns).resolve(stage.left_key),
+            RowLayout(right_columns).resolve(stage.right_key),
+        ),
+        _join_reduce(
+            residual, out_columns, left, right, output, (width, len(right_columns))
+        ),
+        out_columns,
+    )
+
+
+def _join_reduce(
+    residual,
+    columns: List[str],
+    left_columns: Sequence[int],
+    right_columns: Sequence[int],
+    output: Sequence[int],
+    widths: Tuple[int, int],
+):
     """A join stage's reducer over its whole input.
 
     Key groups in merge-sort order, each group's lefts x rights in arrival
@@ -356,19 +463,22 @@ def _join_reduce(residual, columns: List[str], left_width: int):
     so the rows, and the first error, are those of joining group by group.
     Each side is cut out of the input by its runs (in any order) and
     grouped on its own: a side of distinct keys is one dict, only a side
-    with duplicate keys buckets its positions.  The residual reads the
-    pairs' halves in place; only the columns of the pairs it keeps are
-    gathered, into a batch laid out as ``columns``.  A joined row's width
-    is its halves' plus :func:`concat_text_offset`, its typed size its
-    halves' summed, both handed to the batch.
+    with duplicate keys buckets its positions.  Only the ``left_columns``
+    and ``right_columns`` of each side's batches are stacked (positions in
+    them); the residual reads the pairs' halves in place, laid out as
+    those stacked columns, left ones first, and only the ``output``
+    positions of the pairs it keeps are gathered, into a batch laid out as
+    ``columns``.  A joined row's width is its halves' plus
+    :func:`concat_text_offset` of the whole rows' ``widths``, its typed
+    size its halves' summed, both handed to the batch: they price the row
+    with every column, whichever are stacked.
     """
-    right_width = len(columns) - left_width
     # sizes are widths + TAGGED_ROW_BYTES, one such on each side
-    offset = concat_text_offset(left_width, right_width) - 2 * TAGGED_ROW_BYTES
+    offset = concat_text_offset(*widths) - 2 * TAGGED_ROW_BYTES
 
     def reduce_input(keys, sizes, runs):
-        left_keys, left_sizes, left = _side(runs, "L", keys, sizes, left_width)
-        right_keys, right_sizes, right = _side(runs, "R", keys, sizes, right_width)
+        left_keys, left_sizes, left = _side(runs, "L", keys, sizes, left_columns)
+        right_keys, right_sizes, right = _side(runs, "R", keys, sizes, right_columns)
         # every key once, named by its first-seen object, as key_order does
         named = dict.fromkeys(keys)
         lefts_of, left_distinct = positions_by_key(left_keys, len(named))
@@ -399,8 +509,8 @@ def _join_reduce(residual, columns: List[str], left_width: int):
 
         halves = LazyColumns(
             [
-                (left_width, left, pair_lefts, False),
-                (right_width, right, pair_rights, False),
+                (len(left_columns), left, pair_lefts, False),
+                (len(right_columns), right, pair_rights, False),
             ]
         )
         if residual is not None:
@@ -420,10 +530,10 @@ def _join_reduce(residual, columns: List[str], left_width: int):
 
         return ColumnBatch(
             columns,
-            halves,
+            [halves[k] for k in output],
             len(pair_lefts),
             list(map(offset.__add__, joined(left_sizes, right_sizes))),
-            list(joined(left[left_width], right[right_width])),
+            list(joined(left[-1], right[-1])),
         )
 
     return reduce_input
@@ -434,10 +544,10 @@ def _repeated(positions: List[int], groups: List[List[int]]):
     return chain.from_iterable(map(repeat, positions, map(len, groups)))
 
 
-def _side(runs, side: str, keys, sizes, width: int):
-    """The keys, shuffle sizes and stacked columns (:func:`_stacked`) of
-    the runs naming ``side``, in arrival order; a run of neither side is
-    refused."""
+def _side(runs, side: str, keys, sizes, columns: Sequence[int]):
+    """The keys, shuffle sizes and stacked ``columns`` (:func:`_stacked`,
+    typed) of the runs naming ``side``, in arrival order; a run of neither
+    side is refused."""
     spans: List[List[int]] = []
     mine = []
     start = 0
@@ -463,19 +573,22 @@ def _side(runs, side: str, keys, sizes, width: int):
             list(chain.from_iterable(vector[start:stop] for start, stop in spans))
             for vector in (keys, sizes)
         ]
-    return cut[0], cut[1], _stacked(mine, width, typed=True)
+    return cut[0], cut[1], _stacked(mine, columns, typed=True)
 
 
-def _stacked(runs, width: int, typed: bool = False) -> List[List[object]]:
-    """The ``width`` columns of the runs' batches at their positions, one
-    run after another; with ``typed``, the rows' typed sizes as one more."""
+def _stacked(
+    runs, columns: Sequence[int], typed: bool = False
+) -> List[List[object]]:
+    """The ``columns`` (positions) of the runs' batches at their positions,
+    one run after another; with ``typed``, the rows' typed sizes as one
+    more, last."""
     parts = [
         (batch.vectors + [batch.sizes] if typed else batch.vectors, _picker(positions))
         for _, batch, positions in runs
     ]
     return [
         list(chain.from_iterable(pick(vectors[k]) for vectors, pick in parts))
-        for k in range(width + typed)
+        for k in ([*columns, -1] if typed else columns)
     ]
 
 

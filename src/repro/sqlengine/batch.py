@@ -223,7 +223,10 @@ class ColumnBatch:
 
     ``widths`` and ``sizes``, when given, are the rows' :attr:`widths` and
     :attr:`sizes`, derived by the producer (a join reducer sums its pairs'
-    halves) so that nothing measures them again.
+    halves) so that nothing measures them again.  They describe the row the
+    cost model ships, which may hold more columns than the batch: a
+    MapReduce join stage's output keeps only the columns a later step
+    reads, with the whole joined row's widths and sizes.
     """
 
     def __init__(
@@ -293,7 +296,8 @@ class ColumnBatch:
 
     @property
     def widths(self) -> List[int]:
-        """Each row's :func:`text_widths`, measured on first use.  Read-only."""
+        """Each row's :func:`text_widths`, measured on first use, or the
+        widths handed in (the shipped row's, see the class).  Read-only."""
         if self._widths is None:
             self._widths = text_widths(self.rows)
         return self._widths
@@ -301,15 +305,20 @@ class ColumnBatch:
     @property
     def sizes(self) -> List[int]:
         """Each row's typed wire size (:func:`row_sizes`), priced column by
-        column on first use: ``sum(sizes) == byte_size``.  Read-only."""
+        column on first use, or the sizes handed in (the shipped row's, see
+        the class).  ``sum(sizes) == byte_size`` holds for measured sizes
+        only: a pruned join stage's batch prices fewer columns than its
+        rows' sizes count.  Read-only."""
         if self._sizes is None:
             self._sizes = row_sizes(self.vectors, self.count)
         return self._sizes
 
     @property
     def known_sizes(self) -> Optional[List[int]]:
-        """:attr:`sizes` if they are already priced, else None (nothing is
-        measured): for a caller that prices rows it cannot transpose."""
+        """:attr:`sizes` if they are already priced or were handed in, else
+        None (nothing is measured): for a caller that prices rows it cannot
+        transpose, or must price the row that ships rather than the
+        columns the batch holds (a stage file)."""
         return self._sizes
 
     def take(self, positions: Sequence[int]) -> "ColumnBatch":

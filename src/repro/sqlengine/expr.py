@@ -35,15 +35,26 @@ class RowLayout:
     def __len__(self) -> int:
         return len(self.columns)
 
-    def resolve(self, name: str) -> int:
+    def candidates(self, name: str) -> List[int]:
+        """The positions ``name`` could resolve to: its qualified match, else
+        every column of its bare name (one resolves, more are ambiguous).
+
+        A layout that keeps these positions of this one, in order, resolves
+        ``name`` to the same column, or fails the same way.
+        """
         lowered = name.lower()
         if lowered in self._by_qualified:
-            return self._by_qualified[lowered]
+            return [self._by_qualified[lowered]]
         # Fall back to bare-name matching.  For a qualified name this fires
         # only when the qualifier is gone from the layout (e.g. ordering the
-        # output of a projection by ``d.dname``); a unique bare match is
-        # unambiguous, anything else is an error.
-        candidates = self._by_bare.get(lowered.rsplit(".", 1)[-1], [])
+        # output of a projection by ``d.dname``).
+        return self._by_bare.get(lowered.rsplit(".", 1)[-1], [])
+
+    def resolve(self, name: str) -> int:
+        lowered = name.lower()
+        if lowered in self._by_qualified:  # the common case, kept inline
+            return self._by_qualified[lowered]
+        candidates = self.candidates(name)
         if len(candidates) == 1:
             return candidates[0]
         if len(candidates) > 1:

@@ -2,6 +2,8 @@
 
 from dataclasses import asdict
 
+import repro.plan.driver as driver
+
 
 def result_surface(result):
     """Everything a :class:`QueryResult` exposes, as plain data.
@@ -22,3 +24,14 @@ def result_surface(result):
         "byte_size": result.byte_size,
         "stats": asdict(result.stats),
     }
+
+
+def keep_every_column(monkeypatch):
+    """Have the plan driver keep every column of each join stage's output,
+    as if every later step read them all: the whole rows that the oracles
+    pricing stage files by measuring them must see."""
+    monkeypatch.setattr(
+        driver,
+        "live_stage_columns",
+        lambda plan: [set(plan.columns_after_joins)] * len(plan.joins),
+    )

@@ -7,7 +7,11 @@ jobs it submits — their split-level ``map_fn`` and reducer-level
 interpreted tree walk, row for row and error for error.  Every stage file
 must also carry each row's text width and typed size in its batch, and be
 priced as ``records_byte_size`` prices its rows — on HadoopDB and on
-BestPeer++'s MapReduce engine alike.
+BestPeer++'s MapReduce engine alike.  Those whole-row oracles run with
+every column of a stage's output kept (``tests.helpers.keep_every_column``);
+the driver as it runs keeps only the columns a later step reads, and must
+price each stage file as the whole-row run measured it, with the same
+answer or error.
 """
 
 from functools import partial
@@ -36,6 +40,7 @@ from repro.tpch import (
     TPCH_SCHEMAS,
     TpchGenerator,
 )
+from tests.helpers import keep_every_column
 
 NUM_WORKERS = 3
 
@@ -51,15 +56,35 @@ def tpch_cluster():
 
 
 def submitted_jobs(cluster, sql):
-    """Run ``sql``; returns (plan, jobs submitted, result or the error raised).
+    """Run ``sql`` as the driver does, then with every column kept; returns
+    (plan, the whole-row run's jobs, its result or the error raised).
 
     Each job comes back with its map tasks' outputs, recorded as it ran:
     the stage files they read are gone once the query ends.  Every file
-    written is checked by :func:`checked_write`.
+    the whole-row run writes is checked by :func:`checked_write`, and the
+    driver's own run must have priced each of its files the same and
+    ended the same.
     """
+    pruned_written, written = [], []
+    pruned_jobs, pruned = run_recorded(cluster, sql, pruned_written, whole_rows=False)
+    with pytest.MonkeyPatch.context() as patch:
+        keep_every_column(patch)
+        jobs, outcome = run_recorded(cluster, sql, written, whole_rows=True)
+    assert pruned_written == written
+    assert len(pruned_jobs) == len(jobs)
+    if isinstance(outcome, SqlExecutionError):
+        assert str(pruned) == str(outcome)
+    else:
+        assert pruned.records == outcome.records
+        assert pruned.duration_s == outcome.duration_s
+    return SmsPlanner(cluster._schemas).compile(sql), jobs, outcome
+
+
+def run_recorded(cluster, sql, written, whole_rows):
+    """Run ``sql``, each file written behind :func:`checked_write`; returns
+    (jobs submitted, result or the error raised)."""
     jobs = []
     run_job = cluster.engine.run_job
-    written = []
 
     def capture(job):
         outputs = []
@@ -74,7 +99,7 @@ def submitted_jobs(cluster, sql):
         return run_job(job)
 
     cluster.engine.run_job = capture
-    cluster.hdfs.write = checked_write(cluster.hdfs.write, written)
+    cluster.hdfs.write = checked_write(cluster.hdfs.write, written, whole_rows)
     try:
         outcome = cluster.execute(sql)
     except SqlExecutionError as error:
@@ -84,20 +109,25 @@ def submitted_jobs(cluster, sql):
         del cluster.hdfs.write
     if not isinstance(outcome, SqlExecutionError):
         assert len(written) == sum(job.output_path is not None for job, _ in jobs)
-    return SmsPlanner(cluster._schemas).compile(sql), jobs, outcome
+    return jobs, outcome
 
 
-def checked_write(write, written):
-    """``write`` (an ``Hdfs.write``) behind the stage-file oracle: every
+def checked_write(write, written, whole_rows=True):
+    """``write`` (an ``Hdfs.write``) recording each file's stage name, its
+    rows' carried widths and typed sizes, and its price in ``written``.
+    With ``whole_rows`` it is behind the stage-file oracle too: every
     row's text width and typed size carried by the batch, and the file
     priced as ``records_byte_size`` prices its rows."""
 
     def checked(path, batch, size_bytes, writer_host):
-        rows = batch.rows
-        assert batch.widths == text_widths(rows), path
-        assert batch.known_sizes == record_sizes(rows), path
-        assert size_bytes == records_byte_size(rows), path
-        written.append(path)
+        if whole_rows:
+            rows = batch.rows
+            assert batch.widths == text_widths(rows), path
+            assert batch.known_sizes == record_sizes(rows), path
+            assert size_bytes == records_byte_size(rows), path
+        written.append(
+            (path.rsplit("/", 1)[-1], batch.widths, batch.known_sizes, size_bytes)
+        )
         return write(path, batch, size_bytes, writer_host)
 
     return checked
@@ -231,15 +261,21 @@ class TestTpchStages:
         for index in range(NUM_WORKERS):
             net.add_peer(f"corp-{index}")
             net.load_peer(f"corp-{index}", generator.generate_peer(index))
-        written = []
         write = Hdfs.write
+        runs = []
+        for whole_rows in (False, True):
+            written = []
 
-        def patched(hdfs, *args):
-            return checked_write(partial(write, hdfs), written)(*args)
+            def patched(hdfs, *args, written=written, whole_rows=whole_rows):
+                return checked_write(partial(write, hdfs), written, whole_rows)(*args)
 
-        monkeypatch.setattr(Hdfs, "write", patched)
-        result = net.execute(query(), engine="mapreduce")
-        assert result.records
+            monkeypatch.setattr(Hdfs, "write", patched)
+            if whole_rows:
+                keep_every_column(monkeypatch)
+            runs.append((net.execute(query(), engine="mapreduce"), written))
+        (pruned, pruned_written), (result, written) = runs
+        assert result.records and pruned.records == result.records
+        assert pruned_written == written
         joins = len(SmsPlanner(TPCH_SCHEMAS).compile(query()).joins)
         assert len(written) == joins > 0
 

@@ -7,10 +7,12 @@ rights in merge-sort key order and runs the stage's residual over the
 pairs' halves, concatenating only the pairs it keeps.  The oracle here is
 the reducer as it was: ``(tag, row)`` pairs, every pair concatenated, then
 the joined rows filtered.  Rows, widths, sizes and the first error must be
-the same.  ``key_order`` sorts keys of one type by ``repr`` alone; the
+the same, and a reducer that keeps only the selected column must give
+that column of the same rows, with the same widths, sizes and first error.  ``key_order`` sorts keys of one type by ``repr`` alone; the
 oracle is the ``_sortable`` sort.
 """
 
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,17 +21,12 @@ from repro.errors import MapReduceError, SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
 from repro.mapreduce import InputSplit, MapReduceEngine, MapReduceJob, SplitData
 from repro.mapreduce.job import _sortable, key_order, record_sizes
-from repro.plan.driver import (
-    TAGGED_ROW_BYTES,
-    _join_map,
-    _join_reduce,
-    lower_join_stage,
-)
+from repro.plan.driver import TAGGED_ROW_BYTES, _join_map, _join_stage, lower_join_stage
 from repro.plan.sms import SmsPlanner
 from repro.sim import SimNetwork
 from repro.sqlengine import Column, ColumnType, TableSchema
 from repro.sqlengine.batch import ColumnBatch, LazyColumns, positions_by_key, text_widths
-from tests.property.test_wire_pricing import join_runs
+from tests.property.test_wire_pricing import join_runs, whole_row_reducer
 
 A = TableSchema("a", [
     Column("id", ColumnType.INTEGER),
@@ -41,9 +38,15 @@ SCHEMAS = {"a": A, "b": B}
 
 
 def lowered_stage(sql):
+    """The stage's whole-row lowering, and its reducer keeping ``a.id``,
+    over rows laid out as the tables are (whichever columns the planner
+    pushes down)."""
     plan = SmsPlanner(SCHEMAS).compile(sql)
     (stage,) = plan.joins
-    return lower_join_stage(stage, list(plan.base.columns))
+    stage = replace(stage, right=replace(stage.right, columns=["b.fid", "b.w"]))
+    columns = ["a.id", "a.v", "a.s"]
+    _, keeping_id, _ = _join_stage(stage, columns, len(columns), {"a.id"})
+    return lower_join_stage(stage, columns), keeping_id
 
 
 def concatenate_then_filter(residual, keys, tagged, width):
@@ -107,28 +110,33 @@ PREDICATES = [
 
 
 def reduce_and_oracle(tagged, predicate):
-    """(the reducer's outcome, the oracle's) over ``tagged``, the reducer
-    given one run (a batch of its rows) per stretch of one side."""
-    left_key, right_key, columns, residual = lowered_stage(
+    """(the reducer's outcome, the oracle's, the ``a.id``-keeping reducer's)
+    over ``tagged``, each reducer given one run (a batch of its rows) per
+    stretch of one side."""
+    (left_key, right_key, columns, residual), keeping_id = lowered_stage(
         f"SELECT a.id FROM a, b WHERE a.id = b.fid AND {predicate}"
     )
     keys = [row[left_key if tag == "L" else right_key] for tag, row in tagged]
     rows = [row for _, row in tagged]
     sizes = [width + TAGGED_ROW_BYTES for width in text_widths(rows)]
     runs = join_runs(tagged, {"L": 3, "R": 2})
-    reduce_input = _join_reduce(residual, ["a.id", "a.v", "a.s", "b.fid", "b.w"], 3)
+    reduce_input = whole_row_reducer(residual, columns, 3)
     got = outcome(lambda: reduce_input(keys, sizes, runs))
     want = outcome(lambda: concatenate_then_filter(residual, keys, tagged, len(columns)))
-    return got, want
+    kept = outcome(lambda: keeping_id(keys, sizes, runs))
+    return got, want, kept
 
 
-def assert_same(got, want):
+def assert_same(got, want, kept):
     if isinstance(want, str):
-        assert got == want
+        assert got == want == kept
     else:
         assert got.rows == want
         assert got.widths == text_widths(want)
         assert got.known_sizes == record_sizes(want)
+        assert kept.columns == ["a.id"]
+        assert kept.rows == [row[:1] for row in want]
+        assert kept.widths == got.widths and kept.known_sizes == got.known_sizes
 
 
 class TestResidualBeforeConcatenation:
@@ -176,7 +184,7 @@ def join_job(splits, num_reducers):
         "join",
         splits,
         map_fn=_join_map(0, 0),
-        reduce_fn=_join_reduce(None, ["l.k", "l.v", "r.k", "r.v"], 2),
+        reduce_fn=whole_row_reducer(None, ["l.k", "l.v", "r.k", "r.v"], 2),
         num_reducers=num_reducers,
     )
 

@@ -10,19 +10,25 @@ the tuple-text identity; a row's typed size (what a stage file is priced
 by) is likewise priced once per batch and summed through joins.  The loops
 those replaced live on here as the oracles: the per-value record price,
 ``len(str(row))`` and the per-pair shuffle.  Batching may change speed only — never a byte, a transfer, its
-order, or an output row.
+order, or an output row.  Nor may keeping fewer of a joined row's columns
+change its width or size, nor remembering a key's reducer change where the
+key goes.
 """
 
+import datetime
 import enum
+import math
 import zlib
 from itertools import groupby
 from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.mapreduce.engine as engine_module
 from repro.mapreduce import InputSplit, MapReduceEngine, MapReduceJob, SplitData
 from repro.mapreduce.engine import records_byte_size
-from repro.mapreduce.job import _sortable, record_sizes
+from repro.mapreduce.job import MapOutput, _sortable, record_sizes
 from repro.plan.driver import TAGGED_ROW_BYTES, _join_map, _join_reduce
 from repro.sim import SimNetwork
 from repro.sqlengine.batch import (
@@ -69,6 +75,20 @@ def join_runs(tagged, widths):
     return runs
 
 
+def whole_row_reducer(residual, columns, left_width):
+    """The join reducer keeping every column: ``left_width`` columns a
+    left row, the rest of ``columns`` a right one."""
+    right_width = len(columns) - left_width
+    return _join_reduce(
+        residual,
+        columns,
+        range(left_width),
+        range(right_width),
+        range(len(columns)),
+        (left_width, right_width),
+    )
+
+
 class Code(int):
     """An int subclass: still 8 bytes, but not one of the exact numeric kinds."""
 
@@ -94,6 +114,17 @@ TAGGED_ROWS = st.lists(
     st.tuples(st.sampled_from("LR"), st.lists(SCALARS, max_size=4).map(tuple)),
     max_size=20,
 )
+#: One vector of any kinds: NULL, bools, ints and int subclasses, floats,
+#: text, tuples and dates.
+MIXED_VECTOR = st.lists(
+    st.one_of(
+        SCALARS,
+        st.dates(),
+        st.tuples(SCALARS, st.sampled_from("LR")),
+        st.sampled_from([1, 1.0, True, -0.0]),
+    ),
+    max_size=12,
+)
 RECORDS = st.one_of(
     FLAT_ROWS,
     RAGGED_ROWS,
@@ -116,6 +147,13 @@ class TestOnePricer:
         assert wire_size(vector) == sum(map(value_byte_size, vector))
         assert wire_size(tuple(vector)) == wire_size(vector)
         assert value_sizes(vector) == list(map(value_byte_size, vector))
+
+    @settings(max_examples=300, deadline=None)
+    @given(MIXED_VECTOR, MIXED_VECTOR)
+    def test_the_price_of_two_vectors_joined_is_their_prices_summed(self, a, b):
+        # The shuffle sums a lane's routed chunks instead of pricing the
+        # lane whole, whichever kinds each chunk holds.
+        assert wire_size(a + b) == wire_size(a) + wire_size(b)
 
     @settings(max_examples=400, deadline=None)
     @given(RECORDS)
@@ -255,7 +293,7 @@ class TestRowWidths:
         halves = [row for _, row in tagged]
         sizes = [width + TAGGED_ROW_BYTES for width in text_widths(halves)]
         columns = [f"c{k}" for k in range(nl + nr + 2)]
-        output = _join_reduce(None, columns, nl + 1)(
+        output = whole_row_reducer(None, columns, nl + 1)(
             keys, sizes, join_runs(tagged, {"L": nl + 1, "R": nr + 1})
         )
         assert output.rows == [
@@ -267,6 +305,45 @@ class TestRowWidths:
         assert output.columns == columns
         assert output.widths == text_widths(output.rows)
         assert output.known_sizes == [by_value_byte_size([row]) for row in output.rows]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.sampled_from("LR"), st.integers(0, 3), ROWS), max_size=16),
+        st.integers(min_value=0, max_value=3),
+        st.integers(min_value=0, max_value=3),
+        st.data(),
+    )
+    def test_any_kept_subset_carries_the_whole_rows_widths_and_sizes(
+        self, inputs, nl, nr, data
+    ):
+        """A reducer that stacks some columns of each side and keeps some of
+        those gives the whole rows' columns at those positions, with the
+        whole rows' widths and typed sizes."""
+        tagged = [
+            (tag, (key,) + (row + (None,) * 4)[: (nl if tag == "L" else nr)])
+            for tag, key, row in inputs
+        ]
+        keys = [row[0] for _, row in tagged]
+        sizes = [width + TAGGED_ROW_BYTES for width in text_widths([r for _, r in tagged])]
+        runs = join_runs(tagged, {"L": nl + 1, "R": nr + 1})
+        whole = whole_row_reducer(None, [f"c{k}" for k in range(nl + nr + 2)], nl + 1)(
+            keys, sizes, runs
+        )
+        subset = lambda n: st.lists(st.integers(0, n - 1), unique=True).map(sorted)  # noqa: E731
+        left = data.draw(subset(nl + 1))
+        right = data.draw(subset(nr + 1))
+        stacked = left + [nl + 1 + k for k in right]
+        output = data.draw(subset(len(stacked))) if stacked else []
+        columns = [f"c{stacked[k]}" for k in output]
+        kept = _join_reduce(None, columns, left, right, output, (nl + 1, nr + 1))(
+            keys, sizes, runs
+        )
+        assert kept.columns == columns
+        assert kept.rows == [
+            tuple(row[stacked[k]] for k in output) for row in whole.rows
+        ]
+        assert kept.widths == whole.widths
+        assert kept.known_sizes == whole.known_sizes
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -423,3 +500,87 @@ class TestPartitioning:
             assert expected == tuple(
                 MapReduceEngine._partition_of(key, n) for n in (5, 7)
             ), key
+
+
+def routed_to(engine, keys, num_reducers):
+    """Each of ``keys``'s reducer, as one map output's shuffle routes it."""
+    job = MapReduceJob(
+        "route",
+        [InputSplit("w0", lambda: None)],
+        map_fn=None,
+        reduce_fn=lambda keys, sizes, runs: None,
+        num_reducers=num_reducers,
+    )
+    output = MapOutput(keys, records_of([(key,) for key in keys]), [1] * len(keys))
+    inputs, _, _ = engine._shuffle(job, [("w0", output)])
+    where = {}
+    for reducer, (_, _, runs) in enumerate(inputs):
+        for _, _, positions in runs:
+            where.update(dict.fromkeys(positions, reducer))
+    return [where[position] for position in range(len(keys))]
+
+
+def crc32_reducer(key, num_reducers):
+    return zlib.crc32(repr(canonical_key(key)).encode("utf-8")) % num_reducers
+
+
+#: Keys that are equal across types (1, 1.0, True; 0.0, -0.0), NaN (never
+#: equal, even to itself), tuples, text and dates.
+MEMO_KEYS = [
+    1, 1.0, True, 0.0, -0.0, 0, False, float("nan"), float("nan"), 2.5,
+    (1, "a"), (1.0, "a"), (True,), (), "a", "1", "",
+    datetime.date(1995, 3, 15), "1995-03-15", None, (None, 2.0),
+]
+
+
+class TestPartitionMemo:
+    """The shuffle remembers each key's reducer, process-wide, per reducer
+    count; a remembered reducer is the one ``_partition_of`` gives."""
+
+    @pytest.fixture
+    def memo(self, monkeypatch):
+        memo = {}
+        monkeypatch.setattr(engine_module, "_REDUCER_OF", memo)
+        return memo
+
+    def engine(self):
+        network = SimNetwork()
+        network.add_host("w0")
+        return MapReduceEngine(["w0"], network)
+
+    @pytest.mark.parametrize("num_reducers", [1, 2, 5, 7])
+    def test_a_remembered_reducer_is_the_crc32_of_the_canonical_key(
+        self, memo, num_reducers
+    ):
+        engine = self.engine()
+        want = [crc32_reducer(key, num_reducers) for key in MEMO_KEYS]
+        assert routed_to(engine, MEMO_KEYS, num_reducers) == want  # cold
+        assert routed_to(engine, MEMO_KEYS, num_reducers) == want  # warm
+        # Keys met first as another spelling hit the same entry.
+        assert routed_to(engine, MEMO_KEYS[::-1], num_reducers) == want[::-1]
+        assert set(memo) == {num_reducers}
+        for key, reducer in memo[num_reducers].items():
+            assert reducer == crc32_reducer(key, num_reducers)
+        # 1, 1.0 and True are one entry; so are 0, 0.0, -0.0 and False.
+        assert sum(isinstance(key, (int, float)) and key == 1 for key in memo[num_reducers]) == 1
+        assert sum(isinstance(key, (int, float)) and key == 0 for key in memo[num_reducers]) == 1
+        assert sum(isinstance(k, float) and math.isnan(k) for k in memo[num_reducers]) == 2
+
+    def test_each_reducer_count_has_its_own_memo(self, memo):
+        engine = self.engine()
+        for num_reducers in (3, 4):
+            assert routed_to(engine, ["FRANCE", 42], num_reducers) == [
+                crc32_reducer("FRANCE", num_reducers),
+                crc32_reducer(42, num_reducers),
+            ]
+        assert sorted(memo) == [3, 4]
+
+    def test_a_memo_past_its_cap_is_cleared(self, memo, monkeypatch):
+        monkeypatch.setattr(engine_module, "PARTITION_MEMO_CAP", 3)
+        engine = self.engine()
+        routed_to(engine, [1, 2, 3], 5)
+        assert set(memo[5]) == {1, 2, 3}  # at the cap: kept
+        routed_to(engine, [4], 5)
+        assert set(memo[5]) == {1, 2, 3, 4}  # past it now
+        assert routed_to(engine, [9, 1], 5) == [crc32_reducer(k, 5) for k in (9, 1)]
+        assert set(memo[5]) == {9, 1}  # cleared before the lookup
