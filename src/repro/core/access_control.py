@@ -18,6 +18,7 @@ range (the paper's Role_sales example).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.errors import AccessControlError
@@ -187,7 +188,10 @@ class AccessController:
         condition returns NULL outside the range (values "are marked as
         NULL", §4.4).  Masking works a column at a time and builds new
         vectors — the batch's own may be the owner table's storage — while
-        an unrestricted column passes through as the same vector.
+        an unrestricted column passes through as the same vector.  When
+        every column passes through, the batch itself is returned, so an
+        owner's remembered result reaches the query peer as that same
+        object (DESIGN.md §5 decision 20).
         """
         role = self.role_of(user)
         vectors: List[Sequence[object]] = []
@@ -199,6 +203,8 @@ class AccessController:
                 vectors.append(vector)
             else:
                 vectors.append(_mask_outside(vector, access_rule))
+        if len(vectors) == len(batch.vectors) and all(map(is_, vectors, batch.vectors)):
+            return batch
         return ColumnBatch(batch.columns, vectors, len(batch))
 
     def check_readable(self, user: str, table: str, columns: Sequence[str]) -> bool:

@@ -24,8 +24,10 @@ Optimizations, as in the paper:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import compress, count
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from operator import is_
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.accesscheck import require_unrestricted_read, unrestricted_read
 from repro.core.bloom import BloomFilter
@@ -73,19 +75,38 @@ def _process_fetched(
     """The processing phase (§5.2) over the batches fetched per binding:
     the final result, and the MemTable spills and rows that staging them
     in MemTables of ``capacity`` bytes costs.  The final plan scans each
-    binding's batches in place."""
+    binding's batches in place.
+
+    A batch never changes, so processing is a function of the batch
+    objects and ``capacity``: the plan keeps its last run, and a repeat
+    over the same objects (``is``) at the same capacity replays the same
+    immutable batch with a fresh copy of its ``ExecStats`` (DESIGN.md §5
+    decision 20).  Errors are not kept."""
+    held = tuple(tuple(fetched[local_plan.binding]) for local_plan in plan.local_plans)
+    last = plan.last_processed
+    if (
+        last is not None
+        and last[1] == capacity
+        and all(
+            len(was) == len(now) and all(map(is_, was, now))
+            for was, now in zip(last[0], held)
+        )
+    ):
+        _, _, batch, stats, spills, staged = last
+        return QueryResult(batch, replace(stats)), spills, staged
     schemas, processing = planner.processing_plan(plan)
     catalog: Dict[str, ColumnRelation] = {}
     spills = 0
-    for local_plan, schema in zip(plan.local_plans, schemas):
-        batches = fetched[local_plan.binding]
+    for local_plan, schema, batches in zip(plan.local_plans, schemas, held):
         catalog[local_plan.binding] = relation = ColumnRelation(schema, batches)
         spills += _spills(relation, batches, capacity)
     _, batch, stats = VectorizedExecutor(catalog).execute(processing)
-    return QueryResult(batch, stats), spills, sum(map(len, catalog.values()))
+    staged = sum(map(len, catalog.values()))
+    plan.last_processed = held, capacity, batch, replace(stats), spills, staged
+    return QueryResult(batch, stats), spills, staged
 
 
-def _spills(relation: ColumnRelation, batches: List[ColumnBatch], capacity: int) -> int:
+def _spills(relation: ColumnRelation, batches: Sequence[ColumnBatch], capacity: int) -> int:
     """How often a MemTable of ``capacity`` bytes spills staging ``relation``,
     the fetched ``batches``: where a row buffer would, each time the typed
     size of the rows buffered since the last spill reaches ``capacity``, and

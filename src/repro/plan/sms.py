@@ -118,6 +118,13 @@ class DistributedPlan:
     processing: Optional[tuple] = field(
         default=None, init=False, compare=False, repr=False
     )
+    #: The basic engine's last processing over this plan's fetched batches,
+    #: kept by ``engine_basic._process_fetched`` to replay a repeat over the
+    #: same batch objects (DESIGN.md §5 decision 20).  Not part of the
+    #: identity.
+    last_processed: Optional[tuple] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def local_plans(self) -> List[TableLocalPlan]:

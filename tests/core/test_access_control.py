@@ -146,6 +146,14 @@ class TestAccessController:
         assert batch.rows == [(5.0, 50.0, "1998-01-01"), (6.0, 250.0, "1998-02-02")]
         assert masked.vectors[:2] == [[None, None], [50.0, None]]
         assert masked.vectors[2] is vectors[2]
+        assert masked is not batch
+
+    def test_an_unrestricted_rewrite_hands_on_the_batch_itself(self, controller):
+        # An owner's remembered result reaches the query peer as the same
+        # object, so the query peer can tell a repeat by identity.
+        columns = ["l_shipdate"]
+        batch = ColumnBatch(columns, [["1998-01-01", "1998-02-02"]], 2)
+        assert controller.rewrite_rows("alice", "lineitem", columns, batch) is batch
 
     def test_check_readable(self, controller):
         assert controller.check_readable(

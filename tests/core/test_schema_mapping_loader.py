@@ -490,6 +490,27 @@ class TestRefreshCostsWhatChanged:
         assert (len(inserts), len(deletes)) == (1, 1)
 
 
+def test_two_chained_updates_count_as_their_multiset_difference():
+    """Two clones of one row differ only in a counter, ``a`` and ``a + 1``;
+    the next snapshot bumps each by one.  As multisets the snapshots differ
+    in one deleted row (``a``) and one inserted row (``a + 2``): ``a + 1``
+    is in both.  A script that counts two changes per update expects 4."""
+    schema = TableSchema(
+        "stock",
+        [Column("part", ColumnType.INTEGER), Column("qty", ColumnType.INTEGER)],
+    )
+    network = BestPeerNetwork({"stock": schema})
+    network.add_peer("p0")
+    kept = [(1, 10), (2, 20)]
+    network.load_peer("p0", {"stock": kept + [(7, 500), (7, 501)]})
+    delta = network.refresh_peer("p0", "stock", kept + [(7, 501), (7, 502)])
+    assert (delta.inserted, delta.deleted) == ([(7, 502)], [(7, 500)])
+    assert delta.change_count == 2
+    assert sorted(network.peers["p0"].database.table("stock").rows()) == sorted(
+        kept + [(7, 501), (7, 502)]
+    )
+
+
 class TestRefreshTellsTheStatisticsModule:
     """Eq. 1-11 read ``network.statistics``; it must follow the data."""
 

@@ -8,8 +8,9 @@ fail-overs, re-fetches) rather than silently skipped.
 
 import pytest
 
-from repro.core import BestPeerNetwork
+from repro.core import BestPeerNetwork, engine_basic
 from repro.sim import ChaosHarness, FaultPlan, LinkFault, Outage
+from repro.sqlengine.vexecutor import VectorizedExecutor
 from repro.tpch import (
     Q1,
     Q2,
@@ -111,6 +112,32 @@ class TestEquivalence:
         assert (
             chaotic.outcomes[0].latency_s > baseline.outcomes[0].latency_s
         )
+
+
+class TestRepeatedQueryUnderChaos:
+    def test_a_repeat_answers_as_the_first_run(self, monkeypatch):
+        # The basic engine's query peer replays a repeat over the batches it
+        # fetched before; under every plan a repeat answers as the first run
+        # did, and fault-free it did replay.
+        planned = []
+
+        class Counting(VectorizedExecutor):
+            def execute(self, plan):
+                planned.append(plan)
+                return super().execute(plan)
+
+        monkeypatch.setattr(engine_basic, "VectorizedExecutor", Counting)
+        h = harness(queries=[Q4(), Q4()])
+        baseline = h.run(None)
+        assert len(planned) == 1
+        assert baseline.outcomes[0].rows
+        for plan in (drop_plan(), outage_plan(), crash_plan()):
+            run = h.run(plan)
+            assert run.wire.total > 0, plan.seed
+            for outcome in run.outcomes:
+                assert (outcome.columns, outcome.rows) == (
+                    baseline.outcomes[0].columns, baseline.outcomes[0].rows
+                ), plan.seed
 
 
 class TestDeterminism:
