@@ -348,9 +348,6 @@ class ReplicatedOverlay:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _node_ids(self) -> List[str]:
-        return [node.node_id for node in self.overlay.nodes()]
-
     def _current_ranges(self) -> Dict[str, object]:
         return {node.node_id: node.r0 for node in self.overlay.nodes()}
 
@@ -362,16 +359,6 @@ class ReplicatedOverlay:
             ]
             for index, node in enumerate(nodes)
         }
-
-    def _replica_holders(self, node: BatonNode) -> List[BatonNode]:
-        """The in-order neighbours that hold copies of ``node``'s items."""
-        nodes = self.overlay.nodes()
-        index = next(
-            position
-            for position, candidate in enumerate(nodes)
-            if candidate is node
-        )
-        return self._holders_at(nodes, index)
 
     def _holders_at(
         self, nodes: List[BatonNode], index: int

@@ -84,12 +84,6 @@ class AdaptiveEngine:
         self.last_decision: Optional[AdaptiveDecision] = None
 
     # ------------------------------------------------------------------
-    # Statistics registration (fed by the bootstrap's statistics module)
-    # ------------------------------------------------------------------
-    def register_statistics(self, stats: TableStatistics) -> None:
-        self.statistics[stats.table.lower()] = stats
-
-    # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------
     def execute(

@@ -82,12 +82,6 @@ class Bucket:
             volume *= width
         return volume
 
-    def contains_point(self, point: Sequence[float]) -> bool:
-        return all(
-            low <= value <= high
-            for low, high, value in zip(self.lows, self.highs, point)
-        )
-
 
 class Histogram:
     """An MHIST multi-dimensional histogram over numeric columns."""

@@ -17,7 +17,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.hdfs import Hdfs
-from repro.mapreduce.job import JobResult, MapOutput, MapReduceJob, PhaseTimings, Run
+from repro.mapreduce.job import (
+    JobRecord,
+    JobResult,
+    Lane,
+    MapReduceJob,
+    PhaseTimings,
+    Run,
+    SplitData,
+)
 from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
 from repro.sqlengine.batch import ColumnBatch, wire_size
@@ -99,66 +107,101 @@ class MapReduceEngine:
     # ------------------------------------------------------------------
     # Job execution
     # ------------------------------------------------------------------
-    def run_job(self, job: MapReduceJob) -> JobResult:
-        """Execute one job; returns real output with simulated timings."""
+    def run_job(
+        self,
+        job: MapReduceJob,
+        inputs: Optional[List[SplitData]] = None,
+        replay: Optional[JobRecord] = None,
+    ) -> JobResult:
+        """Execute one job; returns real output with simulated timings.
+
+        ``inputs`` are its splits' data, fetched in split order by the
+        caller (``None``: fetched here); a job fetches every split before
+        it maps any.  ``replay`` is the :attr:`JobResult.record` of a run
+        over the same inputs: the map, route and reduce functions are
+        skipped, and only what the simulated clock, the network and HDFS
+        see is issued again in the recorded order — each lane's transfer
+        with its recorded bytes, the output file's write — so the result
+        and its timings are that run's (DESIGN.md §5 decision 21).
+        """
         timings = PhaseTimings()
         timings.startup_s = (
             self.config.job_startup_s
             + self.config.per_task_schedule_s
             * (len(job.splits) + (job.num_reducers if job.reduce_fn else 0))
         )
+        if inputs is None:
+            inputs = [split.fetch() for split in job.splits]
+        timings.map_s = self._map_seconds(job, inputs)
 
-        map_outputs, timings.map_s = self._run_map_phase(job)
-
-        if job.reduce_fn is None:
-            batch = ColumnBatch.concat([output.batch for _, output in map_outputs])
-            bytes_shuffled = 0
-            reduce_tasks = 0
+        if replay is None:
+            record = self._execute(job, inputs, timings)
         else:
-            inputs, bytes_shuffled, timings.shuffle_s = self._shuffle(
-                job, map_outputs
+            record = replay
+            if job.reduce_fn is not None:
+                timings.shuffle_s = self._ship(job, record.lanes)
+        if job.reduce_fn is not None:
+            timings.reduce_s = parallel_duration(
+                *(
+                    rows * self.config.reduce_cpu_per_record_s
+                    for rows in record.reducer_rows
+                )
             )
-            batch, timings.reduce_s = self._run_reduce_phase(job, inputs)
-            reduce_tasks = job.num_reducers
 
         if job.output_path is not None:
             if self.hdfs is None:
                 raise MapReduceError(
                     f"job {job.name!r} writes to HDFS but none is mounted"
                 )
+            timings.hdfs_write_s = self.hdfs.write(
+                job.output_path, record.batch, record.size_bytes,
+                self._reducer_host(0),
+            )
+
+        return JobResult(
+            job_name=job.name,
+            batch=record.batch,
+            timings=timings,
+            bytes_shuffled=sum(nbytes for _, _, nbytes in record.lanes),
+            map_tasks=len(job.splits),
+            reduce_tasks=job.num_reducers if job.reduce_fn else 0,
+            record=record,
+        )
+
+    def _execute(
+        self, job: MapReduceJob, inputs: List[SplitData], timings: PhaseTimings
+    ) -> JobRecord:
+        """Map every split, route and ship the map outputs, reduce; sets the
+        shuffle phase's duration and returns what a replay needs."""
+        map_outputs = [
+            (split.host, job.map_fn(data)) for split, data in zip(job.splits, inputs)
+        ]
+        if job.reduce_fn is None:
+            batch = ColumnBatch.concat([output.batch for _, output in map_outputs])
+            lanes, reducer_rows = [], []
+        else:
+            reducer_inputs, lanes = self._shuffle(job, map_outputs)
+            timings.shuffle_s = self._ship(job, lanes)
+            batch, reducer_rows = self._run_reduce_phase(job, reducer_inputs)
+        size_bytes = None
+        if job.output_path is not None:
             # A file whose rows' typed sizes the reducers knew is priced by
             # their sum, the same integer records_byte_size would give.
             sizes = batch.known_sizes
             size_bytes = (
                 records_byte_size(batch.rows) if sizes is None else sum(sizes)
             )
-            timings.hdfs_write_s = self.hdfs.write(
-                job.output_path, batch, size_bytes, self._reducer_host(0)
-            )
-
-        return JobResult(
-            job_name=job.name,
-            batch=batch,
-            timings=timings,
-            bytes_shuffled=bytes_shuffled,
-            map_tasks=len(job.splits),
-            reduce_tasks=reduce_tasks,
-        )
+        return JobRecord(batch, tuple(lanes), tuple(reducer_rows), size_bytes)
 
     # ------------------------------------------------------------------
     # Phases
     # ------------------------------------------------------------------
-    def _run_map_phase(self, job: MapReduceJob):
-        """Run every map task; returns ([(host, MapOutput)], phase duration).
-
-        Tasks on different hosts run in parallel; multiple splits landing on
-        the same host queue behind its map slots.
-        """
+    def _map_seconds(self, job: MapReduceJob, inputs: List[SplitData]) -> float:
+        """The map phase's duration: tasks on different hosts run in
+        parallel; multiple splits landing on the same host queue behind its
+        map slots."""
         per_host_seconds: Dict[str, float] = {}
-        outputs: List[Tuple[str, MapOutput]] = []
-        for split in job.splits:
-            data = split.fetch()
-            outputs.append((split.host, job.map_fn(data)))
+        for split, data in zip(job.splits, inputs):
             task_seconds = (
                 data.local_seconds
                 + len(data.batch) * self.config.map_cpu_per_record_s
@@ -167,21 +210,20 @@ class MapReduceEngine:
                 per_host_seconds.get(split.host, 0.0) + task_seconds
             )
         slots = self.config.map_slots_per_host
-        duration = parallel_duration(
+        return parallel_duration(
             *(seconds / slots for seconds in per_host_seconds.values())
         )
-        return outputs, duration
 
-    def _shuffle(self, job: MapReduceJob, map_outputs):
-        """Route every map output to its reducer over the network.
+    def _shuffle(self, job: MapReduceJob, map_outputs) -> Tuple[list, List[Lane]]:
+        """Route every map output to its reducer.
 
         Returns each reducer's input — ``(keys, sizes, runs)`` in arrival
         order: split by split, position by position, one ``(side, batch,
-        positions)`` run per map output routed there — the bytes shipped
-        and the phase duration.  One wire transfer per non-empty (mapper
-        host, reducer) lane, in sorted lane order, priced as the sum of its
-        routed chunks' ``wire_size(keys) + sum(sizes)`` (``wire_size`` is a
-        per-value sum, so that is the lane's keys and sizes priced whole).
+        positions)`` run per map output routed there — and the lanes to
+        ship, :meth:`_ship`'s input.  One lane per non-empty (mapper host,
+        reducer), in sorted order, priced as the sum of its routed chunks'
+        ``wire_size(keys) + sum(sizes)`` (``wire_size`` is a per-value sum,
+        so that is the lane's keys and sizes priced whole).
         """
         num_reducers = job.num_reducers
         inputs: List[Tuple[list, list, List[Run]]] = [
@@ -218,31 +260,36 @@ class MapReduceEngine:
                     + wire_size(routed_keys)
                     + sum(routed_sizes)
                 )
+        return inputs, [
+            (host, reducer, nbytes)
+            for (host, reducer), nbytes in sorted(lane_bytes.items())
+        ]
 
-        per_reducer_seconds = [0.0] * num_reducers
-        for (host, reducer), nbytes in sorted(lane_bytes.items()):
+    def _ship(self, job: MapReduceJob, lanes: Sequence[Lane]) -> float:
+        """One wire transfer per lane, in order; returns the shuffle phase's
+        duration."""
+        per_reducer_seconds = [0.0] * job.num_reducers
+        for host, reducer, nbytes in lanes:
             per_reducer_seconds[reducer] += self.network.transfer(
                 host, self._reducer_host(reducer), nbytes
             )
-        duration = (
+        return (
             self.config.shuffle_notification_delay_s
             + parallel_duration(*per_reducer_seconds)
         )
-        return inputs, sum(lane_bytes.values()), duration
 
     def _run_reduce_phase(self, job: MapReduceJob, inputs):
         """Each reducer reduces its whole input, an empty one too (it
         returns an empty batch of its output's shape); returns (the
-        reducers' batches in reducer order, as one, phase duration)."""
+        reducers' batches in reducer order, as one, each reducer's rows in
+        plus rows out)."""
         batches: List[ColumnBatch] = []
-        per_reducer_seconds: List[float] = []
+        reducer_rows: List[int] = []
         for keys, sizes, runs in inputs:
             batch = job.reduce_fn(keys, sizes, runs)
-            per_reducer_seconds.append(
-                (len(keys) + len(batch)) * self.config.reduce_cpu_per_record_s
-            )
+            reducer_rows.append(len(keys) + len(batch))
             batches.append(batch)
-        return ColumnBatch.concat(batches), parallel_duration(*per_reducer_seconds)
+        return ColumnBatch.concat(batches), reducer_rows
 
     # ------------------------------------------------------------------
     # Helpers

@@ -15,7 +15,7 @@ priced by a sum, not measured again.  Jobs written one record at a time
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
@@ -59,6 +59,8 @@ MapFn = Callable[[SplitData], MapOutput]
 # One reducer's input, map output by map output: its values are the rows of
 # ``batch`` at ``positions``.
 Run = Tuple[Optional[str], ColumnBatch, List[int]]
+# A shuffle lane: (mapper host, reducer, bytes shipped).
+Lane = Tuple[str, int, int]
 # A reduce function turns one reducer's input — keys and sizes in arrival
 # order, and the runs holding their values — into its output batch.
 ReduceFn = Callable[[List[object], List[int], List[Run]], ColumnBatch]
@@ -204,6 +206,20 @@ class PhaseTimings:
         )
 
 
+@dataclass(frozen=True)
+class JobRecord:
+    """What one run of a job leaves for a run over the same inputs to give
+    again without mapping, routing or reducing: the output batch and, for
+    a file, the bytes it was priced at; each shuffle lane in the order it
+    was shipped; each reducer's rows in plus rows out.  Read-only, like
+    the batch it holds."""
+
+    batch: ColumnBatch
+    lanes: Tuple[Lane, ...] = ()
+    reducer_rows: Tuple[int, ...] = ()
+    size_bytes: Optional[int] = None
+
+
 @dataclass
 class JobResult:
     """The output batch plus the simulated cost of producing it."""
@@ -214,6 +230,8 @@ class JobResult:
     bytes_shuffled: int = 0
     map_tasks: int = 0
     reduce_tasks: int = 0
+    #: What a run over the same inputs replays (``MapReduceEngine.run_job``).
+    record: Optional[JobRecord] = field(default=None, compare=False, repr=False)
 
     @property
     def records(self) -> List[object]:

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import add, itemgetter
+from operator import add, is_, itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import MapReduceError
 from repro.mapreduce.engine import MapReduceEngine
 from repro.mapreduce.job import (
     InputSplit,
+    JobRecord,
     JobResult,
     MapOutput,
     MapReduceJob,
@@ -83,6 +84,25 @@ class DriverResult:
         return sum(job.duration_s for job in self.jobs)
 
 
+@dataclass(frozen=True)
+class ChainRecord:
+    """A plan's last run over a driver, kept on the plan
+    (``DistributedPlan.last_chain``) for a repeat to replay (DESIGN.md §5
+    decision 21).
+
+    ``key`` is the engine's class, the worker hosts, each job's reducer
+    count and each stage's kept columns; ``batches`` every table split's
+    batch in fetch order; ``jobs`` each job's :class:`JobRecord`; then the
+    final columns and records.  It holds its batches, so no new batch can
+    take one's identity."""
+
+    key: tuple
+    batches: Tuple[ColumnBatch, ...]
+    jobs: Tuple[JobRecord, ...]
+    columns: List[str]
+    records: List[tuple]
+
+
 class DistributedPlanDriver:
     """Runs compiled plans over a MapReduce engine."""
 
@@ -100,8 +120,55 @@ class DistributedPlanDriver:
     # Entry point
     # ------------------------------------------------------------------
     def run(self, plan: DistributedPlan, query_id: str) -> DriverResult:
+        """Run the plan's jobs in order, each fetching all of its splits
+        before it maps any.
+
+        A repeat replays the plan's last run job by job while every table
+        split hands back the batch object that run fetched (``is``, in
+        fetch order) under the same key: each job still fetches, ships its
+        lanes and writes its file (``MapReduceEngine.run_job``), and the
+        final records are the kept ones.  From the first job that fetched
+        another batch on, the jobs run for real and the run is kept anew.
+        A failed run leaves nothing kept.
+        """
+        fetched: List[ColumnBatch] = []
+        jobs, layouts = self._jobs(plan, query_id, fetched.append)
+        key = (
+            type(self.engine),
+            tuple(self.workers),
+            tuple(job.num_reducers for job in jobs),
+            tuple(map(tuple, layouts)),
+        )
+        last = plan.last_chain
+        if last is not None and last.key != key:
+            last = None
+        results: List[JobResult] = []
         try:
-            jobs, columns = self._run_jobs(plan, query_id)
+            for index, job in enumerate(jobs):
+                seen = len(fetched)
+                inputs = [split.fetch() for split in job.splits]
+                # the same key fetches as many table batches, job by job
+                if last is not None and not all(
+                    map(is_, fetched[seen:], last.batches[seen:])
+                ):
+                    last = None
+                results.append(
+                    self.engine.run_job(
+                        job, inputs, None if last is None else last.jobs[index]
+                    )
+                )
+            if last is None:
+                columns, records = self._finish(plan, results, layouts[-1])
+                last = plan.last_chain = ChainRecord(
+                    key,
+                    tuple(fetched),
+                    tuple(result.record for result in results),
+                    columns,
+                    records,
+                )
+        except BaseException:
+            plan.last_chain = None
+            raise
         finally:
             # The chain's stage files are the query's temporary files: gone
             # once read, or once the query failed (no simulated cost).
@@ -110,9 +177,15 @@ class DistributedPlanDriver:
                 path = _stage_path(query_id, index)
                 if hdfs is not None and hdfs.exists(path):
                     hdfs.delete(path)
+        return DriverResult(list(last.columns), list(last.records), results)
 
+    @staticmethod
+    def _finish(
+        plan: DistributedPlan, results: List[JobResult], columns: List[str]
+    ) -> Tuple[List[str], List[tuple]]:
+        """The final columns and records from the last job's output."""
         aggregate = plan.aggregate
-        records = jobs[-1].records
+        records = results[-1].records
         if aggregate is not None:
             if not records:
                 # No map output, so no reducer ran — but a scalar aggregate
@@ -121,25 +194,26 @@ class DistributedPlanDriver:
                 records, _ = aggregate_rows(aggregate, records, columns)
             columns = aggregate.output_columns
         records, columns = finalize_records(plan, records, columns)
-        return DriverResult(columns=columns, records=records, jobs=jobs)
+        return columns, records
 
-    def _run_jobs(
-        self, plan: DistributedPlan, query_id: str
-    ) -> Tuple[List[JobResult], List[str]]:
-        """The join chain, then the job that finishes the query; returns the
-        jobs and the columns the chain's output keeps."""
+    def _jobs(
+        self, plan: DistributedPlan, query_id: str, fetched
+    ) -> Tuple[List[MapReduceJob], List[List[str]]]:
+        """The join chain's jobs, then the job that finishes the query; and
+        the base's columns followed by those each join stage keeps, the
+        last being what the job after the chain reads.  A table split
+        hands each batch it fetches to ``fetched``."""
         aggregate = plan.aggregate
-        jobs, columns = self._run_join_chain(plan, query_id)
+        jobs, layouts = self._join_jobs(plan, query_id, fetched)
+        columns = layouts[-1]
         if aggregate is None:
             if not plan.joins:
                 # Q1 shape: one map-only job pushing the full selection down.
                 jobs.append(
-                    self.engine.run_job(
-                        MapReduceJob.per_record(
-                            f"{query_id}-select",
-                            self._table_splits(plan.base),
-                            map_fn=lambda row: [(None, row)],
-                        )
+                    MapReduceJob.per_record(
+                        f"{query_id}-select",
+                        self._table_splits(plan.base, fetched),
+                        map_fn=lambda row: [(None, row)],
                     )
                 )
         elif plan.joins or aggregate.partials is None:
@@ -148,21 +222,22 @@ class DistributedPlanDriver:
             splits = (
                 self._hdfs_splits(_stage_path(query_id, len(plan.joins) - 1))
                 if plan.joins
-                else self._table_splits(plan.base)
+                else self._table_splits(plan.base, fetched)
             )
-            jobs.append(self._run_aggregate_job(aggregate, splits, columns, query_id))
+            jobs.append(self._aggregate_job(aggregate, splits, columns, query_id))
         else:
-            jobs.append(self._run_partial_aggregate_job(plan, query_id))
-        return jobs, columns
+            jobs.append(self._partial_aggregate_job(plan, query_id, fetched))
+        return jobs, layouts
 
     # ------------------------------------------------------------------
     # Splits
     # ------------------------------------------------------------------
     def _table_splits(
-        self, local_plan: TableLocalPlan, tag: Optional[str] = None
+        self, local_plan: TableLocalPlan, fetched, tag: Optional[str] = None
     ) -> List[InputSplit]:
         def read(host, index):
             local = self.local_execute(host, local_plan.sql)
+            fetched(local.batch)
             return SplitData(local.batch, local.seconds, tag)
 
         return self._splits(local_plan.table, read)
@@ -189,11 +264,12 @@ class DistributedPlanDriver:
     # ------------------------------------------------------------------
     # Join chain (Q3/Q4/Q5 shapes)
     # ------------------------------------------------------------------
-    def _run_join_chain(
-        self, plan: DistributedPlan, query_id: str
-    ) -> Tuple[List[JobResult], List[str]]:
+    def _join_jobs(
+        self, plan: DistributedPlan, query_id: str, fetched
+    ) -> Tuple[List[MapReduceJob], List[List[str]]]:
         """One shuffle-join job per stage, each persisted to HDFS; returns
-        the jobs and the last stage's output columns.
+        the jobs and the base's columns followed by each stage's output
+        columns.
 
         A stage's output keeps only the columns a later step reads
         (:func:`live_stage_columns`); its rows' widths and typed sizes stay
@@ -201,24 +277,25 @@ class DistributedPlanDriver:
         is priced as if it held every column.
         """
         columns = list(plan.base.columns)
+        layouts = [columns]
         width = len(columns)  # the whole left row's
-        jobs: List[JobResult] = []
+        jobs: List[MapReduceJob] = []
         live = live_stage_columns(plan)
         for stage_index, stage in enumerate(plan.joins):
-            map_fn, reduce_fn, out_columns = _join_stage(
+            map_fn, reduce_fn, columns = _join_stage(
                 stage, columns, width, live[stage_index]
             )
             if stage_index == 0:
-                left_splits = self._table_splits(plan.base, tag="L")
+                left_splits = self._table_splits(plan.base, fetched, tag="L")
             else:
                 left_splits = self._hdfs_splits(
                     _stage_path(query_id, stage_index - 1), tag="L"
                 )
-            right_splits = self._table_splits(stage.right, tag="R")
+            right_splits = self._table_splits(stage.right, fetched, tag="R")
             # Every stage persists to HDFS ("The join results are then
             # written to HDFS", §6.1.9); the next join or the aggregation
             # job reads it back.
-            result = self.engine.run_job(
+            jobs.append(
                 MapReduceJob(
                     name=f"{query_id}-join-{stage_index}",
                     splits=left_splits + right_splits,
@@ -228,17 +305,16 @@ class DistributedPlanDriver:
                     output_path=_stage_path(query_id, stage_index),
                 )
             )
-            jobs.append(result)
-            columns = out_columns
+            layouts.append(columns)
             width += len(stage.right.columns)
-        return jobs, columns
+        return jobs, layouts
 
     # ------------------------------------------------------------------
     # Aggregation jobs
     # ------------------------------------------------------------------
-    def _run_aggregate_job(
+    def _aggregate_job(
         self, aggregate: AggregateStage, splits, columns, query_id: str
-    ) -> JobResult:
+    ) -> MapReduceJob:
         """Shuffle rows by group key; each reducer aggregates its groups.
 
         One job for both callers: after a join chain the splits read the
@@ -274,17 +350,17 @@ class DistributedPlanDriver:
             out, groups = grouped(cols, len(arranged))
             return ColumnBatch(names, out, groups)
 
-        return self.engine.run_job(
-            MapReduceJob(
-                f"{query_id}-aggregate",
-                splits,
-                map_split,
-                reduce_input,
-                num_reducers=len(self.workers),
-            )
+        return MapReduceJob(
+            f"{query_id}-aggregate",
+            splits,
+            map_split,
+            reduce_input,
+            num_reducers=len(self.workers),
         )
 
-    def _run_partial_aggregate_job(self, plan: DistributedPlan, query_id: str):
+    def _partial_aggregate_job(
+        self, plan: DistributedPlan, query_id: str, fetched
+    ) -> MapReduceJob:
         """The Q2 path: maps compute partial aggregates via local SQL; the
         reduce round merges them."""
         group_count = len(plan.aggregate.group_exprs)
@@ -296,16 +372,14 @@ class DistributedPlanDriver:
         def partial_reduce(key, partial_rows):
             return [tuple(key) + merge(partial_rows)]
 
-        return self.engine.run_job(
-            MapReduceJob.per_record(
-                f"{query_id}-partial-aggregate",
-                self._table_splits(partial_aggregate_plan(plan)),
-                map_fn=partial_map,
-                reduce_fn=partial_reduce,
-                # A scalar aggregate has a single group; more reducers would
-                # sit idle.
-                num_reducers=1 if group_count == 0 else len(self.workers),
-            )
+        return MapReduceJob.per_record(
+            f"{query_id}-partial-aggregate",
+            self._table_splits(partial_aggregate_plan(plan), fetched),
+            map_fn=partial_map,
+            reduce_fn=partial_reduce,
+            # A scalar aggregate has a single group; more reducers would
+            # sit idle.
+            num_reducers=1 if group_count == 0 else len(self.workers),
         )
 
 

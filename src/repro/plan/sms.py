@@ -125,6 +125,13 @@ class DistributedPlan:
     last_processed: Optional[tuple] = field(
         default=None, init=False, compare=False, repr=False
     )
+    #: The last run of this plan's MapReduce job chain, kept by
+    #: ``DistributedPlanDriver.run`` (a ``ChainRecord``) to replay a repeat
+    #: whose table splits hand back the same batch objects (DESIGN.md §5
+    #: decision 21).  Not part of the identity.
+    last_chain: Optional[object] = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     @property
     def local_plans(self) -> List[TableLocalPlan]:

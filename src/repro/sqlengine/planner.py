@@ -143,17 +143,23 @@ def order_resolvable(items, order_by) -> bool:
     (keys read the projected row, aliases included) or below it (keys read
     the rows being projected, dropped columns included).
     """
-    output_names = set()
+    output_names: Dict[str, int] = {}
     for item in items:
         if item.is_star:
             # A star projection keeps every input column; anything the
             # sort references will still be present.
             return True
-        output_names.add(item.output_name().lower())
+        name = item.output_name().lower()
+        output_names[name] = output_names.get(name, 0) + 1
     for order_item in order_by:
         for name in order_item.expr.referenced_columns():
-            bare = name.lower().rsplit(".", 1)[-1]
+            lowered = name.lower()
+            bare = lowered.rsplit(".", 1)[-1]
             if bare not in output_names:
+                return False
+            if output_names[bare] > 1 and "." in lowered:
+                # ``n1.n_name`` over two projected ``n_name``s: below the
+                # projection it reads the very column its select item names.
                 return False
     return True
 

@@ -246,6 +246,47 @@ class TestSelfJoin:
         assert net.execute(sql, engine=engine).records == expected
 
 
+    # Two projected columns share the name n_name: a qualified ORDER BY key
+    # sorts by the one its select item names, not "ambiguous column name".
+    ORDERED = (
+        "SELECT n1.n_name, n2.n_name FROM nation n1, nation n2 "
+        "WHERE n1.n_regionkey = n2.n_regionkey AND n1.n_nationkey <> n2.n_nationkey "
+        "ORDER BY {}"
+    )
+    ORDERS = {
+        "n1.n_name, n2.n_name": [
+            ("CHINA", "JAPAN"), ("FRANCE", "GERMANY"),
+            ("GERMANY", "FRANCE"), ("JAPAN", "CHINA"),
+        ],
+        "n2.n_name, n1.n_name DESC": [
+            ("CHINA", "JAPAN"), ("FRANCE", "GERMANY"),
+            ("GERMANY", "FRANCE"), ("JAPAN", "CHINA"),
+        ][::-1],
+    }
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    def test_a_qualified_order_key_in_a_local_database(self, order):
+        oracle = Database()
+        oracle.create_table(TPCH_SCHEMAS["nation"]).insert_many(
+            [row + ("",) for row in self.NATION]
+        )
+        result = oracle.execute(self.ORDERED.format(order))
+        assert result.rows == self.ORDERS[order]
+        assert result.columns == ["n_name", "n_name"]
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_a_qualified_order_key_through_an_engine(self, engine, order):
+        net = BestPeerNetwork({"nation": TPCH_SCHEMAS["nation"]})
+        rows = [row + ("",) for row in self.NATION]
+        for index in range(2):
+            net.add_peer(f"p{index}")
+            net.load_peer(f"p{index}", {"nation": rows[index::2]})
+        result = net.execute(self.ORDERED.format(order), engine=engine)
+        assert result.records == self.ORDERS[order]
+        assert result.columns == ["n_name", "n_name"]
+
+
 class TestSinglePeerOptimization:
     def test_whole_query_shipped_to_single_owner(self):
         net = BestPeerNetwork(TPCH_SCHEMAS, SECONDARY_INDICES)

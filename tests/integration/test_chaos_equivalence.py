@@ -9,6 +9,8 @@ fail-overs, re-fetches) rather than silently skipped.
 import pytest
 
 from repro.core import BestPeerNetwork, engine_basic
+from repro.mapreduce import MapReduceEngine
+from repro.plan.driver import DistributedPlanDriver
 from repro.sim import ChaosHarness, FaultPlan, LinkFault, Outage
 from repro.sqlengine.vexecutor import VectorizedExecutor
 from repro.tpch import (
@@ -16,6 +18,7 @@ from repro.tpch import (
     Q2,
     Q3,
     Q4,
+    Q5,
     SECONDARY_INDICES,
     TPCH_SCHEMAS,
     TpchGenerator,
@@ -249,3 +252,46 @@ class TestMapReduceEngineUnderChaos:
         assert runs["outage"].wire.transient_rejections > 0
         assert runs["outage"].faults.retries > 0
         assert runs["outage"].fingerprint() == h.run(outage_plan()).fingerprint()
+
+    @pytest.mark.parametrize(
+        "query", [Q3(), Q4(), Q5()], ids=["Q3", "Q4", "Q5"]
+    )
+    def test_a_repeat_answers_as_the_first_run(self, monkeypatch, query):
+        # Fault-free, the repeat replays the job chain the first run kept.
+        # Under a crash or an outage a run the fault fails keeps nothing,
+        # and the facade's resubmission answers as the fault-free run.
+        replayed, kept_after_failure = [], []
+        run_job = MapReduceEngine.run_job
+        run = DistributedPlanDriver.run
+
+        def counting(self, job, inputs=None, replay=None):
+            replayed.append(replay is not None)
+            return run_job(self, job, inputs, replay)
+
+        def failing(self, plan, query_id):
+            try:
+                return run(self, plan, query_id)
+            except Exception:
+                kept_after_failure.append(plan.last_chain)
+                raise
+
+        monkeypatch.setattr(MapReduceEngine, "run_job", counting)
+        monkeypatch.setattr(DistributedPlanDriver, "run", failing)
+        h = harness(queries=[query, query], engine="mapreduce")
+        baseline = h.run(None)
+        first = baseline.outcomes[0]
+        assert first.rows and any(replayed) and not kept_after_failure
+        assert (baseline.outcomes[1].columns, baseline.outcomes[1].rows) == (
+            first.columns, first.rows
+        )
+        for plan in (crash_plan(), outage_plan()):
+            kept_after_failure.clear()
+            chaotic = h.run(plan)
+            assert chaotic.wire.total > 0, plan.seed
+            assert chaotic.faults.failovers + chaotic.faults.retries > 0, plan.seed
+            assert kept_after_failure, plan.seed
+            assert all(chain is None for chain in kept_after_failure), plan.seed
+            for outcome in chaotic.outcomes:
+                assert (outcome.columns, outcome.rows) == (
+                    first.columns, first.rows
+                ), plan.seed

@@ -86,7 +86,7 @@ def run_recorded(cluster, sql, written, whole_rows):
     jobs = []
     run_job = cluster.engine.run_job
 
-    def capture(job):
+    def capture(job, *args):
         outputs = []
         map_split = job.map_fn
 
@@ -96,7 +96,7 @@ def run_recorded(cluster, sql, written, whole_rows):
 
         job.map_fn = recording
         jobs.append((job, outputs))
-        return run_job(job)
+        return run_job(job, *args)
 
     cluster.engine.run_job = capture
     cluster.hdfs.write = checked_write(cluster.hdfs.write, written, whole_rows)

@@ -31,7 +31,6 @@ from repro.errors import SqlExecutionError
 from repro.hadoopdb import HadoopDbCluster
 from repro.mapreduce import MapReduceEngine
 from repro.mapreduce.job import _sortable
-from repro.sim.clock import parallel_duration
 from repro.sim.network import SimNetwork
 from repro.sqlengine import Column, ColumnType, TableSchema
 from repro.sqlengine.batch import ColumnBatch
@@ -71,7 +70,8 @@ class PerPairEngine(MapReduceEngine):
     """The shuffle as it was: each pair routed and priced on its own (the
     value, a join's row rebuilt as ``(tag, row)`` from its map output's
     side, by ``str()``), then each reducer's key groups reduced one by one,
-    and the output's widths and sizes measured from its rows."""
+    and the output's widths and sizes measured from its rows.  Its lanes
+    are shipped by the engine's one ``_ship``."""
 
     def _shuffle(self, job, map_outputs):
         partitions = [{} for _ in range(job.num_reducers)]
@@ -89,18 +89,13 @@ class PerPairEngine(MapReduceEngine):
                     + value_byte_size(key)
                     + by_value_byte_size([shipped(output.side, value)])
                 )
-        seconds = [0.0] * job.num_reducers
-        for (host, reducer), nbytes in sorted(lane_bytes.items()):
-            seconds[reducer] += self.network.transfer(
-                host, self._reducer_host(reducer), nbytes
-            )
-        duration = self.config.shuffle_notification_delay_s + parallel_duration(
-            *seconds
-        )
-        return partitions, sum(lane_bytes.values()), duration
+        return partitions, [
+            (host, reducer, nbytes)
+            for (host, reducer), nbytes in sorted(lane_bytes.items())
+        ]
 
     def _run_reduce_phase(self, job, partitions):
-        records, seconds = [], []
+        records, reducer_rows = [], []
         for partition in partitions:
             reduced = []
             for key in sorted(partition, key=_sortable):
@@ -112,12 +107,11 @@ class PerPairEngine(MapReduceEngine):
                 runs = [(side, batch, [position]) for side, batch, position in values]
                 output = job.reduce_fn([key] * len(values), sizes, runs)
                 reduced.extend(output.rows)
-            inputs = sum(map(len, partition.values()))
-            seconds.append((inputs + len(reduced)) * self.config.reduce_cpu_per_record_s)
+            reducer_rows.append(sum(map(len, partition.values())) + len(reduced))
             records.extend(reduced)
         # An empty input gives the output's shape; nothing rides with the rows.
         columns = job.reduce_fn([], [], []).columns
-        return ColumnBatch.from_rows(columns, records), parallel_duration(*seconds)
+        return ColumnBatch.from_rows(columns, records), reducer_rows
 
 
 @pytest.fixture

@@ -512,7 +512,7 @@ def routed_to(engine, keys, num_reducers):
         num_reducers=num_reducers,
     )
     output = MapOutput(keys, records_of([(key,) for key in keys]), [1] * len(keys))
-    inputs, _, _ = engine._shuffle(job, [("w0", output)])
+    inputs, _ = engine._shuffle(job, [("w0", output)])
     where = {}
     for reducer, (_, _, runs) in enumerate(inputs):
         for _, _, positions in runs:
